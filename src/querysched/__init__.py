@@ -1,5 +1,7 @@
 """Overlap-aware source permutation and online query scheduling."""
 
+import logging
+
 from .cost import (
     PREFIX_AVERAGE,
     SEQUENTIAL,
@@ -60,3 +62,6 @@ __all__ = [
     "demo_universe",
     "generate",
 ]
+
+# Library default: no output unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

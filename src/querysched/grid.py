@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cost import SEQUENTIAL, QuerySpec, permutation_time_cost
 from .detection import DetectionOutcome, initial_detection
@@ -318,14 +318,37 @@ def verify_demo_instance() -> DemoReport:
 
 # -- config (de)serialization ------------------------------------------------
 
+_TOP_KEYS = ("universe", "run", "k_fraction", "axes", "algorithms", "seeds")
+_UNIVERSE_KEYS = (
+    "sources", "distinct", "total", "overlap", "access_ms", "per_tuple_ms", "query_split",
+)
+_REPLICATION_KEYS = (
+    "style", "mean_depth", "max_depth", "chains", "chain_skew", "popularity_alpha", "split_skew",
+)
+
+
+def _reject_unknown(section: Mapping, allowed: Iterable[str], where: str) -> None:
+    """Raise on keys the parser would otherwise drop without notice."""
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ValueError(
+            "unknown key(s) in grid config section %s: %s" % (where, ", ".join(unknown))
+        )
+
+
 def grid_from_json(payload: Mapping) -> GridSpec:
+    """Parse a grid config; unknown keys in any section raise ValueError."""
+    _reject_unknown(payload, _TOP_KEYS, "top level")
     u = payload.get("universe", {})
+    _reject_unknown(u, _UNIVERSE_KEYS, "universe")
     overlap_cfg = u.get("overlap", {})
     if "cells" in overlap_cfg:
+        _reject_unknown(overlap_cfg, ("cells",), "universe.overlap")
         overlap: ReplicationModel | VennModel = VennModel.from_mapping(
             {int(m, 0) if isinstance(m, str) else int(m): c for m, c in overlap_cfg["cells"].items()}
         )
     else:
+        _reject_unknown(overlap_cfg, _REPLICATION_KEYS, "universe.overlap")
         overlap = ReplicationModel(
             style=overlap_cfg.get("style", "chained"),
             mean_depth=float(overlap_cfg.get("mean_depth", 5.0)),
@@ -345,19 +368,11 @@ def grid_from_json(payload: Mapping) -> GridSpec:
         query_split=float(u.get("query_split", 0.5)),
     )
     r = payload.get("run", {})
-    run = RunConfig(
-        query_threads=int(r.get("query_threads", 1)),
-        overlap_floor=float(r.get("overlap_floor", 0.05)),
-        prune_threshold=float(r.get("prune_threshold", 0.005)),
-        prune_relative=bool(r.get("prune_relative", True)),
-        detection_base_ms=float(r.get("detection_base_ms", 1.5)),
-        detection_overhead=float(r.get("detection_overhead", 1.0)),
-        detection_batch=int(r.get("detection_batch", 1)),
-        planner_unit_ms=float(r.get("planner_unit_ms", 0.01)),
-        charge_planner_online=bool(r.get("charge_planner_online", False)),
-        fast_sweep=bool(r.get("fast_sweep", False)),
-        fallback_ratio=float(r.get("fallback_ratio", 1.0)),
-    )
+    defaults = RunConfig()
+    _reject_unknown(r, [f.name for f in fields(RunConfig)], "run")
+    # Each value takes the type of its field's default, as JSON gives
+    # numbers without telling ints from floats.
+    run = RunConfig(**{name: type(getattr(defaults, name))(value) for name, value in r.items()})
     axes = tuple(
         (name, tuple(float(v) for v in values))
         for name, values in payload.get("axes", {}).items()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cost import SEQUENTIAL, CoverageWalk, PermState
 from .lattice import StatsSnapshot
@@ -75,13 +75,6 @@ class PermCandidate:
         return PermState(self.order, self.unselected, pinned, version)
 
 
-def intersections_with_prefix(
-    order: Sequence[int], targets: Iterable[int], snapshot: StatsSnapshot
-) -> dict[int, float]:
-    """Covered-tuple count of each target w.r.t. the given prefix."""
-    return {t: snapshot.intersect_count(order, t) for t in targets}
-
-
 def covered_total(order: Sequence[int], snapshot: StatsSnapshot) -> float:
     """Total residual tuples the order can deliver."""
     walk = CoverageWalk(snapshot)
@@ -134,20 +127,6 @@ def trim_to_cover(
     kept = tuple(order[:keep])
     moved = set(order[keep:])
     return _candidate(kept, set(unselected) | moved, snapshot)
-
-
-def append_source(
-    order: Sequence[int],
-    unselected: Iterable[int],
-    source: int,
-    snapshot: StatsSnapshot,
-) -> PermCandidate:
-    """Move one unselected source to the tail of the order."""
-    unsel = set(unselected)
-    if source not in unsel:
-        raise ValueError(f"source {source} is not unselected")
-    unsel.discard(source)
-    return _candidate(tuple(order) + (source,), unsel, snapshot)
 
 
 def swap_source(
@@ -308,18 +287,12 @@ def refine_order(
     *,
     pinned_order: Sequence[int] = (),
     overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
-    publish: Callable[[PermCandidate], None] | None = None,
-    snapshot_provider: Callable[[], StatsSnapshot] | None = None,
     meter: WorkMeter | None = None,
     top_overlap_only: bool = False,
 ) -> PermCandidate:
     """Greedy construction followed by the head-to-tail swap sweep.
 
-    Publishes the initial greedy order and every adopted improvement.
-    Pinned (already dispatched) positions are never swapped.  When a
-    ``snapshot_provider`` is given and its version moves mid-sweep, the
-    incumbent is re-evaluated under the fresh snapshot and the sweep
-    restarts from the first unpinned position.
+    Pinned (already dispatched) positions are never swapped.
     """
     if universe is None:
         ids = range(snapshot.n_sources)
@@ -328,22 +301,9 @@ def refine_order(
     pinned = len(pinned_order)
     unselected = frozenset(ids) - set(pinned_order)
     incumbent = greedy_by_rate(k, tuple(pinned_order), unselected, snapshot, pinned, meter)
-    if publish is not None:
-        publish(incumbent)
 
     pos = pinned
     while pos < len(incumbent.order):
-        if snapshot_provider is not None:
-            latest = snapshot_provider()
-            if latest.version != snapshot.version:
-                snapshot = latest
-                incumbent = greedy_by_rate(
-                    k, incumbent.order, incumbent.unselected, snapshot, pinned, meter
-                )
-                if publish is not None:
-                    publish(incumbent)
-                pos = pinned
-                continue
         cand = improve_position(
             k,
             incumbent.order,
@@ -357,8 +317,6 @@ def refine_order(
         )
         if cand is not None and cand.avg_rate > incumbent.avg_rate:
             incumbent = cand
-            if publish is not None:
-                publish(incumbent)
         pos += 1
     return incumbent
 

@@ -1,13 +1,15 @@
 """Deterministic event-driven execution of a query over a universe.
 
-Three logical workers share two versioned slots.  The statistics worker
-publishes refreshed snapshots as its counting queries complete; the
-planner is the sole writer of the permutation slot and re-plans whenever
-the statistics version or the dispatched prefix moves; the executor's
-query threads consume the permutation head, pin every source they
-dispatch and deduplicate arriving tuples against a shared seen-set.  All
-of it is driven by one event loop keyed on (time, worker class, thread
-id), so a run is a pure function of its inputs.  Planner compute is free
+One event loop runs every strategy.  Three logical workers take turns in
+it.  The statistics worker applies each refreshed snapshot when its
+counting query completes and bumps a plain version counter.  The planner
+replans lazily whenever that version or the dispatched prefix has moved
+since its last plan.  The query threads take the first undispatched
+source of the current plan, pin every source they dispatch and
+deduplicate arriving tuples against a shared seen-set.  Events are keyed
+on (time, worker class, thread id), so a run is a pure function of its
+inputs.  A baseline is the same loop with a fixed plan (its policy's
+order, never revised) and no statistics worker.  Planner compute is free
 on the simulated clock by default; the sequential strategy instead
 charges the initial sweep at a configured per-operation rate before the
 first dispatch, and a config switch charges it online as well.
@@ -17,9 +19,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .cost import PermState, QuerySpec, SEQUENTIAL
+from .cost import PermState, QuerySpec
 from .detection import DetectionTiming, online_detection_plan, prior_query_snapshot
 from .lattice import StatsSnapshot
 from .permutation import (
@@ -30,9 +34,9 @@ from .permutation import (
     WorkMeter,
     baseline_order,
     covered_total,
+    greedy_by_rate,
     refine_order,
 )
-from .shared import StopLatch, VersionedSlot
 from .simulator import ScopedProbe, SourceUnavailable, Universe
 
 _PRIO_STATS = 0
@@ -52,7 +56,6 @@ class RunConfig:
     charge_planner_online: bool = False
     fast_sweep: bool = False  # swap only against the top-overlap candidate
     fallback_ratio: float = 1.0
-    cost_model: str = SEQUENTIAL
 
     def timing(self) -> DetectionTiming:
         return DetectionTiming(
@@ -124,88 +127,50 @@ class _ThreadState:
 
 
 class _Planner:
-    """Sole writer of the permutation slot; replans lazily on demand."""
+    """Holds the current plan and replans lazily when its inputs moved.
 
-    def __init__(
-        self,
-        k: float,
-        stats_slot: VersionedSlot[StatsSnapshot],
-        config: RunConfig,
-        meter: WorkMeter,
-    ):
+    A plan is stale once the statistics version or the length of the
+    dispatched prefix differs from the pair it was built from.  Built with
+    a ``fixed`` order, as for the baselines, the planner keeps that order
+    and does no work.
+    """
+
+    def __init__(self, k: float, config: RunConfig, fixed: tuple[int, ...] | None = None):
         self.k = k
-        self.stats_slot = stats_slot
         self.config = config
-        self.meter = meter
-        self.slot: VersionedSlot[PermState] | None = None
-        self._planned_stats_version = -1
-        self._planned_pinned = -1
+        self.fixed = fixed is not None
+        self.plan = None if fixed is None else PermState(fixed, frozenset())
+        self.versions = int(self.fixed)
+        self._key: tuple[int, int] | None = None
 
-    def current(self, dispatched: tuple[int, ...]) -> tuple[PermState, int]:
+    def current(
+        self, stats: StatsSnapshot, stats_version: int, dispatched: tuple[int, ...]
+    ) -> tuple[PermState, int]:
         """Re-plan if stats or the pinned prefix moved; return plan + work."""
-        snapshot, stats_version = self.stats_slot.read()
-        if (
-            self.slot is not None
-            and stats_version == self._planned_stats_version
-            and len(dispatched) == self._planned_pinned
-        ):
-            return self.slot.read()[0], 0
-        before = self.meter.ops
+        key = (stats_version, len(dispatched))
+        if self.fixed or key == self._key:
+            return self.plan, 0
+        meter = WorkMeter()
         candidate = refine_order(
             self.k,
-            snapshot,
-            range(snapshot.n_sources),
+            stats,
+            range(stats.n_sources),
             pinned_order=dispatched,
             overlap_floor=self.config.overlap_floor,
-            meter=self.meter,
+            meter=meter,
             top_overlap_only=self.config.fast_sweep,
         )
-        work = self.meter.ops - before
         # Publish a full-universe order: estimates can overstate the
         # covering prefix, and the executor must always find a next
         # source until the target or the universe is exhausted.  The
         # tail continues greedily by rate, dead sources last by id.
-        order = _extend_to_full(candidate.order, snapshot, self.meter)
-        state = PermState(order, frozenset(), pinned=len(dispatched))
-        if self.slot is None:
-            self.slot = VersionedSlot(state)
-        else:
-            self.slot.publish(state)
-        self._planned_stats_version = stats_version
-        self._planned_pinned = len(dispatched)
-        return self.slot.read()[0], work
-
-
-def _extend_to_full(
-    order: tuple[int, ...], snapshot: StatsSnapshot, meter: WorkMeter | None = None
-) -> tuple[int, ...]:
-    """Append the unselected remainder: greedy by rate, then dead by id."""
-    from .cost import CoverageWalk
-
-    n = snapshot.n_sources
-    remaining = sorted(set(range(n)) - set(order))
-    if not remaining:
-        return order
-    walk = CoverageWalk(snapshot)
-    for s in order:
-        walk.append(s)
-    tail: list[int] = []
-    while remaining:
-        best = -1
-        best_rate = 0.0
-        for s in remaining:
-            if meter is not None:
-                meter.add()
-            rate = walk.rate(s)
-            if rate > best_rate:
-                best_rate = rate
-                best = s
-        if best < 0:
-            break
-        tail.append(best)
-        walk.append(best)
-        remaining.remove(best)
-    return order + tuple(tail) + tuple(remaining)
+        rest = set(range(stats.n_sources)) - set(candidate.order)
+        full = greedy_by_rate(math.inf, candidate.order, rest, stats)
+        order = full.order + tuple(sorted(full.unselected))
+        self.plan = PermState(order, frozenset(), pinned=len(dispatched))
+        self.versions += 1
+        self._key = key
+        return self.plan, meter.ops
 
 
 def run_query(
@@ -223,32 +188,25 @@ def run_query(
     is deterministic in (algo, query, universe, initial, config, seed).
     """
     if algo in BASELINE_ALGOS:
-        return _run_fixed_order(algo, query, universe, initial, config, seed)
+        prior = prior_query_snapshot(initial, config.fallback_ratio)
+        order = baseline_order(algo, prior, seed=seed)
+        return _run(algo, query, universe, config, _Planner(query.k, config, order), prior)
     if algo == ALGO_FULL_KNOWLEDGE:
         truth = universe.truth_snapshot(query.predicate_id)
-        return _run_adaptive(algo, query, universe, truth, config, online_stats=False)
-    if algo == ALGO_ONLINE:
-        return _run_adaptive(algo, query, universe, initial, config, online_stats=True)
-    if algo == ALGO_SEQUENTIAL:
-        return _run_adaptive(
-            algo, query, universe, initial, config, online_stats=True, charge_first_sweep=True
+        return _run(algo, query, universe, config, _Planner(query.k, config), truth)
+    if algo in (ALGO_ONLINE, ALGO_SEQUENTIAL):
+        probe = ScopedProbe(universe, query.predicate_id)
+        hint = _all_source_hint(initial, config)
+        detection = online_detection_plan(
+            query, initial, hint, probe, config.timing(),
+            fallback_ratio=config.fallback_ratio,
+        )
+        _, prior, _ = next(detection)
+        return _run(
+            algo, query, universe, config, _Planner(query.k, config), prior, detection,
+            charge_first_sweep=algo == ALGO_SEQUENTIAL,
         )
     raise ValueError(f"unknown algorithm {algo!r}")
-
-
-def _run_fixed_order(
-    algo: str,
-    query: QuerySpec,
-    universe: Universe,
-    initial: StatsSnapshot,
-    config: RunConfig,
-    seed: int,
-) -> RunResult:
-    prior = prior_query_snapshot(initial, config.fallback_ratio)
-    order = baseline_order(algo, prior, seed=seed)
-    executor = _Executor(query, universe, config)
-    executor.run_fixed(order)
-    return executor.result(algo, planner_time=0.0, detections=0, stats_versions=1, perm_versions=1)
 
 
 def _all_source_hint(initial: StatsSnapshot, config: RunConfig) -> tuple[int, ...]:
@@ -264,44 +222,26 @@ def _all_source_hint(initial: StatsSnapshot, config: RunConfig) -> tuple[int, ..
     return candidate.order + tuple(sorted(missing))
 
 
-def _run_adaptive(
+def _run(
     algo: str,
     query: QuerySpec,
     universe: Universe,
-    initial: StatsSnapshot,
     config: RunConfig,
+    planner: _Planner,
+    stats: StatsSnapshot,
+    detection: Iterator[tuple[float, StatsSnapshot, int]] | None = None,
     *,
-    online_stats: bool,
     charge_first_sweep: bool = False,
 ) -> RunResult:
-    stop = StopLatch()
-    meter = WorkMeter()
+    """The event loop; ``detection`` yields the statistics worker's steps."""
+    stats_versions = 1
     detections = 0
-
-    if online_stats:
-        probe = ScopedProbe(universe, query.predicate_id)
-        hint = _all_source_hint(initial, config)
-        plan = online_detection_plan(
-            query, initial, hint, probe, config.timing(),
-            fallback_ratio=config.fallback_ratio,
-        )
-        _, prior, _ = next(plan)
-    else:
-        plan = None
-        prior = initial
-
-    stats_slot: VersionedSlot[StatsSnapshot] = VersionedSlot(prior, version=1)
-    planner = _Planner(query.k, stats_slot, config, meter)
-
-    qe_start = 0.0
     planner_charge = 0.0
     if charge_first_sweep:
-        _, work = planner.current(())
+        _, work = planner.current(stats, stats_versions, ())
         planner_charge = work * config.planner_unit_ms
-        qe_start = planner_charge
 
     executor = _Executor(query, universe, config)
-    stats_versions = 1
 
     events: list[tuple[float, int, int, int]] = []
     seq = 0
@@ -321,20 +261,12 @@ def _run_adaptive(
 
     def pull_next_detection() -> None:
         nonlocal pending
-        if plan is None:
-            pending = None
-            return
-        try:
-            cost, snapshot, target = next(plan)
-        except StopIteration:
-            pending = None
-            return
-        pending = (cost, snapshot, target)
+        pending = None if detection is None else next(detection, None)
 
     def try_start_detection(now_ms: float) -> None:
         """Begin the pending probe unless its source is being scanned."""
         nonlocal sc_in_flight
-        if sc_in_flight or pending is None or stop.is_set():
+        if sc_in_flight or pending is None or executor.reached_target:
             return
         cost, _snapshot, target = pending
         if target >= 0 and executor.scanning(target):
@@ -347,14 +279,14 @@ def _run_adaptive(
     pull_next_detection()
     try_start_detection(0.0)
     for tid in range(config.query_threads):
-        push(qe_start, _PRIO_QUERY, tid)
+        push(planner_charge, _PRIO_QUERY, tid)
 
-    while events and not stop.is_set():
+    while events and not executor.reached_target:
         time_ms, prio, tid, _ = heapq.heappop(events)
         if prio == _PRIO_STATS:
             sc_in_flight = False
             if pending is not None:
-                stats_slot.publish(pending[1])
+                stats = pending[1]
                 stats_versions += 1
                 detections += 1
             pull_next_detection()
@@ -363,11 +295,9 @@ def _run_adaptive(
         # query-thread event: either a dispatch (idle) or one tuple arrival
         state = executor.threads[tid]
         if state.source < 0:
-            plan_state, work = planner.current(tuple(executor.dispatched))
+            plan, work = planner.current(stats, stats_versions, tuple(executor.dispatched))
             delay = work * config.planner_unit_ms if config.charge_planner_online else 0.0
-            started = executor.dispatch(
-                tid, plan_state, time_ms + delay, probe_busy_until
-            )
+            started = executor.dispatch(tid, plan, time_ms + delay, probe_busy_until)
             if started is None:
                 state.done = True
                 state.last_event_ms = time_ms
@@ -377,8 +307,8 @@ def _run_adaptive(
                 push(started, _PRIO_QUERY, tid)
         else:
             source = state.source
-            finished = executor.on_tuple(tid, time_ms, stop)
-            if stop.is_set():
+            finished = executor.on_tuple(tid, time_ms)
+            if executor.reached_target:
                 break
             if finished:
                 try_start_detection(time_ms)
@@ -386,13 +316,12 @@ def _run_adaptive(
             else:
                 push(time_ms + universe.sources[source].per_tuple_ms, _PRIO_QUERY, tid)
 
-    perm_versions = 1 if planner.slot is None else planner.slot.version + 1
     return executor.result(
         algo,
         planner_time=planner_charge,
         detections=detections,
         stats_versions=stats_versions,
-        perm_versions=perm_versions,
+        perm_versions=max(planner.versions, 1),
     )
 
 
@@ -402,7 +331,6 @@ class _Executor:
     def __init__(self, query: QuerySpec, universe: Universe, config: RunConfig):
         self.query = query
         self.universe = universe
-        self.config = config
         self.scope = query.predicate_id
         self.threads = [_ThreadState() for _ in range(config.query_threads)]
         self.dispatched: list[int] = []
@@ -411,7 +339,7 @@ class _Executor:
         self.transferred = 0
         self.traces: list[SourceTrace] = []
         self.end_ms = 0.0
-        self.reached_target = False
+        self.reached_target = False  # also ends the event loop
 
     # -- dispatch -----------------------------------------------------
 
@@ -430,7 +358,7 @@ class _Executor:
         tid: int,
         plan: PermState,
         now_ms: float,
-        probe_busy_until: dict[int, float] | None = None,
+        probe_busy_until: dict[int, float],
     ) -> float | None:
         """Start the next undispatched source; None when exhausted.
 
@@ -441,9 +369,7 @@ class _Executor:
             return None
         state = self.threads[tid]
         self.dispatched.append(source)
-        start_ms = now_ms
-        if probe_busy_until is not None:
-            start_ms = max(start_ms, probe_busy_until.get(source, 0.0))
+        start_ms = max(now_ms, probe_busy_until.get(source, 0.0))
         state.source = source
         state.cursor = 0
         state.dispatch_ms = start_ms
@@ -461,7 +387,7 @@ class _Executor:
             return contact_done  # next event is the follow-up dispatch
         return contact_done + src.per_tuple_ms  # first tuple arrival
 
-    def on_tuple(self, tid: int, now_ms: float, stop: StopLatch) -> bool:
+    def on_tuple(self, tid: int, now_ms: float) -> bool:
         """Process one tuple arrival; True when the source is finished."""
         state = self.threads[tid]
         tuple_id = state.stream[state.cursor]
@@ -479,66 +405,11 @@ class _Executor:
                 self.end_ms = now_ms
                 self._finish_source(tid, now_ms)
                 self._flush_active(now_ms, skip=tid)
-                stop.set()
                 return True
         if state.cursor >= len(state.stream):
             self._finish_source(tid, now_ms)
             return True
         return False
-
-    def run_fixed(self, order: tuple[int, ...]) -> None:
-        """Execute a fixed dispatch order without planner or stats events."""
-        events: list[tuple[float, int, int]] = []
-        seq = 0
-        cursor = 0
-        stop = StopLatch()
-
-        def dispatch(tid: int, now: float) -> None:
-            nonlocal cursor, seq
-            if cursor >= len(order):
-                self.threads[tid].done = True
-                self.threads[tid].last_event_ms = max(
-                    self.threads[tid].last_event_ms, now
-                )
-                return
-            source = order[cursor]
-            cursor += 1
-            state = self.threads[tid]
-            self.dispatched.append(source)
-            state.source = source
-            state.cursor = 0
-            state.dispatch_ms = now
-            state.new_tuples = 0
-            state.dup_tuples = 0
-            src = self.universe.sources[source]
-            try:
-                state.stream = self.universe.tuple_stream(source, self.scope)
-            except SourceUnavailable:
-                state.stream = ()
-            contact = now + src.access_ms
-            state.last_event_ms = contact
-            if not state.stream:
-                self._finish_source(tid, contact)
-                dispatch(tid, contact)
-            else:
-                heapq.heappush(events, (contact + src.per_tuple_ms, tid, seq))
-                seq += 1
-
-        for tid in range(self.config.query_threads):
-            dispatch(tid, 0.0)
-        while events and not stop.is_set():
-            now, tid, _ = heapq.heappop(events)
-            finished = self.on_tuple(tid, now, stop)
-            if stop.is_set():
-                break
-            state = self.threads[tid]
-            if finished:
-                dispatch(tid, now)
-            else:
-                heapq.heappush(
-                    events, (now + self.universe.sources[state.source].per_tuple_ms, tid, seq)
-                )
-                seq += 1
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -1,10 +1,15 @@
 """Experiment grid, CSV output, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import querysched
 from querysched.cli import main
 from querysched.grid import (
     CSV_HEADER,
@@ -19,7 +24,7 @@ from querysched.grid import (
     verify_demo_instance,
 )
 from querysched.lattice import parse_snapshot
-from querysched.permutation import TABLE_ALGO_ORDER
+from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER
 from querysched.scheduler import RunConfig
 from querysched.simulator import ReplicationModel, demo_universe
 
@@ -32,6 +37,9 @@ def tiny_grid():
         algorithms=("max_tuples", "online", "random"),
         seeds=(101, 102),
     )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestGrid:
@@ -58,6 +66,19 @@ class TestGrid:
         assert len(files) == 2 * 3 * 2
         payload = json.loads(files[0].read_text())
         assert "trace" in payload and "simulated_time_ms" in payload
+
+    def test_small_grid_matches_golden_csv(self, tmp_path):
+        # Pure-Python paths only (baselines and full knowledge, no solver),
+        # so the committed bytes pin the event loop's behaviour.
+        spec = GridSpec(
+            universe=desk_universe_config(n_sources=16),
+            run=RunConfig(),
+            axes=(("k_fraction", (0.4, 0.8)), ("query_threads", (2,))),
+            algorithms=BASELINE_ALGOS + ("full_knowledge",),
+            seeds=(101, 102, 103),
+        )
+        text = run_grid(spec, tmp_path / "golden.csv")
+        assert text == (DATA / "golden_grid.csv").read_text()
 
     def test_default_algorithms_follow_table_order(self):
         assert default_grid().algorithms == TABLE_ALGO_ORDER
@@ -93,6 +114,28 @@ class TestGrid:
         assert spec.run.detection_base_ms == 1.5
         assert spec.axes == (("query_threads", (1.0, 2.0)),)
         assert spec.seeds == (7, 8)
+
+    @pytest.mark.parametrize(
+        "payload, section, key",
+        [
+            ({"run": {"query_thread": 2}}, "run", "query_thread"),
+            ({"run": {"cost_model": "sequential"}}, "run", "cost_model"),
+            ({"k_fractions": 0.5}, "top level", "k_fractions"),
+            ({"universe": {"source": 10}}, "universe", "source"),
+            ({"universe": {"overlap": {"chain": 3}}}, "universe.overlap", "chain"),
+            (
+                {"universe": {"overlap": {"cells": {"1": 5}, "style": "uniform"}}},
+                "universe.overlap",
+                "style",
+            ),
+        ],
+        ids=["run", "run-stale-cost-model", "top-level", "universe", "overlap", "cells-overlap"],
+    )
+    def test_unknown_config_key_rejected(self, payload, section, key):
+        with pytest.raises(ValueError) as err:
+            grid_from_json(payload)
+        assert f"section {section}:" in str(err.value)
+        assert key in str(err.value)
 
     def test_venn_config_accepted(self):
         payload = {
@@ -215,3 +258,25 @@ class TestCli:
         assert rc == 0
         assert "optimal order=" in out
         assert "within_bound=" in out
+
+    def test_run_is_quiet_by_default(self, tmp_path):
+        # Offline detection on this universe logs fill-in warnings; with no
+        # logging configured, none of them may reach stderr.  A subprocess,
+        # because in-process capture hides logging's last-resort handler.
+        cfg = {
+            "universe": {"sources": 16},
+            "axes": {"k_fraction": [0.8]},
+            "algorithms": ["max_tuples"],
+            "seeds": [101],
+        }
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(cfg))
+        src = str(Path(querysched.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "querysched.cli", "run", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""

@@ -19,7 +19,6 @@ from querysched.permutation import (
     format_order,
     greedy_by_rate,
     improve_position,
-    intersections_with_prefix,
     overlap_ranked,
     parse_order,
     refine_order,
@@ -32,15 +31,6 @@ from test_lattice import ref_snapshot
 
 
 class TestHelperOps:
-    def test_intersections_with_prefix(self):
-        snap = ref_snapshot()
-        assert intersections_with_prefix((0,), {1, 2}, snap) == pytest.approx({1: 35.0, 2: 5.0})
-        assert intersections_with_prefix((0, 1), {2}, snap) == pytest.approx({2: 15.0})
-
-    def test_intersections_empty_prefix(self):
-        got = intersections_with_prefix((), {0, 1, 2}, ref_snapshot())
-        assert got == {0: 0.0, 1: 0.0, 2: 0.0}
-
     def test_covered_total(self):
         assert covered_total((0, 1, 2), ref_snapshot()) == pytest.approx(50 + 90 + 60)
 
@@ -201,37 +191,6 @@ class TestRefineOrder:
             assert len(set(cand.order)) == len(cand.order)
             assert set(cand.order) | cand.unselected == set(range(7))
             assert not set(cand.order) & cand.unselected
-
-    def test_publish_stream_and_restart_on_new_snapshot(self):
-        snap_a, distinct = random_instance(6, 3)
-        snap_b, _ = random_instance(6, 4)
-        snap_b = snapshot_from_cells(
-            snap_a.access_ms,
-            snap_a.per_tuple_ms,
-            {m: c.value for m, c in snap_b.cells.items()},
-            version=9,
-        )
-        greedy_len = len(greedy_by_rate(0.95 * distinct, (), range(6), snap_a).order)
-        assert greedy_len >= 2
-        published = []
-        versions_seen = []
-        feed = iter([snap_a, snap_b])
-
-        def provider():
-            snap = next(feed, snap_b)
-            versions_seen.append(snap.version)
-            return snap
-
-        final = refine_order(
-            0.95 * distinct,
-            snap_a,
-            publish=published.append,
-            snapshot_provider=provider,
-        )
-        # Initial publication plus at least the restart re-evaluation.
-        assert len(published) >= 2
-        assert 9 in versions_seen
-        assert set(final.order) | final.unselected == set(range(6))
 
 
 class TestStatsQualityEffect:

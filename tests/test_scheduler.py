@@ -3,11 +3,10 @@
 import pytest
 
 from querysched.cost import QuerySpec
-from querysched.detection import initial_detection
+from querysched.detection import initial_detection, prior_query_snapshot
 from querysched.grid import desk_universe_config, offline_stats
-from querysched.permutation import TABLE_ALGO_ORDER
+from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER, baseline_order
 from querysched.scheduler import RunConfig, run_query
-from querysched.shared import StopLatch, VersionedSlot
 from querysched.simulator import (
     SCOPE_ALL,
     SCOPE_FOCUS,
@@ -29,21 +28,21 @@ def desk_setup(seed=101):
     return u, stats.snapshot
 
 
-class TestSharedState:
-    def test_versioned_slot_monotone(self):
-        slot = VersionedSlot("a")
-        _, v0 = slot.read()
-        v1 = slot.publish("b")
-        v2 = slot.publish("c")
-        assert v0 < v1 < v2
-        value, version = slot.read()
-        assert value == "c" and version == v2
+def desk_outage_setup():
+    """Desk universe whose largest focus source goes down after detection.
 
-    def test_stop_latch_one_way(self):
-        latch = StopLatch()
-        assert not latch()
-        latch.set()
-        assert latch()
+    The offline statistics still count source 11's tuples, so strategies
+    that trust them dispatch it and find it unavailable.
+    """
+    u, init = desk_setup()
+    return u.with_unavailable({11}), init
+
+
+#: Every strategy with one and with three query threads; the one-thread
+#: cases keep the bare algorithm name as their id.
+ALGOS_BY_THREADS = [pytest.param(a, 1, id=a) for a in TABLE_ALGO_ORDER] + [
+    pytest.param(a, 3, id=f"{a}-threads3") for a in TABLE_ALGO_ORDER
+]
 
 
 class TestReferenceRuns:
@@ -83,10 +82,11 @@ class TestReferenceRuns:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("algo", TABLE_ALGO_ORDER)
-    def test_no_source_dispatched_twice(self, algo):
-        u, init = desk_setup()
-        result = run_query(algo, QuerySpec(SCOPE_FOCUS, 250), u, init, RunConfig(), seed=5)
+    @pytest.mark.parametrize("algo, threads", ALGOS_BY_THREADS)
+    def test_no_source_dispatched_twice(self, algo, threads):
+        u, init = desk_outage_setup()
+        cfg = RunConfig(query_threads=threads)
+        result = run_query(algo, QuerySpec(SCOPE_FOCUS, 250), u, init, cfg, seed=5)
         sources = [t.source for t in result.per_source_trace]
         assert len(sources) == len(set(sources))
 
@@ -124,9 +124,11 @@ class TestInvariants:
         dispatches = [t.dispatch_ms for t in sorted(result.per_source_trace, key=lambda x: x.dispatch_ms)]
         assert dispatches == sorted(dispatches)
 
-    def test_tuples_accounting(self):
-        u, init = desk_setup()
-        result = run_query("online", QuerySpec(SCOPE_FOCUS, 260), u, init, RunConfig())
+    @pytest.mark.parametrize("algo, threads", ALGOS_BY_THREADS)
+    def test_tuples_accounting(self, algo, threads):
+        u, init = desk_outage_setup()
+        cfg = RunConfig(query_threads=threads)
+        result = run_query(algo, QuerySpec(SCOPE_FOCUS, 260), u, init, cfg, seed=5)
         trace_new = sum(t.new_tuples for t in result.per_source_trace)
         trace_dup = sum(t.duplicate_tuples for t in result.per_source_trace)
         assert trace_new == result.distinct_tuples == 260
@@ -161,6 +163,23 @@ class TestThreads:
                 total[threads] += r.simulated_time_ms
         assert total[3] < total[1]
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_baselines_dispatch_in_their_own_order(self, threads):
+        # A thread that meets an empty or unavailable source redispatches
+        # at its contact time, after threads that free up earlier.
+        cfg = RunConfig(query_threads=threads)
+        for seed in (101, 102):
+            u, init = desk_setup(seed)
+            prior = prior_query_snapshot(init, cfg.fallback_ratio)
+            for algo in BASELINE_ALGOS:
+                order = baseline_order(algo, prior, seed=seed)
+                result = run_query(algo, QuerySpec(SCOPE_FOCUS, 260), u, init, cfg, seed=seed)
+                dispatch_ms = {t.source: t.dispatch_ms for t in result.per_source_trace}
+                head = order[: len(dispatch_ms)]
+                assert set(head) == set(dispatch_ms), (algo, seed)
+                times = [dispatch_ms[s] for s in head]
+                assert times == sorted(times), (algo, seed)
+
     def test_early_stop_halts_other_threads(self):
         u, init = demo_setup()
         result = run_query(
@@ -175,15 +194,13 @@ class TestThreads:
 class TestPlannerPublication:
     def test_pinned_prefix_is_prefix_of_every_later_version(self):
         from querysched.scheduler import _Planner
-        from querysched.permutation import WorkMeter
 
         u, init = desk_setup()
-        slot = VersionedSlot(init, version=1)
-        planner = _Planner(200, slot, RunConfig(), WorkMeter())
+        planner = _Planner(200, RunConfig())
         dispatched: list[int] = []
         published = []
         for _ in range(6):
-            state, _work = planner.current(tuple(dispatched))
+            state, _work = planner.current(init, 1, tuple(dispatched))
             published.append(state)
             assert state.order[: len(dispatched)] == tuple(dispatched)
             dispatched.append(state.order[len(dispatched)])
