@@ -311,24 +311,18 @@ def online_detection_plan(
         free = [m for m in live_cells if m not in known]
         if not free:
             return {}
-        try:
-            values, _ = maxent.solve(
-                constraints,
-                known,
-                free,
-                prior=live_cells,
-                warm_start=estimates,
-                rel_tol=rel_tol,
-                on_clamp=lambda s, r: log.warning(
-                    "query-level cells overshoot source %d by %.6g; clamping", s, -r
-                ),
-            )
-            return values
-        except maxent.MaxEntError as exc:
-            log.warning("query-level fill-in imprecise: %s", exc)
-            return {
-                m: exc.values.get(m, estimates.get(m, live_cells[m])) for m in free
-            }
+        values, _ = maxent.solve(
+            constraints,
+            known,
+            free,
+            prior=live_cells,
+            warm_start=estimates,
+            rel_tol=rel_tol,
+            on_clamp=lambda s, r: log.warning(
+                "query-level cells overshoot source %d by %.6g; clamping", s, -r
+            ),
+        )
+        return values
 
     prior = prior_query_snapshot(initial, fallback_ratio)
     version = prior.version

@@ -94,6 +94,8 @@ def default_grid() -> GridSpec:
 
 
 _DETECTION_CACHE: dict[tuple, DetectionOutcome] = {}
+#: Universes by (config, seed): every cell of a condition shares one.
+_UNIVERSE_CACHE: dict[tuple[UniverseConfig, int], Universe] = {}
 
 
 def offline_stats(universe: Universe, run: RunConfig) -> DetectionOutcome:
@@ -132,7 +134,7 @@ def scaled_universe(ucfg: UniverseConfig, n_sources: int) -> UniverseConfig:
 def run_condition(
     spec: GridSpec, axis: str, value: float, algo: str, seed: int
 ) -> RunResult:
-    """One deterministic cell of the grid."""
+    """One deterministic cell of the grid; universes are generated once per process."""
     ucfg = spec.universe
     run = spec.run
     k_fraction = spec.k_fraction
@@ -149,7 +151,9 @@ def run_condition(
     else:
         raise ValueError(f"unknown grid axis {axis!r}")
 
-    universe = generate(ucfg, seed)
+    universe = _UNIVERSE_CACHE.get((ucfg, seed))
+    if universe is None:
+        universe = _UNIVERSE_CACHE[ucfg, seed] = generate(ucfg, seed)
     stats = offline_stats(universe, run)
     focus_count = universe.truth.distinct_in_scope(SCOPE_FOCUS)
     k = max(1, int(round(k_fraction * focus_count)))
@@ -337,7 +341,7 @@ def _reject_unknown(section: Mapping, allowed: Iterable[str], where: str) -> Non
 
 
 def grid_from_json(payload: Mapping) -> GridSpec:
-    """Parse a grid config; unknown keys in any section raise ValueError."""
+    """Parse a grid config; unknown keys or algorithm names raise ValueError."""
     _reject_unknown(payload, _TOP_KEYS, "top level")
     u = payload.get("universe", {})
     _reject_unknown(u, _UNIVERSE_KEYS, "universe")
@@ -377,12 +381,16 @@ def grid_from_json(payload: Mapping) -> GridSpec:
         (name, tuple(float(v) for v in values))
         for name, values in payload.get("axes", {}).items()
     )
+    algorithms = tuple(payload.get("algorithms", TABLE_ALGO_ORDER))
+    unknown = [a for a in algorithms if a not in TABLE_ALGO_ORDER]
+    if unknown:
+        raise ValueError("unknown algorithm(s) in grid config: %s" % ", ".join(map(repr, unknown)))
     return GridSpec(
         universe=universe,
         run=run,
         k_fraction=float(payload.get("k_fraction", 0.8)),
         axes=axes,
-        algorithms=tuple(payload.get("algorithms", TABLE_ALGO_ORDER)),
+        algorithms=algorithms,
         seeds=tuple(int(s) for s in payload.get("seeds", range(101, 111))),
     )
 

@@ -35,12 +35,10 @@ def level(mask: int) -> int:
 def member_sources(mask: int) -> tuple[int, ...]:
     """Source ids whose bit is set in ``mask``, ascending."""
     out = []
-    s = 0
     while mask:
-        if mask & 1:
-            out.append(s)
-        mask >>= 1
-        s += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -9,11 +9,16 @@ sources in the cell's mask, so the solver runs multiplicative row scaling
 an exact coordinate step on the convex dual, which converges to the global
 optimum whenever the rows are consistent.
 
-Passing ``prior`` switches the seed to the prior values, in which case the
-same iteration computes the generalized-KL projection of the prior onto
-the row constraints, i.e. the estimate closest to the prior that matches
-the new totals.  That variant backs the per-query refresh, where earlier
-estimates act as the prior.
+Passing ``prior`` asks for the generalized-KL projection of the prior
+onto the rows instead, i.e. the estimate closest to the prior that matches
+the new totals; that variant backs the per-query refresh, where the
+offline cells act as the prior.  Its rows are often infeasible: totals
+scaled from a few probed sources cannot be met by the cells that the
+offline lattice kept.  So the refresh first finds the nearest totals the
+nonnegative cells can reach (Lawson-Hanson NNLS on the scaled rows), keeps
+only the cells some nearest point may use, and then projects the prior
+onto those totals by Newton steps on the dual.  It always returns an
+answer and names the sources whose totals moved.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ DEFAULT_MAX_ITER = 10_000
 
 
 class MaxEntError(RuntimeError):
-    """Raised when row scaling cannot satisfy the constraint rows.
+    """Raised when the offline fill-in cannot satisfy the constraint rows.
 
     Carries the per-row absolute residuals and the last iterate, so
     pipelines can degrade to the best-effort estimates.
@@ -57,6 +62,7 @@ class SolveReport:
     max_rel_residual: float
     clamped_sources: tuple[int, ...]
     skipped_sources: tuple[int, ...] = ()
+    moved_sources: tuple[int, ...] = ()
 
 
 def solve(
@@ -75,20 +81,31 @@ def solve(
     ``constraints`` maps source id to its total; ``known_cells`` hold fixed
     and are subtracted from the rows they belong to.  Negative row
     residuals (detected cells overshooting a total) are clamped to zero
-    and reported through ``on_clamp`` rather than failing.  Raises
-    :class:`MaxEntError` when the residuals have not dropped below
-    ``rel_tol`` (relative to each row total) after ``max_iter`` sweeps.
+    and reported through ``on_clamp`` rather than failing.  Without
+    ``prior``, raises :class:`MaxEntError` when the residuals have not
+    dropped below ``rel_tol`` (relative to each row total) after
+    ``max_iter`` sweeps.  With ``prior`` it never raises for inconsistent
+    rows: rows no positive-prior cell can reach are listed in
+    ``skipped_sources``, rows whose totals were moved to the nearest
+    reachable ones in ``moved_sources``.
     """
     free = sorted(set(int(m) for m in free_cells))
     for m in free:
         if m in known_cells:
             raise ValueError(f"cell {m:#x} is both known and free")
+    scale = {s: max(float(t), 1.0) for s, t in constraints.items()}
 
+    # Each cell's member sources are read once; every per-row list below
+    # keeps the cell order of the input, so sums add in the same order.
+    known_by_row: dict[int, list[float]] = {s: [] for s in constraints}
+    for m, v in known_cells.items():
+        for s in member_sources(m):
+            if s in known_by_row:
+                known_by_row[s].append(v)
     residuals: dict[int, float] = {}
     clamped: list[int] = []
     for s, total in sorted(constraints.items()):
-        used = sum(v for m, v in known_cells.items() if (m >> s) & 1)
-        resid = float(total) - used
+        resid = float(total) - sum(known_by_row[s])
         if resid < 0:
             clamped.append(s)
             if on_clamp is not None:
@@ -101,37 +118,15 @@ def solve(
         if not srcs:
             raise ValueError(f"free cell {m:#x} appears in no constraint")
 
-    # A zero-residual row forces all its free cells to zero; removing them
-    # can zero out further rows, so propagate to a fixed point.
-    forced: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for s, resid in residuals.items():
-            if resid == 0.0:
-                for m in free:
-                    if m not in forced and (m >> s) & 1:
-                        forced.add(m)
-                        changed = True
-
+    # A zero-residual row forces all its free cells to zero.
+    forced = {m for m, srcs in membership.items() if any(residuals[s] == 0.0 for s in srcs)}
     active = [m for m in free if m not in forced]
     values = {m: 0.0 for m in forced}
     if not active:
-        bad = tuple(
-            s
-            for s, r in sorted(residuals.items())
-            if r > rel_tol * max(float(constraints[s]), 1.0)
-        )
-        worst = max(
-            (
-                r / max(float(constraints[s]), 1.0)
-                for s, r in residuals.items()
-            ),
-            default=0.0,
-        )
+        bad = tuple(s for s, r in sorted(residuals.items()) if r > rel_tol * scale[s])
+        worst = max((r / scale[s] for s, r in residuals.items()), default=0.0)
         return values, SolveReport(0, worst, tuple(clamped), bad)
 
-    index = {m: i for i, m in enumerate(active)}
     if prior is not None:
         w = np.array([max(float(prior.get(m, 0.0)), 0.0) for m in active])
     else:
@@ -146,23 +141,51 @@ def solve(
     # Rows with no free support, or whose whole support is pinned at zero
     # (zero prior), are vacuous for the optimization: no choice of free
     # values can move them.  Their residual is reported, not fatal.
+    support: dict[int, list[int]] = {s: [] for s in residuals}
+    for i, m in enumerate(active):
+        for s in membership[m]:
+            support[s].append(i)
     rows: list[tuple[int, np.ndarray, float]] = []
     skipped: list[int] = []
     for s, resid in sorted(residuals.items()):
-        idx = np.array([index[m] for m in active if (m >> s) & 1], dtype=np.intp)
+        idx = np.array(support[s], dtype=np.intp)
         reachable = idx.size > 0 and float(w[idx].sum()) > 0.0
         if reachable:
             rows.append((s, idx, resid))
-        elif resid > rel_tol * max(float(constraints[s]), 1.0):
+        elif resid > rel_tol * scale[s]:
             skipped.append(s)
             log.debug("row %d residual %.6g is unreachable from the prior", s, resid)
 
-    def residual_state() -> float:
-        worst = 0.0
-        for s, idx, target in rows:
-            scale = max(float(constraints[s]), 1.0)
-            worst = max(worst, abs(float(w[idx].sum()) - target) / scale)
-        return worst
+    moved: tuple[int, ...] = ()
+    if prior is not None:
+        iterations, worst_rel, moved = _project(w, rows, scale, rel_tol, max_iter, skipped)
+    else:
+        iterations, worst_rel, rows = _scale_rows(w, rows, scale, rel_tol, max_iter, skipped)
+    values.update({m: float(w[i]) for i, m in enumerate(active)})
+    if prior is None and worst_rel > rel_tol:
+        raise MaxEntError(
+            "row scaling did not converge",
+            {s: abs(float(w[idx].sum()) - t) for s, idx, t in rows},
+            values,
+        )
+    return values, SolveReport(iterations, worst_rel, tuple(clamped), tuple(skipped), moved)
+
+
+def _worst_residual(w: np.ndarray, rows, scale: Mapping[int, float]) -> float:
+    """Worst row residual of ``w`` relative to each row's scale."""
+    worst = 0.0
+    for s, idx, target in rows:
+        worst = max(worst, abs(float(w[idx].sum()) - target) / scale[s])
+    return worst
+
+
+def _scale_rows(w, rows, scale, rel_tol, max_iter, skipped) -> tuple[int, float, list]:
+    """Offline fill-in: row scaling, Newton and pinning rounds on ``w``.
+
+    Returns the sweep count, the worst relative residual and the rows
+    still in play; rows that pinning empties are added to ``skipped``.
+    """
+    iterations = 0
 
     def scaling_phase(budget: int) -> float:
         nonlocal iterations
@@ -178,7 +201,7 @@ def solve(
                 # leave such rows to the residual check, not to nans.
                 if got > 1e-300 and math.isfinite(got):
                     w[idx] *= target / got
-            worst = residual_state()
+            worst = _worst_residual(w, rows, scale)
             if worst <= rel_tol or iterations >= max_iter:
                 break
             # Plateaued residuals mean inconsistent rows; boundary-bound
@@ -194,7 +217,6 @@ def solve(
     # only asymptotically in this family, so after each stalled round the
     # cells vanishing against the row scale are pinned to zero and the
     # reduced system is polished again.
-    iterations = 0
     worst_rel = math.inf
     min_target = min((t for _s, _idx, t in rows if t > 0), default=1.0)
     for pin_scale in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
@@ -204,7 +226,7 @@ def solve(
         worst_rel = scaling_phase(min(400, max_iter))
         if worst_rel <= rel_tol or iterations >= max_iter:
             break
-        worst_rel = _newton_phase(w, rows, constraints, rel_tol, max_iter, residual_state)
+        worst_rel, _ = _newton_phase(w, rows, scale, rel_tol, max_iter)
         if worst_rel <= rel_tol:
             break
         threshold = pin_scale * min_target
@@ -216,28 +238,114 @@ def solve(
         for s, idx, t in rows:
             if float(w[idx].sum()) > 0.0:
                 kept.append((s, idx, t))
-            elif t > rel_tol * max(float(constraints[s]), 1.0):
+            elif t > rel_tol * scale[s]:
                 # Pinning emptied a row that still wants mass: the system
                 # was not feasible in the nonnegative orthant there.
                 skipped.append(s)
                 log.debug("row %d lost its support to pinning (target %.6g)", s, t)
         rows = kept
-
-    if worst_rel > rel_tol:
-        values.update({m: float(w[index[m]]) for m in active})
-        raise MaxEntError(
-            "row scaling did not converge",
-            {s: abs(float(w[idx].sum()) - t) for s, idx, t in rows},
-            values,
-        )
-
-    values.update({m: float(w[index[m]]) for m in active})
-    return values, SolveReport(iterations, worst_rel, tuple(clamped), tuple(skipped))
+    return iterations, worst_rel, rows
 
 
-def _newton_phase(w, rows, constraints, rel_tol, max_iter, residual_state) -> float:
+def _project(w, rows, scale, rel_tol, max_iter, skipped) -> tuple[int, float, tuple[int, ...]]:
+    """Query-level refresh: KL projection of ``w`` onto the nearest feasible rows.
+
+    Lawson-Hanson NNLS on the scaled rows finds totals ``A x`` the
+    nonnegative cells can reach, closest to the requested ones.  When
+    they differ by more than ``rel_tol`` the rows are replaced by them and
+    the cells with ``(A^T r)_j < 0`` are zeroed: every closest point is
+    zero there.  Newton on the dual then projects onto that face.
+    Updates ``w`` in place; returns the iteration count, the worst
+    relative residual against the rows solved, and the sources whose rows
+    moved.
+    """
+    if not rows:
+        return 0, 0.0, ()
+    cells = np.flatnonzero(w > 0.0)
+    column = np.full(w.size, -1, dtype=np.intp)
+    column[cells] = np.arange(cells.size)
+    a = np.zeros((len(rows), cells.size))
+    for r, (s, idx, _t) in enumerate(rows):
+        a[r, column[idx[w[idx] > 0.0]]] = 1.0 / scale[s]
+    b = np.array([t / scale[s] for s, _idx, t in rows])
+    x, grad, tol = _nnls(a, b)
+    fitted = a @ x
+    moved: list[int] = []
+    if float(np.max(np.abs(fitted - b))) > rel_tol:
+        w[cells[grad < -tol]] = 0.0
+        rescaled = []
+        for r, (s, idx, t) in enumerate(rows):
+            target = max(float(fitted[r]), 0.0) * scale[s]
+            if abs(target - t) > rel_tol * scale[s]:
+                moved.append(s)
+                log.debug("row %d target %.6g moved to %.6g", s, t, target)
+            if target <= tol * scale[s]:
+                w[idx] = 0.0
+            rescaled.append((s, idx, target))
+        rows = [(s, idx, t) for s, idx, t in rescaled if float(w[idx].sum()) > 0.0]
+    # Newton converges quadratically near the answer: a step or two past
+    # rel_tol makes the result independent of where the iteration started.
+    # Far from it (a prior off by orders of magnitude) its line search can
+    # stall; the offline iteration then takes over on the same rows.
+    worst, steps = _newton_phase(w, rows, scale, rel_tol * 1e-3, max_iter)
+    if worst > rel_tol:
+        sweeps, worst, _ = _scale_rows(w, rows, scale, rel_tol, max_iter, skipped)
+        steps += sweeps
+    return steps, worst, tuple(moved)
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lawson-Hanson active-set solution of ``min |a x - b|`` over ``x >= 0``.
+
+    Returns ``x``, the gradient ``a^T (b - a x)`` (zero where ``x > 0``,
+    nonpositive elsewhere, up to the returned tolerance) and that
+    tolerance.
+    """
+    n = a.shape[1]
+    tol = 10.0 * np.finfo(float).eps * max(a.shape) * max(1.0, float(np.abs(a).sum(axis=0).max()))
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    rejected = np.zeros(n, dtype=bool)
+
+    def least_squares(cols: np.ndarray) -> np.ndarray:
+        z = np.zeros(n)
+        z[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+        return z
+
+    grad = a.T @ b
+    for _ in range(3 * n + 1):
+        candidates = np.where(passive | rejected, -np.inf, grad)
+        j = int(np.argmax(candidates))
+        if candidates[j] <= tol:
+            break
+        trial = passive.copy()
+        trial[j] = True
+        z = least_squares(trial)
+        if z[j] <= 0.0:
+            # Rounding made an ascent direction look flat; try the next.
+            rejected[j] = True
+            continue
+        rejected[:] = False
+        passive = trial
+        while np.any(z[passive] <= 0.0):
+            # Step from x towards z until the first passive cell hits zero;
+            # that cell (and any other at zero) leaves the passive set.
+            blocking = np.flatnonzero(passive & (z <= 0.0))
+            ratios = x[blocking] / (x[blocking] - z[blocking])
+            x += float(ratios.min()) * (z - x)
+            x[blocking[np.argmin(ratios)]] = 0.0
+            passive &= x > tol
+            x[~passive] = 0.0
+            z = least_squares(passive)
+        x = z
+        grad = a.T @ (b - a @ x)
+    return x, grad, tol
+
+
+def _newton_phase(w, rows, scale, rel_tol, max_iter) -> tuple[float, int]:
     """Damped Newton steps on the dual until the rows balance or stall.
 
+    Returns the worst relative residual and the number of steps taken.
     The dual objective is ``sum(w) + lambda . b`` with gradient
     ``b - A w`` and Hessian ``A diag(w) A^T``; cells keep the
     multiplicative form ``w *= exp(-A^T delta)`` so zero cells stay zero.
@@ -248,11 +356,12 @@ def _newton_phase(w, rows, constraints, rel_tol, max_iter, residual_state) -> fl
         incidence[r, idx] = 1.0
     lam = np.zeros(len(rows))
 
-    worst = residual_state()
+    worst = _worst_residual(w, rows, scale)
     best = float(w.sum() + lam @ targets)
     stagnant = 0
     best_resid = worst
     stale = 0
+    steps = 0
     for _ in range(min(max_iter, 120)):
         if worst <= rel_tol:
             break
@@ -274,6 +383,7 @@ def _newton_phase(w, rows, constraints, rel_tol, max_iter, residual_state) -> fl
             delta = np.linalg.solve(hess + ridge * np.eye(len(rows)), grad)
         except np.linalg.LinAlgError:
             break
+        steps += 1
         stepped = False
         slack = 1e-12 * max(1.0, abs(best))
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
@@ -295,8 +405,8 @@ def _newton_phase(w, rows, constraints, rel_tol, max_iter, residual_state) -> fl
             stagnant += 1
             if stagnant >= 3:
                 break
-        worst = residual_state()
-    return worst
+        worst = _worst_residual(w, rows, scale)
+    return worst, steps
 
 
 def entropy(values: Iterable[float]) -> float:

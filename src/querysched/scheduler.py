@@ -57,6 +57,10 @@ class RunConfig:
     fast_sweep: bool = False  # swap only against the top-overlap candidate
     fallback_ratio: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.query_threads < 1:
+            raise ValueError(f"query_threads must be at least 1, got {self.query_threads}")
+
     def timing(self) -> DetectionTiming:
         return DetectionTiming(
             base_ms=self.detection_base_ms,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import querysched
+from querysched import grid
 from querysched.cli import main
 from querysched.grid import (
     CSV_HEADER,
@@ -26,7 +27,7 @@ from querysched.grid import (
 from querysched.lattice import parse_snapshot
 from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER
 from querysched.scheduler import RunConfig
-from querysched.simulator import ReplicationModel, demo_universe
+from querysched.simulator import ReplicationModel, demo_universe, generate
 
 
 def tiny_grid():
@@ -79,6 +80,35 @@ class TestGrid:
         )
         text = run_grid(spec, tmp_path / "golden.csv")
         assert text == (DATA / "golden_grid.csv").read_text()
+
+    def test_small_adaptive_grid_matches_golden_csv(self, tmp_path):
+        # Desk seed 101, where most query-level refreshes get totals no
+        # nonnegative cells can meet and so take the nearest-totals path;
+        # the committed bytes pin the plans those refreshes lead to.
+        spec = GridSpec(
+            universe=desk_universe_config(),
+            run=RunConfig(),
+            axes=(("k_fraction", (0.5, 0.8)),),
+            algorithms=("online", "sequential"),
+            seeds=(101,),
+        )
+        text = run_grid(spec, tmp_path / "golden.csv")
+        assert text == (DATA / "golden_adaptive.csv").read_text()
+
+    def test_run_condition_generates_each_universe_once(self, monkeypatch):
+        calls = []
+
+        def counting(ucfg, seed):
+            calls.append((ucfg, seed))
+            return generate(ucfg, seed)
+
+        monkeypatch.setattr(grid, "_UNIVERSE_CACHE", {})
+        monkeypatch.setattr(grid, "generate", counting)
+        spec = tiny_grid()
+        first = grid.run_condition(spec, "k_fraction", 0.4, "online", 101)
+        again = grid.run_condition(spec, "k_fraction", 0.4, "online", 101)
+        assert calls == [(spec.universe, 101)]
+        assert again.to_json() == first.to_json()
 
     def test_default_algorithms_follow_table_order(self):
         assert default_grid().algorithms == TABLE_ALGO_ORDER
@@ -136,6 +166,13 @@ class TestGrid:
             grid_from_json(payload)
         assert f"section {section}:" in str(err.value)
         assert key in str(err.value)
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError) as err:
+            grid_from_json({"algorithms": ["max_tuples", "onlin", "full", "online"]})
+        assert "'onlin'" in str(err.value)
+        assert "'full'" in str(err.value)
+        assert "'max_tuples'" not in str(err.value)
 
     def test_venn_config_accepted(self):
         payload = {

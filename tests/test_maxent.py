@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querysched import maxent
 
@@ -149,3 +151,90 @@ def test_warm_start_matches_cold_start():
     for mask in free:
         assert warm[mask] == pytest.approx(cold[mask], rel=1e-6)
     assert report.iterations <= 2
+
+
+# -- query-level projection: properties over random systems -----------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def cell_systems(draw, implied=False):
+    """Random masks over 2-4 sources with nonnegative true cell values.
+
+    With ``implied``, every cell holding source 0 also holds source 1, so
+    row 0 can never exceed row 1.
+    """
+    n = draw(st.integers(2, 4))
+    masks = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=10))
+    if implied:
+        masks = {m | 0b10 if m & 1 else m for m in masks}
+    masks = sorted(masks)
+    truth = {m: draw(st.floats(0.0, 100.0)) for m in masks}
+    prior = {m: draw(st.floats(0.1, 10.0)) for m in masks}
+    known = set(draw(st.lists(st.sampled_from(masks), max_size=len(masks) - 1, unique=True)))
+    return n, truth, prior, known
+
+
+def row_totals(n, cells):
+    return {s: sum(v for m, v in cells.items() if (m >> s) & 1) for s in range(n)}
+
+
+class TestQueryProjectionProperties:
+    @PROPERTY_SETTINGS
+    @given(cell_systems(), st.lists(st.floats(0.0, 500.0), min_size=4, max_size=4))
+    def test_nonnegative_on_any_totals(self, system, totals):
+        n, truth, prior, _ = system
+        constraints = {s: totals[s] for s in range(n)}
+        values, _ = maxent.solve(constraints, {}, list(truth), prior=prior)
+        assert set(values) == set(truth)
+        assert all(v >= 0.0 and math.isfinite(v) for v in values.values())
+
+    @PROPERTY_SETTINGS
+    @given(cell_systems())
+    def test_feasible_rows_are_met(self, system):
+        n, truth, prior, known = system
+        constraints = row_totals(n, truth)
+        known_cells = {m: truth[m] for m in known}
+        free = [m for m in truth if m not in known]
+        values, report = maxent.solve(constraints, known_cells, free, prior=prior)
+        got = row_totals(n, {**known_cells, **values})
+        for s in range(n):
+            assert abs(got[s] - constraints[s]) <= 1e-6 * max(constraints[s], 1.0)
+        assert report.moved_sources == ()
+        assert report.max_rel_residual <= 1e-6
+
+    @PROPERTY_SETTINGS
+    @given(cell_systems())
+    def test_prior_fitting_the_rows_is_a_fixed_point(self, system):
+        n, truth, _, _ = system
+        values, _ = maxent.solve(row_totals(n, truth), {}, list(truth), prior=truth)
+        for m, v in truth.items():
+            assert values[m] == pytest.approx(v, rel=1e-9, abs=1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(cell_systems(implied=True), st.floats(1.0, 100.0))
+    def test_infeasible_rows_move_and_are_reported(self, system, excess):
+        n, truth, prior, _ = system
+        constraints = row_totals(n, truth)
+        constraints[0] = constraints[1] + excess  # row 0's cells all lie in row 1
+        first = maxent.solve(constraints, {}, list(truth), prior=prior)
+        again = maxent.solve(constraints, {}, list(truth), prior=prior)
+        assert first == again
+        values, report = first
+        assert all(v >= 0.0 for v in values.values())
+        # Rows left without support are skipped, the others moved.
+        assert set(report.moved_sources + report.skipped_sources) & {0, 1}
+        # The totals reached are the nearest in scaled least squares: the
+        # gradient A^T r is nonpositive on every cell, zero on used ones.
+        # (Cells in a zero-total row are held at zero before projecting.)
+        got = row_totals(n, values)
+        scaled = {s: (constraints[s] - got[s]) / max(constraints[s], 1.0) ** 2 for s in range(n)}
+        for m, v in values.items():
+            rows = [s for s in range(n) if (m >> s) & 1]
+            if any(constraints[s] == 0.0 for s in rows):
+                continue
+            grad = sum(scaled[s] for s in rows)
+            assert grad <= 1e-5
+            if v > 1e-6:
+                assert abs(grad) <= 1e-5

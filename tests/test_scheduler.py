@@ -1,5 +1,7 @@
 """Event-driven execution: determinism, pinning, termination, threading."""
 
+from dataclasses import replace
+
 import pytest
 
 from querysched.cost import QuerySpec
@@ -179,6 +181,15 @@ class TestThreads:
                 assert set(head) == set(dispatch_ms), (algo, seed)
                 times = [dispatch_ms[s] for s in head]
                 assert times == sorted(times), (algo, seed)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_thread_rejected(self, threads):
+        # With no thread nothing is dispatched: the run would report a
+        # silent shortfall rather than fail.
+        with pytest.raises(ValueError, match="query_threads"):
+            RunConfig(query_threads=threads)
+        with pytest.raises(ValueError, match="query_threads"):
+            replace(RunConfig(), query_threads=threads)
 
     def test_early_stop_halts_other_threads(self):
         u, init = demo_setup()
