@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cost import PREFIX_AVERAGE, SEQUENTIAL, permutation_time_cost
-from .detection import initial_detection
+from .detection import DEFAULT_PRUNE_THRESHOLD, initial_detection
 from .grid import (
     default_grid,
     desk_universe_config,
@@ -76,7 +76,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     k = max(1, int(round(args.k_fraction * distinct)))
     model = PREFIX_AVERAGE if args.prefix_average else SEQUENTIAL
     order, best_cost, shortfall = brute_force_opt(k, snapshot, model)
-    refined = refine_order(k, snapshot, range(snapshot.n_sources))
+    refined = refine_order(k, snapshot)
     refined_cost = permutation_time_cost(refined.order, snapshot, k, model)
     bound = approx_bound(k, snapshot)
     print(f"sources={snapshot.n_sources} k={k} model={model}")
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump-stats", help="run initial detection and dump the lattice")
     p_dump.add_argument("--config", help="JSON grid config file (universe section)")
     p_dump.add_argument("--seed", type=int, default=101)
-    p_dump.add_argument("--threshold", type=float, default=0.005)
+    p_dump.add_argument("--threshold", type=float, default=DEFAULT_PRUNE_THRESHOLD)
     p_dump.add_argument("--absolute", action="store_true", help="treat threshold as absolute")
     p_dump.add_argument("--sample", type=float, help="sample rate in (0,1]")
     p_dump.add_argument("--out", help="output path (stdout when omitted)")

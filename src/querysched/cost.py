@@ -125,17 +125,6 @@ class CoverageWalk:
         self._covered_cells: set[int] = set()
         self._covered_amt = [0.0] * snapshot.n_sources
 
-    def clone(self) -> "CoverageWalk":
-        other = CoverageWalk.__new__(CoverageWalk)
-        other.snapshot = self.snapshot
-        other._cell_rows = self._cell_rows
-        other._covered_cells = set(self._covered_cells)
-        other._covered_amt = list(self._covered_amt)
-        return other
-
-    def covered_for(self, source: int) -> float:
-        return self._covered_amt[source]
-
     def residual(self, source: int) -> float:
         # Clamped at zero: estimated cells may briefly overshoot a freshly
         # detected cardinality, and a negative residual is meaningless.
@@ -149,9 +138,6 @@ class CoverageWalk:
             snap.cardinalities[source],
             self._covered_amt[source],
         )
-
-    def scan_cost(self, source: int) -> float:
-        return self.snapshot.scan_cost_ms(source)
 
     def append(self, source: int) -> None:
         for mask, value in self._cell_rows[source]:

@@ -4,10 +4,14 @@ The offline stage probes the sources level by level: per-source totals
 first, then the cells of each deeper level, pruning estimated cells that
 fall below a threshold share of the universe and admitting a deeper cell
 only when its detected parents add up past the same threshold.  Whatever
-is admitted but not yet detected is filled in by the entropy solver.  A
-threshold of zero disables pruning entirely, in which case every cell is
-materialized and the reconstruction is exact (only the deepest cell stays
-solver-estimated; its value is pinned by the detected remainder).
+is admitted but not yet detected is filled in by the entropy solver.  With
+a positive threshold those fill-in values only decide which admitted
+cells get probed or pruned at the next level; the snapshot keeps them
+only when detection runs out of levels, so on the benchmark universes it
+holds detected and pruned cells alone.  A threshold of zero disables
+pruning entirely, in which case every cell is materialized and the
+reconstruction is exact (only the deepest cell stays solver-estimated;
+its value is pinned by the detected remainder).
 
 The per-query stage starts from the offline snapshot and refines it while
 the query is running: first per-source query cardinalities, detected in
@@ -15,7 +19,8 @@ the hinted order with the not-yet-detected ones scaled by the average
 detected-to-offline ratio; then individual cell values, detected in
 descending order of how far the current query-level estimate moved from
 the offline value.  Every detection republishes a snapshot re-projected
-onto the new totals, using the offline cells as the prior measure.
+onto the new totals, using the offline cells as the prior measure (in
+practice the detected ones).
 """
 
 from __future__ import annotations

@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .cost import SEQUENTIAL, QuerySpec, permutation_time_cost
+from .cost import SEQUENTIAL, QuerySpec, permutation_time_cost, walk_residuals
 from .detection import DetectionOutcome, initial_detection
-from .lattice import StatsSnapshot
 from .permutation import TABLE_ALGO_ORDER, brute_force_opt
 from .scheduler import RunConfig, RunResult, run_query
 from .simulator import (
@@ -245,52 +245,30 @@ class DemoReport:
         return "\n".join(lines)
 
 
-def _curve_segments(order: Sequence[int], snapshot: StatsSnapshot) -> list[tuple[float, float, float]]:
-    """Piecewise-linear (k_start, time_start, slope) segments of one order."""
-    from .cost import CoverageWalk
-
-    walk = CoverageWalk(snapshot)
-    segments = []
-    k0 = 0.0
-    t0 = 0.0
-    for s in order:
-        res = walk.residual(s)
-        full = snapshot.scan_cost_ms(s)
-        if res > 0:
-            segments.append((k0, t0, full / res))
-            k0 += res
-            t0 += full
-        walk.append(s)
-    return segments
-
-
-def _curve_time(segments: list[tuple[float, float, float]], k: float) -> float:
-    t = None
-    for k0, t0, slope in segments:
-        if k >= k0:
-            t = t0 + (k - k0) * slope
-    if t is None:
-        raise ValueError("k below first segment")
-    return t
-
-
 def demo_crosspoint(universe: Universe) -> tuple[float, float]:
     """First genuine crossing of the two reference retrieval curves."""
     snapshot = universe.truth_snapshot(SCOPE_ALL)
-    seg_a = _curve_segments((0, 1, 2), snapshot)
-    seg_b = _curve_segments((1, 2, 0), snapshot)
-    breakpoints = sorted({k for k, _, _ in seg_a + seg_b} | {200.0})
+    seq_a, seq_b = (0, 1, 2), (1, 2, 0)
+
+    def curve(order: tuple[int, ...], k: float) -> float:
+        return permutation_time_cost(order, snapshot, k, SEQUENTIAL).time_ms
+
+    # Each curve is linear between the cumulative residuals of its order.
+    breakpoints = sorted(
+        set(accumulate(walk_residuals(seq_a, snapshot)))
+        | set(accumulate(walk_residuals(seq_b, snapshot)))
+    )
     prev_k = 1.0
-    prev_diff = _curve_time(seg_a, 1.0) - _curve_time(seg_b, 1.0)
+    prev_diff = curve(seq_a, 1.0) - curve(seq_b, 1.0)
     for k in [k for k in breakpoints if k > 1.0]:
-        diff = _curve_time(seg_a, k) - _curve_time(seg_b, k)
+        diff = curve(seq_a, k) - curve(seq_b, k)
         if prev_diff == 0.0:
-            return prev_k, _curve_time(seg_a, prev_k)
+            return prev_k, curve(seq_a, prev_k)
         if diff * prev_diff < 0:
             # Linear interpolation inside the segment gives the exact root.
             frac = prev_diff / (prev_diff - diff)
             k_star = prev_k + frac * (k - prev_k)
-            return k_star, _curve_time(seg_b, k_star)
+            return k_star, curve(seq_b, k_star)
         prev_k, prev_diff = k, diff
     raise ValueError("curves do not cross")
 
@@ -323,12 +301,16 @@ def verify_demo_instance() -> DemoReport:
 # -- config (de)serialization ------------------------------------------------
 
 _TOP_KEYS = ("universe", "run", "k_fraction", "axes", "algorithms", "seeds")
-_UNIVERSE_KEYS = (
-    "sources", "distinct", "total", "overlap", "access_ms", "per_tuple_ms", "query_split",
-)
-_REPLICATION_KEYS = (
-    "style", "mean_depth", "max_depth", "chains", "chain_skew", "popularity_alpha", "split_skew",
-)
+#: Universe section key -> UniverseConfig field.
+_UNIVERSE_FIELDS = {
+    "sources": "n_sources",
+    "distinct": "n_distinct",
+    "total": "total_tuples",
+    "access_ms": "access_ms",
+    "per_tuple_ms": "per_tuple_ms",
+    "query_split": "query_split",
+}
+_REPLICATION_KEYS = tuple(f.name for f in fields(ReplicationModel))
 
 
 def _reject_unknown(section: Mapping, allowed: Iterable[str], where: str) -> None:
@@ -340,11 +322,27 @@ def _reject_unknown(section: Mapping, allowed: Iterable[str], where: str) -> Non
         )
 
 
+def _override(default, values: Mapping[str, object]):
+    """``default`` with ``values`` replacing its fields.
+
+    Each value takes the type of the default it replaces, as JSON gives
+    numbers without telling ints from floats.
+    """
+    return replace(
+        default, **{name: type(getattr(default, name))(value) for name, value in values.items()}
+    )
+
+
 def grid_from_json(payload: Mapping) -> GridSpec:
-    """Parse a grid config; unknown keys or algorithm names raise ValueError."""
+    """Parse a grid config; unknown keys or algorithm names raise ValueError.
+
+    Every value left out takes its default from :func:`desk_universe_config`,
+    :class:`RunConfig` or :class:`GridSpec`.
+    """
     _reject_unknown(payload, _TOP_KEYS, "top level")
+    desk = desk_universe_config()
     u = payload.get("universe", {})
-    _reject_unknown(u, _UNIVERSE_KEYS, "universe")
+    _reject_unknown(u, [*_UNIVERSE_FIELDS, "overlap"], "universe")
     overlap_cfg = u.get("overlap", {})
     if "cells" in overlap_cfg:
         _reject_unknown(overlap_cfg, ("cells",), "universe.overlap")
@@ -353,46 +351,25 @@ def grid_from_json(payload: Mapping) -> GridSpec:
         )
     else:
         _reject_unknown(overlap_cfg, _REPLICATION_KEYS, "universe.overlap")
-        overlap = ReplicationModel(
-            style=overlap_cfg.get("style", "chained"),
-            mean_depth=float(overlap_cfg.get("mean_depth", 5.0)),
-            max_depth=int(overlap_cfg.get("max_depth", 9)),
-            chains=int(overlap_cfg.get("chains", 4)),
-            chain_skew=float(overlap_cfg.get("chain_skew", 0.2)),
-            popularity_alpha=float(overlap_cfg.get("popularity_alpha", 0.0)),
-            split_skew=float(overlap_cfg.get("split_skew", 0.25)),
-        )
-    universe = UniverseConfig(
-        n_sources=int(u.get("sources", 50)),
-        n_distinct=int(u.get("distinct", 600)),
-        total_tuples=int(u.get("total", 3000)),
-        overlap=overlap,
-        access_ms=tuple(u.get("access_ms", (5.0, 25.0))),
-        per_tuple_ms=tuple(u.get("per_tuple_ms", (0.02, 0.42))),
-        query_split=float(u.get("query_split", 0.5)),
+        overlap = _override(desk.overlap, overlap_cfg)
+    universe = _override(
+        replace(desk, overlap=overlap),
+        {_UNIVERSE_FIELDS[key]: value for key, value in u.items() if key != "overlap"},
     )
     r = payload.get("run", {})
-    defaults = RunConfig()
     _reject_unknown(r, [f.name for f in fields(RunConfig)], "run")
-    # Each value takes the type of its field's default, as JSON gives
-    # numbers without telling ints from floats.
-    run = RunConfig(**{name: type(getattr(defaults, name))(value) for name, value in r.items()})
     axes = tuple(
         (name, tuple(float(v) for v in values))
         for name, values in payload.get("axes", {}).items()
     )
-    algorithms = tuple(payload.get("algorithms", TABLE_ALGO_ORDER))
-    unknown = [a for a in algorithms if a not in TABLE_ALGO_ORDER]
+    top = {key: payload[key] for key in ("k_fraction", "algorithms", "seeds") if key in payload}
+    if "seeds" in top:
+        top["seeds"] = [int(s) for s in top["seeds"]]
+    spec = _override(GridSpec(universe, _override(RunConfig(), r), axes=axes), top)
+    unknown = [a for a in spec.algorithms if a not in TABLE_ALGO_ORDER]
     if unknown:
         raise ValueError("unknown algorithm(s) in grid config: %s" % ", ".join(map(repr, unknown)))
-    return GridSpec(
-        universe=universe,
-        run=run,
-        k_fraction=float(payload.get("k_fraction", 0.8)),
-        axes=axes,
-        algorithms=algorithms,
-        seeds=tuple(int(s) for s in payload.get("seeds", range(101, 111))),
-    )
+    return spec
 
 
 def load_grid(path: str | Path) -> GridSpec:

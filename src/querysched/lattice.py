@@ -134,27 +134,6 @@ class StatsSnapshot:
                 rows[s].append((m, v))
         return tuple(tuple(r) for r in rows)
 
-    def ancestor_cells(self, source: int) -> frozenset[int]:
-        """Masks of materialized (non-pruned) cells containing ``source``.
-
-        These are exactly the summands of the per-source constraint row
-        used by the entropy solver.
-        """
-        return frozenset(m for m, _ in self._cells_by_source[source])
-
-    def intersect_count(self, prefix: Iterable[int], target: int) -> float:
-        """Tuples of ``target`` already covered by sources in ``prefix``.
-
-        Sums every cell containing ``target`` and at least one prefix
-        source; pruned cells contribute 0.
-        """
-        prefix_mask = 0
-        for s in prefix:
-            prefix_mask |= 1 << s
-        if prefix_mask == 0:
-            return 0.0
-        return sum(v for m, v in self._cells_by_source[target] if m & prefix_mask)
-
     @cached_property
     def _pair_overlap(self) -> dict[tuple[int, int], float]:
         acc: dict[tuple[int, int], float] = {}

@@ -124,7 +124,8 @@ def solve(
     values = {m: 0.0 for m in forced}
     if not active:
         bad = tuple(s for s, r in sorted(residuals.items()) if r > rel_tol * scale[s])
-        worst = max((r / scale[s] for s, r in residuals.items()), default=0.0)
+        # Like the main return, the worst residual leaves skipped rows out.
+        worst = max((r / scale[s] for s, r in residuals.items() if s not in bad), default=0.0)
         return values, SolveReport(0, worst, tuple(clamped), bad)
 
     if prior is not None:

@@ -3,11 +3,14 @@
 The planner grows a source order greedily by residual query rate, then
 sweeps it head to tail looking for profitable swaps between an ordered
 source and a larger-cardinality source drawn from the unselected set or
-from later positions.  Swap candidates are ranked by their overlap ratio
-with the anchor and filtered by a floor, since swapping sources that
-barely intersect cannot change which order wins.  A brute-force oracle
-over all covering prefixes is included for small universes, together with
-the analytic approximation bound used to sanity-check sweep output.
+from later positions.  Each swap rebuild goes through the same greedy
+step, which walks the given order once: it cuts the order after its
+minimal covering prefix (never inside the pinned prefix) or extends it.
+Swap candidates are ranked by their overlap ratio with the anchor and
+filtered by a floor, since swapping sources that barely intersect cannot
+change which order wins.  A brute-force oracle over all covering prefixes
+is included for small universes, together with the analytic
+approximation bound used to sanity-check sweep output.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cost import SEQUENTIAL, CoverageWalk, PermState
+from .cost import SEQUENTIAL, CoverageWalk, walk_residuals
 from .lattice import StatsSnapshot
 
 ALGO_RANDOM = "random"
@@ -71,62 +74,10 @@ class PermCandidate:
     covered: float
     avg_rate: float
 
-    def state(self, pinned: int = 0, version: int = 0) -> PermState:
-        return PermState(self.order, self.unselected, pinned, version)
-
 
 def covered_total(order: Sequence[int], snapshot: StatsSnapshot) -> float:
     """Total residual tuples the order can deliver."""
-    walk = CoverageWalk(snapshot)
-    total = 0.0
-    for s in order:
-        total += walk.residual(s)
-        walk.append(s)
-    return total
-
-
-def _order_stats(order: Sequence[int], snapshot: StatsSnapshot) -> tuple[float, float]:
-    walk = CoverageWalk(snapshot)
-    res_sum = 0.0
-    scan_sum = 0.0
-    for s in order:
-        res_sum += walk.residual(s)
-        scan_sum += snapshot.scan_cost_ms(s)
-        walk.append(s)
-    return res_sum, scan_sum
-
-
-def _candidate(order: Sequence[int], unselected: Iterable[int], snapshot: StatsSnapshot) -> PermCandidate:
-    res_sum, scan_sum = _order_stats(order, snapshot)
-    avg = res_sum / scan_sum if scan_sum > 0 else 0.0
-    return PermCandidate(tuple(order), frozenset(unselected), res_sum, avg)
-
-
-def trim_to_cover(
-    order: Sequence[int],
-    unselected: Iterable[int],
-    k: float,
-    snapshot: StatsSnapshot,
-    pinned: int = 0,
-) -> PermCandidate:
-    """Drop trailing sources beyond the minimal covering prefix.
-
-    Never trims into the pinned prefix: dispatched sources stay in the
-    order even when the target is already covered without them.
-    """
-    walk = CoverageWalk(snapshot)
-    cum = 0.0
-    keep = len(order)
-    for pos, s in enumerate(order):
-        cum += walk.residual(s)
-        walk.append(s)
-        if cum >= k:
-            keep = pos + 1
-            break
-    keep = max(keep, pinned)
-    kept = tuple(order[:keep])
-    moved = set(order[keep:])
-    return _candidate(kept, set(unselected) | moved, snapshot)
+    return sum(walk_residuals(order, snapshot))
 
 
 def swap_source(
@@ -199,25 +150,30 @@ def greedy_by_rate(
     pinned: int = 0,
     meter: WorkMeter | None = None,
 ) -> PermCandidate:
-    """Extend (or trim) an order until it covers ``k`` residual tuples.
+    """Trim or extend an order until it covers ``k`` residual tuples.
 
-    Each round appends the unselected source with the highest residual
-    query rate, ties broken by lowest id.  Zero-rate sources are never
-    appended, so an under-covering universe ends with the shortfall left
-    to the caller.  An order that already over-covers is trimmed instead.
+    One walk over ``order`` stops after its minimal covering prefix, but
+    never inside the pinned prefix: dispatched sources stay even when the
+    target is covered without them.  Cut sources return to the unselected
+    set.  A short order is extended instead: each round appends the
+    unselected source with the highest residual query rate, ties broken
+    by lowest id.  Zero-rate sources are never appended, so an
+    under-covering universe ends with the shortfall left to the caller.
     """
     walk = CoverageWalk(snapshot)
     res_sum = 0.0
     scan_sum = 0.0
-    for s in order:
+    keep = len(order)
+    for pos, s in enumerate(order):
         res_sum += walk.residual(s)
         scan_sum += snapshot.scan_cost_ms(s)
         walk.append(s)
-    if res_sum >= k:
-        return trim_to_cover(order, unselected, k, snapshot, pinned)
+        if res_sum >= k and pos + 1 >= pinned:
+            keep = pos + 1
+            break
 
-    new_order = list(order)
-    unsel = sorted(set(unselected))
+    new_order = list(order[:keep])
+    unsel = sorted(set(unselected).union(order[keep:]))
     while res_sum < k and unsel:
         best = -1
         best_rate = 0.0
@@ -283,7 +239,6 @@ def improve_position(
 def refine_order(
     k: float,
     snapshot: StatsSnapshot,
-    universe: Iterable[int] | None = None,
     *,
     pinned_order: Sequence[int] = (),
     overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
@@ -294,12 +249,8 @@ def refine_order(
 
     Pinned (already dispatched) positions are never swapped.
     """
-    if universe is None:
-        ids = range(snapshot.n_sources)
-    else:
-        ids = sorted(universe)
     pinned = len(pinned_order)
-    unselected = frozenset(ids) - set(pinned_order)
+    unselected = frozenset(range(snapshot.n_sources)) - set(pinned_order)
     incumbent = greedy_by_rate(k, tuple(pinned_order), unselected, snapshot, pinned, meter)
 
     pos = pinned
@@ -325,7 +276,6 @@ def baseline_order(
     kind: str,
     snapshot: StatsSnapshot,
     seed: int | None = None,
-    meter: WorkMeter | None = None,
 ) -> tuple[int, ...]:
     """Full-universe dispatch order for one of the baseline policies."""
     ids = list(range(snapshot.n_sources))
@@ -356,8 +306,6 @@ def baseline_order(
                     return snapshot.scan_cost_ms(s) / res if res > 0 else float("inf")
 
                 pick = min(remaining, key=lambda s: (residual_cost(s), s))
-            if meter is not None:
-                meter.add(len(remaining))
             out.append(pick)
             remaining.remove(pick)
             walk.append(pick)
@@ -402,16 +350,6 @@ def format_order(order: Sequence[int], pinned: int = 0) -> str:
     head = ",".join(str(s) for s in order[:pinned])
     tail = ",".join(str(s) for s in order[pinned:])
     return f"{head}|{tail}"
-
-
-def parse_order(text: str) -> tuple[tuple[int, ...], int]:
-    """Inverse of :func:`format_order`; returns (order, pinned)."""
-    if "|" not in text:
-        raise ValueError("missing pinned-prefix marker")
-    head, tail = text.split("|", 1)
-    pinned = tuple(int(x) for x in head.split(",") if x != "")
-    rest = tuple(int(x) for x in tail.split(",") if x != "")
-    return pinned + rest, len(pinned)
 
 
 def _residual_table(snapshot: StatsSnapshot) -> list[list[float]]:

@@ -24,13 +24,19 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cost import PermState, QuerySpec
-from .detection import DetectionTiming, online_detection_plan, prior_query_snapshot
+from .detection import (
+    DEFAULT_PRUNE_THRESHOLD,
+    DetectionTiming,
+    online_detection_plan,
+    prior_query_snapshot,
+)
 from .lattice import StatsSnapshot
 from .permutation import (
     ALGO_FULL_KNOWLEDGE,
     ALGO_ONLINE,
     ALGO_SEQUENTIAL,
     BASELINE_ALGOS,
+    DEFAULT_OVERLAP_FLOOR,
     WorkMeter,
     baseline_order,
     covered_total,
@@ -46,8 +52,8 @@ _PRIO_QUERY = 2
 @dataclass(frozen=True)
 class RunConfig:
     query_threads: int = 1
-    overlap_floor: float = 0.05
-    prune_threshold: float = 0.005
+    overlap_floor: float = DEFAULT_OVERLAP_FLOOR
+    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD
     prune_relative: bool = True
     detection_base_ms: float = 1.5
     detection_overhead: float = 1.0
@@ -158,7 +164,6 @@ class _Planner:
         candidate = refine_order(
             self.k,
             stats,
-            range(stats.n_sources),
             pinned_order=dispatched,
             overlap_floor=self.config.overlap_floor,
             meter=meter,
@@ -219,7 +224,6 @@ def _all_source_hint(initial: StatsSnapshot, config: RunConfig) -> tuple[int, ..
     candidate = refine_order(
         max(full_coverage, 1.0),
         initial,
-        range(initial.n_sources),
         overlap_floor=config.overlap_floor,
     )
     missing = [s for s in range(initial.n_sources) if s not in set(candidate.order)]

@@ -145,6 +145,14 @@ class TestGrid:
         assert spec.axes == (("query_threads", (1.0, 2.0)),)
         assert spec.seeds == (7, 8)
 
+    def test_grid_config_defaults(self):
+        assert grid_from_json({}) == GridSpec(desk_universe_config(), RunConfig())
+        # Defaults come from the desk config as it is, not recomputed from
+        # the keys given: a larger total keeps the default depth.
+        spec = grid_from_json({"universe": {"total": 6000}})
+        assert spec.universe.total_tuples == 6000
+        assert spec.universe.overlap.mean_depth == 5.0
+
     @pytest.mark.parametrize(
         "payload, section, key",
         [

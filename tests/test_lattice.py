@@ -2,6 +2,7 @@
 
 import pytest
 
+from querysched.cost import walk_residuals
 from querysched.lattice import (
     DETECTED,
     ESTIMATED,
@@ -55,32 +56,40 @@ class TestSnapshot:
         assert snap.cardinalities == (50.0, 125.0, 75.0)
 
     def test_ancestor_cells_full_lattice(self):
-        snap = ref_snapshot()
-        assert snap.ancestor_cells(0) == frozenset({0b001, 0b011, 0b101, 0b111})
+        # Walking source 0 covers every live cell containing it, the
+        # three-way cell included; only its private cell is left after
+        # walking the other two.
+        snap = snapshot_from_cells(REF_ACCESS, REF_TRANSFER, {**REF_CELLS, 0b111: 4})
+        assert walk_residuals((0, 1), snap) == pytest.approx([54, 129 - 35 - 4])
+        assert walk_residuals((0, 2), snap) == pytest.approx([54, 79 - 5 - 4])
+        assert walk_residuals((1, 2, 0), snap)[2] == pytest.approx(10)
 
     def test_ancestor_cells_after_pruning_top(self):
-        cells = dict(ref_snapshot().cells)
-        cells[0b111] = LatticeCell(0b111, 0.0, PRUNED)
-        snap = StatsSnapshot(0, "initial", REF_ACCESS, REF_TRANSFER, (50.0, 125.0, 75.0), cells)
-        assert snap.ancestor_cells(0) == frozenset({0b001, 0b011, 0b101})
+        # The pruned top cell keeps a nonzero value here, so the walk
+        # must leave it out, not merely add zero.
+        cells = dict(snapshot_from_cells(REF_ACCESS, REF_TRANSFER, {**REF_CELLS, 0b111: 4}).cells)
+        cells[0b111] = LatticeCell(0b111, 4.0, PRUNED)
+        snap = StatsSnapshot(0, "initial", REF_ACCESS, REF_TRANSFER, (54.0, 129.0, 79.0), cells)
+        assert walk_residuals((1, 2, 0), snap)[2] == pytest.approx(54 - 35 - 5)
 
     def test_ancestor_cells_empty(self):
-        snap = snapshot_from_cells(REF_ACCESS, REF_TRANSFER, {}, cardinalities=(0, 0, 0))
-        assert snap.ancestor_cells(0) == frozenset()
+        snap = snapshot_from_cells(REF_ACCESS, REF_TRANSFER, {}, cardinalities=(4, 0, 0))
+        assert walk_residuals((1, 2, 0), snap) == [0.0, 0.0, 4.0]
 
     def test_intersect_count_prefix_pair(self):
         # Tuples of the third source already covered by the first two.
         snap = ref_snapshot()
-        assert snap.intersect_count((0, 1), 2) == pytest.approx(5 + 10 + 0)
+        assert walk_residuals((0, 1, 2), snap)[2] == pytest.approx(75 - (5 + 10 + 0))
 
     def test_intersect_count_empty_prefix(self):
-        assert ref_snapshot().intersect_count((), 2) == 0.0
+        assert walk_residuals((2,), ref_snapshot()) == [75.0]
 
     def test_intersect_count_full_containment(self):
         # A source entirely inside the union of the others.
         cells = {0b011: 20, 0b101: 30, 0b010: 5, 0b100: 7}
         snap = snapshot_from_cells((0, 0, 0), (1, 1, 1), cells)
-        assert snap.intersect_count((1, 2), 0) == pytest.approx(snap.cardinalities[0])
+        assert snap.cardinalities[0] == pytest.approx(50)
+        assert walk_residuals((1, 2, 0), snap)[2] == pytest.approx(0.0)
 
     def test_pair_overlap(self):
         snap = ref_snapshot()
@@ -91,7 +100,7 @@ class TestSnapshot:
         cells = dict(ref_snapshot().cells)
         cells[0b011] = LatticeCell(0b011, 0.0, PRUNED)
         snap = StatsSnapshot(0, "initial", REF_ACCESS, REF_TRANSFER, (50.0, 125.0, 75.0), cells)
-        assert snap.intersect_count((0,), 1) == pytest.approx(0.0)
+        assert walk_residuals((0, 1), snap)[1] == pytest.approx(125.0)
         assert snap.pair_overlap(0, 1) == pytest.approx(0.0)
 
     def test_canonical_duplicate_patterns_share_one_cell(self):
@@ -101,7 +110,8 @@ class TestSnapshot:
         pair_cells = [m for m in snap.cells if level(m) == 2]
         assert len(pair_cells) == 3
         for m in pair_cells:
-            rows = [s for s in range(3) if m in snap.ancestor_cells(s)]
+            alone = snapshot_from_cells(REF_ACCESS, REF_TRANSFER, {m: 1.0})
+            rows = [s for s in range(3) if alone.cardinalities[s] > 0]
             assert len(rows) == 2
 
     def test_stage_validation(self):

@@ -133,6 +133,13 @@ class TestDegradation:
         values, report = maxent.solve(constraints, {}, [0b01, 0b10], prior=prior)
         assert values[0b01] == pytest.approx(4.0, rel=1e-6)
         assert 1 in report.skipped_sources
+        assert report.max_rel_residual <= 1e-6
+        # Row 1's zero total forces the only free cell to zero, so row 0
+        # is skipped on the early return; its residual is not reported.
+        values, report = maxent.solve({0: 1.0, 1: 0.0}, {}, [0b11], prior={0b11: 1.0})
+        assert values == {0b11: 0.0}
+        assert report.skipped_sources == (0,)
+        assert report.max_rel_residual <= 1e-6
 
     def test_free_cell_outside_constraints_rejected(self):
         with pytest.raises(ValueError):

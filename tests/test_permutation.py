@@ -1,6 +1,10 @@
 """Planner operations: greedy, swaps, sweep, baselines, exhaustive oracle."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querysched.cost import PREFIX_AVERAGE, SEQUENTIAL, permutation_time_cost
 from querysched.lattice import snapshot_from_cells
@@ -20,10 +24,8 @@ from querysched.permutation import (
     greedy_by_rate,
     improve_position,
     overlap_ranked,
-    parse_order,
     refine_order,
     swap_source,
-    trim_to_cover,
 )
 from querysched.testing import random_instance
 
@@ -35,14 +37,14 @@ class TestHelperOps:
         assert covered_total((0, 1, 2), ref_snapshot()) == pytest.approx(50 + 90 + 60)
 
     def test_trim_keeps_minimal_covering_prefix(self):
-        cand = trim_to_cover((1, 2, 0), set(), 125, ref_snapshot())
+        cand = greedy_by_rate(125, (1, 2, 0), set(), ref_snapshot())
         assert cand.order == (1,)
         assert cand.unselected == {0, 2}
         assert cand.covered == pytest.approx(125)
         assert cand.avg_rate == pytest.approx(125 / 137.5)
 
     def test_trim_never_cuts_pinned(self):
-        cand = trim_to_cover((1, 2, 0), set(), 125, ref_snapshot(), pinned=2)
+        cand = greedy_by_rate(125, (1, 2, 0), set(), ref_snapshot(), pinned=2)
         assert cand.order == (1, 2)
 
     def test_overlap_ranked(self):
@@ -123,6 +125,26 @@ class TestGreedy:
         cand = greedy_by_rate(40, (0, 1, 2), set(), ref_snapshot())
         assert cand.order == (0,)
         assert cand.unselected == {1, 2}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_trim_or_extend_properties(self, data):
+        n = data.draw(st.integers(1, 7), label="n")
+        snap, distinct = random_instance(n, data.draw(st.integers(0, 40), label="seed"))
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        order = tuple(perm[: data.draw(st.integers(0, n), label="length")])
+        pinned = data.draw(st.integers(0, len(order)), label="pinned")
+        k = data.draw(
+            st.floats(0.0, 1.5 * distinct, exclude_min=True) | st.just(math.inf), label="k"
+        )
+        cand = greedy_by_rate(k, order, set(range(n)) - set(order), snap, pinned)
+        assert cand.order[:pinned] == order[:pinned]
+        assert len(set(cand.order)) == len(cand.order)
+        assert set(cand.order) | cand.unselected == set(range(n))
+        assert not set(cand.order) & cand.unselected
+        assert cand.covered == covered_total(cand.order, snap)
+        if cand.covered >= k and len(cand.order) > pinned:
+            assert covered_total(cand.order[:-1], snap) < k
 
 
 class TestImprovePosition:
@@ -357,12 +379,3 @@ class TestSerialization:
     def test_roundtrip_with_pin(self):
         text = format_order((2, 0, 1, 3), pinned=2)
         assert text == "2,0|1,3"
-        assert parse_order(text) == ((2, 0, 1, 3), 2)
-
-    def test_empty_sides(self):
-        assert parse_order("|1,3") == ((1, 3), 0)
-        assert parse_order("2,0|") == ((2, 0), 2)
-
-    def test_missing_marker_rejected(self):
-        with pytest.raises(ValueError):
-            parse_order("1,2,3")
