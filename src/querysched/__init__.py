@@ -8,10 +8,7 @@ from .cost import (
     CostResult,
     PermState,
     QuerySpec,
-    SourceProfile,
-    avg_query_rate,
     permutation_time_cost,
-    query_rate,
 )
 from .lattice import (
     LatticeCell,
@@ -38,10 +35,7 @@ __all__ = [
     "CostResult",
     "PermState",
     "QuerySpec",
-    "SourceProfile",
-    "avg_query_rate",
     "permutation_time_cost",
-    "query_rate",
     "LatticeCell",
     "StatsSnapshot",
     "dump_snapshot",

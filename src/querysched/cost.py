@@ -25,26 +25,6 @@ COST_MODELS = (SEQUENTIAL, PREFIX_AVERAGE)
 
 
 @dataclass(frozen=True)
-class SourceProfile:
-    """One source's identity, latency figures and result-tuple count."""
-
-    id: int
-    access_ms: float
-    per_tuple_ms: float
-    cardinality: int
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError("source id must be nonnegative")
-        if self.access_ms < 0:
-            raise ValueError("access time must be nonnegative")
-        if self.per_tuple_ms <= 0:
-            raise ValueError("per-tuple transfer time must be positive")
-        if self.cardinality < 0:
-            raise ValueError("cardinality must be nonnegative")
-
-
-@dataclass(frozen=True)
 class QuerySpec:
     """A request for ``k`` distinct result tuples under a named predicate."""
 
@@ -67,7 +47,6 @@ class PermState:
     order: tuple[int, ...]
     unselected: frozenset[int]
     pinned: int = 0
-    version: int = 0
 
     def __post_init__(self) -> None:
         if self.pinned < 0 or self.pinned > len(self.order):
@@ -78,28 +57,16 @@ class PermState:
         if seen & self.unselected:
             raise ValueError("order and unselected overlap")
 
-    @property
-    def universe(self) -> frozenset[int]:
-        return frozenset(self.order) | self.unselected
 
-
-def query_rate(profile: SourceProfile, intersect_count: float) -> float:
+def rate_from_parts(
+    access_ms: float, per_tuple_ms: float, cardinality: float, intersect_count: float
+) -> float:
     """Residual tuples per millisecond of full scan time.
 
     A source whose results are fully covered by earlier sources rates 0;
     so does the degenerate empty-and-free source (cardinality 0 with zero
     access time), which keeps it out of every greedy selection.
     """
-    if intersect_count > profile.cardinality:
-        raise ValueError("intersection exceeds cardinality")
-    return rate_from_parts(
-        profile.access_ms, profile.per_tuple_ms, profile.cardinality, intersect_count
-    )
-
-
-def rate_from_parts(
-    access_ms: float, per_tuple_ms: float, cardinality: float, intersect_count: float
-) -> float:
     denom = access_ms + per_tuple_ms * cardinality
     if denom <= 0.0:
         return 0.0
@@ -156,17 +123,6 @@ def walk_residuals(order: Sequence[int], snapshot: StatsSnapshot) -> list[float]
         out.append(walk.residual(s))
         walk.append(s)
     return out
-
-
-def avg_query_rate(order: Sequence[int], snapshot: StatsSnapshot) -> float:
-    """Total residual tuples over total scan time for the given prefix."""
-    if not order:
-        raise ValueError("empty permutation")
-    residuals = walk_residuals(order, snapshot)
-    scan = sum(snapshot.scan_cost_ms(s) for s in order)
-    if scan <= 0.0:
-        return 0.0
-    return sum(residuals) / scan
 
 
 @dataclass(frozen=True)

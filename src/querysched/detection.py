@@ -20,17 +20,18 @@ detected-to-offline ratio; then individual cell values, detected in
 descending order of how far the current query-level estimate moved from
 the offline value.  Every detection republishes a snapshot re-projected
 onto the new totals, using the offline cells as the prior measure (in
-practice the detected ones).
+practice the detected ones).  Query-level snapshots carry the live cells
+only: a cell pruned offline is never probed or estimated per query.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 from . import maxent
-from .cost import QuerySpec
 from .lattice import (
     DETECTED,
     ESTIMATED,
@@ -51,6 +52,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_PRUNE_THRESHOLD = 0.005
 EXHAUSTIVE_SOURCE_LIMIT = 16
+#: Simulated time of one query-level counting query, before the overhead factor.
+DETECTION_QUERY_MS = 1.5
 
 
 class StatsProbe(Protocol):
@@ -82,19 +85,23 @@ def initial_detection(
     *,
     relative: bool = True,
     sample_rate: float | None = None,
-    rel_tol: float = maxent.DEFAULT_REL_TOL,
 ) -> DetectionOutcome:
     """Level-by-level lattice detection with threshold pruning.
 
     With ``sample_rate`` set, the probe is assumed to answer from a sample
     and every detected count is rescaled by its reciprocal before use.
-    Unreachable sources are zeroed out and detection continues.
+    Unreachable sources are zeroed out and detection continues; when no
+    source has a tuple, no cell is probed and the snapshot holds none.
     """
     if prune_threshold < 0:
         raise ValueError("prune threshold must be nonnegative")
     n = probe.n_sources
     if n == 0:
         raise ValueError("empty universe")
+    if prune_threshold == 0.0 and n > EXHAUSTIVE_SOURCE_LIMIT:
+        raise ValueError(
+            f"zero prune threshold materializes 2^{n} cells; universe too large"
+        )
     scale = 1.0 / sample_rate if sample_rate else 1.0
 
     queries = 0
@@ -111,10 +118,6 @@ def initial_detection(
 
     total = sum(cards)
     threshold = prune_threshold * total if relative else prune_threshold
-    if threshold <= 0.0 and n > EXHAUSTIVE_SOURCE_LIMIT:
-        raise ValueError(
-            f"zero prune threshold materializes 2^{n} cells; universe too large"
-        )
 
     constraints = {s: cards[s] for s in range(n)}
     clamps = [0]
@@ -125,10 +128,13 @@ def initial_detection(
 
     detected: dict[int, float] = {}
     pruned: set[int] = set()
-    current = {1 << s: cards[s] for s in range(n)}  # level-1 estimates
+    # Level-1 estimates; none when every source is down or empty.
+    current = {1 << s: cards[s] for s in range(n)} if total > 0.0 else {}
     estimated = dict(current)
 
     for lvl in range(1, n):
+        if not current:
+            break
         survivors: list[int] = []
         for mask in sorted(current):
             if threshold > 0.0 and current[mask] <= threshold:
@@ -160,7 +166,7 @@ def initial_detection(
             break
         try:
             values, report = maxent.solve(
-                constraints, detected, admitted, rel_tol=rel_tol, on_clamp=on_clamp
+                constraints, detected, admitted, on_clamp=on_clamp
             )
         except maxent.MaxEntError as exc:
             # Detection corrects the estimates next round; keep the best
@@ -191,29 +197,24 @@ def initial_detection(
 
 
 def scale_partial_cardinalities(
-    detected: Mapping[int, float],
-    initial_cards: Sequence[float],
-    order: Sequence[int],
-    fallback_ratio: float = 1.0,
+    detected: Mapping[int, float], initial_cards: Sequence[float]
 ) -> list[float]:
-    """Fill undetected per-source totals from the detected prefix.
+    """Fill undetected per-source totals from the detected ones.
 
     Undetected sources get their offline total scaled by the average
-    detected-to-offline ratio.  Detected sources pass through unchanged.
-    Sources with an offline total of zero are skipped in the ratio; with
-    no usable ratio at all, offline totals times ``fallback_ratio`` are
-    the estimate.
+    detected-to-offline ratio, summed in detection order.  Detected
+    sources pass through unchanged.  Sources with an offline total of zero
+    are skipped in the ratio; with no usable ratio at all, the offline
+    totals are the estimate.
     """
     ratio_sum = 0.0
     q = 0
-    for s in order:
-        if s not in detected:
-            continue
+    for s, value in detected.items():
         if initial_cards[s] <= 0.0:
             continue
-        ratio_sum += detected[s] / initial_cards[s]
+        ratio_sum += value / initial_cards[s]
         q += 1
-    avg = ratio_sum / q if q else fallback_ratio
+    avg = ratio_sum / q if q else 1.0
     out = []
     for s in range(len(initial_cards)):
         if s in detected:
@@ -223,89 +224,66 @@ def scale_partial_cardinalities(
     return out
 
 
-@dataclass(frozen=True)
-class DetectionTiming:
-    base_ms: float = 1.5
-    overhead_factor: float = 1.0
-    batch_size: int = 1
-
-    @property
-    def per_query_ms(self) -> float:
-        return self.base_ms * self.overhead_factor
-
-
-def prior_query_snapshot(
-    initial: StatsSnapshot, fallback_ratio: float = 1.0
+def _query_snapshot(
+    initial: StatsSnapshot,
+    version: int,
+    stage: str,
+    cards: Sequence[float],
+    estimates: Mapping[int, float],
+    known: Mapping[int, float],
 ) -> StatsSnapshot:
-    """Query-level view before any online evidence.
-
-    Offline cell values pass through as estimates; per-source totals are
-    the offline ones times the configured prior ratio.
-    """
-    cells: dict[int, LatticeCell] = {}
-    for m, c in initial.cells.items():
-        if c.provenance == PRUNED:
-            cells[m] = c
-        else:
-            cells[m] = LatticeCell(m, c.value * fallback_ratio, ESTIMATED)
+    """A query-level snapshot: estimated and detected live cells only."""
+    cells = {m: LatticeCell(m, v, ESTIMATED) for m, v in estimates.items()}
+    for m, v in known.items():
+        cells[m] = LatticeCell(m, v, DETECTED)
     return StatsSnapshot(
-        version=initial.version + 1,
-        stage=STAGE_ONLINE_1,
+        version=version,
+        stage=stage,
         access_ms=initial.access_ms,
         per_tuple_ms=initial.per_tuple_ms,
-        cardinalities=tuple(c * fallback_ratio for c in initial.cardinalities),
+        cardinalities=tuple(cards),
         cells=cells,
         prune_threshold=initial.prune_threshold,
     )
 
 
+def prior_query_snapshot(initial: StatsSnapshot) -> StatsSnapshot:
+    """Query-level view before any online evidence.
+
+    Offline live cell values and per-source totals pass through as
+    estimates.
+    """
+    return _query_snapshot(
+        initial,
+        initial.version + 1,
+        STAGE_ONLINE_1,
+        initial.cardinalities,
+        dict(initial._live_cells),
+        {},
+    )
+
+
 def online_detection_plan(
-    query: QuerySpec,
     initial: StatsSnapshot,
     perm_hint: Sequence[int],
     probe: StatsProbe,
-    timing: DetectionTiming = DetectionTiming(),
     *,
-    fallback_ratio: float = 1.0,
-    rel_tol: float = maxent.DEFAULT_REL_TOL,
+    per_query_ms: float = DETECTION_QUERY_MS,
+    batch: int = 1,
 ) -> Iterator[tuple[float, StatsSnapshot, int]]:
     """Yield (elapsed_ms, snapshot, probed_source) detection steps.
 
     The first snapshot costs nothing and probes no source: it is the
     offline statistics passed through as the query-level estimate.  Each
-    later snapshot becomes visible one detection (or one batch) after
-    the previous one; ``probed_source`` names the source the counting
-    query contacted (-1 for none), so a scheduler can model contention.
-    The caller owns termination; abandoning the iterator is the stop
-    signal.
+    later snapshot becomes visible one counting query (``per_query_ms``),
+    or one batch of ``batch`` cell queries, after the previous one;
+    ``probed_source`` names the source the counting query contacted (-1
+    for none), so a scheduler can model contention.  The caller owns
+    termination; abandoning the iterator is the stop signal.
     """
     n = initial.n_sources
-    live_cells = {m: c.value for m, c in initial.cells.items() if c.provenance != PRUNED}
-    pruned = [m for m, c in initial.cells.items() if c.provenance == PRUNED]
-    version = initial.version
-
-    def publish(
-        stage: str,
-        cards: Sequence[float],
-        estimates: Mapping[int, float],
-        known: Mapping[int, float],
-    ) -> StatsSnapshot:
-        nonlocal version
-        version += 1
-        cells: dict[int, LatticeCell] = {m: LatticeCell(m, 0.0, PRUNED) for m in pruned}
-        for m, v in estimates.items():
-            cells[m] = LatticeCell(m, v, ESTIMATED)
-        for m, v in known.items():
-            cells[m] = LatticeCell(m, v, DETECTED)
-        return StatsSnapshot(
-            version=version,
-            stage=stage,
-            access_ms=initial.access_ms,
-            per_tuple_ms=initial.per_tuple_ms,
-            cardinalities=tuple(cards),
-            cells=cells,
-            prune_threshold=initial.prune_threshold,
-        )
+    live_cells = dict(initial._live_cells)
+    versions = itertools.count(initial.version + 2)  # the prior is initial.version + 1
 
     def resolve(
         cards: Sequence[float],
@@ -322,17 +300,15 @@ def online_detection_plan(
             free,
             prior=live_cells,
             warm_start=estimates,
-            rel_tol=rel_tol,
             on_clamp=lambda s, r: log.warning(
                 "query-level cells overshoot source %d by %.6g; clamping", s, -r
             ),
         )
         return values
 
-    prior = prior_query_snapshot(initial, fallback_ratio)
-    version = prior.version
+    prior = prior_query_snapshot(initial)
     cards: Sequence[float] = prior.cardinalities
-    estimates = {m: c.value for m, c in prior.cells.items() if c.provenance != PRUNED}
+    estimates: Mapping[int, float] = live_cells
     yield 0.0, prior, -1
 
     hint = list(perm_hint) + [s for s in range(n) if s not in set(perm_hint)]
@@ -343,19 +319,18 @@ def online_detection_plan(
         except Exception:
             log.warning("source %d unavailable during query detection", s)
             detected_cards[s] = 0.0
-        cards = scale_partial_cardinalities(
-            detected_cards, initial.cardinalities, hint, fallback_ratio
-        )
+        cards = scale_partial_cardinalities(detected_cards, initial.cardinalities)
         estimates = resolve(cards, {}, estimates)
         stage = STAGE_ONLINE_1 if len(detected_cards) < n else STAGE_ONLINE_2
-        yield timing.per_query_ms, publish(stage, cards, estimates, {}), s
+        snapshot = _query_snapshot(initial, next(versions), stage, cards, estimates, {})
+        yield per_query_ms, snapshot, s
 
     gaps = sorted(
         live_cells,
         key=lambda m: (-abs(estimates.get(m, 0.0) - live_cells[m]), m),
     )
     known: dict[int, float] = {}
-    batch = max(1, timing.batch_size)
+    batch = max(1, batch)
     for start in range(0, len(gaps), batch):
         chunk = gaps[start : start + batch]
         for m in chunk:
@@ -367,25 +342,5 @@ def online_detection_plan(
         estimates = resolve(cards, known, estimates)
         stage = STAGE_FINAL if len(known) == len(live_cells) else STAGE_ONLINE_2
         target = min(member_sources(chunk[0]))
-        yield timing.per_query_ms * len(chunk), publish(stage, cards, estimates, known), target
-
-
-def online_detection(
-    query: QuerySpec,
-    initial: StatsSnapshot,
-    perm_hint: Sequence[int],
-    stop: Callable[[], bool],
-    probe: StatsProbe,
-    timing: DetectionTiming = DetectionTiming(),
-    **kwargs,
-) -> Iterator[StatsSnapshot]:
-    """Snapshot stream for the per-query stage, honoring a stop signal.
-
-    The stop signal is checked between detections; the initial derived
-    snapshot is always produced.
-    """
-    plan = online_detection_plan(query, initial, perm_hint, probe, timing, **kwargs)
-    for _cost, snapshot, _source in plan:
-        yield snapshot
-        if stop():
-            return
+        snapshot = _query_snapshot(initial, next(versions), stage, cards, estimates, known)
+        yield per_query_ms * len(chunk), snapshot, target

@@ -99,20 +99,11 @@ _UNIVERSE_CACHE: dict[tuple[UniverseConfig, int], Universe] = {}
 
 
 def offline_stats(universe: Universe, run: RunConfig) -> DetectionOutcome:
-    """Initial detection for a universe, cached per (universe, thresholds)."""
-    key = (
-        universe.config,
-        universe.seed,
-        universe.unavailable,
-        run.prune_threshold,
-        run.prune_relative,
-    )
+    """Initial detection for a universe, cached per (universe, threshold)."""
+    key = (universe.config, universe.seed, universe.unavailable, run.prune_threshold)
     hit = _DETECTION_CACHE.get(key)
     if hit is None:
-        probe = ScopedProbe(universe, SCOPE_ALL)
-        hit = initial_detection(
-            probe, run.prune_threshold, relative=run.prune_relative
-        )
+        hit = initial_detection(ScopedProbe(universe, SCOPE_ALL), run.prune_threshold)
         _DETECTION_CACHE[key] = hit
     return hit
 

@@ -96,9 +96,10 @@ class StatsSnapshot:
 
     ``cardinalities[i]`` is the (detected or estimated) number of result
     tuples of source ``i`` for the query context the snapshot describes;
-    ``cells`` maps membership masks to their estimates.  Pruned cells are
-    carried along with value 0 so that readers can distinguish "pruned"
-    from "never materialized"; both contribute nothing to sums.
+    ``cells`` maps membership masks to their estimates.  An offline
+    snapshot carries its pruned cells with value 0 so that readers can
+    distinguish "pruned" from "never materialized"; both contribute
+    nothing to sums, and query-level snapshots leave them out.
     """
 
     version: int
@@ -167,17 +168,16 @@ def snapshot_from_cells(
     cardinalities: Iterable[float] | None = None,
     version: int = 0,
     stage: str = STAGE_INITIAL,
-    provenance: str = DETECTED,
     prune_threshold: float = 0.0,
 ) -> StatsSnapshot:
-    """Build a snapshot from raw cell values.
+    """Build a snapshot from raw, detected cell values.
 
     When ``cardinalities`` is omitted they are derived as the per-source
     ancestor-cell sums, which is the exact-lattice case.
     """
     access = tuple(float(a) for a in access_ms)
     per_tuple = tuple(float(t) for t in per_tuple_ms)
-    cells = {int(m): LatticeCell(int(m), float(v), provenance) for m, v in cell_values.items()}
+    cells = {int(m): LatticeCell(int(m), float(v), DETECTED) for m, v in cell_values.items()}
     if cardinalities is None:
         cards = [0.0] * len(access)
         for m, c in cells.items():

@@ -72,7 +72,6 @@ def solve(
     *,
     prior: Mapping[int, float] | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     on_clamp: Callable[[int, float], None] | None = None,
     warm_start: Mapping[int, float] | None = None,
 ) -> tuple[dict[int, float], SolveReport]:
@@ -83,11 +82,11 @@ def solve(
     residuals (detected cells overshooting a total) are clamped to zero
     and reported through ``on_clamp`` rather than failing.  Without
     ``prior``, raises :class:`MaxEntError` when the residuals have not
-    dropped below ``rel_tol`` (relative to each row total) after
-    ``max_iter`` sweeps.  With ``prior`` it never raises for inconsistent
-    rows: rows no positive-prior cell can reach are listed in
-    ``skipped_sources``, rows whose totals were moved to the nearest
-    reachable ones in ``moved_sources``.
+    dropped below ``rel_tol`` (relative to each row total).  With
+    ``prior`` it never raises for inconsistent rows: rows no
+    positive-prior cell can reach are listed in ``skipped_sources``, rows
+    whose totals were moved to the nearest reachable ones in
+    ``moved_sources``.
     """
     free = sorted(set(int(m) for m in free_cells))
     for m in free:
@@ -159,9 +158,9 @@ def solve(
 
     moved: tuple[int, ...] = ()
     if prior is not None:
-        iterations, worst_rel, moved = _project(w, rows, scale, rel_tol, max_iter, skipped)
+        iterations, worst_rel, moved = _project(w, rows, scale, rel_tol, skipped)
     else:
-        iterations, worst_rel, rows = _scale_rows(w, rows, scale, rel_tol, max_iter, skipped)
+        iterations, worst_rel, rows = _scale_rows(w, rows, scale, rel_tol, skipped)
     values.update({m: float(w[i]) for i, m in enumerate(active)})
     if prior is None and worst_rel > rel_tol:
         raise MaxEntError(
@@ -180,7 +179,7 @@ def _worst_residual(w: np.ndarray, rows, scale: Mapping[int, float]) -> float:
     return worst
 
 
-def _scale_rows(w, rows, scale, rel_tol, max_iter, skipped) -> tuple[int, float, list]:
+def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
     """Offline fill-in: row scaling, Newton and pinning rounds on ``w``.
 
     Returns the sweep count, the worst relative residual and the rows
@@ -203,7 +202,7 @@ def _scale_rows(w, rows, scale, rel_tol, max_iter, skipped) -> tuple[int, float,
                 if got > 1e-300 and math.isfinite(got):
                     w[idx] *= target / got
             worst = _worst_residual(w, rows, scale)
-            if worst <= rel_tol or iterations >= max_iter:
+            if worst <= rel_tol or iterations >= DEFAULT_MAX_ITER:
                 break
             # Plateaued residuals mean inconsistent rows; boundary-bound
             # systems keep improving a few percent per window.
@@ -224,10 +223,10 @@ def _scale_rows(w, rows, scale, rel_tol, max_iter, skipped) -> tuple[int, float,
         if not rows:
             worst_rel = 0.0
             break
-        worst_rel = scaling_phase(min(400, max_iter))
-        if worst_rel <= rel_tol or iterations >= max_iter:
+        worst_rel = scaling_phase(400)
+        if worst_rel <= rel_tol or iterations >= DEFAULT_MAX_ITER:
             break
-        worst_rel, _ = _newton_phase(w, rows, scale, rel_tol, max_iter)
+        worst_rel, _ = _newton_phase(w, rows, scale, rel_tol)
         if worst_rel <= rel_tol:
             break
         threshold = pin_scale * min_target
@@ -248,7 +247,7 @@ def _scale_rows(w, rows, scale, rel_tol, max_iter, skipped) -> tuple[int, float,
     return iterations, worst_rel, rows
 
 
-def _project(w, rows, scale, rel_tol, max_iter, skipped) -> tuple[int, float, tuple[int, ...]]:
+def _project(w, rows, scale, rel_tol, skipped) -> tuple[int, float, tuple[int, ...]]:
     """Query-level refresh: KL projection of ``w`` onto the nearest feasible rows.
 
     Lawson-Hanson NNLS on the scaled rows finds totals ``A x`` the
@@ -288,9 +287,9 @@ def _project(w, rows, scale, rel_tol, max_iter, skipped) -> tuple[int, float, tu
     # rel_tol makes the result independent of where the iteration started.
     # Far from it (a prior off by orders of magnitude) its line search can
     # stall; the offline iteration then takes over on the same rows.
-    worst, steps = _newton_phase(w, rows, scale, rel_tol * 1e-3, max_iter)
+    worst, steps = _newton_phase(w, rows, scale, rel_tol * 1e-3)
     if worst > rel_tol:
-        sweeps, worst, _ = _scale_rows(w, rows, scale, rel_tol, max_iter, skipped)
+        sweeps, worst, _ = _scale_rows(w, rows, scale, rel_tol, skipped)
         steps += sweeps
     return steps, worst, tuple(moved)
 
@@ -343,7 +342,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return x, grad, tol
 
 
-def _newton_phase(w, rows, scale, rel_tol, max_iter) -> tuple[float, int]:
+def _newton_phase(w, rows, scale, rel_tol) -> tuple[float, int]:
     """Damped Newton steps on the dual until the rows balance or stall.
 
     Returns the worst relative residual and the number of steps taken.
@@ -363,7 +362,7 @@ def _newton_phase(w, rows, scale, rel_tol, max_iter) -> tuple[float, int]:
     best_resid = worst
     stale = 0
     steps = 0
-    for _ in range(min(max_iter, 120)):
+    for _ in range(120):
         if worst <= rel_tol:
             break
         # On infeasible rows the dual is unbounded: h keeps shrinking

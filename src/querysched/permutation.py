@@ -152,8 +152,8 @@ def greedy_by_rate(
 ) -> PermCandidate:
     """Trim or extend an order until it covers ``k`` residual tuples.
 
-    One walk over ``order`` stops after its minimal covering prefix, but
-    never inside the pinned prefix: dispatched sources stay even when the
+    One walk over ``order`` stops after its minimal covering prefix (none
+    when ``k <= 0``), but never inside the pinned prefix: dispatched sources stay even when the
     target is covered without them.  Cut sources return to the unselected
     set.  A short order is extended instead: each round appends the
     unselected source with the highest residual query rate, ties broken
@@ -165,12 +165,12 @@ def greedy_by_rate(
     scan_sum = 0.0
     keep = len(order)
     for pos, s in enumerate(order):
+        if res_sum >= k and pos >= pinned:
+            keep = pos
+            break
         res_sum += walk.residual(s)
         scan_sum += snapshot.scan_cost_ms(s)
         walk.append(s)
-        if res_sum >= k and pos + 1 >= pinned:
-            keep = pos + 1
-            break
 
     new_order = list(order[:keep])
     unsel = sorted(set(unselected).union(order[keep:]))
@@ -204,25 +204,19 @@ def improve_position(
     overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
     pinned: int = 0,
     meter: WorkMeter | None = None,
-    top_overlap_only: bool = False,
 ) -> PermCandidate | None:
     """Best rebuild obtained by swapping the source at ``pos``.
 
     Tries each ranked candidate with more tuples than the anchor, replays
     the greedy extension on the remainder and keeps the rebuild with the
     highest average rate.  Returns None when no candidate qualifies; the
-    caller compares the winner against its incumbent.  With
-    ``top_overlap_only`` the candidate list collapses to the maximal
-    overlap ratio, trading sweep quality for an order less work.
+    caller compares the winner against its incumbent.
     """
     anchor = order[pos]
     unsel = frozenset(unselected)
     pool = unsel | set(order[pos + 1 :])
     anchor_card = snapshot.cardinalities[anchor]
     ranked = overlap_ranked(anchor, pool, snapshot, overlap_floor, meter)
-    if top_overlap_only and ranked:
-        top = ranked[0][1]
-        ranked = [item for item in ranked if item[1] >= top]
     best: PermCandidate | None = None
     for j, _ratio in ranked:
         if anchor_card >= snapshot.cardinalities[j]:
@@ -243,7 +237,6 @@ def refine_order(
     pinned_order: Sequence[int] = (),
     overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
     meter: WorkMeter | None = None,
-    top_overlap_only: bool = False,
 ) -> PermCandidate:
     """Greedy construction followed by the head-to-tail swap sweep.
 
@@ -264,7 +257,6 @@ def refine_order(
             overlap_floor,
             pinned,
             meter,
-            top_overlap_only,
         )
         if cand is not None and cand.avg_rate > incumbent.avg_rate:
             incumbent = cand

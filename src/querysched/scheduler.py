@@ -10,9 +10,9 @@ deduplicate arriving tuples against a shared seen-set.  Events are keyed
 on (time, worker class, thread id), so a run is a pure function of its
 inputs.  A baseline is the same loop with a fixed plan (its policy's
 order, never revised) and no statistics worker.  Planner compute is free
-on the simulated clock by default; the sequential strategy instead
-charges the initial sweep at a configured per-operation rate before the
-first dispatch, and a config switch charges it online as well.
+on the simulated clock, except that the sequential strategy charges its
+initial sweep at a configured per-operation rate before the first
+dispatch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterator
 from .cost import PermState, QuerySpec
 from .detection import (
     DEFAULT_PRUNE_THRESHOLD,
-    DetectionTiming,
+    DETECTION_QUERY_MS,
     online_detection_plan,
     prior_query_snapshot,
 )
@@ -54,25 +54,13 @@ class RunConfig:
     query_threads: int = 1
     overlap_floor: float = DEFAULT_OVERLAP_FLOOR
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD
-    prune_relative: bool = True
-    detection_base_ms: float = 1.5
     detection_overhead: float = 1.0
     detection_batch: int = 1
     planner_unit_ms: float = 0.01
-    charge_planner_online: bool = False
-    fast_sweep: bool = False  # swap only against the top-overlap candidate
-    fallback_ratio: float = 1.0
 
     def __post_init__(self) -> None:
         if self.query_threads < 1:
             raise ValueError(f"query_threads must be at least 1, got {self.query_threads}")
-
-    def timing(self) -> DetectionTiming:
-        return DetectionTiming(
-            base_ms=self.detection_base_ms,
-            overhead_factor=self.detection_overhead,
-            batch_size=self.detection_batch,
-        )
 
 
 @dataclass(frozen=True)
@@ -167,7 +155,6 @@ class _Planner:
             pinned_order=dispatched,
             overlap_floor=self.config.overlap_floor,
             meter=meter,
-            top_overlap_only=self.config.fast_sweep,
         )
         # Publish a full-universe order: estimates can overstate the
         # covering prefix, and the executor must always find a next
@@ -197,7 +184,7 @@ def run_query(
     is deterministic in (algo, query, universe, initial, config, seed).
     """
     if algo in BASELINE_ALGOS:
-        prior = prior_query_snapshot(initial, config.fallback_ratio)
+        prior = prior_query_snapshot(initial)
         order = baseline_order(algo, prior, seed=seed)
         return _run(algo, query, universe, config, _Planner(query.k, config, order), prior)
     if algo == ALGO_FULL_KNOWLEDGE:
@@ -207,8 +194,11 @@ def run_query(
         probe = ScopedProbe(universe, query.predicate_id)
         hint = _all_source_hint(initial, config)
         detection = online_detection_plan(
-            query, initial, hint, probe, config.timing(),
-            fallback_ratio=config.fallback_ratio,
+            initial,
+            hint,
+            probe,
+            per_query_ms=DETECTION_QUERY_MS * config.detection_overhead,
+            batch=config.detection_batch,
         )
         _, prior, _ = next(detection)
         return _run(
@@ -303,9 +293,8 @@ def _run(
         # query-thread event: either a dispatch (idle) or one tuple arrival
         state = executor.threads[tid]
         if state.source < 0:
-            plan, work = planner.current(stats, stats_versions, tuple(executor.dispatched))
-            delay = work * config.planner_unit_ms if config.charge_planner_online else 0.0
-            started = executor.dispatch(tid, plan, time_ms + delay, probe_busy_until)
+            plan, _ = planner.current(stats, stats_versions, tuple(executor.dispatched))
+            started = executor.dispatch(tid, plan, time_ms, probe_busy_until)
             if started is None:
                 state.done = True
                 state.last_event_ms = time_ms

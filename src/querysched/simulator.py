@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .lattice import STAGE_INITIAL, StatsSnapshot, member_sources, snapshot_from_cells
+from .lattice import StatsSnapshot, member_sources, snapshot_from_cells
 
 SCOPE_ALL = "all"
 SCOPE_FOCUS = "focus"
@@ -159,14 +159,12 @@ class Universe:
         if source in self.unavailable:
             raise SourceUnavailable(f"source {source} unavailable")
 
-    def truth_snapshot(self, scope: str, version: int = 0) -> StatsSnapshot:
+    def truth_snapshot(self, scope: str) -> StatsSnapshot:
         """Ground-truth lattice packaged as a statistics snapshot."""
         return snapshot_from_cells(
             tuple(s.access_ms for s in self.sources),
             tuple(s.per_tuple_ms for s in self.sources),
             self.truth.cells(scope),
-            version=version,
-            stage=STAGE_INITIAL,
         )
 
 

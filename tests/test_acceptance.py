@@ -10,8 +10,8 @@ import time
 
 from conftest import record_criterion
 from querysched import maxent
-from querysched.cost import PREFIX_AVERAGE, SEQUENTIAL, QuerySpec, permutation_time_cost
-from querysched.detection import DetectionTiming, initial_detection, online_detection
+from querysched.cost import PREFIX_AVERAGE, SEQUENTIAL, permutation_time_cost
+from querysched.detection import initial_detection, online_detection_plan
 from querysched.grid import (
     GridSpec,
     desk_universe_config,
@@ -154,15 +154,13 @@ def test_criterion_4_statistics_exactness_and_residuals():
         ) and all(v <= 1e-6 or m in truth for m, v in got.items())
         exact += cells_match
         if n <= 7:
-            stream = online_detection(
-                QuerySpec(SCOPE_FOCUS, 10),
+            stream = online_detection_plan(
                 out.snapshot,
                 tuple(range(n)),
-                lambda: False,
                 ScopedProbe(universe, SCOPE_FOCUS),
-                DetectionTiming(batch_size=4),
+                batch=4,
             )
-            for snap in stream:
+            for _cost, snap, _src in stream:
                 snapshots += 1
                 for s in range(n):
                     total = sum(

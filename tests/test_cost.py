@@ -1,4 +1,4 @@
-"""Cost model: rates, average rates, and the two time accountings."""
+"""Cost model: rates and the two time accountings."""
 
 import random
 
@@ -9,54 +9,27 @@ from querysched.cost import (
     SEQUENTIAL,
     PermState,
     QuerySpec,
-    SourceProfile,
-    avg_query_rate,
     permutation_time_cost,
-    query_rate,
+    rate_from_parts,
 )
-from querysched.lattice import snapshot_from_cells
 
 from test_lattice import ref_snapshot
 
 
 class TestQueryRate:
     def test_reference_rates(self):
-        assert query_rate(SourceProfile(0, 0.0, 0.7, 50), 0) == pytest.approx(50 / 35)
-        assert query_rate(SourceProfile(1, 0.0, 1.1, 125), 35) == pytest.approx(90 / 137.5)
+        assert rate_from_parts(0.0, 0.7, 50, 0) == pytest.approx(50 / 35)
+        assert rate_from_parts(0.0, 1.1, 125, 35) == pytest.approx(90 / 137.5)
 
     def test_fully_covered_source_rates_zero(self):
-        assert query_rate(SourceProfile(0, 5.0, 1.0, 10), 10) == 0.0
+        assert rate_from_parts(5.0, 1.0, 10, 10) == 0.0
 
     def test_degenerate_empty_free_source_rates_zero(self):
-        assert query_rate(SourceProfile(0, 0.0, 1.0, 0), 0) == 0.0
+        assert rate_from_parts(0.0, 1.0, 0, 0) == 0.0
 
     def test_monotone_nonincreasing_in_overlap(self):
-        profile = SourceProfile(0, 3.0, 0.4, 80)
-        rates = [query_rate(profile, c) for c in range(0, 81, 5)]
+        rates = [rate_from_parts(3.0, 0.4, 80, c) for c in range(0, 81, 5)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_overlap_beyond_cardinality_rejected(self):
-        with pytest.raises(ValueError):
-            query_rate(SourceProfile(0, 0.0, 1.0, 5), 6)
-
-
-class TestAvgQueryRate:
-    def test_single_source(self):
-        snap = snapshot_from_cells((0.0,), (1.1,), {0b1: 125})
-        assert avg_query_rate((0,), snap) == pytest.approx(125 / 137.5)
-
-    def test_two_source_prefix(self):
-        assert avg_query_rate((0, 1), ref_snapshot()) == pytest.approx(140 / 172.5)
-
-    def test_disjoint_identical_sources_keep_individual_rate(self):
-        snap = snapshot_from_cells((2.0, 2.0, 2.0), (0.5, 0.5, 0.5), {0b001: 40, 0b010: 40, 0b100: 40})
-        single = avg_query_rate((1,), snap)
-        for order in [(0, 1), (2, 0, 1), (1, 2, 0)]:
-            assert avg_query_rate(order, snap) == pytest.approx(single)
-
-    def test_empty_permutation_rejected(self):
-        with pytest.raises(ValueError, match="empty permutation"):
-            avg_query_rate((), ref_snapshot())
 
 
 class TestTimeCost:
@@ -126,15 +99,9 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             QuerySpec("focus", 0)
 
-    def test_source_profile_validation(self):
-        with pytest.raises(ValueError):
-            SourceProfile(0, -1.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            SourceProfile(0, 0.0, 0.0, 5)
-
     def test_perm_state_partition_rules(self):
         state = PermState((1, 0), frozenset({2}), pinned=1)
-        assert state.universe == {0, 1, 2}
+        assert set(state.order) | state.unselected == {0, 1, 2}
         with pytest.raises(ValueError):
             PermState((0, 0), frozenset())
         with pytest.raises(ValueError):

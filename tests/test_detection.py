@@ -4,14 +4,15 @@ import pytest
 
 from querysched.cost import QuerySpec
 from querysched.detection import (
-    DetectionTiming,
     initial_detection,
-    online_detection,
     online_detection_plan,
     prior_query_snapshot,
     scale_partial_cardinalities,
 )
+from querysched.grid import desk_universe_config
 from querysched.lattice import DETECTED, ESTIMATED, PRUNED
+from querysched.permutation import TABLE_ALGO_ORDER
+from querysched.scheduler import RunConfig, run_query
 from querysched.simulator import (
     SCOPE_ALL,
     SCOPE_FOCUS,
@@ -23,6 +24,11 @@ from querysched.simulator import (
 )
 
 DEMO_EXACT = {0b001: 10, 0b010: 80, 0b100: 60, 0b011: 35, 0b101: 5, 0b110: 10, 0b111: 0}
+
+
+def snapshots(initial, hint, probe):
+    """Every snapshot of a query-level detection run to its end."""
+    return [snap for _cost, snap, _src in online_detection_plan(initial, hint, probe)]
 
 
 def residuals_ok(snapshot, rel=1e-6):
@@ -135,31 +141,43 @@ class TestInitialDetection:
         with pytest.raises(ValueError, match="2\\^"):
             initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_all_sources_down_detects_nothing_and_runs_short(self, threads):
+        # A relative threshold of a zero total is zero; detection must not
+        # take that for the exhaustive mode and refuse the universe.
+        u = generate(desk_universe_config(), 101).with_unavailable(range(50))
+        out = initial_detection(ScopedProbe(u, SCOPE_ALL))
+        assert out.unavailable == tuple(range(50))
+        assert out.snapshot.cardinalities == (0.0,) * 50
+        assert all(c.provenance == PRUNED for c in out.snapshot.cells.values())
+        query = QuerySpec(SCOPE_FOCUS, 100)
+        for algo in TABLE_ALGO_ORDER:
+            result = run_query(algo, query, u, out.snapshot, RunConfig(query_threads=threads), seed=1)
+            assert result.shortfall, algo
+            assert result.distinct_tuples == 0, algo
+            assert len(result.per_source_trace) == 50, algo
+
 
 class TestCardinalityScaling:
     def test_single_ratio(self):
-        got = scale_partial_cardinalities({0: 50.0}, [100.0, 200.0], [0, 1])
+        got = scale_partial_cardinalities({0: 50.0}, [100.0, 200.0])
         assert got[1] == pytest.approx(100.0)
 
     def test_identity_ratios(self):
         initial = [40.0, 60.0, 80.0]
-        got = scale_partial_cardinalities({0: 40.0, 1: 60.0}, initial, [0, 1, 2])
+        got = scale_partial_cardinalities({0: 40.0, 1: 60.0}, initial)
         assert got == pytest.approx(initial)
 
     def test_two_ratio_average(self):
-        got = scale_partial_cardinalities(
-            {0: 40.0, 1: 60.0}, [100.0, 100.0, 100.0], [0, 1, 2]
-        )
+        got = scale_partial_cardinalities({0: 40.0, 1: 60.0}, [100.0, 100.0, 100.0])
         assert got[2] == pytest.approx(50.0)
 
     def test_zero_initial_detected_is_skipped(self):
-        got = scale_partial_cardinalities(
-            {0: 10.0, 1: 30.0}, [0.0, 100.0, 100.0], [0, 1, 2]
-        )
+        got = scale_partial_cardinalities({0: 10.0, 1: 30.0}, [0.0, 100.0, 100.0])
         assert got[2] == pytest.approx(30.0)
 
     def test_fallback_when_no_usable_ratio(self):
-        got = scale_partial_cardinalities({0: 5.0}, [0.0, 80.0], [0, 1], fallback_ratio=1.0)
+        got = scale_partial_cardinalities({0: 5.0}, [0.0, 80.0])
         assert got == pytest.approx([5.0, 80.0])
 
 
@@ -170,31 +188,14 @@ class TestOnlineDetection:
     def test_stop_before_any_detection_yields_prior_only(self):
         u = self.make_universe()
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        stream = list(
-            online_detection(
-                QuerySpec(SCOPE_FOCUS, 50),
-                initial,
-                (0, 1, 2),
-                lambda: True,
-                ScopedProbe(u, SCOPE_FOCUS),
-            )
-        )
-        assert len(stream) == 1
+        plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
         prior = prior_query_snapshot(initial)
-        assert stream[0].cardinalities == prior.cardinalities
+        assert next(plan) == (0.0, prior, -1)
 
     def test_query_matching_everything_converges_to_initial(self):
         u = self.make_universe(split=1.0)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        snaps = list(
-            online_detection(
-                QuerySpec(SCOPE_FOCUS, 50),
-                initial,
-                (0, 1, 2),
-                lambda: False,
-                ScopedProbe(u, SCOPE_FOCUS),
-            )
-        )
+        snaps = snapshots(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
         live = {m: c.value for m, c in initial.cells.items() if c.provenance != PRUNED}
         for snap in snaps:
             if snap.stage == "online-substage-1":
@@ -205,15 +206,7 @@ class TestOnlineDetection:
     def test_half_split_final_snapshot_matches_focus_truth(self):
         u = self.make_universe(split=0.5, seed=11)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        snaps = list(
-            online_detection(
-                QuerySpec(SCOPE_FOCUS, 50),
-                initial,
-                (0, 1, 2),
-                lambda: False,
-                ScopedProbe(u, SCOPE_FOCUS),
-            )
-        )
+        snaps = snapshots(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
         final = snaps[-1]
         assert final.stage == "final"
         truth = u.truth.cells(SCOPE_FOCUS)
@@ -225,26 +218,14 @@ class TestOnlineDetection:
     def test_residuals_within_tolerance_on_every_snapshot(self):
         u = self.make_universe(split=0.5, seed=13)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        for snap in online_detection(
-            QuerySpec(SCOPE_FOCUS, 50),
-            initial,
-            (0, 1, 2),
-            lambda: False,
-            ScopedProbe(u, SCOPE_FOCUS),
-        ):
+        for snap in snapshots(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS)):
             ok, s, total, target = residuals_ok(snap)
             assert ok, (snap.stage, s, total, target)
 
     def test_substage2_detects_in_descending_gap_order(self):
         u = self.make_universe(split=0.5, seed=17)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        plan = online_detection_plan(
-            QuerySpec(SCOPE_FOCUS, 50),
-            initial,
-            (0, 1, 2),
-            ScopedProbe(u, SCOPE_FOCUS),
-            DetectionTiming(),
-        )
+        plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
         entry_estimates = None
         detected_order = []
         prev_known = set()
@@ -259,13 +240,7 @@ class TestOnlineDetection:
         # Recompute the entry gaps: estimates right after the last
         # cardinality detection vs the offline values.
         sub1 = []
-        plan2 = online_detection_plan(
-            QuerySpec(SCOPE_FOCUS, 50),
-            initial,
-            (0, 1, 2),
-            ScopedProbe(u, SCOPE_FOCUS),
-            DetectionTiming(),
-        )
+        plan2 = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
         for _cost, snap, _src in plan2:
             sub1.append(snap)
             if len(sub1) == 1 + initial.n_sources:
@@ -282,11 +257,7 @@ class TestOnlineDetection:
         u = self.make_universe()
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         plan = online_detection_plan(
-            QuerySpec(SCOPE_FOCUS, 50),
-            initial,
-            (2, 0, 1),
-            ScopedProbe(u, SCOPE_FOCUS),
-            DetectionTiming(base_ms=4.0, overhead_factor=1.5),
+            initial, (2, 0, 1), ScopedProbe(u, SCOPE_FOCUS), per_query_ms=4.0 * 1.5
         )
         steps = list(plan)
         assert steps[0][0] == 0.0 and steps[0][2] == -1
@@ -300,14 +271,9 @@ class TestOnlineDetection:
     def test_batched_cell_detection(self):
         u = self.make_universe(split=0.5, seed=19)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        timing = DetectionTiming(base_ms=2.0, batch_size=4)
         steps = list(
             online_detection_plan(
-                QuerySpec(SCOPE_FOCUS, 50),
-                initial,
-                (0, 1, 2),
-                ScopedProbe(u, SCOPE_FOCUS),
-                timing,
+                initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS), per_query_ms=2.0, batch=4
             )
         )
         final = steps[-1][1]

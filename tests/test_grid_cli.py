@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -132,7 +132,7 @@ class TestGrid:
                 "query_split": 0.6,
                 "overlap": {"style": "uniform", "mean_depth": 2.0, "max_depth": 4},
             },
-            "run": {"query_threads": 2, "detection_base_ms": 1.5},
+            "run": {"query_threads": 2, "detection_overhead": 1.5},
             "k_fraction": 0.5,
             "axes": {"query_threads": [1, 2]},
             "algorithms": ["online"],
@@ -141,7 +141,7 @@ class TestGrid:
         spec = grid_from_json(payload)
         assert spec.universe.n_sources == 10
         assert spec.run.query_threads == 2
-        assert spec.run.detection_base_ms == 1.5
+        assert spec.run.detection_overhead == 1.5
         assert spec.axes == (("query_threads", (1.0, 2.0)),)
         assert spec.seeds == (7, 8)
 
@@ -152,6 +152,16 @@ class TestGrid:
         spec = grid_from_json({"universe": {"total": 6000}})
         assert spec.universe.total_tuples == 6000
         assert spec.universe.overlap.mean_depth == 5.0
+
+    def test_readme_grid_config_is_current(self):
+        # The README's example config must parse to the default grid and
+        # name every run option, so an option added or dropped without a
+        # README edit fails here.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Grid config", 1)[1]
+        payload = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        assert grid_from_json(payload) == default_grid()
+        assert set(payload["run"]) == {f.name for f in fields(RunConfig)}
 
     @pytest.mark.parametrize(
         "payload, section, key",

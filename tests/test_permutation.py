@@ -134,9 +134,7 @@ class TestGreedy:
         perm = data.draw(st.permutations(range(n)), label="perm")
         order = tuple(perm[: data.draw(st.integers(0, n), label="length")])
         pinned = data.draw(st.integers(0, len(order)), label="pinned")
-        k = data.draw(
-            st.floats(0.0, 1.5 * distinct, exclude_min=True) | st.just(math.inf), label="k"
-        )
+        k = data.draw(st.floats(-1.0, 1.5 * distinct) | st.just(math.inf), label="k")
         cand = greedy_by_rate(k, order, set(range(n)) - set(order), snap, pinned)
         assert cand.order[:pinned] == order[:pinned]
         assert len(set(cand.order)) == len(cand.order)
@@ -180,21 +178,6 @@ class TestRefineOrder:
         greedy = greedy_by_rate(150, (), {0, 1, 2}, snap)
         refined = refine_order(150, snap)
         assert refined.order == greedy.order
-
-    def test_top_overlap_only_sweep_is_valid_and_cheaper(self):
-        from querysched.permutation import WorkMeter
-
-        full_meter, fast_meter = WorkMeter(), WorkMeter()
-        for seed in range(12):
-            snap, distinct = random_instance(6, seed)
-            k = max(1.0, 0.7 * distinct)
-            refine_order(k, snap, meter=full_meter)
-            fast = refine_order(k, snap, meter=fast_meter, top_overlap_only=True)
-            assert set(fast.order) | fast.unselected == set(range(6))
-            assert fast.covered >= min(k, covered_total(range(6), snap)) - 1e-9
-        # Restricting each anchor to its top-overlap candidate saves work
-        # in aggregate (it is the reduced-complexity sweep variant).
-        assert fast_meter.ops <= full_meter.ops
 
     def test_never_worse_than_greedy(self):
         for seed in range(25):
