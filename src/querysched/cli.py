@@ -56,7 +56,6 @@ def _cmd_dump_stats(args: argparse.Namespace) -> int:
         probe,
         args.threshold,
         relative=not args.absolute,
-        sample_rate=args.sample,
     )
     text = dump_snapshot(outcome.snapshot)
     if args.out:
@@ -113,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--seed", type=int, default=101)
     p_dump.add_argument("--threshold", type=float, default=DEFAULT_PRUNE_THRESHOLD)
     p_dump.add_argument("--absolute", action="store_true", help="treat threshold as absolute")
-    p_dump.add_argument("--sample", type=float, help="sample rate in (0,1]")
+    p_dump.add_argument("--sample", type=float, default=1.0, help="sample rate in (0,1]")
     p_dump.add_argument("--out", help="output path (stdout when omitted)")
     p_dump.set_defaults(func=_cmd_dump_stats)
 

@@ -57,7 +57,7 @@ DETECTION_QUERY_MS = 1.5
 
 
 class StatsProbe(Protocol):
-    """Counting-query access to a set of sources for one query scope."""
+    """Counting-query access to one query scope; a sampling probe scales its counts."""
 
     @property
     def n_sources(self) -> int: ...
@@ -84,12 +84,9 @@ def initial_detection(
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
     *,
     relative: bool = True,
-    sample_rate: float | None = None,
 ) -> DetectionOutcome:
     """Level-by-level lattice detection with threshold pruning.
 
-    With ``sample_rate`` set, the probe is assumed to answer from a sample
-    and every detected count is rescaled by its reciprocal before use.
     Unreachable sources are zeroed out and detection continues; when no
     source has a tuple, no cell is probed and the snapshot holds none.
     """
@@ -102,7 +99,6 @@ def initial_detection(
         raise ValueError(
             f"zero prune threshold materializes 2^{n} cells; universe too large"
         )
-    scale = 1.0 / sample_rate if sample_rate else 1.0
 
     queries = 0
     unavailable: list[int] = []
@@ -110,7 +106,7 @@ def initial_detection(
     for s in range(n):
         queries += 1
         try:
-            cards.append(probe.cardinality(s) * scale)
+            cards.append(probe.cardinality(s))
         except Exception:
             log.warning("source %d unavailable during initial detection", s)
             unavailable.append(s)
@@ -144,7 +140,7 @@ def initial_detection(
         for mask in survivors:
             queries += 1
             try:
-                detected[mask] = probe.cell_count(mask) * scale
+                detected[mask] = probe.cell_count(mask)
             except Exception:
                 # A cell predicate over an unreachable source cannot be
                 # answered; the source contributes nothing downstream.
@@ -281,6 +277,8 @@ def online_detection_plan(
     for none), so a scheduler can model contention.  The caller owns
     termination; abandoning the iterator is the stop signal.
     """
+    if batch < 1:
+        raise ValueError(f"detection batch must be at least 1, got {batch}")
     n = initial.n_sources
     live_cells = dict(initial._live_cells)
     versions = itertools.count(initial.version + 2)  # the prior is initial.version + 1
@@ -330,7 +328,6 @@ def online_detection_plan(
         key=lambda m: (-abs(estimates.get(m, 0.0) - live_cells[m]), m),
     )
     known: dict[int, float] = {}
-    batch = max(1, batch)
     for start in range(0, len(gaps), batch):
         chunk = gaps[start : start + batch]
         for m in chunk:

@@ -35,7 +35,6 @@ from .lattice import member_sources
 log = logging.getLogger(__name__)
 
 DEFAULT_REL_TOL = 1e-6
-DEFAULT_MAX_ITER = 10_000
 
 
 class MaxEntError(RuntimeError):
@@ -202,7 +201,7 @@ def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
                 if got > 1e-300 and math.isfinite(got):
                     w[idx] *= target / got
             worst = _worst_residual(w, rows, scale)
-            if worst <= rel_tol or iterations >= DEFAULT_MAX_ITER:
+            if worst <= rel_tol:
                 break
             # Plateaued residuals mean inconsistent rows; boundary-bound
             # systems keep improving a few percent per window.
@@ -224,7 +223,7 @@ def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
             worst_rel = 0.0
             break
         worst_rel = scaling_phase(400)
-        if worst_rel <= rel_tol or iterations >= DEFAULT_MAX_ITER:
+        if worst_rel <= rel_tol:
             break
         worst_rel, _ = _newton_phase(w, rows, scale, rel_tol)
         if worst_rel <= rel_tol:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cost import SEQUENTIAL, CoverageWalk, walk_residuals
-from .lattice import StatsSnapshot
+from .lattice import StatsSnapshot, member_sources
 
 ALGO_RANDOM = "random"
 ALGO_MAX_TUPLES = "max_tuples"
@@ -347,18 +347,13 @@ def format_order(order: Sequence[int], pinned: int = 0) -> str:
 def _residual_table(snapshot: StatsSnapshot) -> list[list[float]]:
     """residual[source][prefix_mask] for every subset of a small universe."""
     n = snapshot.n_sources
-    size = 1 << n
-    table = [[0.0] * size for _ in range(n)]
-    for s in range(n):
-        card = snapshot.cardinalities[s]
-        row = table[s]
-        cells = snapshot._cells_by_source[s]
-        for mask in range(size):
-            covered = 0.0
-            for cmask, value in cells:
-                if cmask & mask:
-                    covered += value
-            row[mask] = max(0.0, card - covered)
+    table = [[0.0] * (1 << n) for _ in range(n)]
+    for mask in range(1 << n):
+        walk = CoverageWalk(snapshot)
+        for s in member_sources(mask):
+            walk.append(s)
+        for s in range(n):
+            table[s][mask] = walk.residual(s)
     return table
 
 

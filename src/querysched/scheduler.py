@@ -59,8 +59,16 @@ class RunConfig:
     planner_unit_ms: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.query_threads < 1:
-            raise ValueError(f"query_threads must be at least 1, got {self.query_threads}")
+        # A negative time charge would schedule work before it was asked for.
+        for name, least in (
+            ("query_threads", 1),
+            ("detection_batch", 1),
+            ("detection_overhead", 0),
+            ("planner_unit_ms", 0),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

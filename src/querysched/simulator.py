@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .lattice import StatsSnapshot, member_sources, snapshot_from_cells
 
@@ -92,33 +92,40 @@ class SimSource:
     tuples: tuple[int, ...]  # fixed stream order
 
 
+def _cell_table(membership: Sequence[int], focus: frozenset[int], scope: str) -> dict[int, int]:
+    """Tuple count per nonempty membership mask over the tuples in ``scope``."""
+    counts: Counter[int] = Counter()
+    for tid, mask in enumerate(membership):
+        if mask and (scope == SCOPE_ALL or tid in focus):
+            counts[mask] += 1
+    return dict(counts)
+
+
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact membership masks and derived lattices for both query scopes."""
+    """Exact membership masks and the per-scope cell tables derived from them."""
 
     membership: tuple[int, ...]  # per distinct tuple id
     focus: frozenset[int]  # tuple ids in the focus result set
+    _tables: dict[str, dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_distinct(self) -> int:
         return len(self.membership)
 
-    def in_scope(self, tuple_id: int, scope: str) -> bool:
-        if scope == SCOPE_ALL:
-            return True
-        return tuple_id in self.focus
+    def _table(self, scope: str) -> dict[int, int]:
+        """The cached cell table of ``scope``; callers must not mutate it."""
+        if scope not in self._tables:
+            self._tables[scope] = _cell_table(self.membership, self.focus, scope)
+        return self._tables[scope]
 
     def cells(self, scope: str) -> dict[int, int]:
-        counts: Counter[int] = Counter()
-        for tid, mask in enumerate(self.membership):
-            if mask and self.in_scope(tid, scope):
-                counts[mask] += 1
-        return dict(counts)
+        return dict(self._table(scope))
 
     def distinct_in_scope(self, scope: str) -> int:
-        return sum(
-            1 for tid, mask in enumerate(self.membership) if mask and self.in_scope(tid, scope)
-        )
+        return sum(self._table(scope).values())
 
 
 @dataclass(frozen=True)
@@ -128,32 +135,24 @@ class Universe:
     sources: tuple[SimSource, ...]
     truth: GroundTruth
     unavailable: frozenset[int] = frozenset()
+    _streams: dict[str, tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_sources(self) -> int:
         return len(self.sources)
 
-    def with_unavailable(self, down: Iterable[int]) -> "Universe":
-        return Universe(self.config, self.seed, self.sources, self.truth, frozenset(down))
-
-    def cardinality(self, source: int, scope: str) -> int:
-        self._check_up(source)
-        truth = self.truth
-        return sum(1 for t in self.sources[source].tuples if truth.in_scope(t, scope))
-
-    def cell_count(self, mask: int, scope: str) -> int:
-        truth = self.truth
-        return sum(
-            1
-            for tid, m in enumerate(truth.membership)
-            if m == mask and truth.in_scope(tid, scope)
-        )
-
     def tuple_stream(self, source: int, scope: str) -> tuple[int, ...]:
         """Matching tuples of one source in its fixed stream order."""
         self._check_up(source)
-        truth = self.truth
-        return tuple(t for t in self.sources[source].tuples if truth.in_scope(t, scope))
+        if scope not in self._streams:
+            focus = self.truth.focus
+            self._streams[scope] = tuple(
+                src.tuples if scope == SCOPE_ALL else tuple(t for t in src.tuples if t in focus)
+                for src in self.sources
+            )
+        return self._streams[scope][source]
 
     def _check_up(self, source: int) -> None:
         if source in self.unavailable:
@@ -353,24 +352,40 @@ def _balance_total(depth_of: list[int], target: int, rng: random.Random, cap: li
 class ScopedProbe:
     """Counting-query view of a universe for one query scope.
 
-    ``sample_rate`` switches the view to a Bernoulli sample of tuple/source
-    placements; counts are then raw sample counts and the caller is
-    expected to rescale them.
+    A ``sample_rate`` below 1 switches the view to a Bernoulli sample of
+    tuple/source placements; counts are then sample counts scaled by the
+    rate's reciprocal.
     """
 
     universe: Universe
     scope: str
-    sample_rate: float | None = None
+    sample_rate: float = 1.0
     sample_seed: int = 0
-    _sampled: tuple[int, ...] | None = field(default=None, compare=False)
+    _cells: dict[int, int] = field(init=False, repr=False, compare=False)
+    _totals: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.scope not in SCOPES:
             raise ValueError(f"unknown scope {self.scope!r}")
-        if self.sample_rate is not None:
-            if not 0.0 < self.sample_rate <= 1.0:
-                raise ValueError("sample rate must be in (0, 1]")
-            object.__setattr__(self, "_sampled", self._sample_membership())
+        rate = self.sample_rate
+        if not 0.0 < rate <= 1.0:
+            raise ValueError("sample rate must be in (0, 1]")
+        truth = self.universe.truth
+        if rate == 1.0:  # every draw would keep its placement
+            cells = truth._table(self.scope)
+        else:
+            rng = random.Random(f"sample:{self.sample_seed}:{rate}")
+            sampled = [
+                sum(1 << s for s in member_sources(mask) if rng.random() < rate)
+                for mask in truth.membership
+            ]
+            cells = _cell_table(sampled, truth.focus, self.scope)
+        totals = [0] * self.universe.n_sources
+        for mask, count in cells.items():
+            for s in member_sources(mask):
+                totals[s] += count
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_totals", totals)
 
     @property
     def n_sources(self) -> int:
@@ -382,43 +397,14 @@ class ScopedProbe:
     def per_tuple_ms(self, source: int) -> float:
         return self.universe.sources[source].per_tuple_ms
 
-    def _sample_membership(self) -> tuple[int, ...]:
-        rng = random.Random(f"sample:{self.sample_seed}:{self.sample_rate}")
-        sampled = []
-        for mask in self.universe.truth.membership:
-            smask = 0
-            for s in member_sources(mask):
-                if rng.random() < self.sample_rate:
-                    smask |= 1 << s
-            sampled.append(smask)
-        return tuple(sampled)
-
     def cardinality(self, source: int) -> float:
-        if self._sampled is None:
-            return float(self.universe.cardinality(source, self.scope))
-        truth = self.universe.truth
         self.universe._check_up(source)
-        return float(
-            sum(
-                1
-                for tid, m in enumerate(self._sampled)
-                if (m >> source) & 1 and truth.in_scope(tid, self.scope)
-            )
-        )
+        return float(self._totals[source]) * (1.0 / self.sample_rate)
 
     def cell_count(self, mask: int) -> float:
         for s in member_sources(mask):
             self.universe._check_up(s)
-        if self._sampled is None:
-            return float(self.universe.cell_count(mask, self.scope))
-        truth = self.universe.truth
-        return float(
-            sum(
-                1
-                for tid, m in enumerate(self._sampled)
-                if m == mask and truth.in_scope(tid, self.scope)
-            )
-        )
+        return float(self._cells.get(mask, 0)) * (1.0 / self.sample_rate)
 
 
 DEMO_CELLS: Mapping[int, int] = {

@@ -1,7 +1,7 @@
 """The benchmark command runs against this checkout.
 
 The benchmark wraps package entry points by name from outside ``src/``;
-running one traced pass here makes a rename fail the suite rather than
+running traced passes here makes a rename fail the suite rather than
 the benchmark.
 """
 
@@ -13,12 +13,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_desk_pass_is_correct():
+def traced_pass(workload: str) -> dict:
+    """The summary line of one traced benchmark pass over ``workload``."""
     proc = subprocess.run(
         [
             sys.executable,
             "perfbench/run.py",
-            "--workload", "desk-adaptive",
+            "--workload", workload,
             "--seconds", "0",
             "--trace", "1",
         ],
@@ -28,5 +29,14 @@ def test_traced_desk_pass_is_correct():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert last["correct"] is True
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_traced_desk_pass_is_correct():
+    assert traced_pass("desk-adaptive")["correct"] is True
+
+
+def test_traced_bulk_pass_is_correct():
+    # The only workload that calls run_query directly, so the only one
+    # that reaches the wrapped simulator entry points without the grid.
+    assert traced_pass("bulk-scan")["correct"] is True

@@ -1,5 +1,7 @@
 """Two-stage statistics collection against simulator ground truth."""
 
+from dataclasses import replace
+
 import pytest
 
 from querysched.cost import QuerySpec
@@ -10,7 +12,7 @@ from querysched.detection import (
     scale_partial_cardinalities,
 )
 from querysched.grid import desk_universe_config
-from querysched.lattice import DETECTED, ESTIMATED, PRUNED
+from querysched.lattice import DETECTED, ESTIMATED, PRUNED, STAGE_FINAL
 from querysched.permutation import TABLE_ALGO_ORDER
 from querysched.scheduler import RunConfig, run_query
 from querysched.simulator import (
@@ -29,6 +31,22 @@ DEMO_EXACT = {0b001: 10, 0b010: 80, 0b100: 60, 0b011: 35, 0b101: 5, 0b110: 10, 0
 def snapshots(initial, hint, probe):
     """Every snapshot of a query-level detection run to its end."""
     return [snap for _cost, snap, _src in online_detection_plan(initial, hint, probe)]
+
+
+class FailingCells:
+    """A probe whose cell counting query fails on chosen masks."""
+
+    def __init__(self, probe, failing):
+        self.probe = probe
+        self.failing = frozenset(failing)
+
+    def __getattr__(self, name):
+        return getattr(self.probe, name)
+
+    def cell_count(self, mask):
+        if mask in self.failing:
+            raise RuntimeError(f"cell {mask:#x} cannot be counted")
+        return self.probe.cell_count(mask)
 
 
 def residuals_ok(snapshot, rel=1e-6):
@@ -105,7 +123,7 @@ class TestInitialDetection:
         assert cells[0b001].value == 10.0
 
     def test_unavailable_source_zeroed_not_fatal(self):
-        u = demo_universe().with_unavailable([1])
+        u = replace(demo_universe(), unavailable=frozenset([1]))
         out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0)
         assert out.unavailable == (1,)
         assert out.snapshot.cardinalities[1] == 0.0
@@ -125,8 +143,8 @@ class TestInitialDetection:
         )
         u = generate(config, 8)
         probe = ScopedProbe(u, SCOPE_ALL, sample_rate=0.5, sample_seed=8)
-        out = initial_detection(probe, 0.0, sample_rate=0.5)
-        truth_cards = [u.cardinality(s, SCOPE_ALL) for s in range(4)]
+        out = initial_detection(probe, 0.0)
+        truth_cards = [ScopedProbe(u, SCOPE_ALL).cardinality(s) for s in range(4)]
         for s in range(4):
             assert out.snapshot.cardinalities[s] == pytest.approx(truth_cards[s], rel=0.25)
 
@@ -145,7 +163,7 @@ class TestInitialDetection:
     def test_all_sources_down_detects_nothing_and_runs_short(self, threads):
         # A relative threshold of a zero total is zero; detection must not
         # take that for the exhaustive mode and refuse the universe.
-        u = generate(desk_universe_config(), 101).with_unavailable(range(50))
+        u = replace(generate(desk_universe_config(), 101), unavailable=frozenset(range(50)))
         out = initial_detection(ScopedProbe(u, SCOPE_ALL))
         assert out.unavailable == tuple(range(50))
         assert out.snapshot.cardinalities == (0.0,) * 50
@@ -156,6 +174,31 @@ class TestInitialDetection:
             assert result.shortfall, algo
             assert result.distinct_tuples == 0, algo
             assert len(result.per_source_trace) == 50, algo
+
+
+class TestFailingCellQueries:
+    @pytest.mark.parametrize("failing", [{0b011}, {0b011, 0b101, 0b110}, {0b111}])
+    def test_failed_cells_read_zero_and_detection_finishes(self, failing):
+        u = demo_universe(seed=11, query_split=0.5)
+        out = initial_detection(FailingCells(ScopedProbe(u, SCOPE_ALL), failing), 0.0)
+        for m in failing - {0b111}:  # the deepest cell is never probed offline
+            cell = out.snapshot.cells[m]
+            assert (cell.value, cell.provenance) == (0.0, DETECTED)
+        initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
+        probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS), failing)
+        final = snapshots(initial, (0, 1, 2), probe)[-1]
+        assert final.stage == STAGE_FINAL
+        for m in failing:
+            cell = final.cells[m]
+            assert (cell.value, cell.provenance) == (0.0, DETECTED)
+
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_empty_batch_rejected(self, batch):
+        u = demo_universe()
+        initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
+        plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS), batch=batch)
+        with pytest.raises(ValueError, match="batch"):
+            next(plan)
 
 
 class TestCardinalityScaling:

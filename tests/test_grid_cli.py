@@ -202,10 +202,10 @@ class TestGrid:
             }
         }
         spec = grid_from_json(payload)
-        from querysched.simulator import generate
+        from querysched.simulator import ScopedProbe, generate
 
         u = generate(spec.universe, 1)
-        assert u.cardinality(1, "all") == 125
+        assert ScopedProbe(u, "all").cardinality(1) == 125
 
 
 class TestDemoVerification:

@@ -1,6 +1,7 @@
 """Event-driven execution: determinism, pinning, termination, threading."""
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from querysched.cost import QuerySpec
 from querysched.detection import DETECTION_QUERY_MS, initial_detection, prior_query_snapshot
-from querysched.grid import desk_universe_config, offline_stats
+from querysched.grid import desk_universe_config, grid_from_json, offline_stats
 from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER, baseline_order
-from querysched.scheduler import RunConfig, run_query
+from querysched.scheduler import RunConfig, _Planner, run_query
 from querysched.simulator import (
     SCOPE_ALL,
     SCOPE_FOCUS,
@@ -41,7 +42,7 @@ def desk_outage_setup():
     that trust them dispatch it and find it unavailable.
     """
     u, init = desk_setup()
-    return u.with_unavailable({11}), init
+    return replace(u, unavailable=frozenset({11})), init
 
 
 #: Every strategy with one and with three query threads; the one-thread
@@ -147,10 +148,13 @@ class TestRunProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_every_run_accounts_for_its_tuples(self, data):
-        n = data.draw(st.integers(3, 8), label="n")
+        n = data.draw(st.integers(1, 8), label="n")
         distinct = data.draw(st.integers(20, 80), label="distinct")
         max_depth = data.draw(st.integers(1, n), label="max_depth")
         mean_depth = data.draw(st.floats(1.0, max_depth), label="mean_depth")
+        latency = {}
+        if data.draw(st.booleans(), label="zero_latency"):
+            latency = {"access_ms": (0.0, 0.0), "per_tuple_ms": (0.0, 0.0)}
         config = UniverseConfig(
             n_sources=n,
             n_distinct=distinct,
@@ -161,17 +165,33 @@ class TestRunProperties:
                 max_depth=max_depth,
                 chains=data.draw(st.integers(1, 4), label="chains"),
             ),
+            **latency,
         )
         u = generate(config, data.draw(st.integers(0, 1000), label="seed"))
         init = initial_detection(ScopedProbe(u, SCOPE_ALL)).snapshot
         down = data.draw(st.sets(st.integers(0, n - 1)), label="down")
-        u = u.with_unavailable(down)
+        u = replace(u, unavailable=frozenset(down))
         focus = u.truth.distinct_in_scope(SCOPE_FOCUS)
         k = data.draw(st.integers(1, max(1, int(1.2 * focus))), label="k")
         algo = data.draw(st.sampled_from(TABLE_ALGO_ORDER), label="algo")
         cfg = RunConfig(query_threads=data.draw(st.integers(1, 3), label="threads"))
 
-        result = run_query(algo, QuerySpec(SCOPE_FOCUS, k), u, init, cfg, seed=7)
+        plans = []
+        current = _Planner.current
+
+        def record(planner, stats, version, dispatched):
+            plan, work = current(planner, stats, version, dispatched)
+            plans.append((plan, dispatched))
+            return plan, work
+
+        with mock.patch.object(_Planner, "current", record):
+            result = run_query(algo, QuerySpec(SCOPE_FOCUS, k), u, init, cfg, seed=7)
+        # Every plan extends the prefix already dispatched, so no pinned
+        # prefix ever changes.
+        for plan, dispatched in plans:
+            assert plan.order[: len(dispatched)] == dispatched
+        for (earlier, _), (later, _) in zip(plans, plans[1:]):
+            assert later.order[: earlier.pinned] == earlier.order[: earlier.pinned]
         sources = [t.source for t in result.per_source_trace]
         assert len(sources) == len(set(sources))
         new = sum(t.new_tuples for t in result.per_source_trace)
@@ -181,6 +201,24 @@ class TestRunProperties:
         assert result.shortfall == (result.distinct_tuples < k)
         again = run_query(algo, QuerySpec(SCOPE_FOCUS, k), u, init, cfg, seed=7)
         assert again.to_json() == result.to_json()
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: RunConfig(detection_overhead=-1.0), "detection_overhead"),
+            (lambda: RunConfig(planner_unit_ms=-1.0), "planner_unit_ms"),
+            (lambda: RunConfig(detection_batch=0), "detection_batch"),
+            (lambda: grid_from_json({"run": {"detection_overhead": -1.0}}), "detection_overhead"),
+        ],
+        ids=["detection_overhead", "planner_unit_ms", "detection_batch", "grid_json"],
+    )
+    def test_work_scheduled_in_the_past_rejected(self, build, field):
+        # A negative charge would start counting queries or dispatches
+        # before time zero; a zero batch used to be run as one.
+        with pytest.raises(ValueError, match=field):
+            build()
 
 
 class TestThreads:
