@@ -37,11 +37,14 @@ from .simulator import (
 
 CSV_HEADER = "condition,algorithm,mean_time_ms,stddev_ms,shortfall_count"
 
-AXIS_NAMES = ("k_fraction", "query_threads", "n_sources", "query_split", "detection_overhead")
-
-
 @dataclass(frozen=True)
 class GridSpec:
+    """A grid: default condition, one-factor axes, algorithms and seeds.
+
+    Construction builds every condition's configs, so a bad axis name or
+    value raises before any run.
+    """
+
     universe: UniverseConfig
     run: RunConfig
     k_fraction: float = 0.8
@@ -49,14 +52,38 @@ class GridSpec:
     algorithms: tuple[str, ...] = TABLE_ALGO_ORDER
     seeds: tuple[int, ...] = tuple(range(101, 111))
 
+    def __post_init__(self) -> None:
+        for axis, value in self.conditions():
+            condition_config(self, axis, value)
+
     def conditions(self) -> list[tuple[str, float]]:
-        out = []
-        for axis, values in self.axes:
-            if axis not in AXIS_NAMES:
-                raise ValueError(f"unknown grid axis {axis!r}")
-            for v in values:
-                out.append((axis, v))
-        return out
+        return [(axis, v) for axis, values in self.axes for v in values]
+
+
+def condition_config(
+    spec: GridSpec, axis: str, value: float
+) -> tuple[UniverseConfig, RunConfig, float]:
+    """The universe config, run config and k fraction of one grid condition.
+
+    Raises ValueError for an unknown axis, or for a value the config it
+    sets rejects.
+    """
+    ucfg = spec.universe
+    run = spec.run
+    k_fraction = spec.k_fraction
+    if axis == "k_fraction":
+        k_fraction = float(value)
+    elif axis == "query_threads":
+        run = replace(run, query_threads=int(value))
+    elif axis == "n_sources":
+        ucfg = scaled_universe(ucfg, int(value))
+    elif axis == "query_split":
+        ucfg = replace(ucfg, query_split=float(value))
+    elif axis == "detection_overhead":
+        run = replace(run, detection_overhead=float(value))
+    else:
+        raise ValueError(f"unknown grid axis {axis!r}")
+    return ucfg, run, k_fraction
 
 
 def desk_universe_config(
@@ -126,22 +153,7 @@ def run_condition(
     spec: GridSpec, axis: str, value: float, algo: str, seed: int
 ) -> RunResult:
     """One deterministic cell of the grid; universes are generated once per process."""
-    ucfg = spec.universe
-    run = spec.run
-    k_fraction = spec.k_fraction
-    if axis == "k_fraction":
-        k_fraction = float(value)
-    elif axis == "query_threads":
-        run = replace(run, query_threads=int(value))
-    elif axis == "n_sources":
-        ucfg = scaled_universe(ucfg, int(value))
-    elif axis == "query_split":
-        ucfg = replace(ucfg, query_split=float(value))
-    elif axis == "detection_overhead":
-        run = replace(run, detection_overhead=float(value))
-    else:
-        raise ValueError(f"unknown grid axis {axis!r}")
-
+    ucfg, run, k_fraction = condition_config(spec, axis, value)
     universe = _UNIVERSE_CACHE.get((ucfg, seed))
     if universe is None:
         universe = _UNIVERSE_CACHE[ucfg, seed] = generate(ucfg, seed)
@@ -325,7 +337,10 @@ def _override(default, values: Mapping[str, object]):
 
 
 def grid_from_json(payload: Mapping) -> GridSpec:
-    """Parse a grid config; unknown keys or algorithm names raise ValueError.
+    """Parse a grid config; unknown keys, algorithm names or axes raise ValueError.
+
+    So do axis values a condition's config rejects, as :class:`GridSpec`
+    builds every condition's configs.
 
     Every value left out takes its default from :func:`desk_universe_config`,
     :class:`RunConfig` or :class:`GridSpec`.

@@ -14,15 +14,18 @@ onto the rows instead, i.e. the estimate closest to the prior that matches
 the new totals; that variant backs the per-query refresh, where the
 offline cells act as the prior.  Its rows are often infeasible: totals
 scaled from a few probed sources cannot be met by the cells that the
-offline lattice kept.  So the refresh first finds the nearest totals the
-nonnegative cells can reach (Lawson-Hanson NNLS on the scaled rows), keeps
-only the cells some nearest point may use, and then projects the prior
-onto those totals by Newton steps on the dual.  It always returns an
-answer and names the sources whose totals moved.
+offline lattice kept.  So unless its warm start already meets the rows,
+the refresh first finds the nearest totals the nonnegative cells can
+reach (Lawson-Hanson NNLS on the scaled rows), keeps only the cells some
+nearest point may use, and then projects the prior onto those totals by
+Newton steps on the dual.  It always returns an answer and names the
+sources whose totals moved.  The index work that depends only on which
+rows and cells there are is built once per cell set and reused.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -88,22 +91,17 @@ def solve(
     ``moved_sources``.
     """
     free = sorted(set(int(m) for m in free_cells))
-    for m in free:
-        if m in known_cells:
-            raise ValueError(f"cell {m:#x} is both known and free")
+    layout = _layout(tuple(constraints), tuple(known_cells), tuple(free))
     scale = {s: max(float(t), 1.0) for s, t in constraints.items()}
 
-    # Each cell's member sources are read once; every per-row list below
-    # keeps the cell order of the input, so sums add in the same order.
-    known_by_row: dict[int, list[float]] = {s: [] for s in constraints}
-    for m, v in known_cells.items():
-        for s in member_sources(m):
-            if s in known_by_row:
-                known_by_row[s].append(v)
+    # Known cells add into each row in the order of the input.
+    known_values = list(known_cells.values())
     residuals: dict[int, float] = {}
     clamped: list[int] = []
-    for s, total in sorted(constraints.items()):
-        resid = float(total) - sum(known_by_row[s])
+    for s, known_at in zip(layout.rows, layout.known_rows):
+        resid = float(constraints[s])
+        if known_at:
+            resid -= sum(known_values[j] for j in known_at)
         if resid < 0:
             clamped.append(s)
             if on_clamp is not None:
@@ -111,15 +109,14 @@ def solve(
             resid = 0.0
         residuals[s] = resid
 
-    membership = {m: [s for s in member_sources(m) if s in residuals] for m in free}
-    for m, srcs in membership.items():
-        if not srcs:
-            raise ValueError(f"free cell {m:#x} appears in no constraint")
-
     # A zero-residual row forces all its free cells to zero.
-    forced = {m for m, srcs in membership.items() if any(residuals[s] == 0.0 for s in srcs)}
-    active = [m for m in free if m not in forced]
-    values = {m: 0.0 for m in forced}
+    zero_rows = np.fromiter(
+        (residuals[s] == 0.0 for s in layout.rows), dtype=bool, count=len(layout.rows)
+    )
+    forced = layout.incidence[zero_rows].any(axis=0)
+    is_forced = forced.tolist()
+    values = {m: 0.0 for m, f in zip(free, is_forced) if f}
+    active = [m for m, f in zip(free, is_forced) if not f]
     if not active:
         bad = tuple(s for s, r in sorted(residuals.items()) if r > rel_tol * scale[s])
         # Like the main return, the worst residual leaves skipped rows out.
@@ -140,26 +137,24 @@ def solve(
     # Rows with no free support, or whose whole support is pinned at zero
     # (zero prior), are vacuous for the optimization: no choice of free
     # values can move them.  Their residual is reported, not fatal.
-    support: dict[int, list[int]] = {s: [] for s in residuals}
-    for i, m in enumerate(active):
-        for s in membership[m]:
-            support[s].append(i)
+    support, incidence = layout.unforced(forced)
+    reachable = (incidence & (w > 0.0)).any(axis=1).tolist()
     rows: list[tuple[int, np.ndarray, float]] = []
     skipped: list[int] = []
-    for s, resid in sorted(residuals.items()):
-        idx = np.array(support[s], dtype=np.intp)
-        reachable = idx.size > 0 and float(w[idx].sum()) > 0.0
-        if reachable:
+    for s, idx, reach in zip(layout.rows, support, reachable):
+        resid = residuals[s]
+        if reach:
             rows.append((s, idx, resid))
         elif resid > rel_tol * scale[s]:
             skipped.append(s)
-            log.debug("row %d residual %.6g is unreachable from the prior", s, resid)
 
     moved: tuple[int, ...] = ()
     if prior is not None:
         iterations, worst_rel, moved = _project(w, rows, scale, rel_tol, skipped)
     else:
         iterations, worst_rel, rows = _scale_rows(w, rows, scale, rel_tol, skipped)
+    if skipped or moved:
+        log.debug("rows skipped as unreachable: %s; rows moved: %s", skipped, list(moved))
     values.update({m: float(w[i]) for i, m in enumerate(active)})
     if prior is None and worst_rel > rel_tol:
         raise MaxEntError(
@@ -168,6 +163,66 @@ def solve(
             values,
         )
     return values, SolveReport(iterations, worst_rel, tuple(clamped), tuple(skipped), moved)
+
+
+class _RowLayout:
+    """The index work of :func:`solve` for one set of rows and cells.
+
+    None of it depends on values, so one layout serves every solve over
+    the same sources, known cells and free cells: a query-level refresh
+    re-solves the same live cells after each counting query.  It holds
+    the rows (sources ascending), each row's known cells as positions in
+    the known-cell order, the row-by-free-cell incidence and each row's
+    free-cell positions.
+    """
+
+    __slots__ = ("rows", "known_rows", "incidence", "support")
+
+    def __init__(self, sources: tuple[int, ...], known: tuple[int, ...], free: tuple[int, ...]):
+        known_set = set(known)
+        for m in free:
+            if m in known_set:
+                raise ValueError(f"cell {m:#x} is both known and free")
+        self.rows = tuple(sorted(sources))
+        position = {s: r for r, s in enumerate(self.rows)}
+        known_rows: list[list[int]] = [[] for _ in self.rows]
+        for j, m in enumerate(known):
+            for s in member_sources(m):
+                if s in position:
+                    known_rows[position[s]].append(j)
+        self.known_rows = tuple(tuple(r) for r in known_rows)
+        self.incidence = np.zeros((len(self.rows), len(free)), dtype=bool)
+        for i, m in enumerate(free):
+            members = [position[s] for s in member_sources(m) if s in position]
+            if not members:
+                raise ValueError(f"free cell {m:#x} appears in no constraint")
+            self.incidence[members, i] = True
+        self.support = _row_positions(self.incidence)
+        # Every solve over these cells shares the arrays.
+        self.incidence.flags.writeable = False
+
+    def unforced(self, forced: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Each row's positions among the unforced free cells, and their incidence."""
+        if not forced.any():
+            return self.support, self.incidence
+        incidence = self.incidence[:, ~forced]
+        return _row_positions(incidence), incidence
+
+
+def _row_positions(incidence: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only column positions of each row's set entries, ascending."""
+    out = []
+    for row in incidence:
+        idx = np.flatnonzero(row)
+        idx.flags.writeable = False
+        out.append(idx)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(sources: tuple[int, ...], known: tuple[int, ...], free: tuple[int, ...]) -> _RowLayout:
+    """The layout for these rows and cells, reused while the same cells come back."""
+    return _RowLayout(sources, known, free)
 
 
 def _worst_residual(w: np.ndarray, rows, scale: Mapping[int, float]) -> float:
@@ -241,7 +296,6 @@ def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
                 # Pinning emptied a row that still wants mass: the system
                 # was not feasible in the nonnegative orthant there.
                 skipped.append(s)
-                log.debug("row %d lost its support to pinning (target %.6g)", s, t)
         rows = kept
     return iterations, worst_rel, rows
 
@@ -249,8 +303,10 @@ def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
 def _project(w, rows, scale, rel_tol, skipped) -> tuple[int, float, tuple[int, ...]]:
     """Query-level refresh: KL projection of ``w`` onto the nearest feasible rows.
 
-    Lawson-Hanson NNLS on the scaled rows finds totals ``A x`` the
-    nonnegative cells can reach, closest to the requested ones.  When
+    A ``w`` that already meets the rows within ``rel_tol * 1e-3`` is
+    returned as it is.  Otherwise Lawson-Hanson NNLS on the scaled rows
+    finds totals ``A x`` the nonnegative cells can reach, closest to the
+    requested ones.  When
     they differ by more than ``rel_tol`` the rows are replaced by them and
     the cells with ``(A^T r)_j < 0`` are zeroed: every closest point is
     zero there.  Newton on the dual then projects onto that face.
@@ -260,6 +316,11 @@ def _project(w, rows, scale, rel_tol, skipped) -> tuple[int, float, tuple[int, .
     """
     if not rows:
         return 0, 0.0, ()
+    # A warm start that already meets the rows is the answer: NNLS would
+    # move nothing and Newton would take no step.
+    worst = _worst_residual(w, rows, scale)
+    if worst <= rel_tol * 1e-3:
+        return 0, worst, ()
     cells = np.flatnonzero(w > 0.0)
     column = np.full(w.size, -1, dtype=np.intp)
     column[cells] = np.arange(cells.size)
@@ -277,7 +338,6 @@ def _project(w, rows, scale, rel_tol, skipped) -> tuple[int, float, tuple[int, .
             target = max(float(fitted[r]), 0.0) * scale[s]
             if abs(target - t) > rel_tol * scale[s]:
                 moved.append(s)
-                log.debug("row %d target %.6g moved to %.6g", s, t, target)
             if target <= tol * scale[s]:
                 w[idx] = 0.0
             rescaled.append((s, idx, target))

@@ -15,6 +15,7 @@ approximation bound used to sanity-check sweep output.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -159,6 +160,16 @@ def greedy_by_rate(
     unselected source with the highest residual query rate, ties broken
     by lowest id.  Zero-rate sources are never appended, so an
     under-covering universe ends with the shortfall left to the caller.
+
+    The extension is lazy (Minoux's accelerated greedy): a heap holds each
+    source's rate from when it was last rated.  Cell values are
+    nonnegative, so a rate can only fall as the walk covers more cells and
+    every heap entry bounds its source's current rate from above.  A top
+    entry whose rate is still current therefore wins its round; a stale
+    one is re-rated and pushed back.  ``meter`` is still charged one
+    operation per unselected source per round, as a full scan of the
+    unselected set would cost: the meter stands for the planner work the
+    cost model charges on the simulated clock, not for this loop's steps.
     """
     walk = CoverageWalk(snapshot)
     res_sum = 0.0
@@ -173,19 +184,21 @@ def greedy_by_rate(
         walk.append(s)
 
     new_order = list(order[:keep])
-    unsel = sorted(set(unselected).union(order[keep:]))
-    while res_sum < k and unsel:
-        best = -1
-        best_rate = 0.0
-        for s in unsel:
-            if meter is not None:
-                meter.add()
-            rate = walk.rate(s)
-            if rate > best_rate:
-                best_rate = rate
-                best = s
-        if best < 0:
+    unsel = set(unselected).union(order[keep:])
+    heap = [(-walk.rate(s), s) for s in unsel] if res_sum < k else []
+    heapq.heapify(heap)
+    while res_sum < k and heap:
+        if meter is not None:
+            meter.add(len(heap))
+        bound, best = heap[0]
+        rate = walk.rate(best)
+        while rate < -bound:
+            heapq.heapreplace(heap, (-rate, best))
+            bound, best = heap[0]
+            rate = walk.rate(best)
+        if rate <= 0.0:
             break
+        heapq.heappop(heap)
         res_sum += walk.residual(best)
         scan_sum += snapshot.scan_cost_ms(best)
         walk.append(best)

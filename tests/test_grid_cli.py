@@ -192,6 +192,26 @@ class TestGrid:
         assert "'full'" in str(err.value)
         assert "'max_tuples'" not in str(err.value)
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ({"n_source": [20]}, "unknown grid axis 'n_source'"),
+            ({"detection_overhead": [1.0, -1.0]}, "detection_overhead must be at least 0"),
+            ({"k_fraction": [0.5], "query_threads": [2, 0]}, "query_threads must be at least 1"),
+        ],
+        ids=["unknown-axis", "negative-overhead", "zero-threads"],
+    )
+    def test_bad_axis_rejected_before_any_run(self, monkeypatch, axes, message):
+        runs = []
+        monkeypatch.setattr(grid, "run_query", lambda *a, **k: runs.append(a))
+        payload = {"axes": axes, "seeds": [101], "algorithms": ["online"]}
+        with pytest.raises(ValueError, match=message):
+            grid_from_json(payload)
+        spec = grid_from_json(dict(payload, axes={"k_fraction": [0.5]}))
+        with pytest.raises(ValueError, match=message):
+            replace(spec, axes=tuple((a, tuple(v)) for a, v in axes.items()))
+        assert runs == []
+
     def test_venn_config_accepted(self):
         payload = {
             "universe": {

@@ -1,5 +1,6 @@
 """Entropy solver: analytic cases, grid-search oracle, degradation paths."""
 
+import logging
 import math
 
 import pytest
@@ -150,6 +151,57 @@ class TestDegradation:
             maxent.solve({0: 5.0}, {0b01: 1.0}, [0b01])
 
 
+class TestQueryRefreshShortcuts:
+    CONSTRAINTS = {0: 6.0, 1: 9.0, 2: 4.0}
+    FREE = [0b001, 0b010, 0b100, 0b011, 0b110, 0b101]
+    PRIOR = {m: 1.0 for m in FREE}
+
+    def test_warm_start_meeting_the_rows_skips_nnls(self, monkeypatch):
+        parent, _ = maxent.solve(self.CONSTRAINTS, {}, self.FREE, prior=self.PRIOR)
+
+        def no_nnls(a, b):
+            raise AssertionError("NNLS ran on rows the warm start already meets")
+
+        monkeypatch.setattr(maxent, "_nnls", no_nnls)
+        values, report = maxent.solve(
+            self.CONSTRAINTS, {}, self.FREE, prior=self.PRIOR, warm_start=parent
+        )
+        assert values == parent
+        assert report.iterations == 0
+        assert report.moved_sources == ()
+        assert report.max_rel_residual <= 1e-9
+
+    def test_infeasible_rows_still_reach_nnls(self, monkeypatch):
+        calls = []
+        nnls = maxent._nnls
+
+        def counted(a, b):
+            calls.append(b)
+            return nnls(a, b)
+
+        monkeypatch.setattr(maxent, "_nnls", counted)
+        parent, _ = maxent.solve(self.CONSTRAINTS, {}, self.FREE, prior=self.PRIOR)
+        calls.clear()
+        # Row 0's cells all lie in rows 1 or 2, so row 0 cannot exceed their sum.
+        constraints = {0: 40.0, 1: 9.0, 2: 4.0}
+        values, report = maxent.solve(
+            constraints, {}, [0b011, 0b101, 0b110], prior=self.PRIOR, warm_start=parent
+        )
+        assert len(calls) == 1
+        assert 0 in report.moved_sources
+        assert all(v >= 0.0 for v in values.values())
+
+    def test_one_debug_record_names_every_skipped_row(self, caplog):
+        constraints = {0: 4.0, 1: 7.0, 2: 5.0}
+        prior = {0b001: 1.0, 0b010: 0.0, 0b100: 0.0}
+        with caplog.at_level(logging.DEBUG, logger="querysched.maxent"):
+            _, report = maxent.solve(constraints, {}, [0b001, 0b010, 0b100], prior=prior)
+        assert report.skipped_sources == (1, 2)
+        records = [r for r in caplog.records if r.name == "querysched.maxent"]
+        assert len(records) == 1
+        assert "[1, 2]" in records[0].getMessage()
+
+
 def test_warm_start_matches_cold_start():
     constraints = {0: 6.0, 1: 9.0, 2: 4.0}
     free = [0b001, 0b010, 0b100, 0b011, 0b110, 0b101]
@@ -218,6 +270,21 @@ class TestQueryProjectionProperties:
         values, _ = maxent.solve(row_totals(n, truth), {}, list(truth), prior=truth)
         for m, v in truth.items():
             assert values[m] == pytest.approx(v, rel=1e-9, abs=1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(cell_systems(), st.lists(st.floats(0.0, 500.0), min_size=4, max_size=4))
+    def test_reused_layout_gives_the_cold_answer(self, system, totals):
+        # A refresh sequence re-solves the same cells with new totals; the
+        # layout kept from the first solve must not change the second.
+        n, truth, prior, known = system
+        known_cells = {m: truth[m] for m in known}
+        free = [m for m in truth if m not in known]
+        maxent._layout.cache_clear()
+        maxent.solve(row_totals(n, truth), known_cells, free, prior=prior)
+        constraints = {s: totals[s] for s in range(n)}
+        warm = maxent.solve(constraints, known_cells, free, prior=prior)
+        maxent._layout.cache_clear()
+        assert maxent.solve(constraints, known_cells, free, prior=prior) == warm
 
     @PROPERTY_SETTINGS
     @given(cell_systems(implied=True), st.floats(1.0, 100.0))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from querysched.cost import PREFIX_AVERAGE, SEQUENTIAL, permutation_time_cost
+from querysched.cost import PREFIX_AVERAGE, SEQUENTIAL, CoverageWalk, permutation_time_cost
 from querysched.lattice import snapshot_from_cells
 from querysched.permutation import (
     ALGO_MAX_RESIDUAL,
@@ -15,7 +15,9 @@ from querysched.permutation import (
     ALGO_MIN_UNIT_COST,
     ALGO_RANDOM,
     OracleSizeError,
+    PermCandidate,
     PinnedSwapError,
+    WorkMeter,
     approx_bound,
     baseline_order,
     brute_force_opt,
@@ -30,6 +32,52 @@ from querysched.permutation import (
 from querysched.testing import random_instance
 
 from test_lattice import ref_snapshot
+
+
+def eager_greedy(k, order, unselected, snapshot, pinned, meter):
+    """Reference for ``greedy_by_rate``: rates every unselected source each round."""
+    walk = CoverageWalk(snapshot)
+    res_sum = 0.0
+    scan_sum = 0.0
+    keep = len(order)
+    for pos, s in enumerate(order):
+        if res_sum >= k and pos >= pinned:
+            keep = pos
+            break
+        res_sum += walk.residual(s)
+        scan_sum += snapshot.scan_cost_ms(s)
+        walk.append(s)
+    new_order = list(order[:keep])
+    unsel = sorted(set(unselected).union(order[keep:]))
+    while res_sum < k and unsel:
+        best = -1
+        best_rate = 0.0
+        for s in unsel:
+            meter.add()
+            rate = walk.rate(s)
+            if rate > best_rate:
+                best_rate = rate
+                best = s
+        if best < 0:
+            break
+        res_sum += walk.residual(best)
+        scan_sum += snapshot.scan_cost_ms(best)
+        walk.append(best)
+        new_order.append(best)
+        unsel.remove(best)
+    avg = res_sum / scan_sum if scan_sum > 0 else 0.0
+    return PermCandidate(tuple(new_order), frozenset(unsel), res_sum, avg)
+
+
+@st.composite
+def tied_instances(draw):
+    """Small snapshots with integer cells and latencies, so rates often tie."""
+    n = draw(st.integers(1, 7), label="n")
+    masks = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=12), label="masks")
+    cells = {m: draw(st.integers(0, 6)) for m in sorted(masks)}
+    access = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="access")
+    per_tuple = draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=n, max_size=n))
+    return snapshot_from_cells(access, per_tuple, cells), sum(cells.values())
 
 
 class TestHelperOps:
@@ -143,6 +191,31 @@ class TestGreedy:
         assert cand.covered == covered_total(cand.order, snap)
         if cand.covered >= k and len(cand.order) > pinned:
             assert covered_total(cand.order[:-1], snap) < k
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_instances(), st.data())
+    def test_lazy_extension_equals_eager_scan(self, instance, data):
+        snap, distinct = instance
+        n = snap.n_sources
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        order = tuple(perm[: data.draw(st.integers(0, n), label="length")])
+        pinned = data.draw(st.integers(0, len(order)), label="pinned")
+        k = data.draw(
+            st.integers(-1, int(1.5 * distinct))
+            | st.floats(-1.0, 1.5 * distinct)
+            | st.just(math.inf),
+            label="k",
+        )
+        unselected = set(range(n)) - set(order)
+        lazy_meter, eager_meter = WorkMeter(), WorkMeter()
+        lazy = greedy_by_rate(k, order, unselected, snap, pinned, lazy_meter)
+        eager = eager_greedy(k, order, unselected, snap, pinned, eager_meter)
+        assert lazy.order == eager.order
+        assert lazy.unselected == eager.unselected
+        assert lazy.covered == eager.covered
+        assert lazy.avg_rate == eager.avg_rate
+        assert lazy_meter.ops == eager_meter.ops
 
 
 class TestImprovePosition:
