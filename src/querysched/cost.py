@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lattice import StatsSnapshot, member_sources
+from .lattice import StatsSnapshot
 
 SEQUENTIAL = "sequential"
 PREFIX_AVERAGE = "prefix-average"
@@ -107,12 +107,14 @@ class CoverageWalk:
         )
 
     def append(self, source: int) -> None:
-        for mask, value in self._cell_rows[source]:
-            if mask in self._covered_cells:
+        covered_cells = self._covered_cells
+        covered_amt = self._covered_amt
+        for mask, value, members in self._cell_rows[source]:
+            if mask in covered_cells:
                 continue
-            self._covered_cells.add(mask)
-            for s in member_sources(mask):
-                self._covered_amt[s] += value
+            covered_cells.add(mask)
+            for s in members:
+                covered_amt[s] += value
 
 
 def walk_residuals(order: Sequence[int], snapshot: StatsSnapshot) -> list[float]:

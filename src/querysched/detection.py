@@ -192,34 +192,6 @@ def initial_detection(
     return DetectionOutcome(snapshot, queries, clamps[0], tuple(unavailable))
 
 
-def scale_partial_cardinalities(
-    detected: Mapping[int, float], initial_cards: Sequence[float]
-) -> list[float]:
-    """Fill undetected per-source totals from the detected ones.
-
-    Undetected sources get their offline total scaled by the average
-    detected-to-offline ratio, summed in detection order.  Detected
-    sources pass through unchanged.  Sources with an offline total of zero
-    are skipped in the ratio; with no usable ratio at all, the offline
-    totals are the estimate.
-    """
-    ratio_sum = 0.0
-    q = 0
-    for s, value in detected.items():
-        if initial_cards[s] <= 0.0:
-            continue
-        ratio_sum += value / initial_cards[s]
-        q += 1
-    avg = ratio_sum / q if q else 1.0
-    out = []
-    for s in range(len(initial_cards)):
-        if s in detected:
-            out.append(float(detected[s]))
-        else:
-            out.append(initial_cards[s] * avg)
-    return out
-
-
 def _query_snapshot(
     initial: StatsSnapshot,
     version: int,
@@ -309,15 +281,32 @@ def online_detection_plan(
     estimates: Mapping[int, float] = live_cells
     yield 0.0, prior, -1
 
-    hint = list(perm_hint) + [s for s in range(n) if s not in set(perm_hint)]
+    # Each source is probed once, in hint order.  An undetected source's
+    # total is its offline one scaled by the average detected-to-offline
+    # ratio, summed in detection order; sources with an offline total of
+    # zero are left out of the ratio, and with no ratio yet the offline
+    # totals stand.
+    hint = list(dict.fromkeys(perm_hint))
+    hinted = set(hint)
+    hint += [s for s in range(n) if s not in hinted]
+    offline_cards = initial.cardinalities
     detected_cards: dict[int, float] = {}
+    ratio_sum = 0.0
+    ratios = 0
     for s in hint:
         try:
             detected_cards[s] = float(probe.cardinality(s))
         except Exception:
             log.warning("source %d unavailable during query detection", s)
             detected_cards[s] = 0.0
-        cards = scale_partial_cardinalities(detected_cards, initial.cardinalities)
+        if offline_cards[s] > 0.0:
+            ratio_sum += detected_cards[s] / offline_cards[s]
+            ratios += 1
+        avg = ratio_sum / ratios if ratios else 1.0
+        cards = [
+            detected_cards[t] if t in detected_cards else c * avg
+            for t, c in enumerate(offline_cards)
+        ]
         estimates = resolve(cards, {}, estimates)
         stage = STAGE_ONLINE_1 if len(detected_cards) < n else STAGE_ONLINE_2
         snapshot = _query_snapshot(initial, next(versions), stage, cards, estimates, {})

@@ -128,20 +128,25 @@ class StatsSnapshot:
         )
 
     @cached_property
-    def _cells_by_source(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(self.n_sources)]
-        for m, v in self._live_cells:
-            for s in member_sources(m):
-                rows[s].append((m, v))
+    def _live_members(self) -> tuple[tuple[int, float, tuple[int, ...]], ...]:
+        """(mask, value, member sources) for non-pruned cells, mask-ascending."""
+        return tuple((m, v, member_sources(m)) for m, v in self._live_cells)
+
+    @cached_property
+    def _cells_by_source(self) -> tuple[tuple[tuple[int, float, tuple[int, ...]], ...], ...]:
+        """Each source's live cells as (mask, value, member sources), mask-ascending."""
+        rows: list[list[tuple[int, float, tuple[int, ...]]]] = [[] for _ in range(self.n_sources)]
+        for cell in self._live_members:
+            for s in cell[2]:
+                rows[s].append(cell)
         return tuple(tuple(r) for r in rows)
 
     @cached_property
     def _pair_overlap(self) -> dict[tuple[int, int], float]:
         acc: dict[tuple[int, int], float] = {}
-        for m, v in self._live_cells:
+        for _m, v, srcs in self._live_members:
             if v == 0.0:
                 continue
-            srcs = member_sources(m)
             for a in range(len(srcs)):
                 for b in range(a + 1, len(srcs)):
                     key = (srcs[a], srcs[b])

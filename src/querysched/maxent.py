@@ -20,12 +20,16 @@ reach (Lawson-Hanson NNLS on the scaled rows), keeps only the cells some
 nearest point may use, and then projects the prior onto those totals by
 Newton steps on the dual.  It always returns an answer and names the
 sources whose totals moved.  The index work that depends only on which
-rows and cells there are is built once per cell set and reused.
+rows and cells there are is built once per cell set and reused; it also
+remembers whether the cell set's last NNLS moved a row.  When it moved
+none, the next refresh tries Newton alone first and runs NNLS only if
+Newton does not meet the rows, which gives the same answer.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -90,47 +94,49 @@ def solve(
     whose totals were moved to the nearest reachable ones in
     ``moved_sources``.
     """
-    free = sorted(set(int(m) for m in free_cells))
+    free = sorted(set(map(int, free_cells)))
     layout = _layout(tuple(constraints), tuple(known_cells), tuple(free))
-    scale = {s: max(float(t), 1.0) for s, t in constraints.items()}
-
-    # Known cells add into each row in the order of the input.
-    known_values = list(known_cells.values())
-    residuals: dict[int, float] = {}
-    clamped: list[int] = []
-    for s, known_at in zip(layout.rows, layout.known_rows):
-        resid = float(constraints[s])
-        if known_at:
-            resid -= sum(known_values[j] for j in known_at)
-        if resid < 0:
-            clamped.append(s)
-            if on_clamp is not None:
-                on_clamp(s, resid)
-            resid = 0.0
-        residuals[s] = resid
+    # Per-row bookkeeping runs as array passes in layout order (sources
+    # ascending); only the sums over a row's cells stay per row.
+    resid = np.fromiter(map(constraints.__getitem__, layout.rows), float, len(layout.rows))
+    scales = np.maximum(resid, 1.0)
+    if known_cells:
+        # Known cells add into each row in the order of the input, as a
+        # left-to-right sum would: the same floats, row by row.
+        known_sum = np.zeros(len(layout.rows))
+        for members, v in zip(layout.known_members, known_cells.values()):
+            known_sum[members] += v
+        resid = resid - known_sum
+    negative = np.flatnonzero(resid < 0.0)
+    clamped = tuple(layout.rows[r] for r in negative.tolist())
+    if on_clamp is not None:
+        for s, r in zip(clamped, resid[negative].tolist()):
+            on_clamp(s, r)
+    resid[negative] = 0.0
+    wanting = resid > rel_tol * scales
 
     # A zero-residual row forces all its free cells to zero.
-    zero_rows = np.fromiter(
-        (residuals[s] == 0.0 for s in layout.rows), dtype=bool, count=len(layout.rows)
-    )
-    forced = layout.incidence[zero_rows].any(axis=0)
+    forced = layout.incidence[resid == 0.0].any(axis=0)
     is_forced = forced.tolist()
     values = {m: 0.0 for m, f in zip(free, is_forced) if f}
     active = [m for m, f in zip(free, is_forced) if not f]
     if not active:
-        bad = tuple(s for s, r in sorted(residuals.items()) if r > rel_tol * scale[s])
+        bad = tuple(layout.rows[r] for r in np.flatnonzero(wanting).tolist())
         # Like the main return, the worst residual leaves skipped rows out.
-        worst = max((r / scale[s] for s, r in residuals.items() if s not in bad), default=0.0)
-        return values, SolveReport(0, worst, tuple(clamped), bad)
+        worst = max((resid / scales)[~wanting].tolist(), default=0.0)
+        return values, SolveReport(0, worst, clamped, bad)
 
     if prior is not None:
-        w = np.array([max(float(prior.get(m, 0.0)), 0.0) for m in active])
+        w = np.fromiter(map(prior.get, active, itertools.repeat(0.0)), float, len(active))
+        w = np.where(w < 0.0, 0.0, w)  # a negative prior counts as zero
     else:
         w = np.full(len(active), math.exp(-1.0))
     if warm_start is not None:
         # A warm start is only valid inside the same multiplicative family:
         # strictly positive wherever the seed is, zero where it is zero.
-        seeded = np.array([float(warm_start.get(m, -1.0)) for m in active])
+        seeded = np.fromiter(
+            map(warm_start.get, active, itertools.repeat(-1.0)), float, len(active)
+        )
         if np.all((seeded > 0) | (w == 0.0)) and np.all(seeded >= 0):
             w = np.where(w == 0.0, 0.0, seeded)
 
@@ -138,31 +144,34 @@ def solve(
     # (zero prior), are vacuous for the optimization: no choice of free
     # values can move them.  Their residual is reported, not fatal.
     support, incidence = layout.unforced(forced)
-    reachable = (incidence & (w > 0.0)).any(axis=1).tolist()
-    rows: list[tuple[int, np.ndarray, float]] = []
-    skipped: list[int] = []
-    for s, idx, reach in zip(layout.rows, support, reachable):
-        resid = residuals[s]
-        if reach:
-            rows.append((s, idx, resid))
-        elif resid > rel_tol * scale[s]:
-            skipped.append(s)
+    reachable = (incidence & (w > 0.0)).any(axis=1)
+    skipped = [layout.rows[r] for r in np.flatnonzero(~reachable & wanting).tolist()]
+    # Each row in play is (source, free-cell positions, target, scale).
+    kept = np.flatnonzero(reachable).tolist()
+    rows = list(
+        zip(
+            [layout.rows[r] for r in kept],
+            [support[r] for r in kept],
+            resid[kept].tolist(),
+            scales[kept].tolist(),
+        )
+    )
 
     moved: tuple[int, ...] = ()
     if prior is not None:
-        iterations, worst_rel, moved = _project(w, rows, scale, rel_tol, skipped)
+        iterations, worst_rel, moved = _project(w, rows, rel_tol, skipped, layout)
     else:
-        iterations, worst_rel, rows = _scale_rows(w, rows, scale, rel_tol, skipped)
+        iterations, worst_rel, rows = _scale_rows(w, rows, rel_tol, skipped)
     if skipped or moved:
         log.debug("rows skipped as unreachable: %s; rows moved: %s", skipped, list(moved))
-    values.update({m: float(w[i]) for i, m in enumerate(active)})
+    values.update(zip(active, w.tolist()))
     if prior is None and worst_rel > rel_tol:
         raise MaxEntError(
             "row scaling did not converge",
-            {s: abs(float(w[idx].sum()) - t) for s, idx, t in rows},
+            {s: abs(float(w[idx].sum()) - t) for s, idx, t, _sc in rows},
             values,
         )
-    return values, SolveReport(iterations, worst_rel, tuple(clamped), tuple(skipped), moved)
+    return values, SolveReport(iterations, worst_rel, clamped, tuple(skipped), moved)
 
 
 class _RowLayout:
@@ -171,12 +180,13 @@ class _RowLayout:
     None of it depends on values, so one layout serves every solve over
     the same sources, known cells and free cells: a query-level refresh
     re-solves the same live cells after each counting query.  It holds
-    the rows (sources ascending), each row's known cells as positions in
-    the known-cell order, the row-by-free-cell incidence and each row's
-    free-cell positions.
+    the rows (sources ascending), each known cell's rows as positions,
+    the row-by-free-cell incidence and each row's free-cell positions.
+    ``moved`` says whether the last NNLS over these cells moved a row; a
+    new layout has run none and counts as moved.
     """
 
-    __slots__ = ("rows", "known_rows", "incidence", "support")
+    __slots__ = ("rows", "known_members", "incidence", "support", "moved")
 
     def __init__(self, sources: tuple[int, ...], known: tuple[int, ...], free: tuple[int, ...]):
         known_set = set(known)
@@ -185,12 +195,10 @@ class _RowLayout:
                 raise ValueError(f"cell {m:#x} is both known and free")
         self.rows = tuple(sorted(sources))
         position = {s: r for r, s in enumerate(self.rows)}
-        known_rows: list[list[int]] = [[] for _ in self.rows]
-        for j, m in enumerate(known):
-            for s in member_sources(m):
-                if s in position:
-                    known_rows[position[s]].append(j)
-        self.known_rows = tuple(tuple(r) for r in known_rows)
+        self.known_members = tuple(
+            np.array([position[s] for s in member_sources(m) if s in position], dtype=np.intp)
+            for m in known
+        )
         self.incidence = np.zeros((len(self.rows), len(free)), dtype=bool)
         for i, m in enumerate(free):
             members = [position[s] for s in member_sources(m) if s in position]
@@ -200,6 +208,7 @@ class _RowLayout:
         self.support = _row_positions(self.incidence)
         # Every solve over these cells shares the arrays.
         self.incidence.flags.writeable = False
+        self.moved = True
 
     def unforced(self, forced: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Each row's positions among the unforced free cells, and their incidence."""
@@ -211,12 +220,10 @@ class _RowLayout:
 
 def _row_positions(incidence: np.ndarray) -> tuple[np.ndarray, ...]:
     """Read-only column positions of each row's set entries, ascending."""
-    out = []
-    for row in incidence:
-        idx = np.flatnonzero(row)
-        idx.flags.writeable = False
-        out.append(idx)
-    return tuple(out)
+    _, columns = np.nonzero(incidence)
+    columns.flags.writeable = False
+    ends = np.cumsum(incidence.sum(axis=1)).tolist()
+    return tuple(columns[start:end] for start, end in zip([0] + ends, ends))
 
 
 @functools.lru_cache(maxsize=8)
@@ -225,15 +232,15 @@ def _layout(sources: tuple[int, ...], known: tuple[int, ...], free: tuple[int, .
     return _RowLayout(sources, known, free)
 
 
-def _worst_residual(w: np.ndarray, rows, scale: Mapping[int, float]) -> float:
+def _worst_residual(w: np.ndarray, rows) -> float:
     """Worst row residual of ``w`` relative to each row's scale."""
     worst = 0.0
-    for s, idx, target in rows:
-        worst = max(worst, abs(float(w[idx].sum()) - target) / scale[s])
+    for _s, idx, target, scale in rows:
+        worst = max(worst, abs(float(w[idx].sum()) - target) / scale)
     return worst
 
 
-def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
+def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
     """Offline fill-in: row scaling, Newton and pinning rounds on ``w``.
 
     Returns the sweep count, the worst relative residual and the rows
@@ -249,13 +256,13 @@ def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
         for _ in range(budget):
             iterations += 1
             steps += 1
-            for _s, idx, target in rows:
+            for _s, idx, target, _scale in rows:
                 got = float(w[idx].sum())
                 # Subnormal row sums would blow the factor up to inf;
                 # leave such rows to the residual check, not to nans.
                 if got > 1e-300 and math.isfinite(got):
                     w[idx] *= target / got
-            worst = _worst_residual(w, rows, scale)
+            worst = _worst_residual(w, rows)
             if worst <= rel_tol:
                 break
             # Plateaued residuals mean inconsistent rows; boundary-bound
@@ -272,7 +279,7 @@ def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
     # cells vanishing against the row scale are pinned to zero and the
     # reduced system is polished again.
     worst_rel = math.inf
-    min_target = min((t for _s, _idx, t in rows if t > 0), default=1.0)
+    min_target = min((t for _s, _idx, t, _sc in rows if t > 0), default=1.0)
     for pin_scale in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
         if not rows:
             worst_rel = 0.0
@@ -280,7 +287,7 @@ def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
         worst_rel = scaling_phase(400)
         if worst_rel <= rel_tol:
             break
-        worst_rel, _ = _newton_phase(w, rows, scale, rel_tol)
+        worst_rel, _ = _newton_phase(w, rows, rel_tol)
         if worst_rel <= rel_tol:
             break
         threshold = pin_scale * min_target
@@ -289,10 +296,11 @@ def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
             continue
         w[pinned] = 0.0
         kept = []
-        for s, idx, t in rows:
+        for row in rows:
+            s, idx, t, scale = row
             if float(w[idx].sum()) > 0.0:
-                kept.append((s, idx, t))
-            elif t > rel_tol * scale[s]:
+                kept.append(row)
+            elif t > rel_tol * scale:
                 # Pinning emptied a row that still wants mass: the system
                 # was not feasible in the nonnegative orthant there.
                 skipped.append(s)
@@ -300,7 +308,7 @@ def _scale_rows(w, rows, scale, rel_tol, skipped) -> tuple[int, float, list]:
     return iterations, worst_rel, rows
 
 
-def _project(w, rows, scale, rel_tol, skipped) -> tuple[int, float, tuple[int, ...]]:
+def _project(w, rows, rel_tol, skipped, layout: _RowLayout) -> tuple[int, float, tuple[int, ...]]:
     """Query-level refresh: KL projection of ``w`` onto the nearest feasible rows.
 
     A ``w`` that already meets the rows within ``rel_tol * 1e-3`` is
@@ -310,6 +318,8 @@ def _project(w, rows, scale, rel_tol, skipped) -> tuple[int, float, tuple[int, .
     they differ by more than ``rel_tol`` the rows are replaced by them and
     the cells with ``(A^T r)_j < 0`` are zeroed: every closest point is
     zero there.  Newton on the dual then projects onto that face.
+    When the last NNLS over ``layout`` moved no row, Newton runs first
+    from ``w``, and NNLS only if Newton does not meet the rows.
     Updates ``w`` in place; returns the iteration count, the worst
     relative residual against the rows solved, and the sources whose rows
     moved.
@@ -318,37 +328,46 @@ def _project(w, rows, scale, rel_tol, skipped) -> tuple[int, float, tuple[int, .
         return 0, 0.0, ()
     # A warm start that already meets the rows is the answer: NNLS would
     # move nothing and Newton would take no step.
-    worst = _worst_residual(w, rows, scale)
+    worst = _worst_residual(w, rows)
     if worst <= rel_tol * 1e-3:
         return 0, worst, ()
+    if not layout.moved:
+        # Rows Newton meets are feasible, so NNLS would move none of them
+        # and leave ``w`` as it is: Newton from here is the same answer.
+        start = w.copy()
+        worst, steps = _newton_phase(w, rows, rel_tol * 1e-3)
+        if worst <= rel_tol * 1e-3:
+            return steps, worst, ()
+        w[:] = start
     cells = np.flatnonzero(w > 0.0)
     column = np.full(w.size, -1, dtype=np.intp)
     column[cells] = np.arange(cells.size)
     a = np.zeros((len(rows), cells.size))
-    for r, (s, idx, _t) in enumerate(rows):
-        a[r, column[idx[w[idx] > 0.0]]] = 1.0 / scale[s]
-    b = np.array([t / scale[s] for s, _idx, t in rows])
+    for r, (_s, idx, _t, scale) in enumerate(rows):
+        a[r, column[idx[w[idx] > 0.0]]] = 1.0 / scale
+    b = np.array([t / scale for _s, _idx, t, scale in rows])
     x, grad, tol = _nnls(a, b)
     fitted = a @ x
     moved: list[int] = []
     if float(np.max(np.abs(fitted - b))) > rel_tol:
         w[cells[grad < -tol]] = 0.0
         rescaled = []
-        for r, (s, idx, t) in enumerate(rows):
-            target = max(float(fitted[r]), 0.0) * scale[s]
-            if abs(target - t) > rel_tol * scale[s]:
+        for r, (s, idx, t, scale) in enumerate(rows):
+            target = max(float(fitted[r]), 0.0) * scale
+            if abs(target - t) > rel_tol * scale:
                 moved.append(s)
-            if target <= tol * scale[s]:
+            if target <= tol * scale:
                 w[idx] = 0.0
-            rescaled.append((s, idx, target))
-        rows = [(s, idx, t) for s, idx, t in rescaled if float(w[idx].sum()) > 0.0]
+            rescaled.append((s, idx, target, scale))
+        rows = [row for row in rescaled if float(w[row[1]].sum()) > 0.0]
+    layout.moved = bool(moved)
     # Newton converges quadratically near the answer: a step or two past
     # rel_tol makes the result independent of where the iteration started.
     # Far from it (a prior off by orders of magnitude) its line search can
     # stall; the offline iteration then takes over on the same rows.
-    worst, steps = _newton_phase(w, rows, scale, rel_tol * 1e-3)
+    worst, steps = _newton_phase(w, rows, rel_tol * 1e-3)
     if worst > rel_tol:
-        sweeps, worst, _ = _scale_rows(w, rows, scale, rel_tol, skipped)
+        sweeps, worst, _ = _scale_rows(w, rows, rel_tol, skipped)
         steps += sweeps
     return steps, worst, tuple(moved)
 
@@ -401,7 +420,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return x, grad, tol
 
 
-def _newton_phase(w, rows, scale, rel_tol) -> tuple[float, int]:
+def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
     """Damped Newton steps on the dual until the rows balance or stall.
 
     Returns the worst relative residual and the number of steps taken.
@@ -409,13 +428,15 @@ def _newton_phase(w, rows, scale, rel_tol) -> tuple[float, int]:
     ``b - A w`` and Hessian ``A diag(w) A^T``; cells keep the
     multiplicative form ``w *= exp(-A^T delta)`` so zero cells stay zero.
     """
-    targets = np.array([t for _s, _idx, t in rows])
+    targets = np.array([t for _s, _idx, t, _scale in rows])
     incidence = np.zeros((len(rows), w.size))
-    for r, (_s, idx, _t) in enumerate(rows):
-        incidence[r, idx] = 1.0
+    if rows:
+        support = [idx for _s, idx, _t, _scale in rows]
+        row_of = np.repeat(np.arange(len(rows)), [idx.size for idx in support])
+        incidence[row_of, np.concatenate(support)] = 1.0
     lam = np.zeros(len(rows))
 
-    worst = _worst_residual(w, rows, scale)
+    worst = _worst_residual(w, rows)
     best = float(w.sum() + lam @ targets)
     stagnant = 0
     best_resid = worst
@@ -464,7 +485,7 @@ def _newton_phase(w, rows, scale, rel_tol) -> tuple[float, int]:
             stagnant += 1
             if stagnant >= 3:
                 break
-        worst = _worst_residual(w, rows, scale)
+        worst = _worst_residual(w, rows)
     return worst, steps
 
 

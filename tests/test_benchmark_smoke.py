@@ -40,3 +40,9 @@ def test_traced_bulk_pass_is_correct():
     # The only workload that calls run_query directly, so the only one
     # that reaches the wrapped simulator entry points without the grid.
     assert traced_pass("bulk-scan")["correct"] is True
+
+
+def test_traced_wide_pass_is_correct():
+    # The only 200-source workload, and the only one whose refreshes run
+    # Newton before NNLS on a cell set whose last NNLS moved no row.
+    assert traced_pass("wide-sources")["correct"] is True

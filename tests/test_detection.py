@@ -9,10 +9,9 @@ from querysched.detection import (
     initial_detection,
     online_detection_plan,
     prior_query_snapshot,
-    scale_partial_cardinalities,
 )
 from querysched.grid import desk_universe_config
-from querysched.lattice import DETECTED, ESTIMATED, PRUNED, STAGE_FINAL
+from querysched.lattice import DETECTED, ESTIMATED, PRUNED, STAGE_FINAL, snapshot_from_cells
 from querysched.permutation import TABLE_ALGO_ORDER
 from querysched.scheduler import RunConfig, run_query
 from querysched.simulator import (
@@ -201,27 +200,64 @@ class TestFailingCellQueries:
             next(plan)
 
 
+class FixedTotals:
+    """A probe that answers per-source counting queries from a table."""
+
+    def __init__(self, totals):
+        self.totals = totals
+        self.asked = []
+
+    def cardinality(self, source):
+        self.asked.append(source)
+        return self.totals[source]
+
+
+def cards_after(detected, offline_cards):
+    """Per-source totals of the plan's snapshot once ``detected`` is probed in order."""
+    n = len(offline_cards)
+    initial = snapshot_from_cells([1.0] * n, [0.1] * n, {}, cardinalities=offline_cards)
+    plan = online_detection_plan(initial, tuple(detected), FixedTotals(detected))
+    next(plan)  # the prior snapshot probes nothing
+    for _ in detected:
+        _cost, snap, _source = next(plan)
+    return list(snap.cardinalities)
+
+
 class TestCardinalityScaling:
     def test_single_ratio(self):
-        got = scale_partial_cardinalities({0: 50.0}, [100.0, 200.0])
+        got = cards_after({0: 50.0}, [100.0, 200.0])
         assert got[1] == pytest.approx(100.0)
 
     def test_identity_ratios(self):
         initial = [40.0, 60.0, 80.0]
-        got = scale_partial_cardinalities({0: 40.0, 1: 60.0}, initial)
+        got = cards_after({0: 40.0, 1: 60.0}, initial)
         assert got == pytest.approx(initial)
 
     def test_two_ratio_average(self):
-        got = scale_partial_cardinalities({0: 40.0, 1: 60.0}, [100.0, 100.0, 100.0])
+        got = cards_after({0: 40.0, 1: 60.0}, [100.0, 100.0, 100.0])
         assert got[2] == pytest.approx(50.0)
 
     def test_zero_initial_detected_is_skipped(self):
-        got = scale_partial_cardinalities({0: 10.0, 1: 30.0}, [0.0, 100.0, 100.0])
+        got = cards_after({0: 10.0, 1: 30.0}, [0.0, 100.0, 100.0])
         assert got[2] == pytest.approx(30.0)
 
     def test_fallback_when_no_usable_ratio(self):
-        got = scale_partial_cardinalities({0: 5.0}, [0.0, 80.0])
+        got = cards_after({0: 5.0}, [0.0, 80.0])
         assert got == pytest.approx([5.0, 80.0])
+
+    def test_ratios_sum_in_detection_order(self):
+        # 1e16 + 1 + 1 rounds back to 1e16 left to right; other orders differ.
+        detected = {0: 1e16, 1: 1.0, 2: 1.0}
+        got = cards_after(detected, [1.0, 1.0, 1.0, 3.0])
+        assert got[3] == 3.0 * ((1e16 + 1.0 + 1.0) / 3)
+        assert got[:3] == [1e16, 1.0, 1.0]
+
+    def test_repeated_hint_source_is_probed_once(self):
+        initial = snapshot_from_cells([1.0] * 3, [0.1] * 3, {}, cardinalities=[10.0] * 3)
+        probe = FixedTotals({0: 5.0, 1: 20.0, 2: 10.0})
+        steps = list(online_detection_plan(initial, (1, 0, 1), probe))
+        assert probe.asked == [1, 0, 2]
+        assert [source for _cost, _snap, source in steps] == [-1, 1, 0, 2]
 
 
 class TestOnlineDetection:

@@ -120,6 +120,20 @@ class TestDegradation:
         assert values[0b10] == pytest.approx(30.0, rel=1e-6)
         assert 0 in report.clamped_sources
 
+    def test_known_cells_subtract_in_input_order(self):
+        # Left to right, 1e16 + 1 + 1 rounds back to 1e16 (the row overshoots
+        # by 2); adding the ones first keeps them (it would overshoot by 4).
+        clamps = []
+        known = {0b0011: 1e16, 0b0101: 1.0, 0b1001: 1.0}
+        maxent.solve(
+            {0: 1e16 - 2.0},
+            known,
+            [0b0001],
+            prior={0b0001: 1.0},
+            on_clamp=lambda s, r: clamps.append((s, r)),
+        )
+        assert clamps == [(0, -2.0)]
+
     def test_zero_row_forces_cells(self):
         constraints = {0: 0.0, 1: 20.0}
         values, _ = maxent.solve(constraints, {}, [0b01, 0b11, 0b10])
@@ -190,6 +204,49 @@ class TestQueryRefreshShortcuts:
         assert len(calls) == 1
         assert 0 in report.moved_sources
         assert all(v >= 0.0 for v in values.values())
+
+    def test_refresh_after_a_no_move_solve_skips_nnls(self, monkeypatch):
+        maxent._layout.cache_clear()
+        # The prior misses these rows, so NNLS runs, and finds them feasible.
+        _, first = maxent.solve(self.CONSTRAINTS, {}, self.FREE, prior=self.PRIOR)
+        assert first.iterations > 0
+        assert first.moved_sources == ()
+
+        def no_nnls(a, b):
+            raise AssertionError("NNLS ran after the cell set's last NNLS moved no row")
+
+        monkeypatch.setattr(maxent, "_nnls", no_nnls)
+        constraints = {0: 7.0, 1: 9.0, 2: 5.0}
+        values, report = maxent.solve(constraints, {}, self.FREE, prior=self.PRIOR)
+        assert report.iterations > 0
+        assert report.moved_sources == ()
+        assert report.max_rel_residual <= 1e-9
+        assert sum(v for m, v in values.items() if m & 1) == pytest.approx(7.0)
+
+    def test_refresh_after_a_moving_solve_runs_nnls_once(self, monkeypatch):
+        free = [0b011, 0b101, 0b110]
+        maxent._layout.cache_clear()
+        # Row 0's cells all lie in rows 1 or 2, so row 0 cannot exceed their sum.
+        _, first = maxent.solve({0: 40.0, 1: 9.0, 2: 4.0}, {}, free, prior=self.PRIOR)
+        assert 0 in first.moved_sources
+        calls = []
+        nnls, newton = maxent._nnls, maxent._newton_phase
+
+        def counted_nnls(a, b):
+            calls.append("nnls")
+            return nnls(a, b)
+
+        def counted_newton(*args):
+            calls.append("newton")
+            return newton(*args)
+
+        monkeypatch.setattr(maxent, "_nnls", counted_nnls)
+        monkeypatch.setattr(maxent, "_newton_phase", counted_newton)
+        # Feasible: x01 = 4, x02 = 1, x12 = 3.
+        _, report = maxent.solve({0: 5.0, 1: 7.0, 2: 4.0}, {}, free, prior=self.PRIOR)
+        assert calls == ["nnls", "newton"]
+        assert report.moved_sources == ()
+        assert report.max_rel_residual <= 1e-9
 
     def test_one_debug_record_names_every_skipped_row(self, caplog):
         constraints = {0: 4.0, 1: 7.0, 2: 5.0}
@@ -285,6 +342,33 @@ class TestQueryProjectionProperties:
         warm = maxent.solve(constraints, known_cells, free, prior=prior)
         maxent._layout.cache_clear()
         assert maxent.solve(constraints, known_cells, free, prior=prior) == warm
+
+    @PROPERTY_SETTINGS
+    @given(
+        cell_systems(),
+        st.one_of(st.none(), st.lists(st.floats(0.0, 500.0), min_size=4, max_size=4)),
+    )
+    def test_newton_first_gives_the_nnls_answer(self, system, totals):
+        # Whatever the cell set's last NNLS did, a refresh gives the same
+        # values and report: on the exact rows (totals None) and on random,
+        # mostly infeasible ones.
+        n, truth, prior, known = system
+        known_cells = {m: truth[m] for m in known}
+        free = [m for m in truth if m not in known]
+        if totals is None:
+            constraints = row_totals(n, truth)
+        else:
+            constraints = {s: totals[s] for s in range(n)}
+
+        def solve_after(moved):
+            maxent._layout.cache_clear()
+            layout = maxent._layout(tuple(constraints), tuple(known_cells), tuple(sorted(free)))
+            layout.moved = moved
+            answer = maxent.solve(constraints, known_cells, free, prior=prior)
+            assert maxent._layout.cache_info().hits == 1  # the solve read this layout
+            return answer
+
+        assert solve_after(True) == solve_after(False)
 
     @PROPERTY_SETTINGS
     @given(cell_systems(implied=True), st.floats(1.0, 100.0))
