@@ -153,6 +153,15 @@ class StatsSnapshot:
                     acc[key] = acc.get(key, 0.0) + v
         return acc
 
+    @cached_property
+    def _neighbours(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per source, (other source, shared tuples) for every positive overlap, id-ascending."""
+        rows: list[list[tuple[int, float]]] = [[] for _ in range(self.n_sources)]
+        for (a, b), v in self._pair_overlap.items():
+            rows[a].append((b, v))
+            rows[b].append((a, v))
+        return tuple(tuple(sorted(r)) for r in rows)
+
     def pair_overlap(self, i: int, j: int) -> float:
         """Estimated number of tuples shared by sources ``i`` and ``j``."""
         if i == j:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .cost import SEQUENTIAL, CoverageWalk, walk_residuals
 from .lattice import StatsSnapshot, member_sources
@@ -116,7 +116,7 @@ def swap_source(
 
 def overlap_ranked(
     anchor: int,
-    candidates: Iterable[int],
+    candidates: AbstractSet[int],
     snapshot: StatsSnapshot,
     overlap_floor: float,
     meter: WorkMeter | None = None,
@@ -125,18 +125,23 @@ def overlap_ranked(
 
     The ratio is the estimated shared-tuple count divided by the anchor's
     cardinality; entries below ``overlap_floor`` are discarded.  An
-    anchor with no tuples yields no candidates.
+    anchor with no tuples yields no candidates.  With a positive floor
+    only sources that share a cell with the anchor can pass, so only
+    those are visited; ``meter`` is still charged one operation per
+    candidate, as the planner's cost model counts them.
     """
     anchor_card = snapshot.cardinalities[anchor]
     if anchor_card <= 0:
         return []
+    if meter is not None:
+        meter.add(len(candidates) - (anchor in candidates))
+    if overlap_floor > 0:
+        shared = [(j, v) for j, v in snapshot._neighbours[anchor] if j in candidates]
+    else:  # zero-overlap candidates pass too
+        shared = [(j, snapshot.pair_overlap(anchor, j)) for j in sorted(candidates) if j != anchor]
     ranked = []
-    for j in sorted(candidates):
-        if j == anchor:
-            continue
-        if meter is not None:
-            meter.add()
-        ratio = snapshot.pair_overlap(anchor, j) / anchor_card
+    for j, v in shared:
+        ratio = v / anchor_card
         if ratio >= overlap_floor:
             ranked.append((j, ratio))
     ranked.sort(key=lambda item: (-item[1], item[0]))

@@ -13,6 +13,18 @@ order, never revised) and no statistics worker.  Planner compute is free
 on the simulated clock, except that the sequential strategy charges its
 initial sweep at a configured per-operation rate before the first
 dispatch.
+
+Tuple arrivals are not heap events.  Between two events that are not
+arrivals (a dispatch, a source finishing, a counting query completing)
+the set of streams being scanned is fixed, and an arrival only adds to
+the seen-set and the counters.  So the loop consumes each such window in
+one step: the arrivals of every scanning thread up to the next heap
+event, or through the earliest finish among those threads, merged in
+(time, thread id) order.  Arrival times are each source's cumulative
+sums of its per-tuple latency, added one tuple at a time as a per-tuple
+event loop would add them; a boolean array over the tuple ids says which
+arrivals are new, and the window stops at the k-th new tuple.  This is
+batch-at-a-time execution as in MonetDB/X100 (Boncz et al., CIDR 2005).
 """
 
 from __future__ import annotations
@@ -20,8 +32,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator
+import struct
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cost import PermState, QuerySpec
 from .detection import (
@@ -71,7 +86,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceTrace:
     source: int
     dispatch_ms: float
@@ -80,7 +95,65 @@ class SourceTrace:
     duplicate_tuples: int
 
 
-@dataclass(frozen=True)
+#: One packed SourceTrace: source, dispatch and arrival ms, new and duplicate tuples.
+_TRACE = struct.Struct("<iddii")
+
+
+class SourceTraces(Sequence[SourceTrace]):
+    """A run's per-source trace, packed at 28 bytes a source.
+
+    Callers keep results by the thousand, and a tuple of SourceTrace
+    objects and their numbers takes about five times the space.  Items
+    are rebuilt on access.  The sequence equals a tuple of the same
+    traces, and adding a tuple to it gives a tuple.
+    """
+
+    __slots__ = ("_packed",)
+
+    def __init__(self, traces: Iterable[SourceTrace] = ()):
+        self._packed = b"".join(
+            _TRACE.pack(t.source, t.dispatch_ms, t.arrival_ms, t.new_tuples, t.duplicate_tuples)
+            for t in traces
+        )
+
+    @classmethod
+    def _of(cls, packed: bytes) -> SourceTraces:
+        traces = cls.__new__(cls)
+        traces._packed = packed
+        return traces
+
+    def __len__(self) -> int:
+        return len(self._packed) // _TRACE.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError("trace index out of range")
+        return SourceTrace(*_TRACE.unpack_from(self._packed, (index % n) * _TRACE.size))
+
+    def __iter__(self) -> Iterator[SourceTrace]:
+        return (SourceTrace(*fields) for fields in _TRACE.iter_unpack(self._packed))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (SourceTraces, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: tuple) -> tuple:
+        if isinstance(other, tuple):
+            return tuple(self) + other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SourceTraces({list(self)!r})"
+
+
+@dataclass(frozen=True, slots=True)
 class RunResult:
     algo: str
     k: int
@@ -89,7 +162,7 @@ class RunResult:
     simulated_time_ms: float
     planner_time_ms: float
     shortfall: bool
-    per_source_trace: tuple[SourceTrace, ...]
+    per_source_trace: Sequence[SourceTrace]
     detections: int
     stats_versions: int
     perm_versions: int
@@ -120,10 +193,16 @@ class RunResult:
         return json.dumps(payload, sort_keys=True)
 
 
+_NO_TIMES = np.empty(0, dtype=np.float64)
+
+
 @dataclass
 class _ThreadState:
+    """One query thread; while it scans, ``stream[i]`` arrives at ``times[i]``."""
+
     source: int = -1
     stream: tuple[int, ...] = ()
+    times: np.ndarray = field(default_factory=lambda: _NO_TIMES)
     cursor: int = 0
     dispatch_ms: float = 0.0
     new_tuples: int = 0
@@ -239,7 +318,11 @@ def _run(
     *,
     charge_first_sweep: bool = False,
 ) -> RunResult:
-    """The event loop; ``detection`` yields the statistics worker's steps."""
+    """The event loop; ``detection`` yields the statistics worker's steps.
+
+    The heap holds counting-query completions and dispatches.  A scanning
+    thread's arrivals stay in its arrays until a window consumes them.
+    """
     stats_versions = 1
     detections = 0
     planner_charge = 0.0
@@ -287,7 +370,26 @@ def _run(
     for tid in range(config.query_threads):
         push(planner_charge, _PRIO_QUERY, tid)
 
-    while events and not executor.reached_target:
+    while not executor.reached_target:
+        arrival = executor.next_arrival()
+        if arrival is not None and (not events or arrival < events[0][:3]):
+            # Every arrival before the heap's next event: the window ends
+            # there, or at the first stream to run out.  Arrivals sort
+            # after a counting query completing at the same time, and
+            # after the dispatches of lower thread ids.
+            if events:
+                time_ms, prio, tid, _ = events[0]
+                bound = (time_ms, tid - 1 if prio == _PRIO_QUERY else -1)
+            else:
+                bound = (math.inf, config.query_threads)
+            finished = executor.consume_window(bound)
+            if finished is not None:
+                tid, time_ms = finished
+                try_start_detection(time_ms)
+                push(time_ms, _PRIO_QUERY, tid)  # same-time dispatch of next source
+            continue
+        if not events:
+            break
         time_ms, prio, tid, _ = heapq.heappop(events)
         if prio == _PRIO_STATS:
             sc_in_flight = False
@@ -298,28 +400,17 @@ def _run(
             pull_next_detection()
             try_start_detection(time_ms)
             continue
-        # query-thread event: either a dispatch (idle) or one tuple arrival
+        # a dispatch: the thread is idle
         state = executor.threads[tid]
-        if state.source < 0:
-            plan, _ = planner.current(stats, stats_versions, tuple(executor.dispatched))
-            started = executor.dispatch(tid, plan, time_ms, probe_busy_until)
-            if started is None:
-                state.done = True
-                state.last_event_ms = time_ms
-                if all(t.done for t in executor.threads):
-                    break
-            else:
-                push(started, _PRIO_QUERY, tid)
-        else:
-            source = state.source
-            finished = executor.on_tuple(tid, time_ms)
-            if executor.reached_target:
+        plan, _ = planner.current(stats, stats_versions, tuple(executor.dispatched))
+        contact_ms = executor.dispatch(tid, plan, time_ms, probe_busy_until)
+        if contact_ms is None:
+            state.done = True
+            state.last_event_ms = time_ms
+            if all(t.done for t in executor.threads):
                 break
-            if finished:
-                try_start_detection(time_ms)
-                push(time_ms, _PRIO_QUERY, tid)  # same-time dispatch of next source
-            else:
-                push(time_ms + universe.sources[source].per_tuple_ms, _PRIO_QUERY, tid)
+        elif state.source < 0:
+            push(contact_ms, _PRIO_QUERY, tid)  # nothing to scan: dispatch again
 
     return executor.result(
         algo,
@@ -339,19 +430,20 @@ class _Executor:
         self.scope = query.predicate_id
         self.threads = [_ThreadState() for _ in range(config.query_threads)]
         self.dispatched: list[int] = []
-        self.seen: set[int] = set()
+        self.taken: set[int] = set()
+        # Tuple ids are dense, 0 .. n_distinct - 1.
+        self.seen = np.zeros(universe.truth.n_distinct, dtype=bool)
         self.distinct = 0
         self.transferred = 0
-        self.traces: list[SourceTrace] = []
+        self.traces = bytearray()  # packed SourceTrace records
         self.end_ms = 0.0
         self.reached_target = False  # also ends the event loop
 
     # -- dispatch -----------------------------------------------------
 
     def next_source(self, plan: PermState) -> int | None:
-        taken = set(self.dispatched)
         for s in plan.order:
-            if s not in taken:
+            if s not in self.taken:
                 return s
         return None
 
@@ -367,13 +459,17 @@ class _Executor:
     ) -> float | None:
         """Start the next undispatched source; None when exhausted.
 
-        Contact waits for any in-flight counting query on that source.
+        Returns the contact time.  Contact waits for any in-flight
+        counting query on that source.  A source with nothing to stream
+        is finished at contact; otherwise the thread scans it, its first
+        tuple arriving one per-tuple latency after contact.
         """
         source = self.next_source(plan)
         if source is None:
             return None
         state = self.threads[tid]
         self.dispatched.append(source)
+        self.taken.add(source)
         start_ms = max(now_ms, probe_busy_until.get(source, 0.0))
         state.source = source
         state.cursor = 0
@@ -382,49 +478,111 @@ class _Executor:
         state.dup_tuples = 0
         src = self.universe.sources[source]
         try:
-            state.stream = self.universe.tuple_stream(source, self.scope)
+            stream = self.universe.tuple_stream(source, self.scope)
         except SourceUnavailable:
-            state.stream = ()
+            stream = ()
         contact_done = start_ms + src.access_ms
         state.last_event_ms = contact_done
-        if not state.stream:
+        if not stream:
             self._finish_source(tid, contact_done)
-            return contact_done  # next event is the follow-up dispatch
-        return contact_done + src.per_tuple_ms  # first tuple arrival
+            return contact_done
+        state.stream = stream
+        # np.cumsum adds left to right, so times[i] is the float that
+        # adding per_tuple_ms once per arrival would reach.
+        times = np.full(len(stream), src.per_tuple_ms)
+        times[0] = contact_done + src.per_tuple_ms
+        state.times = np.cumsum(times, out=times)
+        return contact_done
 
-    def on_tuple(self, tid: int, now_ms: float) -> bool:
-        """Process one tuple arrival; True when the source is finished."""
-        state = self.threads[tid]
-        tuple_id = state.stream[state.cursor]
-        state.cursor += 1
-        state.last_event_ms = now_ms
-        self.transferred += 1
-        if tuple_id in self.seen:
-            state.dup_tuples += 1
+    # -- arrivals ------------------------------------------------------
+
+    def next_arrival(self) -> tuple[float, int, int] | None:
+        """Event key of the earliest pending arrival, None when no thread scans."""
+        best = None
+        for tid, state in enumerate(self.threads):
+            if state.source >= 0:
+                key = (float(state.times[state.cursor]), _PRIO_QUERY, tid)
+                if best is None or key < best:
+                    best = key
+        return best
+
+    def consume_window(self, bound: tuple[float, int]) -> tuple[int, float] | None:
+        """Consume every arrival at or before ``bound`` = (time, last thread id).
+
+        The window also closes after the earliest last arrival of a
+        scanning thread, and after the k-th distinct tuple, which ends the
+        run.  Returns (thread id, time) of a source that finished here.
+        """
+        active = [(tid, st) for tid, st in enumerate(self.threads) if st.source >= 0]
+        for tid, st in active:
+            bound = min(bound, (float(st.times[-1]), tid))
+        bound_ms, bound_tid = bound
+        parts = []
+        for tid, st in active:
+            pending = st.times[st.cursor :]
+            n = int(pending.searchsorted(bound_ms, "right" if tid <= bound_tid else "left"))
+            if n:
+                ids = np.fromiter(st.stream[st.cursor : st.cursor + n], dtype=np.intp, count=n)
+                parts.append((tid, ids, pending[:n]))
+        if len(parts) == 1:
+            tid, ids, times = parts[0]
+            owners = np.full(len(ids), tid)
+            fresh = ~self.seen[ids]  # a stream holds each tuple once
         else:
-            self.seen.add(tuple_id)
-            state.new_tuples += 1
-            self.distinct += 1
-            if self.distinct >= self.query.k:
-                self.reached_target = True
-                self.end_ms = now_ms
-                self._finish_source(tid, now_ms)
-                self._flush_active(now_ms, skip=tid)
-                return True
-        if state.cursor >= len(state.stream):
+            # Merge by (time, thread id): parts are in thread order, and a
+            # stable sort keeps that order among equal times.
+            times = np.concatenate([t for _, _, t in parts])
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            ids = np.concatenate([i for _, i, _ in parts])[order]
+            owners = np.repeat([tid for tid, _, _ in parts], [len(i) for _, i, _ in parts])[order]
+            fresh = np.zeros(len(ids), dtype=bool)
+            fresh[np.unique(ids, return_index=True)[1]] = True  # first in the window
+            fresh &= ~self.seen[ids]
+
+        new_so_far = np.cumsum(fresh)
+        need = self.query.k - self.distinct
+        if new_so_far[-1] >= need:
+            stop = int(new_so_far.searchsorted(need)) + 1  # through the k-th new tuple
+            ids, times, owners, fresh = ids[:stop], times[:stop], owners[:stop], fresh[:stop]
+            self.reached_target = True
+        self.seen[ids[fresh]] = True
+        self.distinct += int(new_so_far[len(ids) - 1])
+        self.transferred += len(ids)
+        for tid, _, _ in parts:
+            mine = owners == tid
+            n = int(np.count_nonzero(mine))
+            if n:
+                st = self.threads[tid]
+                new = int(np.count_nonzero(fresh[mine]))
+                st.cursor += n
+                st.new_tuples += new
+                st.dup_tuples += n - new
+                st.last_event_ms = float(st.times[st.cursor - 1])
+
+        if self.reached_target:
+            now_ms = float(times[-1])
+            tid = int(owners[-1])
+            self.end_ms = now_ms
             self._finish_source(tid, now_ms)
-            return True
-        return False
+            self._flush_active(now_ms, skip=tid)
+            return None
+        for tid, st in active:
+            if st.cursor == len(st.stream):
+                self._finish_source(tid, st.last_event_ms)
+                return tid, st.last_event_ms
+        return None
 
     # -- bookkeeping ---------------------------------------------------
 
     def _finish_source(self, tid: int, arrival_ms: float) -> None:
         state = self.threads[tid]
-        self.traces.append(
-            SourceTrace(state.source, state.dispatch_ms, arrival_ms, state.new_tuples, state.dup_tuples)
+        self.traces += _TRACE.pack(
+            state.source, state.dispatch_ms, arrival_ms, state.new_tuples, state.dup_tuples
         )
         state.source = -1
         state.stream = ()
+        state.times = _NO_TIMES
         state.last_event_ms = arrival_ms
 
     def _flush_active(self, now_ms: float, skip: int) -> None:
@@ -453,7 +611,7 @@ class _Executor:
             simulated_time_ms=total,
             planner_time_ms=planner_time,
             shortfall=not self.reached_target,
-            per_source_trace=tuple(self.traces),
+            per_source_trace=SourceTraces._of(bytes(self.traces)),
             detections=detections,
             stats_versions=stats_versions,
             perm_versions=perm_versions,

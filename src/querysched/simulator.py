@@ -89,7 +89,7 @@ class SimSource:
     id: int
     access_ms: float
     per_tuple_ms: float
-    tuples: tuple[int, ...]  # fixed stream order
+    tuples: tuple[int, ...]  # fixed stream order, each tuple at most once
 
 
 def _cell_table(membership: Sequence[int], focus: frozenset[int], scope: str) -> dict[int, int]:

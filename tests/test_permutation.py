@@ -102,6 +102,27 @@ class TestHelperOps:
     def test_overlap_ranked_floor_discards(self):
         assert overlap_ranked(0, {1, 2}, ref_snapshot(), 0.5) == [(1, pytest.approx(0.7))]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 10_000), st.data())
+    def test_overlap_ranked_equals_a_full_scan(self, n, seed, data):
+        # A positive floor visits only the anchor's neighbours; the
+        # reference looks up every candidate, as the planner used to.
+        snap, _ = random_instance(n, seed, style=data.draw(st.sampled_from(["uniform", "chained"])))
+        anchor = data.draw(st.integers(0, n - 1), label="anchor")
+        candidates = frozenset(data.draw(st.sets(st.integers(0, n - 1)), label="candidates"))
+        floor = data.draw(st.sampled_from([-0.1, 0.0, 1e-9, 0.05, 0.3, 1.0]), label="floor")
+        meter, scan_meter = WorkMeter(), WorkMeter()
+        scanned = []
+        if snap.cardinalities[anchor] > 0:
+            for j in sorted(candidates - {anchor}):
+                scan_meter.add()
+                ratio = snap.pair_overlap(anchor, j) / snap.cardinalities[anchor]
+                if ratio >= floor:
+                    scanned.append((j, ratio))
+        scanned.sort(key=lambda item: (-item[1], item[0]))
+        assert overlap_ranked(anchor, candidates, snap, floor, meter) == scanned
+        assert meter.ops == scan_meter.ops
+
     def test_overlap_ranked_zero_cardinality_anchor(self):
         snap = snapshot_from_cells((0, 0, 0), (1, 1, 1), {0b010: 5, 0b100: 5}, cardinalities=(0, 5, 5))
         assert overlap_ranked(0, {1, 2}, snap, 0.0) == []

@@ -1,22 +1,33 @@
 """Event-driven execution: determinism, pinning, termination, threading."""
 
-from dataclasses import replace
+import heapq
+from dataclasses import dataclass, replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from querysched import scheduler
 from querysched.cost import QuerySpec
 from querysched.detection import DETECTION_QUERY_MS, initial_detection, prior_query_snapshot
 from querysched.grid import desk_universe_config, grid_from_json, offline_stats
 from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER, baseline_order
-from querysched.scheduler import RunConfig, _Planner, run_query
+from querysched.scheduler import (
+    RunConfig,
+    RunResult,
+    SourceTrace,
+    SourceTraces,
+    _Planner,
+    run_query,
+)
 from querysched.simulator import (
     SCOPE_ALL,
     SCOPE_FOCUS,
     ReplicationModel,
     ScopedProbe,
+    SourceUnavailable,
     UniverseConfig,
     demo_universe,
     generate,
@@ -43,6 +54,195 @@ def desk_outage_setup():
     """
     u, init = desk_setup()
     return replace(u, unavailable=frozenset({11})), init
+
+
+# -- oracle: the event loop with one heap event per tuple arrival ---------
+#
+# The scheduler consumes arrivals a window at a time.  This copy of the
+# loop it replaced pushes and pops every arrival, so a run through it is
+# the reference the windowed loop must reproduce exactly.
+
+
+@dataclass
+class _TupleThread:
+    source: int = -1
+    stream: tuple = ()
+    cursor: int = 0
+    dispatch_ms: float = 0.0
+    new_tuples: int = 0
+    dup_tuples: int = 0
+    last_event_ms: float = 0.0
+    done: bool = False
+
+
+class _TupleExecutor:
+    def __init__(self, query, universe, config):
+        self.query = query
+        self.universe = universe
+        self.scope = query.predicate_id
+        self.threads = [_TupleThread() for _ in range(config.query_threads)]
+        self.dispatched = []
+        self.seen = set()
+        self.distinct = 0
+        self.transferred = 0
+        self.traces = []
+        self.end_ms = 0.0
+        self.reached_target = False
+
+    def scanning(self, source):
+        return any(t.source == source for t in self.threads)
+
+    def dispatch(self, tid, plan, now_ms, probe_busy_until):
+        taken = set(self.dispatched)
+        source = next((s for s in plan.order if s not in taken), None)
+        if source is None:
+            return None
+        state = self.threads[tid]
+        self.dispatched.append(source)
+        start_ms = max(now_ms, probe_busy_until.get(source, 0.0))
+        state.source, state.cursor, state.dispatch_ms = source, 0, start_ms
+        state.new_tuples = state.dup_tuples = 0
+        src = self.universe.sources[source]
+        try:
+            state.stream = self.universe.tuple_stream(source, self.scope)
+        except SourceUnavailable:
+            state.stream = ()
+        contact_done = start_ms + src.access_ms
+        state.last_event_ms = contact_done
+        if not state.stream:
+            self.finish(tid, contact_done)
+            return contact_done
+        return contact_done + src.per_tuple_ms
+
+    def on_tuple(self, tid, now_ms):
+        state = self.threads[tid]
+        tuple_id = state.stream[state.cursor]
+        state.cursor += 1
+        state.last_event_ms = now_ms
+        self.transferred += 1
+        if tuple_id in self.seen:
+            state.dup_tuples += 1
+        else:
+            self.seen.add(tuple_id)
+            state.new_tuples += 1
+            self.distinct += 1
+            if self.distinct >= self.query.k:
+                self.reached_target = True
+                self.end_ms = now_ms
+                self.finish(tid, now_ms)
+                for other, st in enumerate(self.threads):
+                    if other != tid and st.source >= 0:
+                        self.finish(other, min(st.last_event_ms, now_ms))
+                return True
+        if state.cursor >= len(state.stream):
+            self.finish(tid, now_ms)
+            return True
+        return False
+
+    def finish(self, tid, arrival_ms):
+        state = self.threads[tid]
+        self.traces.append(
+            SourceTrace(state.source, state.dispatch_ms, arrival_ms, state.new_tuples, state.dup_tuples)
+        )
+        state.source, state.stream, state.last_event_ms = -1, (), arrival_ms
+
+
+def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None, *,
+                   charge_first_sweep=False):
+    stats_versions, detections, planner_charge = 1, 0, 0.0
+    if charge_first_sweep:
+        _, work = planner.current(stats, stats_versions, ())
+        planner_charge = work * config.planner_unit_ms
+    executor = _TupleExecutor(query, universe, config)
+    events = []
+    seq = 0
+
+    def push(time_ms, prio, tid):
+        nonlocal seq
+        heapq.heappush(events, (time_ms, prio, tid, seq))
+        seq += 1
+
+    probe_busy_until = {}
+    pending = None
+    sc_in_flight = False
+
+    def pull_next_detection():
+        nonlocal pending
+        pending = None if detection is None else next(detection, None)
+
+    def try_start_detection(now_ms):
+        nonlocal sc_in_flight
+        if sc_in_flight or pending is None or executor.reached_target:
+            return
+        cost, _snapshot, target = pending
+        if target >= 0 and executor.scanning(target):
+            return
+        sc_in_flight = True
+        if target >= 0:
+            probe_busy_until[target] = now_ms + cost
+        push(now_ms + cost, scheduler._PRIO_STATS, -1)
+
+    pull_next_detection()
+    try_start_detection(0.0)
+    for tid in range(config.query_threads):
+        push(planner_charge, scheduler._PRIO_QUERY, tid)
+
+    while events and not executor.reached_target:
+        time_ms, prio, tid, _ = heapq.heappop(events)
+        if prio == scheduler._PRIO_STATS:
+            sc_in_flight = False
+            if pending is not None:
+                stats = pending[1]
+                stats_versions += 1
+                detections += 1
+            pull_next_detection()
+            try_start_detection(time_ms)
+            continue
+        state = executor.threads[tid]
+        if state.source < 0:
+            plan, _ = planner.current(stats, stats_versions, tuple(executor.dispatched))
+            started = executor.dispatch(tid, plan, time_ms, probe_busy_until)
+            if started is None:
+                state.done = True
+                state.last_event_ms = time_ms
+                if all(t.done for t in executor.threads):
+                    break
+            else:
+                push(started, scheduler._PRIO_QUERY, tid)
+        else:
+            source = state.source
+            finished = executor.on_tuple(tid, time_ms)
+            if executor.reached_target:
+                break
+            if finished:
+                try_start_detection(time_ms)
+                push(time_ms, scheduler._PRIO_QUERY, tid)
+            else:
+                push(time_ms + universe.sources[source].per_tuple_ms, scheduler._PRIO_QUERY, tid)
+
+    if executor.reached_target:
+        total = executor.end_ms
+    else:
+        total = max((t.last_event_ms for t in executor.threads), default=0.0)
+    return RunResult(
+        algo=algo,
+        k=query.k,
+        tuples_retrieved=executor.transferred,
+        distinct_tuples=executor.distinct,
+        simulated_time_ms=total,
+        planner_time_ms=planner_charge,
+        shortfall=not executor.reached_target,
+        per_source_trace=tuple(executor.traces),
+        detections=detections,
+        stats_versions=stats_versions,
+        perm_versions=max(planner.versions, 1),
+    )
+
+
+def per_tuple_reference(*args, **kwargs) -> RunResult:
+    """``run_query`` with the per-tuple event loop in place of the windowed one."""
+    with mock.patch.object(scheduler, "_run", _per_tuple_run):
+        return run_query(*args, **kwargs)
 
 
 #: Every strategy with one and with three query threads; the one-thread
@@ -152,9 +352,14 @@ class TestRunProperties:
         distinct = data.draw(st.integers(20, 80), label="distinct")
         max_depth = data.draw(st.integers(1, n), label="max_depth")
         mean_depth = data.draw(st.floats(1.0, max_depth), label="mean_depth")
-        latency = {}
-        if data.draw(st.booleans(), label="zero_latency"):
-            latency = {"access_ms": (0.0, 0.0), "per_tuple_ms": (0.0, 0.0)}
+        # Zero latency puts every arrival at one instant; one shared
+        # per-tuple latency with no access time makes arrivals of
+        # different threads tie.
+        latency = {
+            "drawn": {},
+            "zero": {"access_ms": (0.0, 0.0), "per_tuple_ms": (0.0, 0.0)},
+            "shared": {"access_ms": (0.0, 0.0), "per_tuple_ms": (0.25, 0.25)},
+        }[data.draw(st.sampled_from(["drawn", "zero", "shared"]), label="latency")]
         config = UniverseConfig(
             n_sources=n,
             n_distinct=distinct,
@@ -174,7 +379,12 @@ class TestRunProperties:
         focus = u.truth.distinct_in_scope(SCOPE_FOCUS)
         k = data.draw(st.integers(1, max(1, int(1.2 * focus))), label="k")
         algo = data.draw(st.sampled_from(TABLE_ALGO_ORDER), label="algo")
-        cfg = RunConfig(query_threads=data.draw(st.integers(1, 3), label="threads"))
+        cfg = RunConfig(
+            query_threads=data.draw(st.integers(1, 3), label="threads"),
+            # With no overhead a counting query completes at the instant
+            # it starts, which may be an arrival's.
+            detection_overhead=data.draw(st.sampled_from([0.0, 1.0]), label="overhead"),
+        )
 
         plans = []
         current = _Planner.current
@@ -201,6 +411,117 @@ class TestRunProperties:
         assert result.shortfall == (result.distinct_tuples < k)
         again = run_query(algo, QuerySpec(SCOPE_FOCUS, k), u, init, cfg, seed=7)
         assert again.to_json() == result.to_json()
+        reference = per_tuple_reference(algo, QuerySpec(SCOPE_FOCUS, k), u, init, cfg, seed=7)
+        assert result.to_json() == reference.to_json()
+
+    @pytest.mark.parametrize("overhead", [0.0, 1.0])
+    @pytest.mark.parametrize("algo", ["max_tuples", "random", "online", "sequential"])
+    def test_equal_times_follow_the_heap_order(self, algo, overhead):
+        # Every tuple sits in every source, and one shared latency with no
+        # access time makes the threads' arrivals tie: the same tuple can
+        # reach two threads at one instant, and with no overhead a
+        # counting query completes at an arrival's instant.
+        config = UniverseConfig(
+            n_sources=3,
+            n_distinct=12,
+            total_tuples=36,
+            overlap=ReplicationModel(mean_depth=3.0, max_depth=3, chains=1),
+            access_ms=(0.0, 0.0),
+            per_tuple_ms=(0.25, 0.25),
+            query_split=1.0,
+        )
+        for seed in range(6):
+            u = generate(config, seed)
+            init = initial_detection(ScopedProbe(u, SCOPE_ALL)).snapshot
+            for threads in (2, 3):
+                cfg = RunConfig(query_threads=threads, detection_overhead=overhead)
+                for k in range(1, 13):
+                    query = QuerySpec(SCOPE_FOCUS, k)
+                    reference = per_tuple_reference(algo, query, u, init, cfg, seed=seed)
+                    result = run_query(algo, query, u, init, cfg, seed=seed)
+                    assert result.to_json() == reference.to_json(), (seed, threads, k)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("algo", TABLE_ALGO_ORDER)
+    def test_k_on_the_last_arrival_of_a_window(self, algo, threads):
+        # Disjoint sources make every arrival new, so the k-th arrival
+        # ends the run; over every k, some land on the last arrival of a
+        # source, which is where a window closes.
+        config = UniverseConfig(
+            n_sources=4,
+            n_distinct=30,
+            total_tuples=30,
+            overlap=ReplicationModel(mean_depth=1.0, max_depth=1, chains=3),
+            query_split=1.0,
+        )
+        u = generate(config, 4)
+        init = initial_detection(ScopedProbe(u, SCOPE_ALL)).snapshot
+        cfg = RunConfig(query_threads=threads)
+        on_stream_end = 0
+        for k in range(1, u.truth.distinct_in_scope(SCOPE_FOCUS) + 1):
+            query = QuerySpec(SCOPE_FOCUS, k)
+            reference = per_tuple_reference(algo, query, u, init, cfg, seed=7)
+            assert run_query(algo, query, u, init, cfg, seed=7).to_json() == reference.to_json()
+            on_stream_end += any(
+                t.arrival_ms == reference.simulated_time_ms
+                and t.new_tuples == len(u.tuple_stream(t.source, SCOPE_FOCUS)) > 0
+                for t in reference.per_source_trace
+            )
+        assert on_stream_end >= 2
+
+
+#: One JSON line per run: ``bulk_run_lines()`` on the bulk universe.
+GOLDEN_BULK_RUNS = Path(__file__).parent / "data" / "golden_bulk_runs.jsonl"
+
+
+def bulk_run_lines() -> list[str]:
+    """``to_json()`` of every baseline and ``full_knowledge`` on the bulk universe.
+
+    The universe is perfbench's ``bulk-scan`` one at seed 101 (20,000
+    distinct tuples, 100,000 in all); the runs cover one and four query
+    threads at k fractions 0.2 and 0.8.
+    """
+    u = generate(desk_universe_config(n_distinct=20_000, total_tuples=100_000), 101)
+    init = offline_stats(u, RunConfig()).snapshot
+    in_scope = u.truth.distinct_in_scope(SCOPE_FOCUS)
+    lines = []
+    for threads in (1, 4):
+        cfg = RunConfig(query_threads=threads)
+        for k_fraction in (0.2, 0.8):
+            query = QuerySpec(SCOPE_FOCUS, max(1, round(k_fraction * in_scope)))
+            for algo in BASELINE_ALGOS + ("full_knowledge",):
+                lines.append(run_query(algo, query, u, init, cfg, seed=101).to_json())
+    return lines
+
+
+class TestGoldenBulkRuns:
+    def test_bulk_runs_match_golden_json(self):
+        text = "".join(line + "\n" for line in bulk_run_lines())
+        assert text == GOLDEN_BULK_RUNS.read_text()
+
+
+class TestSourceTraces:
+    TRACES = (
+        SourceTrace(3, 0.0, 21.561105691883927, 0, 0),
+        SourceTrace(1, 21.561105691883927, 849.4973738612003, 2591, 17),
+    )
+
+    def test_packed_traces_read_back_exactly(self):
+        packed = SourceTraces(self.TRACES)
+        assert len(packed) == 2
+        assert tuple(packed) == self.TRACES
+        assert packed[-1] == packed[1] == self.TRACES[1]
+        assert packed[:1] == self.TRACES[:1]
+        with pytest.raises(IndexError):
+            packed[2]
+
+    def test_equals_and_extends_like_a_tuple(self):
+        packed = SourceTraces(self.TRACES)
+        assert packed == self.TRACES and packed == SourceTraces(self.TRACES)
+        assert packed != self.TRACES[:1]
+        assert hash(packed) == hash(self.TRACES)
+        extra = replace(self.TRACES[0], source=7)
+        assert packed + (extra,) == self.TRACES + (extra,)
 
 
 class TestRunConfig:
