@@ -488,11 +488,3 @@ def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
         worst = _worst_residual(w, rows)
     return worst, steps
 
-
-def entropy(values: Iterable[float]) -> float:
-    """``-sum(w * log(w))`` with the 0*log(0)=0 convention."""
-    total = 0.0
-    for v in values:
-        if v > 0.0:
-            total -= v * math.log(v)
-    return total

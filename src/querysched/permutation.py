@@ -6,19 +6,21 @@ source and a larger-cardinality source drawn from the unselected set or
 from later positions.  Each swap rebuild goes through the same greedy
 step, which walks the given order once: it cuts the order after its
 minimal covering prefix (never inside the pinned prefix) or extends it.
-Swap candidates are ranked by their overlap ratio with the anchor and
-filtered by a floor, since swapping sources that barely intersect cannot
-change which order wins.  A brute-force oracle over all covering prefixes
-is included for small universes, together with the analytic
-approximation bound used to sanity-check sweep output.
+The extension and every deterministic baseline share one lazy selection
+loop, each with its own score.  Swap candidates are ranked by overlap
+ratio with the anchor and filtered by a floor, since swapping sources
+that barely intersect cannot change which order wins.  A brute-force
+oracle over all covering prefixes serves small universes, with the
+analytic approximation bound used to sanity-check sweep output.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .cost import SEQUENTIAL, CoverageWalk, walk_residuals
 from .lattice import StatsSnapshot, member_sources
@@ -148,6 +150,34 @@ def overlap_ranked(
     return ranked
 
 
+def _picks(
+    walk: CoverageWalk, pool: Iterable[int], score: Callable[[int], float], meter: WorkMeter | None
+) -> Iterator[tuple[float, int]]:
+    """Yield ``(score, source)`` for every source of ``pool``, best first.
+
+    Ties go to the lowest id.  A pick joins ``walk`` when the next one is
+    asked for, so the caller still reads the walk without it.  Scores only
+    fall as the walk covers more cells (cells are nonnegative), so a heap
+    of last-known scores bounds each current one: a still-current top wins
+    its round and a stale one is re-rated (Minoux's accelerated greedy).
+    ``meter`` is charged per round for the full scan the cost model prices.
+    """
+    heap = [(-score(s), s) for s in pool]
+    heapq.heapify(heap)
+    while heap:
+        if meter is not None:
+            meter.add(len(heap))
+        bound, best = heap[0]
+        current = score(best)
+        while current < -bound:
+            heapq.heapreplace(heap, (-current, best))
+            bound, best = heap[0]
+            current = score(best)
+        heapq.heappop(heap)
+        yield current, best
+        walk.append(best)
+
+
 def greedy_by_rate(
     k: float,
     order: Sequence[int],
@@ -159,22 +189,13 @@ def greedy_by_rate(
     """Trim or extend an order until it covers ``k`` residual tuples.
 
     One walk over ``order`` stops after its minimal covering prefix (none
-    when ``k <= 0``), but never inside the pinned prefix: dispatched sources stay even when the
-    target is covered without them.  Cut sources return to the unselected
-    set.  A short order is extended instead: each round appends the
-    unselected source with the highest residual query rate, ties broken
-    by lowest id.  Zero-rate sources are never appended, so an
-    under-covering universe ends with the shortfall left to the caller.
-
-    The extension is lazy (Minoux's accelerated greedy): a heap holds each
-    source's rate from when it was last rated.  Cell values are
-    nonnegative, so a rate can only fall as the walk covers more cells and
-    every heap entry bounds its source's current rate from above.  A top
-    entry whose rate is still current therefore wins its round; a stale
-    one is re-rated and pushed back.  ``meter`` is still charged one
-    operation per unselected source per round, as a full scan of the
-    unselected set would cost: the meter stands for the planner work the
-    cost model charges on the simulated clock, not for this loop's steps.
+    when ``k <= 0``), but never inside the pinned prefix: dispatched
+    sources stay even when the target is covered without them.  Cut
+    sources return to the unselected set.  A short order is extended
+    instead by :func:`_picks`: each round appends the unselected source
+    with the highest residual query rate, ties to the lowest id.  Zero-rate
+    sources are never appended, so an under-covering universe ends with
+    the shortfall left to the caller.
     """
     walk = CoverageWalk(snapshot)
     res_sum = 0.0
@@ -190,25 +211,16 @@ def greedy_by_rate(
 
     new_order = list(order[:keep])
     unsel = set(unselected).union(order[keep:])
-    heap = [(-walk.rate(s), s) for s in unsel] if res_sum < k else []
-    heapq.heapify(heap)
-    while res_sum < k and heap:
-        if meter is not None:
-            meter.add(len(heap))
-        bound, best = heap[0]
-        rate = walk.rate(best)
-        while rate < -bound:
-            heapq.heapreplace(heap, (-rate, best))
-            bound, best = heap[0]
-            rate = walk.rate(best)
-        if rate <= 0.0:
-            break
-        heapq.heappop(heap)
-        res_sum += walk.residual(best)
-        scan_sum += snapshot.scan_cost_ms(best)
-        walk.append(best)
-        new_order.append(best)
-        unsel.remove(best)
+    if res_sum < k:
+        for rate, best in _picks(walk, unsel, walk.rate, meter):
+            if rate <= 0.0:
+                break
+            res_sum += walk.residual(best)
+            scan_sum += snapshot.scan_cost_ms(best)
+            new_order.append(best)
+            if res_sum >= k:
+                break
+    unsel.difference_update(new_order[keep:])
     avg = res_sum / scan_sum if scan_sum > 0 else 0.0
     return PermCandidate(tuple(new_order), frozenset(unsel), res_sum, avg)
 
@@ -282,45 +294,32 @@ def refine_order(
     return incumbent
 
 
-def baseline_order(
-    kind: str,
-    snapshot: StatsSnapshot,
-    seed: int | None = None,
-) -> tuple[int, ...]:
-    """Full-universe dispatch order for one of the baseline policies."""
-    ids = list(range(snapshot.n_sources))
+def baseline_order(kind: str, snapshot: StatsSnapshot, seed: int | None = None) -> tuple[int, ...]:
+    """Full-universe dispatch order for one of the baseline policies.
+
+    ``random`` is a seeded shuffle; the others take every source from
+    :func:`_picks` by their own score, ties to the lowest id.
+    """
     if kind == ALGO_RANDOM:
         if seed is None:
             raise ValueError("random baseline requires a seed")
-        rng = random.Random(seed)
-        rng.shuffle(ids)
-        return tuple(ids)
-    if kind == ALGO_MAX_TUPLES:
-        return tuple(sorted(ids, key=lambda s: (-snapshot.cardinalities[s], s)))
-    if kind == ALGO_MIN_UNIT_COST:
-        def unit_cost(s: int) -> float:
-            card = snapshot.cardinalities[s]
-            return snapshot.scan_cost_ms(s) / card if card > 0 else float("inf")
+        order = list(range(snapshot.n_sources))
+        random.Random(seed).shuffle(order)
+        return tuple(order)
+    walk = CoverageWalk(snapshot)
 
-        return tuple(sorted(ids, key=lambda s: (unit_cost(s), s)))
-    if kind in (ALGO_MAX_RESIDUAL, ALGO_MIN_RESIDUAL_COST):
-        walk = CoverageWalk(snapshot)
-        remaining = ids[:]
-        out = []
-        while remaining:
-            if kind == ALGO_MAX_RESIDUAL:
-                pick = max(remaining, key=lambda s: (walk.residual(s), -s))
-            else:
-                def residual_cost(s: int) -> float:
-                    res = walk.residual(s)
-                    return snapshot.scan_cost_ms(s) / res if res > 0 else float("inf")
+    def time_per_tuple(s: int, tuples: float) -> float:
+        return snapshot.scan_cost_ms(s) / tuples if tuples > 0 else math.inf
 
-                pick = min(remaining, key=lambda s: (residual_cost(s), s))
-            out.append(pick)
-            remaining.remove(pick)
-            walk.append(pick)
-        return tuple(out)
-    raise ValueError(f"unknown baseline {kind!r}")
+    scores = {  # higher is better
+        ALGO_MAX_TUPLES: snapshot.cardinalities.__getitem__,
+        ALGO_MIN_UNIT_COST: lambda s: -time_per_tuple(s, snapshot.cardinalities[s]),
+        ALGO_MAX_RESIDUAL: walk.residual,
+        ALGO_MIN_RESIDUAL_COST: lambda s: -time_per_tuple(s, walk.residual(s)),
+    }
+    if kind not in scores:
+        raise ValueError(f"unknown baseline {kind!r}")
+    return tuple(s for _, s in _picks(walk, range(snapshot.n_sources), scores[kind], None))
 
 
 def approx_bound(k: float, snapshot: StatsSnapshot) -> float:

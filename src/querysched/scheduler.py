@@ -74,12 +74,15 @@ class RunConfig:
     planner_unit_ms: float = 0.01
 
     def __post_init__(self) -> None:
-        # A negative time charge would schedule work before it was asked for.
+        # A negative time charge would schedule work before it was asked
+        # for; a negative threshold or floor is a share that cannot be.
         for name, least in (
             ("query_threads", 1),
             ("detection_batch", 1),
             ("detection_overhead", 0),
             ("planner_unit_ms", 0),
+            ("prune_threshold", 0),
+            ("overlap_floor", 0),
         ):
             value = getattr(self, name)
             if value < least:
@@ -303,7 +306,8 @@ def _all_source_hint(initial: StatsSnapshot, config: RunConfig) -> tuple[int, ..
         initial,
         overlap_floor=config.overlap_floor,
     )
-    missing = [s for s in range(initial.n_sources) if s not in set(candidate.order)]
+    chosen = set(candidate.order)
+    missing = [s for s in range(initial.n_sources) if s not in chosen]
     return candidate.order + tuple(sorted(missing))
 
 

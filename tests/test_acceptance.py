@@ -33,6 +33,8 @@ from querysched.simulator import (
 )
 from querysched.testing import random_instance
 
+from test_maxent import entropy
+
 DESK_SEEDS = tuple(range(101, 111))
 ALGOS = (
     "random",
@@ -206,9 +208,9 @@ def test_criterion_5_entropy_solver():
         best = float("-inf")
         t = 0.0
         while t <= min(a, b) + 1e-12:
-            best = max(best, maxent.entropy([a - t, b - t, t]))
+            best = max(best, entropy([a - t, b - t, t]))
             t += step
-        objective = maxent.entropy([got[0b01], got[0b10], got[0b11]])
+        objective = entropy([got[0b01], got[0b10], got[0b11]])
         if objective < best - 1e-6 * scale:
             grid_ok = False
     ok = pair_ok and grid_ok

@@ -10,8 +10,17 @@ from hypothesis import strategies as st
 from querysched import maxent
 
 
+def entropy(values):
+    """``-sum(w * log(w))`` with the 0*log(0)=0 convention."""
+    total = 0.0
+    for v in values:
+        if v > 0.0:
+            total -= v * math.log(v)
+    return total
+
+
 def objective(values):
-    return maxent.entropy(values.values())
+    return entropy(values.values())
 
 
 class TestUniqueSolutions:
@@ -67,9 +76,9 @@ class TestTrueMaximum:
         best = -math.inf
         t = 0.0
         while t <= min(a, b) + 1e-12:
-            best = max(best, maxent.entropy([a - t, b - t, t]))
+            best = max(best, entropy([a - t, b - t, t]))
             t += step
-        got = maxent.entropy([values[0b01], values[0b10], values[0b11]])
+        got = entropy([values[0b01], values[0b10], values[0b11]])
         assert got >= best - 1e-6 * scale
 
     def test_beats_grid_search_three_rows(self):
@@ -85,9 +94,9 @@ class TestTrueMaximum:
         best = -math.inf
         t = 0.0
         while t <= min(c) + 1e-12:
-            best = max(best, maxent.entropy([c[0] - t, c[1] - t, c[2] - t, t]))
+            best = max(best, entropy([c[0] - t, c[1] - t, c[2] - t, t]))
             t += step
-        got = maxent.entropy(values.values())
+        got = entropy(values.values())
         assert got >= best - 1e-6 * scale
 
     def test_prior_changes_the_answer(self):

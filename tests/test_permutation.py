@@ -69,6 +69,29 @@ def eager_greedy(k, order, unselected, snapshot, pinned, meter):
     return PermCandidate(tuple(new_order), frozenset(unsel), res_sum, avg)
 
 
+def eager_baseline(kind, snapshot):
+    """Reference for the scored ``baseline_order`` kinds: a full rescan each round."""
+    walk = CoverageWalk(snapshot)
+
+    def time_per_tuple(s, tuples):
+        return snapshot.scan_cost_ms(s) / tuples if tuples > 0 else math.inf
+
+    key = {
+        ALGO_MAX_TUPLES: lambda s: (-snapshot.cardinalities[s], s),
+        ALGO_MIN_UNIT_COST: lambda s: (time_per_tuple(s, snapshot.cardinalities[s]), s),
+        ALGO_MAX_RESIDUAL: lambda s: (-walk.residual(s), s),
+        ALGO_MIN_RESIDUAL_COST: lambda s: (time_per_tuple(s, walk.residual(s)), s),
+    }[kind]
+    remaining = list(range(snapshot.n_sources))
+    out = []
+    while remaining:
+        pick = min(remaining, key=key)
+        out.append(pick)
+        remaining.remove(pick)
+        walk.append(pick)
+    return tuple(out)
+
+
 @st.composite
 def tied_instances(draw):
     """Small snapshots with integer cells and latencies, so rates often tie."""
@@ -378,6 +401,13 @@ class TestBaselines:
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):
             baseline_order(ALGO_RANDOM, ref_snapshot())
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_instances())
+    def test_lazy_orders_equal_eager_scan(self, instance):
+        snap, _ = instance
+        for kind in (ALGO_MAX_TUPLES, ALGO_MIN_UNIT_COST, ALGO_MAX_RESIDUAL, ALGO_MIN_RESIDUAL_COST):
+            assert baseline_order(kind, snap) == eager_baseline(kind, snap), kind
 
 
 class TestBruteForce:

@@ -532,12 +532,25 @@ class TestRunConfig:
             (lambda: RunConfig(planner_unit_ms=-1.0), "planner_unit_ms"),
             (lambda: RunConfig(detection_batch=0), "detection_batch"),
             (lambda: grid_from_json({"run": {"detection_overhead": -1.0}}), "detection_overhead"),
+            (lambda: RunConfig(prune_threshold=-0.1), "prune_threshold"),
+            (lambda: RunConfig(overlap_floor=-0.1), "overlap_floor"),
+            (lambda: grid_from_json({"run": {"prune_threshold": -0.1}}), "prune_threshold"),
         ],
-        ids=["detection_overhead", "planner_unit_ms", "detection_batch", "grid_json"],
+        ids=[
+            "detection_overhead",
+            "planner_unit_ms",
+            "detection_batch",
+            "grid_json",
+            "prune_threshold",
+            "overlap_floor",
+            "grid_json_threshold",
+        ],
     )
     def test_work_scheduled_in_the_past_rejected(self, build, field):
-        # A negative charge would start counting queries or dispatches
-        # before time zero; a zero batch used to be run as one.
+        # Every value below its field's least raises when the config is
+        # built, before any run: a negative charge would start counting
+        # queries or dispatches before time zero, a zero batch would run
+        # as one, and a negative threshold or floor is no share at all.
         with pytest.raises(ValueError, match=field):
             build()
 
