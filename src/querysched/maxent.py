@@ -7,7 +7,8 @@ stationarity conditions factor as ``w = exp(-1) * prod(mu_i)`` over the
 sources in the cell's mask, so the solver runs multiplicative row scaling
 (iterative proportional fitting) seeded at ``exp(-1)``; each row update is
 an exact coordinate step on the convex dual, which converges to the global
-optimum whenever the rows are consistent.
+optimum whenever the rows are consistent.  The sweeps run on Python floats
+and add each row in numpy's summation order, so the floats are numpy's.
 
 Passing ``prior`` asks for the generalized-KL projection of the prior
 onto the rows instead, i.e. the estimate closest to the prior that matches
@@ -240,6 +241,16 @@ def _worst_residual(w: np.ndarray, rows) -> float:
     return worst
 
 
+def _row_sum(vals: list[float], idx: list[int]) -> float:
+    """``float(np.array(vals)[idx].sum())`` bit for bit, without the array."""
+    if len(idx) >= 8:  # numpy's pairwise blocks
+        return float(np.array([vals[i] for i in idx]).sum())
+    got = 0.0  # numpy's order below 8 cells (``sum`` compensates from 3.12)
+    for i in idx:
+        got += vals[i]
+    return got
+
+
 def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
     """Offline fill-in: row scaling, Newton and pinning rounds on ``w``.
 
@@ -250,19 +261,22 @@ def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
 
     def scaling_phase(budget: int) -> float:
         nonlocal iterations
-        worst = math.inf
-        window_best = math.inf
-        steps = 0
-        for _ in range(budget):
+        vals = w.tolist()
+        lists = [(idx.tolist(), target, scale) for _s, idx, target, scale in rows]
+        worst = window_best = math.inf
+        for steps in range(1, budget + 1):
             iterations += 1
-            steps += 1
-            for _s, idx, target, _scale in rows:
-                got = float(w[idx].sum())
+            for idx, target, _scale in lists:
+                got = _row_sum(vals, idx)
                 # Subnormal row sums would blow the factor up to inf;
                 # leave such rows to the residual check, not to nans.
                 if got > 1e-300 and math.isfinite(got):
-                    w[idx] *= target / got
-            worst = _worst_residual(w, rows)
+                    f = target / got
+                    for i in idx:
+                        vals[i] *= f
+            worst = 0.0
+            for idx, target, scale in lists:
+                worst = max(worst, abs(_row_sum(vals, idx) - target) / scale)
             if worst <= rel_tol:
                 break
             # Plateaued residuals mean inconsistent rows; boundary-bound
@@ -271,6 +285,7 @@ def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
                 if worst >= window_best * 0.99:
                     break
                 window_best = worst
+        w[:] = vals
         return worst
 
     # Alternate cheap multiplicative sweeps with damped Newton steps on

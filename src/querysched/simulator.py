@@ -238,8 +238,10 @@ def generate(config: UniverseConfig, seed: int) -> Universe:
         per_tuple = tuple(lo + rng.random() * (hi - lo) for _ in range(n))
 
     per_source: list[list[int]] = [[] for _ in range(n)]
+    # Far fewer masks than tuples (bulk: 36 for 20,000): decode each once.
+    members = {mask: member_sources(mask) for mask in set(membership)}
     for tid, mask in enumerate(membership):
-        for s in member_sources(mask):
+        for s in members[mask]:
             per_source[s].append(tid)
     sources = []
     for s in range(n):

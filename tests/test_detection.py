@@ -1,9 +1,13 @@
 """Two-stage statistics collection against simulator ground truth."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from querysched import maxent
 from querysched.cost import QuerySpec
 from querysched.detection import (
     initial_detection,
@@ -360,3 +364,59 @@ class TestOnlineDetection:
         live = [m for m, c in initial.cells.items() if c.provenance != PRUNED]
         cell_steps = steps[1 + initial.n_sources :]
         assert len(cell_steps) == (len(live) + 3) // 4
+
+
+#: ``offline_fill()`` as JSON, one-space indent.
+GOLDEN_OFFLINE_FILL = Path(__file__).parent / "data" / "golden_offline_fill.json"
+
+
+def offline_fill() -> dict[str, list[dict]]:
+    """Every offline solve's values, level by level, as ``float.hex``.
+
+    The universes are the desk one and perfbench's ``bulk-scan`` one
+    (20,000 distinct tuples, 100,000 in all), both at seed 101.  These
+    solves all fail, so the values are the last iterate that their
+    ``MaxEntError`` carries; the offline snapshot keeps none of them
+    (only detected and pruned cells), yet they decide which cells are
+    probed or pruned next.
+    """
+    configs = {
+        "desk-101": desk_universe_config(),
+        "bulk-101": desk_universe_config(n_distinct=20_000, total_tuples=100_000),
+    }
+    return {
+        name: offline_solves(ScopedProbe(generate(config, 101), SCOPE_ALL))
+        for name, config in configs.items()
+    }
+
+
+def offline_solves(probe) -> list[dict]:
+    """Each ``maxent.solve`` of one offline detection: level, outcome, values."""
+    solve = maxent.solve
+    solves = []
+
+    def record(constraints, known, free, **kwargs):
+        error = None
+        try:
+            values, report = solve(constraints, known, free, **kwargs)
+        except maxent.MaxEntError as exc:
+            error, values = exc, exc.values
+        solves.append(
+            {
+                "level": bin(free[0]).count("1"),
+                "failed": error is not None,
+                "values": {f"{m:#x}": v.hex() for m, v in sorted(values.items())},
+            }
+        )
+        if error is not None:
+            raise error
+        return values, report
+
+    with mock.patch.object(maxent, "solve", record):
+        initial_detection(probe, RunConfig().prune_threshold)
+    return solves
+
+
+def test_offline_fill_matches_golden_floats():
+    text = json.dumps(offline_fill(), indent=1) + "\n"
+    assert text == GOLDEN_OFFLINE_FILL.read_text()

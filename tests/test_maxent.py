@@ -3,6 +3,7 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -405,3 +406,130 @@ class TestQueryProjectionProperties:
             assert grad <= 1e-5
             if v > 1e-6:
                 assert abs(grad) <= 1e-5
+
+
+# -- offline row scaling: the list sweep against numpy arrays ---------------
+
+
+def numpy_scale_rows(w, rows, rel_tol, skipped):
+    """``maxent._scale_rows`` with its scaling sweeps on numpy arrays.
+
+    The reference for the list sweep: each row is summed by
+    ``w[idx].sum()`` and scaled by ``w[idx] *= factor``.  Newton, pinning
+    and the stop rules are the same.
+    """
+    iterations = 0
+
+    def scaling_phase(budget):
+        nonlocal iterations
+        worst = math.inf
+        window_best = math.inf
+        steps = 0
+        for _ in range(budget):
+            iterations += 1
+            steps += 1
+            for _s, idx, target, _scale in rows:
+                got = float(w[idx].sum())
+                if got > 1e-300 and math.isfinite(got):
+                    w[idx] *= target / got
+            worst = maxent._worst_residual(w, rows)
+            if worst <= rel_tol:
+                break
+            if steps % 64 == 0:
+                if worst >= window_best * 0.99:
+                    break
+                window_best = worst
+        return worst
+
+    worst_rel = math.inf
+    min_target = min((t for _s, _idx, t, _sc in rows if t > 0), default=1.0)
+    for pin_scale in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+        if not rows:
+            worst_rel = 0.0
+            break
+        worst_rel = scaling_phase(400)
+        if worst_rel <= rel_tol:
+            break
+        worst_rel, _ = maxent._newton_phase(w, rows, rel_tol)
+        if worst_rel <= rel_tol:
+            break
+        pinned = (w > 0.0) & (w < pin_scale * min_target)
+        if not pinned.any():
+            continue
+        w[pinned] = 0.0
+        kept = []
+        for row in rows:
+            s, idx, t, scale = row
+            if float(w[idx].sum()) > 0.0:
+                kept.append(row)
+            elif t > rel_tol * scale:
+                skipped.append(s)
+        rows = kept
+    return iterations, worst_rel, rows
+
+
+#: Row lengths on both sides of numpy's 8-cell unrolled block and of its
+#: 128-cell pairwise split.
+ROW_SIZES = (1, 2, 7, 8, 9, 128, 129, 200)
+
+
+@st.composite
+def sweep_systems(draw):
+    """A start ``w`` and rows as ``_scale_rows`` takes them.
+
+    Rows draw ascending cell positions; targets are row sums of random
+    cells (consistent) or random (mostly inconsistent), and some are
+    zero.  Cells start at ``exp(-1)``, spread over six decades, or mostly
+    near 1e-300 (some subnormal), where a row sum can fall under the
+    update's floor.
+    """
+    sizes = draw(st.lists(st.sampled_from(ROW_SIZES), min_size=1, max_size=5))
+    n = max(sizes) + draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = draw(st.sampled_from(["exp", "spread", "tiny"]))
+    if start == "exp":
+        w = np.full(n, math.exp(-1.0))
+    elif start == "spread":
+        w = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    else:
+        w = np.where(rng.random(n) < 0.8, 10.0 ** rng.uniform(-310.0, -296.0, n), math.exp(-1.0))
+    consistent = draw(st.booleans())
+    truth = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    rows = []
+    for s, size in enumerate(sizes):
+        idx = np.sort(rng.choice(n, size, replace=False))
+        if draw(st.integers(0, 4)) == 0:
+            target = 0.0
+        elif consistent:
+            target = float(truth[idx].sum())
+        else:
+            target = float(10.0 ** rng.uniform(-2.0, 3.0))
+        rows.append((s, idx, target, max(target, 1.0)))
+    return w, rows
+
+
+class TestOfflineSweep:
+    @PROPERTY_SETTINGS
+    @given(sweep_systems(), st.sampled_from([1e-6, 1e-9]))
+    def test_list_sweep_equals_numpy_sweep(self, system, rel_tol):
+        w, rows = system
+        got_w, want_w = w.copy(), w.copy()
+        got_skipped, want_skipped = [], []
+        with np.errstate(all="ignore"):
+            got = maxent._scale_rows(got_w, rows, rel_tol, got_skipped)
+            want = numpy_scale_rows(want_w, rows, rel_tol, want_skipped)
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got[0] == want[0]  # sweeps and Newton steps
+        assert got[1].hex() == want[1].hex()  # worst residual
+        assert [row[0] for row in got[2]] == [row[0] for row in want[2]]
+        assert got_skipped == want_skipped
+
+    def test_row_sum_adds_in_numpy_order(self):
+        rng = np.random.default_rng(13)
+        for n in range(1, 301):
+            # Ten decades around a scale between 1e-300 and 1e290, so the
+            # order of the additions shows in the last bits.
+            vals = (10.0 ** (rng.uniform(-300.0, 290.0) + rng.uniform(0.0, 10.0, 2 * n))).tolist()
+            idx = sorted(rng.choice(2 * n, n, replace=False).tolist())
+            want = float(np.array(vals)[idx].sum())
+            assert maxent._row_sum(vals, idx).hex() == want.hex(), n
