@@ -18,10 +18,14 @@ the query is running: first per-source query cardinalities, detected in
 the hinted order with the not-yet-detected ones scaled by the average
 detected-to-offline ratio; then individual cell values, detected in
 descending order of how far the current query-level estimate moved from
-the offline value.  Every detection republishes a snapshot re-projected
-onto the new totals, using the offline cells as the prior measure (in
-practice the detected ones).  Query-level snapshots carry the live cells
-only: a cell pruned offline is never probed or estimated per query.
+the offline value.  Every detection publishes a snapshot whose totals
+and detected cells are fixed at once; its other cells are the projection
+of the offline cells (in practice the detected ones) onto those totals,
+solved when the snapshot's cells are first read and then kept.  Each
+projection starts from the offline cells, so a snapshot's values do not
+depend on which earlier snapshots were read; a scheduler that replans on
+a few of them solves only those.  Query-level snapshots carry the live
+cells only: a cell pruned offline is never probed or estimated per query.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Protocol, Sequence
+from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
 from . import maxent
 from .lattice import (
@@ -192,18 +196,49 @@ def initial_detection(
     return DetectionOutcome(snapshot, queries, clamps[0], tuple(unavailable))
 
 
+class _LazyCells(Mapping[int, LatticeCell]):
+    """A query-level snapshot's cells, built by ``build`` on first read and kept."""
+
+    __slots__ = ("_build", "_cells")
+
+    def __init__(self, build: Callable[[], dict[int, LatticeCell]]):
+        self._build: Callable[[], dict[int, LatticeCell]] | None = build
+        self._cells: dict[int, LatticeCell] | None = None
+
+    def _solved(self) -> dict[int, LatticeCell]:
+        if self._cells is None:
+            self._cells = self._build()
+            self._build = None  # drop what the solve needed
+        return self._cells
+
+    def __getitem__(self, mask: int) -> LatticeCell:
+        return self._solved()[mask]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._solved())
+
+    def __len__(self) -> int:
+        return len(self._solved())
+
+
+def _query_cells(
+    estimates: Mapping[int, float], known: Mapping[int, float]
+) -> dict[int, LatticeCell]:
+    """Estimated and detected live cells; a detected value wins."""
+    cells = {m: LatticeCell(m, v, ESTIMATED) for m, v in estimates.items()}
+    for m, v in known.items():
+        cells[m] = LatticeCell(m, v, DETECTED)
+    return cells
+
+
 def _query_snapshot(
     initial: StatsSnapshot,
     version: int,
     stage: str,
     cards: Sequence[float],
-    estimates: Mapping[int, float],
-    known: Mapping[int, float],
+    cells: Mapping[int, LatticeCell],
 ) -> StatsSnapshot:
     """A query-level snapshot: estimated and detected live cells only."""
-    cells = {m: LatticeCell(m, v, ESTIMATED) for m, v in estimates.items()}
-    for m, v in known.items():
-        cells[m] = LatticeCell(m, v, DETECTED)
     return StatsSnapshot(
         version=version,
         stage=stage,
@@ -226,8 +261,7 @@ def prior_query_snapshot(initial: StatsSnapshot) -> StatsSnapshot:
         initial.version + 1,
         STAGE_ONLINE_1,
         initial.cardinalities,
-        dict(initial._live_cells),
-        {},
+        _query_cells(dict(initial._live_cells), {}),
     )
 
 
@@ -246,8 +280,11 @@ def online_detection_plan(
     later snapshot becomes visible one counting query (``per_query_ms``),
     or one batch of ``batch`` cell queries, after the previous one;
     ``probed_source`` names the source the counting query contacted (-1
-    for none), so a scheduler can model contention.  The caller owns
-    termination; abandoning the iterator is the stop signal.
+    for none), so a scheduler can model contention.  A later snapshot's
+    estimated cells are solved from the offline cells on its first read;
+    the plan itself reads only the last cardinality refresh, which orders
+    the cell queries.  The caller owns termination; abandoning the
+    iterator is the stop signal.
     """
     if batch < 1:
         raise ValueError(f"detection batch must be at least 1, got {batch}")
@@ -255,31 +292,29 @@ def online_detection_plan(
     live_cells = dict(initial._live_cells)
     versions = itertools.count(initial.version + 2)  # the prior is initial.version + 1
 
-    def resolve(
-        cards: Sequence[float],
-        known: Mapping[int, float],
-        estimates: Mapping[int, float],
-    ) -> Mapping[int, float]:
-        constraints = {s: cards[s] for s in range(n)}
-        free = [m for m in live_cells if m not in known]
-        if not free:
-            return {}
-        values, _ = maxent.solve(
-            constraints,
-            known,
-            free,
-            prior=live_cells,
-            warm_start=estimates,
-            on_clamp=lambda s, r: log.warning(
-                "query-level cells overshoot source %d by %.6g; clamping", s, -r
-            ),
-        )
-        return values
+    def refreshed(stage: str, cards: Sequence[float], known: Mapping[int, float]) -> StatsSnapshot:
+        """The next snapshot; its cells are projected from the prior when first read."""
+        known = dict(known)  # later detections must not reach this snapshot
 
-    prior = prior_query_snapshot(initial)
-    cards: Sequence[float] = prior.cardinalities
-    estimates: Mapping[int, float] = live_cells
-    yield 0.0, prior, -1
+        def solve() -> dict[int, LatticeCell]:
+            free = [m for m in live_cells if m not in known]
+            if not free:
+                return _query_cells({}, known)
+            values, _ = maxent.solve(
+                dict(enumerate(cards)),
+                known,
+                free,
+                prior=live_cells,
+                on_clamp=lambda s, r: log.warning(
+                    "query-level cells overshoot source %d by %.6g; clamping", s, -r
+                ),
+            )
+            return _query_cells(values, known)
+
+        return _query_snapshot(initial, next(versions), stage, cards, _LazyCells(solve))
+
+    snapshot = prior_query_snapshot(initial)
+    yield 0.0, snapshot, -1
 
     # Each source is probed once, in hint order.  An undetected source's
     # total is its offline one scaled by the average detected-to-offline
@@ -290,6 +325,7 @@ def online_detection_plan(
     hinted = set(hint)
     hint += [s for s in range(n) if s not in hinted]
     offline_cards = initial.cardinalities
+    cards: Sequence[float] = offline_cards
     detected_cards: dict[int, float] = {}
     ratio_sum = 0.0
     ratios = 0
@@ -307,11 +343,13 @@ def online_detection_plan(
             detected_cards[t] if t in detected_cards else c * avg
             for t, c in enumerate(offline_cards)
         ]
-        estimates = resolve(cards, {}, estimates)
         stage = STAGE_ONLINE_1 if len(detected_cards) < n else STAGE_ONLINE_2
-        snapshot = _query_snapshot(initial, next(versions), stage, cards, estimates, {})
+        snapshot = refreshed(stage, cards, {})
         yield per_query_ms, snapshot, s
 
+    # Cells go in descending order of how far the last cardinality
+    # refresh moved them from the prior; that refresh is solved here.
+    estimates = {m: cell.value for m, cell in snapshot.cells.items()}
     gaps = sorted(
         live_cells,
         key=lambda m: (-abs(estimates.get(m, 0.0) - live_cells[m]), m),
@@ -325,8 +363,6 @@ def online_detection_plan(
             except Exception:
                 log.warning("cell %#x undetectable during query detection", m)
                 known[m] = 0.0
-        estimates = resolve(cards, known, estimates)
         stage = STAGE_FINAL if len(known) == len(live_cells) else STAGE_ONLINE_2
         target = min(member_sources(chunk[0]))
-        snapshot = _query_snapshot(initial, next(versions), stage, cards, estimates, known)
-        yield per_query_ms * len(chunk), snapshot, target
+        yield per_query_ms * len(chunk), refreshed(stage, cards, known), target

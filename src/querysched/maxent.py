@@ -15,8 +15,8 @@ onto the rows instead, i.e. the estimate closest to the prior that matches
 the new totals; that variant backs the per-query refresh, where the
 offline cells act as the prior.  Its rows are often infeasible: totals
 scaled from a few probed sources cannot be met by the cells that the
-offline lattice kept.  So unless its warm start already meets the rows,
-the refresh first finds the nearest totals the nonnegative cells can
+offline lattice kept.  So unless the prior already meets the rows, the
+refresh first finds the nearest totals the nonnegative cells can
 reach (Lawson-Hanson NNLS on the scaled rows), keeps only the cells some
 nearest point may use, and then projects the prior onto those totals by
 Newton steps on the dual.  It always returns an answer and names the
@@ -80,7 +80,6 @@ def solve(
     prior: Mapping[int, float] | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
     on_clamp: Callable[[int, float], None] | None = None,
-    warm_start: Mapping[int, float] | None = None,
 ) -> tuple[dict[int, float], SolveReport]:
     """Estimate free cell values under per-source sum constraints.
 
@@ -132,14 +131,6 @@ def solve(
         w = np.where(w < 0.0, 0.0, w)  # a negative prior counts as zero
     else:
         w = np.full(len(active), math.exp(-1.0))
-    if warm_start is not None:
-        # A warm start is only valid inside the same multiplicative family:
-        # strictly positive wherever the seed is, zero where it is zero.
-        seeded = np.fromiter(
-            map(warm_start.get, active, itertools.repeat(-1.0)), float, len(active)
-        )
-        if np.all((seeded > 0) | (w == 0.0)) and np.all(seeded >= 0):
-            w = np.where(w == 0.0, 0.0, seeded)
 
     # Rows with no free support, or whose whole support is pinned at zero
     # (zero prior), are vacuous for the optimization: no choice of free
@@ -341,7 +332,7 @@ def _project(w, rows, rel_tol, skipped, layout: _RowLayout) -> tuple[int, float,
     """
     if not rows:
         return 0, 0.0, ()
-    # A warm start that already meets the rows is the answer: NNLS would
+    # A prior that already meets the rows is the answer: NNLS would
     # move nothing and Newton would take no step.
     worst = _worst_residual(w, rows)
     if worst <= rel_tol * 1e-3:

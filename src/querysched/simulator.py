@@ -16,6 +16,7 @@ a query either targets the focus subset or everything.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -279,17 +280,21 @@ def _generate_replication(
     popularity = _zipf_weights(n, model.popularity_alpha, rng)
     depth_w = _depth_weights(model)
     depths = list(range(1, model.max_depth + 1))
+    # ``choices`` builds these sums itself from ``weights=``: the same draws.
+    cum_depth_w = list(itertools.accumulate(depth_w))
 
     if model.style == "chained":
         chain_len = min(n, model.max_depth)
         chains = [
             _weighted_sample(range(n), popularity, chain_len, rng) for _ in range(model.chains)
         ]
-        chain_weights = [1.0 / (c + 1) ** model.chain_skew for c in range(model.chains)]
+        cum_chain_w = list(
+            itertools.accumulate(1.0 / (c + 1) ** model.chain_skew for c in range(model.chains))
+        )
         picks = [
             (
-                rng.choices(range(model.chains), weights=chain_weights)[0],
-                rng.choices(depths, weights=depth_w)[0],
+                rng.choices(range(model.chains), cum_weights=cum_chain_w)[0],
+                rng.choices(depths, cum_weights=cum_depth_w)[0],
             )
             for _ in range(config.n_distinct)
         ]
@@ -315,7 +320,7 @@ def _generate_replication(
         }
         return membership, focus
 
-    depth_of = [rng.choices(depths, weights=depth_w)[0] for _ in range(config.n_distinct)]
+    depth_of = [rng.choices(depths, cum_weights=cum_depth_w)[0] for _ in range(config.n_distinct)]
     for i in range(len(depth_of)):
         depth_of[i] = min(depth_of[i], n)
     _balance_total(depth_of, config.total_tuples, rng, cap=[n] * config.n_distinct)

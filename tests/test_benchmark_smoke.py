@@ -2,7 +2,8 @@
 
 The benchmark wraps package entry points by name from outside ``src/``;
 running traced passes here makes a rename fail the suite rather than
-the benchmark.
+the benchmark.  The desk and wide passes also pin their planner and
+scheduler counters, so a change of plan fails the suite too.
 """
 
 import json
@@ -32,8 +33,38 @@ def traced_pass(workload: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def plan_counters(summary: dict) -> dict:
+    """The deterministic counters that only a change of plan can move."""
+    names = (
+        "permutation.work_ops",
+        "scheduler.replans",
+        "scheduler.detections",
+        "scheduler.dispatches",
+    )
+    return {name: summary["metrics"][name]["value"] for name in names}
+
+
+# The counters of one traced pass without ``--seed``, recorded with the
+# refresh that solved every query-level snapshot as soon as it was taken.
+# Solving only the snapshots the planner reads must not change a plan.
+DESK_COUNTERS = {
+    "permutation.work_ops": 39571,
+    "scheduler.replans": 20,
+    "scheduler.detections": 191,
+    "scheduler.dispatches": 24,
+}
+WIDE_COUNTERS = {
+    "permutation.work_ops": 240659,
+    "scheduler.replans": 47,
+    "scheduler.detections": 432,
+    "scheduler.dispatches": 49,
+}
+
+
 def test_traced_desk_pass_is_correct():
-    assert traced_pass("desk-adaptive")["correct"] is True
+    summary = traced_pass("desk-adaptive")
+    assert summary["correct"] is True
+    assert plan_counters(summary) == DESK_COUNTERS
 
 
 def test_traced_bulk_pass_is_correct():
@@ -45,4 +76,6 @@ def test_traced_bulk_pass_is_correct():
 def test_traced_wide_pass_is_correct():
     # The only 200-source workload, and the only one whose refreshes run
     # Newton before NNLS on a cell set whose last NNLS moved no row.
-    assert traced_pass("wide-sources")["correct"] is True
+    summary = traced_pass("wide-sources")
+    assert summary["correct"] is True
+    assert plan_counters(summary) == WIDE_COUNTERS

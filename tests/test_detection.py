@@ -6,6 +6,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querysched import maxent
 from querysched.cost import QuerySpec
@@ -14,7 +16,7 @@ from querysched.detection import (
     online_detection_plan,
     prior_query_snapshot,
 )
-from querysched.grid import desk_universe_config
+from querysched.grid import desk_universe_config, offline_stats
 from querysched.lattice import DETECTED, ESTIMATED, PRUNED, STAGE_FINAL, snapshot_from_cells
 from querysched.permutation import TABLE_ALGO_ORDER
 from querysched.scheduler import RunConfig, run_query
@@ -364,6 +366,88 @@ class TestOnlineDetection:
         live = [m for m, c in initial.cells.items() if c.provenance != PRUNED]
         cell_steps = steps[1 + initial.n_sources :]
         assert len(cell_steps) == (len(live) + 3) // 4
+
+
+class TestLazyRefresh:
+    """Query-level snapshots are projected from the prior when first read."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_read_order_does_not_change_a_snapshot(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        distinct = data.draw(st.integers(20, 80), label="distinct")
+        max_depth = data.draw(st.integers(1, n), label="max_depth")
+        mean_depth = data.draw(st.floats(1.0, max_depth), label="mean_depth")
+        config = UniverseConfig(
+            n_sources=n,
+            n_distinct=distinct,
+            total_tuples=round(mean_depth * distinct),
+            overlap=ReplicationModel(
+                style=data.draw(st.sampled_from(["chained", "uniform"]), label="style"),
+                mean_depth=mean_depth,
+                max_depth=max_depth,
+                chains=data.draw(st.integers(1, 4), label="chains"),
+            ),
+            query_split=data.draw(st.floats(0.2, 1.0), label="split"),
+        )
+        u = generate(config, data.draw(st.integers(0, 1000), label="seed"))
+        threshold = data.draw(st.sampled_from([0.0, 0.005, 0.05]), label="threshold")
+        initial = initial_detection(ScopedProbe(u, SCOPE_ALL), threshold).snapshot
+        hint = tuple(data.draw(st.permutations(range(n)), label="hint"))
+        batch = data.draw(st.integers(1, 3), label="batch")
+
+        def plan():
+            steps = online_detection_plan(initial, hint, ScopedProbe(u, SCOPE_FOCUS), batch=batch)
+            return [snap for _cost, snap, _source in steps]
+
+        in_order = [dict(snap.cells) for snap in plan()]
+        snaps = plan()
+        shuffled = {}
+        for i in data.draw(st.permutations(range(len(snaps))), label="read order"):
+            shuffled[i] = dict(snaps[i].cells)
+        assert [shuffled[i] for i in range(len(snaps))] == in_order
+
+        live = dict(initial._live_cells)
+        for snap, cells in zip(snaps[1:], in_order[1:]):
+            known = {m: c.value for m, c in cells.items() if c.provenance == DETECTED}
+            free = [m for m in live if m not in known]
+            expected = {}
+            if free:
+                cards = dict(enumerate(snap.cardinalities))
+                expected, _ = maxent.solve(cards, known, free, prior=live)
+            estimated = {m: c.value for m, c in cells.items() if c.provenance == ESTIMATED}
+            assert estimated == expected
+
+    def test_online_desk_run_solves_only_what_it_reads(self):
+        u = generate(desk_universe_config(), 101)
+        initial = offline_stats(u, RunConfig()).snapshot  # the offline solves run here
+        k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
+        solve = maxent.solve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        with mock.patch.object(maxent, "solve", counted):
+            result = run_query("online", QuerySpec(SCOPE_FOCUS, k), u, initial)
+        # Each replan reads one refresh, and the plan reads the last
+        # cardinality refresh for its cell order; the rest go unsolved.
+        assert 0 < len(calls) <= result.perm_versions + 1 < result.detections
+
+    def test_abandoned_plan_solves_nothing(self):
+        u = demo_universe(seed=7, query_split=0.5)
+        initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
+        unread = AssertionError("solved a snapshot nobody read")
+        with mock.patch.object(maxent, "solve", side_effect=unread):
+            plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
+            next(plan)  # the prior
+            plan.close()
+            # Two cardinality refreshes taken but never read.
+            plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
+            steps = [next(plan) for _ in range(3)]
+            plan.close()
+        assert [source for _cost, _snap, source in steps] == [-1, 0, 1]
 
 
 #: ``offline_fill()`` as JSON, one-space indent.

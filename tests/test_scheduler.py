@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from querysched import scheduler
 from querysched.cost import QuerySpec
 from querysched.detection import DETECTION_QUERY_MS, initial_detection, prior_query_snapshot
-from querysched.grid import desk_universe_config, grid_from_json, offline_stats
+from querysched.grid import desk_universe_config, grid_from_json, offline_stats, scaled_universe
 from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER, baseline_order
 from querysched.scheduler import (
     RunConfig,
@@ -498,6 +498,42 @@ class TestGoldenBulkRuns:
     def test_bulk_runs_match_golden_json(self):
         text = "".join(line + "\n" for line in bulk_run_lines())
         assert text == GOLDEN_BULK_RUNS.read_text()
+
+
+#: One JSON line per run: ``adaptive_run_lines()`` on desk and 200-source universes.
+GOLDEN_ADAPTIVE_RUNS = Path(__file__).parent / "data" / "golden_adaptive_runs.jsonl"
+
+
+def adaptive_run_lines() -> list[str]:
+    """``to_json()`` of ``online`` and ``sequential`` runs, which read query-level refreshes.
+
+    Desk seed 101 at k fractions 0.2, 0.5 and 0.8, with one and four
+    query threads and cell-query batches of 1 and 3; then the 200-source
+    universe of the ``n_sources`` axis at seed 101 and k fraction 0.8.
+    """
+    desk = desk_universe_config()
+    cases = [
+        (desk, k_fraction, RunConfig(query_threads=threads, detection_batch=batch))
+        for threads in (1, 4)
+        for batch in (1, 3)
+        for k_fraction in (0.2, 0.5, 0.8)
+    ]
+    cases.append((scaled_universe(desk, 200), 0.8, RunConfig()))
+    lines = []
+    for ucfg, k_fraction, cfg in cases:
+        u = generate(ucfg, 101)
+        init = offline_stats(u, cfg).snapshot
+        in_scope = u.truth.distinct_in_scope(SCOPE_FOCUS)
+        query = QuerySpec(SCOPE_FOCUS, max(1, round(k_fraction * in_scope)))
+        for algo in ("online", "sequential"):
+            lines.append(run_query(algo, query, u, init, cfg, seed=101).to_json())
+    return lines
+
+
+class TestGoldenAdaptiveRuns:
+    def test_adaptive_runs_match_golden_json(self):
+        text = "".join(line + "\n" for line in adaptive_run_lines())
+        assert text == GOLDEN_ADAPTIVE_RUNS.read_text()
 
 
 class TestSourceTraces:
