@@ -17,7 +17,13 @@ from .grid import (
     verify_demo_instance,
 )
 from .lattice import dump_snapshot
-from .permutation import approx_bound, brute_force_opt, format_order, refine_order
+from .permutation import (
+    ORACLE_SOURCE_BOUND,
+    approx_bound,
+    brute_force_opt,
+    format_order,
+    refine_order,
+)
 from .simulator import SCOPE_ALL, ScopedProbe, generate
 
 
@@ -86,6 +92,31 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(convert, text: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _oracle_sources(text: str) -> int:
+    """A source count the generator can build and the oracle can search."""
+    value = _number(int, text)
+    if not 1 <= value <= ORACLE_SOURCE_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {ORACLE_SOURCE_BOUND}, got {value}"
+        )
+    return value
+
+
+def _positive_fraction(text: str) -> float:
+    """A share of the distinct tuples; zero or less would ask for none."""
+    value = _number(float, text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="querysched",
@@ -117,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.set_defaults(func=_cmd_dump_stats)
 
     p_oracle = sub.add_parser("oracle", help="compare the sweep against exhaustive search")
-    p_oracle.add_argument("--max-sources", type=int, default=6)
+    p_oracle.add_argument("--max-sources", type=_oracle_sources, default=6)
     p_oracle.add_argument("--seed", type=int, default=1)
-    p_oracle.add_argument("--k-fraction", type=float, default=0.6)
+    p_oracle.add_argument("--k-fraction", type=_positive_fraction, default=0.6)
     p_oracle.add_argument(
         "--prefix-average", action="store_true", help="evaluate under the prefix-average model"
     )

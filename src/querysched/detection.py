@@ -35,6 +35,8 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
+import numpy as np
+
 from . import maxent
 from .lattice import (
     DETECTED,
@@ -325,25 +327,26 @@ def online_detection_plan(
     hinted = set(hint)
     hint += [s for s in range(n) if s not in hinted]
     offline_cards = initial.cardinalities
+    offline = np.array(offline_cards, dtype=float)
+    detected = np.zeros(n, dtype=bool)
+    detected_cards = np.zeros(n)
     cards: Sequence[float] = offline_cards
-    detected_cards: dict[int, float] = {}
     ratio_sum = 0.0
     ratios = 0
-    for s in hint:
+    for probed, s in enumerate(hint, 1):
         try:
-            detected_cards[s] = float(probe.cardinality(s))
+            card = float(probe.cardinality(s))
         except Exception:
             log.warning("source %d unavailable during query detection", s)
-            detected_cards[s] = 0.0
+            card = 0.0
+        detected[s] = True
+        detected_cards[s] = card
         if offline_cards[s] > 0.0:
-            ratio_sum += detected_cards[s] / offline_cards[s]
+            ratio_sum += card / offline_cards[s]
             ratios += 1
         avg = ratio_sum / ratios if ratios else 1.0
-        cards = [
-            detected_cards[t] if t in detected_cards else c * avg
-            for t, c in enumerate(offline_cards)
-        ]
-        stage = STAGE_ONLINE_1 if len(detected_cards) < n else STAGE_ONLINE_2
+        cards = np.where(detected, detected_cards, offline * avg).tolist()
+        stage = STAGE_ONLINE_1 if probed < n else STAGE_ONLINE_2
         snapshot = refreshed(stage, cards, {})
         yield per_query_ms, snapshot, s
 

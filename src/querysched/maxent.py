@@ -435,6 +435,7 @@ def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
     multiplicative form ``w *= exp(-A^T delta)`` so zero cells stay zero.
     """
     targets = np.array([t for _s, _idx, t, _scale in rows])
+    scales = np.array([scale for _s, _idx, _t, scale in rows])
     incidence = np.zeros((len(rows), w.size))
     if rows:
         support = [idx for _s, idx, _t, _scale in rows]
@@ -442,7 +443,9 @@ def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
         incidence[row_of, np.concatenate(support)] = 1.0
     lam = np.zeros(len(rows))
 
-    worst = _worst_residual(w, rows)
+    # The gradient is the residual vector: the worst row comes from it.
+    grad = incidence @ w - targets
+    worst = float(np.max(np.abs(grad) / scales, initial=0.0))
     best = float(w.sum() + lam @ targets)
     stagnant = 0
     best_resid = worst
@@ -462,7 +465,6 @@ def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
                 break
         # Minimize the dual h = sum(w) + lambda.b: gradient b - Aw, so
         # the Newton step moves along the solved (Aw - b) direction.
-        grad = incidence @ w - targets
         hess = (incidence * w) @ incidence.T
         ridge = 1e-12 * max(float(np.trace(hess)), 1.0)
         try:
@@ -491,6 +493,7 @@ def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
             stagnant += 1
             if stagnant >= 3:
                 break
-        worst = _worst_residual(w, rows)
+        grad = incidence @ w - targets
+        worst = float(np.max(np.abs(grad) / scales, initial=0.0))
     return worst, steps
 

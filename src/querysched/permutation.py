@@ -9,9 +9,11 @@ minimal covering prefix (never inside the pinned prefix) or extends it.
 The extension and every deterministic baseline share one lazy selection
 loop, each with its own score.  Swap candidates are ranked by overlap
 ratio with the anchor and filtered by a floor, since swapping sources
-that barely intersect cannot change which order wins.  A brute-force
-oracle over all covering prefixes serves small universes, with the
-analytic approximation bound used to sanity-check sweep output.
+that barely intersect cannot change which order wins.  A replan during
+a run needs only the first unpinned source of the full order, which the
+greedy start and the swap at that position decide (:func:`next_source`).
+A brute-force oracle over all covering prefixes serves small universes,
+with the analytic approximation bound used to sanity-check sweep output.
 """
 
 from __future__ import annotations
@@ -260,21 +262,18 @@ def improve_position(
     return None
 
 
-def refine_order(
+def _sweep(
     k: float,
     snapshot: StatsSnapshot,
-    *,
-    pinned_order: Sequence[int] = (),
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
-    meter: WorkMeter | None = None,
-) -> PermCandidate:
-    """Greedy construction followed by the head-to-tail swap sweep.
-
-    Pinned (already dispatched) positions are never swapped.
-    """
+    pinned_order: Sequence[int],
+    overlap_floor: float,
+    meter: WorkMeter | None,
+) -> Iterator[PermCandidate]:
+    """Yield the greedy start, then the incumbent after each swap position."""
     pinned = len(pinned_order)
     unselected = frozenset(range(snapshot.n_sources)) - set(pinned_order)
     incumbent = greedy_by_rate(k, tuple(pinned_order), unselected, snapshot, pinned, meter)
+    yield incumbent
 
     pos = pinned
     while pos < len(incumbent.order):
@@ -290,8 +289,60 @@ def refine_order(
         )
         if cand is not None and cand.avg_rate > incumbent.avg_rate:
             incumbent = cand
+        yield incumbent
         pos += 1
+
+
+def refine_order(
+    k: float,
+    snapshot: StatsSnapshot,
+    *,
+    pinned_order: Sequence[int] = (),
+    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
+    meter: WorkMeter | None = None,
+) -> PermCandidate:
+    """Greedy construction followed by the head-to-tail swap sweep.
+
+    Pinned (already dispatched) positions are never swapped.
+    """
+    for incumbent in _sweep(k, snapshot, pinned_order, overlap_floor, meter):
+        pass
     return incumbent
+
+
+def next_source(
+    k: float,
+    snapshot: StatsSnapshot,
+    pinned_order: Sequence[int],
+    *,
+    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
+    meter: WorkMeter | None = None,
+) -> int | None:
+    """First unpinned source of the full-universe order; None if none is left.
+
+    That order is :func:`refine_order`'s, extended by the greedy without a
+    target and then by the remaining sources in id order.  Of the sweep,
+    only the greedy start and the swap at the first unpinned position
+    decide that source: every proper prefix of an incumbent at or past
+    the pinned one covers less than ``k`` (the greedy stops at the first
+    that covers it), and a rebuild walks the incumbent's prefix in the
+    same floats, so a swap at a later position never trims before that
+    position.  When the refined order is the pinned prefix alone, the
+    extension's first round picks the source with the highest rate,
+    ties to the lowest id.
+    """
+    pinned = len(pinned_order)
+    sweep = _sweep(k, snapshot, pinned_order, overlap_floor, meter)
+    refined = next(sweep)  # the greedy start
+    refined = next(sweep, refined)  # after the swap at the first unpinned position
+    if len(refined.order) > pinned:
+        return refined.order[pinned]
+    walk = CoverageWalk(snapshot)
+    for s in pinned_order:
+        walk.append(s)
+    # Rates are never negative, so with none positive the first pick is
+    # the lowest id, as the remaining sources follow in id order.
+    return next((s for _, s in _picks(walk, refined.unselected, walk.rate, None)), None)
 
 
 def baseline_order(kind: str, snapshot: StatsSnapshot, seed: int | None = None) -> tuple[int, ...]:

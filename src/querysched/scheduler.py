@@ -6,13 +6,15 @@ counting query completes and bumps a plain version counter.  The planner
 replans lazily whenever that version or the dispatched prefix has moved
 since its last plan.  The query threads take the first undispatched
 source of the current plan, pin every source they dispatch and
-deduplicate arriving tuples against a shared seen-set.  Events are keyed
-on (time, worker class, thread id), so a run is a pure function of its
-inputs.  A baseline is the same loop with a fixed plan (its policy's
-order, never revised) and no statistics worker.  Planner compute is free
-on the simulated clock, except that the sequential strategy charges its
-initial sweep at a configured per-operation rate before the first
-dispatch.
+deduplicate arriving tuples against a shared seen-set.  Since every
+dispatch replans, a plan is read for one source only: the first plan of
+a run orders the whole universe, and a later one is the pinned prefix
+plus the source the next dispatch takes.  Events are keyed on (time,
+worker class, thread id), so a run is a pure function of its inputs.  A
+baseline is the same loop with a fixed plan (its policy's order, never
+revised) and no statistics worker.  Planner compute is free on the
+simulated clock, except that the sequential strategy charges its initial
+sweep at a configured per-operation rate before the first dispatch.
 
 Tuple arrivals are not heap events.  Between two events that are not
 arrivals (a dispatch, a source finishing, a counting query completing)
@@ -56,6 +58,7 @@ from .permutation import (
     baseline_order,
     covered_total,
     greedy_by_rate,
+    next_source,
     refine_order,
 )
 from .simulator import ScopedProbe, SourceUnavailable, Universe
@@ -218,9 +221,13 @@ class _Planner:
     """Holds the current plan and replans lazily when its inputs moved.
 
     A plan is stale once the statistics version or the length of the
-    dispatched prefix differs from the pair it was built from.  Built with
-    a ``fixed`` order, as for the baselines, the planner keeps that order
-    and does no work.
+    dispatched prefix differs from the pair it was built from.  The first
+    plan, over an empty prefix, is the full sweep extended to the whole
+    universe; its work is what ``sequential`` is charged for.  A later
+    plan is the pinned prefix plus :func:`next_source`, the source that
+    the full construction would put next, which is all the next dispatch
+    reads.  Built with a ``fixed`` order, as for the baselines, the
+    planner keeps that order and does no work.
     """
 
     def __init__(self, k: float, config: RunConfig, fixed: tuple[int, ...] | None = None):
@@ -239,21 +246,32 @@ class _Planner:
         if self.fixed or key == self._key:
             return self.plan, 0
         meter = WorkMeter()
-        candidate = refine_order(
-            self.k,
-            stats,
-            pinned_order=dispatched,
-            overlap_floor=self.config.overlap_floor,
-            meter=meter,
-        )
-        # Publish a full-universe order: estimates can overstate the
-        # covering prefix, and the executor must always find a next
-        # source until the target or the universe is exhausted.  The
-        # tail continues greedily by rate, dead sources last by id.
-        rest = set(range(stats.n_sources)) - set(candidate.order)
-        full = greedy_by_rate(math.inf, candidate.order, rest, stats)
-        order = full.order + tuple(sorted(full.unselected))
-        self.plan = PermState(order, frozenset(), pinned=len(dispatched))
+        pinned = len(dispatched)
+        if pinned:
+            source = next_source(
+                self.k,
+                stats,
+                dispatched,
+                overlap_floor=self.config.overlap_floor,
+                meter=meter,
+            )
+            order = dispatched if source is None else dispatched + (source,)
+            rest = frozenset(range(stats.n_sources)).difference(order)
+            self.plan = PermState(order, rest, pinned)
+        else:
+            candidate = refine_order(
+                self.k,
+                stats,
+                overlap_floor=self.config.overlap_floor,
+                meter=meter,
+            )
+            # A full-universe order: the covering prefix, continued
+            # greedily by rate, dead sources last by id.  Estimates can
+            # overstate the prefix, and the executor must find a next
+            # source until the target or the universe is exhausted.
+            rest = set(range(stats.n_sources)) - set(candidate.order)
+            full = greedy_by_rate(math.inf, candidate.order, rest, stats)
+            self.plan = PermState(full.order + tuple(sorted(full.unselected)), frozenset())
         self.versions += 1
         self._key = key
         return self.plan, meter.ops

@@ -44,17 +44,20 @@ def plan_counters(summary: dict) -> dict:
     return {name: summary["metrics"][name]["value"] for name in names}
 
 
-# The counters of one traced pass without ``--seed``, recorded with the
-# refresh that solved every query-level snapshot as soon as it was taken.
-# Solving only the snapshots the planner reads must not change a plan.
+# The counters of one traced pass without ``--seed``.  Replans, detections
+# and dispatches were recorded with the refresh that solved every
+# query-level snapshot as soon as it was taken, and with a planner that
+# swept every position of every plan; neither change may change a plan.
+# Only the first plan of a run goes through ``refine_order`` now, so
+# ``permutation.work_ops`` counts the detection hint's sweep and that one.
 DESK_COUNTERS = {
-    "permutation.work_ops": 39571,
+    "permutation.work_ops": 37385,
     "scheduler.replans": 20,
     "scheduler.detections": 191,
     "scheduler.dispatches": 24,
 }
 WIDE_COUNTERS = {
-    "permutation.work_ops": 240659,
+    "permutation.work_ops": 107832,
     "scheduler.replans": 47,
     "scheduler.detections": 432,
     "scheduler.dispatches": 49,

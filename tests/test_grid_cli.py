@@ -334,6 +334,26 @@ class TestCli:
         assert "optimal order=" in out
         assert "within_bound=" in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--k-fraction", "0"),
+            ("--k-fraction", "-0.5"),
+            ("--max-sources", "0"),
+            ("--max-sources", "-3"),
+            ("--max-sources", "10"),
+        ],
+    )
+    def test_oracle_rejects_bad_arguments_at_parse_time(self, capsys, flag, value):
+        # A fraction of zero or less used to run k = 1, and no sources
+        # failed deep inside the generator.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}:" in captured.err
+        assert captured.out == ""
+
     def test_run_is_quiet_by_default(self, tmp_path):
         # Offline detection on this universe logs fill-in warnings; with no
         # logging configured, none of them may reach stderr.  A subprocess,

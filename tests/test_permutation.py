@@ -25,6 +25,7 @@ from querysched.permutation import (
     format_order,
     greedy_by_rate,
     improve_position,
+    next_source,
     overlap_ranked,
     refine_order,
     swap_source,
@@ -313,6 +314,60 @@ class TestRefineOrder:
             assert len(set(cand.order)) == len(cand.order)
             assert set(cand.order) | cand.unselected == set(range(7))
             assert not set(cand.order) & cand.unselected
+
+
+def full_plan_next(k, snapshot, pinned_order, overlap_floor):
+    """Reference for ``next_source``: the first unpinned source of the full plan.
+
+    The full plan is the whole sweep, extended by the greedy without a
+    target, then every remaining source in id order.
+    """
+    refined = refine_order(k, snapshot, pinned_order=pinned_order, overlap_floor=overlap_floor)
+    rest = set(range(snapshot.n_sources)) - set(refined.order)
+    full = greedy_by_rate(math.inf, refined.order, rest, snapshot)
+    order = full.order + tuple(sorted(full.unselected))
+    return next((s for s in order if s not in pinned_order), None)
+
+
+class TestNextSource:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_first_undispatched_source_of_the_full_plan(self, data):
+        if data.draw(st.booleans(), label="tied"):
+            snap, distinct = data.draw(tied_instances(), label="instance")
+        else:
+            n = data.draw(st.integers(1, 8), label="n")
+            style = data.draw(st.sampled_from(["uniform", "chained"]), label="style")
+            snap, distinct = random_instance(n, data.draw(st.integers(0, 500), label="seed"), style=style)
+        n = snap.n_sources
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        pinned = tuple(perm[: data.draw(st.integers(0, n), label="pinned")])
+        k = data.draw(
+            st.integers(-1, int(1.5 * distinct)) | st.floats(-1.0, 1.5 * distinct) | st.just(math.inf),
+            label="k",
+        )
+        floor = data.draw(st.sampled_from([0.0, 0.05, 0.5]), label="floor")
+        got = next_source(k, snap, pinned, overlap_floor=floor)
+        assert got == full_plan_next(k, snap, pinned, floor)
+
+    def test_pinned_prefix_covering_the_target_takes_the_best_rate(self):
+        # Source 1 alone covers k = 125, so the refined order ends at the
+        # pinned prefix and the greedy's next pick decides.
+        snap = ref_snapshot()
+        assert refine_order(125, snap, pinned_order=(1,)).order == (1,)
+        walk = CoverageWalk(snap)
+        walk.append(1)
+        best = max((0, 2), key=lambda s: (walk.rate(s), -s))
+        assert walk.rate(best) > 0.0
+        assert next_source(125, snap, (1,)) == best == full_plan_next(125, snap, (1,), 0.05)
+
+    def test_no_positive_rate_left_takes_the_lowest_id(self):
+        # Source 0 holds every tuple: sources 1 and 2 add nothing after it.
+        snap = snapshot_from_cells((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), {0b001: 10, 0b011: 5})
+        assert refine_order(10, snap, pinned_order=(0,)).order == (0,)
+        assert next_source(10, snap, (0,)) == 1 == full_plan_next(10, snap, (0,), 0.05)
+        assert next_source(10, snap, (0, 2)) == 1
+        assert next_source(10, snap, (0, 2, 1)) is None
 
 
 class TestStatsQualityEffect:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from querysched import scheduler
+from querysched import permutation, scheduler
 from querysched.cost import QuerySpec
 from querysched.detection import DETECTION_QUERY_MS, initial_detection, prior_query_snapshot
 from querysched.grid import desk_universe_config, grid_from_json, offline_stats, scaled_universe
@@ -671,6 +671,42 @@ class TestPlannerPublication:
             dispatched.append(state.order[len(dispatched)])
         for earlier, later in zip(published, published[1:]):
             assert later.order[: earlier.pinned] == earlier.order[: earlier.pinned]
+
+    def test_later_plans_publish_the_next_source_only(self):
+        u, init = desk_setup()
+        planner = _Planner(200, RunConfig())
+        first, _ = planner.current(init, 1, ())
+        assert sorted(first.order) == list(range(init.n_sources))
+        later, _ = planner.current(init, 1, first.order[:1])
+        assert later.pinned == 1
+        assert later.order[:1] == first.order[:1] and len(later.order) == 2
+        assert later.unselected == set(range(init.n_sources)) - set(later.order)
+
+    def test_online_run_sweeps_in_full_once(self):
+        # The detection hint sweeps the offline statistics and the first
+        # plan sweeps the prior; every later plan swaps at its first
+        # unpinned position only.
+        u, init = desk_setup()
+        k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
+        sweeps, positions = [], []
+        refine, improve = scheduler.refine_order, permutation.improve_position
+
+        def counted_refine(k, snapshot, **kwargs):
+            sweeps.append(snapshot)
+            return refine(k, snapshot, **kwargs)
+
+        def counted_improve(k, order, unselected, pos, snapshot, overlap_floor, pinned, meter):
+            positions.append((pos, pinned))
+            return improve(k, order, unselected, pos, snapshot, overlap_floor, pinned, meter)
+
+        with mock.patch.object(scheduler, "refine_order", counted_refine), mock.patch.object(
+            permutation, "improve_position", counted_improve
+        ):
+            result = run_query("online", QuerySpec(SCOPE_FOCUS, k), u, init, RunConfig())
+        assert [snapshot is init for snapshot in sweeps] == [True, False]
+        assert result.perm_versions > 2
+        later = [(pos, pinned) for pos, pinned in positions if pinned > 0]
+        assert later and all(pos == pinned for pos, pinned in later)
 
 
 class TestPlannerCharging:
