@@ -117,6 +117,22 @@ def _positive_fraction(text: str) -> float:
     return value
 
 
+def _threshold(text: str) -> float:
+    """A pruning threshold; NaN would prune nothing and admit every cell."""
+    value = _number(float, text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _sample_rate(text: str) -> float:
+    """A sample rate in (0, 1]: the share of placements a probe keeps."""
+    value = _number(float, text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="querysched",
@@ -141,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump-stats", help="run initial detection and dump the lattice")
     p_dump.add_argument("--config", help="JSON grid config file (universe section)")
     p_dump.add_argument("--seed", type=int, default=101)
-    p_dump.add_argument("--threshold", type=float, default=DEFAULT_PRUNE_THRESHOLD)
+    p_dump.add_argument("--threshold", type=_threshold, default=DEFAULT_PRUNE_THRESHOLD)
     p_dump.add_argument("--absolute", action="store_true", help="treat threshold as absolute")
-    p_dump.add_argument("--sample", type=float, default=1.0, help="sample rate in (0,1]")
+    p_dump.add_argument("--sample", type=_sample_rate, default=1.0, help="sample rate in (0,1]")
     p_dump.add_argument("--out", help="output path (stdout when omitted)")
     p_dump.set_defaults(func=_cmd_dump_stats)
 

@@ -96,7 +96,7 @@ def initial_detection(
     Unreachable sources are zeroed out and detection continues; when no
     source has a tuple, no cell is probed and the snapshot holds none.
     """
-    if prune_threshold < 0:
+    if not prune_threshold >= 0:  # NaN too: it would prune nothing
         raise ValueError("prune threshold must be nonnegative")
     n = probe.n_sources
     if n == 0:
@@ -154,14 +154,22 @@ def initial_detection(
         estimated = {}
 
         if threshold > 0.0:
-            candidates = sorted(
-                {child for mask in survivors for child in children(mask, n)}
-            )
-            admitted = [
-                c
-                for c in candidates
-                if sum(detected.get(p, 0.0) for p in parents(c)) > threshold
-            ]
+            # The detected parents of a child are the survivors that
+            # produce it.  One parent's sum is its value: the other parents
+            # add zeros to a nonnegative count.
+            producers: dict[int, list[int]] = {}
+            for mask in survivors:
+                for child in children(mask, n):
+                    producers.setdefault(child, []).append(mask)
+            admitted = []
+            for c in sorted(producers):
+                found = producers[c]
+                if len(found) == 1:
+                    mass = detected[found[0]]
+                else:
+                    mass = sum(detected.get(p, 0.0) for p in parents(c))
+                if mass > threshold:
+                    admitted.append(c)
         else:
             admitted = list(all_masks_at_level(n, lvl + 1))
         if not admitted:

@@ -9,6 +9,11 @@ sources in the cell's mask, so the solver runs multiplicative row scaling
 an exact coordinate step on the convex dual, which converges to the global
 optimum whenever the rows are consistent.  The sweeps run on Python floats
 and add each row in numpy's summation order, so the floats are numpy's.
+They skip the work whose result is known: once a sweep leaves every cell
+as it found it, the phase's later sweeps would repeat it, so they are
+counted against the stop rules but not run; and between the plateau
+checks, which read the worst residual, a convergence test stops at the
+first row over the tolerance.
 
 Passing ``prior`` asks for the generalized-KL projection of the prior
 onto the rows instead, i.e. the estimate closest to the prior that matches
@@ -255,19 +260,37 @@ def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
         vals = w.tolist()
         lists = [(idx.tolist(), target, scale) for _s, idx, target, scale in rows]
         worst = window_best = math.inf
+        still = False  # a sweep left ``vals`` as it found them
+        failed = 0  # the row that failed the last convergence test
         for steps in range(1, budget + 1):
             iterations += 1
-            for idx, target, _scale in lists:
-                got = _row_sum(vals, idx)
-                # Subnormal row sums would blow the factor up to inf;
-                # leave such rows to the residual check, not to nans.
-                if got > 1e-300 and math.isfinite(got):
-                    f = target / got
-                    for i in idx:
-                        vals[i] *= f
-            worst = 0.0
-            for idx, target, scale in lists:
-                worst = max(worst, abs(_row_sum(vals, idx) - target) / scale)
+            if not still:
+                before = vals.copy()
+                for idx, target, _scale in lists:
+                    got = _row_sum(vals, idx)
+                    # Subnormal row sums would blow the factor up to inf;
+                    # leave such rows to the residual check, not to nans.
+                    if got > 1e-300 and math.isfinite(got):
+                        f = target / got
+                        for i in idx:
+                            vals[i] *= f
+                # A later sweep would repeat these operations on the same
+                # floats.  ``f`` is never negative, so ``==`` cannot confuse
+                # 0.0 with -0.0, and a NaN compares unequal.
+                still = vals == before
+                # Only the window checks and the phase's result read the
+                # worst residual; other steps ask whether every row is
+                # within ``rel_tol``, which the first row over it answers.
+                # The max starts at 0.0, so row order does not change it.
+                full = still or steps % 64 == 0 or steps == budget
+                worst = 0.0
+                for r in itertools.chain(range(failed, len(lists)), range(failed)):
+                    idx, target, scale = lists[r]
+                    residual = abs(_row_sum(vals, idx) - target) / scale
+                    worst = max(worst, residual)
+                    if residual > rel_tol and not full:
+                        failed = r
+                        break
             if worst <= rel_tol:
                 break
             # Plateaued residuals mean inconsistent rows; boundary-bound

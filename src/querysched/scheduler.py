@@ -79,6 +79,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         # A negative time charge would schedule work before it was asked
         # for; a negative threshold or floor is a share that cannot be.
+        # NaN fails every comparison, so the test must fail on it too.
         for name, least in (
             ("query_threads", 1),
             ("detection_batch", 1),
@@ -88,7 +89,7 @@ class RunConfig:
             ("overlap_floor", 0),
         ):
             value = getattr(self, name)
-            if value < least:
+            if not value >= least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
 

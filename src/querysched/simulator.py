@@ -16,11 +16,12 @@ a query either targets the focus subset or everything.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import StatsSnapshot, member_sources, snapshot_from_cells
 
@@ -193,6 +194,21 @@ def _weighted_sample(ids: Sequence[int], weights: Sequence[float], k: int, rng: 
     return chosen
 
 
+def _weighted_draw(
+    population: Sequence[int], weights: Iterable[float], rng: random.Random
+) -> Callable[[], int]:
+    """``lambda: rng.choices(population, weights)[0]``: the same draws.
+
+    ``choices`` accumulates the weights and checks them on every call;
+    here that happens once, and each draw is its ``random()`` and bisect.
+    """
+    cum = list(itertools.accumulate(weights))
+    total = cum[-1] + 0.0
+    hi = len(cum) - 1
+    draw = rng.random
+    return lambda: population[bisect.bisect(cum, draw() * total, 0, hi)]
+
+
 def _depth_weights(model: ReplicationModel) -> list[float]:
     """Geometric depth profile whose mean matches the configured one."""
     depths = range(1, model.max_depth + 1)
@@ -278,26 +294,19 @@ def _generate_replication(
     rng = random.Random(f"replication:{seed}")
     n = config.n_sources
     popularity = _zipf_weights(n, model.popularity_alpha, rng)
-    depth_w = _depth_weights(model)
-    depths = list(range(1, model.max_depth + 1))
-    # ``choices`` builds these sums itself from ``weights=``: the same draws.
-    cum_depth_w = list(itertools.accumulate(depth_w))
+    draw_depth = _weighted_draw(range(1, model.max_depth + 1), _depth_weights(model), rng)
 
     if model.style == "chained":
         chain_len = min(n, model.max_depth)
         chains = [
             _weighted_sample(range(n), popularity, chain_len, rng) for _ in range(model.chains)
         ]
-        cum_chain_w = list(
-            itertools.accumulate(1.0 / (c + 1) ** model.chain_skew for c in range(model.chains))
+        draw_chain = _weighted_draw(
+            range(model.chains),
+            (1.0 / (c + 1) ** model.chain_skew for c in range(model.chains)),
+            rng,
         )
-        picks = [
-            (
-                rng.choices(range(model.chains), cum_weights=cum_chain_w)[0],
-                rng.choices(depths, cum_weights=cum_depth_w)[0],
-            )
-            for _ in range(config.n_distinct)
-        ]
+        picks = [(draw_chain(), draw_depth()) for _ in range(config.n_distinct)]
         depth_of = [min(d, len(chains[c])) for c, d in picks]
         chain_of = [c for c, _ in picks]
         _balance_total(depth_of, config.total_tuples, rng,
@@ -320,7 +329,7 @@ def _generate_replication(
         }
         return membership, focus
 
-    depth_of = [rng.choices(depths, cum_weights=cum_depth_w)[0] for _ in range(config.n_distinct)]
+    depth_of = [draw_depth() for _ in range(config.n_distinct)]
     for i in range(len(depth_of)):
         depth_of[i] = min(depth_of[i], n)
     _balance_total(depth_of, config.total_tuples, rng, cap=[n] * config.n_distinct)

@@ -3,7 +3,9 @@
 The benchmark wraps package entry points by name from outside ``src/``;
 running traced passes here makes a rename fail the suite rather than
 the benchmark.  The desk and wide passes also pin their planner and
-scheduler counters, so a change of plan fails the suite too.
+scheduler counters, so a change of plan fails the suite too, and every
+pass pins its set-up counters, so a set-up that probes or solves
+differently does.
 """
 
 import json
@@ -44,6 +46,27 @@ def plan_counters(summary: dict) -> dict:
     return {name: summary["metrics"][name]["value"] for name in names}
 
 
+def setup_counters(summary: dict) -> dict:
+    """The offline detection's counting queries, clamped rows and solves."""
+    names = (
+        "detection.offline.count_queries",
+        "detection.offline.clamped_rows",
+        "maxent.offline.calls",
+        "maxent.offline.failed",
+    )
+    return {name: summary["metrics"][name]["value"] for name in names}
+
+
+def offline(queries: int, solves: int) -> dict:
+    """Set-up counters of a pass whose every offline solve fails."""
+    return {
+        "detection.offline.count_queries": queries,
+        "detection.offline.clamped_rows": 0,
+        "maxent.offline.calls": solves,
+        "maxent.offline.failed": solves,
+    }
+
+
 # The counters of one traced pass without ``--seed``.  Replans, detections
 # and dispatches were recorded with the refresh that solved every
 # query-level snapshot as soon as it was taken, and with a planner that
@@ -62,18 +85,26 @@ WIDE_COUNTERS = {
     "scheduler.detections": 432,
     "scheduler.dispatches": 49,
 }
+# Recorded before the offline sweeps skipped the work whose result they
+# knew; the solves still fail as they did, on the same counting queries.
+DESK_SETUP = offline(queries=123, solves=5)
+WIDE_SETUP = offline(queries=277, solves=1)
+BULK_SETUP = offline(queries=217, solves=8)
 
 
 def test_traced_desk_pass_is_correct():
     summary = traced_pass("desk-adaptive")
     assert summary["correct"] is True
     assert plan_counters(summary) == DESK_COUNTERS
+    assert setup_counters(summary) == DESK_SETUP
 
 
 def test_traced_bulk_pass_is_correct():
     # The only workload that calls run_query directly, so the only one
     # that reaches the wrapped simulator entry points without the grid.
-    assert traced_pass("bulk-scan")["correct"] is True
+    summary = traced_pass("bulk-scan")
+    assert summary["correct"] is True
+    assert setup_counters(summary) == BULK_SETUP
 
 
 def test_traced_wide_pass_is_correct():
@@ -82,3 +113,4 @@ def test_traced_wide_pass_is_correct():
     summary = traced_pass("wide-sources")
     assert summary["correct"] is True
     assert plan_counters(summary) == WIDE_COUNTERS
+    assert setup_counters(summary) == WIDE_SETUP

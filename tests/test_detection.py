@@ -117,6 +117,13 @@ class TestInitialDetection:
         assert all(c.provenance == PRUNED for m, c in cells.items() if bin(m).count("1") == 2)
         assert out.snapshot.prune_threshold == 0.2
 
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+    def test_threshold_that_is_no_share_rejected(self, threshold):
+        # A NaN threshold fails ``threshold > 0.0`` and would admit every
+        # mask of every level, which the 2^n guard does not catch.
+        with pytest.raises(ValueError, match="nonnegative"):
+            initial_detection(ScopedProbe(demo_universe(), SCOPE_ALL), threshold)
+
     def test_detected_value_below_threshold_is_kept(self):
         # The exclusive mass of the first source (10) sits below the 12.5
         # threshold, but its pre-detection estimate (the cardinality) does

@@ -11,7 +11,7 @@ import pytest
 
 import querysched
 from querysched import grid
-from querysched.cli import main
+from querysched.cli import build_parser, main
 from querysched.grid import (
     CSV_HEADER,
     GridSpec,
@@ -349,6 +349,27 @@ class TestCli:
         # failed deep inside the generator.
         with pytest.raises(SystemExit) as exit_info:
             main(["oracle", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--threshold", "nan"),
+            ("--threshold", "-0.1"),
+            ("--sample", "0"),
+            ("--sample", "-0.5"),
+            ("--sample", "1.5"),
+            ("--sample", "nan"),
+        ],
+    )
+    def test_dump_stats_rejects_bad_arguments_at_parse_time(self, capsys, flag, value):
+        # A NaN threshold admitted every mask of every level and ran for
+        # minutes; a sample rate of 0 built the universe before failing.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["dump-stats", flag, value])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert f"argument {flag}:" in captured.err

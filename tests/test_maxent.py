@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querysched import maxent
+from querysched.detection import DEFAULT_PRUNE_THRESHOLD, initial_detection
+from querysched.grid import desk_universe_config
+from querysched.simulator import SCOPE_ALL, ScopedProbe, generate
 
 
 def entropy(values):
@@ -458,19 +461,74 @@ def numpy_scale_rows(w, rows, rel_tol, skipped):
 ROW_SIZES = (1, 2, 7, 8, 9, 128, 129, 200)
 
 
+def lattice_members(rng):
+    """Each row's cell positions in a system shaped like the offline fill-in.
+
+    Cells are distinct masks of one level (2-9) over the rows, and each
+    cell sits in the rows of its sources; in half the systems every cell
+    shares the hub source 0.  Rows without a cell are left out.
+    """
+    level = int(rng.integers(2, 10))
+    n_rows = int(rng.integers(level + 1, level + 12))
+    hub = bool(rng.integers(2))
+    masks = set()
+    for _ in range(int(rng.integers(1, n_rows + 4))):
+        if hub:
+            others = rng.choice(np.arange(1, n_rows), level - 1, replace=False)
+            masks.add(1 | sum(1 << int(s) for s in others))
+        else:
+            masks.add(sum(1 << int(s) for s in rng.choice(n_rows, level, replace=False)))
+    cells = sorted(masks)
+    members = [[i for i, m in enumerate(cells) if m >> s & 1] for s in range(n_rows)]
+    return [np.array(idx, dtype=np.intp) for idx in members if idx], len(cells)
+
+
+def lattice_system(seed, consistent):
+    """A lattice-shaped system from ``exp(-1)``, as the offline fill-in starts."""
+    rng = np.random.default_rng(seed)
+    members, n = lattice_members(rng)
+    return np.full(n, math.exp(-1.0)), sweep_rows(rng, members, n, consistent)
+
+
+def sweep_rows(rng, members, n, consistent, zeros=frozenset()):
+    """Rows over ``members``: targets are row sums of random cells or random.
+
+    Rows numbered in ``zeros`` get a zero target.
+    """
+    truth = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    rows = []
+    for s, idx in enumerate(members):
+        if s in zeros:
+            target = 0.0
+        elif consistent:
+            target = float(truth[idx].sum())
+        else:
+            target = float(10.0 ** rng.uniform(-2.0, 3.0))
+        rows.append((s, idx, target, max(target, 1.0)))
+    return rows
+
+
 @st.composite
 def sweep_systems(draw):
     """A start ``w`` and rows as ``_scale_rows`` takes them.
 
-    Rows draw ascending cell positions; targets are row sums of random
-    cells (consistent) or random (mostly inconsistent), and some are
-    zero.  Cells start at ``exp(-1)``, spread over six decades, or mostly
-    near 1e-300 (some subnormal), where a row sum can fall under the
-    update's floor.
+    Two shapes: each row draws its ascending cell positions freely, or
+    the system is lattice-shaped (:func:`lattice_members`).  Targets are
+    row sums of random cells (consistent) or random (mostly
+    inconsistent), and some freely drawn rows want zero.  Cells start at
+    ``exp(-1)``, spread over six decades, or mostly near 1e-300 (some
+    subnormal), where a row sum can fall under the update's floor.
     """
-    sizes = draw(st.lists(st.sampled_from(ROW_SIZES), min_size=1, max_size=5))
-    n = max(sizes) + draw(st.integers(0, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    consistent = draw(st.booleans())
+    if draw(st.booleans()):
+        members, n = lattice_members(rng)
+        zeros = set()
+    else:
+        sizes = draw(st.lists(st.sampled_from(ROW_SIZES), min_size=1, max_size=5))
+        n = max(sizes) + draw(st.integers(0, 8))
+        members = [np.sort(rng.choice(n, size, replace=False)) for size in sizes]
+        zeros = {s for s in range(len(sizes)) if draw(st.integers(0, 4)) == 0}
     start = draw(st.sampled_from(["exp", "spread", "tiny"]))
     if start == "exp":
         w = np.full(n, math.exp(-1.0))
@@ -478,36 +536,99 @@ def sweep_systems(draw):
         w = 10.0 ** rng.uniform(-3.0, 3.0, n)
     else:
         w = np.where(rng.random(n) < 0.8, 10.0 ** rng.uniform(-310.0, -296.0, n), math.exp(-1.0))
-    consistent = draw(st.booleans())
-    truth = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    rows = []
-    for s, size in enumerate(sizes):
-        idx = np.sort(rng.choice(n, size, replace=False))
-        if draw(st.integers(0, 4)) == 0:
-            target = 0.0
-        elif consistent:
-            target = float(truth[idx].sum())
-        else:
-            target = float(10.0 ** rng.uniform(-2.0, 3.0))
-        rows.append((s, idx, target, max(target, 1.0)))
-    return w, rows
+    return w, sweep_rows(rng, members, n, consistent, zeros)
+
+
+def numpy_sweeps(w, rows, count):
+    """``w``'s bytes and worst residual after each of ``count`` numpy sweeps."""
+    w = w.copy()
+    for _ in range(count):
+        for _s, idx, target, _scale in rows:
+            got = float(w[idx].sum())
+            if got > 1e-300 and math.isfinite(got):
+                w[idx] *= target / got
+        yield w.tobytes(), maxent._worst_residual(w, rows)
+
+
+def sweep_ending(w, rows, rel_tol):
+    """How 400 sweeps from ``w`` end, window checks aside."""
+    states = [w.tobytes()]
+    for steps, (state, worst) in enumerate(numpy_sweeps(w, rows, 400), 1):
+        if state == states[-1]:
+            return "still before 64" if steps < 64 else "still after 64"
+        if len(states) > 1 and state == states[-2]:
+            return "cycle"
+        if worst <= rel_tol:
+            return "converged"
+        states.append(state)
+    return "budget"
+
+
+def assert_sweeps_agree(w, rows, rel_tol):
+    """The list sweep and the numpy sweep leave the same floats and report."""
+    got_w, want_w = w.copy(), w.copy()
+    got_skipped, want_skipped = [], []
+    with np.errstate(all="ignore"):
+        got = maxent._scale_rows(got_w, rows, rel_tol, got_skipped)
+        want = numpy_scale_rows(want_w, rows, rel_tol, want_skipped)
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got[0] == want[0]  # sweeps
+    assert got[1].hex() == want[1].hex()  # worst residual
+    assert [row[0] for row in got[2]] == [row[0] for row in want[2]]
+    assert got_skipped == want_skipped
+    return want
 
 
 class TestOfflineSweep:
     @PROPERTY_SETTINGS
     @given(sweep_systems(), st.sampled_from([1e-6, 1e-9]))
     def test_list_sweep_equals_numpy_sweep(self, system, rel_tol):
-        w, rows = system
-        got_w, want_w = w.copy(), w.copy()
-        got_skipped, want_skipped = [], []
-        with np.errstate(all="ignore"):
-            got = maxent._scale_rows(got_w, rows, rel_tol, got_skipped)
-            want = numpy_scale_rows(want_w, rows, rel_tol, want_skipped)
-        assert got_w.tobytes() == want_w.tobytes()
-        assert got[0] == want[0]  # sweeps and Newton steps
-        assert got[1].hex() == want[1].hex()  # worst residual
-        assert [row[0] for row in got[2]] == [row[0] for row in want[2]]
-        assert got_skipped == want_skipped
+        assert_sweeps_agree(*system, rel_tol)
+
+    @pytest.mark.parametrize(
+        "seed, consistent, ending",
+        [
+            (44, False, "still before 64"),
+            (24, False, "still after 64"),
+            (14, False, "cycle"),
+            (14, True, "converged"),
+            (11, True, "budget"),
+        ],
+    )
+    def test_every_sweep_ending_equals_numpy(self, seed, consistent, ending):
+        # The list sweep skips what it knows: the sweeps after a fixed
+        # point, and the full worst residual between window checks.  One
+        # lattice-shaped system for each way the sweeps can end.
+        w, rows = lattice_system(seed, consistent)
+        assert sweep_ending(w, rows, 1e-6) == ending
+        assert_sweeps_agree(w, rows, 1e-6)
+
+    def test_convergence_on_the_budget_step_is_seen(self):
+        # The tolerance is the worst residual after exactly 400 sweeps, so
+        # the first phase converges on its last step and Newton never runs.
+        # Newton sums the rows as a matrix product, which here reads more
+        # than the tolerance: a phase that missed its own convergence on
+        # that step would have Newton move the cells.
+        w, rows = lattice_system(29, True)
+        worsts = [worst for _state, worst in numpy_sweeps(w, rows, 400)]
+        assert min(worsts[:-1]) > worsts[-1]
+        want = assert_sweeps_agree(w, rows, worsts[-1])
+        assert want[0] == 400
+
+    def test_desk_offline_detection_row_sums(self, monkeypatch):
+        # The sweeps of one cold desk offline detection made 185,600 row
+        # sums; most of its phases reach a fixed point early.
+        calls = [0]
+        row_sum = maxent._row_sum
+
+        def counted(vals, idx):
+            calls[0] += 1
+            return row_sum(vals, idx)
+
+        monkeypatch.setattr(maxent, "_row_sum", counted)
+        probe = ScopedProbe(generate(desk_universe_config(), 101), SCOPE_ALL)
+        initial_detection(probe, DEFAULT_PRUNE_THRESHOLD)
+        assert 0 < calls[0] <= 46_400
 
     def test_row_sum_adds_in_numpy_order(self):
         rng = np.random.default_rng(13)

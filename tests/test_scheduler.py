@@ -1,6 +1,7 @@
 """Event-driven execution: determinism, pinning, termination, threading."""
 
 import heapq
+import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
@@ -571,6 +572,10 @@ class TestRunConfig:
             (lambda: RunConfig(prune_threshold=-0.1), "prune_threshold"),
             (lambda: RunConfig(overlap_floor=-0.1), "overlap_floor"),
             (lambda: grid_from_json({"run": {"prune_threshold": -0.1}}), "prune_threshold"),
+            (
+                lambda: grid_from_json(json.loads('{"run": {"prune_threshold": NaN}}')),
+                "prune_threshold",
+            ),
         ],
         ids=[
             "detection_overhead",
@@ -580,6 +585,7 @@ class TestRunConfig:
             "prune_threshold",
             "overlap_floor",
             "grid_json_threshold",
+            "grid_json_nan_threshold",
         ],
     )
     def test_work_scheduled_in_the_past_rejected(self, build, field):
@@ -589,6 +595,23 @@ class TestRunConfig:
         # as one, and a negative threshold or floor is no share at all.
         with pytest.raises(ValueError, match=field):
             build()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "query_threads",
+            "detection_batch",
+            "detection_overhead",
+            "planner_unit_ms",
+            "prune_threshold",
+            "overlap_floor",
+        ],
+    )
+    def test_nan_rejected(self, field):
+        # NaN compares false with every bound.  A NaN threshold would
+        # prune nothing offline: every mask of every level admitted.
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: float("nan")})
 
 
 class TestThreads:

@@ -1,8 +1,11 @@
 """Universe generation: determinism, ground truth, timing semantics."""
 
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querysched.cost import QuerySpec
 from querysched.lattice import snapshot_from_cells
@@ -16,6 +19,7 @@ from querysched.simulator import (
     SourceUnavailable,
     UniverseConfig,
     VennModel,
+    _weighted_draw,
     demo_universe,
     generate,
 )
@@ -87,6 +91,26 @@ class TestReplication:
         u = generate(config, 3)
         cells = u.truth.cells(SCOPE_ALL)
         assert all(bin(m).count("1") == 1 for m in cells)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 5), st.floats(0.0, 1e6), st.floats(1e-300, 1e-290)),
+            min_size=1,
+            max_size=12,
+        ).filter(lambda w: sum(w) > 0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_weighted_draw_is_choices(self, weights, seed):
+        # The same picks from the same ``random()`` calls: generated
+        # universes must not move with the way a draw is made.
+        population = range(100, 100 + len(weights))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draw = _weighted_draw(population, weights, ours)
+        assert [draw() for _ in range(40)] == [
+            theirs.choices(population, weights)[0] for _ in range(40)
+        ]
+        assert ours.getstate() == theirs.getstate()
 
     def test_focus_partition(self):
         u = generate(self.cfg("chained", split_skew=0.3), 7)
