@@ -10,6 +10,10 @@ prefixes; the sequential model is the default because it is the one that
 matches the piecewise-linear retrieval curves the planner optimizes
 against (the bundled demo instance reproduces its published optimal-prefix
 table only under this model).
+
+Every walk along an order goes through :class:`CoverageWalk`, which reads
+the snapshot's cells by position in its shared cell index rather than by
+mask, and can be copied so that rebuilds sharing a prefix walk it once.
 """
 
 from __future__ import annotations
@@ -81,16 +85,32 @@ class CoverageWalk:
 
     Marks lattice cells as covered when any of their sources joins the
     prefix and keeps per-source covered amounts, so appending a source and
-    querying residuals are both cheap inside greedy loops.
+    querying residuals are both cheap inside greedy loops.  Cells are read
+    by position in the snapshot's cell index: one byte per cell says
+    whether it is covered.
     """
 
-    __slots__ = ("snapshot", "_covered_cells", "_covered_amt", "_cell_rows")
+    __slots__ = ("snapshot", "_covered", "_covered_amt", "_values", "_members", "_by_source")
 
     def __init__(self, snapshot: StatsSnapshot):
+        index = snapshot._index
         self.snapshot = snapshot
-        self._cell_rows = snapshot._cells_by_source
-        self._covered_cells: set[int] = set()
+        self._values = snapshot._live_values
+        self._members = index.members
+        self._by_source = index.by_source
+        self._covered = bytearray(len(index.masks))
         self._covered_amt = [0.0] * snapshot.n_sources
+
+    def copy(self) -> CoverageWalk:
+        """An independent walk over the same prefix."""
+        twin = object.__new__(CoverageWalk)
+        twin.snapshot = self.snapshot
+        twin._values = self._values
+        twin._members = self._members
+        twin._by_source = self._by_source
+        twin._covered = self._covered[:]
+        twin._covered_amt = self._covered_amt[:]
+        return twin
 
     def residual(self, source: int) -> float:
         # Clamped at zero: estimated cells may briefly overshoot a freshly
@@ -107,13 +127,16 @@ class CoverageWalk:
         )
 
     def append(self, source: int) -> None:
-        covered_cells = self._covered_cells
+        covered = self._covered
         covered_amt = self._covered_amt
-        for mask, value, members in self._cell_rows[source]:
-            if mask in covered_cells:
+        values = self._values
+        members = self._members
+        for i in self._by_source[source]:
+            if covered[i]:
                 continue
-            covered_cells.add(mask)
-            for s in members:
+            covered[i] = 1
+            value = values[i]
+            for s in members[i]:
                 covered_amt[s] += value
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -46,11 +46,11 @@ from .lattice import (
     STAGE_INITIAL,
     STAGE_ONLINE_1,
     STAGE_ONLINE_2,
+    IndexedCells,
     LatticeCell,
     StatsSnapshot,
     all_masks_at_level,
     children,
-    member_sources,
     parents,
 )
 
@@ -206,47 +206,12 @@ def initial_detection(
     return DetectionOutcome(snapshot, queries, clamps[0], tuple(unavailable))
 
 
-class _LazyCells(Mapping[int, LatticeCell]):
-    """A query-level snapshot's cells, built by ``build`` on first read and kept."""
-
-    __slots__ = ("_build", "_cells")
-
-    def __init__(self, build: Callable[[], dict[int, LatticeCell]]):
-        self._build: Callable[[], dict[int, LatticeCell]] | None = build
-        self._cells: dict[int, LatticeCell] | None = None
-
-    def _solved(self) -> dict[int, LatticeCell]:
-        if self._cells is None:
-            self._cells = self._build()
-            self._build = None  # drop what the solve needed
-        return self._cells
-
-    def __getitem__(self, mask: int) -> LatticeCell:
-        return self._solved()[mask]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._solved())
-
-    def __len__(self) -> int:
-        return len(self._solved())
-
-
-def _query_cells(
-    estimates: Mapping[int, float], known: Mapping[int, float]
-) -> dict[int, LatticeCell]:
-    """Estimated and detected live cells; a detected value wins."""
-    cells = {m: LatticeCell(m, v, ESTIMATED) for m, v in estimates.items()}
-    for m, v in known.items():
-        cells[m] = LatticeCell(m, v, DETECTED)
-    return cells
-
-
 def _query_snapshot(
     initial: StatsSnapshot,
     version: int,
     stage: str,
     cards: Sequence[float],
-    cells: Mapping[int, LatticeCell],
+    cells: IndexedCells,
 ) -> StatsSnapshot:
     """A query-level snapshot: estimated and detected live cells only."""
     return StatsSnapshot(
@@ -264,14 +229,14 @@ def prior_query_snapshot(initial: StatsSnapshot) -> StatsSnapshot:
     """Query-level view before any online evidence.
 
     Offline live cell values and per-source totals pass through as
-    estimates.
+    estimates, over the offline snapshot's cell index.
     """
     return _query_snapshot(
         initial,
         initial.version + 1,
         STAGE_ONLINE_1,
         initial.cardinalities,
-        _query_cells(dict(initial._live_cells), {}),
+        IndexedCells(initial._index, lambda: initial._live_values),
     )
 
 
@@ -299,17 +264,19 @@ def online_detection_plan(
     if batch < 1:
         raise ValueError(f"detection batch must be at least 1, got {batch}")
     n = initial.n_sources
-    live_cells = dict(initial._live_cells)
+    index = initial._index  # every snapshot of the plan shares it
+    prior = initial._live_values
+    live_cells = dict(zip(index.masks, prior))
     versions = itertools.count(initial.version + 2)  # the prior is initial.version + 1
 
     def refreshed(stage: str, cards: Sequence[float], known: Mapping[int, float]) -> StatsSnapshot:
         """The next snapshot; its cells are projected from the prior when first read."""
         known = dict(known)  # later detections must not reach this snapshot
 
-        def solve() -> dict[int, LatticeCell]:
+        def solve() -> list[float]:
             free = [m for m in live_cells if m not in known]
             if not free:
-                return _query_cells({}, known)
+                return [known[m] for m in index.masks]
             values, _ = maxent.solve(
                 dict(enumerate(cards)),
                 known,
@@ -319,9 +286,10 @@ def online_detection_plan(
                     "query-level cells overshoot source %d by %.6g; clamping", s, -r
                 ),
             )
-            return _query_cells(values, known)
+            return [known[m] if m in known else values[m] for m in index.masks]
 
-        return _query_snapshot(initial, next(versions), stage, cards, _LazyCells(solve))
+        cells = IndexedCells(index, solve, known)
+        return _query_snapshot(initial, next(versions), stage, cards, cells)
 
     snapshot = prior_query_snapshot(initial)
     yield 0.0, snapshot, -1
@@ -360,20 +328,21 @@ def online_detection_plan(
 
     # Cells go in descending order of how far the last cardinality
     # refresh moved them from the prior; that refresh is solved here.
-    estimates = {m: cell.value for m, cell in snapshot.cells.items()}
+    estimates = snapshot._live_values
     gaps = sorted(
-        live_cells,
-        key=lambda m: (-abs(estimates.get(m, 0.0) - live_cells[m]), m),
+        range(len(index.masks)),
+        key=lambda i: (-abs(estimates[i] - prior[i]), index.masks[i]),
     )
     known: dict[int, float] = {}
     for start in range(0, len(gaps), batch):
         chunk = gaps[start : start + batch]
-        for m in chunk:
+        for i in chunk:
+            m = index.masks[i]
             try:
                 known[m] = float(probe.cell_count(m))
             except Exception:
                 log.warning("cell %#x undetectable during query detection", m)
                 known[m] = 0.0
         stage = STAGE_FINAL if len(known) == len(live_cells) else STAGE_ONLINE_2
-        target = min(member_sources(chunk[0]))
+        target = index.members[chunk[0]][0]
         yield per_query_ms * len(chunk), refreshed(stage, cards, known), target

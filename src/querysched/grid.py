@@ -74,9 +74,9 @@ def condition_config(
     if axis == "k_fraction":
         k_fraction = float(value)
     elif axis == "query_threads":
-        run = replace(run, query_threads=int(value))
+        run = replace(run, query_threads=_integer(value, "axes", axis))
     elif axis == "n_sources":
-        ucfg = scaled_universe(ucfg, int(value))
+        ucfg = scaled_universe(ucfg, _integer(value, "axes", axis))
     elif axis == "query_split":
         ucfg = replace(ucfg, query_split=float(value))
     elif axis == "detection_overhead":
@@ -325,22 +325,42 @@ def _reject_unknown(section: Mapping, allowed: Iterable[str], where: str) -> Non
         )
 
 
-def _override(default, values: Mapping[str, object]):
+def _integer(value: object, where: str, key: str) -> int:
+    """``value`` as an int; a float must be whole, since ``int`` would truncate it."""
+    if isinstance(value, float) and not value.is_integer():  # NaN and infinities too
+        raise ValueError(
+            f"grid config section {where}: {key} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
+def _override(
+    default,
+    values: Mapping[str, object],
+    where: str,
+    fields_by_key: Mapping[str, str] | None = None,
+):
     """``default`` with ``values`` replacing its fields.
 
     Each value takes the type of the default it replaces, as JSON gives
-    numbers without telling ints from floats.
+    numbers without telling ints from floats.  ``fields_by_key`` maps a
+    section key to its field where the two differ.
     """
-    return replace(
-        default, **{name: type(getattr(default, name))(value) for name, value in values.items()}
-    )
+    changes = {}
+    for key, value in values.items():
+        name = fields_by_key.get(key, key) if fields_by_key else key
+        kind = type(getattr(default, name))
+        changes[name] = _integer(value, where, key) if kind is int else kind(value)
+    return replace(default, **changes)
 
 
 def grid_from_json(payload: Mapping) -> GridSpec:
     """Parse a grid config; unknown keys, algorithm names or axes raise ValueError.
 
     So do axis values a condition's config rejects, as :class:`GridSpec`
-    builds every condition's configs.
+    builds every condition's configs, and a value for an integer field
+    that is not a whole number (NaN and infinities included), which would
+    otherwise be truncated.
 
     Every value left out takes its default from :func:`desk_universe_config`,
     :class:`RunConfig` or :class:`GridSpec`.
@@ -357,10 +377,12 @@ def grid_from_json(payload: Mapping) -> GridSpec:
         )
     else:
         _reject_unknown(overlap_cfg, _REPLICATION_KEYS, "universe.overlap")
-        overlap = _override(desk.overlap, overlap_cfg)
+        overlap = _override(desk.overlap, overlap_cfg, "universe.overlap")
     universe = _override(
         replace(desk, overlap=overlap),
-        {_UNIVERSE_FIELDS[key]: value for key, value in u.items() if key != "overlap"},
+        {key: value for key, value in u.items() if key != "overlap"},
+        "universe",
+        _UNIVERSE_FIELDS,
     )
     r = payload.get("run", {})
     _reject_unknown(r, [f.name for f in fields(RunConfig)], "run")
@@ -370,8 +392,9 @@ def grid_from_json(payload: Mapping) -> GridSpec:
     )
     top = {key: payload[key] for key in ("k_fraction", "algorithms", "seeds") if key in payload}
     if "seeds" in top:
-        top["seeds"] = [int(s) for s in top["seeds"]]
-    spec = _override(GridSpec(universe, _override(RunConfig(), r), axes=axes), top)
+        top["seeds"] = [_integer(s, "top level", "seeds") for s in top["seeds"]]
+    run = _override(RunConfig(), r, "run")
+    spec = _override(GridSpec(universe, run, axes=axes), top, "top level")
     unknown = [a for a in spec.algorithms if a not in TABLE_ALGO_ORDER]
     if unknown:
         raise ValueError("unknown algorithm(s) in grid config: %s" % ", ".join(map(repr, unknown)))

@@ -7,13 +7,21 @@ canonical: two descriptions of the same membership pattern are the same
 key.  A :class:`StatsSnapshot` bundles per-source timing, per-source
 cardinalities and the current cell estimates into an immutable value that
 planners can read without locking.
+
+Planners read cells by position, not by mask.  A snapshot owns a
+:class:`CellIndex` of its live masks (ascending), each mask's member
+sources, each source's cell positions and each source pair's, plus one
+list of values in that order.  The query-level snapshots of one plan all
+hold the offline snapshot's live masks, so they share its index and
+carry only their values (:class:`IndexedCells`); their ``LatticeCell``
+dict is built only when a reader asks for cells by mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 DETECTED = "detected"
 ESTIMATED = "estimated"
@@ -90,6 +98,81 @@ class LatticeCell:
             raise ValueError("cell value must be nonnegative")
 
 
+class CellIndex:
+    """The mask side of a set of live cells, read by position.
+
+    ``masks`` ascend; ``members[i]`` are the sources of ``masks[i]``;
+    ``by_source[s]`` holds the positions of source ``s``'s cells and
+    ``pairs[(a, b)]``, for ``a < b``, those of the cells holding both, each
+    ascending.  Cell values live beside it, one list per snapshot in the
+    same order.
+    """
+
+    __slots__ = ("masks", "members", "by_source", "pairs")
+
+    def __init__(self, masks: Iterable[int], n_sources: int):
+        self.masks = tuple(masks)
+        self.members = tuple(member_sources(m) for m in self.masks)
+        by_source: list[list[int]] = [[] for _ in range(n_sources)]
+        pairs: dict[tuple[int, int], list[int]] = {}
+        for i, srcs in enumerate(self.members):
+            for a, s in enumerate(srcs):
+                by_source[s].append(i)
+                for t in srcs[a + 1 :]:
+                    pairs.setdefault((s, t), []).append(i)
+        self.by_source = tuple(tuple(r) for r in by_source)
+        self.pairs = {key: tuple(r) for key, r in pairs.items()}
+
+
+class IndexedCells(Mapping[int, LatticeCell]):
+    """Live cells as a value list in a shared :class:`CellIndex`'s order.
+
+    ``values`` gives that list on first need (a query-level refresh is
+    solved then) and it is kept; the ``LatticeCell`` dict is built only
+    when a reader asks for cells by mask.  Masks in ``detected`` were
+    counted, the others are estimates.
+    """
+
+    __slots__ = ("index", "_values", "_detected", "_ordered", "_cells")
+
+    def __init__(
+        self,
+        index: CellIndex,
+        values: Callable[[], list[float]],
+        detected: Container[int] = frozenset(),
+    ):
+        self.index = index
+        self._values: Callable[[], list[float]] | None = values
+        self._detected = detected
+        self._ordered: list[float] | None = None
+        self._cells: dict[int, LatticeCell] | None = None
+
+    def ordered_values(self) -> list[float]:
+        """Cell values in the index's mask order."""
+        if self._ordered is None:
+            self._ordered = self._values()
+            self._values = None  # drop what the solve needed
+        return self._ordered
+
+    def _by_mask(self) -> dict[int, LatticeCell]:
+        if self._cells is None:
+            detected = self._detected
+            self._cells = {
+                m: LatticeCell(m, v, DETECTED if m in detected else ESTIMATED)
+                for m, v in zip(self.index.masks, self.ordered_values())
+            }
+        return self._cells
+
+    def __getitem__(self, mask: int) -> LatticeCell:
+        return self._by_mask()[mask]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._by_mask())
+
+    def __len__(self) -> int:
+        return len(self._by_mask())
+
+
 @dataclass(frozen=True)
 class StatsSnapshot:
     """Immutable, versioned view of per-source stats and cell estimates.
@@ -121,36 +204,45 @@ class StatsSnapshot:
         return len(self.cardinalities)
 
     @cached_property
-    def _live_cells(self) -> tuple[tuple[int, float], ...]:
-        """(mask, value) for non-pruned cells, mask-ascending."""
-        return tuple(
-            (m, c.value) for m, c in sorted(self.cells.items()) if c.provenance != PRUNED
-        )
+    def _index(self) -> CellIndex:
+        """The mask side of the live cells; query-level snapshots share their plan's."""
+        if isinstance(self.cells, IndexedCells):
+            return self.cells.index
+        live = sorted(m for m, c in self.cells.items() if c.provenance != PRUNED)
+        return CellIndex(live, self.n_sources)
 
     @cached_property
-    def _live_members(self) -> tuple[tuple[int, float, tuple[int, ...]], ...]:
-        """(mask, value, member sources) for non-pruned cells, mask-ascending."""
-        return tuple((m, v, member_sources(m)) for m, v in self._live_cells)
+    def _live_values(self) -> list[float]:
+        """Live cell values in :attr:`_index` mask order."""
+        if isinstance(self.cells, IndexedCells):
+            return self.cells.ordered_values()
+        cells = self.cells
+        return [cells[m].value for m in self._index.masks]
 
     @cached_property
-    def _cells_by_source(self) -> tuple[tuple[tuple[int, float, tuple[int, ...]], ...], ...]:
-        """Each source's live cells as (mask, value, member sources), mask-ascending."""
-        rows: list[list[tuple[int, float, tuple[int, ...]]]] = [[] for _ in range(self.n_sources)]
-        for cell in self._live_members:
-            for s in cell[2]:
-                rows[s].append(cell)
-        return tuple(tuple(r) for r in rows)
+    def _rate_heap(self) -> list[tuple[float, int]]:
+        """``(-rate, source)`` with nothing covered, ascending: a heap of rate bounds.
+
+        A source's rate only falls as cells are covered, so each entry
+        bounds that source's rate after any prefix.
+        """
+        from .cost import rate_from_parts  # cost reads snapshots: import on first use
+
+        parts = zip(self.access_ms, self.per_tuple_ms, self.cardinalities)
+        return sorted((-rate_from_parts(a, t, c, 0.0), s) for s, (a, t, c) in enumerate(parts))
 
     @cached_property
     def _pair_overlap(self) -> dict[tuple[int, int], float]:
+        values = self._live_values
         acc: dict[tuple[int, int], float] = {}
-        for _m, v, srcs in self._live_members:
-            if v == 0.0:
-                continue
-            for a in range(len(srcs)):
-                for b in range(a + 1, len(srcs)):
-                    key = (srcs[a], srcs[b])
-                    acc[key] = acc.get(key, 0.0) + v
+        for key, positions in self._index.pairs.items():
+            total = None
+            for i in positions:
+                v = values[i]
+                if v != 0.0:
+                    total = v if total is None else total + v
+            if total is not None:
+                acc[key] = total
         return acc
 
     @cached_property

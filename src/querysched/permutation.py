@@ -7,11 +7,17 @@ from later positions.  Each swap rebuild goes through the same greedy
 step, which walks the given order once: it cuts the order after its
 minimal covering prefix (never inside the pinned prefix) or extends it.
 The extension and every deterministic baseline share one lazy selection
-loop, each with its own score.  Swap candidates are ranked by overlap
-ratio with the anchor and filtered by a floor, since swapping sources
-that barely intersect cannot change which order wins.  A replan during
-a run needs only the first unpinned source of the full order, which the
-greedy start and the swap at that position decide (:func:`next_source`).
+loop, each with its own score.  That loop needs only an upper bound on
+each score to start from: the greedy starts from each source's rate with
+nothing covered, computed and sorted once per snapshot, and re-rates only
+the tops it meets.  The rebuilds tried at one swap position share the
+order's head before it, walked once and copied into each; a replan's
+greedy start shares its walk over the pinned prefix the same way.  Swap
+candidates are ranked by overlap ratio with the anchor and filtered by a
+floor, since swapping sources that barely intersect cannot change which
+order wins.  A replan during a run needs only the first unpinned source
+of the full order, which the greedy start and the swap at that position
+decide (:func:`next_source`).
 A brute-force oracle over all covering prefixes serves small universes,
 with the analytic approximation bound used to sanity-check sweep output.
 """
@@ -22,7 +28,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Container, Iterable, Iterator, Sequence
 
 from .cost import SEQUENTIAL, CoverageWalk, walk_residuals
 from .lattice import StatsSnapshot, member_sources
@@ -153,19 +159,22 @@ def overlap_ranked(
 
 
 def _picks(
-    walk: CoverageWalk, pool: Iterable[int], score: Callable[[int], float], meter: WorkMeter | None
+    walk: CoverageWalk,
+    heap: list[tuple[float, int]],
+    score: Callable[[int], float],
+    meter: WorkMeter | None,
 ) -> Iterator[tuple[float, int]]:
-    """Yield ``(score, source)`` for every source of ``pool``, best first.
+    """Yield ``(score, source)`` for every source of ``heap``, best first.
 
-    Ties go to the lowest id.  A pick joins ``walk`` when the next one is
-    asked for, so the caller still reads the walk without it.  Scores only
-    fall as the walk covers more cells (cells are nonnegative), so a heap
-    of last-known scores bounds each current one: a still-current top wins
-    its round and a stale one is re-rated (Minoux's accelerated greedy).
-    ``meter`` is charged per round for the full scan the cost model prices.
+    ``heap`` is a heap of ``(-bound, source)`` pairs whose bound is at
+    least the source's current score; this consumes it.  Ties go to the
+    lowest id.  A pick joins ``walk`` when the next one is asked for, so
+    the caller still reads the walk without it.  Scores only fall as the
+    walk covers more cells (cells are nonnegative), so a re-rated score
+    stays a bound: a still-current top wins its round and a stale one is
+    re-rated (Minoux's accelerated greedy).  ``meter`` is charged per
+    round for the full scan the cost model prices.
     """
-    heap = [(-score(s), s) for s in pool]
-    heapq.heapify(heap)
     while heap:
         if meter is not None:
             meter.add(len(heap))
@@ -178,6 +187,77 @@ def _picks(
         heapq.heappop(heap)
         yield current, best
         walk.append(best)
+
+
+def _rate_bounds(snapshot: StatsSnapshot, pool: Container[int]) -> list[tuple[float, int]]:
+    """The heap of rate bounds for the sources of ``pool``: their rates with nothing covered.
+
+    A filtered sorted list is still sorted, and so already a heap.
+    """
+    return [entry for entry in snapshot._rate_heap if entry[1] in pool]
+
+
+class _Head:
+    """A walk along the head of an order, with the greedy's running sums.
+
+    ``keep`` sources have been walked.  :meth:`advance` stops at the
+    minimal covering prefix, never inside the pinned one, so advancing
+    again over any order with the same head stops there too.
+    """
+
+    __slots__ = ("walk", "keep", "res_sum", "scan_sum")
+
+    def __init__(
+        self, walk: CoverageWalk, keep: int = 0, res_sum: float = 0.0, scan_sum: float = 0.0
+    ):
+        self.walk = walk
+        self.keep = keep
+        self.res_sum = res_sum
+        self.scan_sum = scan_sum
+
+    def copy(self) -> _Head:
+        return _Head(self.walk.copy(), self.keep, self.res_sum, self.scan_sum)
+
+    def advance(self, k: float, order: Sequence[int], pinned: int) -> None:
+        """Walk ``order`` on from ``keep`` until it covers ``k`` past the pinned prefix."""
+        walk = self.walk
+        snapshot = walk.snapshot
+        pos, res_sum, scan_sum = self.keep, self.res_sum, self.scan_sum
+        while pos < len(order) and not (res_sum >= k and pos >= pinned):
+            s = order[pos]
+            res_sum += walk.residual(s)
+            scan_sum += snapshot.scan_cost_ms(s)
+            walk.append(s)
+            pos += 1
+        self.keep, self.res_sum, self.scan_sum = pos, res_sum, scan_sum
+
+
+def _greedy(
+    k: float,
+    order: Sequence[int],
+    unselected: Iterable[int],
+    pinned: int,
+    meter: WorkMeter | None,
+    head: _Head,
+) -> PermCandidate:
+    """:func:`greedy_by_rate`, continuing ``head`` (a head of ``order``, which this consumes)."""
+    head.advance(k, order, pinned)
+    walk, keep, res_sum, scan_sum = head.walk, head.keep, head.res_sum, head.scan_sum
+    snapshot = walk.snapshot
+    new_order = list(order[:keep])
+    unsel = set(unselected).union(order[keep:])
+    if res_sum < k:
+        for rate, best in _picks(walk, _rate_bounds(snapshot, unsel), walk.rate, meter):
+            if rate <= 0.0:
+                break
+            res_sum += walk.residual(best)
+            scan_sum += snapshot.scan_cost_ms(best)
+            new_order.append(best)
+            if res_sum >= k:
+                break
+    unsel.difference_update(new_order[keep:])
+    avg = res_sum / scan_sum if scan_sum > 0 else 0.0
+    return PermCandidate(tuple(new_order), frozenset(unsel), res_sum, avg)
 
 
 def greedy_by_rate(
@@ -199,32 +279,7 @@ def greedy_by_rate(
     sources are never appended, so an under-covering universe ends with
     the shortfall left to the caller.
     """
-    walk = CoverageWalk(snapshot)
-    res_sum = 0.0
-    scan_sum = 0.0
-    keep = len(order)
-    for pos, s in enumerate(order):
-        if res_sum >= k and pos >= pinned:
-            keep = pos
-            break
-        res_sum += walk.residual(s)
-        scan_sum += snapshot.scan_cost_ms(s)
-        walk.append(s)
-
-    new_order = list(order[:keep])
-    unsel = set(unselected).union(order[keep:])
-    if res_sum < k:
-        for rate, best in _picks(walk, unsel, walk.rate, meter):
-            if rate <= 0.0:
-                break
-            res_sum += walk.residual(best)
-            scan_sum += snapshot.scan_cost_ms(best)
-            new_order.append(best)
-            if res_sum >= k:
-                break
-    unsel.difference_update(new_order[keep:])
-    avg = res_sum / scan_sum if scan_sum > 0 else 0.0
-    return PermCandidate(tuple(new_order), frozenset(unsel), res_sum, avg)
+    return _greedy(k, order, unselected, pinned, meter, _Head(CoverageWalk(snapshot)))
 
 
 def improve_position(
@@ -241,20 +296,24 @@ def improve_position(
 
     Tries each ranked candidate with more tuples than the anchor, replays
     the greedy extension on the remainder and keeps the rebuild with the
-    highest average rate.  Returns None when no candidate qualifies; the
-    caller compares the winner against its incumbent.
+    highest average rate.  Every rebuild shares ``order[:pos]``, which is
+    walked once and copied into each.  Returns None when no candidate
+    qualifies; the caller compares the winner against its incumbent.
     """
     anchor = order[pos]
     unsel = frozenset(unselected)
     pool = unsel | set(order[pos + 1 :])
     anchor_card = snapshot.cardinalities[anchor]
     ranked = overlap_ranked(anchor, pool, snapshot, overlap_floor, meter)
+    swaps = [j for j, _ratio in ranked if snapshot.cardinalities[j] > anchor_card]
+    if not swaps:
+        return None
+    head = _Head(CoverageWalk(snapshot))
+    head.advance(k, order[:pos], pinned)
     best: PermCandidate | None = None
-    for j, _ratio in ranked:
-        if anchor_card >= snapshot.cardinalities[j]:
-            continue
+    for j in swaps:
         swapped_order, swapped_unsel = swap_source(order, unsel, pos, j, pinned)
-        cand = greedy_by_rate(k, swapped_order, swapped_unsel, snapshot, pinned, meter)
+        cand = _greedy(k, swapped_order, swapped_unsel, pinned, meter, head.copy())
         if best is None or cand.avg_rate > best.avg_rate:
             best = cand
     if best is not None and best.avg_rate > 0.0:
@@ -268,11 +327,12 @@ def _sweep(
     pinned_order: Sequence[int],
     overlap_floor: float,
     meter: WorkMeter | None,
+    head: _Head,
 ) -> Iterator[PermCandidate]:
-    """Yield the greedy start, then the incumbent after each swap position."""
+    """Yield the greedy start, continuing ``head``, then the incumbent after each swap position."""
     pinned = len(pinned_order)
     unselected = frozenset(range(snapshot.n_sources)) - set(pinned_order)
-    incumbent = greedy_by_rate(k, tuple(pinned_order), unselected, snapshot, pinned, meter)
+    incumbent = _greedy(k, tuple(pinned_order), unselected, pinned, meter, head)
     yield incumbent
 
     pos = pinned
@@ -305,7 +365,8 @@ def refine_order(
 
     Pinned (already dispatched) positions are never swapped.
     """
-    for incumbent in _sweep(k, snapshot, pinned_order, overlap_floor, meter):
+    head = _Head(CoverageWalk(snapshot))
+    for incumbent in _sweep(k, snapshot, pinned_order, overlap_floor, meter, head):
         pass
     return incumbent
 
@@ -329,20 +390,22 @@ def next_source(
     same floats, so a swap at a later position never trims before that
     position.  When the refined order is the pinned prefix alone, the
     extension's first round picks the source with the highest rate,
-    ties to the lowest id.
+    ties to the lowest id; it starts from a copy of the greedy start's
+    walk over the pinned prefix.
     """
     pinned = len(pinned_order)
-    sweep = _sweep(k, snapshot, pinned_order, overlap_floor, meter)
+    head = _Head(CoverageWalk(snapshot))
+    head.advance(k, pinned_order, pinned)  # the whole pinned prefix
+    sweep = _sweep(k, snapshot, pinned_order, overlap_floor, meter, head.copy())
     refined = next(sweep)  # the greedy start
     refined = next(sweep, refined)  # after the swap at the first unpinned position
     if len(refined.order) > pinned:
         return refined.order[pinned]
-    walk = CoverageWalk(snapshot)
-    for s in pinned_order:
-        walk.append(s)
+    walk = head.walk
     # Rates are never negative, so with none positive the first pick is
     # the lowest id, as the remaining sources follow in id order.
-    return next((s for _, s in _picks(walk, refined.unselected, walk.rate, None)), None)
+    heap = _rate_bounds(snapshot, refined.unselected)
+    return next((s for _, s in _picks(walk, heap, walk.rate, None)), None)
 
 
 def baseline_order(kind: str, snapshot: StatsSnapshot, seed: int | None = None) -> tuple[int, ...]:
@@ -370,7 +433,10 @@ def baseline_order(kind: str, snapshot: StatsSnapshot, seed: int | None = None) 
     }
     if kind not in scores:
         raise ValueError(f"unknown baseline {kind!r}")
-    return tuple(s for _, s in _picks(walk, range(snapshot.n_sources), scores[kind], None))
+    score = scores[kind]
+    heap = [(-score(s), s) for s in range(snapshot.n_sources)]
+    heapq.heapify(heap)
+    return tuple(s for _, s in _picks(walk, heap, score, None))
 
 
 def approx_bound(k: float, snapshot: StatsSnapshot) -> float:

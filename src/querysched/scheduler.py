@@ -7,14 +7,14 @@ replans lazily whenever that version or the dispatched prefix has moved
 since its last plan.  The query threads take the first undispatched
 source of the current plan, pin every source they dispatch and
 deduplicate arriving tuples against a shared seen-set.  Since every
-dispatch replans, a plan is read for one source only: the first plan of
-a run orders the whole universe, and a later one is the pinned prefix
-plus the source the next dispatch takes.  Events are keyed on (time,
-worker class, thread id), so a run is a pure function of its inputs.  A
-baseline is the same loop with a fixed plan (its policy's order, never
-revised) and no statistics worker.  Planner compute is free on the
-simulated clock, except that the sequential strategy charges its initial
-sweep at a configured per-operation rate before the first dispatch.
+dispatch replans, a plan is read for one source only: each plan is the
+pinned prefix plus the source the next dispatch takes.  Events are keyed
+on (time, worker class, thread id), so a run is a pure function of its
+inputs.  A baseline is the same loop with a fixed plan (its policy's
+order, never revised) and no statistics worker.  Planner compute is free
+on the simulated clock, except that the sequential strategy charges its
+initial sweep at a configured per-operation rate before the first
+dispatch.
 
 Tuple arrivals are not heap events.  Between two events that are not
 arrivals (a dispatch, a source finishing, a counting query completing)
@@ -57,7 +57,6 @@ from .permutation import (
     WorkMeter,
     baseline_order,
     covered_total,
-    greedy_by_rate,
     next_source,
     refine_order,
 )
@@ -222,13 +221,13 @@ class _Planner:
     """Holds the current plan and replans lazily when its inputs moved.
 
     A plan is stale once the statistics version or the length of the
-    dispatched prefix differs from the pair it was built from.  The first
-    plan, over an empty prefix, is the full sweep extended to the whole
-    universe; its work is what ``sequential`` is charged for.  A later
-    plan is the pinned prefix plus :func:`next_source`, the source that
-    the full construction would put next, which is all the next dispatch
-    reads.  Built with a ``fixed`` order, as for the baselines, the
-    planner keeps that order and does no work.
+    dispatched prefix differs from the pair it was built from.  A plan is
+    the pinned prefix plus the source that the full construction would
+    put next, which is all the next dispatch reads.  The first plan, over
+    an empty prefix, takes it from the full sweep, whose work is what
+    ``sequential`` is charged for; a later one from :func:`next_source`.
+    Built with a ``fixed`` order, as for the baselines, the planner keeps
+    that order and does no work.
     """
 
     def __init__(self, k: float, config: RunConfig, fixed: tuple[int, ...] | None = None):
@@ -256,23 +255,20 @@ class _Planner:
                 overlap_floor=self.config.overlap_floor,
                 meter=meter,
             )
-            order = dispatched if source is None else dispatched + (source,)
-            rest = frozenset(range(stats.n_sources)).difference(order)
-            self.plan = PermState(order, rest, pinned)
         else:
+            # The full sweep, whose work ``sequential`` is charged for.
             candidate = refine_order(
                 self.k,
                 stats,
                 overlap_floor=self.config.overlap_floor,
                 meter=meter,
             )
-            # A full-universe order: the covering prefix, continued
-            # greedily by rate, dead sources last by id.  Estimates can
-            # overstate the prefix, and the executor must find a next
-            # source until the target or the universe is exhausted.
-            rest = set(range(stats.n_sources)) - set(candidate.order)
-            full = greedy_by_rate(math.inf, candidate.order, rest, stats)
-            self.plan = PermState(full.order + tuple(sorted(full.unselected)), frozenset())
+            # An empty order takes the greedy's first pick, as a later
+            # plan would.
+            source = candidate.order[0] if candidate.order else next_source(self.k, stats, ())
+        order = dispatched if source is None else dispatched + (source,)
+        rest = frozenset(range(stats.n_sources)).difference(order)
+        self.plan = PermState(order, rest, pinned)
         self.versions += 1
         self._key = key
         return self.plan, meter.ops

@@ -103,6 +103,15 @@ def _cell_table(membership: Sequence[int], focus: frozenset[int], scope: str) ->
     return dict(counts)
 
 
+def _source_totals(cells: Mapping[int, int], n_sources: int) -> list[int]:
+    """Tuple count of each source: every cell's count added to each member."""
+    totals = [0] * n_sources
+    for mask, count in cells.items():
+        for s in member_sources(mask):
+            totals[s] += count
+    return totals
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Exact membership masks and the per-scope cell tables derived from them."""
@@ -140,6 +149,12 @@ class Universe:
     _streams: dict[str, tuple[tuple[int, ...], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _totals: dict[str, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _truths: dict[str, StatsSnapshot] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_sources(self) -> int:
@@ -160,13 +175,21 @@ class Universe:
         if source in self.unavailable:
             raise SourceUnavailable(f"source {source} unavailable")
 
+    def _scope_totals(self, scope: str) -> list[int]:
+        """The cached tuple count of each source in ``scope``; callers must not mutate it."""
+        if scope not in self._totals:
+            self._totals[scope] = _source_totals(self.truth._table(scope), self.n_sources)
+        return self._totals[scope]
+
     def truth_snapshot(self, scope: str) -> StatsSnapshot:
-        """Ground-truth lattice packaged as a statistics snapshot."""
-        return snapshot_from_cells(
-            tuple(s.access_ms for s in self.sources),
-            tuple(s.per_tuple_ms for s in self.sources),
-            self.truth.cells(scope),
-        )
+        """Ground-truth lattice packaged as a statistics snapshot, built once per scope."""
+        if scope not in self._truths:
+            self._truths[scope] = snapshot_from_cells(
+                tuple(s.access_ms for s in self.sources),
+                tuple(s.per_tuple_ms for s in self.sources),
+                self.truth.cells(scope),
+            )
+        return self._truths[scope]
 
 
 def _zipf_weights(n: int, alpha: float, rng: random.Random) -> list[float]:
@@ -389,6 +412,7 @@ class ScopedProbe:
         truth = self.universe.truth
         if rate == 1.0:  # every draw would keep its placement
             cells = truth._table(self.scope)
+            totals = self.universe._scope_totals(self.scope)
         else:
             rng = random.Random(f"sample:{self.sample_seed}:{rate}")
             sampled = [
@@ -396,10 +420,7 @@ class ScopedProbe:
                 for mask in truth.membership
             ]
             cells = _cell_table(sampled, truth.focus, self.scope)
-        totals = [0] * self.universe.n_sources
-        for mask, count in cells.items():
-            for s in member_sources(mask):
-                totals[s] += count
+            totals = _source_totals(cells, self.universe.n_sources)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_totals", totals)
 

@@ -3,17 +3,111 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querysched.cost import (
     PREFIX_AVERAGE,
     SEQUENTIAL,
+    CoverageWalk,
     PermState,
     QuerySpec,
     permutation_time_cost,
     rate_from_parts,
 )
+from querysched.detection import prior_query_snapshot
+from querysched.lattice import (
+    PROVENANCES,
+    PRUNED,
+    STAGE_INITIAL,
+    LatticeCell,
+    StatsSnapshot,
+    member_sources,
+)
 
 from test_lattice import ref_snapshot
+
+
+@st.composite
+def lattice_snapshots(draw):
+    """Snapshots with zero-valued and pruned cells and sources without cells.
+
+    Half are the query-level view of such a snapshot, which reads its
+    values through the offline snapshot's cell index.
+    """
+    n = draw(st.integers(1, 7), label="n")
+    masks = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=14), label="masks")
+    cells = {}
+    for m in sorted(masks):
+        provenance = draw(st.sampled_from(PROVENANCES), label="provenance")
+        value = 0.0
+        if provenance != PRUNED:
+            value = float(draw(st.integers(0, 6) | st.floats(0.0, 60.0), label="value"))
+        cells[m] = LatticeCell(m, value, provenance)
+
+    def per_source(top):
+        values = st.lists(st.integers(0, top) | st.floats(0.0, top), min_size=n, max_size=n)
+        return tuple(float(v) for v in draw(values))
+
+    snap = StatsSnapshot(0, STAGE_INITIAL, per_source(3), per_source(2), per_source(80), cells)
+    return prior_query_snapshot(snap) if draw(st.booleans(), label="query-level") else snap
+
+
+class MaskWalk:
+    """Reference for ``CoverageWalk``: covered cells as a set of masks, read from ``cells``."""
+
+    def __init__(self, snapshot):
+        self.snapshot = snapshot
+        self.rows = [[] for _ in range(snapshot.n_sources)]
+        for m, cell in sorted(snapshot.cells.items()):
+            if cell.provenance != PRUNED:
+                members = member_sources(m)
+                for s in members:
+                    self.rows[s].append((m, cell.value, members))
+        self.covered = set()
+        self.amount = [0.0] * snapshot.n_sources
+
+    def residual(self, s):
+        return max(0.0, self.snapshot.cardinalities[s] - self.amount[s])
+
+    def rate(self, s):
+        snap = self.snapshot
+        return rate_from_parts(
+            snap.access_ms[s], snap.per_tuple_ms[s], snap.cardinalities[s], self.amount[s]
+        )
+
+    def append(self, s):
+        for m, value, members in self.rows[s]:
+            if m not in self.covered:
+                self.covered.add(m)
+                for t in members:
+                    self.amount[t] += value
+
+
+def readings(walk, n):
+    """Every source's residual and rate, as ``float.hex``."""
+    return [(walk.residual(s).hex(), walk.rate(s).hex()) for s in range(n)]
+
+
+class TestCoverageWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_snapshots(), st.data())
+    def test_positional_walk_equals_mask_keyed_walk(self, snap, data):
+        n = snap.n_sources
+        walk, ref = CoverageWalk(snap), MaskWalk(snap)
+        assert readings(walk, n) == readings(ref, n)
+        for s in data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="appends"):
+            walk.append(s)
+            ref.append(s)
+            assert readings(walk, n) == readings(ref, n)
+        # A copy walks on alone.
+        before = readings(walk, n)
+        twin = walk.copy()
+        extra = data.draw(st.integers(0, n - 1), label="extra")
+        twin.append(extra)
+        ref.append(extra)
+        assert readings(twin, n) == readings(ref, n)
+        assert readings(walk, n) == before
 
 
 class TestQueryRate:

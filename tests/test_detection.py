@@ -1,5 +1,6 @@
 """Two-stage statistics collection against simulator ground truth."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from querysched import maxent
+from querysched import lattice, maxent
 from querysched.cost import QuerySpec
 from querysched.detection import (
     initial_detection,
@@ -414,7 +415,7 @@ class TestLazyRefresh:
             shuffled[i] = dict(snaps[i].cells)
         assert [shuffled[i] for i in range(len(snaps))] == in_order
 
-        live = dict(initial._live_cells)
+        live = dict(zip(initial._index.masks, initial._live_values))
         for snap, cells in zip(snaps[1:], in_order[1:]):
             known = {m: c.value for m, c in cells.items() if c.provenance == DETECTED}
             free = [m for m in live if m not in known]
@@ -455,6 +456,71 @@ class TestLazyRefresh:
             steps = [next(plan) for _ in range(3)]
             plan.close()
         assert [source for _cost, _snap, source in steps] == [-1, 0, 1]
+
+
+def plan_digest(initial, hint, probe, batch):
+    """SHA-256 over every snapshot of a detection plan: totals and cells as ``float.hex``."""
+    digest = hashlib.sha256()
+    for _cost, snap, source in online_detection_plan(initial, hint, probe, batch=batch):
+        cards = " ".join(c.hex() for c in snap.cardinalities)
+        digest.update(f"{snap.version} {snap.stage} {source} {cards}\n".encode())
+        for m in sorted(snap.cells):
+            cell = snap.cells[m]
+            digest.update(f"{m:x} {cell.value.hex()} {cell.provenance}\n".encode())
+    return digest.hexdigest()
+
+
+class TestSharedIndex:
+    """Every query-level snapshot of a plan reads the offline snapshot's cell index."""
+
+    @staticmethod
+    def desk_initial():
+        u = generate(desk_universe_config(), 101)
+        probe = ScopedProbe(u, SCOPE_ALL)
+        return u, initial_detection(probe, RunConfig().prune_threshold).snapshot
+
+    def test_every_snapshot_of_a_plan_shares_the_offline_index(self):
+        u, initial = self.desk_initial()
+        snaps = snapshots(initial, range(initial.n_sources), ScopedProbe(u, SCOPE_FOCUS))
+        assert len(snaps) > initial.n_sources
+        assert all(snap._index is initial._index for snap in snaps)
+        live = [m for m, c in sorted(initial.cells.items()) if c.provenance != PRUNED]
+        assert list(initial._index.masks) == live
+
+    def test_online_desk_run_builds_only_the_offline_index(self):
+        u, initial = self.desk_initial()
+        k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
+        build = lattice.CellIndex.__init__
+        built = []
+
+        def counted(index, *args, **kwargs):
+            built.append(index)
+            build(index, *args, **kwargs)
+
+        with mock.patch.object(lattice.CellIndex, "__init__", counted):
+            result = run_query("online", QuerySpec(SCOPE_FOCUS, k), u, initial)
+        assert result.perm_versions > 2 and result.detections > initial.n_sources
+        assert built == [initial._index]
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("desk", "c5aceafa652f860d0faf5e99fd2b3974b49831918cfd7fb26790e631c6a57552"),
+            ("desk-batch-3", "1a3d700ea04b5d232e43a1fc4556d6d9acb0005628e72a6be10e410294d0ad2b"),
+            ("demo-exact", "73836216c20bdd4f35c8ad189b72b44dd173b0accfd5c4b38fee6c7f20f68653"),
+        ],
+    )
+    def test_snapshot_cells_are_unchanged(self, case, expected):
+        # Recorded while each snapshot still built its own mask-keyed cells.
+        if case == "demo-exact":
+            u = demo_universe(seed=7, query_split=0.5)
+            initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
+            hint, batch = (2, 0, 1), 2
+        else:
+            u, initial = self.desk_initial()
+            n = initial.n_sources
+            hint, batch = (tuple(reversed(range(n))), 1) if case == "desk" else (range(n), 3)
+        assert plan_digest(initial, hint, ScopedProbe(u, SCOPE_FOCUS), batch) == expected
 
 
 #: ``offline_fill()`` as JSON, one-space indent.

@@ -1,11 +1,13 @@
 """Planner operations: greedy, swaps, sweep, baselines, exhaustive oracle."""
 
+import heapq
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from querysched import permutation
 from querysched.cost import PREFIX_AVERAGE, SEQUENTIAL, CoverageWalk, permutation_time_cost
 from querysched.lattice import snapshot_from_cells
 from querysched.permutation import (
@@ -32,6 +34,7 @@ from querysched.permutation import (
 )
 from querysched.testing import random_instance
 
+from test_cost import lattice_snapshots
 from test_lattice import ref_snapshot
 
 
@@ -91,6 +94,22 @@ def eager_baseline(kind, snapshot):
         remaining.remove(pick)
         walk.append(pick)
     return tuple(out)
+
+
+def scratch_improve(k, order, unselected, pos, snapshot, overlap_floor, pinned, meter):
+    """Reference for ``improve_position``: each rebuild walks the shared head again."""
+    anchor = order[pos]
+    unsel = frozenset(unselected)
+    pool = unsel | set(order[pos + 1 :])
+    best = None
+    for j, _ratio in overlap_ranked(anchor, pool, snapshot, overlap_floor, meter):
+        if snapshot.cardinalities[anchor] >= snapshot.cardinalities[j]:
+            continue
+        swapped_order, swapped_unsel = swap_source(order, unsel, pos, j, pinned)
+        cand = eager_greedy(k, swapped_order, swapped_unsel, snapshot, pinned, meter)
+        if best is None or cand.avg_rate > best.avg_rate:
+            best = cand
+    return best if best is not None and best.avg_rate > 0.0 else None
 
 
 @st.composite
@@ -263,7 +282,66 @@ class TestGreedy:
         assert lazy_meter.ops == eager_meter.ops
 
 
+class TestPicks:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_instances().map(lambda instance: instance[0]) | lattice_snapshots(), st.data())
+    def test_rate_bounds_pick_like_exact_scores(self, snap, data):
+        # Seeded from the snapshot's rates with nothing covered, the loop
+        # picks what a heap of exact scores picks, ties and zero rates
+        # included, and charges the same rounds.
+        n = snap.n_sources
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        head = perm[: data.draw(st.integers(0, n), label="head")]
+        rest = perm[len(head) :]
+        pool = set(rest[: data.draw(st.integers(0, len(rest)), label="pool")])
+
+        def picks(seed):
+            walk = CoverageWalk(snap)
+            for s in head:
+                walk.append(s)
+            meter = WorkMeter()
+            got = permutation._picks(walk, seed(walk), walk.rate, meter)
+            return [(score.hex(), s) for score, s in got], meter.ops
+
+        def exact(walk):
+            heap = [(-walk.rate(s), s) for s in pool]
+            heapq.heapify(heap)
+            return heap
+
+        assert picks(lambda walk: permutation._rate_bounds(snap, pool)) == picks(exact)
+
+
 class TestImprovePosition:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tied_instances()
+        | lattice_snapshots().map(lambda snap: (snap, sum(snap.cardinalities))),
+        st.data(),
+    )
+    def test_shared_head_equals_rebuild_from_scratch(self, instance, data):
+        snap, total = instance
+        n = snap.n_sources
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        order = tuple(perm[: data.draw(st.integers(1, n), label="length")])
+        pos = data.draw(st.integers(0, len(order) - 1), label="pos")
+        pinned = data.draw(st.integers(0, pos), label="pinned")
+        # Targets the pinned prefix or the whole shared head already covers.
+        covered = [covered_total(order[:pinned], snap), covered_total(order[:pos], snap)]
+        k = data.draw(
+            st.sampled_from(covered)
+            | st.integers(-1, int(1.5 * total))
+            | st.floats(-1.0, 1.5 * total + 1.0)
+            | st.just(math.inf),
+            label="k",
+        )
+        floor = data.draw(st.sampled_from([0.0, 0.05, 0.5]), label="floor")
+        unselected = set(range(n)) - set(order)
+        shared_meter, scratch_meter = WorkMeter(), WorkMeter()
+        shared = improve_position(k, order, unselected, pos, snap, floor, pinned, shared_meter)
+        scratch = scratch_improve(k, order, unselected, pos, snap, floor, pinned, scratch_meter)
+        assert shared == scratch
+        assert shared_meter.ops == scratch_meter.ops
+
     def test_reference_swap_finds_single_source_plan(self):
         # Where the greedy start over-commits to a fast small source, the
         # swap at its position discovers that the big overlapping source

@@ -14,7 +14,7 @@ from querysched import permutation, scheduler
 from querysched.cost import QuerySpec
 from querysched.detection import DETECTION_QUERY_MS, initial_detection, prior_query_snapshot
 from querysched.grid import desk_universe_config, grid_from_json, offline_stats, scaled_universe
-from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER, baseline_order
+from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER, baseline_order, refine_order
 from querysched.scheduler import (
     RunConfig,
     RunResult,
@@ -613,6 +613,49 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "query_threads", "1.5"),
+            ("run", "detection_batch", "2.9"),
+            ("run", "query_threads", "NaN"),
+            ("run", "detection_batch", "Infinity"),
+            ("universe", "sources", "12.5"),
+            ("universe", "distinct", "-Infinity"),
+            ("universe.overlap", "max_depth", "3.5"),
+        ],
+    )
+    def test_grid_json_non_integral_integer_rejected(self, section, key, value):
+        # int() would truncate 1.5 to 1 and fail on NaN or an infinity
+        # without naming the field.
+        *outer, inner = section.split(".")
+        body = f'{{"{inner}": {{"{key}": {value}}}}}'
+        for name in reversed(outer):
+            body = f'{{"{name}": {body}}}'
+        with pytest.raises(ValueError, match=f"{section}: {key} must be an integer"):
+            grid_from_json(json.loads(body))
+
+    @pytest.mark.parametrize("axis", ["query_threads", "n_sources"])
+    def test_grid_json_non_integral_axis_value_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"axes: {axis} must be an integer"):
+            grid_from_json({"axes": {axis: [2.0, 2.5]}, "seeds": [101]})
+
+    def test_grid_json_integral_floats_accepted(self):
+        spec = grid_from_json(
+            {
+                "run": {"query_threads": 4.0, "detection_batch": 2.0},
+                "universe": {"sources": 12.0, "overlap": {"chains": 8.0}},
+                "seeds": [101.0],
+            }
+        )
+        assert (spec.run.query_threads, spec.run.detection_batch) == (4, 2)
+        assert (spec.universe.n_sources, spec.universe.overlap.chains) == (12, 8)
+        assert spec.seeds == (101,)
+        assert all(
+            type(v) is int
+            for v in (spec.run.query_threads, spec.universe.n_sources, spec.seeds[0])
+        )
+
 
 class TestThreads:
     def test_two_threads_overlap_in_time(self):
@@ -699,7 +742,9 @@ class TestPlannerPublication:
         u, init = desk_setup()
         planner = _Planner(200, RunConfig())
         first, _ = planner.current(init, 1, ())
-        assert sorted(first.order) == list(range(init.n_sources))
+        # The first plan too: the head of the full sweep's order.
+        assert first.order == refine_order(200, init).order[:1] and first.pinned == 0
+        assert first.unselected == set(range(init.n_sources)) - set(first.order)
         later, _ = planner.current(init, 1, first.order[:1])
         assert later.pinned == 1
         assert later.order[:1] == first.order[:1] and len(later.order) == 2
