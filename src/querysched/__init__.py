@@ -6,7 +6,6 @@ from .cost import (
     PREFIX_AVERAGE,
     SEQUENTIAL,
     CostResult,
-    PermState,
     QuerySpec,
     permutation_time_cost,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "PREFIX_AVERAGE",
     "SEQUENTIAL",
     "CostResult",
-    "PermState",
     "QuerySpec",
     "permutation_time_cost",
     "LatticeCell",

@@ -36,30 +36,10 @@ class QuerySpec:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-
-
-@dataclass(frozen=True)
-class PermState:
-    """An ordered selection of sources plus the unselected remainder.
-
-    The first ``pinned`` entries of ``order`` have already been dispatched
-    and must never be reordered or dropped by later rewrites.
-    """
-
-    order: tuple[int, ...]
-    unselected: frozenset[int]
-    pinned: int = 0
-
-    def __post_init__(self) -> None:
-        if self.pinned < 0 or self.pinned > len(self.order):
-            raise ValueError("pinned prefix exceeds order length")
-        seen = set(self.order)
-        if len(seen) != len(self.order):
-            raise ValueError("duplicate source in order")
-        if seen & self.unselected:
-            raise ValueError("order and unselected overlap")
+        # NaN fails every comparison and is not integral, so it fails here too.
+        if not (self.k >= 1 and float(self.k).is_integer()):
+            raise ValueError(f"k must be an integer of at least 1, got {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))  # a result reports k as given
 
 
 def rate_from_parts(

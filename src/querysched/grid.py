@@ -13,6 +13,7 @@ crossing point.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate
@@ -53,6 +54,7 @@ class GridSpec:
     seeds: tuple[int, ...] = tuple(range(101, 111))
 
     def __post_init__(self) -> None:
+        _fraction(self.k_fraction, "top level", "k_fraction")
         for axis, value in self.conditions():
             condition_config(self, axis, value)
 
@@ -72,7 +74,7 @@ def condition_config(
     run = spec.run
     k_fraction = spec.k_fraction
     if axis == "k_fraction":
-        k_fraction = float(value)
+        k_fraction = _fraction(value, "axes", axis)
     elif axis == "query_threads":
         run = replace(run, query_threads=_integer(value, "axes", axis))
     elif axis == "n_sources":
@@ -332,6 +334,16 @@ def _integer(value: object, where: str, key: str) -> int:
             f"grid config section {where}: {key} must be an integer, got {value!r}"
         )
     return int(value)
+
+
+def _fraction(value: object, where: str, key: str) -> float:
+    """``value`` as a float, positive and finite: a share of the focus tuples to ask for."""
+    value = float(value)
+    if not 0.0 < value < math.inf:  # NaN too
+        raise ValueError(
+            f"grid config section {where}: {key} must be positive and finite, got {value!r}"
+        )
+    return value
 
 
 def _override(

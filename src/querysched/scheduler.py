@@ -3,18 +3,16 @@
 One event loop runs every strategy.  Three logical workers take turns in
 it.  The statistics worker applies each refreshed snapshot when its
 counting query completes and bumps a plain version counter.  The planner
-replans lazily whenever that version or the dispatched prefix has moved
-since its last plan.  The query threads take the first undispatched
-source of the current plan, pin every source they dispatch and
-deduplicate arriving tuples against a shared seen-set.  Since every
-dispatch replans, a plan is read for one source only: each plan is the
-pinned prefix plus the source the next dispatch takes.  Events are keyed
-on (time, worker class, thread id), so a run is a pure function of its
-inputs.  A baseline is the same loop with a fixed plan (its policy's
-order, never revised) and no statistics worker.  Planner compute is free
-on the simulated clock, except that the sequential strategy charges its
-initial sweep at a configured per-operation rate before the first
-dispatch.
+names the source the next dispatch takes, and replans lazily whenever
+that version or the dispatched prefix has moved since its last answer.
+The query threads dispatch that source, pin every source they dispatch
+and deduplicate arriving tuples against a shared seen-set.  Events are
+keyed on (time, worker class, thread id), so a run is a pure function of
+its inputs.  A baseline is the same loop with a fixed order (its
+policy's, never revised) and no statistics worker.  Planner compute is
+free on the simulated clock, except that the sequential strategy charges
+the full sweep over its first snapshot at a configured per-operation
+rate before the first dispatch.
 
 Tuple arrivals are not heap events.  Between two events that are not
 arrivals (a dispatch, a source finishing, a counting query completing)
@@ -40,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import PermState, QuerySpec
+from .cost import QuerySpec
 from .detection import (
     DEFAULT_PRUNE_THRESHOLD,
     DETECTION_QUERY_MS,
@@ -90,6 +88,12 @@ class RunConfig:
             value = getattr(self, name)
             if not value >= least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        # A count is a range bound or step, where only an int runs.
+        for name in ("query_threads", "detection_batch"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,60 +222,52 @@ class _ThreadState:
 
 
 class _Planner:
-    """Holds the current plan and replans lazily when its inputs moved.
+    """Names the source the next dispatch takes; None once every source is.
 
-    A plan is stale once the statistics version or the length of the
-    dispatched prefix differs from the pair it was built from.  A plan is
-    the pinned prefix plus the source that the full construction would
-    put next, which is all the next dispatch reads.  The first plan, over
-    an empty prefix, takes it from the full sweep, whose work is what
-    ``sequential`` is charged for; a later one from :func:`next_source`.
-    Built with a ``fixed`` order, as for the baselines, the planner keeps
-    that order and does no work.
+    The answer is stale once the statistics version or the length of the
+    dispatched prefix differs from the pair it was found for; each new
+    answer is a plan version.  It is the first unpinned source of the full
+    construction, which :func:`next_source` finds without building the
+    rest.  Built with a ``fixed`` order, as for the baselines, the planner
+    takes that order's sources in turn and does no work.
     """
 
     def __init__(self, k: float, config: RunConfig, fixed: tuple[int, ...] | None = None):
         self.k = k
         self.config = config
-        self.fixed = fixed is not None
-        self.plan = None if fixed is None else PermState(fixed, frozenset())
-        self.versions = int(self.fixed)
+        self.fixed = fixed
+        self.versions = int(fixed is not None)
         self._key: tuple[int, int] | None = None
+        self._source: int | None = None
 
-    def current(
+    def next(
         self, stats: StatsSnapshot, stats_version: int, dispatched: tuple[int, ...]
-    ) -> tuple[PermState, int]:
-        """Re-plan if stats or the pinned prefix moved; return plan + work."""
-        key = (stats_version, len(dispatched))
-        if self.fixed or key == self._key:
-            return self.plan, 0
-        meter = WorkMeter()
+    ) -> int | None:
+        """The source to dispatch after ``dispatched``; replans if stats or the prefix moved."""
         pinned = len(dispatched)
-        if pinned:
-            source = next_source(
-                self.k,
-                stats,
-                dispatched,
-                overlap_floor=self.config.overlap_floor,
-                meter=meter,
+        if self.fixed is not None:
+            # Every dispatch takes the fixed order's next source, so the
+            # dispatched prefix is the order's head.
+            return self.fixed[pinned] if pinned < len(self.fixed) else None
+        key = (stats_version, pinned)
+        if key != self._key:
+            self._source = next_source(
+                self.k, stats, dispatched, overlap_floor=self.config.overlap_floor
             )
-        else:
-            # The full sweep, whose work ``sequential`` is charged for.
-            candidate = refine_order(
-                self.k,
-                stats,
-                overlap_floor=self.config.overlap_floor,
-                meter=meter,
-            )
-            # An empty order takes the greedy's first pick, as a later
-            # plan would.
-            source = candidate.order[0] if candidate.order else next_source(self.k, stats, ())
-        order = dispatched if source is None else dispatched + (source,)
-        rest = frozenset(range(stats.n_sources)).difference(order)
-        self.plan = PermState(order, rest, pinned)
-        self.versions += 1
-        self._key = key
-        return self.plan, meter.ops
+            self.versions += 1
+            self._key = key
+        return self._source
+
+    def sweep_work(self, stats: StatsSnapshot) -> int:
+        """Operations of the full sweep over ``stats``, which ``sequential`` pays for.
+
+        The plan it stands for, which :meth:`next` finds as the sweep's
+        head, is version 1, found before the first dispatch.
+        """
+        meter = WorkMeter()
+        refine_order(self.k, stats, overlap_floor=self.config.overlap_floor, meter=meter)
+        self.next(stats, 1, ())
+        return meter.ops
 
 
 def run_query(
@@ -314,16 +310,20 @@ def run_query(
 
 
 def _all_source_hint(initial: StatsSnapshot, config: RunConfig) -> tuple[int, ...]:
-    """Offline all-source permutation used as the detection order."""
-    full_coverage = covered_total(range(initial.n_sources), initial)
-    candidate = refine_order(
-        max(full_coverage, 1.0),
-        initial,
-        overlap_floor=config.overlap_floor,
-    )
-    chosen = set(candidate.order)
-    missing = [s for s in range(initial.n_sources) if s not in chosen]
-    return candidate.order + tuple(sorted(missing))
+    """Offline all-source permutation used as the detection order.
+
+    It depends only on the offline snapshot and the overlap floor, so each
+    snapshot keeps it per floor and every run over that snapshot shares it.
+    """
+    hints = initial._detection_hints
+    floor = config.overlap_floor
+    if floor not in hints:
+        full_coverage = covered_total(range(initial.n_sources), initial)
+        candidate = refine_order(max(full_coverage, 1.0), initial, overlap_floor=floor)
+        chosen = set(candidate.order)
+        missing = [s for s in range(initial.n_sources) if s not in chosen]
+        hints[floor] = candidate.order + tuple(sorted(missing))
+    return hints[floor]
 
 
 def _run(
@@ -346,8 +346,7 @@ def _run(
     detections = 0
     planner_charge = 0.0
     if charge_first_sweep:
-        _, work = planner.current(stats, stats_versions, ())
-        planner_charge = work * config.planner_unit_ms
+        planner_charge = planner.sweep_work(stats) * config.planner_unit_ms
 
     executor = _Executor(query, universe, config)
 
@@ -421,14 +420,15 @@ def _run(
             continue
         # a dispatch: the thread is idle
         state = executor.threads[tid]
-        plan, _ = planner.current(stats, stats_versions, tuple(executor.dispatched))
-        contact_ms = executor.dispatch(tid, plan, time_ms, probe_busy_until)
-        if contact_ms is None:
+        source = planner.next(stats, stats_versions, tuple(executor.dispatched))
+        if source is None:
             state.done = True
             state.last_event_ms = time_ms
             if all(t.done for t in executor.threads):
                 break
-        elif state.source < 0:
+            continue
+        contact_ms = executor.dispatch(tid, source, time_ms, probe_busy_until)
+        if state.source < 0:
             push(contact_ms, _PRIO_QUERY, tid)  # nothing to scan: dispatch again
 
     return executor.result(
@@ -449,7 +449,6 @@ class _Executor:
         self.scope = query.predicate_id
         self.threads = [_ThreadState() for _ in range(config.query_threads)]
         self.dispatched: list[int] = []
-        self.taken: set[int] = set()
         # Tuple ids are dense, 0 .. n_distinct - 1.
         self.seen = np.zeros(universe.truth.n_distinct, dtype=bool)
         self.distinct = 0
@@ -460,35 +459,25 @@ class _Executor:
 
     # -- dispatch -----------------------------------------------------
 
-    def next_source(self, plan: PermState) -> int | None:
-        for s in plan.order:
-            if s not in self.taken:
-                return s
-        return None
-
     def scanning(self, source: int) -> bool:
         return any(t.source == source for t in self.threads)
 
     def dispatch(
         self,
         tid: int,
-        plan: PermState,
+        source: int,
         now_ms: float,
         probe_busy_until: dict[int, float],
-    ) -> float | None:
-        """Start the next undispatched source; None when exhausted.
+    ) -> float:
+        """Start scanning ``source`` on thread ``tid``; returns the contact time.
 
-        Returns the contact time.  Contact waits for any in-flight
-        counting query on that source.  A source with nothing to stream
-        is finished at contact; otherwise the thread scans it, its first
-        tuple arriving one per-tuple latency after contact.
+        Contact waits for any in-flight counting query on that source.  A
+        source with nothing to stream is finished at contact; otherwise
+        the thread scans it, its first tuple arriving one per-tuple
+        latency after contact.
         """
-        source = self.next_source(plan)
-        if source is None:
-            return None
         state = self.threads[tid]
         self.dispatched.append(source)
-        self.taken.add(source)
         start_ms = max(now_ms, probe_busy_until.get(source, 0.0))
         state.source = source
         state.cursor = 0

@@ -71,16 +71,19 @@ def offline(queries: int, solves: int) -> dict:
 # and dispatches were recorded with the refresh that solved every
 # query-level snapshot as soon as it was taken, and with a planner that
 # swept every position of every plan; neither change may change a plan.
-# Only the first plan of a run goes through ``refine_order`` now, so
-# ``permutation.work_ops`` counts the detection hint's sweep and that one.
+# ``permutation.work_ops`` counts only ``sequential``'s charged sweeps (3
+# on desk, 1 on wide): every plan comes from ``next_source``, and the
+# detection hint is swept once per offline snapshot, which the untraced
+# pass before the traced one already did.  It was 37,385 and 107,832
+# while every run swept the hint and its own first plan in full.
 DESK_COUNTERS = {
-    "permutation.work_ops": 37385,
+    "permutation.work_ops": 682,
     "scheduler.replans": 20,
     "scheduler.detections": 191,
     "scheduler.dispatches": 24,
 }
 WIDE_COUNTERS = {
-    "permutation.work_ops": 107832,
+    "permutation.work_ops": 1975,
     "scheduler.replans": 47,
     "scheduler.detections": 432,
     "scheduler.dispatches": 49,

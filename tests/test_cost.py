@@ -10,7 +10,6 @@ from querysched.cost import (
     PREFIX_AVERAGE,
     SEQUENTIAL,
     CoverageWalk,
-    PermState,
     QuerySpec,
     permutation_time_cost,
     rate_from_parts,
@@ -193,12 +192,15 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             QuerySpec("focus", 0)
 
-    def test_perm_state_partition_rules(self):
-        state = PermState((1, 0), frozenset({2}), pinned=1)
-        assert set(state.order) | state.unselected == {0, 1, 2}
-        with pytest.raises(ValueError):
-            PermState((0, 0), frozenset())
-        with pytest.raises(ValueError):
-            PermState((0,), frozenset({0}))
-        with pytest.raises(ValueError):
-            PermState((0,), frozenset(), pinned=2)
+    @pytest.mark.parametrize("k", [float("nan"), 1.5, float("inf"), 0.5])
+    def test_query_spec_rejects_a_k_that_is_not_a_count(self, k):
+        # NaN passes ``k < 1`` and a run over it scans every focus tuple;
+        # a fractional k would be asked for as such.
+        with pytest.raises(ValueError, match="k must be an integer"):
+            QuerySpec("focus", k)
+
+    def test_query_spec_accepts_whole_k(self):
+        # A whole float is kept as an int, so a run's JSON reports k = 3.
+        for k in (3, 3.0):
+            spec = QuerySpec("focus", k)
+            assert spec.k == 3 and type(spec.k) is int

@@ -93,11 +93,7 @@ class _TupleExecutor:
     def scanning(self, source):
         return any(t.source == source for t in self.threads)
 
-    def dispatch(self, tid, plan, now_ms, probe_busy_until):
-        taken = set(self.dispatched)
-        source = next((s for s in plan.order if s not in taken), None)
-        if source is None:
-            return None
+    def dispatch(self, tid, source, now_ms, probe_busy_until):
         state = self.threads[tid]
         self.dispatched.append(source)
         start_ms = max(now_ms, probe_busy_until.get(source, 0.0))
@@ -152,8 +148,7 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
                    charge_first_sweep=False):
     stats_versions, detections, planner_charge = 1, 0, 0.0
     if charge_first_sweep:
-        _, work = planner.current(stats, stats_versions, ())
-        planner_charge = work * config.planner_unit_ms
+        planner_charge = planner.sweep_work(stats) * config.planner_unit_ms
     executor = _TupleExecutor(query, universe, config)
     events = []
     seq = 0
@@ -201,15 +196,15 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
             continue
         state = executor.threads[tid]
         if state.source < 0:
-            plan, _ = planner.current(stats, stats_versions, tuple(executor.dispatched))
-            started = executor.dispatch(tid, plan, time_ms, probe_busy_until)
-            if started is None:
+            source = planner.next(stats, stats_versions, tuple(executor.dispatched))
+            if source is None:
                 state.done = True
                 state.last_event_ms = time_ms
                 if all(t.done for t in executor.threads):
                     break
             else:
-                push(started, scheduler._PRIO_QUERY, tid)
+                push(executor.dispatch(tid, source, time_ms, probe_busy_until),
+                     scheduler._PRIO_QUERY, tid)
         else:
             source = state.source
             finished = executor.on_tuple(tid, time_ms)
@@ -388,21 +383,26 @@ class TestRunProperties:
         )
 
         plans = []
-        current = _Planner.current
+        planned = _Planner.next
 
         def record(planner, stats, version, dispatched):
-            plan, work = current(planner, stats, version, dispatched)
-            plans.append((plan, dispatched))
-            return plan, work
+            source = planned(planner, stats, version, dispatched)
+            plans.append((source, dispatched))
+            return source
 
-        with mock.patch.object(_Planner, "current", record):
+        with mock.patch.object(_Planner, "next", record):
             result = run_query(algo, QuerySpec(SCOPE_FOCUS, k), u, init, cfg, seed=7)
-        # Every plan extends the prefix already dispatched, so no pinned
+        # The planner never names a dispatched source, and runs out only
+        # once every source is dispatched.
+        for source, dispatched in plans:
+            if source is None:
+                assert sorted(dispatched) == list(range(n))
+            else:
+                assert source not in dispatched
+        # Each plan extends the prefix the last one saw, so no pinned
         # prefix ever changes.
-        for plan, dispatched in plans:
-            assert plan.order[: len(dispatched)] == dispatched
-        for (earlier, _), (later, _) in zip(plans, plans[1:]):
-            assert later.order[: earlier.pinned] == earlier.order[: earlier.pinned]
+        for (_, earlier), (_, later) in zip(plans, plans[1:]):
+            assert later[: len(earlier)] == earlier
         sources = [t.source for t in result.per_source_trace]
         assert len(sources) == len(set(sources))
         new = sum(t.new_tuples for t in result.per_source_trace)
@@ -613,6 +613,34 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("value", [1.5, 2.9, float("inf")])
+    @pytest.mark.parametrize("field", ["query_threads", "detection_batch"])
+    def test_fractional_count_rejected(self, field, value):
+        # Each is a range bound or step, which would fail mid-run with
+        # a TypeError that does not name the field.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            replace(RunConfig(), **{field: value})
+
+    def test_integral_float_count_runs(self):
+        u, init = desk_setup()
+        k = u.truth.distinct_in_scope(SCOPE_FOCUS)
+        query = QuerySpec(SCOPE_FOCUS, k)
+        whole = run_query("online", query, u, init, RunConfig(query_threads=2, detection_batch=3))
+        floats = RunConfig(query_threads=2.0, detection_batch=3.0)
+        assert type(floats.query_threads) is type(floats.detection_batch) is int
+        assert run_query("online", query, u, init, floats).to_json() == whole.to_json()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-0.5", "0"])
+    def test_grid_json_bad_k_fraction_rejected(self, value):
+        # NaN and the infinities would fail mid-grid converting k to an
+        # int; a share at or below zero would silently run with k = 1.
+        with pytest.raises(ValueError, match="top level: k_fraction must be positive"):
+            grid_from_json(json.loads(f'{{"k_fraction": {value}, "seeds": [101]}}'))
+        with pytest.raises(ValueError, match="axes: k_fraction must be positive"):
+            grid_from_json(json.loads(f'{{"axes": {{"k_fraction": [0.5, {value}]}}}}'))
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -724,37 +752,67 @@ class TestThreads:
 
 class TestPlannerPublication:
     def test_pinned_prefix_is_prefix_of_every_later_version(self):
-        from querysched.scheduler import _Planner
-
+        # A plan is the pinned prefix plus the source it names, so it
+        # extends the prefix when that source is not already dispatched.
         u, init = desk_setup()
         planner = _Planner(200, RunConfig())
         dispatched: list[int] = []
-        published = []
-        for _ in range(6):
-            state, _work = planner.current(init, 1, tuple(dispatched))
-            published.append(state)
-            assert state.order[: len(dispatched)] == tuple(dispatched)
-            dispatched.append(state.order[len(dispatched)])
-        for earlier, later in zip(published, published[1:]):
-            assert later.order[: earlier.pinned] == earlier.order[: earlier.pinned]
+        for _ in range(init.n_sources):
+            source = planner.next(init, 1, tuple(dispatched))
+            assert source is not None and source not in dispatched
+            dispatched.append(source)
+        assert planner.next(init, 1, tuple(dispatched)) is None
+        assert planner.versions == init.n_sources + 1
 
-    def test_later_plans_publish_the_next_source_only(self):
+    def test_fixed_order_is_taken_in_turn(self):
+        u, init = desk_setup()
+        order = baseline_order("max_tuples", init)
+        planner = _Planner(200, RunConfig(), order)
+        for pinned in range(len(order) + 1):
+            expected = order[pinned] if pinned < len(order) else None
+            assert planner.next(init, 1 + pinned, order[:pinned]) == expected
+        assert planner.versions == 1
+
+    def test_a_plan_is_kept_until_its_inputs_move(self):
         u, init = desk_setup()
         planner = _Planner(200, RunConfig())
-        first, _ = planner.current(init, 1, ())
-        # The first plan too: the head of the full sweep's order.
-        assert first.order == refine_order(200, init).order[:1] and first.pinned == 0
-        assert first.unselected == set(range(init.n_sources)) - set(first.order)
-        later, _ = planner.current(init, 1, first.order[:1])
-        assert later.pinned == 1
-        assert later.order[:1] == first.order[:1] and len(later.order) == 2
-        assert later.unselected == set(range(init.n_sources)) - set(later.order)
+        first = planner.next(init, 1, ())
+        with mock.patch.object(scheduler, "next_source") as replan:
+            assert planner.next(init, 1, ()) == first
+        replan.assert_not_called()
+        assert planner.versions == 1
+        planner.next(init, 2, ())
+        planner.next(init, 2, (first,))
+        assert planner.versions == 3
 
-    def test_online_run_sweeps_in_full_once(self):
-        # The detection hint sweeps the offline statistics and the first
-        # plan sweeps the prior; every later plan swaps at its first
-        # unpinned position only.
+    def test_sequential_first_source_is_the_head_of_the_charged_sweep(self):
         u, init = desk_setup()
+        prior = prior_query_snapshot(init)
+        k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
+        meter = permutation.WorkMeter()
+        head = refine_order(k, prior, meter=meter).order[0]
+        planner = _Planner(k, RunConfig())
+        assert planner.sweep_work(prior) == meter.ops > 0
+        # The charged sweep's plan is version 1, read by the first dispatch.
+        assert planner.versions == 1
+        assert planner.next(prior, 1, ()) == head
+        assert planner.versions == 1
+        # With counting queries slower than the charge, the first dispatch
+        # still reads version 1.
+        config = RunConfig(detection_overhead=100.0)
+        result = run_query("sequential", QuerySpec(SCOPE_FOCUS, k), u, init, config)
+        assert result.planner_time_ms == meter.ops * config.planner_unit_ms
+        assert result.per_source_trace[0].source == head
+
+    def test_online_run_sweeps_only_the_hint_once_per_snapshot(self):
+        # The detection hint sweeps the offline statistics once per
+        # snapshot; every plan swaps at its first unpinned position only.
+        u, _ = desk_setup()
+
+        def detected():
+            return initial_detection(ScopedProbe(u, SCOPE_ALL), RunConfig().prune_threshold).snapshot
+
+        init = detected()
         k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
         sweeps, positions = [], []
         refine, improve = scheduler.refine_order, permutation.improve_position
@@ -764,17 +822,28 @@ class TestPlannerPublication:
             return refine(k, snapshot, **kwargs)
 
         def counted_improve(k, order, unselected, pos, snapshot, overlap_floor, pinned, meter):
-            positions.append((pos, pinned))
+            if snapshot is not init:  # not the hint's sweep
+                positions.append((pos, pinned))
             return improve(k, order, unselected, pos, snapshot, overlap_floor, pinned, meter)
 
+        query = QuerySpec(SCOPE_FOCUS, k)
         with mock.patch.object(scheduler, "refine_order", counted_refine), mock.patch.object(
             permutation, "improve_position", counted_improve
         ):
-            result = run_query("online", QuerySpec(SCOPE_FOCUS, k), u, init, RunConfig())
-        assert [snapshot is init for snapshot in sweeps] == [True, False]
-        assert result.perm_versions > 2
-        later = [(pos, pinned) for pos, pinned in positions if pinned > 0]
-        assert later and all(pos == pinned for pos, pinned in later)
+            runs = [run_query("online", query, u, init, RunConfig()) for _ in range(2)]
+        assert len(sweeps) == 1 and sweeps[0] is init
+        assert runs[0].perm_versions > 2
+        assert positions and all(pos == pinned for pos, pinned in positions)
+        # Runs sharing the hint equal runs over a freshly detected snapshot.
+        for run in runs:
+            assert run.to_json() == run_query("online", query, u, detected(), RunConfig()).to_json()
+        # The hint is kept per overlap floor, and sequential's charged
+        # sweep reads the query-level prior, not the offline snapshot.
+        sweeps.clear()
+        with mock.patch.object(scheduler, "refine_order", counted_refine):
+            run_query("online", query, u, init, RunConfig(overlap_floor=0.2))
+            run_query("sequential", query, u, init, RunConfig())
+        assert len(sweeps) == 2 and sweeps[0] is init and sweeps[1] is not init
 
 
 class TestPlannerCharging:
