@@ -55,6 +55,8 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         _fraction(self.k_fraction, "top level", "k_fraction")
+        if not self.seeds:  # every condition's mean needs a run
+            raise ValueError("grid config section top level: seeds must not be empty")
         for axis, value in self.conditions():
             condition_config(self, axis, value)
 

@@ -237,34 +237,25 @@ class StatsSnapshot:
         return {}
 
     @cached_property
-    def _pair_overlap(self) -> dict[tuple[int, int], float]:
+    def _neighbours(self) -> tuple[dict[int, float], ...]:
+        """Per source, each other source it shares estimated tuples with, mapped to that count."""
         values = self._live_values
-        acc: dict[tuple[int, int], float] = {}
-        for key, positions in self._index.pairs.items():
+        rows: list[dict[int, float]] = [{} for _ in range(self.n_sources)]
+        for (a, b), positions in self._index.pairs.items():
             total = None
             for i in positions:
                 v = values[i]
                 if v != 0.0:
                     total = v if total is None else total + v
             if total is not None:
-                acc[key] = total
-        return acc
-
-    @cached_property
-    def _neighbours(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per source, (other source, shared tuples) for every positive overlap, id-ascending."""
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(self.n_sources)]
-        for (a, b), v in self._pair_overlap.items():
-            rows[a].append((b, v))
-            rows[b].append((a, v))
-        return tuple(tuple(sorted(r)) for r in rows)
+                rows[a][b] = rows[b][a] = total
+        return tuple(rows)
 
     def pair_overlap(self, i: int, j: int) -> float:
         """Estimated number of tuples shared by sources ``i`` and ``j``."""
         if i == j:
             return self.cardinalities[i]
-        key = (i, j) if i < j else (j, i)
-        return self._pair_overlap.get(key, 0.0)
+        return self._neighbours[i].get(j, 0.0)
 
     def scan_cost_ms(self, source: int) -> float:
         """Full access-plus-transfer time for one source."""

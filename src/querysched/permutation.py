@@ -1,16 +1,18 @@
 """Permutation construction: greedy selection, swap refinement, baselines.
 
-The planner grows a source order greedily by residual query rate, then
+A plan is its source order alone: every source not in it is free to be
+picked.  The planner grows an order greedily by residual query rate, then
 sweeps it head to tail looking for profitable swaps between an ordered
-source and a larger-cardinality source drawn from the unselected set or
-from later positions.  Each swap rebuild goes through the same greedy
-step, which walks the given order once: it cuts the order after its
-minimal covering prefix (never inside the pinned prefix) or extends it.
-The extension and every deterministic baseline share one lazy selection
-loop, each with its own score.  That loop needs only an upper bound on
-each score to start from: the greedy starts from each source's rate with
-nothing covered, computed and sorted once per snapshot, and re-rates only
-the tops it meets.  The rebuilds tried at one swap position share the
+source and a larger-cardinality source not ahead of it in the order.
+Each swap cuts the order at the swapped position and rebuilds it through
+the same greedy step, which walks the given order once: it cuts the
+order after its minimal covering prefix (never inside the pinned prefix)
+or extends it from the sources the order leaves out.  The extension and
+every deterministic baseline share one lazy selection loop, each with
+its own score.  That loop needs only an upper bound on each score to
+start from: the greedy starts from each source's rate with nothing
+covered, computed and sorted once per snapshot, and re-rates only the
+tops it meets.  The rebuilds tried at one swap position share the
 order's head before it, walked once and copied into each; a replan's
 greedy start shares its walk over the pinned prefix the same way.  Swap
 candidates are ranked by overlap ratio with the anchor and filtered by a
@@ -28,7 +30,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Container, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Container, Iterator, Sequence
 
 from .cost import SEQUENTIAL, CoverageWalk, walk_residuals
 from .lattice import StatsSnapshot, member_sources
@@ -78,10 +80,12 @@ class WorkMeter:
 
 @dataclass(frozen=True)
 class PermCandidate:
-    """A candidate order with its covered-tuple total and average rate."""
+    """A candidate order with its covered-tuple total and average rate.
+
+    The sources left out of ``order`` are the ones a rebuild may still pick.
+    """
 
     order: tuple[int, ...]
-    unselected: frozenset[int]
     covered: float
     avg_rate: float
 
@@ -91,37 +95,32 @@ def covered_total(order: Sequence[int], snapshot: StatsSnapshot) -> float:
     return sum(walk_residuals(order, snapshot))
 
 
-def swap_source(
-    order: Sequence[int],
-    unselected: Iterable[int],
-    pos: int,
-    incoming: int,
-    pinned: int = 0,
-) -> tuple[tuple[int, ...], frozenset[int]]:
-    """Replace the source at ``pos`` with ``incoming`` and cut the tail.
+def swap_source(order: Sequence[int], pos: int, incoming: int, pinned: int = 0) -> tuple[int, ...]:
+    """The order with ``incoming`` at ``pos`` and the tail behind it cut.
 
-    The outgoing source and every source ranked behind it return to the
-    unselected set; ``incoming`` may come from the unselected set or from
-    one of those tail positions.  Raises :class:`PinnedSwapError` for
+    The outgoing source and every source ranked behind it leave the
+    order, so a rebuild may pick them again; ``incoming`` may be any
+    source not at or before ``pos``.  Raises :class:`PinnedSwapError` for
     positions inside the pinned prefix.
     """
     if pos < pinned:
         raise PinnedSwapError("pinned")
     if not 0 <= pos < len(order):
         raise ValueError("position out of range")
-    outgoing = order[pos]
-    tail = set(order[pos + 1 :])
-    unsel = set(unselected)
-    if incoming in unsel:
-        unsel.discard(incoming)
-    elif incoming in tail:
-        tail.discard(incoming)
-    else:
+    if incoming in order[: pos + 1]:
         raise ValueError(f"source {incoming} not available for swapping in")
-    new_order = tuple(order[:pos]) + (incoming,)
-    unsel |= tail
-    unsel.add(outgoing)
-    return new_order, frozenset(unsel)
+    return tuple(order[:pos]) + (incoming,)
+
+
+def _check_order(order: Sequence[int], n: int) -> None:
+    """Raise ValueError unless ``order`` holds distinct ids of ``range(n)``."""
+    seen = set()
+    for s in order:
+        if s not in range(n):
+            raise ValueError(f"source {s!r} in order is not in range({n})")
+        if s in seen:
+            raise ValueError(f"source {s!r} repeats in order")
+        seen.add(s)
 
 
 def overlap_ranked(
@@ -145,10 +144,11 @@ def overlap_ranked(
         return []
     if meter is not None:
         meter.add(len(candidates) - (anchor in candidates))
+    row = snapshot._neighbours[anchor]
     if overlap_floor > 0:
-        shared = [(j, v) for j, v in snapshot._neighbours[anchor] if j in candidates]
+        shared = [(j, v) for j, v in row.items() if j in candidates]
     else:  # zero-overlap candidates pass too
-        shared = [(j, snapshot.pair_overlap(anchor, j)) for j in sorted(candidates) if j != anchor]
+        shared = [(j, row.get(j, 0.0)) for j in candidates if j != anchor]
     ranked = []
     for j, v in shared:
         ratio = v / anchor_card
@@ -189,12 +189,12 @@ def _picks(
         walk.append(best)
 
 
-def _rate_bounds(snapshot: StatsSnapshot, pool: Container[int]) -> list[tuple[float, int]]:
-    """The heap of rate bounds for the sources of ``pool``: their rates with nothing covered.
+def _rate_bounds(snapshot: StatsSnapshot, taken: Container[int]) -> list[tuple[float, int]]:
+    """The heap of rate bounds for the sources not in ``taken``: rates with nothing covered.
 
     A filtered sorted list is still sorted, and so already a heap.
     """
-    return [entry for entry in snapshot._rate_heap if entry[1] in pool]
+    return [entry for entry in snapshot._rate_heap if entry[1] not in taken]
 
 
 class _Head:
@@ -233,21 +233,15 @@ class _Head:
 
 
 def _greedy(
-    k: float,
-    order: Sequence[int],
-    unselected: Iterable[int],
-    pinned: int,
-    meter: WorkMeter | None,
-    head: _Head,
+    k: float, order: Sequence[int], pinned: int, meter: WorkMeter | None, head: _Head
 ) -> PermCandidate:
     """:func:`greedy_by_rate`, continuing ``head`` (a head of ``order``, which this consumes)."""
     head.advance(k, order, pinned)
     walk, keep, res_sum, scan_sum = head.walk, head.keep, head.res_sum, head.scan_sum
     snapshot = walk.snapshot
     new_order = list(order[:keep])
-    unsel = set(unselected).union(order[keep:])
     if res_sum < k:
-        for rate, best in _picks(walk, _rate_bounds(snapshot, unsel), walk.rate, meter):
+        for rate, best in _picks(walk, _rate_bounds(snapshot, set(new_order)), walk.rate, meter):
             if rate <= 0.0:
                 break
             res_sum += walk.residual(best)
@@ -255,15 +249,13 @@ def _greedy(
             new_order.append(best)
             if res_sum >= k:
                 break
-    unsel.difference_update(new_order[keep:])
     avg = res_sum / scan_sum if scan_sum > 0 else 0.0
-    return PermCandidate(tuple(new_order), frozenset(unsel), res_sum, avg)
+    return PermCandidate(tuple(new_order), res_sum, avg)
 
 
 def greedy_by_rate(
     k: float,
     order: Sequence[int],
-    unselected: Iterable[int],
     snapshot: StatsSnapshot,
     pinned: int = 0,
     meter: WorkMeter | None = None,
@@ -272,20 +264,20 @@ def greedy_by_rate(
 
     One walk over ``order`` stops after its minimal covering prefix (none
     when ``k <= 0``), but never inside the pinned prefix: dispatched
-    sources stay even when the target is covered without them.  Cut
-    sources return to the unselected set.  A short order is extended
-    instead by :func:`_picks`: each round appends the unselected source
-    with the highest residual query rate, ties to the lowest id.  Zero-rate
-    sources are never appended, so an under-covering universe ends with
-    the shortfall left to the caller.
+    sources stay even when the target is covered without them.  A short
+    order is extended instead by :func:`_picks`: each round appends the
+    source not yet in the order with the highest residual query rate,
+    ties to the lowest id.  Zero-rate sources are never appended, so an
+    under-covering universe ends with the shortfall left to the caller.
+    Raises ValueError unless ``order`` holds distinct source ids.
     """
-    return _greedy(k, order, unselected, pinned, meter, _Head(CoverageWalk(snapshot)))
+    _check_order(order, snapshot.n_sources)
+    return _greedy(k, order, pinned, meter, _Head(CoverageWalk(snapshot)))
 
 
 def improve_position(
     k: float,
     order: Sequence[int],
-    unselected: Iterable[int],
     pos: int,
     snapshot: StatsSnapshot,
     overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
@@ -294,15 +286,15 @@ def improve_position(
 ) -> PermCandidate | None:
     """Best rebuild obtained by swapping the source at ``pos``.
 
-    Tries each ranked candidate with more tuples than the anchor, replays
-    the greedy extension on the remainder and keeps the rebuild with the
-    highest average rate.  Every rebuild shares ``order[:pos]``, which is
+    Tries each ranked candidate with more tuples than the anchor, drawn
+    from the sources not at or before ``pos``, replays the greedy
+    extension on the remainder and keeps the rebuild with the highest
+    average rate.  Every rebuild shares ``order[:pos]``, which is
     walked once and copied into each.  Returns None when no candidate
     qualifies; the caller compares the winner against its incumbent.
     """
     anchor = order[pos]
-    unsel = frozenset(unselected)
-    pool = unsel | set(order[pos + 1 :])
+    pool = set(range(snapshot.n_sources)).difference(order[: pos + 1])
     anchor_card = snapshot.cardinalities[anchor]
     ranked = overlap_ranked(anchor, pool, snapshot, overlap_floor, meter)
     swaps = [j for j, _ratio in ranked if snapshot.cardinalities[j] > anchor_card]
@@ -312,8 +304,7 @@ def improve_position(
     head.advance(k, order[:pos], pinned)
     best: PermCandidate | None = None
     for j in swaps:
-        swapped_order, swapped_unsel = swap_source(order, unsel, pos, j, pinned)
-        cand = _greedy(k, swapped_order, swapped_unsel, pinned, meter, head.copy())
+        cand = _greedy(k, swap_source(order, pos, j, pinned), pinned, meter, head.copy())
         if best is None or cand.avg_rate > best.avg_rate:
             best = cand
     if best is not None and best.avg_rate > 0.0:
@@ -331,22 +322,12 @@ def _sweep(
 ) -> Iterator[PermCandidate]:
     """Yield the greedy start, continuing ``head``, then the incumbent after each swap position."""
     pinned = len(pinned_order)
-    unselected = frozenset(range(snapshot.n_sources)) - set(pinned_order)
-    incumbent = _greedy(k, tuple(pinned_order), unselected, pinned, meter, head)
+    incumbent = _greedy(k, tuple(pinned_order), pinned, meter, head)
     yield incumbent
 
     pos = pinned
     while pos < len(incumbent.order):
-        cand = improve_position(
-            k,
-            incumbent.order,
-            incumbent.unselected,
-            pos,
-            snapshot,
-            overlap_floor,
-            pinned,
-            meter,
-        )
+        cand = improve_position(k, incumbent.order, pos, snapshot, overlap_floor, pinned, meter)
         if cand is not None and cand.avg_rate > incumbent.avg_rate:
             incumbent = cand
         yield incumbent
@@ -363,8 +344,10 @@ def refine_order(
 ) -> PermCandidate:
     """Greedy construction followed by the head-to-tail swap sweep.
 
-    Pinned (already dispatched) positions are never swapped.
+    Pinned (already dispatched) positions are never swapped.  Raises
+    ValueError unless ``pinned_order`` holds distinct source ids.
     """
+    _check_order(pinned_order, snapshot.n_sources)
     head = _Head(CoverageWalk(snapshot))
     for incumbent in _sweep(k, snapshot, pinned_order, overlap_floor, meter, head):
         pass
@@ -404,7 +387,7 @@ def next_source(
     walk = head.walk
     # Rates are never negative, so with none positive the first pick is
     # the lowest id, as the remaining sources follow in id order.
-    heap = _rate_bounds(snapshot, refined.unselected)
+    heap = _rate_bounds(snapshot, set(refined.order))
     return next((s for _, s in _picks(walk, heap, walk.rate, None)), None)
 
 

@@ -88,6 +88,11 @@ class RunConfig:
             value = getattr(self, name)
             if not value >= least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        # An infinite charge would keep a probed source or the planner busy forever.
+        for name in ("detection_overhead", "planner_unit_ms"):
+            value = getattr(self, name)
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         # A count is a range bound or step, where only an int runs.
         for name in ("query_threads", "detection_batch"):
             value = getattr(self, name)

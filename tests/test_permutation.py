@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +39,8 @@ from test_cost import lattice_snapshots
 from test_lattice import ref_snapshot
 
 
-def eager_greedy(k, order, unselected, snapshot, pinned, meter):
-    """Reference for ``greedy_by_rate``: rates every unselected source each round."""
+def eager_greedy(k, order, snapshot, pinned, meter):
+    """Reference for ``greedy_by_rate``: rates every source left out of the order each round."""
     walk = CoverageWalk(snapshot)
     res_sum = 0.0
     scan_sum = 0.0
@@ -52,11 +53,11 @@ def eager_greedy(k, order, unselected, snapshot, pinned, meter):
         scan_sum += snapshot.scan_cost_ms(s)
         walk.append(s)
     new_order = list(order[:keep])
-    unsel = sorted(set(unselected).union(order[keep:]))
-    while res_sum < k and unsel:
+    pool = sorted(set(range(snapshot.n_sources)) - set(new_order))
+    while res_sum < k and pool:
         best = -1
         best_rate = 0.0
-        for s in unsel:
+        for s in pool:
             meter.add()
             rate = walk.rate(s)
             if rate > best_rate:
@@ -68,9 +69,9 @@ def eager_greedy(k, order, unselected, snapshot, pinned, meter):
         scan_sum += snapshot.scan_cost_ms(best)
         walk.append(best)
         new_order.append(best)
-        unsel.remove(best)
+        pool.remove(best)
     avg = res_sum / scan_sum if scan_sum > 0 else 0.0
-    return PermCandidate(tuple(new_order), frozenset(unsel), res_sum, avg)
+    return PermCandidate(tuple(new_order), res_sum, avg)
 
 
 def eager_baseline(kind, snapshot):
@@ -96,17 +97,16 @@ def eager_baseline(kind, snapshot):
     return tuple(out)
 
 
-def scratch_improve(k, order, unselected, pos, snapshot, overlap_floor, pinned, meter):
+def scratch_improve(k, order, pos, snapshot, overlap_floor, pinned, meter):
     """Reference for ``improve_position``: each rebuild walks the shared head again."""
     anchor = order[pos]
-    unsel = frozenset(unselected)
-    pool = unsel | set(order[pos + 1 :])
+    pool = set(range(snapshot.n_sources)) - set(order[: pos + 1])
     best = None
     for j, _ratio in overlap_ranked(anchor, pool, snapshot, overlap_floor, meter):
         if snapshot.cardinalities[anchor] >= snapshot.cardinalities[j]:
             continue
-        swapped_order, swapped_unsel = swap_source(order, unsel, pos, j, pinned)
-        cand = eager_greedy(k, swapped_order, swapped_unsel, snapshot, pinned, meter)
+        swapped_order = swap_source(order, pos, j, pinned)
+        cand = eager_greedy(k, swapped_order, snapshot, pinned, meter)
         if best is None or cand.avg_rate > best.avg_rate:
             best = cand
     return best if best is not None and best.avg_rate > 0.0 else None
@@ -128,14 +128,13 @@ class TestHelperOps:
         assert covered_total((0, 1, 2), ref_snapshot()) == pytest.approx(50 + 90 + 60)
 
     def test_trim_keeps_minimal_covering_prefix(self):
-        cand = greedy_by_rate(125, (1, 2, 0), set(), ref_snapshot())
+        cand = greedy_by_rate(125, (1, 2, 0), ref_snapshot())
         assert cand.order == (1,)
-        assert cand.unselected == {0, 2}
         assert cand.covered == pytest.approx(125)
         assert cand.avg_rate == pytest.approx(125 / 137.5)
 
     def test_trim_never_cuts_pinned(self):
-        cand = greedy_by_rate(125, (1, 2, 0), set(), ref_snapshot(), pinned=2)
+        cand = greedy_by_rate(125, (1, 2, 0), ref_snapshot(), pinned=2)
         assert cand.order == (1, 2)
 
     def test_overlap_ranked(self):
@@ -149,7 +148,8 @@ class TestHelperOps:
     @given(st.integers(2, 9), st.integers(0, 10_000), st.data())
     def test_overlap_ranked_equals_a_full_scan(self, n, seed, data):
         # A positive floor visits only the anchor's neighbours; the
-        # reference looks up every candidate, as the planner used to.
+        # reference scans every candidate and sums its shared cells with
+        # the anchor in ascending mask order, as the snapshot's table does.
         snap, _ = random_instance(n, seed, style=data.draw(st.sampled_from(["uniform", "chained"])))
         anchor = data.draw(st.integers(0, n - 1), label="anchor")
         candidates = frozenset(data.draw(st.sets(st.integers(0, n - 1)), label="candidates"))
@@ -159,7 +159,10 @@ class TestHelperOps:
         if snap.cardinalities[anchor] > 0:
             for j in sorted(candidates - {anchor}):
                 scan_meter.add()
-                ratio = snap.pair_overlap(anchor, j) / snap.cardinalities[anchor]
+                both = (1 << anchor) | (1 << j)
+                masks = sorted(m for m in snap.cells if m & both == both)
+                shared = sum(snap.cells[m].value for m in masks)
+                ratio = shared / snap.cardinalities[anchor]
                 if ratio >= floor:
                     scanned.append((j, ratio))
         scanned.sort(key=lambda item: (-item[1], item[0]))
@@ -171,23 +174,49 @@ class TestHelperOps:
         assert overlap_ranked(0, {1, 2}, snap, 0.0) == []
 
     def test_swap_source_pulls_from_unselected(self):
-        order, unsel = swap_source((0, 1), {2}, 0, 2)
-        assert order == (2,)
-        assert unsel == {0, 1}
+        assert swap_source((0, 1), 0, 2) == (2,)
 
     def test_swap_source_pulls_from_tail(self):
-        order, unsel = swap_source((0, 1), {2}, 0, 1)
-        assert order == (1,)
-        assert unsel == {0, 2}
+        assert swap_source((0, 1), 0, 1) == (1,)
+
+    @pytest.mark.parametrize("pos, incoming", [(0, 0), (1, 0), (1, 1)])
+    def test_swap_source_rejects_a_source_at_or_before_pos(self, pos, incoming):
+        with pytest.raises(ValueError, match=f"source {incoming} not available"):
+            swap_source((0, 1), pos, incoming)
 
     def test_swap_source_respects_pin(self):
         with pytest.raises(PinnedSwapError, match="pinned"):
-            swap_source((0, 1), {2}, 0, 2, pinned=1)
+            swap_source((0, 1), 0, 2, pinned=1)
+
+    @pytest.mark.parametrize(
+        "plan, source",
+        [
+            (lambda snap: greedy_by_rate(125, (0, 0), snap), 0),
+            (lambda snap: greedy_by_rate(125, (1, 3), snap), 3),
+            (lambda snap: greedy_by_rate(125, (1.5,), snap), 1.5),
+            (lambda snap: refine_order(125, snap, pinned_order=(-1,)), -1),
+            (lambda snap: refine_order(125, snap, pinned_order=(9,)), 9),
+            (lambda snap: refine_order(125, snap, pinned_order=(2, 1, 2)), 2),
+        ],
+        ids=[
+            "greedy_repeat",
+            "greedy_past_n",
+            "greedy_fraction",
+            "refine_negative",
+            "refine_past_n",
+            "refine_repeat",
+        ],
+    )
+    def test_malformed_order_rejected(self, plan, source):
+        # A repeated id would charge its scan twice; a negative one would
+        # read another source through negative indexing.
+        with pytest.raises(ValueError, match=re.escape(f"source {source} ")):
+            plan(ref_snapshot())
 
 
 class TestGreedy:
     def test_reference_selection_order(self):
-        cand = greedy_by_rate(200, (), {0, 1, 2}, ref_snapshot())
+        cand = greedy_by_rate(200, (), ref_snapshot())
         assert cand.order == (0, 1, 2)
         assert cand.covered == pytest.approx(200)
 
@@ -205,12 +234,12 @@ class TestGreedy:
         assert rates[2] == pytest.approx(0.53, abs=0.005)
 
     def test_small_k_single_source(self):
-        cand = greedy_by_rate(40, (), {0, 1, 2}, ref_snapshot())
+        cand = greedy_by_rate(40, (), ref_snapshot())
         assert cand.order == (0,)
 
     def test_tie_breaks_by_lowest_id(self):
         snap = snapshot_from_cells((1.0, 1.0), (1.0, 1.0), {0b01: 30, 0b10: 30})
-        cand = greedy_by_rate(60, (), {0, 1}, snap)
+        cand = greedy_by_rate(60, (), snap)
         assert cand.order == (0, 1)
 
     def test_selection_rate_monotone_along_output(self):
@@ -219,7 +248,7 @@ class TestGreedy:
 
         for seed in range(10):
             snap, distinct = random_instance(6, seed)
-            cand = greedy_by_rate(0.9 * distinct, (), range(6), snap)
+            cand = greedy_by_rate(0.9 * distinct, (), snap)
             walk = CoverageWalk(snap)
             rates = []
             for s in cand.order:
@@ -229,14 +258,13 @@ class TestGreedy:
 
     def test_zero_rate_universe_yields_empty_and_shortfall(self):
         snap = snapshot_from_cells((0.0, 0.0), (1.0, 1.0), {}, cardinalities=(0, 0))
-        cand = greedy_by_rate(5, (), {0, 1}, snap)
+        cand = greedy_by_rate(5, (), snap)
         assert cand.order == ()
         assert cand.covered == 0.0
 
     def test_overcovering_input_gets_trimmed(self):
-        cand = greedy_by_rate(40, (0, 1, 2), set(), ref_snapshot())
+        cand = greedy_by_rate(40, (0, 1, 2), ref_snapshot())
         assert cand.order == (0,)
-        assert cand.unselected == {1, 2}
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -247,11 +275,10 @@ class TestGreedy:
         order = tuple(perm[: data.draw(st.integers(0, n), label="length")])
         pinned = data.draw(st.integers(0, len(order)), label="pinned")
         k = data.draw(st.floats(-1.0, 1.5 * distinct) | st.just(math.inf), label="k")
-        cand = greedy_by_rate(k, order, set(range(n)) - set(order), snap, pinned)
+        cand = greedy_by_rate(k, order, snap, pinned)
         assert cand.order[:pinned] == order[:pinned]
         assert len(set(cand.order)) == len(cand.order)
-        assert set(cand.order) | cand.unselected == set(range(n))
-        assert not set(cand.order) & cand.unselected
+        assert set(cand.order) <= set(range(n))
         assert cand.covered == covered_total(cand.order, snap)
         if cand.covered >= k and len(cand.order) > pinned:
             assert covered_total(cand.order[:-1], snap) < k
@@ -271,12 +298,10 @@ class TestGreedy:
             | st.just(math.inf),
             label="k",
         )
-        unselected = set(range(n)) - set(order)
         lazy_meter, eager_meter = WorkMeter(), WorkMeter()
-        lazy = greedy_by_rate(k, order, unselected, snap, pinned, lazy_meter)
-        eager = eager_greedy(k, order, unselected, snap, pinned, eager_meter)
+        lazy = greedy_by_rate(k, order, snap, pinned, lazy_meter)
+        eager = eager_greedy(k, order, snap, pinned, eager_meter)
         assert lazy.order == eager.order
-        assert lazy.unselected == eager.unselected
         assert lazy.covered == eager.covered
         assert lazy.avg_rate == eager.avg_rate
         assert lazy_meter.ops == eager_meter.ops
@@ -294,6 +319,7 @@ class TestPicks:
         head = perm[: data.draw(st.integers(0, n), label="head")]
         rest = perm[len(head) :]
         pool = set(rest[: data.draw(st.integers(0, len(rest)), label="pool")])
+        taken = set(range(n)) - pool
 
         def picks(seed):
             walk = CoverageWalk(snap)
@@ -308,7 +334,7 @@ class TestPicks:
             heapq.heapify(heap)
             return heap
 
-        assert picks(lambda walk: permutation._rate_bounds(snap, pool)) == picks(exact)
+        assert picks(lambda walk: permutation._rate_bounds(snap, taken)) == picks(exact)
 
 
 class TestImprovePosition:
@@ -335,10 +361,9 @@ class TestImprovePosition:
             label="k",
         )
         floor = data.draw(st.sampled_from([0.0, 0.05, 0.5]), label="floor")
-        unselected = set(range(n)) - set(order)
         shared_meter, scratch_meter = WorkMeter(), WorkMeter()
-        shared = improve_position(k, order, unselected, pos, snap, floor, pinned, shared_meter)
-        scratch = scratch_improve(k, order, unselected, pos, snap, floor, pinned, scratch_meter)
+        shared = improve_position(k, order, pos, snap, floor, pinned, shared_meter)
+        scratch = scratch_improve(k, order, pos, snap, floor, pinned, scratch_meter)
         assert shared == scratch
         assert shared_meter.ops == scratch_meter.ops
 
@@ -346,7 +371,7 @@ class TestImprovePosition:
         # Where the greedy start over-commits to a fast small source, the
         # swap at its position discovers that the big overlapping source
         # alone covers the target more profitably.
-        cand = improve_position(125, (0, 1), {2}, 0, ref_snapshot(), 0.05)
+        cand = improve_position(125, (0, 1), 0, ref_snapshot(), 0.05)
         assert cand is not None
         assert cand.order == (1,)
         assert cand.avg_rate == pytest.approx(125 / 137.5)
@@ -354,11 +379,11 @@ class TestImprovePosition:
         assert seq.time_ms == pytest.approx(137.5)
 
     def test_impossible_floor_returns_none(self):
-        assert improve_position(125, (0, 1), {2}, 0, ref_snapshot(), 1.0) is None
+        assert improve_position(125, (0, 1), 0, ref_snapshot(), 1.0) is None
 
     def test_max_cardinality_anchor_returns_none(self):
         # No candidate can out-size the biggest source.
-        assert improve_position(125, (1, 0), {2}, 0, ref_snapshot(), 0.0) is None
+        assert improve_position(125, (1, 0), 0, ref_snapshot(), 0.0) is None
 
 
 class TestRefineOrder:
@@ -371,7 +396,7 @@ class TestRefineOrder:
         snap = snapshot_from_cells(
             (0.0, 0.0, 0.0), (0.5, 1.0, 2.0), {0b001: 50, 0b010: 50, 0b100: 50}
         )
-        greedy = greedy_by_rate(150, (), {0, 1, 2}, snap)
+        greedy = greedy_by_rate(150, (), snap)
         refined = refine_order(150, snap)
         assert refined.order == greedy.order
 
@@ -379,7 +404,7 @@ class TestRefineOrder:
         for seed in range(25):
             snap, distinct = random_instance(6, seed)
             k = max(1.0, 0.6 * distinct)
-            greedy = greedy_by_rate(k, (), range(6), snap)
+            greedy = greedy_by_rate(k, (), snap)
             refined = refine_order(k, snap)
             assert refined.avg_rate >= greedy.avg_rate - 1e-12
 
@@ -390,8 +415,7 @@ class TestRefineOrder:
             cand = refine_order(0.7 * distinct, snap, pinned_order=pinned)
             assert cand.order[:2] == pinned
             assert len(set(cand.order)) == len(cand.order)
-            assert set(cand.order) | cand.unselected == set(range(7))
-            assert not set(cand.order) & cand.unselected
+            assert set(cand.order) <= set(range(7))
 
 
 def full_plan_next(k, snapshot, pinned_order, overlap_floor):
@@ -401,9 +425,8 @@ def full_plan_next(k, snapshot, pinned_order, overlap_floor):
     target, then every remaining source in id order.
     """
     refined = refine_order(k, snapshot, pinned_order=pinned_order, overlap_floor=overlap_floor)
-    rest = set(range(snapshot.n_sources)) - set(refined.order)
-    full = greedy_by_rate(math.inf, refined.order, rest, snapshot)
-    order = full.order + tuple(sorted(full.unselected))
+    full = greedy_by_rate(math.inf, refined.order, snapshot)
+    order = full.order + tuple(sorted(set(range(snapshot.n_sources)) - set(full.order)))
     return next((s for s in order if s not in pinned_order), None)
 
 

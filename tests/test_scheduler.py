@@ -576,6 +576,22 @@ class TestRunConfig:
                 lambda: grid_from_json(json.loads('{"run": {"prune_threshold": NaN}}')),
                 "prune_threshold",
             ),
+            (lambda: RunConfig(detection_overhead=float("inf")), "detection_overhead"),
+            (lambda: RunConfig(planner_unit_ms=float("inf")), "planner_unit_ms"),
+            (
+                lambda: grid_from_json(json.loads('{"run": {"detection_overhead": Infinity}}')),
+                "detection_overhead",
+            ),
+            (
+                lambda: grid_from_json(json.loads('{"run": {"planner_unit_ms": Infinity}}')),
+                "planner_unit_ms",
+            ),
+            (
+                lambda: grid_from_json(
+                    json.loads('{"axes": {"detection_overhead": [1.0, Infinity]}}')
+                ),
+                "detection_overhead",
+            ),
         ],
         ids=[
             "detection_overhead",
@@ -586,6 +602,11 @@ class TestRunConfig:
             "overlap_floor",
             "grid_json_threshold",
             "grid_json_nan_threshold",
+            "infinite_detection_overhead",
+            "infinite_planner_unit_ms",
+            "grid_json_infinite_detection_overhead",
+            "grid_json_infinite_planner_unit_ms",
+            "grid_json_infinite_overhead_axis",
         ],
     )
     def test_work_scheduled_in_the_past_rejected(self, build, field):
@@ -593,6 +614,8 @@ class TestRunConfig:
         # built, before any run: a negative charge would start counting
         # queries or dispatches before time zero, a zero batch would run
         # as one, and a negative threshold or floor is no share at all.
+        # An infinite charge keeps a probed source or the planner busy
+        # forever, and JSON's Infinity reaches the config as one.
         with pytest.raises(ValueError, match=field):
             build()
 
@@ -640,6 +663,16 @@ class TestRunConfig:
             grid_from_json(json.loads(f'{{"k_fraction": {value}, "seeds": [101]}}'))
         with pytest.raises(ValueError, match="axes: k_fraction must be positive"):
             grid_from_json(json.loads(f'{{"axes": {{"k_fraction": [0.5, {value}]}}}}'))
+
+    def test_grid_json_empty_seeds_rejected(self):
+        # Every condition's mean needs at least one run; with none the
+        # grid would fail after its first condition without naming seeds.
+        payload = {"seeds": [], "axes": {"k_fraction": [0.5]}, "algorithms": ["online"]}
+        with pytest.raises(ValueError, match="top level: seeds must not be empty"):
+            grid_from_json(payload)
+        spec = grid_from_json(dict(payload, seeds=[101]))
+        with pytest.raises(ValueError, match="top level: seeds must not be empty"):
+            replace(spec, seeds=())
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -821,10 +854,10 @@ class TestPlannerPublication:
             sweeps.append(snapshot)
             return refine(k, snapshot, **kwargs)
 
-        def counted_improve(k, order, unselected, pos, snapshot, overlap_floor, pinned, meter):
+        def counted_improve(k, order, pos, snapshot, overlap_floor, pinned, meter):
             if snapshot is not init:  # not the hint's sweep
                 positions.append((pos, pinned))
-            return improve(k, order, unselected, pos, snapshot, overlap_floor, pinned, meter)
+            return improve(k, order, pos, snapshot, overlap_floor, pinned, meter)
 
         query = QuerySpec(SCOPE_FOCUS, k)
         with mock.patch.object(scheduler, "refine_order", counted_refine), mock.patch.object(
