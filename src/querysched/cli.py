@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from .permutation import (
     refine_order,
 )
 from .simulator import SCOPE_ALL, ScopedProbe, generate
+from .testing import INSTANCE_DISTINCT, random_instance
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -75,8 +77,6 @@ def _cmd_dump_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .testing import random_instance
-
     snapshot, distinct = random_instance(args.max_sources, args.seed)
     k = max(1, int(round(args.k_fraction * distinct)))
     model = PREFIX_AVERAGE if args.prefix_average else SEQUENTIAL
@@ -109,11 +109,20 @@ def _oracle_sources(text: str) -> int:
     return value
 
 
-def _positive_fraction(text: str) -> float:
-    """A share of the distinct tuples; zero or less would ask for none."""
+def _oracle_fraction(text: str) -> float:
+    """A share of an oracle instance's distinct tuples that is a finite count of them.
+
+    Zero or less would ask for none; a share whose count is infinite
+    has no whole k.
+    """
     value = _number(float, text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    most = INSTANCE_DISTINCT[-1]
+    if not math.isfinite(value * most):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite share of up to {most} tuples, got {value}"
+        )
     return value
 
 
@@ -166,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="compare the sweep against exhaustive search")
     p_oracle.add_argument("--max-sources", type=_oracle_sources, default=6)
     p_oracle.add_argument("--seed", type=int, default=1)
-    p_oracle.add_argument("--k-fraction", type=_positive_fraction, default=0.6)
+    p_oracle.add_argument("--k-fraction", type=_oracle_fraction, default=0.6)
     p_oracle.add_argument(
         "--prefix-average", action="store_true", help="evaluate under the prefix-average model"
     )

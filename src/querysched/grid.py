@@ -54,7 +54,7 @@ class GridSpec:
     seeds: tuple[int, ...] = tuple(range(101, 111))
 
     def __post_init__(self) -> None:
-        _fraction(self.k_fraction, "top level", "k_fraction")
+        _fraction(self.k_fraction, "top level", "k_fraction", self.universe.n_distinct)
         if not self.seeds:  # every condition's mean needs a run
             raise ValueError("grid config section top level: seeds must not be empty")
         for axis, value in self.conditions():
@@ -76,7 +76,7 @@ def condition_config(
     run = spec.run
     k_fraction = spec.k_fraction
     if axis == "k_fraction":
-        k_fraction = _fraction(value, "axes", axis)
+        k_fraction = _fraction(value, "axes", axis, ucfg.n_distinct)
     elif axis == "query_threads":
         run = replace(run, query_threads=_integer(value, "axes", axis))
     elif axis == "n_sources":
@@ -338,12 +338,17 @@ def _integer(value: object, where: str, key: str) -> int:
     return int(value)
 
 
-def _fraction(value: object, where: str, key: str) -> float:
-    """``value`` as a float, positive and finite: a share of the focus tuples to ask for."""
+def _fraction(value: object, where: str, key: str, n_distinct: int) -> float:
+    """``value`` as a float: a positive share of the focus tuples to ask for.
+
+    The focus tuples are at most the universe's ``n_distinct``; a share
+    whose count of them is infinite has no whole k.
+    """
     value = float(value)
-    if not 0.0 < value < math.inf:  # NaN too
+    if not (value > 0.0 and math.isfinite(value * n_distinct)):  # NaN too
         raise ValueError(
-            f"grid config section {where}: {key} must be positive and finite, got {value!r}"
+            f"grid config section {where}: {key} must be positive and finite"
+            f" as a share of {n_distinct} tuples, got {value!r}"
         )
     return value
 

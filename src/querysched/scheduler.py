@@ -19,12 +19,18 @@ arrivals (a dispatch, a source finishing, a counting query completing)
 the set of streams being scanned is fixed, and an arrival only adds to
 the seen-set and the counters.  So the loop consumes each such window in
 one step: the arrivals of every scanning thread up to the next heap
-event, or through the earliest finish among those threads, merged in
-(time, thread id) order.  Arrival times are each source's cumulative
-sums of its per-tuple latency, added one tuple at a time as a per-tuple
-event loop would add them; a boolean array over the tuple ids says which
-arrivals are new, and the window stops at the k-th new tuple.  This is
-batch-at-a-time execution as in MonetDB/X100 (Boncz et al., CIDR 2005).
+event, or through the earliest finish among those threads.  Arrival
+times are each source's cumulative sums of its per-tuple latency, added
+one tuple at a time as a per-tuple event loop would add them; a boolean
+array over the tuple ids says which tuples the run has seen.  An arrival
+is new if it is its tuple's first in (time, thread id) order and the
+tuple is unseen.  With several threads the first arrivals come from a
+scatter, not a sort: thread by thread, each arrival earlier than its
+tuple's stored time replaces it, so a tie goes to the lower thread id.
+Only the window that reaches the k-th new tuple, at most one per run,
+merges its arrivals in (time, thread id) order, to stop at that tuple.
+This is batch-at-a-time execution as in MonetDB/X100 (Boncz et al.,
+CIDR 2005).
 """
 
 from __future__ import annotations
@@ -455,7 +461,13 @@ class _Executor:
         self.threads = [_ThreadState() for _ in range(config.query_threads)]
         self.dispatched: list[int] = []
         # Tuple ids are dense, 0 .. n_distinct - 1.
-        self.seen = np.zeros(universe.truth.n_distinct, dtype=bool)
+        n = universe.truth.n_distinct
+        self.seen = np.zeros(n, dtype=bool)
+        if config.query_threads > 1:
+            # Scratch for a window of several threads: each tuple's first
+            # arrival time (inf outside a window) and the part it came in.
+            self.first = np.full(n, np.inf)
+            self.owner = np.zeros(n, dtype=np.intp)
         self.distinct = 0
         self.transferred = 0
         self.traces = bytearray()  # packed SourceTrace records
@@ -538,53 +550,84 @@ class _Executor:
                 ids = np.fromiter(st.stream[st.cursor : st.cursor + n], dtype=np.intp, count=n)
                 parts.append((tid, ids, pending[:n]))
         if len(parts) == 1:
-            tid, ids, times = parts[0]
-            owners = np.full(len(ids), tid)
-            fresh = ~self.seen[ids]  # a stream holds each tuple once
+            fresh = [~self.seen[parts[0][1]]]  # a stream holds each tuple once
         else:
-            # Merge by (time, thread id): parts are in thread order, and a
-            # stable sort keeps that order among equal times.
-            times = np.concatenate([t for _, _, t in parts])
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            ids = np.concatenate([i for _, i, _ in parts])[order]
-            owners = np.repeat([tid for tid, _, _ in parts], [len(i) for _, i, _ in parts])[order]
-            fresh = np.zeros(len(ids), dtype=bool)
-            fresh[np.unique(ids, return_index=True)[1]] = True  # first in the window
-            fresh &= ~self.seen[ids]
-
-        new_so_far = np.cumsum(fresh)
+            fresh = self._first_arrivals(parts)
+        new = [int(np.count_nonzero(f)) for f in fresh]
         need = self.query.k - self.distinct
-        if new_so_far[-1] >= need:
-            stop = int(new_so_far.searchsorted(need)) + 1  # through the k-th new tuple
-            ids, times, owners, fresh = ids[:stop], times[:stop], owners[:stop], fresh[:stop]
-            self.reached_target = True
-        self.seen[ids[fresh]] = True
-        self.distinct += int(new_so_far[len(ids) - 1])
-        self.transferred += len(ids)
-        for tid, _, _ in parts:
-            mine = owners == tid
-            n = int(np.count_nonzero(mine))
-            if n:
-                st = self.threads[tid]
-                new = int(np.count_nonzero(fresh[mine]))
-                st.cursor += n
-                st.new_tuples += new
-                st.dup_tuples += n - new
-                st.last_event_ms = float(st.times[st.cursor - 1])
-
-        if self.reached_target:
-            now_ms = float(times[-1])
-            tid = int(owners[-1])
-            self.end_ms = now_ms
-            self._finish_source(tid, now_ms)
-            self._flush_active(now_ms, skip=tid)
+        if sum(new) >= need:
+            self._final_window(parts, fresh, need)
             return None
+
+        for (tid, ids, times), n_new in zip(parts, new):
+            self.seen[ids] = True  # new or not, every tuple here is seen now
+            st = self.threads[tid]
+            st.cursor += len(ids)
+            st.new_tuples += n_new
+            st.dup_tuples += len(ids) - n_new
+            st.last_event_ms = float(times[-1])
+            self.distinct += n_new
+            self.transferred += len(ids)
         for tid, st in active:
             if st.cursor == len(st.stream):
                 self._finish_source(tid, st.last_event_ms)
                 return tid, st.last_event_ms
         return None
+
+    def _first_arrivals(self, parts: list) -> list[np.ndarray]:
+        """Per part, which of its arrivals bring a tuple new to the run.
+
+        A tuple is new at its first arrival in (time, thread id) order if
+        no earlier window saw it.  Parts are in thread order and each
+        holds a tuple at most once, so scattering each part's earlier
+        times in turn finds every tuple's first arrival, with a tie going
+        to the lower thread id, as in the merged order, and no sort.
+        """
+        first, owner = self.first, self.owner
+        for p, (_, ids, times) in enumerate(parts):
+            earlier = times < first[ids]
+            won = ids[earlier]
+            first[won] = times[earlier]
+            owner[won] = p
+        fresh = []
+        for p, (_, ids, _) in enumerate(parts):
+            fresh.append((owner[ids] == p) & ~self.seen[ids])
+            first[ids] = np.inf  # as the next window expects
+        return fresh
+
+    def _final_window(self, parts: list, fresh: list[np.ndarray], need: int) -> None:
+        """Consume the window's arrivals through the k-th new tuple, ending the run.
+
+        Only here does the run need the window's arrivals in (time,
+        thread id) order: parts are in thread order, and a stable sort
+        keeps that order among equal times.  The run ends, so ``seen`` is
+        left as it is.
+        """
+        times = np.concatenate([t for _, _, t in parts])
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        owners = np.repeat([tid for tid, _, _ in parts], [len(t) for _, _, t in parts])[order]
+        is_new = np.concatenate(fresh)[order]
+        stop = int(np.cumsum(is_new).searchsorted(need)) + 1  # through the k-th new tuple
+        times, owners, is_new = times[:stop], owners[:stop], is_new[:stop]
+        self.distinct = self.query.k
+        self.transferred += stop
+        for tid, _, _ in parts:
+            mine = owners == tid
+            n = int(np.count_nonzero(mine))
+            if n:
+                st = self.threads[tid]
+                new = int(np.count_nonzero(is_new[mine]))
+                st.cursor += n
+                st.new_tuples += new
+                st.dup_tuples += n - new
+                st.last_event_ms = float(st.times[st.cursor - 1])
+        self.reached_target = True
+        now_ms = float(times[-1])
+        tid = int(owners[-1])
+        self.end_ms = now_ms
+        self._finish_source(tid, now_ms)
+        self._flush_active(now_ms, skip=tid)
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -280,7 +281,9 @@ def generate(config: UniverseConfig, seed: int) -> Universe:
     per_source: list[list[int]] = [[] for _ in range(n)]
     # Far fewer masks than tuples (bulk: 36 for 20,000): decode each once.
     members = {mask: member_sources(mask) for mask in set(membership)}
-    for tid, mask in enumerate(membership):
+    # One int per tuple id, shared by every stream and the focus set.
+    tids = list(range(config.n_distinct))
+    for tid, mask in zip(tids, membership):
         for s in members[mask]:
             per_source[s].append(tid)
     sources = []
@@ -290,7 +293,9 @@ def generate(config: UniverseConfig, seed: int) -> Universe:
         order_rng.shuffle(tuples)
         sources.append(SimSource(s, access[s], per_tuple[s], tuple(tuples)))
 
-    truth = GroundTruth(tuple(membership), frozenset(focus))
+    # Inserted in ascending order, as every generator builds ``focus``,
+    # so the set's layout, and with it its repr, is unchanged.
+    truth = GroundTruth(tuple(membership), frozenset({t for t in tids if t in focus}))
     return Universe(config, seed, tuple(sources), truth)
 
 
@@ -334,12 +339,13 @@ def _generate_replication(
         chain_of = [c for c, _ in picks]
         _balance_total(depth_of, config.total_tuples, rng,
                        cap=[len(chains[c]) for c in chain_of])
-        membership = []
-        for tid in range(config.n_distinct):
-            mask = 0
-            for s in chains[chain_of[tid]][: depth_of[tid]]:
-                mask |= 1 << s
-            membership.append(mask)
+        # prefix[c][d] is the mask of chains[c][:d]: tuples on one chain
+        # prefix share its int, so a universe keeps one per distinct mask.
+        prefix = [
+            list(itertools.accumulate((1 << s for s in chain), operator.or_, initial=0))
+            for chain in chains
+        ]
+        membership = [prefix[c][d] for c, d in zip(chain_of, depth_of)]
         focus_rng = random.Random(f"focus:{seed}")
         shares = [
             min(0.95, max(0.05, config.query_split + (focus_rng.random() * 2 - 1) * model.split_skew))

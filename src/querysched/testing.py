@@ -7,6 +7,9 @@ import random
 from .lattice import StatsSnapshot
 from .simulator import SCOPE_ALL, ReplicationModel, UniverseConfig, generate
 
+#: The distinct tuple counts an instance draws from.
+INSTANCE_DISTINCT = range(40, 140)
+
 
 def random_instance(
     n_sources: int, seed: int, *, style: str = "uniform"
@@ -18,7 +21,7 @@ def random_instance(
     against exhaustive search are exact.
     """
     rng = random.Random(f"instance:{seed}")
-    n_distinct = rng.randrange(40, 140)
+    n_distinct = rng.randrange(INSTANCE_DISTINCT.start, INSTANCE_DISTINCT.stop)
     mean_depth = 1.2 + rng.random() * (min(n_sources, 4) - 1.2)
     max_depth = min(n_sources, 6)
     mean_depth = min(mean_depth, max_depth)

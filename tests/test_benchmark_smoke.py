@@ -88,6 +88,14 @@ WIDE_COUNTERS = {
     "scheduler.detections": 432,
     "scheduler.dispatches": 49,
 }
+# The bulk pass runs the baselines and ``full_knowledge`` with one and
+# four query threads; its tuple count pins how the event loop consumes
+# their arrivals, so a window that miscounts fails here too.
+BULK_COUNTERS = {
+    "scheduler.tuples": 845_999,
+    "scheduler.dispatches": 578,
+    "scheduler.replans": 50,
+}
 # Recorded before the offline sweeps skipped the work whose result they
 # knew; the solves still fail as they did, on the same counting queries.
 DESK_SETUP = offline(queries=123, solves=5)
@@ -107,6 +115,8 @@ def test_traced_bulk_pass_is_correct():
     # that reaches the wrapped simulator entry points without the grid.
     summary = traced_pass("bulk-scan")
     assert summary["correct"] is True
+    counters = {name: summary["metrics"][name]["value"] for name in BULK_COUNTERS}
+    assert counters == BULK_COUNTERS
     assert setup_counters(summary) == BULK_SETUP
 
 

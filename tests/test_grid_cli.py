@@ -339,20 +339,29 @@ class TestCli:
         [
             ("--k-fraction", "0"),
             ("--k-fraction", "-0.5"),
+            ("--k-fraction", "nan"),
+            ("--k-fraction", "inf"),
+            ("--k-fraction", "1e308"),
             ("--max-sources", "0"),
             ("--max-sources", "-3"),
             ("--max-sources", "10"),
         ],
     )
     def test_oracle_rejects_bad_arguments_at_parse_time(self, capsys, flag, value):
-        # A fraction of zero or less used to run k = 1, and no sources
-        # failed deep inside the generator.
+        # A fraction of zero or less used to run k = 1, one whose count
+        # of the instance's tuples is infinite failed converting k to an
+        # int, and no sources failed deep inside the generator.
         with pytest.raises(SystemExit) as exit_info:
             main(["oracle", flag, value])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert f"argument {flag}:" in captured.err
         assert captured.out == ""
+
+    def test_oracle_fraction_above_one_runs_short(self, capsys):
+        rc = main(["oracle", "--max-sources", "5", "--seed", "3", "--k-fraction", "1e300"])
+        assert rc == 0
+        assert "shortfall=True" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from querysched import permutation, scheduler
 from querysched.cost import QuerySpec
 from querysched.detection import DETECTION_QUERY_MS, initial_detection, prior_query_snapshot
-from querysched.grid import desk_universe_config, grid_from_json, offline_stats, scaled_universe
+from querysched.grid import (
+    desk_universe_config,
+    grid_from_json,
+    offline_stats,
+    run_condition,
+    scaled_universe,
+)
 from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER, baseline_order, refine_order
 from querysched.scheduler import (
     RunConfig,
@@ -442,6 +449,26 @@ class TestRunProperties:
                     result = run_query(algo, query, u, init, cfg, seed=seed)
                     assert result.to_json() == reference.to_json(), (seed, threads, k)
 
+    @pytest.mark.parametrize("algo", TABLE_ALGO_ORDER)
+    def test_a_window_leaves_no_first_arrival_behind(self, algo):
+        # Each window of several threads starts from first-arrival times
+        # at inf, so it never reads an earlier window's arrivals.  (Those
+        # tuples are all seen, so the outputs alone cannot show this.)
+        windows = 0
+        first_arrivals = scheduler._Executor._first_arrivals
+
+        def checked(executor, parts):
+            nonlocal windows
+            windows += 1
+            fresh = first_arrivals(executor, parts)
+            assert np.isinf(executor.first).all()
+            return fresh
+
+        u, init = desk_setup()
+        with mock.patch.object(scheduler._Executor, "_first_arrivals", checked):
+            run_query(algo, QuerySpec(SCOPE_FOCUS, 260), u, init, RunConfig(query_threads=3))
+        assert windows > 0
+
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("algo", TABLE_ALGO_ORDER)
     def test_k_on_the_last_arrival_of_a_window(self, algo, threads):
@@ -499,6 +526,29 @@ class TestGoldenBulkRuns:
     def test_bulk_runs_match_golden_json(self):
         text = "".join(line + "\n" for line in bulk_run_lines())
         assert text == GOLDEN_BULK_RUNS.read_text()
+
+    def test_only_the_window_that_reaches_k_sorts(self):
+        # A window of several threads finds each tuple's first arrival by
+        # scatter; only the one that reaches k merges its arrivals.
+        sorts = []  # merged-order builds, one count per run
+        init, argsort = scheduler._Executor.__init__, np.argsort
+
+        def new_run(executor, *args):
+            sorts.append(0)
+            init(executor, *args)
+
+        def counted(*args, **kwargs):
+            if sorts:
+                sorts[-1] += 1
+            return argsort(*args, **kwargs)
+
+        with (
+            mock.patch.object(scheduler._Executor, "__init__", new_run),
+            mock.patch.object(scheduler.np, "argsort", counted),
+            mock.patch.object(scheduler.np, "unique", side_effect=AssertionError("np.unique")),
+        ):
+            bulk_run_lines()
+        assert max(sorts) == 1
 
 
 #: One JSON line per run: ``adaptive_run_lines()`` on desk and 200-source universes.
@@ -655,14 +705,21 @@ class TestRunConfig:
         assert type(floats.query_threads) is type(floats.detection_batch) is int
         assert run_query("online", query, u, init, floats).to_json() == whole.to_json()
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-0.5", "0"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e308", "-0.5", "0"])
     def test_grid_json_bad_k_fraction_rejected(self, value):
-        # NaN and the infinities would fail mid-grid converting k to an
-        # int; a share at or below zero would silently run with k = 1.
+        # NaN, the infinities and a share whose count of the universe's
+        # tuples is infinite would fail mid-grid converting k to an int;
+        # a share at or below zero would silently run with k = 1.
         with pytest.raises(ValueError, match="top level: k_fraction must be positive"):
             grid_from_json(json.loads(f'{{"k_fraction": {value}, "seeds": [101]}}'))
         with pytest.raises(ValueError, match="axes: k_fraction must be positive"):
             grid_from_json(json.loads(f'{{"axes": {{"k_fraction": [0.5, {value}]}}}}'))
+
+    @pytest.mark.parametrize("value", [1.5, 1e300])
+    def test_grid_k_fraction_above_one_runs_short(self, value):
+        spec = grid_from_json({"axes": {"k_fraction": [value]}, "seeds": [101]})
+        result = run_condition(spec, "k_fraction", value, "online", 101)
+        assert result.shortfall and result.k > result.distinct_tuples
 
     def test_grid_json_empty_seeds_rejected(self):
         # Every condition's mean needs at least one run; with none the

@@ -1,5 +1,6 @@
 """Universe generation: determinism, ground truth, timing semantics."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querysched.cost import QuerySpec
+from querysched.grid import desk_universe_config, scaled_universe
 from querysched.lattice import snapshot_from_cells
 from querysched.scheduler import RunConfig, run_query
 from querysched.simulator import (
@@ -52,6 +54,27 @@ class TestVennPlacement:
         probe = ScopedProbe(demo_universe(), SCOPE_ALL)
         assert probe.cell_count(0b011) == 35
         assert probe.cell_count(0b111) == 0
+
+
+_DESK = desk_universe_config()
+#: The benchmark's universes: desk, the 200-source axis value, and bulk.
+BENCH_UNIVERSES = {
+    "desk": _DESK,
+    "wide": scaled_universe(_DESK, 200),
+    "bulk": desk_universe_config(n_distinct=20_000, total_tuples=100_000),
+}
+#: SHA-256 of ``repr(generate(BENCH_UNIVERSES[name], seed))``.
+RECORDED_DIGESTS = [
+    ("desk", 101, "e4974cec95f2e0b5598000f829ad16f7da02029d3627b5a4611e6ad90102d9b8"),
+    ("desk", 102, "9d7f04ccdb3d1c124afbc53dcb9b627d4657e54c0f82b98405c88af5c7f4ff38"),
+    ("desk", 103, "16f6f5041759eec7cfebe53dfccc0c6365419c9495fbe16d3eb32be0f7e40f51"),
+    ("wide", 101, "9b581c13fa692d9dbb44de6aa7344a69ff4042654bb08d89e069aab75eeb125a"),
+    ("wide", 102, "61f41405fd342e19f6af0c086c4752e41b5fbce29688cb9f9c6f3f45884e79bd"),
+    ("wide", 103, "a4c460b0c71a42dc5c2187d8c48bb6675c1f58fdf6123063a79eb5e6edfbea00"),
+    ("bulk", 101, "3c63edd6cec3a9db8f04d5e1e163fa1d9ebbd43a25736ac7ed65c1186e087f36"),
+    ("bulk", 102, "848b69b3564623d9c12d65cb12b9a15a58bcbdd988b9351b0299cde50a42a22e"),
+    ("bulk", 103, "c9a26743adf7a5e2b9ac02aa70fb321b22609d44ecf6ea37ccae41657b14b269"),
+]
 
 
 class TestReplication:
@@ -111,6 +134,21 @@ class TestReplication:
             theirs.choices(population, weights)[0] for _ in range(40)
         ]
         assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "name, seed, digest", RECORDED_DIGESTS, ids=[f"{n}-{s}" for n, s, _ in RECORDED_DIGESTS]
+    )
+    def test_universes_match_recorded_digests(self, name, seed, digest):
+        # Recorded before a universe kept one int per distinct mask and
+        # per tuple id; sharing them must not change it, down to the
+        # iteration order of its focus set.
+        u = generate(BENCH_UNIVERSES[name], seed)
+        assert hashlib.sha256(repr(u).encode()).hexdigest() == digest
+        if name == "bulk":
+            membership = u.truth.membership
+            assert len({id(m) for m in membership}) == len(set(membership))
+            ints = {id(t) for src in u.sources for t in src.tuples}
+            assert len(ints | {id(t) for t in u.truth.focus}) == u.truth.n_distinct
 
     def test_focus_partition(self):
         u = generate(self.cfg("chained", split_skew=0.3), 7)
