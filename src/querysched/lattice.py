@@ -251,12 +251,6 @@ class StatsSnapshot:
                 rows[a][b] = rows[b][a] = total
         return tuple(rows)
 
-    def pair_overlap(self, i: int, j: int) -> float:
-        """Estimated number of tuples shared by sources ``i`` and ``j``."""
-        if i == j:
-            return self.cardinalities[i]
-        return self._neighbours[i].get(j, 0.0)
-
     def scan_cost_ms(self, source: int) -> float:
         """Full access-plus-transfer time for one source."""
         return self.access_ms[source] + self.per_tuple_ms[source] * self.cardinalities[source]

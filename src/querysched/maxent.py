@@ -24,12 +24,14 @@ offline lattice kept.  So unless the prior already meets the rows, the
 refresh first finds the nearest totals the nonnegative cells can
 reach (Lawson-Hanson NNLS on the scaled rows), keeps only the cells some
 nearest point may use, and then projects the prior onto those totals by
-Newton steps on the dual.  It always returns an answer and names the
-sources whose totals moved.  The index work that depends only on which
-rows and cells there are is built once per cell set and reused; it also
-remembers whether the cell set's last NNLS moved a row.  When it moved
-none, the next refresh tries Newton alone first and runs NNLS only if
-Newton does not meet the rows, which gives the same answer.
+Newton steps on the dual.  Each step backtracks until the dual falls, so
+the refresh needs no other solver: the row scaling above serves only the
+offline fill.  It always returns an answer and names the sources whose
+totals moved.  The index work that depends only on which rows and cells
+there are is built once per cell set and reused; it also remembers
+whether the cell set's last NNLS moved a row.  When it moved none, the
+next refresh tries Newton alone first and runs NNLS only if Newton does
+not meet the rows, which gives the same answer.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ from .lattice import member_sources
 log = logging.getLogger(__name__)
 
 DEFAULT_REL_TOL = 1e-6
+
+# Newton's backtracking tries these step lengths, longest first: 1, 1/2, ... 2**-59.
+_STEP_LENGTHS = tuple(0.5**i for i in range(60))
 
 
 class MaxEntError(RuntimeError):
@@ -156,7 +161,7 @@ def solve(
 
     moved: tuple[int, ...] = ()
     if prior is not None:
-        iterations, worst_rel, moved = _project(w, rows, rel_tol, skipped, layout)
+        iterations, worst_rel, moved = _project(w, rows, rel_tol, layout)
     else:
         iterations, worst_rel, rows = _scale_rows(w, rows, rel_tol, skipped)
     if skipped or moved:
@@ -337,16 +342,16 @@ def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
     return iterations, worst_rel, rows
 
 
-def _project(w, rows, rel_tol, skipped, layout: _RowLayout) -> tuple[int, float, tuple[int, ...]]:
+def _project(w, rows, rel_tol, layout: _RowLayout) -> tuple[int, float, tuple[int, ...]]:
     """Query-level refresh: KL projection of ``w`` onto the nearest feasible rows.
 
     A ``w`` that already meets the rows within ``rel_tol * 1e-3`` is
     returned as it is.  Otherwise Lawson-Hanson NNLS on the scaled rows
     finds totals ``A x`` the nonnegative cells can reach, closest to the
-    requested ones.  When
-    they differ by more than ``rel_tol`` the rows are replaced by them and
-    the cells with ``(A^T r)_j < 0`` are zeroed: every closest point is
-    zero there.  Newton on the dual then projects onto that face.
+    requested ones.  When they differ by more than ``rel_tol`` the rows
+    are replaced by them and the cells that NNLS left at zero with
+    ``(A^T r)_j < 0`` are zeroed: every closest point is zero there.
+    Newton on the dual then projects onto that face.
     When the last NNLS over ``layout`` moved no row, Newton runs first
     from ``w``, and NNLS only if Newton does not meet the rows.
     Updates ``w`` in place; returns the iteration count, the worst
@@ -379,7 +384,7 @@ def _project(w, rows, rel_tol, skipped, layout: _RowLayout) -> tuple[int, float,
     fitted = a @ x
     moved: list[int] = []
     if float(np.max(np.abs(fitted - b))) > rel_tol:
-        w[cells[grad < -tol]] = 0.0
+        w[cells[(x <= 0.0) & (grad < -tol)]] = 0.0
         rescaled = []
         for r, (s, idx, t, scale) in enumerate(rows):
             target = max(float(fitted[r]), 0.0) * scale
@@ -392,21 +397,19 @@ def _project(w, rows, rel_tol, skipped, layout: _RowLayout) -> tuple[int, float,
     layout.moved = bool(moved)
     # Newton converges quadratically near the answer: a step or two past
     # rel_tol makes the result independent of where the iteration started.
-    # Far from it (a prior off by orders of magnitude) its line search can
-    # stall; the offline iteration then takes over on the same rows.
+    # Far from it (a prior off by orders of magnitude) the line search
+    # shortens the step until the dual falls.
     worst, steps = _newton_phase(w, rows, rel_tol * 1e-3)
-    if worst > rel_tol:
-        sweeps, worst, _ = _scale_rows(w, rows, rel_tol, skipped)
-        steps += sweeps
     return steps, worst, tuple(moved)
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Lawson-Hanson active-set solution of ``min |a x - b|`` over ``x >= 0``.
 
-    Returns ``x``, the gradient ``a^T (b - a x)`` (zero where ``x > 0``,
-    nonpositive elsewhere, up to the returned tolerance) and that
-    tolerance.
+    Returns ``x``, the gradient ``a^T (b - a x)`` and the tolerance below
+    which a cell at zero counts as optimal.  Where ``x > 0`` the gradient
+    is zero only up to rounding, which the tolerance does not bound: only
+    a cell at zero reads its face from the gradient's sign.
     """
     n = a.shape[1]
     tol = 10.0 * np.finfo(float).eps * max(a.shape) * max(1.0, float(np.abs(a).sum(axis=0).max()))
@@ -450,12 +453,15 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
-    """Damped Newton steps on the dual until the rows balance or stall.
+    """Damped Newton steps on the dual until the rows balance or the dual stops falling.
 
     Returns the worst relative residual and the number of steps taken.
     The dual objective is ``sum(w) + lambda . b`` with gradient
     ``b - A w`` and Hessian ``A diag(w) A^T``; cells keep the
     multiplicative form ``w *= exp(-A^T delta)`` so zero cells stay zero.
+    Each step backtracks over :data:`_STEP_LENGTHS` along the Newton
+    direction, which descends the convex dual; the phase ends when no
+    length lowers the dual or when an accepted step does not.
     """
     targets = np.array([t for _s, _idx, t, _scale in rows])
     scales = np.array([scale for _s, _idx, _t, scale in rows])
@@ -470,7 +476,6 @@ def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
     grad = incidence @ w - targets
     worst = float(np.max(np.abs(grad) / scales, initial=0.0))
     best = float(w.sum() + lam @ targets)
-    stagnant = 0
     best_resid = worst
     stale = 0
     steps = 0
@@ -495,28 +500,22 @@ def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
         except np.linalg.LinAlgError:
             break
         steps += 1
-        stepped = False
         slack = 1e-12 * max(1.0, abs(best))
-        for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
+        for alpha in _STEP_LENGTHS:
             shift = np.clip(incidence.T @ (alpha * delta), -500, 500)
             trial = w * np.exp(-shift)
             if not np.all(np.isfinite(trial)):
                 continue
-            lam_trial = lam + alpha * delta
-            value = float(trial.sum() + lam_trial @ targets)
+            value = float(trial.sum() + (lam + alpha * delta) @ targets)
             if value <= best + slack:
-                w[:] = trial
-                lam = lam_trial
-                stepped = value < best
-                best = min(best, value)
                 break
-        if stepped:
-            stagnant = 0
         else:
-            stagnant += 1
-            if stagnant >= 3:
-                break
+            break
+        w[:] = trial
+        lam = lam + alpha * delta
         grad = incidence @ w - targets
         worst = float(np.max(np.abs(grad) / scales, initial=0.0))
+        if value >= best:
+            break
+        best = value
     return worst, steps
-

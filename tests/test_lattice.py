@@ -17,6 +17,7 @@ from querysched.lattice import (
     parse_snapshot,
     snapshot_from_cells,
 )
+from querysched.permutation import overlap_ranked
 
 # The three-source reference lattice: exclusive counts per membership mask.
 REF_CELLS = {0b001: 10, 0b010: 80, 0b100: 60, 0b011: 35, 0b101: 5, 0b110: 10, 0b111: 0}
@@ -26,6 +27,12 @@ REF_TRANSFER = (0.7, 1.1, 1.5)
 
 def ref_snapshot(**kwargs):
     return snapshot_from_cells(REF_ACCESS, REF_TRANSFER, REF_CELLS, **kwargs)
+
+
+def shared_tuples(snap, i, j):
+    """Tuples of ``i`` also in ``j``, as the planner reads them: a ratio of ``i``'s cardinality."""
+    (ranked,) = overlap_ranked(i, {j}, snap, 0.0)
+    return ranked[1] * snap.cardinalities[i]
 
 
 class TestShapeOps:
@@ -93,15 +100,15 @@ class TestSnapshot:
 
     def test_pair_overlap(self):
         snap = ref_snapshot()
-        assert snap.pair_overlap(0, 1) == pytest.approx(35.0)
-        assert snap.pair_overlap(1, 2) == pytest.approx(10.0)
+        assert shared_tuples(snap, 0, 1) == pytest.approx(35.0)
+        assert shared_tuples(snap, 1, 2) == pytest.approx(10.0)
 
     def test_pruned_cells_contribute_nothing(self):
         cells = dict(ref_snapshot().cells)
         cells[0b011] = LatticeCell(0b011, 0.0, PRUNED)
         snap = StatsSnapshot(0, "initial", REF_ACCESS, REF_TRANSFER, (50.0, 125.0, 75.0), cells)
         assert walk_residuals((0, 1), snap)[1] == pytest.approx(125.0)
-        assert snap.pair_overlap(0, 1) == pytest.approx(0.0)
+        assert shared_tuples(snap, 0, 1) == pytest.approx(0.0)
 
     def test_canonical_duplicate_patterns_share_one_cell(self):
         # At three sources, the level-2 constraint system has exactly three

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from querysched import maxent
@@ -256,6 +256,29 @@ class TestQueryRefreshShortcuts:
         assert report.moved_sources == ()
         assert report.max_rel_residual <= 1e-9
 
+    @pytest.mark.parametrize(
+        "constraints, prior",
+        [
+            ({0: 0.0, 1: 66.76226010599068}, {0b10: 0.1}),
+            ({0: 1e6}, {0b1: 1e-6}),
+            ({0: 1e6, 1: 5e5}, {0b1: 1e-6, 0b11: 2e-6}),
+        ],
+    )
+    def test_far_priors_are_met_without_the_offline_loop(self, monkeypatch, constraints, prior):
+        # Priors orders of magnitude off their rows: Newton's line search
+        # keeps shortening its step until the dual falls, so it meets the
+        # rows itself.
+        def no_scaling(*args):
+            raise AssertionError("a query projection ran the offline loop")
+
+        monkeypatch.setattr(maxent, "_scale_rows", no_scaling)
+        values, report = maxent.solve(constraints, {}, list(prior), prior=prior)
+        got = row_totals(len(constraints), values)
+        for s, total in constraints.items():
+            assert abs(got[s] - total) <= maxent.DEFAULT_REL_TOL * max(total, 1.0)
+        assert report.max_rel_residual <= maxent.DEFAULT_REL_TOL
+        assert report.moved_sources == report.skipped_sources == ()
+
     def test_one_debug_record_names_every_skipped_row(self, caplog):
         constraints = {0: 4.0, 1: 7.0, 2: 5.0}
         prior = {0b001: 1.0, 0b010: 0.0, 0b100: 0.0}
@@ -370,6 +393,9 @@ class TestQueryProjectionProperties:
 
     @PROPERTY_SETTINGS
     @given(cell_systems(implied=True), st.floats(1.0, 100.0))
+    # NNLS uses cell 0b111 (x = 1) but leaves its gradient just past its
+    # tolerance; zeroing that cell would leave row 2 a tuple short.
+    @example((4, {2: 0.0, 3: 0.0, 7: 1.0, 11: 81.0}, dict.fromkeys((2, 3, 7, 11), 1.0), set()), 1.0)
     def test_infeasible_rows_move_and_are_reported(self, system, excess):
         n, truth, prior, _ = system
         constraints = row_totals(n, truth)
