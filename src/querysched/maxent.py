@@ -21,17 +21,22 @@ the new totals; that variant backs the per-query refresh, where the
 offline cells act as the prior.  Its rows are often infeasible: totals
 scaled from a few probed sources cannot be met by the cells that the
 offline lattice kept.  So unless the prior already meets the rows, the
-refresh first finds the nearest totals the nonnegative cells can
-reach (Lawson-Hanson NNLS on the scaled rows), keeps only the cells some
-nearest point may use, and then projects the prior onto those totals by
-Newton steps on the dual.  Each step backtracks until the dual falls, so
-the refresh needs no other solver: the row scaling above serves only the
-offline fill.  It always returns an answer and names the sources whose
-totals moved.  The index work that depends only on which rows and cells
-there are is built once per cell set and reused; it also remembers
-whether the cell set's last NNLS moved a row.  When it moved none, the
-next refresh tries Newton alone first and runs NNLS only if Newton does
-not meet the rows, which gives the same answer.
+refresh scales the rows once into a matrix over the cells with a
+positive prior and solves it in least squares.  When that matrix has
+full column rank, the cells that reach the nearest totals are one point,
+whatever the prior, and that point is the answer: the least-squares
+point when it is positive, else the Lawson-Hanson NNLS solution on the
+same matrix.  Otherwise NNLS finds the nearest totals the nonnegative
+cells can reach, the refresh keeps only the cells some nearest point may
+use, and Newton steps on the dual project the prior onto those totals.
+Each step backtracks until the dual falls, so the refresh needs no other
+solver: the row scaling above serves only the offline fill.  It always
+returns an answer and names the sources whose totals moved.  The index
+work that depends only on which rows and cells there are is built once
+per cell set and reused; it also remembers whether the cell set's last
+NNLS before Newton moved a row.  When it moved none, the next such
+refresh tries Newton alone first and runs NNLS only if Newton does not
+meet the rows, which gives the same answer.
 """
 
 from __future__ import annotations
@@ -75,6 +80,13 @@ class MaxEntError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """What one :func:`solve` did.
+
+    ``iterations`` counts the offline fill's row-scaling sweeps.  For a
+    projection (``prior`` given) it counts Newton steps, so it is 0 when
+    the prior already meets the rows or when the rows fix a single point.
+    """
+
     iterations: int
     max_rel_residual: float
     clamped_sources: tuple[int, ...]
@@ -184,8 +196,8 @@ class _RowLayout:
     re-solves the same live cells after each counting query.  It holds
     the rows (sources ascending), each known cell's rows as positions,
     the row-by-free-cell incidence and each row's free-cell positions.
-    ``moved`` says whether the last NNLS over these cells moved a row; a
-    new layout has run none and counts as moved.
+    ``moved`` says whether the last NNLS that led to Newton over these
+    cells moved a row; a new layout has run none and counts as moved.
     """
 
     __slots__ = ("rows", "known_members", "incidence", "support", "moved")
@@ -346,17 +358,20 @@ def _project(w, rows, rel_tol, layout: _RowLayout) -> tuple[int, float, tuple[in
     """Query-level refresh: KL projection of ``w`` onto the nearest feasible rows.
 
     A ``w`` that already meets the rows within ``rel_tol * 1e-3`` is
-    returned as it is.  Otherwise Lawson-Hanson NNLS on the scaled rows
-    finds totals ``A x`` the nonnegative cells can reach, closest to the
-    requested ones.  When they differ by more than ``rel_tol`` the rows
-    are replaced by them and the cells that NNLS left at zero with
-    ``(A^T r)_j < 0`` are zeroed: every closest point is zero there.
-    Newton on the dual then projects onto that face.
-    When the last NNLS over ``layout`` moved no row, Newton runs first
-    from ``w``, and NNLS only if Newton does not meet the rows.
-    Updates ``w`` in place; returns the iteration count, the worst
-    relative residual against the rows solved, and the sources whose rows
-    moved.
+    returned as it is.  Otherwise the scaled rows over the cells with
+    ``w > 0`` form ``A x = b``, and one least-squares solve gives its
+    point and the rank of ``A``.  At full column rank the cells that reach
+    the nearest totals are one point, which is the answer: the
+    least-squares point if it is positive, else NNLS on the same ``A, b``.
+    Otherwise NNLS finds the nearest reachable totals ``A x``, the cells
+    it left at zero with ``(A^T r)_j < 0`` are zeroed (every closest
+    point is zero there), and Newton on the dual projects onto that face;
+    when the last such NNLS over ``layout`` moved no row, Newton runs
+    first and NNLS only if Newton does not meet the rows.  Either way,
+    totals that moved by more than ``rel_tol`` replace the rows.
+    Updates ``w`` in place; returns the Newton step count, the worst
+    relative residual against the rows solved, and the sources whose
+    rows moved.
     """
     if not rows:
         return 0, 0.0, ()
@@ -365,6 +380,23 @@ def _project(w, rows, rel_tol, layout: _RowLayout) -> tuple[int, float, tuple[in
     worst = _worst_residual(w, rows)
     if worst <= rel_tol * 1e-3:
         return 0, worst, ()
+    cells = np.flatnonzero(w > 0.0)
+    column = np.full(w.size, -1, dtype=np.intp)
+    column[cells] = np.arange(cells.size)
+    a = np.zeros((len(rows), cells.size))
+    for r, (_s, idx, _t, scale) in enumerate(rows):
+        a[r, column[idx[w[idx] > 0.0]]] = 1.0 / scale
+    b = np.array([t / scale for _s, _idx, t, scale in rows])
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank == cells.size:
+        # NNLS with every column passive ends on this same solve.
+        if x.min() > 0.0:
+            tol = _zero_tol(a)
+        else:
+            x, _, tol = _nnls(a, b)
+        w[cells] = x
+        rows, moved = _reached_rows(w, rows, a @ x, b, tol, rel_tol)
+        return 0, _worst_residual(w, rows), moved
     if not layout.moved:
         # Rows Newton meets are feasible, so NNLS would move none of them
         # and leave ``w`` as it is: Newton from here is the same answer.
@@ -373,34 +405,45 @@ def _project(w, rows, rel_tol, layout: _RowLayout) -> tuple[int, float, tuple[in
         if worst <= rel_tol * 1e-3:
             return steps, worst, ()
         w[:] = start
-    cells = np.flatnonzero(w > 0.0)
-    column = np.full(w.size, -1, dtype=np.intp)
-    column[cells] = np.arange(cells.size)
-    a = np.zeros((len(rows), cells.size))
-    for r, (_s, idx, _t, scale) in enumerate(rows):
-        a[r, column[idx[w[idx] > 0.0]]] = 1.0 / scale
-    b = np.array([t / scale for _s, _idx, t, scale in rows])
     x, grad, tol = _nnls(a, b)
     fitted = a @ x
-    moved: list[int] = []
     if float(np.max(np.abs(fitted - b))) > rel_tol:
         w[cells[(x <= 0.0) & (grad < -tol)]] = 0.0
-        rescaled = []
-        for r, (s, idx, t, scale) in enumerate(rows):
-            target = max(float(fitted[r]), 0.0) * scale
-            if abs(target - t) > rel_tol * scale:
-                moved.append(s)
-            if target <= tol * scale:
-                w[idx] = 0.0
-            rescaled.append((s, idx, target, scale))
-        rows = [row for row in rescaled if float(w[row[1]].sum()) > 0.0]
+    rows, moved = _reached_rows(w, rows, fitted, b, tol, rel_tol)
     layout.moved = bool(moved)
     # Newton converges quadratically near the answer: a step or two past
     # rel_tol makes the result independent of where the iteration started.
     # Far from it (a prior off by orders of magnitude) the line search
     # shortens the step until the dual falls.
     worst, steps = _newton_phase(w, rows, rel_tol * 1e-3)
-    return steps, worst, tuple(moved)
+    return steps, worst, moved
+
+
+def _reached_rows(w, rows, fitted, b, tol, rel_tol) -> tuple[list, tuple[int, ...]]:
+    """The rows with the reachable scaled totals ``fitted``, and the sources that moved.
+
+    Rows stay as they are unless some total moved by more than
+    ``rel_tol``.  Otherwise every row takes its reached total, a row
+    whose total is at most ``tol`` zeroes its cells in ``w``, and rows
+    left without mass are dropped.
+    """
+    if float(np.max(np.abs(fitted - b))) <= rel_tol:
+        return rows, ()
+    moved = []
+    rescaled = []
+    for r, (s, idx, t, scale) in enumerate(rows):
+        target = max(float(fitted[r]), 0.0) * scale
+        if abs(target - t) > rel_tol * scale:
+            moved.append(s)
+        if target <= tol * scale:
+            w[idx] = 0.0
+        rescaled.append((s, idx, target, scale))
+    return [row for row in rescaled if float(w[row[1]].sum()) > 0.0], tuple(moved)
+
+
+def _zero_tol(a: np.ndarray) -> float:
+    """NNLS's tolerance on ``a``: a gradient or value at most this counts as zero."""
+    return 10.0 * np.finfo(float).eps * max(a.shape) * max(1.0, float(np.abs(a).sum(axis=0).max()))
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -412,10 +455,10 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     a cell at zero reads its face from the gradient's sign.
     """
     n = a.shape[1]
-    tol = 10.0 * np.finfo(float).eps * max(a.shape) * max(1.0, float(np.abs(a).sum(axis=0).max()))
+    tol = _zero_tol(a)
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    rejected = np.zeros(n, dtype=bool)
+    rejected = [False] * n
 
     def least_squares(cols: np.ndarray) -> np.ndarray:
         z = np.zeros(n)
@@ -424,9 +467,13 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
     grad = a.T @ b
     for _ in range(3 * n + 1):
-        candidates = np.where(passive | rejected, -np.inf, grad)
-        j = int(np.argmax(candidates))
-        if candidates[j] <= tol:
+        # The free cell of steepest ascent, the first of any tie.
+        g = grad.tolist()
+        free = [j for j, (p, r) in enumerate(zip(passive.tolist(), rejected)) if not (p or r)]
+        if not free:
+            break
+        j = max(free, key=g.__getitem__)
+        if g[j] <= tol:
             break
         trial = passive.copy()
         trial[j] = True
@@ -435,7 +482,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
             # Rounding made an ascent direction look flat; try the next.
             rejected[j] = True
             continue
-        rejected[:] = False
+        rejected = [False] * n
         passive = trial
         while np.any(z[passive] <= 0.0):
             # Step from x towards z until the first passive cell hits zero;
@@ -494,25 +541,27 @@ def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
         # Minimize the dual h = sum(w) + lambda.b: gradient b - Aw, so
         # the Newton step moves along the solved (Aw - b) direction.
         hess = (incidence * w) @ incidence.T
-        ridge = 1e-12 * max(float(np.trace(hess)), 1.0)
+        ridge = 1e-12 * max(float(hess.trace()), 1.0)
+        hess.flat[:: len(rows) + 1] += ridge
         try:
-            delta = np.linalg.solve(hess + ridge * np.eye(len(rows)), grad)
+            delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             break
         steps += 1
         slack = 1e-12 * max(1.0, abs(best))
         for alpha in _STEP_LENGTHS:
-            shift = np.clip(incidence.T @ (alpha * delta), -500, 500)
+            step = alpha * delta
+            shift = np.minimum(np.maximum(incidence.T @ step, -500.0), 500.0)
             trial = w * np.exp(-shift)
             if not np.all(np.isfinite(trial)):
                 continue
-            value = float(trial.sum() + (lam + alpha * delta) @ targets)
+            value = float(trial.sum() + (lam + step) @ targets)
             if value <= best + slack:
                 break
         else:
             break
         w[:] = trial
-        lam = lam + alpha * delta
+        lam = lam + step
         grad = incidence @ w - targets
         worst = float(np.max(np.abs(grad) / scales, initial=0.0))
         if value >= best:

@@ -505,13 +505,15 @@ class TestSharedIndex:
     @pytest.mark.parametrize(
         "case, expected",
         [
-            ("desk", "c5aceafa652f860d0faf5e99fd2b3974b49831918cfd7fb26790e631c6a57552"),
-            ("desk-batch-3", "1a3d700ea04b5d232e43a1fc4556d6d9acb0005628e72a6be10e410294d0ad2b"),
-            ("demo-exact", "73836216c20bdd4f35c8ad189b72b44dd173b0accfd5c4b38fee6c7f20f68653"),
+            ("desk", "03f2e69be1143be002ebc06cfeeaad39bcfca65f3739fe6ef35075df8ec8bab8"),
+            ("desk-batch-3", "cd1213b10b63b9713c784620d3837748df28d0514e88a844dd26dac66e377dd0"),
+            ("demo-exact", "399d18e54c519f9c46b96b38c2ed5275b7f6cbc0768511dc23b716e54760ace3"),
         ],
+        ids=["desk", "desk-batch-3", "demo-exact"],
     )
     def test_snapshot_cells_are_unchanged(self, case, expected):
-        # Recorded while each snapshot still built its own mask-keyed cells.
+        # Digests of every snapshot's floats: a change that moves one
+        # re-records them and says so.
         if case == "demo-exact":
             u = demo_universe(seed=7, query_split=0.5)
             initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot

@@ -2,16 +2,19 @@
 
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from querysched import maxent
+from querysched.cost import QuerySpec
 from querysched.detection import DEFAULT_PRUNE_THRESHOLD, initial_detection
-from querysched.grid import desk_universe_config
-from querysched.simulator import SCOPE_ALL, ScopedProbe, generate
+from querysched.grid import desk_universe_config, scaled_universe
+from querysched.scheduler import run_query
+from querysched.simulator import SCOPE_ALL, SCOPE_FOCUS, ScopedProbe, generate
 
 
 def entropy(values):
@@ -231,12 +234,9 @@ class TestQueryRefreshShortcuts:
         assert report.max_rel_residual <= 1e-9
         assert sum(v for m, v in values.items() if m & 1) == pytest.approx(7.0)
 
-    def test_refresh_after_a_moving_solve_runs_nnls_once(self, monkeypatch):
-        free = [0b011, 0b101, 0b110]
-        maxent._layout.cache_clear()
-        # Row 0's cells all lie in rows 1 or 2, so row 0 cannot exceed their sum.
-        _, first = maxent.solve({0: 40.0, 1: 9.0, 2: 4.0}, {}, free, prior=self.PRIOR)
-        assert 0 in first.moved_sources
+    @staticmethod
+    def calls_of(monkeypatch):
+        """The names of the NNLS and Newton calls the next solves make, in order."""
         calls = []
         nnls, newton = maxent._nnls, maxent._newton_phase
 
@@ -250,11 +250,73 @@ class TestQueryRefreshShortcuts:
 
         monkeypatch.setattr(maxent, "_nnls", counted_nnls)
         monkeypatch.setattr(maxent, "_newton_phase", counted_newton)
-        # Feasible: x01 = 4, x02 = 1, x12 = 3.
-        _, report = maxent.solve({0: 5.0, 1: 7.0, 2: 4.0}, {}, free, prior=self.PRIOR)
+        return calls
+
+    def test_refresh_after_a_moving_solve_runs_nnls_once(self, monkeypatch):
+        # Four cells over three rows: no face of these rows is a single point.
+        free = [0b011, 0b101, 0b110, 0b111]
+        prior = dict.fromkeys(free, 1.0)
+        maxent._layout.cache_clear()
+        # Row 0's cells lie in row 1 or in row 2, so row 0 cannot exceed their sum.
+        _, first = maxent.solve({0: 40.0, 1: 9.0, 2: 4.0}, {}, free, prior=prior)
+        assert 0 in first.moved_sources
+        calls = self.calls_of(monkeypatch)
+        # Feasible in many ways, one of them x01 = 4, x02 = 1, x12 = 3, x012 = 0.
+        _, report = maxent.solve({0: 5.0, 1: 7.0, 2: 4.0}, {}, free, prior=prior)
         assert calls == ["nnls", "newton"]
+        assert report.iterations > 0
         assert report.moved_sources == ()
         assert report.max_rel_residual <= 1e-9
+
+    def test_single_feasible_point_runs_neither_nnls_nor_newton(self, monkeypatch):
+        calls = self.calls_of(monkeypatch)
+        # Three cells over three independent rows: x01 = 4, x02 = 1, x12 = 3.
+        values, report = maxent.solve(
+            {0: 5.0, 1: 7.0, 2: 4.0}, {}, [0b011, 0b101, 0b110], prior=self.PRIOR
+        )
+        assert calls == []
+        assert values == pytest.approx({0b011: 4.0, 0b101: 1.0, 0b110: 3.0}, rel=1e-12)
+        assert report.iterations == 0
+        assert report.moved_sources == ()
+        assert report.max_rel_residual <= 1e-12
+
+    def test_single_point_off_the_cells_runs_nnls_alone(self, monkeypatch):
+        calls = self.calls_of(monkeypatch)
+        # The least-squares point has x12 = -13.5: no nonnegative cells meet row 0.
+        values, report = maxent.solve(
+            {0: 40.0, 1: 9.0, 2: 4.0}, {}, [0b011, 0b101, 0b110], prior=self.PRIOR
+        )
+        assert calls == ["nnls"]
+        assert values[0b110] == 0.0
+        assert all(v >= 0.0 for v in values.values())
+        assert 0 in report.moved_sources
+        assert report.iterations == 0
+
+    @pytest.mark.parametrize("n_sources, projections, nnls_runs", [(50, 7, 6), (200, 20, 0)])
+    def test_online_refreshes_take_no_newton_step(
+        self, monkeypatch, n_sources, projections, nnls_runs
+    ):
+        # Counted, not timed.  Every query-level face of these runs is a
+        # single point: the desk one's least-squares points leave the
+        # cells, so NNLS finds them; the 200-source one's are positive.
+        config = desk_universe_config()
+        if n_sources != 50:
+            config = scaled_universe(config, n_sources)
+        u = generate(config, 101)
+        initial = initial_detection(ScopedProbe(u, SCOPE_ALL), DEFAULT_PRUNE_THRESHOLD).snapshot
+        k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
+        calls = self.calls_of(monkeypatch)
+        project = maxent._project
+        solved = []
+
+        def counted_project(*args):
+            solved.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(maxent, "_project", counted_project)
+        run_query("online", QuerySpec(SCOPE_FOCUS, k), u, initial)
+        assert len(solved) == projections
+        assert calls == ["nnls"] * nnls_runs  # and no Newton step
 
     @pytest.mark.parametrize(
         "constraints, prior",
@@ -315,6 +377,83 @@ def cell_systems(draw, implied=False):
 
 def row_totals(n, cells):
     return {s: sum(v for m, v in cells.items() if (m >> s) & 1) for s in range(n)}
+
+
+@st.composite
+def full_rank_systems(draw):
+    """Random cells over 2-5 sources whose row-by-cell incidence has full column rank.
+
+    Totals are row sums of positive cells (feasible) or drawn freely
+    (mostly infeasible); a free total may be tiny, at the scale of NNLS's
+    zero tolerance.
+    """
+    n = draw(st.integers(2, 5))
+    masks = sorted(draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=n)))
+    incidence = np.array([[(m >> s) & 1 for m in masks] for s in range(n)], dtype=float)
+    assume(np.linalg.matrix_rank(incidence) == len(masks))
+    prior = {m: draw(st.floats(0.1, 10.0)) for m in masks}
+    if draw(st.booleans()):
+        constraints = row_totals(n, {m: draw(st.floats(0.1, 100.0)) for m in masks})
+    else:
+        total = st.one_of(st.floats(0.5, 500.0), st.floats(1e-300, 1e-14))
+        constraints = {s: draw(total) for s in range(n)}
+    return n, masks, prior, constraints
+
+
+def nnls_newton_project(w, rows, rel_tol, layout):
+    """``maxent._project`` with no single-point branch: NNLS, then Newton on its face.
+
+    The reference for a projection onto rows of full column rank: NNLS
+    runs on every projection the prior does not already meet, and
+    Newton polishes its answer to ``rel_tol * 1e-3``.
+    """
+    if not rows:
+        return 0, 0.0, ()
+    worst = maxent._worst_residual(w, rows)
+    if worst <= rel_tol * 1e-3:
+        return 0, worst, ()
+    cells = np.flatnonzero(w > 0.0)
+    column = np.full(w.size, -1, dtype=np.intp)
+    column[cells] = np.arange(cells.size)
+    a = np.zeros((len(rows), cells.size))
+    for r, (_s, idx, _t, scale) in enumerate(rows):
+        a[r, column[idx[w[idx] > 0.0]]] = 1.0 / scale
+    b = np.array([t / scale for _s, _idx, t, scale in rows])
+    x, grad, tol = maxent._nnls(a, b)
+    fitted = a @ x
+    moved = []
+    if float(np.max(np.abs(fitted - b))) > rel_tol:
+        w[cells[(x <= 0.0) & (grad < -tol)]] = 0.0
+        rescaled = []
+        for r, (s, idx, t, scale) in enumerate(rows):
+            target = max(float(fitted[r]), 0.0) * scale
+            if abs(target - t) > rel_tol * scale:
+                moved.append(s)
+            if target <= tol * scale:
+                w[idx] = 0.0
+            rescaled.append((s, idx, target, scale))
+        rows = [row for row in rescaled if float(w[row[1]].sum()) > 0.0]
+    worst, steps = maxent._newton_phase(w, rows, rel_tol * 1e-3)
+    return steps, worst, tuple(moved)
+
+
+def assert_nearest_totals(n, constraints, values):
+    """The totals ``values`` reach are the nearest to ``constraints`` in scaled least squares.
+
+    The gradient ``A^T r`` is nonpositive on every cell and zero on used
+    ones.  Cells in a zero-total row are held at zero before projecting,
+    so they are left out.
+    """
+    got = row_totals(n, values)
+    scaled = {s: (constraints[s] - got[s]) / max(constraints[s], 1.0) ** 2 for s in range(n)}
+    for m, v in values.items():
+        rows = [s for s in range(n) if (m >> s) & 1]
+        if any(constraints[s] == 0.0 for s in rows):
+            continue
+        grad = sum(scaled[s] for s in rows)
+        assert grad <= 1e-5
+        if v > 1e-6:
+            assert abs(grad) <= 1e-5
 
 
 class TestQueryProjectionProperties:
@@ -407,19 +546,30 @@ class TestQueryProjectionProperties:
         assert all(v >= 0.0 for v in values.values())
         # Rows left without support are skipped, the others moved.
         assert set(report.moved_sources + report.skipped_sources) & {0, 1}
-        # The totals reached are the nearest in scaled least squares: the
-        # gradient A^T r is nonpositive on every cell, zero on used ones.
-        # (Cells in a zero-total row are held at zero before projecting.)
-        got = row_totals(n, values)
-        scaled = {s: (constraints[s] - got[s]) / max(constraints[s], 1.0) ** 2 for s in range(n)}
-        for m, v in values.items():
-            rows = [s for s in range(n) if (m >> s) & 1]
-            if any(constraints[s] == 0.0 for s in rows):
-                continue
-            grad = sum(scaled[s] for s in rows)
-            assert grad <= 1e-5
-            if v > 1e-6:
-                assert abs(grad) <= 1e-5
+        assert_nearest_totals(n, constraints, values)
+
+    @PROPERTY_SETTINGS
+    @given(full_rank_systems())
+    # Rows 1 and 2 disagree on cell 0b110; row 0's tiny total is within
+    # NNLS's zero tolerance, so its cell ends at exactly zero.
+    @example((3, [0b001, 0b110], {0b001: 1.0, 0b110: 1.0}, {0: 1e-15, 1: 10.0, 2: 20.0}))
+    def test_single_point_is_the_nnls_newton_answer(self, system):
+        # At full column rank one least-squares solve, with NNLS when its
+        # point leaves the cells, gives the answer of NNLS then Newton.
+        n, masks, prior, constraints = system
+        values, report = maxent.solve(constraints, {}, masks, prior=prior)
+        with mock.patch.object(maxent, "_project", nnls_newton_project):
+            want, want_report = maxent.solve(constraints, {}, masks, prior=prior)
+        assert report.iterations == 0  # a single point takes no Newton step
+        assert report.moved_sources == want_report.moved_sources
+        assert report.skipped_sources == want_report.skipped_sources
+        scale = max(1.0, *constraints.values())
+        for m in masks:
+            assert abs(values[m] - want[m]) <= maxent.DEFAULT_REL_TOL * scale
+            assert values[m] >= 0.0
+            if want[m] == 0.0:
+                assert values[m] == 0.0
+        assert_nearest_totals(n, constraints, values)
 
 
 # -- offline row scaling: the list sweep against numpy arrays ---------------
