@@ -175,9 +175,7 @@ def initial_detection(
         if not admitted:
             break
         try:
-            values, report = maxent.solve(
-                constraints, detected, admitted, on_clamp=on_clamp
-            )
+            values, _ = maxent.solve(constraints, detected, admitted, on_clamp=on_clamp)
         except maxent.MaxEntError as exc:
             # Detection corrects the estimates next round; keep the best
             # iterate and carry on rather than losing the deeper levels.

@@ -33,10 +33,8 @@ Each step backtracks until the dual falls, so the refresh needs no other
 solver: the row scaling above serves only the offline fill.  It always
 returns an answer and names the sources whose totals moved.  The index
 work that depends only on which rows and cells there are is built once
-per cell set and reused; it also remembers whether the cell set's last
-NNLS before Newton moved a row.  When it moved none, the next such
-refresh tries Newton alone first and runs NNLS only if Newton does not
-meet the rows, which gives the same answer.
+per cell set and reused; it holds no values, so a solve's answer and the
+work it does depend only on its own arguments.
 """
 
 from __future__ import annotations
@@ -85,6 +83,7 @@ class SolveReport:
     ``iterations`` counts the offline fill's row-scaling sweeps.  For a
     projection (``prior`` given) it counts Newton steps, so it is 0 when
     the prior already meets the rows or when the rows fix a single point.
+    ``max_rel_residual`` covers the rows solved: 0.0 when none is in play.
     """
 
     iterations: int
@@ -142,11 +141,6 @@ def solve(
     is_forced = forced.tolist()
     values = {m: 0.0 for m, f in zip(free, is_forced) if f}
     active = [m for m, f in zip(free, is_forced) if not f]
-    if not active:
-        bad = tuple(layout.rows[r] for r in np.flatnonzero(wanting).tolist())
-        # Like the main return, the worst residual leaves skipped rows out.
-        worst = max((resid / scales)[~wanting].tolist(), default=0.0)
-        return values, SolveReport(0, worst, clamped, bad)
 
     if prior is not None:
         w = np.fromiter(map(prior.get, active, itertools.repeat(0.0)), float, len(active))
@@ -173,7 +167,7 @@ def solve(
 
     moved: tuple[int, ...] = ()
     if prior is not None:
-        iterations, worst_rel, moved = _project(w, rows, rel_tol, layout)
+        iterations, worst_rel, moved = _project(w, rows, rel_tol)
     else:
         iterations, worst_rel, rows = _scale_rows(w, rows, rel_tol, skipped)
     if skipped or moved:
@@ -196,11 +190,9 @@ class _RowLayout:
     re-solves the same live cells after each counting query.  It holds
     the rows (sources ascending), each known cell's rows as positions,
     the row-by-free-cell incidence and each row's free-cell positions.
-    ``moved`` says whether the last NNLS that led to Newton over these
-    cells moved a row; a new layout has run none and counts as moved.
     """
 
-    __slots__ = ("rows", "known_members", "incidence", "support", "moved")
+    __slots__ = ("rows", "known_members", "incidence", "support")
 
     def __init__(self, sources: tuple[int, ...], known: tuple[int, ...], free: tuple[int, ...]):
         known_set = set(known)
@@ -222,7 +214,6 @@ class _RowLayout:
         self.support = _row_positions(self.incidence)
         # Every solve over these cells shares the arrays.
         self.incidence.flags.writeable = False
-        self.moved = True
 
     def unforced(self, forced: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Each row's positions among the unforced free cells, and their incidence."""
@@ -354,27 +345,24 @@ def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
     return iterations, worst_rel, rows
 
 
-def _project(w, rows, rel_tol, layout: _RowLayout) -> tuple[int, float, tuple[int, ...]]:
+def _project(w, rows, rel_tol) -> tuple[int, float, tuple[int, ...]]:
     """Query-level refresh: KL projection of ``w`` onto the nearest feasible rows.
 
     A ``w`` that already meets the rows within ``rel_tol * 1e-3`` is
-    returned as it is.  Otherwise the scaled rows over the cells with
-    ``w > 0`` form ``A x = b``, and one least-squares solve gives its
-    point and the rank of ``A``.  At full column rank the cells that reach
-    the nearest totals are one point, which is the answer: the
-    least-squares point if it is positive, else NNLS on the same ``A, b``.
-    Otherwise NNLS finds the nearest reachable totals ``A x``, the cells
-    it left at zero with ``(A^T r)_j < 0`` are zeroed (every closest
-    point is zero there), and Newton on the dual projects onto that face;
-    when the last such NNLS over ``layout`` moved no row, Newton runs
-    first and NNLS only if Newton does not meet the rows.  Either way,
-    totals that moved by more than ``rel_tol`` replace the rows.
+    returned as it is; with no row in play every ``w`` does.  Otherwise
+    the scaled rows over the cells with ``w > 0`` form ``A x = b``, and
+    one least-squares solve gives its point and the rank of ``A``.  At
+    full column rank the cells that reach the nearest totals are one
+    point, which is the answer: the least-squares point if it is
+    positive, else NNLS on the same ``A, b``.  Otherwise NNLS finds the
+    nearest reachable totals ``A x``, the cells it left at zero with
+    ``(A^T r)_j < 0`` are zeroed (every closest point is zero there), and
+    Newton on the dual projects onto that face.  Either way, totals that
+    moved by more than ``rel_tol`` replace the rows.
     Updates ``w`` in place; returns the Newton step count, the worst
     relative residual against the rows solved, and the sources whose
     rows moved.
     """
-    if not rows:
-        return 0, 0.0, ()
     # A prior that already meets the rows is the answer: NNLS would
     # move nothing and Newton would take no step.
     worst = _worst_residual(w, rows)
@@ -397,20 +385,11 @@ def _project(w, rows, rel_tol, layout: _RowLayout) -> tuple[int, float, tuple[in
         w[cells] = x
         rows, moved = _reached_rows(w, rows, a @ x, b, tol, rel_tol)
         return 0, _worst_residual(w, rows), moved
-    if not layout.moved:
-        # Rows Newton meets are feasible, so NNLS would move none of them
-        # and leave ``w`` as it is: Newton from here is the same answer.
-        start = w.copy()
-        worst, steps = _newton_phase(w, rows, rel_tol * 1e-3)
-        if worst <= rel_tol * 1e-3:
-            return steps, worst, ()
-        w[:] = start
     x, grad, tol = _nnls(a, b)
     fitted = a @ x
     if float(np.max(np.abs(fitted - b))) > rel_tol:
         w[cells[(x <= 0.0) & (grad < -tol)]] = 0.0
     rows, moved = _reached_rows(w, rows, fitted, b, tol, rel_tol)
-    layout.moved = bool(moved)
     # Newton converges quadratically near the answer: a step or two past
     # rel_tol makes the result independent of where the iteration started.
     # Far from it (a prior off by orders of magnitude) the line search

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from querysched import maxent
 from querysched.cost import QuerySpec
 from querysched.detection import DEFAULT_PRUNE_THRESHOLD, initial_detection
-from querysched.grid import desk_universe_config, scaled_universe
+from querysched.grid import default_grid, desk_universe_config, run_condition, scaled_universe
 from querysched.scheduler import run_query
 from querysched.simulator import SCOPE_ALL, SCOPE_FOCUS, ScopedProbe, generate
 
@@ -166,11 +166,11 @@ class TestDegradation:
         assert 1 in report.skipped_sources
         assert report.max_rel_residual <= 1e-6
         # Row 1's zero total forces the only free cell to zero, so row 0
-        # is skipped on the early return; its residual is not reported.
+        # is skipped and no row is left in play to report a residual.
         values, report = maxent.solve({0: 1.0, 1: 0.0}, {}, [0b11], prior={0b11: 1.0})
         assert values == {0b11: 0.0}
         assert report.skipped_sources == (0,)
-        assert report.max_rel_residual <= 1e-6
+        assert report.max_rel_residual == 0.0
 
     def test_free_cell_outside_constraints_rejected(self):
         with pytest.raises(ValueError):
@@ -216,24 +216,6 @@ class TestQueryRefreshShortcuts:
         assert 0 in report.moved_sources
         assert all(v >= 0.0 for v in values.values())
 
-    def test_refresh_after_a_no_move_solve_skips_nnls(self, monkeypatch):
-        maxent._layout.cache_clear()
-        # The prior misses these rows, so NNLS runs, and finds them feasible.
-        _, first = maxent.solve(self.CONSTRAINTS, {}, self.FREE, prior=self.PRIOR)
-        assert first.iterations > 0
-        assert first.moved_sources == ()
-
-        def no_nnls(a, b):
-            raise AssertionError("NNLS ran after the cell set's last NNLS moved no row")
-
-        monkeypatch.setattr(maxent, "_nnls", no_nnls)
-        constraints = {0: 7.0, 1: 9.0, 2: 5.0}
-        values, report = maxent.solve(constraints, {}, self.FREE, prior=self.PRIOR)
-        assert report.iterations > 0
-        assert report.moved_sources == ()
-        assert report.max_rel_residual <= 1e-9
-        assert sum(v for m, v in values.items() if m & 1) == pytest.approx(7.0)
-
     @staticmethod
     def calls_of(monkeypatch):
         """The names of the NNLS and Newton calls the next solves make, in order."""
@@ -252,21 +234,42 @@ class TestQueryRefreshShortcuts:
         monkeypatch.setattr(maxent, "_newton_phase", counted_newton)
         return calls
 
+    @classmethod
+    def projection_calls(cls, monkeypatch):
+        """Per projection of the next solves, the names of its NNLS and Newton calls."""
+        projections = []
+        calls = cls.calls_of(monkeypatch)
+        project = maxent._project
+
+        def counted_project(*args):
+            start = len(calls)
+            answer = project(*args)
+            projections.append(calls[start:])
+            return answer
+
+        monkeypatch.setattr(maxent, "_project", counted_project)
+        return projections
+
     def test_refresh_after_a_moving_solve_runs_nnls_once(self, monkeypatch):
         # Four cells over three rows: no face of these rows is a single point.
         free = [0b011, 0b101, 0b110, 0b111]
         prior = dict.fromkeys(free, 1.0)
         maxent._layout.cache_clear()
+        calls = self.calls_of(monkeypatch)
         # Row 0's cells lie in row 1 or in row 2, so row 0 cannot exceed their sum.
         _, first = maxent.solve({0: 40.0, 1: 9.0, 2: 4.0}, {}, free, prior=prior)
         assert 0 in first.moved_sources
-        calls = self.calls_of(monkeypatch)
         # Feasible in many ways, one of them x01 = 4, x02 = 1, x12 = 3, x012 = 0.
-        _, report = maxent.solve({0: 5.0, 1: 7.0, 2: 4.0}, {}, free, prior=prior)
-        assert calls == ["nnls", "newton"]
-        assert report.iterations > 0
-        assert report.moved_sources == ()
-        assert report.max_rel_residual <= 1e-9
+        _, second = maxent.solve({0: 5.0, 1: 7.0, 2: 4.0}, {}, free, prior=prior)
+        # After a solve that moved no row, the next one still runs NNLS first:
+        # x01 = 4, x02 = 2, x12 = 3, x012 = 0 is one way to meet these.
+        _, third = maxent.solve({0: 6.0, 1: 7.0, 2: 5.0}, {}, free, prior=prior)
+        assert maxent._layout.cache_info().hits == 2  # all three share one layout
+        assert calls == ["nnls", "newton"] * 3
+        for report in (second, third):
+            assert report.iterations > 0
+            assert report.moved_sources == ()
+            assert report.max_rel_residual <= 1e-9
 
     def test_single_feasible_point_runs_neither_nnls_nor_newton(self, monkeypatch):
         calls = self.calls_of(monkeypatch)
@@ -305,18 +308,35 @@ class TestQueryRefreshShortcuts:
         u = generate(config, 101)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), DEFAULT_PRUNE_THRESHOLD).snapshot
         k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
-        calls = self.calls_of(monkeypatch)
-        project = maxent._project
-        solved = []
-
-        def counted_project(*args):
-            solved.append(args)
-            return project(*args)
-
-        monkeypatch.setattr(maxent, "_project", counted_project)
+        solved = self.projection_calls(monkeypatch)
         run_query("online", QuerySpec(SCOPE_FOCUS, k), u, initial)
         assert len(solved) == projections
-        assert calls == ["nnls"] * nnls_runs  # and no Newton step
+        assert sum(solved, []) == ["nnls"] * nnls_runs  # and no Newton step
+
+    def test_a_run_s_projections_do_not_depend_on_the_run_before(self, monkeypatch):
+        # Counted, not timed.  On the default grid's desk universe, seed
+        # 110 at k = 0.2, `sequential` re-solves cells that `online` solved
+        # just before; its projections make the same calls as after a
+        # cleared layout cache.
+        spec = default_grid()
+        solved = self.projection_calls(monkeypatch)
+        run_condition(spec, "k_fraction", 0.2, "online", 110)
+        solved.clear()
+        run_condition(spec, "k_fraction", 0.2, "sequential", 110)
+        after_online = solved.copy()
+        maxent._layout.cache_clear()
+        solved.clear()
+        run_condition(spec, "k_fraction", 0.2, "sequential", 110)
+        assert after_online == solved == [["nnls", "newton"]]
+
+    def test_every_newton_phase_follows_an_nnls_run(self, monkeypatch):
+        # Counted, not timed: default grid, desk universe seed 104, `online`
+        # at k = 0.8.  A face Newton solves is the one NNLS left.
+        solved = self.projection_calls(monkeypatch)
+        run_condition(default_grid(), "k_fraction", 0.8, "online", 104)
+        assert ["nnls", "newton"] in solved
+        for calls in solved:
+            assert calls in ([], ["nnls"], ["nnls", "newton"])
 
     @pytest.mark.parametrize(
         "constraints, prior",
@@ -400,15 +420,13 @@ def full_rank_systems(draw):
     return n, masks, prior, constraints
 
 
-def nnls_newton_project(w, rows, rel_tol, layout):
+def nnls_newton_project(w, rows, rel_tol):
     """``maxent._project`` with no single-point branch: NNLS, then Newton on its face.
 
     The reference for a projection onto rows of full column rank: NNLS
     runs on every projection the prior does not already meet, and
     Newton polishes its answer to ``rel_tol * 1e-3``.
     """
-    if not rows:
-        return 0, 0.0, ()
     worst = maxent._worst_residual(w, rows)
     if worst <= rel_tol * 1e-3:
         return 0, worst, ()
@@ -502,33 +520,6 @@ class TestQueryProjectionProperties:
         warm = maxent.solve(constraints, known_cells, free, prior=prior)
         maxent._layout.cache_clear()
         assert maxent.solve(constraints, known_cells, free, prior=prior) == warm
-
-    @PROPERTY_SETTINGS
-    @given(
-        cell_systems(),
-        st.one_of(st.none(), st.lists(st.floats(0.0, 500.0), min_size=4, max_size=4)),
-    )
-    def test_newton_first_gives_the_nnls_answer(self, system, totals):
-        # Whatever the cell set's last NNLS did, a refresh gives the same
-        # values and report: on the exact rows (totals None) and on random,
-        # mostly infeasible ones.
-        n, truth, prior, known = system
-        known_cells = {m: truth[m] for m in known}
-        free = [m for m in truth if m not in known]
-        if totals is None:
-            constraints = row_totals(n, truth)
-        else:
-            constraints = {s: totals[s] for s in range(n)}
-
-        def solve_after(moved):
-            maxent._layout.cache_clear()
-            layout = maxent._layout(tuple(constraints), tuple(known_cells), tuple(sorted(free)))
-            layout.moved = moved
-            answer = maxent.solve(constraints, known_cells, free, prior=prior)
-            assert maxent._layout.cache_info().hits == 1  # the solve read this layout
-            return answer
-
-        assert solve_after(True) == solve_after(False)
 
     @PROPERTY_SETTINGS
     @given(cell_systems(implied=True), st.floats(1.0, 100.0))
