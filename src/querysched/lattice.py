@@ -313,7 +313,7 @@ def dump_snapshot(snapshot: StatsSnapshot) -> str:
 
 
 def parse_snapshot(text: str) -> StatsSnapshot:
-    """Inverse of :func:`dump_snapshot`."""
+    """Inverse of :func:`dump_snapshot`; a missing or malformed line raises ``ValueError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("snapshot "):
         raise ValueError("missing snapshot header")
@@ -324,9 +324,15 @@ def parse_snapshot(text: str) -> StatsSnapshot:
         parts = ln.split()
         if parts[0] in ("access", "transfer", "cardinality"):
             arrays[parts[0]] = tuple(float(x) for x in parts[1:])
-        else:
+        elif len(parts) == 3:
             mask = int(parts[0], 16)
             cells[mask] = LatticeCell(mask, float(parts[1]), parts[2])
+        else:
+            raise ValueError(f"malformed cell line {ln!r}: want <mask-hex> <value> <provenance>")
+    missing = [f"{key}=" for key in ("version", "stage", "threshold") if key not in header]
+    missing += [f"{key} line" for key in ("access", "transfer", "cardinality") if key not in arrays]
+    if missing:
+        raise ValueError(f"snapshot lacks {', '.join(missing)}")
     return StatsSnapshot(
         version=int(header["version"]),
         stage=header["stage"],

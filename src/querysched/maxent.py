@@ -43,7 +43,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -83,7 +83,9 @@ class SolveReport:
     ``iterations`` counts the offline fill's row-scaling sweeps.  For a
     projection (``prior`` given) it counts Newton steps, so it is 0 when
     the prior already meets the rows or when the rows fix a single point.
-    ``max_rel_residual`` covers the rows solved: 0.0 when none is in play.
+    ``max_rel_residual`` covers the rows solved, each row's sum of the
+    cells read from the rows' 0/1 matrix as a matrix product: 0.0 when
+    none is in play.
     """
 
     iterations: int
@@ -151,19 +153,11 @@ def solve(
     # Rows with no free support, or whose whole support is pinned at zero
     # (zero prior), are vacuous for the optimization: no choice of free
     # values can move them.  Their residual is reported, not fatal.
-    support, incidence = layout.unforced(forced)
+    incidence = layout.incidence[:, ~forced]
     reachable = (incidence & (w > 0.0)).any(axis=1)
     skipped = [layout.rows[r] for r in np.flatnonzero(~reachable & wanting).tolist()]
-    # Each row in play is (source, free-cell positions, target, scale).
-    kept = np.flatnonzero(reachable).tolist()
-    rows = list(
-        zip(
-            [layout.rows[r] for r in kept],
-            [support[r] for r in kept],
-            resid[kept].tolist(),
-            scales[kept].tolist(),
-        )
-    )
+    sources = np.array(layout.rows, dtype=np.intp)
+    rows = _Rows(sources, incidence.astype(float), resid, scales).take(reachable)
 
     moved: tuple[int, ...] = ()
     if prior is not None:
@@ -176,7 +170,7 @@ def solve(
     if prior is None and worst_rel > rel_tol:
         raise MaxEntError(
             "row scaling did not converge",
-            {s: abs(float(w[idx].sum()) - t) for s, idx, t, _sc in rows},
+            dict(zip(rows.sources.tolist(), np.abs(rows.a @ w - rows.targets).tolist())),
             values,
         )
     return values, SolveReport(iterations, worst_rel, clamped, tuple(skipped), moved)
@@ -189,10 +183,12 @@ class _RowLayout:
     the same sources, known cells and free cells: a query-level refresh
     re-solves the same live cells after each counting query.  It holds
     the rows (sources ascending), each known cell's rows as positions,
-    the row-by-free-cell incidence and each row's free-cell positions.
+    and the row-by-free-cell 0/1 incidence.  A solve keeps the reachable
+    rows of its columns for the unforced cells as the matrix of its
+    :class:`_Rows`.
     """
 
-    __slots__ = ("rows", "known_members", "incidence", "support")
+    __slots__ = ("rows", "known_members", "incidence")
 
     def __init__(self, sources: tuple[int, ...], known: tuple[int, ...], free: tuple[int, ...]):
         known_set = set(known)
@@ -211,24 +207,8 @@ class _RowLayout:
             if not members:
                 raise ValueError(f"free cell {m:#x} appears in no constraint")
             self.incidence[members, i] = True
-        self.support = _row_positions(self.incidence)
-        # Every solve over these cells shares the arrays.
+        # Every solve over these cells shares the array.
         self.incidence.flags.writeable = False
-
-    def unforced(self, forced: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Each row's positions among the unforced free cells, and their incidence."""
-        if not forced.any():
-            return self.support, self.incidence
-        incidence = self.incidence[:, ~forced]
-        return _row_positions(incidence), incidence
-
-
-def _row_positions(incidence: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Read-only column positions of each row's set entries, ascending."""
-    _, columns = np.nonzero(incidence)
-    columns.flags.writeable = False
-    ends = np.cumsum(incidence.sum(axis=1)).tolist()
-    return tuple(columns[start:end] for start, end in zip([0] + ends, ends))
 
 
 @functools.lru_cache(maxsize=8)
@@ -237,12 +217,30 @@ def _layout(sources: tuple[int, ...], known: tuple[int, ...], free: tuple[int, .
     return _RowLayout(sources, known, free)
 
 
-def _worst_residual(w: np.ndarray, rows) -> float:
+@dataclass(frozen=True)
+class _Rows:
+    """The rows in play, as every phase of a solve reads them.
+
+    ``a`` is their 0/1 matrix over the unforced free cells, as floats;
+    each row also has its source, target and scale.
+    """
+
+    sources: np.ndarray
+    a: np.ndarray
+    targets: np.ndarray
+    scales: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def take(self, keep: np.ndarray) -> _Rows:
+        """The rows where the boolean ``keep`` holds, in order."""
+        return _Rows(self.sources[keep], self.a[keep], self.targets[keep], self.scales[keep])
+
+
+def _worst_residual(w: np.ndarray, rows: _Rows) -> float:
     """Worst row residual of ``w`` relative to each row's scale."""
-    worst = 0.0
-    for _s, idx, target, scale in rows:
-        worst = max(worst, abs(float(w[idx].sum()) - target) / scale)
-    return worst
+    return float(np.max(np.abs(rows.a @ w - rows.targets) / rows.scales, initial=0.0))
 
 
 def _row_sum(vals: list[float], idx: list[int]) -> float:
@@ -255,18 +253,21 @@ def _row_sum(vals: list[float], idx: list[int]) -> float:
     return got
 
 
-def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
+def _scale_rows(w, rows: _Rows, rel_tol, skipped) -> tuple[int, float, _Rows]:
     """Offline fill-in: row scaling, Newton and pinning rounds on ``w``.
 
     Returns the sweep count, the worst relative residual and the rows
     still in play; rows that pinning empties are added to ``skipped``.
+    The sweeps run on Python lists, each row's cell positions read from
+    ``rows.a`` once per scaling phase.
     """
     iterations = 0
 
     def scaling_phase(budget: int) -> float:
         nonlocal iterations
         vals = w.tolist()
-        lists = [(idx.tolist(), target, scale) for _s, idx, target, scale in rows]
+        positions = [np.flatnonzero(row).tolist() for row in rows.a]
+        lists = list(zip(positions, rows.targets.tolist(), rows.scales.tolist()))
         worst = window_best = math.inf
         still = False  # a sweep left ``vals`` as it found them
         failed = 0  # the row that failed the last convergence test
@@ -316,7 +317,8 @@ def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
     # cells vanishing against the row scale are pinned to zero and the
     # reduced system is polished again.
     worst_rel = math.inf
-    min_target = min((t for _s, _idx, t, _sc in rows if t > 0), default=1.0)
+    positive = rows.targets[rows.targets > 0.0]
+    min_target = float(positive.min()) if positive.size else 1.0
     for pin_scale in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
         if not rows:
             worst_rel = 0.0
@@ -332,29 +334,25 @@ def _scale_rows(w, rows, rel_tol, skipped) -> tuple[int, float, list]:
         if not pinned.any():
             continue
         w[pinned] = 0.0
-        kept = []
-        for row in rows:
-            s, idx, t, scale = row
-            if float(w[idx].sum()) > 0.0:
-                kept.append(row)
-            elif t > rel_tol * scale:
-                # Pinning emptied a row that still wants mass: the system
-                # was not feasible in the nonnegative orthant there.
-                skipped.append(s)
-        rows = kept
+        has_mass = rows.a @ w > 0.0
+        # Pinning emptied the rows that still want mass: the system was
+        # not feasible in the nonnegative orthant there.
+        skipped.extend(rows.sources[~has_mass & (rows.targets > rel_tol * rows.scales)].tolist())
+        rows = rows.take(has_mass)
     return iterations, worst_rel, rows
 
 
-def _project(w, rows, rel_tol) -> tuple[int, float, tuple[int, ...]]:
+def _project(w, rows: _Rows, rel_tol) -> tuple[int, float, tuple[int, ...]]:
     """Query-level refresh: KL projection of ``w`` onto the nearest feasible rows.
 
     A ``w`` that already meets the rows within ``rel_tol * 1e-3`` is
     returned as it is; with no row in play every ``w`` does.  Otherwise
-    the scaled rows over the cells with ``w > 0`` form ``A x = b``, and
-    one least-squares solve gives its point and the rank of ``A``.  At
-    full column rank the cells that reach the nearest totals are one
-    point, which is the answer: the least-squares point if it is
-    positive, else NNLS on the same ``A, b``.  Otherwise NNLS finds the
+    ``rows.a``'s columns for the cells with ``w > 0``, each row divided
+    by its scale, form ``A x = b`` with ``b`` the scaled targets, and one
+    least-squares solve gives its point and the rank of ``A``.  At full
+    column rank the cells that reach the nearest totals are one point,
+    which is the answer: the least-squares point if it is positive, else
+    NNLS on the same ``A, b``.  Otherwise NNLS finds the
     nearest reachable totals ``A x``, the cells it left at zero with
     ``(A^T r)_j < 0`` are zeroed (every closest point is zero there), and
     Newton on the dual projects onto that face.  Either way, totals that
@@ -369,12 +367,8 @@ def _project(w, rows, rel_tol) -> tuple[int, float, tuple[int, ...]]:
     if worst <= rel_tol * 1e-3:
         return 0, worst, ()
     cells = np.flatnonzero(w > 0.0)
-    column = np.full(w.size, -1, dtype=np.intp)
-    column[cells] = np.arange(cells.size)
-    a = np.zeros((len(rows), cells.size))
-    for r, (_s, idx, _t, scale) in enumerate(rows):
-        a[r, column[idx[w[idx] > 0.0]]] = 1.0 / scale
-    b = np.array([t / scale for _s, _idx, t, scale in rows])
+    a = rows.a[:, cells] / rows.scales[:, None]
+    b = rows.targets / rows.scales
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank == cells.size:
         # NNLS with every column passive ends on this same solve.
@@ -398,7 +392,7 @@ def _project(w, rows, rel_tol) -> tuple[int, float, tuple[int, ...]]:
     return steps, worst, moved
 
 
-def _reached_rows(w, rows, fitted, b, tol, rel_tol) -> tuple[list, tuple[int, ...]]:
+def _reached_rows(w, rows: _Rows, fitted, b, tol, rel_tol) -> tuple[_Rows, tuple[int, ...]]:
     """The rows with the reachable scaled totals ``fitted``, and the sources that moved.
 
     Rows stay as they are unless some total moved by more than
@@ -408,16 +402,10 @@ def _reached_rows(w, rows, fitted, b, tol, rel_tol) -> tuple[list, tuple[int, ..
     """
     if float(np.max(np.abs(fitted - b))) <= rel_tol:
         return rows, ()
-    moved = []
-    rescaled = []
-    for r, (s, idx, t, scale) in enumerate(rows):
-        target = max(float(fitted[r]), 0.0) * scale
-        if abs(target - t) > rel_tol * scale:
-            moved.append(s)
-        if target <= tol * scale:
-            w[idx] = 0.0
-        rescaled.append((s, idx, target, scale))
-    return [row for row in rescaled if float(w[row[1]].sum()) > 0.0], tuple(moved)
+    targets = np.maximum(fitted, 0.0) * rows.scales
+    moved = rows.sources[np.abs(targets - rows.targets) > rel_tol * rows.scales]
+    w[rows.a[targets <= tol * rows.scales].any(axis=0)] = 0.0
+    return replace(rows, targets=targets).take(rows.a @ w > 0.0), tuple(moved.tolist())
 
 
 def _zero_tol(a: np.ndarray) -> float:
@@ -478,24 +466,19 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return x, grad, tol
 
 
-def _newton_phase(w, rows, rel_tol) -> tuple[float, int]:
+def _newton_phase(w, rows: _Rows, rel_tol) -> tuple[float, int]:
     """Damped Newton steps on the dual until the rows balance or the dual stops falling.
 
     Returns the worst relative residual and the number of steps taken.
-    The dual objective is ``sum(w) + lambda . b`` with gradient
-    ``b - A w`` and Hessian ``A diag(w) A^T``; cells keep the
+    ``A`` is ``rows.a`` as it is, the 0/1 rows over ``w``'s cells, and
+    ``b`` the rows' targets.  The dual objective is ``sum(w) + lambda . b``
+    with gradient ``b - A w`` and Hessian ``A diag(w) A^T``; cells keep the
     multiplicative form ``w *= exp(-A^T delta)`` so zero cells stay zero.
     Each step backtracks over :data:`_STEP_LENGTHS` along the Newton
     direction, which descends the convex dual; the phase ends when no
     length lowers the dual or when an accepted step does not.
     """
-    targets = np.array([t for _s, _idx, t, _scale in rows])
-    scales = np.array([scale for _s, _idx, _t, scale in rows])
-    incidence = np.zeros((len(rows), w.size))
-    if rows:
-        support = [idx for _s, idx, _t, _scale in rows]
-        row_of = np.repeat(np.arange(len(rows)), [idx.size for idx in support])
-        incidence[row_of, np.concatenate(support)] = 1.0
+    incidence, targets, scales = rows.a, rows.targets, rows.scales
     lam = np.zeros(len(rows))
 
     # The gradient is the residual vector: the worst row comes from it.

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Container, Iterator, Sequence
 
-from .cost import SEQUENTIAL, CoverageWalk, walk_residuals
+from .cost import COST_MODELS, SEQUENTIAL, CoverageWalk, walk_residuals
 from .lattice import StatsSnapshot, member_sources
 
 ALGO_RANDOM = "random"
@@ -483,8 +483,11 @@ def brute_force_opt(
     """Exhaustive minimum over all covering prefixes of the universe.
 
     Returns (order, cost, shortfall).  Equal-cost orders resolve to the
-    lexicographically smallest.  Refuses universes beyond ``max_sources``.
+    lexicographically smallest.  Refuses universes beyond ``max_sources``
+    and a ``model`` that is not one of :data:`~querysched.cost.COST_MODELS`.
     """
+    if model not in COST_MODELS:
+        raise ValueError(f"unknown cost model {model!r}")
     n = snapshot.n_sources
     if n > max_sources:
         raise OracleSizeError("oracle size bound")

@@ -327,6 +327,34 @@ class TestCli:
         assert snap.n_sources == 50
         assert snap.stage == "initial"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--config", "{missing}"], "No such file or directory"),
+            (["run", "--config", "{invalid}"], "unknown key(s) in grid config"),
+            (["run", "--config", "{garbled}"], "Expecting property name"),
+            (["dump-stats", "--threshold", "0"], "zero prune threshold materializes 2^50 cells"),
+        ],
+        ids=["missing-config", "invalid-config", "garbled-config", "zero-threshold"],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
+        # These ended in a traceback and exit code 1.
+        (tmp_path / "invalid.json").write_text(json.dumps({"bogus": 1}))
+        (tmp_path / "garbled.json").write_text("{bogus")
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "invalid", "garbled")}
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] == "run":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("querysched: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
+
     def test_oracle_command(self, capsys):
         rc = main(["oracle", "--max-sources", "5", "--seed", "3"])
         out = capsys.readouterr().out

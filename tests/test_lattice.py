@@ -158,3 +158,19 @@ class TestDumpFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_snapshot("not a snapshot\n")
+
+    def test_parse_names_a_missing_array_line(self):
+        lines = dump_snapshot(ref_snapshot()).splitlines()
+        text = "\n".join(ln for ln in lines if not ln.startswith("access "))
+        with pytest.raises(ValueError, match="snapshot lacks access line"):
+            parse_snapshot(text)
+
+    def test_parse_names_a_missing_header_field(self):
+        text = dump_snapshot(ref_snapshot()).replace(" stage=initial", "")
+        with pytest.raises(ValueError, match="snapshot lacks stage="):
+            parse_snapshot(text)
+
+    def test_parse_names_a_malformed_cell_line(self):
+        text = dump_snapshot(ref_snapshot()) + "7 12.5\n"
+        with pytest.raises(ValueError, match="malformed cell line '7 12.5'"):
+            parse_snapshot(text)

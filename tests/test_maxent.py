@@ -420,14 +420,49 @@ def full_rank_systems(draw):
     return n, masks, prior, constraints
 
 
-def nnls_newton_project(w, rows, rel_tol):
-    """``maxent._project`` with no single-point branch: NNLS, then Newton on its face.
+def row_tuples(rows):
+    """``rows`` as ``(source, positions, target, scale)`` tuples, one per row."""
+    return list(
+        zip(
+            rows.sources.tolist(),
+            [np.flatnonzero(row) for row in rows.a],
+            rows.targets.tolist(),
+            rows.scales.tolist(),
+        )
+    )
 
-    The reference for a projection onto rows of full column rank: NNLS
-    runs on every projection the prior does not already meet, and
-    Newton polishes its answer to ``rel_tol * 1e-3``.
+
+def tuple_worst_residual(w, rows):
+    """Worst residual relative to scale, each row summed by ``w[idx].sum()``."""
+    worst = 0.0
+    for _s, idx, target, scale in rows:
+        worst = max(worst, abs(float(w[idx].sum()) - target) / scale)
+    return worst
+
+
+def tuple_newton_phase(w, rows, rel_tol):
+    """``maxent._newton_phase`` on row tuples, their 0/1 matrix filled row by row."""
+    a = np.zeros((len(rows), w.size))
+    for r, (_s, idx, _t, _scale) in enumerate(rows):
+        a[r, idx] = 1.0
+    got = maxent._Rows(
+        np.array([s for s, _idx, _t, _sc in rows], dtype=np.intp),
+        a,
+        np.array([t for _s, _idx, t, _sc in rows]),
+        np.array([sc for _s, _idx, _t, sc in rows]),
+    )
+    return maxent._newton_phase(w, got, rel_tol)
+
+
+def tuple_project(w, rows, rel_tol, single_point=True):
+    """``maxent._project`` on row tuples: a row at a time, each summed by ``w[idx].sum()``.
+
+    With ``single_point`` off there is no single-point branch: NNLS runs
+    on every projection the prior does not already meet, and Newton
+    polishes its answer to ``rel_tol * 1e-3``.
     """
-    worst = maxent._worst_residual(w, rows)
+    rows = row_tuples(rows)
+    worst = tuple_worst_residual(w, rows)
     if worst <= rel_tol * 1e-3:
         return 0, worst, ()
     cells = np.flatnonzero(w > 0.0)
@@ -437,22 +472,43 @@ def nnls_newton_project(w, rows, rel_tol):
     for r, (_s, idx, _t, scale) in enumerate(rows):
         a[r, column[idx[w[idx] > 0.0]]] = 1.0 / scale
     b = np.array([t / scale for _s, _idx, t, scale in rows])
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if single_point and rank == cells.size:
+        if x.min() > 0.0:
+            tol = maxent._zero_tol(a)
+        else:
+            x, _, tol = maxent._nnls(a, b)
+        w[cells] = x
+        rows, moved = tuple_reached_rows(w, rows, a @ x, b, tol, rel_tol)
+        return 0, tuple_worst_residual(w, rows), moved
     x, grad, tol = maxent._nnls(a, b)
     fitted = a @ x
-    moved = []
     if float(np.max(np.abs(fitted - b))) > rel_tol:
         w[cells[(x <= 0.0) & (grad < -tol)]] = 0.0
-        rescaled = []
-        for r, (s, idx, t, scale) in enumerate(rows):
-            target = max(float(fitted[r]), 0.0) * scale
-            if abs(target - t) > rel_tol * scale:
-                moved.append(s)
-            if target <= tol * scale:
-                w[idx] = 0.0
-            rescaled.append((s, idx, target, scale))
-        rows = [row for row in rescaled if float(w[row[1]].sum()) > 0.0]
-    worst, steps = maxent._newton_phase(w, rows, rel_tol * 1e-3)
-    return steps, worst, tuple(moved)
+    rows, moved = tuple_reached_rows(w, rows, fitted, b, tol, rel_tol)
+    worst, steps = tuple_newton_phase(w, rows, rel_tol * 1e-3)
+    return steps, worst, moved
+
+
+def tuple_reached_rows(w, rows, fitted, b, tol, rel_tol):
+    """``maxent._reached_rows`` on row tuples."""
+    if float(np.max(np.abs(fitted - b))) <= rel_tol:
+        return rows, ()
+    moved = []
+    rescaled = []
+    for r, (s, idx, t, scale) in enumerate(rows):
+        target = max(float(fitted[r]), 0.0) * scale
+        if abs(target - t) > rel_tol * scale:
+            moved.append(s)
+        if target <= tol * scale:
+            w[idx] = 0.0
+        rescaled.append((s, idx, target, scale))
+    return [row for row in rescaled if float(w[row[1]].sum()) > 0.0], tuple(moved)
+
+
+def nnls_newton_project(w, rows, rel_tol):
+    """The reference for a projection onto rows of full column rank: NNLS, then Newton."""
+    return tuple_project(w, rows, rel_tol, single_point=False)
 
 
 def assert_nearest_totals(n, constraints, values):
@@ -562,6 +618,36 @@ class TestQueryProjectionProperties:
                 assert values[m] == 0.0
         assert_nearest_totals(n, constraints, values)
 
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_matrix_rows_give_the_row_tuple_answer(self, data):
+        # Rank-deficient systems, more free cells than rows, feasible or
+        # mostly not, some cells with a zero prior: the rows as one matrix
+        # give the cells and reports of the same projection run a row at
+        # a time.
+        n = data.draw(st.integers(2, 4))
+        cells = st.sets(st.integers(1, (1 << n) - 1), min_size=n + 1, max_size=12)
+        masks = sorted(data.draw(cells))
+        truth = {m: data.draw(st.floats(0.0, 100.0)) for m in masks}
+        prior = {m: data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0])) for m in masks}
+        known = data.draw(st.sets(st.sampled_from(masks), max_size=len(masks) - n - 1))
+        free = [m for m in masks if m not in known]
+        if data.draw(st.booleans()):
+            constraints = row_totals(n, truth)
+        else:
+            constraints = {s: data.draw(st.floats(0.0, 500.0)) for s in range(n)}
+        known_cells = {m: truth[m] for m in known}
+        values, report = maxent.solve(constraints, known_cells, free, prior=prior)
+        with mock.patch.object(maxent, "_project", tuple_project):
+            want, want_report = maxent.solve(constraints, known_cells, free, prior=prior)
+        assert report.moved_sources == want_report.moved_sources
+        assert report.skipped_sources == want_report.skipped_sources
+        assert report.iterations == want_report.iterations
+        assert abs(report.max_rel_residual - want_report.max_rel_residual) <= 1e-12
+        scale = max(1.0, *constraints.values())
+        for m in free:
+            assert abs(values[m] - want[m]) <= 1e-12 * scale
+
 
 # -- offline row scaling: the list sweep against numpy arrays ---------------
 
@@ -575,7 +661,7 @@ def numpy_scale_rows(w, rows, rel_tol, skipped):
     """
     iterations = 0
 
-    def scaling_phase(budget):
+    def scaling_phase(budget, rows):
         nonlocal iterations
         worst = math.inf
         window_best = math.inf
@@ -587,7 +673,7 @@ def numpy_scale_rows(w, rows, rel_tol, skipped):
                 got = float(w[idx].sum())
                 if got > 1e-300 and math.isfinite(got):
                     w[idx] *= target / got
-            worst = maxent._worst_residual(w, rows)
+            worst = tuple_worst_residual(w, rows)
             if worst <= rel_tol:
                 break
             if steps % 64 == 0:
@@ -597,12 +683,12 @@ def numpy_scale_rows(w, rows, rel_tol, skipped):
         return worst
 
     worst_rel = math.inf
-    min_target = min((t for _s, _idx, t, _sc in rows if t > 0), default=1.0)
+    min_target = min((t for t in rows.targets.tolist() if t > 0), default=1.0)
     for pin_scale in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
-        if not rows:
+        if not len(rows):
             worst_rel = 0.0
             break
-        worst_rel = scaling_phase(400)
+        worst_rel = scaling_phase(400, row_tuples(rows))
         if worst_rel <= rel_tol:
             break
         worst_rel, _ = maxent._newton_phase(w, rows, rel_tol)
@@ -613,13 +699,12 @@ def numpy_scale_rows(w, rows, rel_tol, skipped):
             continue
         w[pinned] = 0.0
         kept = []
-        for row in rows:
-            s, idx, t, scale = row
-            if float(w[idx].sum()) > 0.0:
-                kept.append(row)
-            elif t > rel_tol * scale:
+        for s, idx, t, scale in row_tuples(rows):
+            kept.append(float(w[idx].sum()) > 0.0)
+            if not kept[-1] and t > rel_tol * scale:
                 skipped.append(s)
-        rows = kept
+        kept = np.array(kept, dtype=bool)
+        rows = maxent._Rows(rows.sources[kept], rows.a[kept], rows.targets[kept], rows.scales[kept])
     return iterations, worst_rel, rows
 
 
@@ -658,21 +743,25 @@ def lattice_system(seed, consistent):
 
 
 def sweep_rows(rng, members, n, consistent, zeros=frozenset()):
-    """Rows over ``members``: targets are row sums of random cells or random.
+    """``maxent._Rows`` over ``members``: targets are row sums of random cells or random.
 
-    Rows numbered in ``zeros`` get a zero target.
+    Rows numbered in ``zeros`` get a zero target; each row's scale is its
+    target floored at 1.
     """
     truth = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    rows = []
+    targets = []
     for s, idx in enumerate(members):
         if s in zeros:
-            target = 0.0
+            targets.append(0.0)
         elif consistent:
-            target = float(truth[idx].sum())
+            targets.append(float(truth[idx].sum()))
         else:
-            target = float(10.0 ** rng.uniform(-2.0, 3.0))
-        rows.append((s, idx, target, max(target, 1.0)))
-    return rows
+            targets.append(float(10.0 ** rng.uniform(-2.0, 3.0)))
+    a = np.zeros((len(members), n))
+    for r, idx in enumerate(members):
+        a[r, idx] = 1.0
+    targets = np.array(targets)
+    return maxent._Rows(np.arange(len(members)), a, targets, np.maximum(targets, 1.0))
 
 
 @st.composite
@@ -709,12 +798,13 @@ def sweep_systems(draw):
 def numpy_sweeps(w, rows, count):
     """``w``'s bytes and worst residual after each of ``count`` numpy sweeps."""
     w = w.copy()
+    rows = row_tuples(rows)
     for _ in range(count):
         for _s, idx, target, _scale in rows:
             got = float(w[idx].sum())
             if got > 1e-300 and math.isfinite(got):
                 w[idx] *= target / got
-        yield w.tobytes(), maxent._worst_residual(w, rows)
+        yield w.tobytes(), tuple_worst_residual(w, rows)
 
 
 def sweep_ending(w, rows, rel_tol):
@@ -741,7 +831,7 @@ def assert_sweeps_agree(w, rows, rel_tol):
     assert got_w.tobytes() == want_w.tobytes()
     assert got[0] == want[0]  # sweeps
     assert got[1].hex() == want[1].hex()  # worst residual
-    assert [row[0] for row in got[2]] == [row[0] for row in want[2]]
+    assert got[2].sources.tolist() == want[2].sources.tolist()
     assert got_skipped == want_skipped
     return want
 

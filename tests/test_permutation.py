@@ -590,6 +590,11 @@ class TestBruteForce:
         assert sorted(order) == [0, 1, 2]
         assert cost == pytest.approx(285.0)
 
+    def test_unknown_model_rejected(self):
+        # Any other string used to score as prefix-average.
+        with pytest.raises(ValueError, match="unknown cost model 'bogus'"):
+            brute_force_opt(30, ref_snapshot(), "bogus")
+
     def test_size_bound(self):
         snap, _ = random_instance(6, 0)
         with pytest.raises(OracleSizeError, match="oracle size bound"):
