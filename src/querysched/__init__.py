@@ -13,7 +13,6 @@ from .lattice import (
     LatticeCell,
     StatsSnapshot,
     dump_snapshot,
-    parse_snapshot,
     snapshot_from_cells,
 )
 from .permutation import (
@@ -37,7 +36,6 @@ __all__ = [
     "LatticeCell",
     "StatsSnapshot",
     "dump_snapshot",
-    "parse_snapshot",
     "snapshot_from_cells",
     "TABLE_ALGO_ORDER",
     "PermCandidate",

@@ -37,7 +37,11 @@ class QuerySpec:
 
     def __post_init__(self) -> None:
         # NaN fails every comparison and is not integral, so it fails here too.
-        if not (self.k >= 1 and float(self.k).is_integer()):
+        try:
+            whole = self.k >= 1 and float(self.k).is_integer()
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"k is too large: {len(str(self.k))} digits") from None
+        if not whole:
             raise ValueError(f"k must be an integer of at least 1, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))  # a result reports k as given
 

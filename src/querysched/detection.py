@@ -244,23 +244,20 @@ def online_detection_plan(
     probe: StatsProbe,
     *,
     per_query_ms: float = DETECTION_QUERY_MS,
-    batch: int = 1,
 ) -> Iterator[tuple[float, StatsSnapshot, int]]:
     """Yield (elapsed_ms, snapshot, probed_source) detection steps.
 
     The first snapshot costs nothing and probes no source: it is the
     offline statistics passed through as the query-level estimate.  Each
-    later snapshot becomes visible one counting query (``per_query_ms``),
-    or one batch of ``batch`` cell queries, after the previous one;
-    ``probed_source`` names the source the counting query contacted (-1
-    for none), so a scheduler can model contention.  A later snapshot's
-    estimated cells are solved from the offline cells on its first read;
-    the plan itself reads only the last cardinality refresh, which orders
-    the cell queries.  The caller owns termination; abandoning the
-    iterator is the stop signal.
+    later snapshot becomes visible one counting query (``per_query_ms``)
+    after the previous one: a source total, or one cell's count, asked of
+    the cell's first member source.  ``probed_source`` names the source
+    the counting query contacted (-1 for none), so a scheduler can model
+    contention.  A later snapshot's estimated cells are solved from the
+    offline cells on its first read; the plan itself reads only the last
+    cardinality refresh, which orders the cell queries.  The caller owns
+    termination; abandoning the iterator is the stop signal.
     """
-    if batch < 1:
-        raise ValueError(f"detection batch must be at least 1, got {batch}")
     n = initial.n_sources
     index = initial._index  # every snapshot of the plan shares it
     prior = initial._live_values
@@ -332,15 +329,12 @@ def online_detection_plan(
         key=lambda i: (-abs(estimates[i] - prior[i]), index.masks[i]),
     )
     known: dict[int, float] = {}
-    for start in range(0, len(gaps), batch):
-        chunk = gaps[start : start + batch]
-        for i in chunk:
-            m = index.masks[i]
-            try:
-                known[m] = float(probe.cell_count(m))
-            except Exception:
-                log.warning("cell %#x undetectable during query detection", m)
-                known[m] = 0.0
+    for i in gaps:
+        m = index.masks[i]
+        try:
+            known[m] = float(probe.cell_count(m))
+        except Exception:
+            log.warning("cell %#x undetectable during query detection", m)
+            known[m] = 0.0
         stage = STAGE_FINAL if len(known) == len(live_cells) else STAGE_ONLINE_2
-        target = index.members[chunk[0]][0]
-        yield per_query_ms * len(chunk), refreshed(stage, cards, known), target
+        yield per_query_ms, refreshed(stage, cards, known), index.members[i][0]

@@ -184,7 +184,7 @@ def run_grid(spec: GridSpec, out_path: str | Path, trace_dir: str | Path | None 
                 times.append(result.simulated_time_ms)
                 shortfalls += int(result.shortfall)
                 if trace_root is not None:
-                    name = f"{axis}_{value:g}_{algo}_{seed}.json".replace("|", "_")
+                    name = f"{axis}_{value:g}_{algo}_{seed}.json"
                     (trace_root / name).write_text(result.to_json() + "\n")
             mean = statistics.fmean(times)
             stddev = statistics.pstdev(times) if len(times) > 1 else 0.0

@@ -232,9 +232,9 @@ class StatsSnapshot:
         return sorted((-rate_from_parts(a, t, c, 0.0), s) for s, (a, t, c) in enumerate(parts))
 
     @cached_property
-    def _detection_hints(self) -> dict[float, tuple[int, ...]]:
-        """The scheduler's detection order over this snapshot, by overlap floor, as computed."""
-        return {}
+    def _detection_hint(self) -> list[tuple[int, ...]]:
+        """The scheduler's detection order over this snapshot, once computed: at most one entry."""
+        return []
 
     @cached_property
     def _neighbours(self) -> tuple[dict[int, float], ...]:
@@ -310,35 +310,3 @@ def dump_snapshot(snapshot: StatsSnapshot) -> str:
         cell = snapshot.cells[mask]
         lines.append("%x %.9g %s" % (mask, cell.value, cell.provenance))
     return "\n".join(lines) + "\n"
-
-
-def parse_snapshot(text: str) -> StatsSnapshot:
-    """Inverse of :func:`dump_snapshot`; a missing or malformed line raises ``ValueError``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("snapshot "):
-        raise ValueError("missing snapshot header")
-    header = dict(part.split("=", 1) for part in lines[0].split()[1:])
-    arrays: dict[str, tuple[float, ...]] = {}
-    cells: dict[int, LatticeCell] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] in ("access", "transfer", "cardinality"):
-            arrays[parts[0]] = tuple(float(x) for x in parts[1:])
-        elif len(parts) == 3:
-            mask = int(parts[0], 16)
-            cells[mask] = LatticeCell(mask, float(parts[1]), parts[2])
-        else:
-            raise ValueError(f"malformed cell line {ln!r}: want <mask-hex> <value> <provenance>")
-    missing = [f"{key}=" for key in ("version", "stage", "threshold") if key not in header]
-    missing += [f"{key} line" for key in ("access", "transfer", "cardinality") if key not in arrays]
-    if missing:
-        raise ValueError(f"snapshot lacks {', '.join(missing)}")
-    return StatsSnapshot(
-        version=int(header["version"]),
-        stage=header["stage"],
-        access_ms=arrays["access"],
-        per_tuple_ms=arrays["transfer"],
-        cardinalities=arrays["cardinality"],
-        cells=cells,
-        prune_threshold=float(header["threshold"]),
-    )

@@ -11,8 +11,8 @@ keyed on (time, worker class, thread id), so a run is a pure function of
 its inputs.  A baseline is the same loop with a fixed order (its
 policy's, never revised) and no statistics worker.  Planner compute is
 free on the simulated clock, except that the sequential strategy charges
-the full sweep over its first snapshot at a configured per-operation
-rate before the first dispatch.
+the full sweep over its first snapshot at a fixed per-operation rate
+(:data:`PLANNER_OP_MS`) before the first dispatch.
 
 Tuple arrivals are not heap events.  Between two events that are not
 arrivals (a dispatch, a source finishing, a counting query completing)
@@ -57,7 +57,6 @@ from .permutation import (
     ALGO_ONLINE,
     ALGO_SEQUENTIAL,
     BASELINE_ALGOS,
-    DEFAULT_OVERLAP_FLOOR,
     WorkMeter,
     baseline_order,
     covered_total,
@@ -68,43 +67,40 @@ from .simulator import ScopedProbe, SourceUnavailable, Universe
 
 _PRIO_STATS = 0
 _PRIO_QUERY = 2
+#: Simulated time of one planner operation, which ``sequential`` pays for its first sweep.
+PLANNER_OP_MS = 0.01
 
 
 @dataclass(frozen=True)
 class RunConfig:
     query_threads: int = 1
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD
     detection_overhead: float = 1.0
-    detection_batch: int = 1
-    planner_unit_ms: float = 0.01
 
     def __post_init__(self) -> None:
         # A negative time charge would schedule work before it was asked
-        # for; a negative threshold or floor is a share that cannot be.
-        # NaN fails every comparison, so the test must fail on it too.
+        # for; a negative threshold is a share that cannot be.  NaN fails
+        # every comparison, so the test must fail on it too.
         for name, least in (
             ("query_threads", 1),
-            ("detection_batch", 1),
             ("detection_overhead", 0),
-            ("planner_unit_ms", 0),
             ("prune_threshold", 0),
-            ("overlap_floor", 0),
         ):
             value = getattr(self, name)
             if not value >= least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        # An infinite charge would keep a probed source or the planner busy forever.
-        for name in ("detection_overhead", "planner_unit_ms"):
-            value = getattr(self, name)
-            if value == math.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
-        # A count is a range bound or step, where only an int runs.
-        for name in ("query_threads", "detection_batch"):
-            value = getattr(self, name)
-            if not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value}")
-            object.__setattr__(self, name, int(value))
+        # An infinite charge would keep a probed source busy forever.
+        if self.detection_overhead == math.inf:
+            raise ValueError(f"detection_overhead must be finite, got {self.detection_overhead}")
+        # The thread count is a range bound, where only an int runs.
+        threads = self.query_threads
+        try:
+            whole = float(threads).is_integer()
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"query_threads is too large: {len(str(threads))} digits") from None
+        if not whole:
+            raise ValueError(f"query_threads must be an integer, got {threads}")
+        object.__setattr__(self, "query_threads", int(threads))
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,9 +239,8 @@ class _Planner:
     takes that order's sources in turn and does no work.
     """
 
-    def __init__(self, k: float, config: RunConfig, fixed: tuple[int, ...] | None = None):
+    def __init__(self, k: float, fixed: tuple[int, ...] | None = None):
         self.k = k
-        self.config = config
         self.fixed = fixed
         self.versions = int(fixed is not None)
         self._key: tuple[int, int] | None = None
@@ -262,9 +257,7 @@ class _Planner:
             return self.fixed[pinned] if pinned < len(self.fixed) else None
         key = (stats_version, pinned)
         if key != self._key:
-            self._source = next_source(
-                self.k, stats, dispatched, overlap_floor=self.config.overlap_floor
-            )
+            self._source = next_source(self.k, stats, dispatched)
             self.versions += 1
             self._key = key
         return self._source
@@ -276,7 +269,7 @@ class _Planner:
         head, is version 1, found before the first dispatch.
         """
         meter = WorkMeter()
-        refine_order(self.k, stats, overlap_floor=self.config.overlap_floor, meter=meter)
+        refine_order(self.k, stats, meter=meter)
         self.next(stats, 1, ())
         return meter.ops
 
@@ -298,43 +291,40 @@ def run_query(
     if algo in BASELINE_ALGOS:
         prior = prior_query_snapshot(initial)
         order = baseline_order(algo, prior, seed=seed)
-        return _run(algo, query, universe, config, _Planner(query.k, config, order), prior)
+        return _run(algo, query, universe, config, _Planner(query.k, order), prior)
     if algo == ALGO_FULL_KNOWLEDGE:
         truth = universe.truth_snapshot(query.predicate_id)
-        return _run(algo, query, universe, config, _Planner(query.k, config), truth)
+        return _run(algo, query, universe, config, _Planner(query.k), truth)
     if algo in (ALGO_ONLINE, ALGO_SEQUENTIAL):
         probe = ScopedProbe(universe, query.predicate_id)
-        hint = _all_source_hint(initial, config)
         detection = online_detection_plan(
             initial,
-            hint,
+            _all_source_hint(initial),
             probe,
             per_query_ms=DETECTION_QUERY_MS * config.detection_overhead,
-            batch=config.detection_batch,
         )
         _, prior, _ = next(detection)
         return _run(
-            algo, query, universe, config, _Planner(query.k, config), prior, detection,
+            algo, query, universe, config, _Planner(query.k), prior, detection,
             charge_first_sweep=algo == ALGO_SEQUENTIAL,
         )
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _all_source_hint(initial: StatsSnapshot, config: RunConfig) -> tuple[int, ...]:
+def _all_source_hint(initial: StatsSnapshot) -> tuple[int, ...]:
     """Offline all-source permutation used as the detection order.
 
-    It depends only on the offline snapshot and the overlap floor, so each
-    snapshot keeps it per floor and every run over that snapshot shares it.
+    It depends only on the offline snapshot, so the snapshot keeps it and
+    every run over that snapshot shares it.
     """
-    hints = initial._detection_hints
-    floor = config.overlap_floor
-    if floor not in hints:
+    memo = initial._detection_hint
+    if not memo:
         full_coverage = covered_total(range(initial.n_sources), initial)
-        candidate = refine_order(max(full_coverage, 1.0), initial, overlap_floor=floor)
+        candidate = refine_order(max(full_coverage, 1.0), initial)
         chosen = set(candidate.order)
         missing = [s for s in range(initial.n_sources) if s not in chosen]
-        hints[floor] = candidate.order + tuple(sorted(missing))
-    return hints[floor]
+        memo.append(candidate.order + tuple(sorted(missing)))
+    return memo[0]
 
 
 def _run(
@@ -357,7 +347,7 @@ def _run(
     detections = 0
     planner_charge = 0.0
     if charge_first_sweep:
-        planner_charge = planner.sweep_work(stats) * config.planner_unit_ms
+        planner_charge = planner.sweep_work(stats) * PLANNER_OP_MS
 
     executor = _Executor(query, universe, config)
 

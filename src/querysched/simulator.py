@@ -52,6 +52,8 @@ class ReplicationModel:
             raise ValueError(f"unknown replication style {self.style!r}")
         if not 1.0 <= self.mean_depth <= self.max_depth:
             raise ValueError("mean_depth must lie in [1, max_depth]")
+        if not self.chains >= 1:  # a chained draw picks one of them
+            raise ValueError(f"chains must be at least 1, got {self.chains}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ class UniverseConfig:
     per_tuple_override: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not self.n_sources >= 1:
+            raise ValueError(f"n_sources must be at least 1, got {self.n_sources}")
         if self.total_tuples < self.n_distinct:
             raise ValueError("total_tuples must be at least n_distinct")
         if not 0.0 < self.query_split <= 1.0:

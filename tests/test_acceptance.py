@@ -160,7 +160,6 @@ def test_criterion_4_statistics_exactness_and_residuals():
                 out.snapshot,
                 tuple(range(n)),
                 ScopedProbe(universe, SCOPE_FOCUS),
-                batch=4,
             )
             for _cost, snap, _src in stream:
                 snapshots += 1

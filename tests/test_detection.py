@@ -17,8 +17,15 @@ from querysched.detection import (
     online_detection_plan,
     prior_query_snapshot,
 )
-from querysched.grid import desk_universe_config, offline_stats
-from querysched.lattice import DETECTED, ESTIMATED, PRUNED, STAGE_FINAL, snapshot_from_cells
+from querysched.grid import desk_universe_config, offline_stats, scaled_universe
+from querysched.lattice import (
+    DETECTED,
+    ESTIMATED,
+    PRUNED,
+    STAGE_FINAL,
+    member_sources,
+    snapshot_from_cells,
+)
 from querysched.permutation import TABLE_ALGO_ORDER
 from querysched.scheduler import RunConfig, run_query
 from querysched.simulator import (
@@ -188,6 +195,29 @@ class TestInitialDetection:
             assert result.distinct_tuples == 0, algo
             assert len(result.per_source_trace) == 50, algo
 
+    @pytest.mark.parametrize("sample_rate", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "case", ["desk-101", "desk-102", "desk-103", "ten-sources", "demo", "demo-source-1-down"]
+    )
+    def test_one_count_query_per_source_and_per_detected_cell(self, case, sample_rate):
+        # Offline detection asks each source's total once, then counts
+        # each cell it keeps as detected, a cell over a source that is
+        # down included, and asks nothing else.
+        if case.startswith("desk"):
+            u, threshold = generate(desk_universe_config(), int(case[5:])), 0.005
+        elif case == "ten-sources":
+            u, threshold = generate(scaled_universe(desk_universe_config(), 10), 101), 0.0
+        else:
+            u, threshold = demo_universe(), 0.0
+            if case == "demo-source-1-down":
+                u = replace(u, unavailable=frozenset([1]))
+        probe = ScopedProbe(u, SCOPE_ALL, sample_rate=sample_rate, sample_seed=u.seed)
+        out = initial_detection(probe, threshold)
+        detected = sum(c.provenance == DETECTED for c in out.snapshot.cells.values())
+        assert out.count_queries == u.n_sources + detected
+        if (case, sample_rate) == ("desk-101", 1.0):
+            assert (out.count_queries, detected) == (123, 73)
+
 
 class TestFailingCellQueries:
     @pytest.mark.parametrize("failing", [{0b011}, {0b011, 0b101, 0b110}, {0b111}])
@@ -204,14 +234,6 @@ class TestFailingCellQueries:
         for m in failing:
             cell = final.cells[m]
             assert (cell.value, cell.provenance) == (0.0, DETECTED)
-
-    @pytest.mark.parametrize("batch", [0, -2])
-    def test_empty_batch_rejected(self, batch):
-        u = demo_universe()
-        initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS), batch=batch)
-        with pytest.raises(ValueError, match="batch"):
-            next(plan)
 
 
 class FixedTotals:
@@ -361,19 +383,27 @@ class TestOnlineDetection:
         for cost, snap, src in steps[4:]:
             assert src in range(3)
 
-    def test_batched_cell_detection(self):
+    def test_each_cell_query_is_one_step(self):
+        # Each live cell is counted in a step of its own, at one query's
+        # cost, asked of its first member source.
         u = self.make_universe(split=0.5, seed=19)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         steps = list(
             online_detection_plan(
-                initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS), per_query_ms=2.0, batch=4
+                initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS), per_query_ms=2.0
             )
         )
-        final = steps[-1][1]
-        assert final.stage == "final"
-        live = [m for m, c in initial.cells.items() if c.provenance != PRUNED]
+        assert steps[-1][1].stage == STAGE_FINAL
+        live = {m for m, c in initial.cells.items() if c.provenance != PRUNED}
         cell_steps = steps[1 + initial.n_sources :]
-        assert len(cell_steps) == (len(live) + 3) // 4
+        assert len(cell_steps) == len(live)
+        counted = set()
+        for cost, snap, source in cell_steps:
+            detected = {m for m, c in snap.cells.items() if c.provenance == DETECTED}
+            (new,) = detected - counted
+            assert cost == 2.0 and source == member_sources(new)[0]
+            counted = detected
+        assert counted == live
 
 
 class TestLazyRefresh:
@@ -402,11 +432,9 @@ class TestLazyRefresh:
         threshold = data.draw(st.sampled_from([0.0, 0.005, 0.05]), label="threshold")
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), threshold).snapshot
         hint = tuple(data.draw(st.permutations(range(n)), label="hint"))
-        batch = data.draw(st.integers(1, 3), label="batch")
 
         def plan():
-            steps = online_detection_plan(initial, hint, ScopedProbe(u, SCOPE_FOCUS), batch=batch)
-            return [snap for _cost, snap, _source in steps]
+            return snapshots(initial, hint, ScopedProbe(u, SCOPE_FOCUS))
 
         in_order = [dict(snap.cells) for snap in plan()]
         snaps = plan()
@@ -458,10 +486,10 @@ class TestLazyRefresh:
         assert [source for _cost, _snap, source in steps] == [-1, 0, 1]
 
 
-def plan_digest(initial, hint, probe, batch):
+def plan_digest(initial, hint, probe):
     """SHA-256 over every snapshot of a detection plan: totals and cells as ``float.hex``."""
     digest = hashlib.sha256()
-    for _cost, snap, source in online_detection_plan(initial, hint, probe, batch=batch):
+    for _cost, snap, source in online_detection_plan(initial, hint, probe):
         cards = " ".join(c.hex() for c in snap.cardinalities)
         digest.update(f"{snap.version} {snap.stage} {source} {cards}\n".encode())
         for m in sorted(snap.cells):
@@ -506,10 +534,10 @@ class TestSharedIndex:
         "case, expected",
         [
             ("desk", "03f2e69be1143be002ebc06cfeeaad39bcfca65f3739fe6ef35075df8ec8bab8"),
-            ("desk-batch-3", "cd1213b10b63b9713c784620d3837748df28d0514e88a844dd26dac66e377dd0"),
-            ("demo-exact", "399d18e54c519f9c46b96b38c2ed5275b7f6cbc0768511dc23b716e54760ace3"),
+            ("desk-ascending-hint", "afcdafd1f3f4be52c9a25d60eaa37a20d281d2ff61ed1fc805aae5ef844595ed"),
+            ("demo-exact", "c04c1c55c5186c6f603c3be36b632d8d649c59c97bf864181c044e87d6518839"),
         ],
-        ids=["desk", "desk-batch-3", "demo-exact"],
+        ids=["desk", "desk-ascending-hint", "demo-exact"],
     )
     def test_snapshot_cells_are_unchanged(self, case, expected):
         # Digests of every snapshot's floats: a change that moves one
@@ -517,12 +545,12 @@ class TestSharedIndex:
         if case == "demo-exact":
             u = demo_universe(seed=7, query_split=0.5)
             initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-            hint, batch = (2, 0, 1), 2
+            hint = (2, 0, 1)
         else:
             u, initial = self.desk_initial()
             n = initial.n_sources
-            hint, batch = (tuple(reversed(range(n))), 1) if case == "desk" else (range(n), 3)
-        assert plan_digest(initial, hint, ScopedProbe(u, SCOPE_FOCUS), batch) == expected
+            hint = tuple(reversed(range(n))) if case == "desk" else range(n)
+        assert plan_digest(initial, hint, ScopedProbe(u, SCOPE_FOCUS)) == expected
 
 
 #: ``offline_fill()`` as JSON, one-space indent.

@@ -24,10 +24,11 @@ from querysched.grid import (
     scaled_universe,
     verify_demo_instance,
 )
-from querysched.lattice import parse_snapshot
+from querysched.detection import initial_detection
+from querysched.lattice import dump_snapshot
 from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER
 from querysched.scheduler import RunConfig
-from querysched.simulator import ReplicationModel, demo_universe, generate
+from querysched.simulator import SCOPE_ALL, ReplicationModel, ScopedProbe, demo_universe, generate
 
 
 def tiny_grid():
@@ -168,6 +169,11 @@ class TestGrid:
         [
             ({"run": {"query_thread": 2}}, "run", "query_thread"),
             ({"run": {"cost_model": "sequential"}}, "run", "cost_model"),
+            (
+                {"run": {"detection_batch": 1, "overlap_floor": 0.05, "planner_unit_ms": 0.01}},
+                "run",
+                "detection_batch, overlap_floor, planner_unit_ms",
+            ),
             ({"k_fractions": 0.5}, "top level", "k_fractions"),
             ({"universe": {"source": 10}}, "universe", "source"),
             ({"universe": {"overlap": {"chain": 3}}}, "universe.overlap", "chain"),
@@ -177,7 +183,15 @@ class TestGrid:
                 "style",
             ),
         ],
-        ids=["run", "run-stale-cost-model", "top-level", "universe", "overlap", "cells-overlap"],
+        ids=[
+            "run",
+            "run-stale-cost-model",
+            "run-dropped-options",
+            "top-level",
+            "universe",
+            "overlap",
+            "cells-overlap",
+        ],
     )
     def test_unknown_config_key_rejected(self, payload, section, key):
         with pytest.raises(ValueError) as err:
@@ -198,8 +212,9 @@ class TestGrid:
             ({"n_source": [20]}, "unknown grid axis 'n_source'"),
             ({"detection_overhead": [1.0, -1.0]}, "detection_overhead must be at least 0"),
             ({"k_fraction": [0.5], "query_threads": [2, 0]}, "query_threads must be at least 1"),
+            ({"n_sources": [10, 0]}, "n_sources must be at least 1"),
         ],
-        ids=["unknown-axis", "negative-overhead", "zero-threads"],
+        ids=["unknown-axis", "negative-overhead", "zero-threads", "zero-sources"],
     )
     def test_bad_axis_rejected_before_any_run(self, monkeypatch, axes, message):
         runs = []
@@ -211,6 +226,21 @@ class TestGrid:
         with pytest.raises(ValueError, match=message):
             replace(spec, axes=tuple((a, tuple(v)) for a, v in axes.items()))
         assert runs == []
+
+    @pytest.mark.parametrize(
+        "universe, message",
+        [
+            ({"overlap": {"chains": 0}}, "chains must be at least 1, got 0"),
+            ({"sources": 0}, "n_sources must be at least 1, got 0"),
+            ({"sources": -3}, "n_sources must be at least 1, got -3"),
+        ],
+        ids=["zero-chains", "zero-sources", "negative-sources"],
+    )
+    def test_count_below_one_rejected(self, universe, message):
+        # With no chains a chained draw failed mid-run with an IndexError;
+        # with no sources generation blamed the replication distribution.
+        with pytest.raises(ValueError, match=message):
+            grid_from_json({"universe": universe, "axes": {"k_fraction": [0.5]}})
 
     def test_venn_config_accepted(self):
         payload = {
@@ -323,9 +353,10 @@ class TestCli:
         out_path = tmp_path / "stats.txt"
         rc = main(["dump-stats", "--seed", "101", "--out", str(out_path)])
         assert rc == 0
-        snap = parse_snapshot(out_path.read_text())
-        assert snap.n_sources == 50
-        assert snap.stage == "initial"
+        probe = ScopedProbe(generate(desk_universe_config(), 101), SCOPE_ALL, sample_seed=101)
+        outcome = initial_detection(probe)
+        assert out_path.read_text() == dump_snapshot(outcome.snapshot)
+        assert capsys.readouterr().err == "count queries: 123, clamped rows: 0\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -334,14 +365,18 @@ class TestCli:
             (["run", "--config", "{invalid}"], "unknown key(s) in grid config"),
             (["run", "--config", "{garbled}"], "Expecting property name"),
             (["dump-stats", "--threshold", "0"], "zero prune threshold materializes 2^50 cells"),
+            (["run", "--config", "{huge}"], "query_threads is too large: 401 digits"),
         ],
-        ids=["missing-config", "invalid-config", "garbled-config", "zero-threshold"],
+        ids=["missing-config", "invalid-config", "garbled-config", "zero-threshold", "huge-threads"],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
         # These ended in a traceback and exit code 1.
         (tmp_path / "invalid.json").write_text(json.dumps({"bogus": 1}))
         (tmp_path / "garbled.json").write_text("{bogus")
-        paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "invalid", "garbled")}
+        # An int past the float range: float() of it raised OverflowError.
+        (tmp_path / "huge.json").write_text(json.dumps({"run": {"query_threads": 10**400}}))
+        names = ("missing", "invalid", "garbled", "huge")
+        paths = {name: str(tmp_path / f"{name}.json") for name in names}
         argv = [arg.format(**paths) for arg in argv]
         if argv[0] == "run":
             argv += ["--out", str(tmp_path / "out.csv")]

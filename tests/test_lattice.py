@@ -14,7 +14,6 @@ from querysched.lattice import (
     level,
     member_sources,
     parents,
-    parse_snapshot,
     snapshot_from_cells,
 )
 from querysched.permutation import overlap_ranked
@@ -135,18 +134,6 @@ class TestSnapshot:
 
 
 class TestDumpFormat:
-    def test_roundtrip(self):
-        snap = ref_snapshot(version=7, stage="initial", prune_threshold=0.005)
-        text = dump_snapshot(snap)
-        back = parse_snapshot(text)
-        assert back.version == 7
-        assert back.stage == "initial"
-        assert back.prune_threshold == pytest.approx(0.005)
-        assert back.cardinalities == snap.cardinalities
-        assert {m: (c.value, c.provenance) for m, c in back.cells.items()} == {
-            m: (c.value, c.provenance) for m, c in snap.cells.items()
-        }
-
     def test_format_is_line_oriented_and_sorted(self):
         text = dump_snapshot(ref_snapshot())
         lines = text.strip().splitlines()
@@ -154,23 +141,3 @@ class TestDumpFormat:
         cell_lines = lines[4:]
         masks = [int(ln.split()[0], 16) for ln in cell_lines]
         assert masks == sorted(masks)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_snapshot("not a snapshot\n")
-
-    def test_parse_names_a_missing_array_line(self):
-        lines = dump_snapshot(ref_snapshot()).splitlines()
-        text = "\n".join(ln for ln in lines if not ln.startswith("access "))
-        with pytest.raises(ValueError, match="snapshot lacks access line"):
-            parse_snapshot(text)
-
-    def test_parse_names_a_missing_header_field(self):
-        text = dump_snapshot(ref_snapshot()).replace(" stage=initial", "")
-        with pytest.raises(ValueError, match="snapshot lacks stage="):
-            parse_snapshot(text)
-
-    def test_parse_names_a_malformed_cell_line(self):
-        text = dump_snapshot(ref_snapshot()) + "7 12.5\n"
-        with pytest.raises(ValueError, match="malformed cell line '7 12.5'"):
-            parse_snapshot(text)

@@ -23,6 +23,7 @@ from querysched.grid import (
 )
 from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER, baseline_order, refine_order
 from querysched.scheduler import (
+    PLANNER_OP_MS,
     RunConfig,
     RunResult,
     SourceTrace,
@@ -155,7 +156,7 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
                    charge_first_sweep=False):
     stats_versions, detections, planner_charge = 1, 0, 0.0
     if charge_first_sweep:
-        planner_charge = planner.sweep_work(stats) * config.planner_unit_ms
+        planner_charge = planner.sweep_work(stats) * PLANNER_OP_MS
     executor = _TupleExecutor(query, universe, config)
     events = []
     seq = 0
@@ -559,14 +560,13 @@ def adaptive_run_lines() -> list[str]:
     """``to_json()`` of ``online`` and ``sequential`` runs, which read query-level refreshes.
 
     Desk seed 101 at k fractions 0.2, 0.5 and 0.8, with one and four
-    query threads and cell-query batches of 1 and 3; then the 200-source
-    universe of the ``n_sources`` axis at seed 101 and k fraction 0.8.
+    query threads; then the 200-source universe of the ``n_sources`` axis
+    at seed 101 and k fraction 0.8.
     """
     desk = desk_universe_config()
     cases = [
-        (desk, k_fraction, RunConfig(query_threads=threads, detection_batch=batch))
+        (desk, k_fraction, RunConfig(query_threads=threads))
         for threads in (1, 4)
-        for batch in (1, 3)
         for k_fraction in (0.2, 0.5, 0.8)
     ]
     cases.append((scaled_universe(desk, 200), 0.8, RunConfig()))
@@ -616,25 +616,17 @@ class TestRunConfig:
         "build, field",
         [
             (lambda: RunConfig(detection_overhead=-1.0), "detection_overhead"),
-            (lambda: RunConfig(planner_unit_ms=-1.0), "planner_unit_ms"),
-            (lambda: RunConfig(detection_batch=0), "detection_batch"),
             (lambda: grid_from_json({"run": {"detection_overhead": -1.0}}), "detection_overhead"),
             (lambda: RunConfig(prune_threshold=-0.1), "prune_threshold"),
-            (lambda: RunConfig(overlap_floor=-0.1), "overlap_floor"),
             (lambda: grid_from_json({"run": {"prune_threshold": -0.1}}), "prune_threshold"),
             (
                 lambda: grid_from_json(json.loads('{"run": {"prune_threshold": NaN}}')),
                 "prune_threshold",
             ),
             (lambda: RunConfig(detection_overhead=float("inf")), "detection_overhead"),
-            (lambda: RunConfig(planner_unit_ms=float("inf")), "planner_unit_ms"),
             (
                 lambda: grid_from_json(json.loads('{"run": {"detection_overhead": Infinity}}')),
                 "detection_overhead",
-            ),
-            (
-                lambda: grid_from_json(json.loads('{"run": {"planner_unit_ms": Infinity}}')),
-                "planner_unit_ms",
             ),
             (
                 lambda: grid_from_json(
@@ -645,40 +637,27 @@ class TestRunConfig:
         ],
         ids=[
             "detection_overhead",
-            "planner_unit_ms",
-            "detection_batch",
             "grid_json",
             "prune_threshold",
-            "overlap_floor",
             "grid_json_threshold",
             "grid_json_nan_threshold",
             "infinite_detection_overhead",
-            "infinite_planner_unit_ms",
             "grid_json_infinite_detection_overhead",
-            "grid_json_infinite_planner_unit_ms",
             "grid_json_infinite_overhead_axis",
         ],
     )
     def test_work_scheduled_in_the_past_rejected(self, build, field):
         # Every value below its field's least raises when the config is
         # built, before any run: a negative charge would start counting
-        # queries or dispatches before time zero, a zero batch would run
-        # as one, and a negative threshold or floor is no share at all.
-        # An infinite charge keeps a probed source or the planner busy
-        # forever, and JSON's Infinity reaches the config as one.
+        # queries before time zero, and a negative threshold is no share
+        # at all.  An infinite charge keeps a probed source busy forever,
+        # and JSON's Infinity reaches the config as one.
         with pytest.raises(ValueError, match=field):
             build()
 
     @pytest.mark.parametrize(
         "field",
-        [
-            "query_threads",
-            "detection_batch",
-            "detection_overhead",
-            "planner_unit_ms",
-            "prune_threshold",
-            "overlap_floor",
-        ],
+        ["query_threads", "detection_overhead", "prune_threshold"],
     )
     def test_nan_rejected(self, field):
         # NaN compares false with every bound.  A NaN threshold would
@@ -687,10 +666,10 @@ class TestRunConfig:
             RunConfig(**{field: float("nan")})
 
     @pytest.mark.parametrize("value", [1.5, 2.9, float("inf")])
-    @pytest.mark.parametrize("field", ["query_threads", "detection_batch"])
+    @pytest.mark.parametrize("field", ["query_threads"])
     def test_fractional_count_rejected(self, field, value):
-        # Each is a range bound or step, which would fail mid-run with
-        # a TypeError that does not name the field.
+        # The thread count is a range bound, which would fail mid-run
+        # with a TypeError that does not name the field.
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             RunConfig(**{field: value})
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -700,9 +679,9 @@ class TestRunConfig:
         u, init = desk_setup()
         k = u.truth.distinct_in_scope(SCOPE_FOCUS)
         query = QuerySpec(SCOPE_FOCUS, k)
-        whole = run_query("online", query, u, init, RunConfig(query_threads=2, detection_batch=3))
-        floats = RunConfig(query_threads=2.0, detection_batch=3.0)
-        assert type(floats.query_threads) is type(floats.detection_batch) is int
+        whole = run_query("online", query, u, init, RunConfig(query_threads=2))
+        floats = RunConfig(query_threads=2.0)
+        assert type(floats.query_threads) is int
         assert run_query("online", query, u, init, floats).to_json() == whole.to_json()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e308", "-0.5", "0"])
@@ -735,9 +714,7 @@ class TestRunConfig:
         "section, key, value",
         [
             ("run", "query_threads", "1.5"),
-            ("run", "detection_batch", "2.9"),
             ("run", "query_threads", "NaN"),
-            ("run", "detection_batch", "Infinity"),
             ("universe", "sources", "12.5"),
             ("universe", "distinct", "-Infinity"),
             ("universe.overlap", "max_depth", "3.5"),
@@ -761,12 +738,12 @@ class TestRunConfig:
     def test_grid_json_integral_floats_accepted(self):
         spec = grid_from_json(
             {
-                "run": {"query_threads": 4.0, "detection_batch": 2.0},
+                "run": {"query_threads": 4.0},
                 "universe": {"sources": 12.0, "overlap": {"chains": 8.0}},
                 "seeds": [101.0],
             }
         )
-        assert (spec.run.query_threads, spec.run.detection_batch) == (4, 2)
+        assert spec.run.query_threads == 4
         assert (spec.universe.n_sources, spec.universe.overlap.chains) == (12, 8)
         assert spec.seeds == (101,)
         assert all(
@@ -845,7 +822,7 @@ class TestPlannerPublication:
         # A plan is the pinned prefix plus the source it names, so it
         # extends the prefix when that source is not already dispatched.
         u, init = desk_setup()
-        planner = _Planner(200, RunConfig())
+        planner = _Planner(200)
         dispatched: list[int] = []
         for _ in range(init.n_sources):
             source = planner.next(init, 1, tuple(dispatched))
@@ -857,7 +834,7 @@ class TestPlannerPublication:
     def test_fixed_order_is_taken_in_turn(self):
         u, init = desk_setup()
         order = baseline_order("max_tuples", init)
-        planner = _Planner(200, RunConfig(), order)
+        planner = _Planner(200, order)
         for pinned in range(len(order) + 1):
             expected = order[pinned] if pinned < len(order) else None
             assert planner.next(init, 1 + pinned, order[:pinned]) == expected
@@ -865,7 +842,7 @@ class TestPlannerPublication:
 
     def test_a_plan_is_kept_until_its_inputs_move(self):
         u, init = desk_setup()
-        planner = _Planner(200, RunConfig())
+        planner = _Planner(200)
         first = planner.next(init, 1, ())
         with mock.patch.object(scheduler, "next_source") as replan:
             assert planner.next(init, 1, ()) == first
@@ -881,7 +858,7 @@ class TestPlannerPublication:
         k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
         meter = permutation.WorkMeter()
         head = refine_order(k, prior, meter=meter).order[0]
-        planner = _Planner(k, RunConfig())
+        planner = _Planner(k)
         assert planner.sweep_work(prior) == meter.ops > 0
         # The charged sweep's plan is version 1, read by the first dispatch.
         assert planner.versions == 1
@@ -891,7 +868,7 @@ class TestPlannerPublication:
         # still reads version 1.
         config = RunConfig(detection_overhead=100.0)
         result = run_query("sequential", QuerySpec(SCOPE_FOCUS, k), u, init, config)
-        assert result.planner_time_ms == meter.ops * config.planner_unit_ms
+        assert result.planner_time_ms == meter.ops * PLANNER_OP_MS
         assert result.per_source_trace[0].source == head
 
     def test_online_run_sweeps_only_the_hint_once_per_snapshot(self):
@@ -927,13 +904,12 @@ class TestPlannerPublication:
         # Runs sharing the hint equal runs over a freshly detected snapshot.
         for run in runs:
             assert run.to_json() == run_query("online", query, u, detected(), RunConfig()).to_json()
-        # The hint is kept per overlap floor, and sequential's charged
-        # sweep reads the query-level prior, not the offline snapshot.
+        # Sequential's charged sweep reads the query-level prior, not the
+        # offline snapshot, whose hint it shares.
         sweeps.clear()
         with mock.patch.object(scheduler, "refine_order", counted_refine):
-            run_query("online", query, u, init, RunConfig(overlap_floor=0.2))
             run_query("sequential", query, u, init, RunConfig())
-        assert len(sweeps) == 2 and sweeps[0] is init and sweeps[1] is not init
+        assert len(sweeps) == 1 and sweeps[0] is not init
 
 
 class TestPlannerCharging:
