@@ -46,6 +46,7 @@ from .lattice import (
     STAGE_INITIAL,
     STAGE_ONLINE_1,
     STAGE_ONLINE_2,
+    CellIndex,
     IndexedCells,
     LatticeCell,
     StatsSnapshot,
@@ -121,7 +122,6 @@ def initial_detection(
     total = sum(cards)
     threshold = prune_threshold * total if relative else prune_threshold
 
-    constraints = {s: cards[s] for s in range(n)}
     clamps = [0]
 
     def on_clamp(source: int, resid: float) -> None:
@@ -174,15 +174,18 @@ def initial_detection(
             admitted = list(all_masks_at_level(n, lvl + 1))
         if not admitted:
             break
+        # Known cells come first and subtract in detection order; the
+        # admitted ones follow as the free cells, in ascending mask order.
+        index = CellIndex([*detected, *admitted], n)
+        known = dict(enumerate(detected.values()))
         try:
-            values, _ = maxent.solve(constraints, detected, admitted, on_clamp=on_clamp)
+            solved, _ = maxent.solve(cards, index, known, on_clamp=on_clamp)
         except maxent.MaxEntError as exc:
             # Detection corrects the estimates next round; keep the best
             # iterate and carry on rather than losing the deeper levels.
             log.warning("lattice fill-in imprecise at level %d: %s", lvl + 1, exc)
-            values = {m: exc.values.get(m, 0.0) for m in admitted}
-        estimated = values
-        current = values
+            solved = exc.values
+        estimated = current = dict(zip(admitted, solved[len(detected) :].tolist()))
 
     cells: dict[int, LatticeCell] = {}
     for mask in pruned:
@@ -261,27 +264,26 @@ def online_detection_plan(
     n = initial.n_sources
     index = initial._index  # every snapshot of the plan shares it
     prior = initial._live_values
-    live_cells = dict(zip(index.masks, prior))
+    n_cells = len(index.masks)
     versions = itertools.count(initial.version + 2)  # the prior is initial.version + 1
 
     def refreshed(stage: str, cards: Sequence[float], known: Mapping[int, float]) -> StatsSnapshot:
-        """The next snapshot; its cells are projected from the prior when first read."""
+        """The next snapshot, ``known`` by position; its other cells are solved when first read."""
         known = dict(known)  # later detections must not reach this snapshot
 
         def solve() -> list[float]:
-            free = [m for m in live_cells if m not in known]
-            if not free:
-                return [known[m] for m in index.masks]
+            if len(known) == n_cells:
+                return [known[i] for i in range(n_cells)]
             values, _ = maxent.solve(
-                dict(enumerate(cards)),
+                cards,
+                index,
                 known,
-                free,
-                prior=live_cells,
+                prior=prior,
                 on_clamp=lambda s, r: log.warning(
                     "query-level cells overshoot source %d by %.6g; clamping", s, -r
                 ),
             )
-            return [known[m] if m in known else values[m] for m in index.masks]
+            return values.tolist()
 
         cells = IndexedCells(index, solve, known)
         return _query_snapshot(initial, next(versions), stage, cards, cells)
@@ -332,9 +334,9 @@ def online_detection_plan(
     for i in gaps:
         m = index.masks[i]
         try:
-            known[m] = float(probe.cell_count(m))
+            known[i] = float(probe.cell_count(m))
         except Exception:
             log.warning("cell %#x undetectable during query detection", m)
-            known[m] = 0.0
-        stage = STAGE_FINAL if len(known) == len(live_cells) else STAGE_ONLINE_2
+            known[i] = 0.0
+        stage = STAGE_FINAL if len(known) == n_cells else STAGE_ONLINE_2
         yield per_query_ms, refreshed(stage, cards, known), index.members[i][0]

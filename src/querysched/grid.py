@@ -320,18 +320,44 @@ _UNIVERSE_FIELDS = {
 _REPLICATION_KEYS = tuple(f.name for f in fields(ReplicationModel))
 
 
-def _reject_unknown(section: Mapping, allowed: Iterable[str], where: str) -> None:
-    """Raise on keys the parser would otherwise drop without notice."""
-    unknown = sorted(set(section) - set(allowed))
+def _section(value: object, where: str, allowed: Iterable[str] | None = None) -> Mapping:
+    """``value`` as a config section: a JSON object with no key but the ``allowed`` ones.
+
+    The parser would otherwise drop an unknown key without notice.  With
+    no ``allowed`` keys given, any key goes.
+    """
+    if not isinstance(value, Mapping):
+        raise ValueError(f"grid config section {where} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(value if allowed is None else allowed))
     if unknown:
         raise ValueError(
             "unknown key(s) in grid config section %s: %s" % (where, ", ".join(unknown))
         )
+    return value
+
+
+def _list(value: object, where: str, key: str) -> list:
+    """``value`` if it is a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"grid config section {where}: {key} must be a list, got {value!r}")
+    return value
+
+
+def _number(value: object, where: str, key: str) -> float:
+    """``value`` as a float: it must be a JSON number within the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"grid config section {where}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(
+            f"grid config section {where}: {key} is too large: {len(str(value))} digits"
+        ) from None
 
 
 def _integer(value: object, where: str, key: str) -> int:
     """``value`` as an int; a float must be whole, since ``int`` would truncate it."""
-    if isinstance(value, float) and not value.is_integer():  # NaN and infinities too
+    if not _number(value, where, key).is_integer():  # NaN and infinities too
         raise ValueError(
             f"grid config section {where}: {key} must be an integer, got {value!r}"
         )
@@ -362,14 +388,22 @@ def _override(
     """``default`` with ``values`` replacing its fields.
 
     Each value takes the type of the default it replaces, as JSON gives
-    numbers without telling ints from floats.  ``fields_by_key`` maps a
+    numbers without telling ints from floats; a tuple default, a (low,
+    high) range, takes a list of two numbers.  ``fields_by_key`` maps a
     section key to its field where the two differ.
     """
     changes = {}
     for key, value in values.items():
         name = fields_by_key.get(key, key) if fields_by_key else key
         kind = type(getattr(default, name))
-        changes[name] = _integer(value, where, key) if kind is int else kind(value)
+        if kind is tuple:
+            pair = tuple(_number(v, where, key) for v in _list(value, where, key))
+            if len(pair) != 2:
+                raise ValueError(f"grid config section {where}: {key} must be a pair: {value!r}")
+            value = pair
+        elif kind is not str:  # the model names the strings it knows
+            value = _integer(value, where, key) if kind is int else _number(value, where, key)
+        changes[name] = value
     return replace(default, **changes)
 
 
@@ -377,25 +411,29 @@ def grid_from_json(payload: Mapping) -> GridSpec:
     """Parse a grid config; unknown keys, algorithm names or axes raise ValueError.
 
     So do axis values a condition's config rejects, as :class:`GridSpec`
-    builds every condition's configs, and a value for an integer field
-    that is not a whole number (NaN and infinities included), which would
+    builds every condition's configs, a value of the wrong JSON type, an
+    int past the float range, and a value for an integer field that is
+    not a whole number (NaN and infinities included), which would
     otherwise be truncated.
 
     Every value left out takes its default from :func:`desk_universe_config`,
     :class:`RunConfig` or :class:`GridSpec`.
     """
-    _reject_unknown(payload, _TOP_KEYS, "top level")
+    _section(payload, "top level", _TOP_KEYS)
     desk = desk_universe_config()
-    u = payload.get("universe", {})
-    _reject_unknown(u, [*_UNIVERSE_FIELDS, "overlap"], "universe")
+    u = _section(payload.get("universe", {}), "universe", [*_UNIVERSE_FIELDS, "overlap"])
     overlap_cfg = u.get("overlap", {})
-    if "cells" in overlap_cfg:
-        _reject_unknown(overlap_cfg, ("cells",), "universe.overlap")
+    venn = isinstance(overlap_cfg, Mapping) and "cells" in overlap_cfg
+    _section(overlap_cfg, "universe.overlap", ("cells",) if venn else _REPLICATION_KEYS)
+    if venn:
+        cells = _section(overlap_cfg["cells"], "universe.overlap.cells")
         overlap: ReplicationModel | VennModel = VennModel.from_mapping(
-            {int(m, 0) if isinstance(m, str) else int(m): c for m, c in overlap_cfg["cells"].items()}
+            {
+                int(m, 0) if isinstance(m, str) else int(m): _integer(c, "universe.overlap", "cells")
+                for m, c in cells.items()
+            }
         )
     else:
-        _reject_unknown(overlap_cfg, _REPLICATION_KEYS, "universe.overlap")
         overlap = _override(desk.overlap, overlap_cfg, "universe.overlap")
     universe = _override(
         replace(desk, overlap=overlap),
@@ -403,17 +441,21 @@ def grid_from_json(payload: Mapping) -> GridSpec:
         "universe",
         _UNIVERSE_FIELDS,
     )
-    r = payload.get("run", {})
-    _reject_unknown(r, [f.name for f in fields(RunConfig)], "run")
+    r = _section(payload.get("run", {}), "run", [f.name for f in fields(RunConfig)])
     axes = tuple(
-        (name, tuple(float(v) for v in values))
-        for name, values in payload.get("axes", {}).items()
+        (name, tuple(_number(v, "axes", name) for v in _list(values, "axes", name)))
+        for name, values in _section(payload.get("axes", {}), "axes").items()
     )
-    top = {key: payload[key] for key in ("k_fraction", "algorithms", "seeds") if key in payload}
-    if "seeds" in top:
-        top["seeds"] = [_integer(s, "top level", "seeds") for s in top["seeds"]]
-    run = _override(RunConfig(), r, "run")
-    spec = _override(GridSpec(universe, run, axes=axes), top, "top level")
+    spec = GridSpec(universe, _override(RunConfig(), r, "run"), axes=axes)
+    top: dict[str, object] = {}
+    if "k_fraction" in payload:
+        top["k_fraction"] = _number(payload["k_fraction"], "top level", "k_fraction")
+    if "algorithms" in payload:
+        top["algorithms"] = tuple(_list(payload["algorithms"], "top level", "algorithms"))
+    if "seeds" in payload:
+        seeds = _list(payload["seeds"], "top level", "seeds")
+        top["seeds"] = tuple(_integer(s, "top level", "seeds") for s in seeds)
+    spec = replace(spec, **top)
     unknown = [a for a in spec.algorithms if a not in TABLE_ALGO_ORDER]
     if unknown:
         raise ValueError("unknown algorithm(s) in grid config: %s" % ", ".join(map(repr, unknown)))

@@ -8,13 +8,14 @@ key.  A :class:`StatsSnapshot` bundles per-source timing, per-source
 cardinalities and the current cell estimates into an immutable value that
 planners can read without locking.
 
-Planners read cells by position, not by mask.  A snapshot owns a
-:class:`CellIndex` of its live masks (ascending), each mask's member
-sources, each source's cell positions and each source pair's, plus one
-list of values in that order.  The query-level snapshots of one plan all
-hold the offline snapshot's live masks, so they share its index and
-carry only their values (:class:`IndexedCells`); their ``LatticeCell``
-dict is built only when a reader asks for cells by mask.
+Planners and the entropy solver read cells by position, not by mask.  A
+snapshot owns a :class:`CellIndex` of its live masks (ascending), each
+mask's member sources, each source's cell positions and each source
+pair's, and the source-by-cell 0/1 matrix, plus one list of values in
+that order.  The query-level snapshots of one plan all hold the offline
+snapshot's live masks, so they share its index and carry only their
+values (:class:`IndexedCells`); their ``LatticeCell`` dict is built only
+when a reader asks for cells by mask.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Container, Iterable, Iterator, Mapping
+
+import numpy as np
 
 DETECTED = "detected"
 ESTIMATED = "estimated"
@@ -101,14 +104,13 @@ class LatticeCell:
 class CellIndex:
     """The mask side of a set of live cells, read by position.
 
-    ``masks`` ascend; ``members[i]`` are the sources of ``masks[i]``;
-    ``by_source[s]`` holds the positions of source ``s``'s cells and
-    ``pairs[(a, b)]``, for ``a < b``, those of the cells holding both, each
-    ascending.  Cell values live beside it, one list per snapshot in the
-    same order.
+    ``masks`` keep their order (a snapshot's ascend); ``members[i]`` are
+    the sources of ``masks[i]``; ``by_source[s]`` holds the positions of
+    source ``s``'s cells and ``pairs[(a, b)]``, for ``a < b``, those of the
+    cells holding both, each ascending.  :attr:`incidence` is the same
+    membership as a matrix, for the entropy solver.  Cell values live
+    beside it, one list per snapshot in the same order.
     """
-
-    __slots__ = ("masks", "members", "by_source", "pairs")
 
     def __init__(self, masks: Iterable[int], n_sources: int):
         self.masks = tuple(masks)
@@ -123,13 +125,25 @@ class CellIndex:
         self.by_source = tuple(tuple(r) for r in by_source)
         self.pairs = {key: tuple(r) for key, r in pairs.items()}
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Source-by-cell 0/1 matrix, row ``s`` true at ``s``'s cells.
+
+        Read-only, as every solve over the index shares it.
+        """
+        incidence = np.zeros((len(self.by_source), len(self.masks)), dtype=bool)
+        for s, positions in enumerate(self.by_source):
+            incidence[s, list(positions)] = True
+        incidence.flags.writeable = False
+        return incidence
+
 
 class IndexedCells(Mapping[int, LatticeCell]):
     """Live cells as a value list in a shared :class:`CellIndex`'s order.
 
     ``values`` gives that list on first need (a query-level refresh is
     solved then) and it is kept; the ``LatticeCell`` dict is built only
-    when a reader asks for cells by mask.  Masks in ``detected`` were
+    when a reader asks for cells by mask.  Positions in ``detected`` were
     counted, the others are estimates.
     """
 
@@ -158,8 +172,8 @@ class IndexedCells(Mapping[int, LatticeCell]):
         if self._cells is None:
             detected = self._detected
             self._cells = {
-                m: LatticeCell(m, v, DETECTED if m in detected else ESTIMATED)
-                for m, v in zip(self.index.masks, self.ordered_values())
+                m: LatticeCell(m, v, DETECTED if i in detected else ESTIMATED)
+                for i, (m, v) in enumerate(zip(self.index.masks, self.ordered_values()))
             }
         return self._cells
 

@@ -31,24 +31,24 @@ cells can reach, the refresh keeps only the cells some nearest point may
 use, and Newton steps on the dual project the prior onto those totals.
 Each step backtracks until the dual falls, so the refresh needs no other
 solver: the row scaling above serves only the offline fill.  It always
-returns an answer and names the sources whose totals moved.  The index
-work that depends only on which rows and cells there are is built once
-per cell set and reused; it holds no values, so a solve's answer and the
-work it does depend only on its own arguments.
+returns an answer and names the sources whose totals moved.  Cells are
+read by position in a :class:`~querysched.lattice.CellIndex`, whose
+source-by-cell matrix gives the rows: it is built once per cell set and
+shared by every solve over it.  It holds no values, so a solve's answer
+and the work it does depend only on its own arguments.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import member_sources
+from .lattice import CellIndex
 
 log = logging.getLogger(__name__)
 
@@ -61,19 +61,15 @@ _STEP_LENGTHS = tuple(0.5**i for i in range(60))
 class MaxEntError(RuntimeError):
     """Raised when the offline fill-in cannot satisfy the constraint rows.
 
-    Carries the per-row absolute residuals and the last iterate, so
-    pipelines can degrade to the best-effort estimates.
+    Carries the per-row absolute residuals, keyed by source, and the last
+    iterate as every cell's value in index order, so pipelines can
+    degrade to the best-effort estimates.
     """
 
-    def __init__(
-        self,
-        message: str,
-        residuals: dict[int, float],
-        values: dict[int, float] | None = None,
-    ):
+    def __init__(self, message: str, residuals: dict[int, float], values: np.ndarray):
         super().__init__(message)
         self.residuals = residuals
-        self.values = values or {}
+        self.values = values
 
 
 @dataclass(frozen=True)
@@ -96,18 +92,21 @@ class SolveReport:
 
 
 def solve(
-    constraints: Mapping[int, float],
-    known_cells: Mapping[int, float],
-    free_cells: Iterable[int],
+    totals: Sequence[float],
+    index: CellIndex,
+    known: Mapping[int, float],
     *,
-    prior: Mapping[int, float] | None = None,
+    prior: Sequence[float] | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
     on_clamp: Callable[[int, float], None] | None = None,
-) -> tuple[dict[int, float], SolveReport]:
-    """Estimate free cell values under per-source sum constraints.
+) -> tuple[np.ndarray, SolveReport]:
+    """Estimate the free cells of ``index`` under per-source sum constraints.
 
-    ``constraints`` maps source id to its total; ``known_cells`` hold fixed
-    and are subtracted from the rows they belong to.  Negative row
+    ``totals[s]`` is source ``s``'s total, one row per source of the
+    index.  ``known`` maps cell positions to counts; they hold fixed and
+    are subtracted from their rows in the order given.  The other cells
+    are free, and ``prior``, when given, holds every cell's prior in index
+    order.  Returns every cell's value in index order.  Negative row
     residuals (detected cells overshooting a total) are clamped to zero
     and reported through ``on_clamp`` rather than failing.  Without
     ``prior``, raises :class:`MaxEntError` when the residuals have not
@@ -117,35 +116,36 @@ def solve(
     whose totals were moved to the nearest reachable ones in
     ``moved_sources``.
     """
-    free = sorted(set(map(int, free_cells)))
-    layout = _layout(tuple(constraints), tuple(known_cells), tuple(free))
-    # Per-row bookkeeping runs as array passes in layout order (sources
-    # ascending); only the sums over a row's cells stay per row.
-    resid = np.fromiter(map(constraints.__getitem__, layout.rows), float, len(layout.rows))
+    incidence = index.incidence
+    n = len(incidence)
+    # Per-row bookkeeping runs as array passes over the sources; only the
+    # sums over a row's cells stay per row.
+    resid = np.fromiter(map(totals.__getitem__, range(n)), float, n)
     scales = np.maximum(resid, 1.0)
-    if known_cells:
-        # Known cells add into each row in the order of the input, as a
-        # left-to-right sum would: the same floats, row by row.
-        known_sum = np.zeros(len(layout.rows))
-        for members, v in zip(layout.known_members, known_cells.values()):
-            known_sum[members] += v
-        resid = resid - known_sum
+    # Known cells add into each row in the order given, as a left-to-right
+    # sum would: the same floats, row by row.
+    known_sum = np.zeros(n)
+    for i, v in known.items():
+        known_sum[list(index.members[i])] += v
+    resid = resid - known_sum
+    values = np.zeros(incidence.shape[1])
+    values[list(known)] = list(known.values())
     negative = np.flatnonzero(resid < 0.0)
-    clamped = tuple(layout.rows[r] for r in negative.tolist())
+    clamped = tuple(negative.tolist())
     if on_clamp is not None:
         for s, r in zip(clamped, resid[negative].tolist()):
             on_clamp(s, r)
     resid[negative] = 0.0
     wanting = resid > rel_tol * scales
 
-    # A zero-residual row forces all its free cells to zero.
-    forced = layout.incidence[resid == 0.0].any(axis=0)
-    is_forced = forced.tolist()
-    values = {m: 0.0 for m, f in zip(free, is_forced) if f}
-    active = [m for m, f in zip(free, is_forced) if not f]
+    # A zero-residual row forces all its free cells to zero; the solve
+    # works on the other free cells, in index order.
+    fixed = incidence[resid == 0.0].any(axis=0)
+    fixed[list(known)] = True
+    active = np.flatnonzero(~fixed)
 
     if prior is not None:
-        w = np.fromiter(map(prior.get, active, itertools.repeat(0.0)), float, len(active))
+        w = np.asarray(prior, dtype=float)[active]
         w = np.where(w < 0.0, 0.0, w)  # a negative prior counts as zero
     else:
         w = np.full(len(active), math.exp(-1.0))
@@ -153,11 +153,10 @@ def solve(
     # Rows with no free support, or whose whole support is pinned at zero
     # (zero prior), are vacuous for the optimization: no choice of free
     # values can move them.  Their residual is reported, not fatal.
-    incidence = layout.incidence[:, ~forced]
-    reachable = (incidence & (w > 0.0)).any(axis=1)
-    skipped = [layout.rows[r] for r in np.flatnonzero(~reachable & wanting).tolist()]
-    sources = np.array(layout.rows, dtype=np.intp)
-    rows = _Rows(sources, incidence.astype(float), resid, scales).take(reachable)
+    a = incidence[:, active]
+    reachable = (a & (w > 0.0)).any(axis=1)
+    skipped = np.flatnonzero(~reachable & wanting).tolist()
+    rows = _Rows(np.arange(n), a.astype(float), resid, scales).take(reachable)
 
     moved: tuple[int, ...] = ()
     if prior is not None:
@@ -166,7 +165,7 @@ def solve(
         iterations, worst_rel, rows = _scale_rows(w, rows, rel_tol, skipped)
     if skipped or moved:
         log.debug("rows skipped as unreachable: %s; rows moved: %s", skipped, list(moved))
-    values.update(zip(active, w.tolist()))
+    values[active] = w
     if prior is None and worst_rel > rel_tol:
         raise MaxEntError(
             "row scaling did not converge",
@@ -174,47 +173,6 @@ def solve(
             values,
         )
     return values, SolveReport(iterations, worst_rel, clamped, tuple(skipped), moved)
-
-
-class _RowLayout:
-    """The index work of :func:`solve` for one set of rows and cells.
-
-    None of it depends on values, so one layout serves every solve over
-    the same sources, known cells and free cells: a query-level refresh
-    re-solves the same live cells after each counting query.  It holds
-    the rows (sources ascending), each known cell's rows as positions,
-    and the row-by-free-cell 0/1 incidence.  A solve keeps the reachable
-    rows of its columns for the unforced cells as the matrix of its
-    :class:`_Rows`.
-    """
-
-    __slots__ = ("rows", "known_members", "incidence")
-
-    def __init__(self, sources: tuple[int, ...], known: tuple[int, ...], free: tuple[int, ...]):
-        known_set = set(known)
-        for m in free:
-            if m in known_set:
-                raise ValueError(f"cell {m:#x} is both known and free")
-        self.rows = tuple(sorted(sources))
-        position = {s: r for r, s in enumerate(self.rows)}
-        self.known_members = tuple(
-            np.array([position[s] for s in member_sources(m) if s in position], dtype=np.intp)
-            for m in known
-        )
-        self.incidence = np.zeros((len(self.rows), len(free)), dtype=bool)
-        for i, m in enumerate(free):
-            members = [position[s] for s in member_sources(m) if s in position]
-            if not members:
-                raise ValueError(f"free cell {m:#x} appears in no constraint")
-            self.incidence[members, i] = True
-        # Every solve over these cells shares the array.
-        self.incidence.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=8)
-def _layout(sources: tuple[int, ...], known: tuple[int, ...], free: tuple[int, ...]) -> _RowLayout:
-    """The layout for these rows and cells, reused while the same cells come back."""
-    return _RowLayout(sources, known, free)
 
 
 @dataclass(frozen=True)

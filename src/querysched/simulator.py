@@ -82,6 +82,8 @@ class UniverseConfig:
     def __post_init__(self) -> None:
         if not self.n_sources >= 1:
             raise ValueError(f"n_sources must be at least 1, got {self.n_sources}")
+        if not self.n_distinct >= 0:  # a count of tuples to draw
+            raise ValueError(f"n_distinct must be at least 0, got {self.n_distinct}")
         if self.total_tuples < self.n_distinct:
             raise ValueError("total_tuples must be at least n_distinct")
         if not 0.0 < self.query_split <= 1.0:

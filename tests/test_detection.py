@@ -443,14 +443,20 @@ class TestLazyRefresh:
             shuffled[i] = dict(snaps[i].cells)
         assert [shuffled[i] for i in range(len(snaps))] == in_order
 
-        live = dict(zip(initial._index.masks, initial._live_values))
+        index = initial._index
         for snap, cells in zip(snaps[1:], in_order[1:]):
-            known = {m: c.value for m, c in cells.items() if c.provenance == DETECTED}
-            free = [m for m in live if m not in known]
+            known = {
+                i: cells[m].value
+                for i, m in enumerate(index.masks)
+                if cells[m].provenance == DETECTED
+            }
             expected = {}
-            if free:
-                cards = dict(enumerate(snap.cardinalities))
-                expected, _ = maxent.solve(cards, known, free, prior=live)
+            if len(known) < len(index.masks):
+                values, _ = maxent.solve(
+                    snap.cardinalities, index, known, prior=initial._live_values
+                )
+                solved = enumerate(zip(index.masks, values.tolist()))
+                expected = {m: v for i, (m, v) in solved if i not in known}
             estimated = {m: c.value for m, c in cells.items() if c.provenance == ESTIMATED}
             assert estimated == expected
 
@@ -521,14 +527,26 @@ class TestSharedIndex:
         build = lattice.CellIndex.__init__
         built = []
 
+        solve = maxent.solve
+        solved_over = []
+
         def counted(index, *args, **kwargs):
             built.append(index)
             build(index, *args, **kwargs)
 
-        with mock.patch.object(lattice.CellIndex, "__init__", counted):
+        def recorded(totals, index, known, **kwargs):
+            solved_over.append(index)
+            return solve(totals, index, known, **kwargs)
+
+        with (
+            mock.patch.object(lattice.CellIndex, "__init__", counted),
+            mock.patch.object(maxent, "solve", recorded),
+        ):
             result = run_query("online", QuerySpec(SCOPE_FOCUS, k), u, initial)
         assert result.perm_versions > 2 and result.detections > initial.n_sources
         assert built == [initial._index]
+        # Every refresh solves over that index, so they share its matrix.
+        assert solved_over and all(index is initial._index for index in solved_over)
 
     @pytest.mark.parametrize(
         "case, expected",
@@ -582,17 +600,18 @@ def offline_solves(probe) -> list[dict]:
     solve = maxent.solve
     solves = []
 
-    def record(constraints, known, free, **kwargs):
+    def record(totals, index, known, **kwargs):
         error = None
         try:
-            values, report = solve(constraints, known, free, **kwargs)
+            values, report = solve(totals, index, known, **kwargs)
         except maxent.MaxEntError as exc:
             error, values = exc, exc.values
+        free = [(index.masks[i], v) for i, v in enumerate(values.tolist()) if i not in known]
         solves.append(
             {
-                "level": bin(free[0]).count("1"),
+                "level": bin(free[0][0]).count("1"),
                 "failed": error is not None,
-                "values": {f"{m:#x}": v.hex() for m, v in sorted(values.items())},
+                "values": {f"{m:#x}": v.hex() for m, v in sorted(free)},
             }
         )
         if error is not None:

@@ -242,6 +242,83 @@ class TestGrid:
         with pytest.raises(ValueError, match=message):
             grid_from_json({"universe": universe, "axes": {"k_fraction": [0.5]}})
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"seeds": 5}, "section top level: seeds must be a list, got 5"),
+            ({"seeds": ["101"]}, "section top level: seeds must be a number, got '101'"),
+            ({"algorithms": "online"}, "section top level: algorithms must be a list"),
+            ({"k_fraction": "0.5"}, "section top level: k_fraction must be a number"),
+            ({"axes": {"k_fraction": 0.5}}, "section axes: k_fraction must be a list, got 0.5"),
+            ({"axes": {"k_fraction": [None]}}, "section axes: k_fraction must be a number"),
+            ({"axes": [["k_fraction", [0.5]]]}, "section axes must be an object"),
+            ([], "section top level must be an object, got []"),
+            ({"universe": []}, "section universe must be an object, got []"),
+            ({"run": [1]}, "section run must be an object, got [1]"),
+            ({"run": {"query_threads": True}}, "section run: query_threads must be a number"),
+            ({"universe": {"overlap": []}}, "section universe.overlap must be an object"),
+            (
+                {"universe": {"overlap": {"cells": [1, 2]}}},
+                "section universe.overlap.cells must be an object",
+            ),
+            (
+                {"universe": {"overlap": {"cells": {"1": None}}}},
+                "section universe.overlap: cells must be a number, got None",
+            ),
+            ({"universe": {"access_ms": 5}}, "section universe: access_ms must be a list, got 5"),
+            ({"universe": {"access_ms": "ab"}}, "section universe: access_ms must be a list"),
+            ({"universe": {"access_ms": [5]}}, "section universe: access_ms must be a pair"),
+            (
+                {"universe": {"per_tuple_ms": [0.1, "0.2"]}},
+                "section universe: per_tuple_ms must be a number, got '0.2'",
+            ),
+            ({"universe": {"query_split": None}}, "section universe: query_split must be a number"),
+        ],
+        ids=[
+            "seeds-number",
+            "seeds-string",
+            "algorithms-string",
+            "k-fraction-string",
+            "axis-number",
+            "axis-null",
+            "axes-list",
+            "top-level-list",
+            "universe-list",
+            "run-list",
+            "threads-bool",
+            "overlap-list",
+            "cells-list",
+            "cell-count-null",
+            "range-number",
+            "range-string",
+            "range-short",
+            "range-string-item",
+            "split-null",
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, payload, message):
+        # These escaped as TypeError or AttributeError, or as a ValueError
+        # naming no key, and --config ended in a traceback.
+        with pytest.raises(ValueError) as err:
+            grid_from_json(payload)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "universe, message",
+        [
+            ({"distinct": 10**400, "total": 10**400}, "distinct is too large: 401 digits"),
+            ({"sources": 10**400}, "universe: sources is too large: 401 digits"),
+            ({"overlap": {"max_depth": 10**400}}, "overlap: max_depth is too large: 401 digits"),
+            ({"distinct": -5, "total": -5}, "n_distinct must be at least 0, got -5"),
+        ],
+        ids=["huge-distinct", "huge-sources", "huge-max-depth", "negative-distinct"],
+    )
+    def test_out_of_range_count_rejected(self, universe, message):
+        # Generation on these would not finish, or would fail mid-run on
+        # an empty random range; the huge distinct count overflowed a float.
+        with pytest.raises(ValueError, match=message):
+            grid_from_json({"universe": universe})
+
     def test_venn_config_accepted(self):
         payload = {
             "universe": {
@@ -366,8 +443,16 @@ class TestCli:
             (["run", "--config", "{garbled}"], "Expecting property name"),
             (["dump-stats", "--threshold", "0"], "zero prune threshold materializes 2^50 cells"),
             (["run", "--config", "{huge}"], "query_threads is too large: 401 digits"),
+            (["run", "--config", "{typed}"], "section top level: seeds must be a list, got 5"),
         ],
-        ids=["missing-config", "invalid-config", "garbled-config", "zero-threshold", "huge-threads"],
+        ids=[
+            "missing-config",
+            "invalid-config",
+            "garbled-config",
+            "zero-threshold",
+            "huge-threads",
+            "wrongly-typed-config",
+        ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
         # These ended in a traceback and exit code 1.
@@ -375,7 +460,9 @@ class TestCli:
         (tmp_path / "garbled.json").write_text("{bogus")
         # An int past the float range: float() of it raised OverflowError.
         (tmp_path / "huge.json").write_text(json.dumps({"run": {"query_threads": 10**400}}))
-        names = ("missing", "invalid", "garbled", "huge")
+        # A value of the wrong JSON type raised TypeError.
+        (tmp_path / "typed.json").write_text(json.dumps({"seeds": 5}))
+        names = ("missing", "invalid", "garbled", "huge", "typed")
         paths = {name: str(tmp_path / f"{name}.json") for name in names}
         argv = [arg.format(**paths) for arg in argv]
         if argv[0] == "run":

@@ -1,12 +1,15 @@
 """Membership-lattice primitives and snapshot behavior."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querysched.cost import walk_residuals
 from querysched.lattice import (
     DETECTED,
     ESTIMATED,
     PRUNED,
+    CellIndex,
     LatticeCell,
     StatsSnapshot,
     all_masks_at_level,
@@ -54,6 +57,24 @@ class TestShapeOps:
         assert len(masks) == 6
         assert all(level(m) == 2 for m in masks)
         assert len(set(masks)) == 6
+
+
+class TestCellIndex:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_incidence_marks_each_source_s_cells(self, data):
+        # Masks in any order: the index keeps the order it is given.
+        n = data.draw(st.integers(1, 8))
+        masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), unique=True))
+        index = CellIndex(masks, n)
+        incidence = index.incidence
+        assert incidence.shape == (n, len(masks))
+        for s in range(n):
+            assert incidence[s].tolist() == [bool(m >> s & 1) for m in index.masks]
+        assert not incidence.flags.writeable
+        with pytest.raises(ValueError):
+            incidence[0, :] = True
+        assert index.incidence is incidence  # built once
 
 
 class TestSnapshot:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from querysched import maxent
+from querysched import grid, maxent
 from querysched.cost import QuerySpec
 from querysched.detection import DEFAULT_PRUNE_THRESHOLD, initial_detection
 from querysched.grid import default_grid, desk_universe_config, run_condition, scaled_universe
+from querysched.lattice import CellIndex
 from querysched.scheduler import run_query
 from querysched.simulator import SCOPE_ALL, SCOPE_FOCUS, ScopedProbe, generate
 
@@ -30,10 +31,31 @@ def objective(values):
     return entropy(values.values())
 
 
+def solve(constraints, known, free, *, prior=None, index=None, **kwargs):
+    """``maxent.solve`` over masks: the free cells' answer as a mask dict.
+
+    ``constraints`` holds one total per source, ``known`` maps masks to
+    counts (subtracted in the order given) and ``prior`` masks to priors,
+    0 where left out.  The cells are indexed ascending, or by ``index``
+    when given, which must hold the same masks.
+    """
+    masks = sorted({*known, *free})
+    index = index or CellIndex(masks, len(constraints))
+    assert list(index.masks) == masks
+    position = {m: i for i, m in enumerate(masks)}
+    if prior is not None:
+        prior = [prior.get(m, 0.0) for m in masks]
+    values, report = maxent.solve(
+        constraints, index, {position[m]: v for m, v in known.items()}, prior=prior, **kwargs
+    )
+    values = values.tolist()
+    return {m: values[position[m]] for m in sorted(set(free))}, report
+
+
 class TestUniqueSolutions:
     def test_singleton_rows_pass_through(self):
         constraints = {0: 100.0, 1: 100.0, 2: 100.0}
-        values, report = maxent.solve(constraints, {}, [0b001, 0b010, 0b100])
+        values, report = solve(constraints, {}, [0b001, 0b010, 0b100])
         assert values == pytest.approx({0b001: 100.0, 0b010: 100.0, 0b100: 100.0})
         assert report.max_rel_residual <= 1e-6
 
@@ -43,7 +65,7 @@ class TestUniqueSolutions:
         n, m = 100.0, 20.0
         constraints = {0: n, 1: n, 2: n}
         known = {0b001: m, 0b010: m, 0b100: m}
-        values, _ = maxent.solve(constraints, known, [0b011, 0b101, 0b110], rel_tol=1e-9)
+        values, _ = solve(constraints, known, [0b011, 0b101, 0b110], rel_tol=1e-9)
         for mask in (0b011, 0b101, 0b110):
             assert values[mask] == pytest.approx((n - m) / 2, rel=1e-6)
 
@@ -51,13 +73,13 @@ class TestUniqueSolutions:
         # w011 + w001 = 30 with w001 known => w011 pinned.
         constraints = {0: 30.0, 1: 12.0}
         known = {0b001: 18.0}
-        values, _ = maxent.solve(constraints, known, [0b011])
+        values, _ = solve(constraints, known, [0b011])
         assert values[0b011] == pytest.approx(12.0, rel=1e-6)
 
     def test_last_level_cell_recovers_truth(self):
         constraints = {0: 50.0, 1: 125.0, 2: 75.0}
         known = {0b001: 10.0, 0b010: 80.0, 0b100: 60.0, 0b011: 35.0, 0b101: 5.0, 0b110: 10.0}
-        values, _ = maxent.solve(constraints, known, [0b111])
+        values, _ = solve(constraints, known, [0b111])
         assert values[0b111] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -66,7 +88,7 @@ class TestTrueMaximum:
         # max -sum(w log w) s.t. w1 + w12 = 2, w2 + w12 = 2.  Stationarity
         # gives w = exp(-1) * prod(mu), with mu solving mu(1+mu) = 2e.
         constraints = {0: 2.0, 1: 2.0}
-        values, _ = maxent.solve(constraints, {}, [0b01, 0b10, 0b11], rel_tol=1e-10)
+        values, _ = solve(constraints, {}, [0b01, 0b10, 0b11], rel_tol=1e-10)
         mu = (-1.0 + math.sqrt(1.0 + 8.0 * math.e)) / 2.0
         expected_pair = math.exp(-1.0) * mu * mu
         assert values[0b11] == pytest.approx(expected_pair, rel=1e-6)
@@ -77,7 +99,7 @@ class TestTrueMaximum:
         # One degree of freedom: t = w11 in [0, min(a, b)], w01 = a - t,
         # w10 = b - t.  Grid at 1% of the constraint scale.
         constraints = {0: a, 1: b}
-        values, _ = maxent.solve(constraints, {}, [0b01, 0b10, 0b11], rel_tol=1e-9)
+        values, _ = solve(constraints, {}, [0b01, 0b10, 0b11], rel_tol=1e-9)
         scale = max(a, b)
         step = 0.01 * scale
         best = -math.inf
@@ -95,7 +117,7 @@ class TestTrueMaximum:
         constraints = {0: c[0], 1: c[1], 2: c[2]}
         free = [0b111, 0b001, 0b010, 0b100]
         # Make it dof-1 by knowing nothing: rows are c_i = w_i + w_111.
-        values, _ = maxent.solve(constraints, {}, free, rel_tol=1e-9)
+        values, _ = solve(constraints, {}, free, rel_tol=1e-9)
         scale = max(c)
         step = 0.01 * scale
         best = -math.inf
@@ -111,14 +133,14 @@ class TestTrueMaximum:
         # plain entropy; a prior already satisfying the rows is returned.
         constraints = {0: 2.0, 1: 2.0}
         prior = {0b01: 1.5, 0b10: 1.5, 0b11: 0.5}
-        values, _ = maxent.solve(constraints, {}, [0b01, 0b10, 0b11], prior=prior)
+        values, _ = solve(constraints, {}, [0b01, 0b10, 0b11], prior=prior)
         for mask, v in prior.items():
             assert values[mask] == pytest.approx(v, rel=1e-9)
 
     def test_zero_prior_pins_cell(self):
         constraints = {0: 2.0, 1: 2.0}
         prior = {0b01: 1.0, 0b10: 1.0, 0b11: 0.0}
-        values, _ = maxent.solve(constraints, {}, [0b01, 0b10, 0b11], prior=prior)
+        values, _ = solve(constraints, {}, [0b01, 0b10, 0b11], prior=prior)
         assert values[0b11] == 0.0
         assert values[0b01] == pytest.approx(2.0, rel=1e-9)
 
@@ -128,7 +150,7 @@ class TestDegradation:
         clamps = []
         constraints = {0: 10.0, 1: 30.0}
         known = {0b01: 15.0}  # overshoots row 0
-        values, report = maxent.solve(
+        values, report = solve(
             constraints, known, [0b11, 0b10], on_clamp=lambda s, r: clamps.append((s, r))
         )
         assert clamps and clamps[0][0] == 0
@@ -139,10 +161,11 @@ class TestDegradation:
     def test_known_cells_subtract_in_input_order(self):
         # Left to right, 1e16 + 1 + 1 rounds back to 1e16 (the row overshoots
         # by 2); adding the ones first keeps them (it would overshoot by 4).
+        # Rows 1-3 are met exactly.
         clamps = []
         known = {0b0011: 1e16, 0b0101: 1.0, 0b1001: 1.0}
-        maxent.solve(
-            {0: 1e16 - 2.0},
+        solve(
+            {0: 1e16 - 2.0, 1: 1e16, 2: 1.0, 3: 1.0},
             known,
             [0b0001],
             prior={0b0001: 1.0},
@@ -152,7 +175,7 @@ class TestDegradation:
 
     def test_zero_row_forces_cells(self):
         constraints = {0: 0.0, 1: 20.0}
-        values, _ = maxent.solve(constraints, {}, [0b01, 0b11, 0b10])
+        values, _ = solve(constraints, {}, [0b01, 0b11, 0b10])
         assert values[0b01] == 0.0
         assert values[0b11] == 0.0
         assert values[0b10] == pytest.approx(20.0, rel=1e-6)
@@ -161,24 +184,16 @@ class TestDegradation:
         # Row 1's only support has a zero prior: nothing can absorb it.
         constraints = {0: 4.0, 1: 7.0}
         prior = {0b01: 1.0, 0b10: 0.0}
-        values, report = maxent.solve(constraints, {}, [0b01, 0b10], prior=prior)
+        values, report = solve(constraints, {}, [0b01, 0b10], prior=prior)
         assert values[0b01] == pytest.approx(4.0, rel=1e-6)
         assert 1 in report.skipped_sources
         assert report.max_rel_residual <= 1e-6
         # Row 1's zero total forces the only free cell to zero, so row 0
         # is skipped and no row is left in play to report a residual.
-        values, report = maxent.solve({0: 1.0, 1: 0.0}, {}, [0b11], prior={0b11: 1.0})
+        values, report = solve({0: 1.0, 1: 0.0}, {}, [0b11], prior={0b11: 1.0})
         assert values == {0b11: 0.0}
         assert report.skipped_sources == (0,)
         assert report.max_rel_residual == 0.0
-
-    def test_free_cell_outside_constraints_rejected(self):
-        with pytest.raises(ValueError):
-            maxent.solve({0: 5.0}, {}, [0b10])
-
-    def test_cell_both_known_and_free_rejected(self):
-        with pytest.raises(ValueError):
-            maxent.solve({0: 5.0}, {0b01: 1.0}, [0b01])
 
 
 class TestQueryRefreshShortcuts:
@@ -187,14 +202,14 @@ class TestQueryRefreshShortcuts:
     PRIOR = {m: 1.0 for m in FREE}
 
     def test_warm_start_meeting_the_rows_skips_nnls(self, monkeypatch):
-        parent, _ = maxent.solve(self.CONSTRAINTS, {}, self.FREE, prior=self.PRIOR)
+        parent, _ = solve(self.CONSTRAINTS, {}, self.FREE, prior=self.PRIOR)
 
         def no_nnls(a, b):
             raise AssertionError("NNLS ran on rows the prior already meets")
 
         monkeypatch.setattr(maxent, "_nnls", no_nnls)
         # The refresh starts from its prior; one that meets the rows is the answer.
-        values, report = maxent.solve(self.CONSTRAINTS, {}, self.FREE, prior=parent)
+        values, report = solve(self.CONSTRAINTS, {}, self.FREE, prior=parent)
         assert values == parent
         assert report.iterations == 0
         assert report.moved_sources == ()
@@ -211,7 +226,7 @@ class TestQueryRefreshShortcuts:
         monkeypatch.setattr(maxent, "_nnls", counted)
         # Row 0's cells all lie in rows 1 or 2, so row 0 cannot exceed their sum.
         constraints = {0: 40.0, 1: 9.0, 2: 4.0}
-        values, report = maxent.solve(constraints, {}, [0b011, 0b101, 0b110], prior=self.PRIOR)
+        values, report = solve(constraints, {}, [0b011, 0b101, 0b110], prior=self.PRIOR)
         assert len(calls) == 1
         assert 0 in report.moved_sources
         assert all(v >= 0.0 for v in values.values())
@@ -254,17 +269,16 @@ class TestQueryRefreshShortcuts:
         # Four cells over three rows: no face of these rows is a single point.
         free = [0b011, 0b101, 0b110, 0b111]
         prior = dict.fromkeys(free, 1.0)
-        maxent._layout.cache_clear()
+        index = CellIndex(free, 3)  # all three solves share it
         calls = self.calls_of(monkeypatch)
         # Row 0's cells lie in row 1 or in row 2, so row 0 cannot exceed their sum.
-        _, first = maxent.solve({0: 40.0, 1: 9.0, 2: 4.0}, {}, free, prior=prior)
+        _, first = solve({0: 40.0, 1: 9.0, 2: 4.0}, {}, free, prior=prior, index=index)
         assert 0 in first.moved_sources
         # Feasible in many ways, one of them x01 = 4, x02 = 1, x12 = 3, x012 = 0.
-        _, second = maxent.solve({0: 5.0, 1: 7.0, 2: 4.0}, {}, free, prior=prior)
+        _, second = solve({0: 5.0, 1: 7.0, 2: 4.0}, {}, free, prior=prior, index=index)
         # After a solve that moved no row, the next one still runs NNLS first:
         # x01 = 4, x02 = 2, x12 = 3, x012 = 0 is one way to meet these.
-        _, third = maxent.solve({0: 6.0, 1: 7.0, 2: 5.0}, {}, free, prior=prior)
-        assert maxent._layout.cache_info().hits == 2  # all three share one layout
+        _, third = solve({0: 6.0, 1: 7.0, 2: 5.0}, {}, free, prior=prior, index=index)
         assert calls == ["nnls", "newton"] * 3
         for report in (second, third):
             assert report.iterations > 0
@@ -274,7 +288,7 @@ class TestQueryRefreshShortcuts:
     def test_single_feasible_point_runs_neither_nnls_nor_newton(self, monkeypatch):
         calls = self.calls_of(monkeypatch)
         # Three cells over three independent rows: x01 = 4, x02 = 1, x12 = 3.
-        values, report = maxent.solve(
+        values, report = solve(
             {0: 5.0, 1: 7.0, 2: 4.0}, {}, [0b011, 0b101, 0b110], prior=self.PRIOR
         )
         assert calls == []
@@ -286,7 +300,7 @@ class TestQueryRefreshShortcuts:
     def test_single_point_off_the_cells_runs_nnls_alone(self, monkeypatch):
         calls = self.calls_of(monkeypatch)
         # The least-squares point has x12 = -13.5: no nonnegative cells meet row 0.
-        values, report = maxent.solve(
+        values, report = solve(
             {0: 40.0, 1: 9.0, 2: 4.0}, {}, [0b011, 0b101, 0b110], prior=self.PRIOR
         )
         assert calls == ["nnls"]
@@ -316,15 +330,15 @@ class TestQueryRefreshShortcuts:
     def test_a_run_s_projections_do_not_depend_on_the_run_before(self, monkeypatch):
         # Counted, not timed.  On the default grid's desk universe, seed
         # 110 at k = 0.2, `sequential` re-solves cells that `online` solved
-        # just before; its projections make the same calls as after a
-        # cleared layout cache.
+        # just before, over the same offline snapshot and cell index; its
+        # projections make the same calls as over a fresh snapshot.
         spec = default_grid()
         solved = self.projection_calls(monkeypatch)
         run_condition(spec, "k_fraction", 0.2, "online", 110)
         solved.clear()
         run_condition(spec, "k_fraction", 0.2, "sequential", 110)
         after_online = solved.copy()
-        maxent._layout.cache_clear()
+        monkeypatch.setattr(grid, "_DETECTION_CACHE", {})
         solved.clear()
         run_condition(spec, "k_fraction", 0.2, "sequential", 110)
         assert after_online == solved == [["nnls", "newton"]]
@@ -354,7 +368,7 @@ class TestQueryRefreshShortcuts:
             raise AssertionError("a query projection ran the offline loop")
 
         monkeypatch.setattr(maxent, "_scale_rows", no_scaling)
-        values, report = maxent.solve(constraints, {}, list(prior), prior=prior)
+        values, report = solve(constraints, {}, list(prior), prior=prior)
         got = row_totals(len(constraints), values)
         for s, total in constraints.items():
             assert abs(got[s] - total) <= maxent.DEFAULT_REL_TOL * max(total, 1.0)
@@ -365,7 +379,7 @@ class TestQueryRefreshShortcuts:
         constraints = {0: 4.0, 1: 7.0, 2: 5.0}
         prior = {0b001: 1.0, 0b010: 0.0, 0b100: 0.0}
         with caplog.at_level(logging.DEBUG, logger="querysched.maxent"):
-            _, report = maxent.solve(constraints, {}, [0b001, 0b010, 0b100], prior=prior)
+            _, report = solve(constraints, {}, [0b001, 0b010, 0b100], prior=prior)
         assert report.skipped_sources == (1, 2)
         records = [r for r in caplog.records if r.name == "querysched.maxent"]
         assert len(records) == 1
@@ -536,7 +550,7 @@ class TestQueryProjectionProperties:
     def test_nonnegative_on_any_totals(self, system, totals):
         n, truth, prior, _ = system
         constraints = {s: totals[s] for s in range(n)}
-        values, _ = maxent.solve(constraints, {}, list(truth), prior=prior)
+        values, _ = solve(constraints, {}, list(truth), prior=prior)
         assert set(values) == set(truth)
         assert all(v >= 0.0 and math.isfinite(v) for v in values.values())
 
@@ -547,7 +561,7 @@ class TestQueryProjectionProperties:
         constraints = row_totals(n, truth)
         known_cells = {m: truth[m] for m in known}
         free = [m for m in truth if m not in known]
-        values, report = maxent.solve(constraints, known_cells, free, prior=prior)
+        values, report = solve(constraints, known_cells, free, prior=prior)
         got = row_totals(n, {**known_cells, **values})
         for s in range(n):
             assert abs(got[s] - constraints[s]) <= 1e-6 * max(constraints[s], 1.0)
@@ -558,24 +572,27 @@ class TestQueryProjectionProperties:
     @given(cell_systems())
     def test_prior_fitting_the_rows_is_a_fixed_point(self, system):
         n, truth, _, _ = system
-        values, _ = maxent.solve(row_totals(n, truth), {}, list(truth), prior=truth)
+        values, _ = solve(row_totals(n, truth), {}, list(truth), prior=truth)
         for m, v in truth.items():
             assert values[m] == pytest.approx(v, rel=1e-9, abs=1e-9)
 
     @PROPERTY_SETTINGS
-    @given(cell_systems(), st.lists(st.floats(0.0, 500.0), min_size=4, max_size=4))
-    def test_reused_layout_gives_the_cold_answer(self, system, totals):
-        # A refresh sequence re-solves the same cells with new totals; the
-        # layout kept from the first solve must not change the second.
+    @given(cell_systems(), st.data())
+    def test_solves_over_a_shared_index_equal_fresh_ones(self, system, data):
+        # A refresh sequence re-solves one cell set with new totals over
+        # one index: in any order, each answer is that of a fresh index.
         n, truth, prior, known = system
         known_cells = {m: truth[m] for m in known}
         free = [m for m in truth if m not in known]
-        maxent._layout.cache_clear()
-        maxent.solve(row_totals(n, truth), known_cells, free, prior=prior)
-        constraints = {s: totals[s] for s in range(n)}
-        warm = maxent.solve(constraints, known_cells, free, prior=prior)
-        maxent._layout.cache_clear()
-        assert maxent.solve(constraints, known_cells, free, prior=prior) == warm
+        totals = st.lists(st.floats(0.0, 500.0), min_size=n, max_size=n)
+        systems = [row_totals(n, truth)]
+        systems += [dict(enumerate(t)) for t in data.draw(st.lists(totals, min_size=1, max_size=3))]
+        shared = CellIndex(sorted(truth), n)
+        shared_answers = {}
+        for i in data.draw(st.permutations(range(len(systems)))):
+            shared_answers[i] = solve(systems[i], known_cells, free, prior=prior, index=shared)
+        for i, constraints in enumerate(systems):
+            assert solve(constraints, known_cells, free, prior=prior) == shared_answers[i]
 
     @PROPERTY_SETTINGS
     @given(cell_systems(implied=True), st.floats(1.0, 100.0))
@@ -586,8 +603,8 @@ class TestQueryProjectionProperties:
         n, truth, prior, _ = system
         constraints = row_totals(n, truth)
         constraints[0] = constraints[1] + excess  # row 0's cells all lie in row 1
-        first = maxent.solve(constraints, {}, list(truth), prior=prior)
-        again = maxent.solve(constraints, {}, list(truth), prior=prior)
+        first = solve(constraints, {}, list(truth), prior=prior)
+        again = solve(constraints, {}, list(truth), prior=prior)
         assert first == again
         values, report = first
         assert all(v >= 0.0 for v in values.values())
@@ -604,9 +621,9 @@ class TestQueryProjectionProperties:
         # At full column rank one least-squares solve, with NNLS when its
         # point leaves the cells, gives the answer of NNLS then Newton.
         n, masks, prior, constraints = system
-        values, report = maxent.solve(constraints, {}, masks, prior=prior)
+        values, report = solve(constraints, {}, masks, prior=prior)
         with mock.patch.object(maxent, "_project", nnls_newton_project):
-            want, want_report = maxent.solve(constraints, {}, masks, prior=prior)
+            want, want_report = solve(constraints, {}, masks, prior=prior)
         assert report.iterations == 0  # a single point takes no Newton step
         assert report.moved_sources == want_report.moved_sources
         assert report.skipped_sources == want_report.skipped_sources
@@ -637,9 +654,9 @@ class TestQueryProjectionProperties:
         else:
             constraints = {s: data.draw(st.floats(0.0, 500.0)) for s in range(n)}
         known_cells = {m: truth[m] for m in known}
-        values, report = maxent.solve(constraints, known_cells, free, prior=prior)
+        values, report = solve(constraints, known_cells, free, prior=prior)
         with mock.patch.object(maxent, "_project", tuple_project):
-            want, want_report = maxent.solve(constraints, known_cells, free, prior=prior)
+            want, want_report = solve(constraints, known_cells, free, prior=prior)
         assert report.moved_sources == want_report.moved_sources
         assert report.skipped_sources == want_report.skipped_sources
         assert report.iterations == want_report.iterations
