@@ -18,13 +18,15 @@ the query is running: first per-source query cardinalities, detected in
 the hinted order with the not-yet-detected ones scaled by the average
 detected-to-offline ratio; then individual cell values, detected in
 descending order of how far the current query-level estimate moved from
-the offline value.  Every detection publishes a snapshot whose totals
-and detected cells are fixed at once; its other cells are the projection
-of the offline cells (in practice the detected ones) onto those totals,
-solved when the snapshot's cells are first read and then kept.  Each
-projection starts from the offline cells, so a snapshot's values do not
-depend on which earlier snapshots were read; a scheduler that replans on
-a few of them solves only those.  Query-level snapshots carry the live
+the offline value.  Each counting query advances the plan by one step,
+whose version and stage are fixed at once.  The step's snapshot is built
+when it is first read: its totals are rebuilt from the totals detected
+by then, and its other cells are the projection of the offline cells
+(in practice the detected ones) onto those totals, solved when the
+snapshot's cells are first read and then kept.  Each projection starts
+from the offline cells, so a snapshot's values do not depend on which
+earlier snapshots were read; a scheduler that replans on a few of them
+builds and solves only those.  Query-level snapshots carry the live
 cells only: a cell pruned offline is never probed or estimated per query.
 """
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -241,25 +243,46 @@ def prior_query_snapshot(initial: StatsSnapshot) -> StatsSnapshot:
     )
 
 
+def _read_once(build: Callable[..., StatsSnapshot], *args) -> Callable[[], StatsSnapshot]:
+    """A reader that returns ``build(*args)``, built on its first call and kept.
+
+    A plan makes one per counting query; ``functools.cache`` would copy
+    the wrapped function's metadata onto each, which costs more.
+    """
+    snapshot: StatsSnapshot | None = None
+
+    def read() -> StatsSnapshot:
+        nonlocal snapshot
+        if snapshot is None:
+            snapshot = build(*args)
+        return snapshot
+
+    return read
+
+
 def online_detection_plan(
     initial: StatsSnapshot,
     perm_hint: Sequence[int],
     probe: StatsProbe,
     *,
     per_query_ms: float = DETECTION_QUERY_MS,
-) -> Iterator[tuple[float, StatsSnapshot, int]]:
-    """Yield (elapsed_ms, snapshot, probed_source) detection steps.
+) -> Iterator[tuple[float, Callable[[], StatsSnapshot], int]]:
+    """Yield (elapsed_ms, read, probed_source) detection steps.
 
-    The first snapshot costs nothing and probes no source: it is the
-    offline statistics passed through as the query-level estimate.  Each
-    later snapshot becomes visible one counting query (``per_query_ms``)
-    after the previous one: a source total, or one cell's count, asked of
-    the cell's first member source.  ``probed_source`` names the source
-    the counting query contacted (-1 for none), so a scheduler can model
-    contention.  A later snapshot's estimated cells are solved from the
-    offline cells on its first read; the plan itself reads only the last
-    cardinality refresh, which orders the cell queries.  The caller owns
-    termination; abandoning the iterator is the stop signal.
+    ``read()`` builds the step's snapshot on its first call and returns
+    that same object afterwards; the step's version and stage are fixed
+    when it is yielded, so reading a step late, or never, changes no
+    other step.  The first snapshot costs nothing and probes no source:
+    it is the offline statistics passed through as the query-level
+    estimate.  Each later snapshot becomes visible one counting query
+    (``per_query_ms``) after the previous one: a source total, or one
+    cell's count, asked of the cell's first member source.
+    ``probed_source`` names the source the counting query contacted (-1
+    for none), so a scheduler can model contention.  A later snapshot's
+    estimated cells are solved from the offline cells on its first cell
+    read; the plan itself reads only the last cardinality refresh, which
+    orders the cell queries.  The caller owns termination; abandoning the
+    iterator is the stop signal.
     """
     n = initial.n_sources
     index = initial._index  # every snapshot of the plan shares it
@@ -267,9 +290,10 @@ def online_detection_plan(
     n_cells = len(index.masks)
     versions = itertools.count(initial.version + 2)  # the prior is initial.version + 1
 
-    def refreshed(stage: str, cards: Sequence[float], known: Mapping[int, float]) -> StatsSnapshot:
-        """The next snapshot, ``known`` by position; its other cells are solved when first read."""
-        known = dict(known)  # later detections must not reach this snapshot
+    def refreshed(
+        version: int, stage: str, cards: Sequence[float], known: dict[int, float]
+    ) -> StatsSnapshot:
+        """A snapshot with ``known`` by position; its other cells are solved when first read."""
 
         def solve() -> list[float]:
             if len(known) == n_cells:
@@ -286,24 +310,29 @@ def online_detection_plan(
             return values.tolist()
 
         cells = IndexedCells(index, solve, known)
-        return _query_snapshot(initial, next(versions), stage, cards, cells)
+        return _query_snapshot(initial, version, stage, cards, cells)
 
-    snapshot = prior_query_snapshot(initial)
-    yield 0.0, snapshot, -1
+    read = _read_once(prior_query_snapshot, initial)
+    yield 0.0, read, -1
 
     # Each source is probed once, in hint order.  An undetected source's
     # total is its offline one scaled by the average detected-to-offline
     # ratio, summed in detection order; sources with an offline total of
     # zero are left out of the ratio, and with no ratio yet the offline
-    # totals stand.
+    # totals stand.  A step keeps its probe count and ratio; its totals
+    # are rebuilt from the detected ones on read.
     hint = list(dict.fromkeys(perm_hint))
     hinted = set(hint)
     hint += [s for s in range(n) if s not in hinted]
     offline_cards = initial.cardinalities
     offline = np.array(offline_cards, dtype=float)
-    detected = np.zeros(n, dtype=bool)
-    detected_cards = np.zeros(n)
-    cards: Sequence[float] = offline_cards
+    detected_cards: list[float] = []  # in hint order
+
+    def totals_step(version: int, stage: str, probed: int, avg: float) -> StatsSnapshot:
+        cards = offline * avg
+        cards[hint[:probed]] = detected_cards[:probed]
+        return refreshed(version, stage, cards.tolist(), {})
+
     ratio_sum = 0.0
     ratios = 0
     for probed, s in enumerate(hint, 1):
@@ -312,31 +341,40 @@ def online_detection_plan(
         except Exception:
             log.warning("source %d unavailable during query detection", s)
             card = 0.0
-        detected[s] = True
-        detected_cards[s] = card
+        detected_cards.append(card)
         if offline_cards[s] > 0.0:
             ratio_sum += card / offline_cards[s]
             ratios += 1
         avg = ratio_sum / ratios if ratios else 1.0
-        cards = np.where(detected, detected_cards, offline * avg).tolist()
         stage = STAGE_ONLINE_1 if probed < n else STAGE_ONLINE_2
-        snapshot = refreshed(stage, cards, {})
-        yield per_query_ms, snapshot, s
+        read = _read_once(totals_step, next(versions), stage, probed, avg)
+        yield per_query_ms, read, s
 
     # Cells go in descending order of how far the last cardinality
     # refresh moved them from the prior; that refresh is solved here.
-    estimates = snapshot._live_values
+    refresh = read()
+    cards = refresh.cardinalities
+    estimates = refresh._live_values
     gaps = sorted(
-        range(len(index.masks)),
+        range(n_cells),
         key=lambda i: (-abs(estimates[i] - prior[i]), index.masks[i]),
     )
-    known: dict[int, float] = {}
+    # A step keeps how many cells were counted by then.
+    counted: list[int] = []  # positions, in detection order
+    counts: list[float] = []
+
+    def cells_step(version: int, stage: str, known: int) -> StatsSnapshot:
+        return refreshed(version, stage, cards, dict(zip(counted[:known], counts[:known])))
+
     for i in gaps:
         m = index.masks[i]
         try:
-            known[i] = float(probe.cell_count(m))
+            count = float(probe.cell_count(m))
         except Exception:
             log.warning("cell %#x undetectable during query detection", m)
-            known[i] = 0.0
-        stage = STAGE_FINAL if len(known) == n_cells else STAGE_ONLINE_2
-        yield per_query_ms, refreshed(stage, cards, known), index.members[i][0]
+            count = 0.0
+        counted.append(i)
+        counts.append(count)
+        stage = STAGE_FINAL if len(counted) == n_cells else STAGE_ONLINE_2
+        read = _read_once(cells_step, next(versions), stage, len(counted))
+        yield per_query_ms, read, index.members[i][0]

@@ -10,12 +10,12 @@ planners can read without locking.
 
 Planners and the entropy solver read cells by position, not by mask.  A
 snapshot owns a :class:`CellIndex` of its live masks (ascending), each
-mask's member sources, each source's cell positions and each source
-pair's, and the source-by-cell 0/1 matrix, plus one list of values in
-that order.  The query-level snapshots of one plan all hold the offline
-snapshot's live masks, so they share its index and carry only their
-values (:class:`IndexedCells`); their ``LatticeCell`` dict is built only
-when a reader asks for cells by mask.
+mask's member sources, each source's cell positions and, built on first
+read, each source pair's and the source-by-cell 0/1 matrix, plus one
+list of values in that order.  The query-level snapshots of one plan all
+hold the offline snapshot's live masks, so they share its index and
+carry only their values (:class:`IndexedCells`); their ``LatticeCell``
+dict is built only when a reader asks for cells by mask.
 """
 
 from __future__ import annotations
@@ -106,24 +106,30 @@ class CellIndex:
 
     ``masks`` keep their order (a snapshot's ascend); ``members[i]`` are
     the sources of ``masks[i]``; ``by_source[s]`` holds the positions of
-    source ``s``'s cells and ``pairs[(a, b)]``, for ``a < b``, those of the
-    cells holding both, each ascending.  :attr:`incidence` is the same
-    membership as a matrix, for the entropy solver.  Cell values live
-    beside it, one list per snapshot in the same order.
+    source ``s``'s cells, ascending.  :attr:`pairs` and :attr:`incidence`
+    are built on first read, for the planner and the entropy solver.
+    Cell values live beside the index, one list per snapshot in the same
+    order.
     """
 
     def __init__(self, masks: Iterable[int], n_sources: int):
         self.masks = tuple(masks)
         self.members = tuple(member_sources(m) for m in self.masks)
         by_source: list[list[int]] = [[] for _ in range(n_sources)]
+        for i, srcs in enumerate(self.members):
+            for s in srcs:
+                by_source[s].append(i)
+        self.by_source = tuple(tuple(r) for r in by_source)
+
+    @cached_property
+    def pairs(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """``pairs[(a, b)]``, for ``a < b``: positions of the cells holding both, ascending."""
         pairs: dict[tuple[int, int], list[int]] = {}
         for i, srcs in enumerate(self.members):
             for a, s in enumerate(srcs):
-                by_source[s].append(i)
                 for t in srcs[a + 1 :]:
                     pairs.setdefault((s, t), []).append(i)
-        self.by_source = tuple(tuple(r) for r in by_source)
-        self.pairs = {key: tuple(r) for key, r in pairs.items()}
+        return {key: tuple(r) for key, r in pairs.items()}
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -238,12 +244,21 @@ class StatsSnapshot:
         """``(-rate, source)`` with nothing covered, ascending: a heap of rate bounds.
 
         A source's rate only falls as cells are covered, so each entry
-        bounds that source's rate after any prefix.
+        bounds that source's rate after any prefix.  The rates are
+        :func:`cost.rate_from_parts` with nothing covered, taken over all
+        sources at once: a source with no tuples or no scan time rates 0,
+        and equal keys (``-0.0`` among them) keep ascending source order.
         """
-        from .cost import rate_from_parts  # cost reads snapshots: import on first use
-
-        parts = zip(self.access_ms, self.per_tuple_ms, self.cardinalities)
-        return sorted((-rate_from_parts(a, t, c, 0.0), s) for s, (a, t, c) in enumerate(parts))
+        access = np.array(self.access_ms, dtype=float)
+        per_tuple = np.array(self.per_tuple_ms, dtype=float)
+        cards = np.array(self.cardinalities, dtype=float)
+        rates = np.zeros(len(cards))
+        with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
+            scan = access + per_tuple * cards
+            np.divide(cards, scan, out=rates, where=~((scan <= 0.0) | (cards <= 0.0)))
+        keys = -rates
+        order = keys.argsort(kind="stable")
+        return list(zip(keys[order].tolist(), order.tolist()))
 
     @cached_property
     def _detection_hint(self) -> list[tuple[int, ...]]:

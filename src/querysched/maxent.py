@@ -56,6 +56,8 @@ DEFAULT_REL_TOL = 1e-6
 
 # Newton's backtracking tries these step lengths, longest first: 1, 1/2, ... 2**-59.
 _STEP_LENGTHS = tuple(0.5**i for i in range(60))
+# NNLS stops after this many outer iterations per cell (column), plus one.
+_NNLS_ITERATIONS_PER_CELL = 3
 
 
 class MaxEntError(RuntimeError):
@@ -377,7 +379,8 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     Returns ``x``, the gradient ``a^T (b - a x)`` and the tolerance below
     which a cell at zero counts as optimal.  Where ``x > 0`` the gradient
     is zero only up to rounding, which the tolerance does not bound: only
-    a cell at zero reads its face from the gradient's sign.
+    a cell at zero reads its face from the gradient's sign.  A run that
+    reaches the iteration cap returns its last point and logs a warning.
     """
     n = a.shape[1]
     tol = _zero_tol(a)
@@ -391,7 +394,8 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         return z
 
     grad = a.T @ b
-    for _ in range(3 * n + 1):
+    cap = _NNLS_ITERATIONS_PER_CELL * n + 1
+    for _ in range(cap):
         # The free cell of steepest ascent, the first of any tie.
         g = grad.tolist()
         free = [j for j, (p, r) in enumerate(zip(passive.tolist(), rejected)) if not (p or r)]
@@ -421,6 +425,8 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
             z = least_squares(passive)
         x = z
         grad = a.T @ (b - a @ x)
+    else:
+        log.warning("NNLS stopped at its cap of %d iterations on a %d x %d matrix", cap, *a.shape)
     return x, grad, tol
 
 

@@ -1,10 +1,12 @@
 """Deterministic event-driven execution of a query over a universe.
 
 One event loop runs every strategy.  Three logical workers take turns in
-it.  The statistics worker applies each refreshed snapshot when its
-counting query completes and bumps a plain version counter.  The planner
-names the source the next dispatch takes, and replans lazily whenever
-that version or the dispatched prefix has moved since its last answer.
+it.  A counting query advances the statistics worker by one step: when
+the query completes, the worker keeps the step's reader and bumps a plain
+version counter.  The planner names the source the next dispatch takes,
+and replans lazily whenever that version or the dispatched prefix has
+moved since its last answer; only a replan reads the statistics, and the
+step's snapshot and its refresh are built on that first read.
 The query threads dispatch that source, pin every source they dispatch
 and deduplicate arriving tuples against a shared seen-set.  Events are
 keyed on (time, worker class, thread id), so a run is a pure function of
@@ -39,7 +41,7 @@ import heapq
 import json
 import math
 import struct
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,9 +249,12 @@ class _Planner:
         self._source: int | None = None
 
     def next(
-        self, stats: StatsSnapshot, stats_version: int, dispatched: tuple[int, ...]
+        self, read: Callable[[], StatsSnapshot], stats_version: int, dispatched: tuple[int, ...]
     ) -> int | None:
-        """The source to dispatch after ``dispatched``; replans if stats or the prefix moved."""
+        """The source to dispatch after ``dispatched``; replans if stats or the prefix moved.
+
+        ``read()`` gives the statistics of ``stats_version``; only a replan calls it.
+        """
         pinned = len(dispatched)
         if self.fixed is not None:
             # Every dispatch takes the fixed order's next source, so the
@@ -257,20 +262,20 @@ class _Planner:
             return self.fixed[pinned] if pinned < len(self.fixed) else None
         key = (stats_version, pinned)
         if key != self._key:
-            self._source = next_source(self.k, stats, dispatched)
+            self._source = next_source(self.k, read(), dispatched)
             self.versions += 1
             self._key = key
         return self._source
 
-    def sweep_work(self, stats: StatsSnapshot) -> int:
-        """Operations of the full sweep over ``stats``, which ``sequential`` pays for.
+    def sweep_work(self, read: Callable[[], StatsSnapshot]) -> int:
+        """Operations of the full sweep over ``read()``, which ``sequential`` pays for.
 
         The plan it stands for, which :meth:`next` finds as the sweep's
         head, is version 1, found before the first dispatch.
         """
         meter = WorkMeter()
-        refine_order(self.k, stats, meter=meter)
-        self.next(stats, 1, ())
+        refine_order(self.k, read(), meter=meter)
+        self.next(read, 1, ())
         return meter.ops
 
 
@@ -291,10 +296,10 @@ def run_query(
     if algo in BASELINE_ALGOS:
         prior = prior_query_snapshot(initial)
         order = baseline_order(algo, prior, seed=seed)
-        return _run(algo, query, universe, config, _Planner(query.k, order), prior)
+        return _run(algo, query, universe, config, _Planner(query.k, order), lambda: prior)
     if algo == ALGO_FULL_KNOWLEDGE:
         truth = universe.truth_snapshot(query.predicate_id)
-        return _run(algo, query, universe, config, _Planner(query.k), truth)
+        return _run(algo, query, universe, config, _Planner(query.k), lambda: truth)
     if algo in (ALGO_ONLINE, ALGO_SEQUENTIAL):
         probe = ScopedProbe(universe, query.predicate_id)
         detection = online_detection_plan(
@@ -303,9 +308,9 @@ def run_query(
             probe,
             per_query_ms=DETECTION_QUERY_MS * config.detection_overhead,
         )
-        _, prior, _ = next(detection)
+        _, read_prior, _ = next(detection)
         return _run(
-            algo, query, universe, config, _Planner(query.k), prior, detection,
+            algo, query, universe, config, _Planner(query.k), read_prior, detection,
             charge_first_sweep=algo == ALGO_SEQUENTIAL,
         )
     raise ValueError(f"unknown algorithm {algo!r}")
@@ -333,21 +338,24 @@ def _run(
     universe: Universe,
     config: RunConfig,
     planner: _Planner,
-    stats: StatsSnapshot,
-    detection: Iterator[tuple[float, StatsSnapshot, int]] | None = None,
+    read_stats: Callable[[], StatsSnapshot],
+    detection: Iterator[tuple[float, Callable[[], StatsSnapshot], int]] | None = None,
     *,
     charge_first_sweep: bool = False,
 ) -> RunResult:
     """The event loop; ``detection`` yields the statistics worker's steps.
 
-    The heap holds counting-query completions and dispatches.  A scanning
-    thread's arrivals stay in its arrays until a window consumes them.
+    ``read_stats`` gives the statistics in force before the first step;
+    the worker replaces it with each completed step's reader, which only
+    a replan calls.  The heap holds counting-query completions and
+    dispatches.  A scanning thread's arrivals stay in its arrays until a
+    window consumes them.
     """
     stats_versions = 1
     detections = 0
     planner_charge = 0.0
     if charge_first_sweep:
-        planner_charge = planner.sweep_work(stats) * PLANNER_OP_MS
+        planner_charge = planner.sweep_work(read_stats) * PLANNER_OP_MS
 
     executor = _Executor(query, universe, config)
 
@@ -364,7 +372,7 @@ def _run(
     # stalls the stats worker.  Bookings hold the probe-side busy windows;
     # scan ownership lives in the executor.
     probe_busy_until: dict[int, float] = {}
-    pending: tuple[float, StatsSnapshot, int] | None = None
+    pending: tuple[float, Callable[[], StatsSnapshot], int] | None = None
     sc_in_flight = False
 
     def pull_next_detection() -> None:
@@ -376,7 +384,7 @@ def _run(
         nonlocal sc_in_flight
         if sc_in_flight or pending is None or executor.reached_target:
             return
-        cost, _snapshot, target = pending
+        cost, _read, target = pending
         if target >= 0 and executor.scanning(target):
             return  # retried after any scan completes
         sc_in_flight = True
@@ -413,7 +421,7 @@ def _run(
         if prio == _PRIO_STATS:
             sc_in_flight = False
             if pending is not None:
-                stats = pending[1]
+                read_stats = pending[1]
                 stats_versions += 1
                 detections += 1
             pull_next_detection()
@@ -421,7 +429,7 @@ def _run(
             continue
         # a dispatch: the thread is idle
         state = executor.threads[tid]
-        source = planner.next(stats, stats_versions, tuple(executor.dispatched))
+        source = planner.next(read_stats, stats_versions, tuple(executor.dispatched))
         if source is None:
             state.done = True
             state.last_event_ms = time_ms

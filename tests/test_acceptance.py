@@ -160,7 +160,8 @@ def test_criterion_4_statistics_exactness_and_residuals():
                 tuple(range(n)),
                 ScopedProbe(universe, SCOPE_FOCUS),
             )
-            for _cost, snap, _src in stream:
+            for _cost, read, _src in stream:
+                snap = read()
                 snapshots += 1
                 for s in range(n):
                     total = sum(

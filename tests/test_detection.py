@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from querysched import lattice, maxent
+from querysched import detection, lattice, maxent
 from querysched.cost import QuerySpec
 from querysched.detection import (
     initial_detection,
@@ -43,7 +43,7 @@ DEMO_EXACT = {0b001: 10, 0b010: 80, 0b100: 60, 0b011: 35, 0b101: 5, 0b110: 10, 0
 
 def snapshots(initial, hint, probe):
     """Every snapshot of a query-level detection run to its end."""
-    return [snap for _cost, snap, _src in online_detection_plan(initial, hint, probe)]
+    return [read() for _cost, read, _src in online_detection_plan(initial, hint, probe)]
 
 
 class FailingCells:
@@ -255,8 +255,8 @@ def cards_after(detected, offline_cards):
     plan = online_detection_plan(initial, tuple(detected), FixedTotals(detected))
     next(plan)  # the prior snapshot probes nothing
     for _ in detected:
-        _cost, snap, _source = next(plan)
-    return list(snap.cardinalities)
+        _cost, read, _source = next(plan)
+    return list(read().cardinalities)
 
 
 class TestCardinalityScaling:
@@ -305,7 +305,8 @@ class TestOnlineDetection:
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
         prior = prior_query_snapshot(initial)
-        assert next(plan) == (0.0, prior, -1)
+        cost, read, source = next(plan)
+        assert (cost, read(), source) == (0.0, prior, -1)
 
     def test_query_matching_everything_converges_to_initial(self):
         u = self.make_universe(split=1.0)
@@ -344,7 +345,8 @@ class TestOnlineDetection:
         entry_estimates = None
         detected_order = []
         prev_known = set()
-        for _cost, snap, _src in plan:
+        for _cost, read, _src in plan:
+            snap = read()
             if snap.stage in ("online-substage-2", "final"):
                 if entry_estimates is None and snap.stage == "online-substage-2":
                     pass
@@ -356,8 +358,8 @@ class TestOnlineDetection:
         # cardinality detection vs the offline values.
         sub1 = []
         plan2 = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-        for _cost, snap, _src in plan2:
-            sub1.append(snap)
+        for _cost, read, _src in plan2:
+            sub1.append(read())
             if len(sub1) == 1 + initial.n_sources:
                 break
         entry = sub1[-1]
@@ -380,7 +382,7 @@ class TestOnlineDetection:
         assert [s for _c, _snap, s in steps[1:4]] == [2, 0, 1]
         assert steps[1][0] == pytest.approx(6.0)
         # Cell probes name a member source of the probed cell.
-        for cost, snap, src in steps[4:]:
+        for cost, _read, src in steps[4:]:
             assert src in range(3)
 
     def test_each_cell_query_is_one_step(self):
@@ -393,13 +395,13 @@ class TestOnlineDetection:
                 initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS), per_query_ms=2.0
             )
         )
-        assert steps[-1][1].stage == STAGE_FINAL
+        assert steps[-1][1]().stage == STAGE_FINAL
         live = {m for m, c in initial.cells.items() if c.provenance != PRUNED}
         cell_steps = steps[1 + initial.n_sources :]
         assert len(cell_steps) == len(live)
         counted = set()
-        for cost, snap, source in cell_steps:
-            detected = {m for m, c in snap.cells.items() if c.provenance == DETECTED}
+        for cost, read, source in cell_steps:
+            detected = {m for m, c in read().cells.items() if c.provenance == DETECTED}
             (new,) = detected - counted
             assert cost == 2.0 and source == member_sources(new)[0]
             counted = detected
@@ -477,6 +479,47 @@ class TestLazyRefresh:
         # cardinality refresh for its cell order; the rest go unsolved.
         assert 0 < len(calls) <= result.perm_versions + 1 < result.detections
 
+    def test_steps_read_late_or_skipped_equal_steps_read_in_order(self):
+        u, initial = TestSharedIndex.desk_initial()
+        hint = range(initial.n_sources)
+
+        def steps():
+            return online_detection_plan(initial, hint, ScopedProbe(u, SCOPE_FOCUS))
+
+        def seen(snap):
+            return snap.version, snap.stage, snap.cardinalities, snap._live_values
+
+        in_order = [seen(read()) for _cost, read, _src in steps()]
+        reads = [read for _cost, read, _src in steps()]
+        assert len(reads) == len(in_order) > initial.n_sources + 1
+        # Every step read after the plan ended, the last one first.
+        backwards = {i: seen(reads[i]()) for i in reversed(range(len(reads)))}
+        assert [backwards[i] for i in range(len(reads))] == in_order
+        assert all(read() is read() for read in reads)
+        # Only every third step read, each as the plan yields it.
+        thirds = [seen(read()) for i, (_c, read, _s) in enumerate(steps()) if i % 3 == 0]
+        assert thirds == in_order[::3]
+
+    def test_sequential_run_builds_only_the_snapshots_it_reads(self):
+        # 200 sources, seed 101, k = 0.8: before steps were read lazily,
+        # this run built 224 query-level snapshots for 21 plan versions.
+        u = generate(scaled_universe(desk_universe_config(), 200), 101)
+        initial = offline_stats(u, RunConfig()).snapshot
+        k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
+        make = detection._query_snapshot
+        built = []
+
+        def counted(initial, version, *args):
+            built.append(version)
+            return make(initial, version, *args)
+
+        with mock.patch.object(detection, "_query_snapshot", counted):
+            result = run_query("sequential", QuerySpec(SCOPE_FOCUS, k), u, initial)
+        assert result.detections > 10 * result.perm_versions
+        # One per replan at most, and the refresh that orders the cell queries.
+        assert len(built) <= result.perm_versions + 1
+        assert len(set(built)) == len(built)
+
     def test_abandoned_plan_solves_nothing(self):
         u = demo_universe(seed=7, query_split=0.5)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
@@ -495,7 +538,8 @@ class TestLazyRefresh:
 def plan_digest(initial, hint, probe):
     """SHA-256 over every snapshot of a detection plan: totals and cells as ``float.hex``."""
     digest = hashlib.sha256()
-    for _cost, snap, source in online_detection_plan(initial, hint, probe):
+    for _cost, read, source in online_detection_plan(initial, hint, probe):
+        snap = read()
         cards = " ".join(c.hex() for c in snap.cardinalities)
         digest.update(f"{snap.version} {snap.stage} {source} {cards}\n".encode())
         for m in sorted(snap.cells):

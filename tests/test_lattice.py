@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from querysched.cost import walk_residuals
+from querysched.cost import rate_from_parts, walk_residuals
 from querysched.lattice import (
     DETECTED,
     ESTIMATED,
@@ -75,6 +75,60 @@ class TestCellIndex:
         with pytest.raises(ValueError):
             incidence[0, :] = True
         assert index.incidence is incidence  # built once
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_pairs_hold_the_cells_of_each_source_pair(self, data):
+        n = data.draw(st.integers(1, 8))
+        masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), unique=True))
+        index = CellIndex(masks, n)
+        expected = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                both = tuple(i for i, m in enumerate(index.masks) if m >> a & 1 and m >> b & 1)
+                if both:
+                    expected[(a, b)] = both
+        assert index.pairs == expected
+        assert index.pairs is index.pairs  # built once
+
+
+def rate_heap_keys(heap):
+    """``(-rate, source)`` entries with each key as ``float.hex``, which tells -0.0 from 0.0."""
+    return [(key.hex(), source) for key, source in heap]
+
+
+class TestRateHeap:
+    """``StatsSnapshot._rate_heap`` against the scalar rule it vectorizes."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_the_scalar_rule_ordering(self, data):
+        n = data.draw(st.integers(0, 30), label="n")
+        # A small pool makes zeros and tied rates common; the rest may be
+        # subnormal or so large that a scan time overflows.
+        value = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 1e300)
+        access, per_tuple, cards = (
+            tuple(data.draw(st.lists(value, min_size=n, max_size=n), label=name))
+            for name in ("access", "per_tuple", "cards")
+        )
+        snap = StatsSnapshot(0, "initial", access, per_tuple, cards, {})
+        parts = zip(access, per_tuple, cards)
+        expected = sorted((-rate_from_parts(a, t, c, 0.0), s) for s, (a, t, c) in enumerate(parts))
+        assert rate_heap_keys(snap._rate_heap) == rate_heap_keys(expected)
+        assert all(type(s) is int and type(k) is float for k, s in snap._rate_heap)
+
+    def test_idle_sources_tie_at_negative_zero_in_id_order(self):
+        # Source 0 scans in no time, 1 has no tuples, 2 neither; 3 rates 5.
+        snap = StatsSnapshot(
+            0, "initial", (0.0, 1.0, 0.0, 2.0), (0.0, 0.1, 0.0, 0.0), (5.0, 0.0, 0.0, 10.0), {}
+        )
+        negative_zero = (-0.0).hex()
+        assert rate_heap_keys(snap._rate_heap) == [
+            ((-5.0).hex(), 3),
+            (negative_zero, 0),
+            (negative_zero, 1),
+            (negative_zero, 2),
+        ]
 
 
 class TestSnapshot:

@@ -14,7 +14,7 @@ from querysched.cost import QuerySpec
 from querysched.detection import DEFAULT_PRUNE_THRESHOLD, initial_detection
 from querysched.grid import default_grid, desk_universe_config, run_condition, scaled_universe
 from querysched.lattice import CellIndex
-from querysched.scheduler import run_query
+from querysched.scheduler import RunConfig, run_query
 from querysched.simulator import SCOPE_ALL, SCOPE_FOCUS, ScopedProbe, generate
 
 
@@ -384,6 +384,55 @@ class TestQueryRefreshShortcuts:
         records = [r for r in caplog.records if r.name == "querysched.maxent"]
         assert len(records) == 1
         assert "[1, 2]" in records[0].getMessage()
+
+
+class TestNnlsCap:
+    """``_nnls`` stops after ``3n + 1`` outer iterations, and says so."""
+
+    def test_a_capped_run_warns_with_the_matrix_shape(self, monkeypatch, caplog):
+        # One iteration: the second column enters, the first never does.
+        monkeypatch.setattr(maxent, "_NNLS_ITERATIONS_PER_CELL", 0)
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with caplog.at_level(logging.WARNING, logger="querysched.maxent"):
+            x, _, _ = maxent._nnls(a, np.array([1.0, 2.0, 0.0]))
+        assert x.tolist() == [0.0, 2.0]
+        (record,) = caplog.records
+        assert "cap of 1 iterations on a 3 x 2 matrix" in record.getMessage()
+
+    def test_an_uncapped_run_is_silent(self, caplog):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with caplog.at_level(logging.WARNING, logger="querysched.maxent"):
+            x, _, _ = maxent._nnls(a, np.array([1.0, 2.0, 0.0]))
+        assert x.tolist() == [1.0, 2.0]
+        assert not caplog.records
+
+    def test_no_query_refresh_reaches_the_cap(self, monkeypatch, caplog):
+        # Every online and sequential run over desk seeds 101-105 and
+        # 200-source seeds 101-103, at k from 0.2 to 1.0 of the in-scope
+        # tuples.
+        nnls = maxent._nnls
+        runs = []
+
+        def counted(a, b):
+            runs.append(a.shape)
+            return nnls(a, b)
+
+        monkeypatch.setattr(maxent, "_nnls", counted)
+        desk = desk_universe_config()
+        cases = [(desk, seed) for seed in range(101, 106)]
+        cases += [(scaled_universe(desk, 200), seed) for seed in range(101, 104)]
+        with caplog.at_level(logging.WARNING, logger="querysched.maxent"):
+            for config, seed in cases:
+                u = generate(config, seed)
+                initial = grid.offline_stats(u, RunConfig()).snapshot
+                in_scope = u.truth.distinct_in_scope(SCOPE_FOCUS)
+                for fraction in (0.2, 0.4, 0.6, 0.8, 1.0):
+                    query = QuerySpec(SCOPE_FOCUS, round(fraction * in_scope))
+                    for algo in ("online", "sequential"):
+                        run_query(algo, query, u, initial)
+        assert runs  # the runs do reach NNLS
+        capped = [r for r in caplog.records if "NNLS stopped" in r.getMessage()]
+        assert capped == []
 
 
 # -- query-level projection: properties over random systems -----------------

@@ -825,10 +825,10 @@ class TestPlannerPublication:
         planner = _Planner(200)
         dispatched: list[int] = []
         for _ in range(init.n_sources):
-            source = planner.next(init, 1, tuple(dispatched))
+            source = planner.next(lambda: init, 1, tuple(dispatched))
             assert source is not None and source not in dispatched
             dispatched.append(source)
-        assert planner.next(init, 1, tuple(dispatched)) is None
+        assert planner.next(lambda: init, 1, tuple(dispatched)) is None
         assert planner.versions == init.n_sources + 1
 
     def test_fixed_order_is_taken_in_turn(self):
@@ -837,19 +837,22 @@ class TestPlannerPublication:
         planner = _Planner(200, order)
         for pinned in range(len(order) + 1):
             expected = order[pinned] if pinned < len(order) else None
-            assert planner.next(init, 1 + pinned, order[:pinned]) == expected
+            assert planner.next(lambda: init, 1 + pinned, order[:pinned]) == expected
         assert planner.versions == 1
 
     def test_a_plan_is_kept_until_its_inputs_move(self):
         u, init = desk_setup()
         planner = _Planner(200)
-        first = planner.next(init, 1, ())
+        first = planner.next(lambda: init, 1, ())
+        # A kept plan reads no statistics.
+        unread = mock.Mock(side_effect=AssertionError("read without a replan"))
         with mock.patch.object(scheduler, "next_source") as replan:
-            assert planner.next(init, 1, ()) == first
+            assert planner.next(unread, 1, ()) == first
         replan.assert_not_called()
+        unread.assert_not_called()
         assert planner.versions == 1
-        planner.next(init, 2, ())
-        planner.next(init, 2, (first,))
+        planner.next(lambda: init, 2, ())
+        planner.next(lambda: init, 2, (first,))
         assert planner.versions == 3
 
     def test_sequential_first_source_is_the_head_of_the_charged_sweep(self):
@@ -859,10 +862,10 @@ class TestPlannerPublication:
         meter = permutation.WorkMeter()
         head = refine_order(k, prior, meter=meter).order[0]
         planner = _Planner(k)
-        assert planner.sweep_work(prior) == meter.ops > 0
+        assert planner.sweep_work(lambda: prior) == meter.ops > 0
         # The charged sweep's plan is version 1, read by the first dispatch.
         assert planner.versions == 1
-        assert planner.next(prior, 1, ()) == head
+        assert planner.next(lambda: prior, 1, ()) == head
         assert planner.versions == 1
         # With counting queries slower than the charge, the first dispatch
         # still reads version 1.
