@@ -11,11 +11,11 @@ planners can read without locking.
 Planners and the entropy solver read cells by position, not by mask.  A
 snapshot owns a :class:`CellIndex` of its live masks (ascending), each
 mask's member sources, each source's cell positions and, built on first
-read, each source pair's and the source-by-cell 0/1 matrix, plus one
-list of values in that order.  The query-level snapshots of one plan all
-hold the offline snapshot's live masks, so they share its index and
-carry only their values (:class:`IndexedCells`); their ``LatticeCell``
-dict is built only when a reader asks for cells by mask.
+read, the source-by-cell 0/1 matrix, plus one list of values in that
+order.  The query-level snapshots of one plan all hold the offline
+snapshot's live masks, so they share its index and carry only their
+values (:class:`IndexedCells`); their ``LatticeCell`` dict is built only
+when a reader asks for cells by mask.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class CellIndex:
 
     ``masks`` keep their order (a snapshot's ascend); ``members[i]`` are
     the sources of ``masks[i]``; ``by_source[s]`` holds the positions of
-    source ``s``'s cells, ascending.  :attr:`pairs` and :attr:`incidence`
-    are built on first read, for the planner and the entropy solver.
+    source ``s``'s cells, ascending.  :attr:`incidence` is built on first
+    read, for the entropy solver.
     Cell values live beside the index, one list per snapshot in the same
     order.
     """
@@ -120,16 +120,6 @@ class CellIndex:
             for s in srcs:
                 by_source[s].append(i)
         self.by_source = tuple(tuple(r) for r in by_source)
-
-    @cached_property
-    def pairs(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """``pairs[(a, b)]``, for ``a < b``: positions of the cells holding both, ascending."""
-        pairs: dict[tuple[int, int], list[int]] = {}
-        for i, srcs in enumerate(self.members):
-            for a, s in enumerate(srcs):
-                for t in srcs[a + 1 :]:
-                    pairs.setdefault((s, t), []).append(i)
-        return {key: tuple(r) for key, r in pairs.items()}
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -262,23 +252,12 @@ class StatsSnapshot:
 
     @cached_property
     def _detection_hint(self) -> list[tuple[int, ...]]:
-        """The scheduler's detection order over this snapshot, once computed: at most one entry."""
-        return []
+        """The scheduler's detection hint over this snapshot, once computed: at most one entry.
 
-    @cached_property
-    def _neighbours(self) -> tuple[dict[int, float], ...]:
-        """Per source, each other source it shares estimated tuples with, mapped to that count."""
-        values = self._live_values
-        rows: list[dict[int, float]] = [{} for _ in range(self.n_sources)]
-        for (a, b), positions in self._index.pairs.items():
-            total = None
-            for i in positions:
-                v = values[i]
-                if v != 0.0:
-                    total = v if total is None else total + v
-            if total is not None:
-                rows[a][b] = rows[b][a] = total
-        return tuple(rows)
+        It is the offline sweep's order; detection probes the sources it
+        leaves out after it, in id order.
+        """
+        return []
 
     def scan_cost_ms(self, source: int) -> float:
         """Full access-plus-transfer time for one source."""
@@ -291,9 +270,6 @@ def snapshot_from_cells(
     cell_values: Mapping[int, float],
     *,
     cardinalities: Iterable[float] | None = None,
-    version: int = 0,
-    stage: str = STAGE_INITIAL,
-    prune_threshold: float = 0.0,
 ) -> StatsSnapshot:
     """Build a snapshot from raw, detected cell values.
 
@@ -310,15 +286,7 @@ def snapshot_from_cells(
                 cards[s] += c.value
     else:
         cards = [float(c) for c in cardinalities]
-    return StatsSnapshot(
-        version=version,
-        stage=stage,
-        access_ms=access,
-        per_tuple_ms=per_tuple,
-        cardinalities=tuple(cards),
-        cells=cells,
-        prune_threshold=prune_threshold,
-    )
+    return StatsSnapshot(0, STAGE_INITIAL, access, per_tuple, tuple(cards), cells)
 
 
 def dump_snapshot(snapshot: StatsSnapshot) -> str:

@@ -15,11 +15,12 @@ covered, computed and sorted once per snapshot, and re-rates only the
 tops it meets.  The rebuilds tried at one swap position share the
 order's head before it, walked once and copied into each; a replan's
 greedy start shares its walk over the pinned prefix the same way.  Swap
-candidates are ranked by overlap ratio with the anchor and filtered by a
-floor, since swapping sources that barely intersect cannot change which
-order wins.  A replan during a run needs only the first unpinned source
-of the full order, which the greedy start and the swap at that position
-decide (:func:`next_source`).
+candidates are ranked by overlap ratio with the anchor, read from the
+anchor's cells, and those below a fixed floor are dropped, since
+swapping sources that barely intersect cannot change which order wins.
+A replan during a run needs only the first unpinned source of the full
+order, which the greedy start and the swap at that position decide
+(:func:`next_source`).
 A brute-force oracle over all covering prefixes serves small universes,
 with the analytic approximation bound used to sanity-check sweep output.
 """
@@ -54,7 +55,8 @@ BASELINE_ALGOS = (
 #: Reporting order for benchmark tables.
 TABLE_ALGO_ORDER = BASELINE_ALGOS + (ALGO_SEQUENTIAL, ALGO_ONLINE, ALGO_FULL_KNOWLEDGE)
 
-DEFAULT_OVERLAP_FLOOR = 0.05
+#: Least overlap ratio with the anchor for a swap candidate to be tried.
+OVERLAP_FLOOR = 0.05
 ORACLE_SOURCE_BOUND = 9
 
 
@@ -127,32 +129,35 @@ def overlap_ranked(
     anchor: int,
     candidates: AbstractSet[int],
     snapshot: StatsSnapshot,
-    overlap_floor: float,
     meter: WorkMeter | None = None,
 ) -> list[tuple[int, float]]:
     """Candidates sorted by overlap ratio with the anchor, descending.
 
     The ratio is the estimated shared-tuple count divided by the anchor's
-    cardinality; entries below ``overlap_floor`` are discarded.  An
-    anchor with no tuples yields no candidates.  With a positive floor
-    only sources that share a cell with the anchor can pass, so only
-    those are visited; ``meter`` is still charged one operation per
-    candidate, as the planner's cost model counts them.
+    cardinality; entries below :data:`OVERLAP_FLOOR` are discarded.  An
+    anchor with no tuples yields no candidates.  Only sources that share
+    a cell with the anchor can pass, so only the anchor's cells are
+    walked, in index order, each adding its value to every candidate it
+    holds; ``meter`` is still charged one operation per candidate, as
+    the planner's cost model counts them.
     """
     anchor_card = snapshot.cardinalities[anchor]
     if anchor_card <= 0:
         return []
     if meter is not None:
         meter.add(len(candidates) - (anchor in candidates))
-    row = snapshot._neighbours[anchor]
-    if overlap_floor > 0:
-        shared = [(j, v) for j, v in row.items() if j in candidates]
-    else:  # zero-overlap candidates pass too
-        shared = [(j, row.get(j, 0.0)) for j in candidates if j != anchor]
+    index = snapshot._index
+    values = snapshot._live_values
+    shared: dict[int, float] = {}
+    for i in index.by_source[anchor]:
+        v = values[i]
+        for j in index.members[i]:
+            if j != anchor and j in candidates:
+                shared[j] = shared.get(j, 0.0) + v
     ranked = []
-    for j, v in shared:
+    for j, v in shared.items():
         ratio = v / anchor_card
-        if ratio >= overlap_floor:
+        if ratio >= OVERLAP_FLOOR:
             ranked.append((j, ratio))
     ranked.sort(key=lambda item: (-item[1], item[0]))
     return ranked
@@ -280,7 +285,6 @@ def improve_position(
     order: Sequence[int],
     pos: int,
     snapshot: StatsSnapshot,
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
     pinned: int = 0,
     meter: WorkMeter | None = None,
 ) -> PermCandidate | None:
@@ -296,7 +300,7 @@ def improve_position(
     anchor = order[pos]
     pool = set(range(snapshot.n_sources)).difference(order[: pos + 1])
     anchor_card = snapshot.cardinalities[anchor]
-    ranked = overlap_ranked(anchor, pool, snapshot, overlap_floor, meter)
+    ranked = overlap_ranked(anchor, pool, snapshot, meter)
     swaps = [j for j, _ratio in ranked if snapshot.cardinalities[j] > anchor_card]
     if not swaps:
         return None
@@ -316,7 +320,6 @@ def _sweep(
     k: float,
     snapshot: StatsSnapshot,
     pinned_order: Sequence[int],
-    overlap_floor: float,
     meter: WorkMeter | None,
     head: _Head,
 ) -> Iterator[PermCandidate]:
@@ -327,7 +330,7 @@ def _sweep(
 
     pos = pinned
     while pos < len(incumbent.order):
-        cand = improve_position(k, incumbent.order, pos, snapshot, overlap_floor, pinned, meter)
+        cand = improve_position(k, incumbent.order, pos, snapshot, pinned, meter)
         if cand is not None and cand.avg_rate > incumbent.avg_rate:
             incumbent = cand
         yield incumbent
@@ -339,7 +342,6 @@ def refine_order(
     snapshot: StatsSnapshot,
     *,
     pinned_order: Sequence[int] = (),
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
     meter: WorkMeter | None = None,
 ) -> PermCandidate:
     """Greedy construction followed by the head-to-tail swap sweep.
@@ -349,7 +351,7 @@ def refine_order(
     """
     _check_order(pinned_order, snapshot.n_sources)
     head = _Head(CoverageWalk(snapshot))
-    for incumbent in _sweep(k, snapshot, pinned_order, overlap_floor, meter, head):
+    for incumbent in _sweep(k, snapshot, pinned_order, meter, head):
         pass
     return incumbent
 
@@ -359,7 +361,6 @@ def next_source(
     snapshot: StatsSnapshot,
     pinned_order: Sequence[int],
     *,
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
     meter: WorkMeter | None = None,
 ) -> int | None:
     """First unpinned source of the full-universe order; None if none is left.
@@ -379,7 +380,7 @@ def next_source(
     pinned = len(pinned_order)
     head = _Head(CoverageWalk(snapshot))
     head.advance(k, pinned_order, pinned)  # the whole pinned prefix
-    sweep = _sweep(k, snapshot, pinned_order, overlap_floor, meter, head.copy())
+    sweep = _sweep(k, snapshot, pinned_order, meter, head.copy())
     refined = next(sweep)  # the greedy start
     refined = next(sweep, refined)  # after the swap at the first unpinned position
     if len(refined.order) > pinned:

@@ -317,18 +317,16 @@ def run_query(
 
 
 def _all_source_hint(initial: StatsSnapshot) -> tuple[int, ...]:
-    """Offline all-source permutation used as the detection order.
+    """Offline sweep over the whole universe, used as the detection order.
 
-    It depends only on the offline snapshot, so the snapshot keeps it and
+    Detection probes the sources it leaves out after it, in id order.  It
+    depends only on the offline snapshot, so the snapshot keeps it and
     every run over that snapshot shares it.
     """
     memo = initial._detection_hint
     if not memo:
         full_coverage = covered_total(range(initial.n_sources), initial)
-        candidate = refine_order(max(full_coverage, 1.0), initial)
-        chosen = set(candidate.order)
-        missing = [s for s in range(initial.n_sources) if s not in chosen]
-        memo.append(candidate.order + tuple(sorted(missing)))
+        memo.append(refine_order(max(full_coverage, 1.0), initial).order)
     return memo[0]
 
 
@@ -656,7 +654,6 @@ class _Executor:
             total = self.end_ms
         else:
             total = max((t.last_event_ms for t in self.threads), default=0.0)
-            self.end_ms = total
         return RunResult(
             algo=algo,
             k=self.query.k,

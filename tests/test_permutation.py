@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from querysched import permutation
 from querysched.cost import PREFIX_AVERAGE, SEQUENTIAL, CoverageWalk, permutation_time_cost
-from querysched.lattice import snapshot_from_cells
+from querysched.lattice import PRUNED, snapshot_from_cells
 from querysched.permutation import (
     ALGO_MAX_RESIDUAL,
     ALGO_MAX_TUPLES,
@@ -36,7 +36,7 @@ from querysched.permutation import (
 from querysched.testing import random_instance
 
 from test_cost import lattice_snapshots
-from test_lattice import ref_snapshot
+from test_lattice import REF_ACCESS, REF_TRANSFER, ref_snapshot
 
 
 def eager_greedy(k, order, snapshot, pinned, meter):
@@ -97,12 +97,12 @@ def eager_baseline(kind, snapshot):
     return tuple(out)
 
 
-def scratch_improve(k, order, pos, snapshot, overlap_floor, pinned, meter):
+def scratch_improve(k, order, pos, snapshot, pinned, meter):
     """Reference for ``improve_position``: each rebuild walks the shared head again."""
     anchor = order[pos]
     pool = set(range(snapshot.n_sources)) - set(order[: pos + 1])
     best = None
-    for j, _ratio in overlap_ranked(anchor, pool, snapshot, overlap_floor, meter):
+    for j, _ratio in overlap_ranked(anchor, pool, snapshot, meter):
         if snapshot.cardinalities[anchor] >= snapshot.cardinalities[j]:
             continue
         swapped_order = swap_source(order, pos, j, pinned)
@@ -123,6 +123,16 @@ def tied_instances(draw):
     return snapshot_from_cells(access, per_tuple, cells), sum(cells.values())
 
 
+def random_snapshots():
+    """``random_instance`` snapshots of 2-9 sources, uniform or chained."""
+    return st.builds(
+        lambda n, seed, style: random_instance(n, seed, style=style)[0],
+        st.integers(2, 9),
+        st.integers(0, 10_000),
+        st.sampled_from(["uniform", "chained"]),
+    )
+
+
 class TestHelperOps:
     def test_covered_total(self):
         assert covered_total((0, 1, 2), ref_snapshot()) == pytest.approx(50 + 90 + 60)
@@ -138,40 +148,54 @@ class TestHelperOps:
         assert cand.order == (1, 2)
 
     def test_overlap_ranked(self):
-        got = overlap_ranked(0, {1, 2}, ref_snapshot(), 0.05)
+        got = overlap_ranked(0, {1, 2}, ref_snapshot())
         assert got == [(1, pytest.approx(0.7)), (2, pytest.approx(0.1))]
 
-    def test_overlap_ranked_floor_discards(self):
-        assert overlap_ranked(0, {1, 2}, ref_snapshot(), 0.5) == [(1, pytest.approx(0.7))]
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 9), st.integers(0, 10_000), st.data())
-    def test_overlap_ranked_equals_a_full_scan(self, n, seed, data):
-        # A positive floor visits only the anchor's neighbours; the
-        # reference scans every candidate and sums its shared cells with
-        # the anchor in ascending mask order, as the snapshot's table does.
-        snap, _ = random_instance(n, seed, style=data.draw(st.sampled_from(["uniform", "chained"])))
+    @settings(max_examples=300, deadline=None)
+    @given(random_snapshots() | lattice_snapshots(), st.data())
+    def test_overlap_ranked_equals_a_full_scan(self, snap, data):
+        # Only the anchor's cells are walked; the reference scans every
+        # candidate and sums its live cells shared with the anchor in
+        # ascending mask order, so the floats are equal, not just close.
+        # The drawn snapshots hold pruned and zero cells, and half of
+        # ``lattice_snapshots`` are query-level views over a shared index.
+        n = snap.n_sources
         anchor = data.draw(st.integers(0, n - 1), label="anchor")
         candidates = frozenset(data.draw(st.sets(st.integers(0, n - 1)), label="candidates"))
-        floor = data.draw(st.sampled_from([-0.1, 0.0, 1e-9, 0.05, 0.3, 1.0]), label="floor")
         meter, scan_meter = WorkMeter(), WorkMeter()
         scanned = []
         if snap.cardinalities[anchor] > 0:
             for j in sorted(candidates - {anchor}):
                 scan_meter.add()
                 both = (1 << anchor) | (1 << j)
-                masks = sorted(m for m in snap.cells if m & both == both)
-                shared = sum(snap.cells[m].value for m in masks)
+                cells = [snap.cells[m] for m in sorted(snap.cells) if m & both == both]
+                shared = sum(c.value for c in cells if c.provenance != PRUNED)
                 ratio = shared / snap.cardinalities[anchor]
-                if ratio >= floor:
+                if ratio >= permutation.OVERLAP_FLOOR:
                     scanned.append((j, ratio))
         scanned.sort(key=lambda item: (-item[1], item[0]))
-        assert overlap_ranked(anchor, candidates, snap, floor, meter) == scanned
+        assert overlap_ranked(anchor, candidates, snap, meter) == scanned
         assert meter.ops == scan_meter.ops
+
+    def test_overlap_ranked_adds_shared_cells_in_ascending_mask_order(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in their last bit,
+        # and plans, traces and the grid CSV depend on the first.
+        cells = {0b1011: 0.3, 0b0011: 0.1, 0b0111: 0.2}
+        snap = snapshot_from_cells((0.0,) * 4, (1.0,) * 4, cells, cardinalities=(1.0,) * 4)
+        assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        assert overlap_ranked(0, {1}, snap) == [(1, (0.1 + 0.2) + 0.3)]
+
+    def test_overlap_ranked_floor_discards(self):
+        # Source 0 shares 2.5 of its 50 tuples with source 1, exactly the
+        # floor, and 2 with source 2, just under it.
+        cells = {0b001: 45.5, 0b011: 2.5, 0b101: 2, 0b010: 87.5, 0b100: 58}
+        snap = snapshot_from_cells((0.0,) * 3, (1.0,) * 3, cells)
+        assert permutation.OVERLAP_FLOOR == 0.05
+        assert overlap_ranked(0, {1, 2}, snap) == [(1, 2.5 / 50)]
 
     def test_overlap_ranked_zero_cardinality_anchor(self):
         snap = snapshot_from_cells((0, 0, 0), (1, 1, 1), {0b010: 5, 0b100: 5}, cardinalities=(0, 5, 5))
-        assert overlap_ranked(0, {1, 2}, snap, 0.0) == []
+        assert overlap_ranked(0, {1, 2}, snap) == []
 
     def test_swap_source_pulls_from_unselected(self):
         assert swap_source((0, 1), 0, 2) == (2,)
@@ -360,10 +384,9 @@ class TestImprovePosition:
             | st.just(math.inf),
             label="k",
         )
-        floor = data.draw(st.sampled_from([0.0, 0.05, 0.5]), label="floor")
         shared_meter, scratch_meter = WorkMeter(), WorkMeter()
-        shared = improve_position(k, order, pos, snap, floor, pinned, shared_meter)
-        scratch = scratch_improve(k, order, pos, snap, floor, pinned, scratch_meter)
+        shared = improve_position(k, order, pos, snap, pinned, shared_meter)
+        scratch = scratch_improve(k, order, pos, snap, pinned, scratch_meter)
         assert shared == scratch
         assert shared_meter.ops == scratch_meter.ops
 
@@ -371,7 +394,7 @@ class TestImprovePosition:
         # Where the greedy start over-commits to a fast small source, the
         # swap at its position discovers that the big overlapping source
         # alone covers the target more profitably.
-        cand = improve_position(125, (0, 1), 0, ref_snapshot(), 0.05)
+        cand = improve_position(125, (0, 1), 0, ref_snapshot())
         assert cand is not None
         assert cand.order == (1,)
         assert cand.avg_rate == pytest.approx(125 / 137.5)
@@ -379,11 +402,17 @@ class TestImprovePosition:
         assert seq.time_ms == pytest.approx(137.5)
 
     def test_impossible_floor_returns_none(self):
-        assert improve_position(125, (0, 1), 0, ref_snapshot(), 1.0) is None
+        # Both sources are bigger than the anchor and share tuples with
+        # it, but each shares fewer than the floor's 5% of them.
+        cells = {0b001: 46, 0b011: 2, 0b101: 2, 0b010: 88, 0b100: 58}
+        snap = snapshot_from_cells(REF_ACCESS, REF_TRANSFER, cells)
+        assert snap.cardinalities == (50, 90, 60)
+        assert overlap_ranked(0, {1, 2}, snap) == []
+        assert improve_position(125, (0, 1), 0, snap) is None
 
     def test_max_cardinality_anchor_returns_none(self):
         # No candidate can out-size the biggest source.
-        assert improve_position(125, (1, 0), 0, ref_snapshot(), 0.0) is None
+        assert improve_position(125, (1, 0), 0, ref_snapshot()) is None
 
 
 class TestRefineOrder:
@@ -418,13 +447,13 @@ class TestRefineOrder:
             assert set(cand.order) <= set(range(7))
 
 
-def full_plan_next(k, snapshot, pinned_order, overlap_floor):
+def full_plan_next(k, snapshot, pinned_order):
     """Reference for ``next_source``: the first unpinned source of the full plan.
 
     The full plan is the whole sweep, extended by the greedy without a
     target, then every remaining source in id order.
     """
-    refined = refine_order(k, snapshot, pinned_order=pinned_order, overlap_floor=overlap_floor)
+    refined = refine_order(k, snapshot, pinned_order=pinned_order)
     full = greedy_by_rate(math.inf, refined.order, snapshot)
     order = full.order + tuple(sorted(set(range(snapshot.n_sources)) - set(full.order)))
     return next((s for s in order if s not in pinned_order), None)
@@ -447,9 +476,7 @@ class TestNextSource:
             st.integers(-1, int(1.5 * distinct)) | st.floats(-1.0, 1.5 * distinct) | st.just(math.inf),
             label="k",
         )
-        floor = data.draw(st.sampled_from([0.0, 0.05, 0.5]), label="floor")
-        got = next_source(k, snap, pinned, overlap_floor=floor)
-        assert got == full_plan_next(k, snap, pinned, floor)
+        assert next_source(k, snap, pinned) == full_plan_next(k, snap, pinned)
 
     def test_pinned_prefix_covering_the_target_takes_the_best_rate(self):
         # Source 1 alone covers k = 125, so the refined order ends at the
@@ -460,13 +487,13 @@ class TestNextSource:
         walk.append(1)
         best = max((0, 2), key=lambda s: (walk.rate(s), -s))
         assert walk.rate(best) > 0.0
-        assert next_source(125, snap, (1,)) == best == full_plan_next(125, snap, (1,), 0.05)
+        assert next_source(125, snap, (1,)) == best == full_plan_next(125, snap, (1,))
 
     def test_no_positive_rate_left_takes_the_lowest_id(self):
         # Source 0 holds every tuple: sources 1 and 2 add nothing after it.
         snap = snapshot_from_cells((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), {0b001: 10, 0b011: 5})
         assert refine_order(10, snap, pinned_order=(0,)).order == (0,)
-        assert next_source(10, snap, (0,)) == 1 == full_plan_next(10, snap, (0,), 0.05)
+        assert next_source(10, snap, (0,)) == 1 == full_plan_next(10, snap, (0,))
         assert next_source(10, snap, (0, 2)) == 1
         assert next_source(10, snap, (0, 2, 1)) is None
 

@@ -530,21 +530,32 @@ class TestGoldenBulkRuns:
 
     def test_only_the_window_that_reaches_k_sorts(self):
         # A window of several threads finds each tuple's first arrival by
-        # scatter; only the one that reaches k merges its arrivals.
+        # scatter; only the one that reaches k merges its arrivals.  Only
+        # sorts inside a window count: the planner may sort too.
         sorts = []  # merged-order builds, one count per run
-        init, argsort = scheduler._Executor.__init__, np.argsort
+        in_window = []
+        init, consume = scheduler._Executor.__init__, scheduler._Executor.consume_window
+        argsort = np.argsort
 
         def new_run(executor, *args):
             sorts.append(0)
             init(executor, *args)
 
+        def window(executor, *args):
+            in_window.append(True)
+            try:
+                return consume(executor, *args)
+            finally:
+                in_window.pop()
+
         def counted(*args, **kwargs):
-            if sorts:
+            if in_window:
                 sorts[-1] += 1
             return argsort(*args, **kwargs)
 
         with (
             mock.patch.object(scheduler._Executor, "__init__", new_run),
+            mock.patch.object(scheduler._Executor, "consume_window", window),
             mock.patch.object(scheduler.np, "argsort", counted),
             mock.patch.object(scheduler.np, "unique", side_effect=AssertionError("np.unique")),
         ):
@@ -891,10 +902,10 @@ class TestPlannerPublication:
             sweeps.append(snapshot)
             return refine(k, snapshot, **kwargs)
 
-        def counted_improve(k, order, pos, snapshot, overlap_floor, pinned, meter):
+        def counted_improve(k, order, pos, snapshot, pinned, meter):
             if snapshot is not init:  # not the hint's sweep
                 positions.append((pos, pinned))
-            return improve(k, order, pos, snapshot, overlap_floor, pinned, meter)
+            return improve(k, order, pos, snapshot, pinned, meter)
 
         query = QuerySpec(SCOPE_FOCUS, k)
         with mock.patch.object(scheduler, "refine_order", counted_refine), mock.patch.object(
