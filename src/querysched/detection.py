@@ -26,8 +26,14 @@ by then, and its other cells are the projection of the offline cells
 snapshot's cells are first read and then kept.  Each projection starts
 from the offline cells, so a snapshot's values do not depend on which
 earlier snapshots were read; a scheduler that replans on a few of them
-builds and solves only those.  Query-level snapshots carry the live
-cells only: a cell pruned offline is never probed or estimated per query.
+builds and solves only those.  A projection's values depend only on the
+totals of the sources that hold a positive offline cell and on how many
+cells were counted, so a plan keeps the last refresh it solved, and a
+step read with the same two inputs takes its values: once every such
+source total is detected, each later source-total probe moves only the
+others.  Nothing of it outlives the plan.  Query-level snapshots carry
+the live cells only: a cell pruned offline is never probed or estimated
+per query.
 """
 
 from __future__ import annotations
@@ -281,14 +287,21 @@ def online_detection_plan(
     for none), so a scheduler can model contention.  A later snapshot's
     estimated cells are solved from the offline cells on its first cell
     read; the plan itself reads only the last cardinality refresh, which
-    orders the cell queries.  The caller owns termination; abandoning the
-    iterator is the stop signal.
+    orders the cell queries.  A step whose refresh has the inputs of the
+    last one the plan solved reuses its values list.  The caller owns
+    termination; abandoning the iterator is the stop signal.
     """
     n = initial.n_sources
     index = initial._index  # every snapshot of the plan shares it
     prior = initial._live_values
     n_cells = len(index.masks)
     versions = itertools.count(initial.version + 2)  # the prior is initial.version + 1
+    # A refresh's values depend only on the totals of the rows that reach a
+    # positive-prior cell and on the cells counted, which only grow, so
+    # their number names them.  The plan keeps the last refresh it solved.
+    support = [s for s, cells in enumerate(index.by_source) if any(prior[i] > 0.0 for i in cells)]
+    last_key: tuple[list[float], int] | None = None
+    last_values: list[float] = []
 
     def refreshed(
         version: int, stage: str, cards: Sequence[float], known: dict[int, float]
@@ -296,18 +309,24 @@ def online_detection_plan(
         """A snapshot with ``known`` by position; its other cells are solved when first read."""
 
         def solve() -> list[float]:
+            nonlocal last_key, last_values
+            key = ([cards[s] for s in support], len(known))
+            if key == last_key:
+                return last_values
             if len(known) == n_cells:
-                return [known[i] for i in range(n_cells)]
-            values, _ = maxent.solve(
-                cards,
-                index,
-                known,
-                prior=prior,
-                on_clamp=lambda s, r: log.warning(
-                    "query-level cells overshoot source %d by %.6g; clamping", s, -r
-                ),
-            )
-            return values.tolist()
+                values = [known[i] for i in range(n_cells)]
+            else:
+                values = maxent.solve(
+                    cards,
+                    index,
+                    known,
+                    prior=prior,
+                    on_clamp=lambda s, r: log.warning(
+                        "query-level cells overshoot source %d by %.6g; clamping", s, -r
+                    ),
+                )[0].tolist()
+            last_key, last_values = key, values
+            return values
 
         cells = IndexedCells(index, solve, known)
         return _query_snapshot(initial, version, stage, cards, cells)

@@ -18,24 +18,29 @@ first row over the tolerance.
 Passing ``prior`` asks for the generalized-KL projection of the prior
 onto the rows instead, i.e. the estimate closest to the prior that matches
 the new totals; that variant backs the per-query refresh, where the
-offline cells act as the prior.  Its rows are often infeasible: totals
-scaled from a few probed sources cannot be met by the cells that the
-offline lattice kept.  So unless the prior already meets the rows, the
-refresh scales the rows once into a matrix over the cells with a
-positive prior and solves it in least squares.  When that matrix has
-full column rank, the cells that reach the nearest totals are one point,
-whatever the prior, and that point is the answer: the least-squares
-point when it is positive, else the Lawson-Hanson NNLS solution on the
-same matrix.  Otherwise NNLS finds the nearest totals the nonnegative
-cells can reach, the refresh keeps only the cells some nearest point may
-use, and Newton steps on the dual project the prior onto those totals.
-Each step backtracks until the dual falls, so the refresh needs no other
-solver: the row scaling above serves only the offline fill.  It always
-returns an answer and names the sources whose totals moved.  Cells are
-read by position in a :class:`~querysched.lattice.CellIndex`, whose
-source-by-cell matrix gives the rows: it is built once per cell set and
-shared by every solve over it.  It holds no values, so a solve's answer
-and the work it does depend only on its own arguments.
+offline cells act as the prior.  Both pose the problem on the free cells
+with a positive start (``exp(-1)``, or the prior) that no zero-residual
+row forces, and on the rows that reach them: updates are multiplicative,
+so a cell that starts at zero stays there, and a refresh's values depend
+only on the known cells and the totals of the rows that reach a
+positive-prior cell.  Its rows are often infeasible: totals scaled from
+a few probed sources cannot be met by the cells that the offline lattice
+kept.  So unless the prior already meets the rows, the refresh scales
+the rows once into a matrix over its cells and solves it in least
+squares.  When that matrix has full column rank, the cells that reach
+the nearest totals are one point, whatever the prior, and that point is
+the answer: the least-squares point when it is positive, else the
+Lawson-Hanson NNLS solution on the same matrix.  Otherwise NNLS finds
+the nearest totals the nonnegative cells can reach, the refresh keeps
+only the cells some nearest point may use, and Newton steps on the dual
+project the prior onto those totals.  Each step backtracks until the
+dual falls, so the refresh needs no other solver: the row scaling above
+serves only the offline fill.  It always returns an answer and names the
+sources whose totals moved.  Cells are read by position in a
+:class:`~querysched.lattice.CellIndex`, whose source-by-cell matrix
+gives the rows: it is built once per cell set and shared by every solve
+over it.  It holds no values, so a solve's answer and the work it does
+depend only on its own arguments.
 """
 
 from __future__ import annotations
@@ -108,7 +113,8 @@ def solve(
     index.  ``known`` maps cell positions to counts; they hold fixed and
     are subtracted from their rows in the order given.  The other cells
     are free, and ``prior``, when given, holds every cell's prior in index
-    order.  Returns every cell's value in index order.  Negative row
+    order; a zero, negative or NaN prior counts as zero and keeps its
+    cell at zero.  Returns every cell's value in index order.  Negative row
     residuals (detected cells overshooting a total) are clamped to zero
     and reported through ``on_clamp`` rather than failing.  Without
     ``prior``, raises :class:`MaxEntError` when the residuals have not
@@ -140,23 +146,16 @@ def solve(
     resid[negative] = 0.0
     wanting = resid > rel_tol * scales
 
-    # A zero-residual row forces all its free cells to zero; the solve
-    # works on the other free cells, in index order.
-    fixed = incidence[resid == 0.0].any(axis=0)
+    # Multiplicative updates keep a cell that starts at zero there, and a
+    # zero-residual row forces its free cells to zero.  Rows that reach no
+    # other free cell are vacuous: their residual is reported, not fatal.
+    start = np.full(len(values), math.exp(-1.0)) if prior is None else np.asarray(prior, float)
+    fixed = incidence[resid == 0.0].any(axis=0) | ~(start > 0.0)
     fixed[list(known)] = True
     active = np.flatnonzero(~fixed)
-
-    if prior is not None:
-        w = np.asarray(prior, dtype=float)[active]
-        w = np.where(w < 0.0, 0.0, w)  # a negative prior counts as zero
-    else:
-        w = np.full(len(active), math.exp(-1.0))
-
-    # Rows with no free support, or whose whole support is pinned at zero
-    # (zero prior), are vacuous for the optimization: no choice of free
-    # values can move them.  Their residual is reported, not fatal.
+    w = start[active]
     a = incidence[:, active]
-    reachable = (a & (w > 0.0)).any(axis=1)
+    reachable = a.any(axis=1)
     skipped = np.flatnonzero(~reachable & wanting).tolist()
     rows = _Rows(np.arange(n), a.astype(float), resid, scales).take(reachable)
 
@@ -307,8 +306,8 @@ def _project(w, rows: _Rows, rel_tol) -> tuple[int, float, tuple[int, ...]]:
 
     A ``w`` that already meets the rows within ``rel_tol * 1e-3`` is
     returned as it is; with no row in play every ``w`` does.  Otherwise
-    ``rows.a``'s columns for the cells with ``w > 0``, each row divided
-    by its scale, form ``A x = b`` with ``b`` the scaled targets, and one
+    ``rows.a``, over the cells of ``w`` (all positive), each row divided
+    by its scale, forms ``A x = b`` with ``b`` the scaled targets, and one
     least-squares solve gives its point and the rank of ``A``.  At full
     column rank the cells that reach the nearest totals are one point,
     which is the answer: the least-squares point if it is positive, else
@@ -326,23 +325,23 @@ def _project(w, rows: _Rows, rel_tol) -> tuple[int, float, tuple[int, ...]]:
     worst = _worst_residual(w, rows)
     if worst <= rel_tol * 1e-3:
         return 0, worst, ()
-    cells = np.flatnonzero(w > 0.0)
-    a = rows.a[:, cells] / rows.scales[:, None]
+    # Column-major, as LAPACK reads it; the products below add in that order.
+    a = np.asfortranarray(rows.a / rows.scales[:, None])
     b = rows.targets / rows.scales
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank == cells.size:
+    if rank == w.size:
         # NNLS with every column passive ends on this same solve.
         if x.min() > 0.0:
             tol = _zero_tol(a)
         else:
             x, _, tol = _nnls(a, b)
-        w[cells] = x
+        w[:] = x
         rows, moved = _reached_rows(w, rows, a @ x, b, tol, rel_tol)
         return 0, _worst_residual(w, rows), moved
     x, grad, tol = _nnls(a, b)
     fitted = a @ x
     if float(np.max(np.abs(fitted - b))) > rel_tol:
-        w[cells[(x <= 0.0) & (grad < -tol)]] = 0.0
+        w[(x <= 0.0) & (grad < -tol)] = 0.0
     rows, moved = _reached_rows(w, rows, fitted, b, tol, rel_tol)
     # Newton converges quadratically near the answer: a step or two past
     # rel_tol makes the result independent of where the iteration started.

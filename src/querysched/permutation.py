@@ -12,9 +12,11 @@ every deterministic baseline share one lazy selection loop, each with
 its own score.  That loop needs only an upper bound on each score to
 start from: the greedy starts from each source's rate with nothing
 covered, computed and sorted once per snapshot, and re-rates only the
-tops it meets.  The rebuilds tried at one swap position share the
-order's head before it, walked once and copied into each; a replan's
-greedy start shares its walk over the pinned prefix the same way.  Swap
+tops it meets.  It reads that sorted list in place, skipping the sources
+already in the order, and keeps the re-rated ones in a small side heap.
+The rebuilds tried at one swap position share the order's head before
+it, walked once and copied into each; a replan's greedy start shares its
+walk over the pinned prefix the same way.  Swap
 candidates are ranked by overlap ratio with the anchor, read from the
 anchor's cells, and those below a fixed floor are dropped, since
 swapping sources that barely intersect cannot change which order wins.
@@ -165,41 +167,52 @@ def overlap_ranked(
 
 def _picks(
     walk: CoverageWalk,
-    heap: list[tuple[float, int]],
+    bounds: Sequence[tuple[float, int]],
+    taken: Container[int],
     score: Callable[[int], float],
     meter: WorkMeter | None,
 ) -> Iterator[tuple[float, int]]:
-    """Yield ``(score, source)`` for every source of ``heap``, best first.
+    """Yield ``(score, source)`` for every source of ``bounds`` not in ``taken``, best first.
 
-    ``heap`` is a heap of ``(-bound, source)`` pairs whose bound is at
-    least the source's current score; this consumes it.  Ties go to the
+    ``bounds`` holds ``(-bound, source)`` pairs in ascending order, whose
+    bound is at least the source's current score; it is read, not
+    changed, and ``taken`` holds only sources of it.  Ties go to the
     lowest id.  A pick joins ``walk`` when the next one is asked for, so
     the caller still reads the walk without it.  Scores only fall as the
     walk covers more cells (cells are nonnegative), so a re-rated score
     stays a bound: a still-current top wins its round and a stale one is
-    re-rated (Minoux's accelerated greedy).  ``meter`` is charged per
-    round for the full scan the cost model prices.
+    re-rated (Minoux's accelerated greedy).  Re-rated sources move to a
+    side heap, and each round's top is the least of its top and the
+    first entry of ``bounds`` not yet passed or taken: the top of one
+    heap of every source left.  ``meter`` is charged per round for the
+    full scan the cost model prices.
     """
-    while heap:
+    side: list[tuple[float, int]] = []
+    pos, end = 0, len(bounds)
+    left = end - len(taken)
+    while left:
         if meter is not None:
-            meter.add(len(heap))
-        bound, best = heap[0]
-        current = score(best)
-        while current < -bound:
-            heapq.heapreplace(heap, (-current, best))
-            bound, best = heap[0]
+            meter.add(left)
+        while True:
+            while pos < end and bounds[pos][1] in taken:
+                pos += 1
+            fresh = pos < end and not (side and side[0] < bounds[pos])
+            bound, best = bounds[pos] if fresh else side[0]
             current = score(best)
-        heapq.heappop(heap)
+            if not current < -bound:
+                break
+            if fresh:
+                pos += 1
+                heapq.heappush(side, (-current, best))
+            else:
+                heapq.heapreplace(side, (-current, best))
+        if fresh:
+            pos += 1
+        else:
+            heapq.heappop(side)
+        left -= 1
         yield current, best
         walk.append(best)
-
-
-def _rate_bounds(snapshot: StatsSnapshot, taken: Container[int]) -> list[tuple[float, int]]:
-    """The heap of rate bounds for the sources not in ``taken``: rates with nothing covered.
-
-    A filtered sorted list is still sorted, and so already a heap.
-    """
-    return [entry for entry in snapshot._rate_heap if entry[1] not in taken]
 
 
 class _Head:
@@ -246,7 +259,7 @@ def _greedy(
     snapshot = walk.snapshot
     new_order = list(order[:keep])
     if res_sum < k:
-        for rate, best in _picks(walk, _rate_bounds(snapshot, set(new_order)), walk.rate, meter):
+        for rate, best in _picks(walk, snapshot._rate_heap, set(new_order), walk.rate, meter):
             if rate <= 0.0:
                 break
             res_sum += walk.residual(best)
@@ -388,8 +401,8 @@ def next_source(
     walk = head.walk
     # Rates are never negative, so with none positive the first pick is
     # the lowest id, as the remaining sources follow in id order.
-    heap = _rate_bounds(snapshot, set(refined.order))
-    return next((s for _, s in _picks(walk, heap, walk.rate, None)), None)
+    picks = _picks(walk, snapshot._rate_heap, set(refined.order), walk.rate, None)
+    return next((s for _, s in picks), None)
 
 
 def baseline_order(kind: str, snapshot: StatsSnapshot, seed: int | None = None) -> tuple[int, ...]:
@@ -418,9 +431,8 @@ def baseline_order(kind: str, snapshot: StatsSnapshot, seed: int | None = None) 
     if kind not in scores:
         raise ValueError(f"unknown baseline {kind!r}")
     score = scores[kind]
-    heap = [(-score(s), s) for s in range(snapshot.n_sources)]
-    heapq.heapify(heap)
-    return tuple(s for _, s in _picks(walk, heap, score, None))
+    bounds = sorted((-score(s), s) for s in range(snapshot.n_sources))
+    return tuple(s for _, s in _picks(walk, bounds, (), score, None))
 
 
 def approx_bound(k: float, snapshot: StatsSnapshot) -> float:

@@ -1,6 +1,7 @@
 """Two-stage statistics collection against simulator ground truth."""
 
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -461,6 +462,68 @@ class TestLazyRefresh:
                 expected = {m: v for i, (m, v) in solved if i not in known}
             estimated = {m: c.value for m, c in cells.items() if c.provenance == ESTIMATED}
             assert estimated == expected
+
+    @pytest.mark.parametrize("n_sources", [50, 200])
+    def test_every_step_equals_a_fresh_solve(self, n_sources):
+        # Seed 101.  A plan reuses the last refresh it solved for a step
+        # with the same support totals and cells counted; read in order,
+        # backwards or alone, every step's values are those of a fresh
+        # solve over a fresh index, float for float.
+        config = desk_universe_config()
+        if n_sources != 50:
+            config = scaled_universe(config, n_sources)
+        u = generate(config, 101)
+        initial = offline_stats(u, RunConfig()).snapshot
+        index = initial._index
+        hint = tuple(reversed(range(n_sources)))
+
+        def steps():
+            return online_detection_plan(initial, hint, ScopedProbe(u, SCOPE_FOCUS))
+
+        def hexed(values):
+            return [v.hex() for v in values]
+
+        def fresh(snap):
+            known = {
+                i: snap.cells[m].value
+                for i, m in enumerate(index.masks)
+                if snap.cells[m].provenance == DETECTED
+            }
+            if len(known) == len(index.masks):
+                return hexed(known[i] for i in range(len(known)))
+            values, _ = maxent.solve(
+                snap.cardinalities,
+                lattice.CellIndex(index.masks, n_sources),
+                known,
+                prior=initial._live_values,
+            )
+            return hexed(values.tolist())
+
+        solve = maxent.solve
+        solved = []
+
+        def counted(*args, **kwargs):
+            solved.append(args)
+            return solve(*args, **kwargs)
+
+        in_order = []
+        with mock.patch.object(maxent, "solve", counted):
+            for _cost, read, _src in steps():
+                in_order.append(read())
+                in_order[-1]._live_values  # solved as the plan yields it
+        reads = [read for _cost, read, _src in steps()]
+        backwards = {i: reads[i]() for i in reversed(range(len(reads)))}
+        assert len(in_order) == len(backwards) > n_sources + len(index.masks)
+        # Some refreshes repeat the one before: fewer solves than steps,
+        # less the prior and the last step, whose every cell was counted.
+        assert len(solved) < len(in_order) - 2
+        assert in_order[0]._live_values is initial._live_values  # the prior, not a refresh
+        for i, snap in enumerate(in_order[1:], 1):
+            alone = next(itertools.islice(steps(), i, None))[1]()
+            want = fresh(snap)
+            assert hexed(snap._live_values) == want
+            assert hexed(backwards[i]._live_values) == want
+            assert hexed(alone._live_values) == want
 
     def test_online_desk_run_solves_only_what_it_reads(self):
         u = generate(desk_universe_config(), 101)

@@ -331,13 +331,34 @@ class TestGreedy:
         assert lazy_meter.ops == eager_meter.ops
 
 
+def heap_picks(walk, heap, score, meter):
+    """Reference for ``permutation._picks``: the lazy greedy over one heap of the sources left.
+
+    ``heap`` is consumed; each round charges ``meter`` the sources left.
+    """
+    while heap:
+        if meter is not None:
+            meter.add(len(heap))
+        bound, best = heap[0]
+        current = score(best)
+        while current < -bound:
+            heapq.heapreplace(heap, (-current, best))
+            bound, best = heap[0]
+            current = score(best)
+        heapq.heappop(heap)
+        yield current, best
+        walk.append(best)
+
+
 class TestPicks:
     @settings(max_examples=300, deadline=None)
     @given(tied_instances().map(lambda instance: instance[0]) | lattice_snapshots(), st.data())
     def test_rate_bounds_pick_like_exact_scores(self, snap, data):
         # Seeded from the snapshot's rates with nothing covered, the loop
         # picks what a heap of exact scores picks, ties and zero rates
-        # included, and charges the same rounds.
+        # included, and charges the same rounds.  Walking the shared
+        # bounds past the taken sources, with re-rated ones in a side
+        # heap, picks as one heap of the sources left does.
         n = snap.n_sources
         perm = data.draw(st.permutations(range(n)), label="perm")
         head = perm[: data.draw(st.integers(0, n), label="head")]
@@ -345,20 +366,24 @@ class TestPicks:
         pool = set(rest[: data.draw(st.integers(0, len(rest)), label="pool")])
         taken = set(range(n)) - pool
 
-        def picks(seed):
+        def picks(seed, loop=permutation._picks):
             walk = CoverageWalk(snap)
             for s in head:
                 walk.append(s)
             meter = WorkMeter()
-            got = permutation._picks(walk, seed(walk), walk.rate, meter)
+            got = loop(walk, *seed(walk), walk.rate, meter)
             return [(score.hex(), s) for score, s in got], meter.ops
 
         def exact(walk):
-            heap = [(-walk.rate(s), s) for s in pool]
-            heapq.heapify(heap)
-            return heap
+            return sorted((-walk.rate(s), s) for s in pool), ()
 
-        assert picks(lambda walk: permutation._rate_bounds(snap, taken)) == picks(exact)
+        def filtered(walk):
+            return ([entry for entry in snap._rate_heap if entry[1] not in taken],)
+
+        before = list(snap._rate_heap)
+        lazy = picks(lambda walk: (snap._rate_heap, taken))
+        assert lazy == picks(exact) == picks(filtered, heap_picks)
+        assert snap._rate_heap == before  # read, not changed
 
 
 class TestImprovePosition:
