@@ -9,12 +9,8 @@ from .cost import (
     QuerySpec,
     permutation_time_cost,
 )
-from .lattice import (
-    LatticeCell,
-    StatsSnapshot,
-    dump_snapshot,
-    snapshot_from_cells,
-)
+from .detection import dump_snapshot
+from .lattice import StatsSnapshot, snapshot_from_cells
 from .permutation import (
     TABLE_ALGO_ORDER,
     PermCandidate,
@@ -33,7 +29,6 @@ __all__ = [
     "CostResult",
     "QuerySpec",
     "permutation_time_cost",
-    "LatticeCell",
     "StatsSnapshot",
     "dump_snapshot",
     "snapshot_from_cells",

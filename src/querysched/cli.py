@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cost import PREFIX_AVERAGE, SEQUENTIAL, permutation_time_cost
-from .detection import DEFAULT_PRUNE_THRESHOLD, initial_detection
+from .detection import DEFAULT_PRUNE_THRESHOLD, dump_snapshot, initial_detection
 from .grid import (
     default_grid,
     desk_universe_config,
@@ -17,7 +17,6 @@ from .grid import (
     run_grid,
     verify_demo_instance,
 )
-from .lattice import dump_snapshot
 from .permutation import (
     ORACLE_SOURCE_BOUND,
     approx_bound,
@@ -65,7 +64,7 @@ def _cmd_dump_stats(args: argparse.Namespace) -> int:
         args.threshold,
         relative=not args.absolute,
     )
-    text = dump_snapshot(outcome.snapshot)
+    text = dump_snapshot(outcome, args.threshold)
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -77,9 +77,9 @@ class CoverageWalk:
     __slots__ = ("snapshot", "_covered", "_covered_amt", "_values", "_members", "_by_source")
 
     def __init__(self, snapshot: StatsSnapshot):
-        index = snapshot._index
+        index = snapshot.index
         self.snapshot = snapshot
-        self._values = snapshot._live_values
+        self._values = snapshot.values
         self._members = index.members
         self._by_source = index.by_source
         self._covered = bytearray(len(index.masks))

@@ -8,8 +8,10 @@ is admitted but not yet detected is filled in by the entropy solver.  With
 a positive threshold those fill-in values only decide which admitted
 cells get probed or pruned at the next level; the snapshot keeps them
 only when detection runs out of levels, so on the benchmark universes it
-holds detected and pruned cells alone.  A threshold of zero disables
-pruning entirely, in which case every cell is materialized and the
+holds detected cells alone.  Pruned cells are not in the snapshot; the
+outcome's provenance map names them beside the detected and estimated
+ones, for ``dump-stats``.  A threshold of zero disables pruning
+entirely, in which case every cell is materialized and the
 reconstruction is exact (only the deepest cell stays solver-estimated;
 its value is pinned by the detected remainder).
 
@@ -19,51 +21,38 @@ the hinted order with the not-yet-detected ones scaled by the average
 detected-to-offline ratio; then individual cell values, detected in
 descending order of how far the current query-level estimate moved from
 the offline value.  Each counting query advances the plan by one step,
-whose version and stage are fixed at once.  The step's snapshot is built
+and what it counted is fixed at once.  The step's snapshot is built
 when it is first read: its totals are rebuilt from the totals detected
 by then, and its other cells are the projection of the offline cells
-(in practice the detected ones) onto those totals, solved when the
-snapshot's cells are first read and then kept.  Each projection starts
-from the offline cells, so a snapshot's values do not depend on which
-earlier snapshots were read; a scheduler that replans on a few of them
-builds and solves only those.  A projection's values depend only on the
-totals of the sources that hold a positive offline cell and on how many
-cells were counted, so a plan keeps the last refresh it solved, and a
-step read with the same two inputs takes its values: once every such
-source total is detected, each later source-total probe moves only the
-others.  Nothing of it outlives the plan.  Query-level snapshots carry
-the live cells only: a cell pruned offline is never probed or estimated
-per query.
+(in practice the detected ones) onto those totals.  Each projection
+starts from the offline cells, so a snapshot's values do not depend on
+which earlier snapshots were read; a scheduler that replans on a few of
+them builds and solves only those.  A projection's values depend only
+on the totals of the sources that hold a positive offline cell and on
+how many cells were counted, so a plan keeps the last refresh it
+solved, and a step read with the same two inputs takes its values:
+once every such source total is detected, each later source-total
+probe moves only the others.  Nothing of it outlives the plan.
+Query-level snapshots hold the offline snapshot's cells only: a cell
+pruned offline is never probed or estimated per query.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from . import maxent
-from .lattice import (
-    DETECTED,
-    ESTIMATED,
-    PRUNED,
-    STAGE_FINAL,
-    STAGE_INITIAL,
-    STAGE_ONLINE_1,
-    STAGE_ONLINE_2,
-    CellIndex,
-    IndexedCells,
-    LatticeCell,
-    StatsSnapshot,
-    all_masks_at_level,
-    children,
-    parents,
-)
+from .lattice import CellIndex, StatsSnapshot, all_masks_at_level, children, parents
 
 log = logging.getLogger(__name__)
+
+DETECTED = "detected"
+ESTIMATED = "estimated"
+PRUNED = "pruned"
 
 DEFAULT_PRUNE_THRESHOLD = 0.005
 EXHAUSTIVE_SOURCE_LIMIT = 16
@@ -88,10 +77,17 @@ class StatsProbe(Protocol):
 
 @dataclass(frozen=True)
 class DetectionOutcome:
+    """An offline snapshot, what it cost, and how each cell got its value.
+
+    ``provenance`` maps every mask detection reached to :data:`DETECTED`,
+    :data:`ESTIMATED` or :data:`PRUNED`; the snapshot holds the first two.
+    """
+
     snapshot: StatsSnapshot
     count_queries: int
     clamped_rows: int
     unavailable: tuple[int, ...]
+    provenance: Mapping[int, str]
 
 
 def initial_detection(
@@ -195,58 +191,41 @@ def initial_detection(
             solved = exc.values
         estimated = current = dict(zip(admitted, solved[len(detected) :].tolist()))
 
-    cells: dict[int, LatticeCell] = {}
-    for mask in pruned:
-        cells[mask] = LatticeCell(mask, 0.0, PRUNED)
-    for mask, value in estimated.items():
-        cells[mask] = LatticeCell(mask, value, ESTIMATED)
-    for mask, value in detected.items():
-        cells[mask] = LatticeCell(mask, value, DETECTED)
-
+    provenance = dict.fromkeys(pruned, PRUNED)
+    provenance.update(dict.fromkeys(estimated, ESTIMATED))
+    provenance.update(dict.fromkeys(detected, DETECTED))
+    values = {**estimated, **detected}
+    index = CellIndex(sorted(values), n)
     snapshot = StatsSnapshot(
-        version=0,
-        stage=STAGE_INITIAL,
         access_ms=tuple(probe.access_ms(s) for s in range(n)),
         per_tuple_ms=tuple(probe.per_tuple_ms(s) for s in range(n)),
         cardinalities=tuple(cards),
-        cells=cells,
-        prune_threshold=prune_threshold,
+        index=index,
+        values=[values[m] for m in index.masks],
     )
-    return DetectionOutcome(snapshot, queries, clamps[0], tuple(unavailable))
+    return DetectionOutcome(snapshot, queries, clamps[0], tuple(unavailable), provenance)
 
 
-def _query_snapshot(
-    initial: StatsSnapshot,
-    version: int,
-    stage: str,
-    cards: Sequence[float],
-    cells: IndexedCells,
-) -> StatsSnapshot:
-    """A query-level snapshot: estimated and detected live cells only."""
-    return StatsSnapshot(
-        version=version,
-        stage=stage,
-        access_ms=initial.access_ms,
-        per_tuple_ms=initial.per_tuple_ms,
-        cardinalities=tuple(cards),
-        cells=cells,
-        prune_threshold=initial.prune_threshold,
-    )
+def dump_snapshot(outcome: DetectionOutcome, prune_threshold: float) -> str:
+    """Serialize an offline detection outcome to the line-oriented text format.
 
-
-def prior_query_snapshot(initial: StatsSnapshot) -> StatsSnapshot:
-    """Query-level view before any online evidence.
-
-    Offline live cell values and per-source totals pass through as
-    estimates, over the offline snapshot's cell index.
+    The header line carries the source count and prune threshold (its
+    version and stage are always 0 and ``initial``); each following line
+    is ``<mask-hex> <value> <provenance>`` in ascending mask order, a
+    pruned cell reading 0.
     """
-    return _query_snapshot(
-        initial,
-        initial.version + 1,
-        STAGE_ONLINE_1,
-        initial.cardinalities,
-        IndexedCells(initial._index, lambda: initial._live_values),
-    )
+    snapshot = outcome.snapshot
+    values = dict(zip(snapshot.index.masks, snapshot.values))
+    lines = [
+        "snapshot version=0 stage=initial sources=%d threshold=%.9g"
+        % (snapshot.n_sources, prune_threshold)
+    ]
+    lines.append("access " + " ".join("%.9g" % a for a in snapshot.access_ms))
+    lines.append("transfer " + " ".join("%.9g" % t for t in snapshot.per_tuple_ms))
+    lines.append("cardinality " + " ".join("%.9g" % c for c in snapshot.cardinalities))
+    for mask in sorted(outcome.provenance):
+        lines.append("%x %.9g %s" % (mask, values.get(mask, 0.0), outcome.provenance[mask]))
+    return "\n".join(lines) + "\n"
 
 
 def _read_once(build: Callable[..., StatsSnapshot], *args) -> Callable[[], StatsSnapshot]:
@@ -276,26 +255,25 @@ def online_detection_plan(
     """Yield (elapsed_ms, read, probed_source) detection steps.
 
     ``read()`` builds the step's snapshot on its first call and returns
-    that same object afterwards; the step's version and stage are fixed
-    when it is yielded, so reading a step late, or never, changes no
-    other step.  The first snapshot costs nothing and probes no source:
-    it is the offline statistics passed through as the query-level
-    estimate.  Each later snapshot becomes visible one counting query
+    that same object afterwards; what a step counted is fixed when it is
+    yielded, so reading a step late, or never, changes no other step.
+    The first step costs nothing, probes no source and reads ``initial``
+    itself: the offline statistics stand as the query-level estimate.
+    Each later snapshot becomes visible one counting query
     (``per_query_ms``) after the previous one: a source total, or one
     cell's count, asked of the cell's first member source.
     ``probed_source`` names the source the counting query contacted (-1
     for none), so a scheduler can model contention.  A later snapshot's
-    estimated cells are solved from the offline cells on its first cell
-    read; the plan itself reads only the last cardinality refresh, which
-    orders the cell queries.  A step whose refresh has the inputs of the
-    last one the plan solved reuses its values list.  The caller owns
+    cells are solved from the offline cells when it is built; the plan
+    itself reads only the last cardinality refresh, which orders the
+    cell queries.  A step whose refresh has the inputs of the last one
+    the plan solved reuses its values list.  The caller owns
     termination; abandoning the iterator is the stop signal.
     """
     n = initial.n_sources
-    index = initial._index  # every snapshot of the plan shares it
-    prior = initial._live_values
+    index = initial.index  # every snapshot of the plan shares it
+    prior = initial.values
     n_cells = len(index.masks)
-    versions = itertools.count(initial.version + 2)  # the prior is initial.version + 1
     # A refresh's values depend only on the totals of the rows that reach a
     # positive-prior cell and on the cells counted, which only grow, so
     # their number names them.  The plan keeps the last refresh it solved.
@@ -303,20 +281,15 @@ def online_detection_plan(
     last_key: tuple[list[float], int] | None = None
     last_values: list[float] = []
 
-    def refreshed(
-        version: int, stage: str, cards: Sequence[float], known: dict[int, float]
-    ) -> StatsSnapshot:
-        """A snapshot with ``known`` by position; its other cells are solved when first read."""
-
-        def solve() -> list[float]:
-            nonlocal last_key, last_values
-            key = ([cards[s] for s in support], len(known))
-            if key == last_key:
-                return last_values
+    def refreshed(cards: Sequence[float], known: dict[int, float]) -> StatsSnapshot:
+        """A snapshot with ``known`` by position and its other cells solved."""
+        nonlocal last_key, last_values
+        key = ([cards[s] for s in support], len(known))
+        if key != last_key:
             if len(known) == n_cells:
-                values = [known[i] for i in range(n_cells)]
+                last_values = [known[i] for i in range(n_cells)]
             else:
-                values = maxent.solve(
+                last_values = maxent.solve(
                     cards,
                     index,
                     known,
@@ -325,14 +298,10 @@ def online_detection_plan(
                         "query-level cells overshoot source %d by %.6g; clamping", s, -r
                     ),
                 )[0].tolist()
-            last_key, last_values = key, values
-            return values
+            last_key = key
+        return StatsSnapshot(initial.access_ms, initial.per_tuple_ms, tuple(cards), index, last_values)
 
-        cells = IndexedCells(index, solve, known)
-        return _query_snapshot(initial, version, stage, cards, cells)
-
-    read = _read_once(prior_query_snapshot, initial)
-    yield 0.0, read, -1
+    yield 0.0, lambda: initial, -1
 
     # Each source is probed once, in hint order.  An undetected source's
     # total is its offline one scaled by the average detected-to-offline
@@ -347,10 +316,10 @@ def online_detection_plan(
     offline = np.array(offline_cards, dtype=float)
     detected_cards: list[float] = []  # in hint order
 
-    def totals_step(version: int, stage: str, probed: int, avg: float) -> StatsSnapshot:
+    def totals_step(probed: int, avg: float) -> StatsSnapshot:
         cards = offline * avg
         cards[hint[:probed]] = detected_cards[:probed]
-        return refreshed(version, stage, cards.tolist(), {})
+        return refreshed(cards.tolist(), {})
 
     ratio_sum = 0.0
     ratios = 0
@@ -365,15 +334,14 @@ def online_detection_plan(
             ratio_sum += card / offline_cards[s]
             ratios += 1
         avg = ratio_sum / ratios if ratios else 1.0
-        stage = STAGE_ONLINE_1 if probed < n else STAGE_ONLINE_2
-        read = _read_once(totals_step, next(versions), stage, probed, avg)
+        read = _read_once(totals_step, probed, avg)
         yield per_query_ms, read, s
 
     # Cells go in descending order of how far the last cardinality
     # refresh moved them from the prior; that refresh is solved here.
     refresh = read()
     cards = refresh.cardinalities
-    estimates = refresh._live_values
+    estimates = refresh.values
     gaps = sorted(
         range(n_cells),
         key=lambda i: (-abs(estimates[i] - prior[i]), index.masks[i]),
@@ -382,8 +350,8 @@ def online_detection_plan(
     counted: list[int] = []  # positions, in detection order
     counts: list[float] = []
 
-    def cells_step(version: int, stage: str, known: int) -> StatsSnapshot:
-        return refreshed(version, stage, cards, dict(zip(counted[:known], counts[:known])))
+    def cells_step(known: int) -> StatsSnapshot:
+        return refreshed(cards, dict(zip(counted[:known], counts[:known])))
 
     for i in gaps:
         m = index.masks[i]
@@ -394,6 +362,5 @@ def online_detection_plan(
             count = 0.0
         counted.append(i)
         counts.append(count)
-        stage = STAGE_FINAL if len(counted) == n_cells else STAGE_ONLINE_2
-        read = _read_once(cells_step, next(versions), stage, len(counted))
+        read = _read_once(cells_step, len(counted))
         yield per_query_ms, read, index.members[i][0]

@@ -57,8 +57,14 @@ class GridSpec:
         _fraction(self.k_fraction, "top level", "k_fraction", self.universe.n_distinct)
         if not self.seeds:  # every condition's mean needs a run
             raise ValueError("grid config section top level: seeds must not be empty")
+        labels = set()
         for axis, value in self.conditions():
             condition_config(self, axis, value)
+            # The label names the condition's CSV rows and trace files.
+            label = f"{axis}={value:g}"
+            if label in labels:
+                raise ValueError(f"grid config section axes: {axis} repeats the label {value:g}")
+            labels.add(label)
 
     def conditions(self) -> list[tuple[str, float]]:
         return [(axis, v) for axis, values in self.axes for v in values]

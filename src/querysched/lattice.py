@@ -1,4 +1,4 @@
-"""Membership lattice and versioned statistics snapshots.
+"""Membership lattice and statistics snapshots.
 
 A lattice cell counts the tuples that live in one exact subset of sources
 and in no other source.  Cells are keyed by an integer bitmask (bit ``i``
@@ -9,33 +9,20 @@ cardinalities and the current cell estimates into an immutable value that
 planners can read without locking.
 
 Planners and the entropy solver read cells by position, not by mask.  A
-snapshot owns a :class:`CellIndex` of its live masks (ascending), each
+snapshot holds a :class:`CellIndex` of its cells' masks (ascending), each
 mask's member sources, each source's cell positions and, built on first
 read, the source-by-cell 0/1 matrix, plus one list of values in that
 order.  The query-level snapshots of one plan all hold the offline
-snapshot's live masks, so they share its index and carry only their
-values (:class:`IndexedCells`); their ``LatticeCell`` dict is built only
-when a reader asks for cells by mask.
+snapshot's masks, so they share its index and carry only their values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-
-DETECTED = "detected"
-ESTIMATED = "estimated"
-PRUNED = "pruned"
-PROVENANCES = (DETECTED, ESTIMATED, PRUNED)
-
-STAGE_INITIAL = "initial"
-STAGE_ONLINE_1 = "online-substage-1"
-STAGE_ONLINE_2 = "online-substage-2"
-STAGE_FINAL = "final"
-STAGES = (STAGE_INITIAL, STAGE_ONLINE_1, STAGE_ONLINE_2, STAGE_FINAL)
 
 
 def level(mask: int) -> int:
@@ -84,25 +71,8 @@ def all_masks_at_level(n_sources: int, lvl: int) -> Iterator[int]:
         mask = ripple | (((mask ^ ripple) >> 2) // lsb)
 
 
-@dataclass(frozen=True)
-class LatticeCell:
-    """One membership-signature cell with its current count estimate."""
-
-    mask: int
-    value: float
-    provenance: str
-
-    def __post_init__(self) -> None:
-        if self.mask <= 0:
-            raise ValueError("cell mask must have at least one source bit set")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance != PRUNED and self.value < 0:
-            raise ValueError("cell value must be nonnegative")
-
-
 class CellIndex:
-    """The mask side of a set of live cells, read by position.
+    """The mask side of a snapshot's cells, read by position.
 
     ``masks`` keep their order (a snapshot's ascend); ``members[i]`` are
     the sources of ``masks[i]``; ``by_source[s]`` holds the positions of
@@ -134,100 +104,30 @@ class CellIndex:
         return incidence
 
 
-class IndexedCells(Mapping[int, LatticeCell]):
-    """Live cells as a value list in a shared :class:`CellIndex`'s order.
-
-    ``values`` gives that list on first need (a query-level refresh is
-    solved then) and it is kept; the ``LatticeCell`` dict is built only
-    when a reader asks for cells by mask.  Positions in ``detected`` were
-    counted, the others are estimates.
-    """
-
-    __slots__ = ("index", "_values", "_detected", "_ordered", "_cells")
-
-    def __init__(
-        self,
-        index: CellIndex,
-        values: Callable[[], list[float]],
-        detected: Container[int] = frozenset(),
-    ):
-        self.index = index
-        self._values: Callable[[], list[float]] | None = values
-        self._detected = detected
-        self._ordered: list[float] | None = None
-        self._cells: dict[int, LatticeCell] | None = None
-
-    def ordered_values(self) -> list[float]:
-        """Cell values in the index's mask order."""
-        if self._ordered is None:
-            self._ordered = self._values()
-            self._values = None  # drop what the solve needed
-        return self._ordered
-
-    def _by_mask(self) -> dict[int, LatticeCell]:
-        if self._cells is None:
-            detected = self._detected
-            self._cells = {
-                m: LatticeCell(m, v, DETECTED if i in detected else ESTIMATED)
-                for i, (m, v) in enumerate(zip(self.index.masks, self.ordered_values()))
-            }
-        return self._cells
-
-    def __getitem__(self, mask: int) -> LatticeCell:
-        return self._by_mask()[mask]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._by_mask())
-
-    def __len__(self) -> int:
-        return len(self._by_mask())
-
-
 @dataclass(frozen=True)
 class StatsSnapshot:
-    """Immutable, versioned view of per-source stats and cell estimates.
+    """Immutable view of per-source stats and cell estimates.
 
     ``cardinalities[i]`` is the (detected or estimated) number of result
     tuples of source ``i`` for the query context the snapshot describes;
-    ``cells`` maps membership masks to their estimates.  An offline
-    snapshot carries its pruned cells with value 0 so that readers can
-    distinguish "pruned" from "never materialized"; both contribute
-    nothing to sums, and query-level snapshots leave them out.
+    ``values[i]`` is the estimate of cell ``index.masks[i]``.  A cell
+    that is not in the index (pruned offline, or never materialized)
+    contributes nothing.
     """
 
-    version: int
-    stage: str
     access_ms: tuple[float, ...]
     per_tuple_ms: tuple[float, ...]
     cardinalities: tuple[float, ...]
-    cells: Mapping[int, LatticeCell]
-    prune_threshold: float = 0.0
+    index: CellIndex
+    values: list[float]
 
     def __post_init__(self) -> None:
-        if self.stage not in STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}")
         if not (len(self.access_ms) == len(self.per_tuple_ms) == len(self.cardinalities)):
             raise ValueError("per-source arrays must have equal length")
 
     @property
     def n_sources(self) -> int:
         return len(self.cardinalities)
-
-    @cached_property
-    def _index(self) -> CellIndex:
-        """The mask side of the live cells; query-level snapshots share their plan's."""
-        if isinstance(self.cells, IndexedCells):
-            return self.cells.index
-        live = sorted(m for m, c in self.cells.items() if c.provenance != PRUNED)
-        return CellIndex(live, self.n_sources)
-
-    @cached_property
-    def _live_values(self) -> list[float]:
-        """Live cell values in :attr:`_index` mask order."""
-        if isinstance(self.cells, IndexedCells):
-            return self.cells.ordered_values()
-        cells = self.cells
-        return [cells[m].value for m in self._index.masks]
 
     @cached_property
     def _rate_heap(self) -> list[tuple[float, int]]:
@@ -274,36 +174,23 @@ def snapshot_from_cells(
     """Build a snapshot from raw, detected cell values.
 
     When ``cardinalities`` is omitted they are derived as the per-source
-    ancestor-cell sums, which is the exact-lattice case.
+    ancestor-cell sums, which is the exact-lattice case.  Raises
+    ValueError for a mask with no source bit set or a negative value.
     """
     access = tuple(float(a) for a in access_ms)
     per_tuple = tuple(float(t) for t in per_tuple_ms)
-    cells = {int(m): LatticeCell(int(m), float(v), DETECTED) for m, v in cell_values.items()}
+    cells = {int(m): float(v) for m, v in cell_values.items()}
+    if cells and min(cells) <= 0:
+        raise ValueError("cell mask must have at least one source bit set")
+    if any(v < 0 for v in cells.values()):
+        raise ValueError("cell value must be nonnegative")
     if cardinalities is None:
         cards = [0.0] * len(access)
-        for m, c in cells.items():
+        for m, v in cells.items():
             for s in member_sources(m):
-                cards[s] += c.value
+                cards[s] += v
     else:
         cards = [float(c) for c in cardinalities]
-    return StatsSnapshot(0, STAGE_INITIAL, access, per_tuple, tuple(cards), cells)
-
-
-def dump_snapshot(snapshot: StatsSnapshot) -> str:
-    """Serialize a snapshot to the line-oriented text format.
-
-    Header line carries version, stage, source count and prune threshold;
-    each following line is ``<mask-hex> <value> <provenance>`` in
-    ascending mask order.
-    """
-    lines = [
-        "snapshot version=%d stage=%s sources=%d threshold=%.9g"
-        % (snapshot.version, snapshot.stage, snapshot.n_sources, snapshot.prune_threshold)
-    ]
-    lines.append("access " + " ".join("%.9g" % a for a in snapshot.access_ms))
-    lines.append("transfer " + " ".join("%.9g" % t for t in snapshot.per_tuple_ms))
-    lines.append("cardinality " + " ".join("%.9g" % c for c in snapshot.cardinalities))
-    for mask in sorted(snapshot.cells):
-        cell = snapshot.cells[mask]
-        lines.append("%x %.9g %s" % (mask, cell.value, cell.provenance))
-    return "\n".join(lines) + "\n"
+    index = CellIndex(sorted(cells), len(access))
+    values = [cells[m] for m in index.masks]
+    return StatsSnapshot(access, per_tuple, tuple(cards), index, values)

@@ -148,8 +148,8 @@ def overlap_ranked(
         return []
     if meter is not None:
         meter.add(len(candidates) - (anchor in candidates))
-    index = snapshot._index
-    values = snapshot._live_values
+    index = snapshot.index
+    values = snapshot.values
     shared: dict[int, float] = {}
     for i in index.by_source[anchor]:
         v = values[i]
@@ -373,8 +373,6 @@ def next_source(
     k: float,
     snapshot: StatsSnapshot,
     pinned_order: Sequence[int],
-    *,
-    meter: WorkMeter | None = None,
 ) -> int | None:
     """First unpinned source of the full-universe order; None if none is left.
 
@@ -393,7 +391,7 @@ def next_source(
     pinned = len(pinned_order)
     head = _Head(CoverageWalk(snapshot))
     head.advance(k, pinned_order, pinned)  # the whole pinned prefix
-    sweep = _sweep(k, snapshot, pinned_order, meter, head.copy())
+    sweep = _sweep(k, snapshot, pinned_order, None, head.copy())
     refined = next(sweep)  # the greedy start
     refined = next(sweep, refined)  # after the swap at the first unpinned position
     if len(refined.order) > pinned:
@@ -491,18 +489,17 @@ def brute_force_opt(
     k: float,
     snapshot: StatsSnapshot,
     model: str = SEQUENTIAL,
-    max_sources: int = ORACLE_SOURCE_BOUND,
 ) -> tuple[tuple[int, ...], float, bool]:
     """Exhaustive minimum over all covering prefixes of the universe.
 
     Returns (order, cost, shortfall).  Equal-cost orders resolve to the
-    lexicographically smallest.  Refuses universes beyond ``max_sources``
+    lexicographically smallest.  Refuses universes beyond :data:`ORACLE_SOURCE_BOUND`
     and a ``model`` that is not one of :data:`~querysched.cost.COST_MODELS`.
     """
     if model not in COST_MODELS:
         raise ValueError(f"unknown cost model {model!r}")
     n = snapshot.n_sources
-    if n > max_sources:
+    if n > ORACLE_SOURCE_BOUND:
         raise OracleSizeError("oracle size bound")
     residual = _residual_table(snapshot)
     scan = [snapshot.scan_cost_ms(s) for s in range(n)]

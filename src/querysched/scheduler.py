@@ -51,7 +51,6 @@ from .detection import (
     DEFAULT_PRUNE_THRESHOLD,
     DETECTION_QUERY_MS,
     online_detection_plan,
-    prior_query_snapshot,
 )
 from .lattice import StatsSnapshot
 from .permutation import (
@@ -294,9 +293,8 @@ def run_query(
     is deterministic in (algo, query, universe, initial, config, seed).
     """
     if algo in BASELINE_ALGOS:
-        prior = prior_query_snapshot(initial)
-        order = baseline_order(algo, prior, seed=seed)
-        return _run(algo, query, universe, config, _Planner(query.k, order), lambda: prior)
+        order = baseline_order(algo, initial, seed=seed)
+        return _run(algo, query, universe, config, _Planner(query.k, order), lambda: initial)
     if algo == ALGO_FULL_KNOWLEDGE:
         truth = universe.truth_snapshot(query.predicate_id)
         return _run(algo, query, universe, config, _Planner(query.k), lambda: truth)

@@ -18,7 +18,6 @@ from querysched.grid import (
     run_grid,
     verify_demo_instance,
 )
-from querysched.lattice import PRUNED
 from querysched.permutation import approx_bound, brute_force_opt, refine_order
 from querysched.scheduler import RunConfig
 from querysched.simulator import (
@@ -149,7 +148,7 @@ def test_criterion_4_statistics_exactness_and_residuals():
         universe = generate(config, 1000 + i)
         out = initial_detection(ScopedProbe(universe, SCOPE_ALL), 0.0)
         truth = universe.truth.cells(SCOPE_ALL)
-        got = {m: c.value for m, c in out.snapshot.cells.items()}
+        got = dict(zip(out.snapshot.index.masks, out.snapshot.values))
         cells_match = all(
             abs(got.get(m, 0.0) - v) <= 1e-6 * max(1.0, v) for m, v in truth.items()
         ) and all(v <= 1e-6 or m in truth for m, v in got.items())
@@ -164,11 +163,7 @@ def test_criterion_4_statistics_exactness_and_residuals():
                 snap = read()
                 snapshots += 1
                 for s in range(n):
-                    total = sum(
-                        c.value
-                        for m, c in snap.cells.items()
-                        if c.provenance != PRUNED and (m >> s) & 1
-                    )
+                    total = sum(snap.values[i] for i in snap.index.by_source[s])
                     if abs(total - snap.cardinalities[s]) > 1e-6 * max(
                         snap.cardinalities[s], 1.0
                     ):

@@ -14,55 +14,39 @@ from querysched.cost import (
     permutation_time_cost,
     rate_from_parts,
 )
-from querysched.detection import prior_query_snapshot
-from querysched.lattice import (
-    PROVENANCES,
-    PRUNED,
-    STAGE_INITIAL,
-    LatticeCell,
-    StatsSnapshot,
-    member_sources,
-)
+from querysched.lattice import CellIndex, StatsSnapshot, member_sources
 
 from test_lattice import ref_snapshot
 
 
 @st.composite
 def lattice_snapshots(draw):
-    """Snapshots with zero-valued and pruned cells and sources without cells.
+    """Snapshots with zero-valued cells and sources without cells.
 
-    Half are the query-level view of such a snapshot, which reads its
-    values through the offline snapshot's cell index.
+    Their totals are drawn apart from the cells, as a pruned cell still
+    counts in its sources' totals.
     """
     n = draw(st.integers(1, 7), label="n")
-    masks = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=14), label="masks")
-    cells = {}
-    for m in sorted(masks):
-        provenance = draw(st.sampled_from(PROVENANCES), label="provenance")
-        value = 0.0
-        if provenance != PRUNED:
-            value = float(draw(st.integers(0, 6) | st.floats(0.0, 60.0), label="value"))
-        cells[m] = LatticeCell(m, value, provenance)
+    masks = sorted(draw(st.sets(st.integers(1, (1 << n) - 1), max_size=14), label="masks"))
+    counts = [float(draw(st.integers(0, 6) | st.floats(0.0, 60.0), label="value")) for _ in masks]
 
     def per_source(top):
         values = st.lists(st.integers(0, top) | st.floats(0.0, top), min_size=n, max_size=n)
         return tuple(float(v) for v in draw(values))
 
-    snap = StatsSnapshot(0, STAGE_INITIAL, per_source(3), per_source(2), per_source(80), cells)
-    return prior_query_snapshot(snap) if draw(st.booleans(), label="query-level") else snap
+    return StatsSnapshot(per_source(3), per_source(2), per_source(80), CellIndex(masks, n), counts)
 
 
 class MaskWalk:
-    """Reference for ``CoverageWalk``: covered cells as a set of masks, read from ``cells``."""
+    """Reference for ``CoverageWalk``: covered cells as a set of masks, read cell by cell."""
 
     def __init__(self, snapshot):
         self.snapshot = snapshot
         self.rows = [[] for _ in range(snapshot.n_sources)]
-        for m, cell in sorted(snapshot.cells.items()):
-            if cell.provenance != PRUNED:
-                members = member_sources(m)
-                for s in members:
-                    self.rows[s].append((m, cell.value, members))
+        for m, value in sorted(zip(snapshot.index.masks, snapshot.values)):
+            members = member_sources(m)
+            for s in members:
+                self.rows[s].append((m, value, members))
         self.covered = set()
         self.amount = [0.0] * snapshot.n_sources
 

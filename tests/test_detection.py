@@ -14,19 +14,14 @@ from hypothesis import strategies as st
 from querysched import detection, lattice, maxent
 from querysched.cost import QuerySpec
 from querysched.detection import (
-    initial_detection,
-    online_detection_plan,
-    prior_query_snapshot,
-)
-from querysched.grid import desk_universe_config, offline_stats, scaled_universe
-from querysched.lattice import (
     DETECTED,
     ESTIMATED,
     PRUNED,
-    STAGE_FINAL,
-    member_sources,
-    snapshot_from_cells,
+    initial_detection,
+    online_detection_plan,
 )
+from querysched.grid import desk_universe_config, offline_stats, scaled_universe
+from querysched.lattice import member_sources, snapshot_from_cells
 from querysched.permutation import TABLE_ALGO_ORDER
 from querysched.scheduler import RunConfig, run_query
 from querysched.simulator import (
@@ -47,29 +42,43 @@ def snapshots(initial, hint, probe):
     return [read() for _cost, read, _src in online_detection_plan(initial, hint, probe)]
 
 
-class FailingCells:
-    """A probe whose cell counting query fails on chosen masks."""
+def cells(snapshot):
+    """A snapshot's cell values by mask."""
+    return dict(zip(snapshot.index.masks, snapshot.values))
 
-    def __init__(self, probe, failing):
+
+class FailingCells:
+    """A probe that records the cells it is asked to count and fails on chosen masks.
+
+    ``counted`` holds each asked mask with the count it answered (0 for
+    a failed one), in order.
+    """
+
+    def __init__(self, probe, failing=()):
         self.probe = probe
         self.failing = frozenset(failing)
+        self.counted = []
 
     def __getattr__(self, name):
         return getattr(self.probe, name)
 
     def cell_count(self, mask):
+        self.counted.append((mask, 0.0))
         if mask in self.failing:
             raise RuntimeError(f"cell {mask:#x} cannot be counted")
-        return self.probe.cell_count(mask)
+        self.counted[-1] = (mask, float(self.probe.cell_count(mask)))
+        return self.counted[-1][1]
+
+
+def known_cells(initial, counted):
+    """Counted cells by position in ``initial``'s index."""
+    position = {m: i for i, m in enumerate(initial.index.masks)}
+    return {position[m]: count for m, count in counted}
 
 
 def residuals_ok(snapshot, rel=1e-6):
     for s in range(snapshot.n_sources):
-        total = sum(
-            c.value
-            for m, c in snapshot.cells.items()
-            if c.provenance != PRUNED and (m >> s) & 1
-        )
+        total = sum(snapshot.values[i] for i in snapshot.index.by_source[s])
         target = snapshot.cardinalities[s]
         if abs(total - target) > rel * max(target, 1.0):
             return False, s, total, target
@@ -80,11 +89,9 @@ class TestInitialDetection:
     def test_zero_threshold_reproduces_reference_lattice(self):
         probe = ScopedProbe(demo_universe(), SCOPE_ALL)
         out = initial_detection(probe, 0.0)
-        got = {m: c.value for m, c in out.snapshot.cells.items()}
-        assert got == pytest.approx(DEMO_EXACT)
+        assert cells(out.snapshot) == pytest.approx(DEMO_EXACT)
         # Everything except the deepest cell is detected outright.
-        assert out.snapshot.cells[0b011].provenance == DETECTED
-        assert out.snapshot.cells[0b111].provenance == ESTIMATED
+        assert out.provenance == {m: DETECTED for m in DEMO_EXACT} | {0b111: ESTIMATED}
 
     def test_single_source_needs_no_solver(self):
         config = UniverseConfig(
@@ -95,7 +102,7 @@ class TestInitialDetection:
         )
         u = generate(config, 2)
         out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0)
-        assert {m: c.value for m, c in out.snapshot.cells.items()} == {0b1: 30.0}
+        assert cells(out.snapshot) == {0b1: 30.0}
 
     def test_zero_threshold_matches_truth_on_random_universes(self):
         for seed, n in [(0, 3), (1, 5), (2, 7), (3, 9)]:
@@ -108,7 +115,7 @@ class TestInitialDetection:
             u = generate(config, seed)
             out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0)
             truth = u.truth.cells(SCOPE_ALL)
-            got = {m: c.value for m, c in out.snapshot.cells.items() if c.value > 0}
+            got = {m: v for m, v in cells(out.snapshot).items() if v > 0}
             assert got == pytest.approx(truth)
 
     def test_pruning_marks_cells_and_keeps_detected_values(self):
@@ -117,14 +124,16 @@ class TestInitialDetection:
         # larger ones are detected, and no pair survives the next round.
         u = demo_universe()
         out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.2)
-        cells = out.snapshot.cells
-        assert cells[0b001].provenance == PRUNED
-        assert cells[0b001].value == 0.0
-        assert cells[0b010].provenance == DETECTED
-        assert cells[0b010].value == 80.0
-        assert cells[0b100].value == 60.0
-        assert all(c.provenance == PRUNED for m, c in cells.items() if bin(m).count("1") == 2)
-        assert out.snapshot.prune_threshold == 0.2
+        assert out.provenance == {
+            0b001: PRUNED,
+            0b010: DETECTED,
+            0b100: DETECTED,
+            0b011: PRUNED,
+            0b101: PRUNED,
+            0b110: PRUNED,
+        }
+        # Pruned cells are left out of the snapshot.
+        assert cells(out.snapshot) == {0b010: 80.0, 0b100: 60.0}
 
     @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
     def test_threshold_that_is_no_share_rejected(self, threshold):
@@ -139,9 +148,8 @@ class TestInitialDetection:
         # not, so it is detected and the exact value is never re-pruned.
         u = demo_universe()
         out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.05)
-        cells = out.snapshot.cells
-        assert cells[0b001].provenance == DETECTED
-        assert cells[0b001].value == 10.0
+        assert out.provenance[0b001] == DETECTED
+        assert cells(out.snapshot)[0b001] == 10.0
 
     def test_unavailable_source_zeroed_not_fatal(self):
         u = replace(demo_universe(), unavailable=frozenset([1]))
@@ -150,10 +158,10 @@ class TestInitialDetection:
         assert out.snapshot.cardinalities[1] == 0.0
         # Every cell touching the dead source reads zero; its row stays
         # consistent even though its partners' rows degrade.
-        for m, c in out.snapshot.cells.items():
+        for m, v in cells(out.snapshot).items():
             if (m >> 1) & 1:
-                assert c.value == 0.0
-        assert out.snapshot.cells[0b100].value == 60.0
+                assert v == 0.0
+        assert cells(out.snapshot)[0b100] == 60.0
 
     def test_sampling_scales_counts(self):
         config = UniverseConfig(
@@ -188,7 +196,7 @@ class TestInitialDetection:
         out = initial_detection(ScopedProbe(u, SCOPE_ALL))
         assert out.unavailable == tuple(range(50))
         assert out.snapshot.cardinalities == (0.0,) * 50
-        assert all(c.provenance == PRUNED for c in out.snapshot.cells.values())
+        assert out.provenance == {} and out.snapshot.values == []
         query = QuerySpec(SCOPE_FOCUS, 100)
         for algo in TABLE_ALGO_ORDER:
             result = run_query(algo, query, u, out.snapshot, RunConfig(query_threads=threads), seed=1)
@@ -214,7 +222,7 @@ class TestInitialDetection:
                 u = replace(u, unavailable=frozenset([1]))
         probe = ScopedProbe(u, SCOPE_ALL, sample_rate=sample_rate, sample_seed=u.seed)
         out = initial_detection(probe, threshold)
-        detected = sum(c.provenance == DETECTED for c in out.snapshot.cells.values())
+        detected = sum(p == DETECTED for p in out.provenance.values())
         assert out.count_queries == u.n_sources + detected
         if (case, sample_rate) == ("desk-101", 1.0):
             assert (out.count_queries, detected) == (123, 73)
@@ -226,15 +234,14 @@ class TestFailingCellQueries:
         u = demo_universe(seed=11, query_split=0.5)
         out = initial_detection(FailingCells(ScopedProbe(u, SCOPE_ALL), failing), 0.0)
         for m in failing - {0b111}:  # the deepest cell is never probed offline
-            cell = out.snapshot.cells[m]
-            assert (cell.value, cell.provenance) == (0.0, DETECTED)
+            assert (cells(out.snapshot)[m], out.provenance[m]) == (0.0, DETECTED)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS), failing)
         final = snapshots(initial, (0, 1, 2), probe)[-1]
-        assert final.stage == STAGE_FINAL
-        for m in failing:
-            cell = final.cells[m]
-            assert (cell.value, cell.provenance) == (0.0, DETECTED)
+        # The last step has counted every cell; the failed ones read zero.
+        assert sorted(m for m, _count in probe.counted) == list(initial.index.masks)
+        assert cells(final) == dict(probe.counted)
+        assert all(cells(final)[m] == 0.0 for m in failing)
 
 
 class FixedTotals:
@@ -305,70 +312,44 @@ class TestOnlineDetection:
         u = self.make_universe()
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-        prior = prior_query_snapshot(initial)
         cost, read, source = next(plan)
-        assert (cost, read(), source) == (0.0, prior, -1)
+        # The prior is the offline snapshot itself.
+        assert (cost, source) == (0.0, -1) and read() is initial
 
     def test_query_matching_everything_converges_to_initial(self):
         u = self.make_universe(split=1.0)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         snaps = snapshots(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-        live = {m: c.value for m, c in initial.cells.items() if c.provenance != PRUNED}
-        for snap in snaps:
-            if snap.stage == "online-substage-1":
-                got = {m: c.value for m, c in snap.cells.items() if c.provenance != PRUNED}
-                for m, v in live.items():
-                    assert got[m] == pytest.approx(v, rel=1e-6, abs=1e-6)
+        # The prior and every source-total step, before any cell is counted.
+        for snap in snaps[: 1 + initial.n_sources]:
+            assert snap.values == pytest.approx(initial.values, rel=1e-6, abs=1e-6)
 
     def test_half_split_final_snapshot_matches_focus_truth(self):
         u = self.make_universe(split=0.5, seed=11)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         snaps = snapshots(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-        final = snaps[-1]
-        assert final.stage == "final"
+        assert len(snaps) == 1 + initial.n_sources + len(initial.values)
         truth = u.truth.cells(SCOPE_FOCUS)
-        for m, c in final.cells.items():
-            if c.provenance == PRUNED:
-                continue
-            assert c.value == pytest.approx(truth.get(m, 0.0), abs=1e-9)
+        for m, v in cells(snaps[-1]).items():
+            assert v == pytest.approx(truth.get(m, 0.0), abs=1e-9)
 
     def test_residuals_within_tolerance_on_every_snapshot(self):
         u = self.make_universe(split=0.5, seed=13)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        for snap in snapshots(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS)):
+        for step, snap in enumerate(snapshots(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))):
             ok, s, total, target = residuals_ok(snap)
-            assert ok, (snap.stage, s, total, target)
+            assert ok, (step, s, total, target)
 
     def test_substage2_detects_in_descending_gap_order(self):
         u = self.make_universe(split=0.5, seed=17)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-        entry_estimates = None
-        detected_order = []
-        prev_known = set()
-        for _cost, read, _src in plan:
-            snap = read()
-            if snap.stage in ("online-substage-2", "final"):
-                if entry_estimates is None and snap.stage == "online-substage-2":
-                    pass
-                known = {m for m, c in snap.cells.items() if c.provenance == DETECTED}
-                new = known - prev_known
-                detected_order.extend(sorted(new))
-                prev_known = known
-        # Recompute the entry gaps: estimates right after the last
-        # cardinality detection vs the offline values.
-        sub1 = []
-        plan2 = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-        for _cost, read, _src in plan2:
-            sub1.append(read())
-            if len(sub1) == 1 + initial.n_sources:
-                break
-        entry = sub1[-1]
-        live = {m: c.value for m, c in initial.cells.items() if c.provenance != PRUNED}
-        gaps = {
-            m: abs(entry.cells[m].value - live[m]) for m in live
-        }
-        seen_gaps = [gaps[m] for m in detected_order if m in gaps]
+        probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS))
+        snaps = snapshots(initial, (0, 1, 2), probe)
+        # The entry gaps: estimates right after the last cardinality
+        # detection vs the offline values.
+        entry, offline = cells(snaps[initial.n_sources]), cells(initial)
+        seen_gaps = [abs(entry[m] - offline[m]) for m, _count in probe.counted]
+        assert len(seen_gaps) == len(offline)
         assert all(a >= b - 1e-9 for a, b in zip(seen_gaps, seen_gaps[1:]))
 
     def test_detection_plan_reports_probed_sources(self):
@@ -391,22 +372,14 @@ class TestOnlineDetection:
         # cost, asked of its first member source.
         u = self.make_universe(split=0.5, seed=19)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        steps = list(
-            online_detection_plan(
-                initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS), per_query_ms=2.0
-            )
-        )
-        assert steps[-1][1]().stage == STAGE_FINAL
-        live = {m for m, c in initial.cells.items() if c.provenance != PRUNED}
-        cell_steps = steps[1 + initial.n_sources :]
-        assert len(cell_steps) == len(live)
-        counted = set()
-        for cost, read, source in cell_steps:
-            detected = {m for m, c in read().cells.items() if c.provenance == DETECTED}
-            (new,) = detected - counted
+        probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS))
+        plan = online_detection_plan(initial, (0, 1, 2), probe, per_query_ms=2.0)
+        cell_steps = list(plan)[1 + initial.n_sources :]
+        assert len(cell_steps) == len(probe.counted) == len(initial.values)
+        for (cost, read, source), (new, count) in zip(cell_steps, probe.counted):
             assert cost == 2.0 and source == member_sources(new)[0]
-            counted = detected
-        assert counted == live
+            assert cells(read())[new] == count
+        assert sorted(m for m, _count in probe.counted) == list(initial.index.masks)
 
 
 class TestLazyRefresh:
@@ -435,33 +408,29 @@ class TestLazyRefresh:
         threshold = data.draw(st.sampled_from([0.0, 0.005, 0.05]), label="threshold")
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), threshold).snapshot
         hint = tuple(data.draw(st.permutations(range(n)), label="hint"))
+        probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS))
 
-        def plan():
-            return snapshots(initial, hint, ScopedProbe(u, SCOPE_FOCUS))
+        def seen(snap):
+            return snap.cardinalities, snap.values
 
-        in_order = [dict(snap.cells) for snap in plan()]
-        snaps = plan()
+        in_order = [seen(snap) for snap in snapshots(initial, hint, probe)]
+        plan = online_detection_plan(initial, hint, ScopedProbe(u, SCOPE_FOCUS))
+        reads = [read for _cost, read, _src in plan]
         shuffled = {}
-        for i in data.draw(st.permutations(range(len(snaps))), label="read order"):
-            shuffled[i] = dict(snaps[i].cells)
-        assert [shuffled[i] for i in range(len(snaps))] == in_order
+        for i in data.draw(st.permutations(range(len(reads))), label="read order"):
+            shuffled[i] = seen(reads[i]())
+        assert [shuffled[i] for i in range(len(reads))] == in_order
 
-        index = initial._index
-        for snap, cells in zip(snaps[1:], in_order[1:]):
-            known = {
-                i: cells[m].value
-                for i, m in enumerate(index.masks)
-                if cells[m].provenance == DETECTED
-            }
-            expected = {}
-            if len(known) < len(index.masks):
-                values, _ = maxent.solve(
-                    snap.cardinalities, index, known, prior=initial._live_values
-                )
-                solved = enumerate(zip(index.masks, values.tolist()))
-                expected = {m: v for i, (m, v) in solved if i not in known}
-            estimated = {m: c.value for m, c in cells.items() if c.provenance == ESTIMATED}
-            assert estimated == expected
+        # Each step holds the cells counted by then and solves the others.
+        index = initial.index
+        for step, (cards, values) in enumerate(in_order[1:], 1):
+            known = known_cells(initial, probe.counted[: max(0, step - n)])
+            if len(known) == len(index.masks):
+                expected = [known[i] for i in range(len(known))]
+            else:
+                solved, _ = maxent.solve(cards, index, known, prior=initial.values)
+                expected = [known.get(i, v) for i, v in enumerate(solved.tolist())]
+            assert values == expected
 
     @pytest.mark.parametrize("n_sources", [50, 200])
     def test_every_step_equals_a_fresh_solve(self, n_sources):
@@ -474,8 +443,9 @@ class TestLazyRefresh:
             config = scaled_universe(config, n_sources)
         u = generate(config, 101)
         initial = offline_stats(u, RunConfig()).snapshot
-        index = initial._index
+        index = initial.index
         hint = tuple(reversed(range(n_sources)))
+        probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS))
 
         def steps():
             return online_detection_plan(initial, hint, ScopedProbe(u, SCOPE_FOCUS))
@@ -483,19 +453,15 @@ class TestLazyRefresh:
         def hexed(values):
             return [v.hex() for v in values]
 
-        def fresh(snap):
-            known = {
-                i: snap.cells[m].value
-                for i, m in enumerate(index.masks)
-                if snap.cells[m].provenance == DETECTED
-            }
+        def fresh(step, snap):
+            known = known_cells(initial, probe.counted[: max(0, step - n_sources)])
             if len(known) == len(index.masks):
                 return hexed(known[i] for i in range(len(known)))
             values, _ = maxent.solve(
                 snap.cardinalities,
                 lattice.CellIndex(index.masks, n_sources),
                 known,
-                prior=initial._live_values,
+                prior=initial.values,
             )
             return hexed(values.tolist())
 
@@ -508,22 +474,21 @@ class TestLazyRefresh:
 
         in_order = []
         with mock.patch.object(maxent, "solve", counted):
-            for _cost, read, _src in steps():
-                in_order.append(read())
-                in_order[-1]._live_values  # solved as the plan yields it
+            for _cost, read, _src in online_detection_plan(initial, hint, probe):
+                in_order.append(read())  # solved as the plan yields it
         reads = [read for _cost, read, _src in steps()]
         backwards = {i: reads[i]() for i in reversed(range(len(reads)))}
         assert len(in_order) == len(backwards) > n_sources + len(index.masks)
         # Some refreshes repeat the one before: fewer solves than steps,
         # less the prior and the last step, whose every cell was counted.
         assert len(solved) < len(in_order) - 2
-        assert in_order[0]._live_values is initial._live_values  # the prior, not a refresh
+        assert in_order[0] is initial  # the prior, not a refresh
         for i, snap in enumerate(in_order[1:], 1):
             alone = next(itertools.islice(steps(), i, None))[1]()
-            want = fresh(snap)
-            assert hexed(snap._live_values) == want
-            assert hexed(backwards[i]._live_values) == want
-            assert hexed(alone._live_values) == want
+            want = fresh(i, snap)
+            assert hexed(snap.values) == want
+            assert hexed(backwards[i].values) == want
+            assert hexed(alone.values) == want
 
     def test_online_desk_run_solves_only_what_it_reads(self):
         u = generate(desk_universe_config(), 101)
@@ -550,7 +515,7 @@ class TestLazyRefresh:
             return online_detection_plan(initial, hint, ScopedProbe(u, SCOPE_FOCUS))
 
         def seen(snap):
-            return snap.version, snap.stage, snap.cardinalities, snap._live_values
+            return snap.cardinalities, snap.values
 
         in_order = [seen(read()) for _cost, read, _src in steps()]
         reads = [read for _cost, read, _src in steps()]
@@ -569,18 +534,21 @@ class TestLazyRefresh:
         u = generate(scaled_universe(desk_universe_config(), 200), 101)
         initial = offline_stats(u, RunConfig()).snapshot
         k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
-        make = detection._query_snapshot
+        read_once = detection._read_once
         built = []
 
-        def counted(initial, version, *args):
-            built.append(version)
-            return make(initial, version, *args)
+        def counted(build, *args):
+            def traced():
+                built.append((build.__name__, args))  # the step's probe or cell count
+                return build(*args)
 
-        with mock.patch.object(detection, "_query_snapshot", counted):
+            return read_once(traced)
+
+        with mock.patch.object(detection, "_read_once", counted):
             result = run_query("sequential", QuerySpec(SCOPE_FOCUS, k), u, initial)
         assert result.detections > 10 * result.perm_versions
         # One per replan at most, and the refresh that orders the cell queries.
-        assert len(built) <= result.perm_versions + 1
+        assert 0 < len(built) <= result.perm_versions + 1
         assert len(set(built)) == len(built)
 
     def test_abandoned_plan_solves_nothing(self):
@@ -599,15 +567,14 @@ class TestLazyRefresh:
 
 
 def plan_digest(initial, hint, probe):
-    """SHA-256 over every snapshot of a detection plan: totals and cells as ``float.hex``."""
+    """SHA-256 over every step of a detection plan: probed source, totals and cells as ``float.hex``."""
     digest = hashlib.sha256()
     for _cost, read, source in online_detection_plan(initial, hint, probe):
         snap = read()
         cards = " ".join(c.hex() for c in snap.cardinalities)
-        digest.update(f"{snap.version} {snap.stage} {source} {cards}\n".encode())
-        for m in sorted(snap.cells):
-            cell = snap.cells[m]
-            digest.update(f"{m:x} {cell.value.hex()} {cell.provenance}\n".encode())
+        digest.update(f"{source} {cards}\n".encode())
+        for m, v in zip(snap.index.masks, snap.values):
+            digest.update(f"{m:x} {v.hex()}\n".encode())
     return digest.hexdigest()
 
 
@@ -624,9 +591,10 @@ class TestSharedIndex:
         u, initial = self.desk_initial()
         snaps = snapshots(initial, range(initial.n_sources), ScopedProbe(u, SCOPE_FOCUS))
         assert len(snaps) > initial.n_sources
-        assert all(snap._index is initial._index for snap in snaps)
-        live = [m for m, c in sorted(initial.cells.items()) if c.provenance != PRUNED]
-        assert list(initial._index.masks) == live
+        assert all(snap.index is initial.index for snap in snaps)
+        provenance = initial_detection(ScopedProbe(u, SCOPE_ALL)).provenance
+        live = sorted(m for m, p in provenance.items() if p != PRUNED)
+        assert list(initial.index.masks) == live
 
     def test_online_desk_run_builds_only_the_offline_index(self):
         u, initial = self.desk_initial()
@@ -651,16 +619,16 @@ class TestSharedIndex:
         ):
             result = run_query("online", QuerySpec(SCOPE_FOCUS, k), u, initial)
         assert result.perm_versions > 2 and result.detections > initial.n_sources
-        assert built == [initial._index]
+        assert built == []  # the offline index is built with the offline snapshot
         # Every refresh solves over that index, so they share its matrix.
-        assert solved_over and all(index is initial._index for index in solved_over)
+        assert solved_over and all(index is initial.index for index in solved_over)
 
     @pytest.mark.parametrize(
         "case, expected",
         [
-            ("desk", "03f2e69be1143be002ebc06cfeeaad39bcfca65f3739fe6ef35075df8ec8bab8"),
-            ("desk-ascending-hint", "afcdafd1f3f4be52c9a25d60eaa37a20d281d2ff61ed1fc805aae5ef844595ed"),
-            ("demo-exact", "c04c1c55c5186c6f603c3be36b632d8d649c59c97bf864181c044e87d6518839"),
+            ("desk", "1568528be86d9027919317008b21a08fef8719161cf92dab24c456a5a26000d7"),
+            ("desk-ascending-hint", "a6171a300ee63eab42a80b4b5e804a615ef6217c4e5befdbea2256aa0ddfa09a"),
+            ("demo-exact", "d559bf93fe91f46b1be1a1887ee59d18d9cced32567e43b21e0c493a7db934b5"),
         ],
         ids=["desk", "desk-ascending-hint", "demo-exact"],
     )

@@ -24,8 +24,7 @@ from querysched.grid import (
     scaled_universe,
     verify_demo_instance,
 )
-from querysched.detection import initial_detection
-from querysched.lattice import dump_snapshot
+from querysched.detection import DEFAULT_PRUNE_THRESHOLD, dump_snapshot, initial_detection
 from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER
 from querysched.scheduler import RunConfig
 from querysched.simulator import SCOPE_ALL, ReplicationModel, ScopedProbe, demo_universe, generate
@@ -164,6 +163,16 @@ class TestGrid:
         assert grid_from_json(payload) == default_grid()
         assert set(payload["run"]) == {f.name for f in fields(RunConfig)}
 
+    def test_readme_library_quick_start_runs(self, capsys):
+        # The README's library example must run as written against the
+        # current API.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Library quick start", 1)[1]
+        code = section.split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        time_ms, sources = capsys.readouterr().out.split(" ", 1)
+        assert float(time_ms) > 0 and sources.startswith("[")
+
     @pytest.mark.parametrize(
         "payload, section, key",
         [
@@ -213,8 +222,19 @@ class TestGrid:
             ({"detection_overhead": [1.0, -1.0]}, "detection_overhead must be at least 0"),
             ({"k_fraction": [0.5], "query_threads": [2, 0]}, "query_threads must be at least 1"),
             ({"n_sources": [10, 0]}, "n_sources must be at least 1"),
+            # Two conditions with one label wrote two CSV rows of that name,
+            # and the second's trace files overwrote the first's.
+            ({"k_fraction": [0.2, 0.2]}, "axes: k_fraction repeats the label 0.2$"),
+            ({"k_fraction": [0.1234561, 0.1234562]}, "k_fraction repeats the label 0.123456$"),
         ],
-        ids=["unknown-axis", "negative-overhead", "zero-threads", "zero-sources"],
+        ids=[
+            "unknown-axis",
+            "negative-overhead",
+            "zero-threads",
+            "zero-sources",
+            "repeated-value",
+            "repeated-label",
+        ],
     )
     def test_bad_axis_rejected_before_any_run(self, monkeypatch, axes, message):
         runs = []
@@ -432,8 +452,34 @@ class TestCli:
         assert rc == 0
         probe = ScopedProbe(generate(desk_universe_config(), 101), SCOPE_ALL, sample_seed=101)
         outcome = initial_detection(probe)
-        assert out_path.read_text() == dump_snapshot(outcome.snapshot)
+        assert out_path.read_text() == dump_snapshot(outcome, DEFAULT_PRUNE_THRESHOLD)
         assert capsys.readouterr().err == "count queries: 123, clamped rows: 0\n"
+
+    def test_dump_stats_matches_golden(self, tmp_path, capsys):
+        # Four runs: relative, sampled, absolute, and README's three-source
+        # cell map with no pruning, the one that prints an estimated cell.
+        config = {
+            "universe": {
+                "sources": 3,
+                "distinct": 200,
+                "total": 250,
+                "overlap": {"cells": {"1": 10, "2": 80, "4": 60, "3": 35, "5": 5, "6": 10}},
+            }
+        }
+        (tmp_path / "demo.json").write_text(json.dumps(config))
+        runs = [
+            ["--seed", "101"],
+            ["--seed", "102", "--sample", "0.5"],
+            ["--seed", "103", "--absolute", "--threshold", "5"],
+            ["--config", "demo.json", "--threshold", "0", "--seed", "7"],
+        ]
+        transcript = []
+        for argv in runs:
+            args = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+            assert main(["dump-stats", *args]) == 0
+            captured = capsys.readouterr()
+            transcript += [f"$ dump-stats {' '.join(argv)}\n", captured.out, captured.err]
+        assert "".join(transcript) == (DATA / "golden_dump_stats.txt").read_text()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -5,21 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querysched.cost import rate_from_parts, walk_residuals
+from querysched.detection import PRUNED, dump_snapshot, initial_detection
 from querysched.lattice import (
-    DETECTED,
-    ESTIMATED,
-    PRUNED,
     CellIndex,
-    LatticeCell,
     StatsSnapshot,
     all_masks_at_level,
-    dump_snapshot,
     level,
     member_sources,
     parents,
     snapshot_from_cells,
 )
 from querysched.permutation import overlap_ranked
+from querysched.simulator import SCOPE_ALL, ScopedProbe, demo_universe
 
 # The three-source reference lattice: exclusive counts per membership mask.
 REF_CELLS = {0b001: 10, 0b010: 80, 0b100: 60, 0b011: 35, 0b101: 5, 0b110: 10, 0b111: 0}
@@ -99,7 +96,7 @@ class TestRateHeap:
             tuple(data.draw(st.lists(value, min_size=n, max_size=n), label=name))
             for name in ("access", "per_tuple", "cards")
         )
-        snap = StatsSnapshot(0, "initial", access, per_tuple, cards, {})
+        snap = StatsSnapshot(access, per_tuple, cards, CellIndex((), n), [])
         parts = zip(access, per_tuple, cards)
         expected = sorted((-rate_from_parts(a, t, c, 0.0), s) for s, (a, t, c) in enumerate(parts))
         assert rate_heap_keys(snap._rate_heap) == rate_heap_keys(expected)
@@ -108,7 +105,7 @@ class TestRateHeap:
     def test_idle_sources_tie_at_negative_zero_in_id_order(self):
         # Source 0 scans in no time, 1 has no tuples, 2 neither; 3 rates 5.
         snap = StatsSnapshot(
-            0, "initial", (0.0, 1.0, 0.0, 2.0), (0.0, 0.1, 0.0, 0.0), (5.0, 0.0, 0.0, 10.0), {}
+            (0.0, 1.0, 0.0, 2.0), (0.0, 0.1, 0.0, 0.0), (5.0, 0.0, 0.0, 10.0), CellIndex((), 4), []
         )
         negative_zero = (-0.0).hex()
         assert rate_heap_keys(snap._rate_heap) == [
@@ -134,11 +131,10 @@ class TestSnapshot:
         assert walk_residuals((1, 2, 0), snap)[2] == pytest.approx(10)
 
     def test_ancestor_cells_after_pruning_top(self):
-        # The pruned top cell keeps a nonzero value here, so the walk
-        # must leave it out, not merely add zero.
-        cells = dict(snapshot_from_cells(REF_ACCESS, REF_TRANSFER, {**REF_CELLS, 0b111: 4}).cells)
-        cells[0b111] = LatticeCell(0b111, 4.0, PRUNED)
-        snap = StatsSnapshot(0, "initial", REF_ACCESS, REF_TRANSFER, (54.0, 129.0, 79.0), cells)
+        # The totals still count 4 tuples in the pruned top cell; the walk
+        # covers only the cells the snapshot holds.
+        cells = {m: v for m, v in REF_CELLS.items() if m != 0b111}
+        snap = snapshot_from_cells(REF_ACCESS, REF_TRANSFER, cells, cardinalities=(54, 129, 79))
         assert walk_residuals((1, 2, 0), snap)[2] == pytest.approx(54 - 35 - 5)
 
     def test_ancestor_cells_empty(self):
@@ -166,9 +162,8 @@ class TestSnapshot:
         assert shared_tuples(snap, 1, 2) == pytest.approx(10.0)
 
     def test_pruned_cells_contribute_nothing(self):
-        cells = dict(ref_snapshot().cells)
-        cells[0b011] = LatticeCell(0b011, 0.0, PRUNED)
-        snap = StatsSnapshot(0, "initial", REF_ACCESS, REF_TRANSFER, (50.0, 125.0, 75.0), cells)
+        cells = {m: v for m, v in REF_CELLS.items() if m != 0b011}
+        snap = snapshot_from_cells(REF_ACCESS, REF_TRANSFER, cells, cardinalities=(50, 125, 75))
         assert walk_residuals((0, 1), snap)[1] == pytest.approx(125.0)
         assert shared_tuples(snap, 0, 1) == pytest.approx(0.0)
 
@@ -176,31 +171,36 @@ class TestSnapshot:
         # At three sources, the level-2 constraint system has exactly three
         # distinct cells, each feeding exactly two per-source rows.
         snap = ref_snapshot()
-        pair_cells = [m for m in snap.cells if level(m) == 2]
+        pair_cells = [m for m in snap.index.masks if level(m) == 2]
         assert len(pair_cells) == 3
         for m in pair_cells:
             alone = snapshot_from_cells(REF_ACCESS, REF_TRANSFER, {m: 1.0})
             rows = [s for s in range(3) if alone.cardinalities[s] > 0]
             assert len(rows) == 2
 
-    def test_stage_validation(self):
-        with pytest.raises(ValueError):
-            StatsSnapshot(0, "bogus", (0,), (1,), (1,), {})
-
-    def test_cell_validation(self):
-        with pytest.raises(ValueError):
-            LatticeCell(0, 1.0, DETECTED)
-        with pytest.raises(ValueError):
-            LatticeCell(1, -1.0, ESTIMATED)
-        with pytest.raises(ValueError):
-            LatticeCell(1, 1.0, "wild")
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ({0: 1.0}, "at least one source bit"),
+            ({-3: 1.0}, "at least one source bit"),
+            ({0b001: 1.0, 0b010: -1.0}, "nonnegative"),
+        ],
+        ids=["empty-mask", "negative-mask", "negative-value"],
+    )
+    def test_cell_validation(self, cells, message):
+        with pytest.raises(ValueError, match=message):
+            snapshot_from_cells(REF_ACCESS, REF_TRANSFER, cells)
 
 
 class TestDumpFormat:
     def test_format_is_line_oriented_and_sorted(self):
-        text = dump_snapshot(ref_snapshot())
+        # At a 20% threshold the smallest source and every pair are pruned.
+        outcome = initial_detection(ScopedProbe(demo_universe(), SCOPE_ALL), 0.2)
+        text = dump_snapshot(outcome, 0.2)
         lines = text.strip().splitlines()
-        assert lines[0].startswith("snapshot version=0 stage=initial sources=3")
-        cell_lines = lines[4:]
-        masks = [int(ln.split()[0], 16) for ln in cell_lines]
-        assert masks == sorted(masks)
+        assert lines[0] == "snapshot version=0 stage=initial sources=3 threshold=0.2"
+        cell_lines = [ln.split() for ln in lines[4:]]
+        masks = [int(mask, 16) for mask, _value, _provenance in cell_lines]
+        assert masks == sorted(outcome.provenance)
+        pruned = [(value, provenance) for _mask, value, provenance in cell_lines if provenance == PRUNED]
+        assert pruned == [("0", PRUNED)] * 4

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from querysched import permutation
 from querysched.cost import PREFIX_AVERAGE, SEQUENTIAL, CoverageWalk, permutation_time_cost
-from querysched.lattice import PRUNED, snapshot_from_cells
+from querysched.lattice import snapshot_from_cells
 from querysched.permutation import (
     ALGO_MAX_RESIDUAL,
     ALGO_MAX_TUPLES,
     ALGO_MIN_RESIDUAL_COST,
     ALGO_MIN_UNIT_COST,
     ALGO_RANDOM,
+    ORACLE_SOURCE_BOUND,
     OracleSizeError,
     PermCandidate,
     PinnedSwapError,
@@ -155,10 +156,10 @@ class TestHelperOps:
     @given(random_snapshots() | lattice_snapshots(), st.data())
     def test_overlap_ranked_equals_a_full_scan(self, snap, data):
         # Only the anchor's cells are walked; the reference scans every
-        # candidate and sums its live cells shared with the anchor in
+        # candidate and sums its cells shared with the anchor in
         # ascending mask order, so the floats are equal, not just close.
-        # The drawn snapshots hold pruned and zero cells, and half of
-        # ``lattice_snapshots`` are query-level views over a shared index.
+        # The drawn snapshots hold zero cells, and ``lattice_snapshots``
+        # draw their totals apart from their cells.
         n = snap.n_sources
         anchor = data.draw(st.integers(0, n - 1), label="anchor")
         candidates = frozenset(data.draw(st.sets(st.integers(0, n - 1)), label="candidates"))
@@ -168,8 +169,8 @@ class TestHelperOps:
             for j in sorted(candidates - {anchor}):
                 scan_meter.add()
                 both = (1 << anchor) | (1 << j)
-                cells = [snap.cells[m] for m in sorted(snap.cells) if m & both == both]
-                shared = sum(c.value for c in cells if c.provenance != PRUNED)
+                cells = sorted(zip(snap.index.masks, snap.values))
+                shared = sum(v for m, v in cells if m & both == both)
                 ratio = shared / snap.cardinalities[anchor]
                 if ratio >= permutation.OVERLAP_FLOOR:
                     scanned.append((j, ratio))
@@ -648,9 +649,9 @@ class TestBruteForce:
             brute_force_opt(30, ref_snapshot(), "bogus")
 
     def test_size_bound(self):
-        snap, _ = random_instance(6, 0)
+        snap, _ = random_instance(ORACLE_SOURCE_BOUND + 1, 0)
         with pytest.raises(OracleSizeError, match="oracle size bound"):
-            brute_force_opt(5, snap, max_sources=5)
+            brute_force_opt(5, snap)
 
     def test_dominates_refined_plans(self):
         for seed in range(30):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from querysched import permutation, scheduler
 from querysched.cost import QuerySpec
-from querysched.detection import DETECTION_QUERY_MS, initial_detection, prior_query_snapshot
+from querysched.detection import DETECTION_QUERY_MS, initial_detection
 from querysched.grid import (
     desk_universe_config,
     grid_from_json,
@@ -798,9 +798,8 @@ class TestThreads:
         cfg = RunConfig(query_threads=threads)
         for seed in (101, 102):
             u, init = desk_setup(seed)
-            prior = prior_query_snapshot(init)
             for algo in BASELINE_ALGOS:
-                order = baseline_order(algo, prior, seed=seed)
+                order = baseline_order(algo, init, seed=seed)
                 result = run_query(algo, QuerySpec(SCOPE_FOCUS, 260), u, init, cfg, seed=seed)
                 dispatch_ms = {t.source: t.dispatch_ms for t in result.per_source_trace}
                 head = order[: len(dispatch_ms)]
@@ -866,17 +865,39 @@ class TestPlannerPublication:
         planner.next(lambda: init, 2, (first,))
         assert planner.versions == 3
 
+    def test_baselines_and_a_plan_s_first_step_read_the_offline_snapshot(self):
+        # The offline snapshot is the query-level prior itself, not a copy.
+        u, init = desk_setup()
+        ordered, first_reads = [], []
+        order_of, run = scheduler.baseline_order, scheduler._run
+
+        def counted_order(algo, snapshot, **kwargs):
+            ordered.append(snapshot)
+            return order_of(algo, snapshot, **kwargs)
+
+        def counted_run(algo, query, universe, config, planner, read_stats, *args, **kwargs):
+            first_reads.append(read_stats())
+            return run(algo, query, universe, config, planner, read_stats, *args, **kwargs)
+
+        algos = BASELINE_ALGOS + ("online", "sequential")
+        with mock.patch.object(scheduler, "baseline_order", counted_order), mock.patch.object(
+            scheduler, "_run", counted_run
+        ):
+            for algo in algos:
+                run_query(algo, QuerySpec(SCOPE_FOCUS, 260), u, init, RunConfig(), seed=1)
+        assert len(ordered) == len(BASELINE_ALGOS) and len(first_reads) == len(algos)
+        assert all(snapshot is init for snapshot in ordered + first_reads)
+
     def test_sequential_first_source_is_the_head_of_the_charged_sweep(self):
         u, init = desk_setup()
-        prior = prior_query_snapshot(init)
         k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
         meter = permutation.WorkMeter()
-        head = refine_order(k, prior, meter=meter).order[0]
+        head = refine_order(k, init, meter=meter).order[0]
         planner = _Planner(k)
-        assert planner.sweep_work(lambda: prior) == meter.ops > 0
+        assert planner.sweep_work(lambda: init) == meter.ops > 0
         # The charged sweep's plan is version 1, read by the first dispatch.
         assert planner.versions == 1
-        assert planner.next(lambda: prior, 1, ()) == head
+        assert planner.next(lambda: init, 1, ()) == head
         assert planner.versions == 1
         # With counting queries slower than the charge, the first dispatch
         # still reads version 1.
@@ -895,15 +916,19 @@ class TestPlannerPublication:
 
         init = detected()
         k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
-        sweeps, positions = [], []
+        sweeps, positions, sweeping = [], [], []
         refine, improve = scheduler.refine_order, permutation.improve_position
 
         def counted_refine(k, snapshot, **kwargs):
-            sweeps.append(snapshot)
-            return refine(k, snapshot, **kwargs)
+            sweeps.append((k, snapshot))
+            sweeping.append(k)
+            try:
+                return refine(k, snapshot, **kwargs)
+            finally:
+                sweeping.pop()
 
         def counted_improve(k, order, pos, snapshot, pinned, meter):
-            if snapshot is not init:  # not the hint's sweep
+            if not sweeping:  # not the hint's sweep
                 positions.append((pos, pinned))
             return improve(k, order, pos, snapshot, pinned, meter)
 
@@ -912,18 +937,18 @@ class TestPlannerPublication:
             permutation, "improve_position", counted_improve
         ):
             runs = [run_query("online", query, u, init, RunConfig()) for _ in range(2)]
-        assert len(sweeps) == 1 and sweeps[0] is init
+        ((hint_k, hint_snapshot),) = sweeps
+        assert hint_snapshot is init and hint_k != k
         assert runs[0].perm_versions > 2
         assert positions and all(pos == pinned for pos, pinned in positions)
         # Runs sharing the hint equal runs over a freshly detected snapshot.
         for run in runs:
             assert run.to_json() == run_query("online", query, u, detected(), RunConfig()).to_json()
-        # Sequential's charged sweep reads the query-level prior, not the
-        # offline snapshot, whose hint it shares.
+        # Sequential's charged sweep is over the query's k; it shares the hint.
         sweeps.clear()
         with mock.patch.object(scheduler, "refine_order", counted_refine):
             run_query("sequential", query, u, init, RunConfig())
-        assert len(sweeps) == 1 and sweeps[0] is not init
+        assert sweeps == [(k, init)]
 
 
 class TestPlannerCharging:
