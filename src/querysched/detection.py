@@ -17,22 +17,22 @@ its value is pinned by the detected remainder).
 
 The per-query stage starts from the offline snapshot and refines it while
 the query is running: first per-source query cardinalities, detected in
-the hinted order with the not-yet-detected ones scaled by the average
-detected-to-offline ratio; then individual cell values, detected in
-descending order of how far the current query-level estimate moved from
-the offline value.  Each counting query advances the plan by one step,
-and what it counted is fixed at once.  The step's snapshot is built
-when it is first read: its totals are rebuilt from the totals detected
-by then, and its other cells are the projection of the offline cells
-(in practice the detected ones) onto those totals.  Each projection
-starts from the offline cells, so a snapshot's values do not depend on
-which earlier snapshots were read; a scheduler that replans on a few of
-them builds and solves only those.  A projection's values depend only
-on the totals of the sources that hold a positive offline cell and on
-how many cells were counted, so a plan keeps the last refresh it
-solved, and a step read with the same two inputs takes its values:
-once every such source total is detected, each later source-total
-probe moves only the others.  Nothing of it outlives the plan.
+the hinted order; then individual cell values, detected in descending
+order of how far the current query-level estimate moved from the offline
+value.  Each counting query advances the plan by one step, and what it
+counted is fixed at once.  The step's snapshot is built when it is first
+read: its cells are the projection of the offline cells onto the rows of
+the sources detected by then, with the counted cells fixed.  A detected
+source publishes its detected total, and any other its cells' sum, or,
+when it holds no positive cell, its offline total scaled by the average
+detected-to-offline ratio.  Each projection starts from the offline
+cells, so a snapshot's values do not depend on which earlier snapshots
+were read; a scheduler that replans on a few of them builds and solves
+only those.  A projection's values depend only on the detected totals
+of the sources that hold a positive offline cell and on how many cells
+were counted, so a plan keeps the last refresh it solved, and a step
+read with the same inputs takes its values: a source-total probe
+outside those sources moves no cell.  Nothing of it outlives the plan.
 Query-level snapshots hold the offline snapshot's cells only: a cell
 pruned offline is never probed or estimated per query.
 """
@@ -40,6 +40,7 @@ pruned offline is never probed or estimated per query.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
@@ -264,7 +265,7 @@ def online_detection_plan(
     cell's count, asked of the cell's first member source.
     ``probed_source`` names the source the counting query contacted (-1
     for none), so a scheduler can model contention.  A later snapshot's
-    cells are solved from the offline cells when it is built; the plan
+    cells are fitted to the detected rows when it is built; the plan
     itself reads only the last cardinality refresh, which orders the
     cell queries.  A step whose refresh has the inputs of the last one
     the plan solved reuses its values list.  The caller owns
@@ -274,23 +275,33 @@ def online_detection_plan(
     index = initial.index  # every snapshot of the plan shares it
     prior = initial.values
     n_cells = len(index.masks)
-    # A refresh's values depend only on the totals of the rows that reach a
-    # positive-prior cell and on the cells counted, which only grow, so
-    # their number names them.  The plan keeps the last refresh it solved.
+    # A refresh's values depend only on the counted totals of the rows that
+    # reach a positive-prior cell and on the cells counted, which only grow,
+    # so their number names them.  The plan keeps the last refresh it solved.
     support = [s for s, cells in enumerate(index.by_source) if any(prior[i] > 0.0 for i in cells)]
-    last_key: tuple[list[float], int] | None = None
+    last_key: tuple[list[tuple[int, float]], int] | None = None
     last_values: list[float] = []
 
-    def refreshed(cards: Sequence[float], known: dict[int, float]) -> StatsSnapshot:
-        """A snapshot with ``known`` by position and its other cells solved."""
+    def refreshed(
+        fitted: Sequence[int], totals: Sequence[float], known: dict[int, float]
+    ) -> StatsSnapshot:
+        """A snapshot with ``known`` by position and its other cells fitted to some rows.
+
+        The rows fitted are those of the ``fitted`` sources, each to its
+        entry of ``totals``, and those sources publish that entry, met or
+        not: over pruned cells some cannot all be met, and the step keeps
+        the solve's last cells.  Every other source publishes its cells'
+        sum, or its entry of ``totals`` when it holds no positive cell.
+        """
         nonlocal last_key, last_values
-        key = ([cards[s] for s in support], len(known))
+        fit = set(fitted)
+        key = ([(s, totals[s]) for s in support if s in fit], len(known))
         if key != last_key:
             if len(known) == n_cells:
                 last_values = [known[i] for i in range(n_cells)]
             else:
                 last_values = maxent.solve(
-                    cards,
+                    [totals[s] if s in fit else math.nan for s in range(n)],
                     index,
                     known,
                     prior=prior,
@@ -299,16 +310,26 @@ def online_detection_plan(
                     ),
                 )[0].tolist()
             last_key = key
+        cards = list(totals)
+        # Outside the support only counted cells can be positive, and cells
+        # are counted once every source is.  Cells are never negative, so
+        # a zero sum means no positive cell.
+        for s in support:
+            if s not in fit:
+                cells_sum = sum(last_values[i] for i in index.by_source[s])
+                if cells_sum > 0.0:
+                    cards[s] = cells_sum
         return StatsSnapshot(initial.access_ms, initial.per_tuple_ms, tuple(cards), index, last_values)
 
     yield 0.0, lambda: initial, -1
 
-    # Each source is probed once, in hint order.  An undetected source's
-    # total is its offline one scaled by the average detected-to-offline
+    # Each source is probed once, in hint order, and its row is fitted from
+    # then on.  A source not yet detected that holds no positive cell
+    # publishes its offline total scaled by the average detected-to-offline
     # ratio, summed in detection order; sources with an offline total of
     # zero are left out of the ratio, and with no ratio yet the offline
-    # totals stand.  A step keeps its probe count and ratio; its totals
-    # are rebuilt from the detected ones on read.
+    # totals stand.  A step keeps its probe count and ratio; its totals are
+    # rebuilt from the detected ones on read.
     hint = list(dict.fromkeys(perm_hint))
     hinted = set(hint)
     hint += [s for s in range(n) if s not in hinted]
@@ -319,7 +340,7 @@ def online_detection_plan(
     def totals_step(probed: int, avg: float) -> StatsSnapshot:
         cards = offline * avg
         cards[hint[:probed]] = detected_cards[:probed]
-        return refreshed(cards.tolist(), {})
+        return refreshed(hint[:probed], cards.tolist(), {})
 
     ratio_sum = 0.0
     ratios = 0
@@ -338,7 +359,8 @@ def online_detection_plan(
         yield per_query_ms, read, s
 
     # Cells go in descending order of how far the last cardinality
-    # refresh moved them from the prior; that refresh is solved here.
+    # refresh moved them from the prior; that refresh is solved here.  By
+    # then every source is detected.
     refresh = read()
     cards = refresh.cardinalities
     estimates = refresh.values
@@ -351,7 +373,7 @@ def online_detection_plan(
     counts: list[float] = []
 
     def cells_step(known: int) -> StatsSnapshot:
-        return refreshed(cards, dict(zip(counted[:known], counts[:known])))
+        return refreshed(hint, cards, dict(zip(counted[:known], counts[:known])))
 
     for i in gaps:
         m = index.masks[i]

@@ -55,8 +55,16 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         _fraction(self.k_fraction, "top level", "k_fraction", self.universe.n_distinct)
-        if not self.seeds:  # every condition's mean needs a run
-            raise ValueError("grid config section top level: seeds must not be empty")
+        # Every condition's mean needs a run, and a repeated algorithm or
+        # seed would repeat a CSV row, or weight a run twice and overwrite
+        # its trace file.
+        for key in ("algorithms", "seeds"):
+            values = getattr(self, key)
+            if not values:
+                raise ValueError(f"grid config section top level: {key} must not be empty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"grid config section top level: {key} repeats {repeated[0]!r}")
         labels = set()
         for axis, value in self.conditions():
             condition_config(self, axis, value)
@@ -175,7 +183,13 @@ def run_condition(
 
 
 def run_grid(spec: GridSpec, out_path: str | Path, trace_dir: str | Path | None = None) -> str:
-    """Run the whole grid and write the CSV; returns the CSV text."""
+    """Run the whole grid and write the CSV; returns the CSV text.
+
+    Raises ValueError for a grid with no condition, which would write a
+    header alone.
+    """
+    if not spec.conditions():
+        raise ValueError("grid config section axes: no axis has a value, so no condition runs")
     lines = [CSV_HEADER]
     trace_root = Path(trace_dir) if trace_dir is not None else None
     if trace_root is not None:

@@ -23,24 +23,18 @@ with a positive start (``exp(-1)``, or the prior) that no zero-residual
 row forces, and on the rows that reach them: updates are multiplicative,
 so a cell that starts at zero stays there, and a refresh's values depend
 only on the known cells and the totals of the rows that reach a
-positive-prior cell.  Its rows are often infeasible: totals scaled from
-a few probed sources cannot be met by the cells that the offline lattice
-kept.  So unless the prior already meets the rows, the refresh scales
-the rows once into a matrix over its cells and solves it in least
-squares.  When that matrix has full column rank, the cells that reach
-the nearest totals are one point, whatever the prior, and that point is
-the answer: the least-squares point when it is positive, else the
-Lawson-Hanson NNLS solution on the same matrix.  Otherwise NNLS finds
-the nearest totals the nonnegative cells can reach, the refresh keeps
-only the cells some nearest point may use, and Newton steps on the dual
-project the prior onto those totals.  Each step backtracks until the
-dual falls, so the refresh needs no other solver: the row scaling above
-serves only the offline fill.  It always returns an answer and names the
-sources whose totals moved.  Cells are read by position in a
-:class:`~querysched.lattice.CellIndex`, whose source-by-cell matrix
-gives the rows: it is built once per cell set and shared by every solve
-over it.  It holds no values, so a solve's answer and the work it does
-depend only on its own arguments.
+positive-prior cell.  A refresh fits only the rows whose totals it
+knows; a NaN total leaves its row out.  It runs the same row scaling for
+a few sweeps and then the same damped Newton steps on the dual that
+finish the offline fill; on rows some nonnegative cells meet, row
+scaling converges to the projection (Csiszar, Ann. Probab. 1975) and
+Newton gets there quadratically.  Rows the cells cannot all meet stop
+Newton when its dual stops falling: the refresh returns that last
+iterate and its residual rather than raising.  Cells are read by
+position in a :class:`~querysched.lattice.CellIndex`, whose source-by-cell
+matrix gives the rows: it is built once per cell set and shared by every
+solve over it.  It holds no values, so a solve's answer and the work it
+does depend only on its own arguments.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -61,8 +55,8 @@ DEFAULT_REL_TOL = 1e-6
 
 # Newton's backtracking tries these step lengths, longest first: 1, 1/2, ... 2**-59.
 _STEP_LENGTHS = tuple(0.5**i for i in range(60))
-# NNLS stops after this many outer iterations per cell (column), plus one.
-_NNLS_ITERATIONS_PER_CELL = 3
+# Sweeps of a query refresh's row scaling before Newton takes over.
+_QUERY_SWEEPS = 20
 
 
 class MaxEntError(RuntimeError):
@@ -83,9 +77,8 @@ class MaxEntError(RuntimeError):
 class SolveReport:
     """What one :func:`solve` did.
 
-    ``iterations`` counts the offline fill's row-scaling sweeps.  For a
-    projection (``prior`` given) it counts Newton steps, so it is 0 when
-    the prior already meets the rows or when the rows fix a single point.
+    ``iterations`` counts row-scaling sweeps: 0 for a projection
+    (``prior`` given) whose prior already meets the rows.
     ``max_rel_residual`` covers the rows solved, each row's sum of the
     cells read from the rows' 0/1 matrix as a matrix product: 0.0 when
     none is in play.
@@ -95,7 +88,6 @@ class SolveReport:
     max_rel_residual: float
     clamped_sources: tuple[int, ...]
     skipped_sources: tuple[int, ...] = ()
-    moved_sources: tuple[int, ...] = ()
 
 
 def solve(
@@ -110,19 +102,19 @@ def solve(
     """Estimate the free cells of ``index`` under per-source sum constraints.
 
     ``totals[s]`` is source ``s``'s total, one row per source of the
-    index.  ``known`` maps cell positions to counts; they hold fixed and
-    are subtracted from their rows in the order given.  The other cells
-    are free, and ``prior``, when given, holds every cell's prior in index
-    order; a zero, negative or NaN prior counts as zero and keeps its
-    cell at zero.  Returns every cell's value in index order.  Negative row
-    residuals (detected cells overshooting a total) are clamped to zero
-    and reported through ``on_clamp`` rather than failing.  Without
-    ``prior``, raises :class:`MaxEntError` when the residuals have not
-    dropped below ``rel_tol`` (relative to each row total).  With
-    ``prior`` it never raises for inconsistent rows: rows no
-    positive-prior cell can reach are listed in ``skipped_sources``, rows
-    whose totals were moved to the nearest reachable ones in
-    ``moved_sources``.
+    index; a NaN total leaves the row out.  ``known`` maps cell positions
+    to counts; they hold fixed and are subtracted from their rows in the
+    order given.  The other cells are free, and ``prior``, when given,
+    holds every cell's prior in index order; a zero, negative or NaN
+    prior counts as zero and keeps its cell at zero.  Returns every
+    cell's value in index order.  Negative row residuals (detected cells
+    overshooting a total) are clamped to zero and reported through
+    ``on_clamp`` rather than failing.  Without ``prior``, raises
+    :class:`MaxEntError` when the residuals have not dropped below
+    ``rel_tol`` (relative to each row total).  With ``prior`` it never
+    raises: rows no positive-prior cell can reach are listed in
+    ``skipped_sources``, and rows the cells cannot all meet leave the
+    last Newton iterate, whose worst residual the report gives.
     """
     incidence = index.incidence
     n = len(incidence)
@@ -149,6 +141,8 @@ def solve(
     # Multiplicative updates keep a cell that starts at zero there, and a
     # zero-residual row forces its free cells to zero.  Rows that reach no
     # other free cell are vacuous: their residual is reported, not fatal.
+    # A NaN total compares false everywhere: its row forces nothing and
+    # is left out.
     start = np.full(len(values), math.exp(-1.0)) if prior is None else np.asarray(prior, float)
     fixed = incidence[resid == 0.0].any(axis=0) | ~(start > 0.0)
     fixed[list(known)] = True
@@ -157,15 +151,21 @@ def solve(
     a = incidence[:, active]
     reachable = a.any(axis=1)
     skipped = np.flatnonzero(~reachable & wanting).tolist()
-    rows = _Rows(np.arange(n), a.astype(float), resid, scales).take(reachable)
+    rows = _Rows(np.arange(n), a.astype(float), resid, scales).take(reachable & ~np.isnan(resid))
 
-    moved: tuple[int, ...] = ()
-    if prior is not None:
-        iterations, worst_rel, moved = _project(w, rows, rel_tol)
-    else:
+    if prior is None:
         iterations, worst_rel, rows = _scale_rows(w, rows, rel_tol, skipped)
-    if skipped or moved:
-        log.debug("rows skipped as unreachable: %s; rows moved: %s", skipped, list(moved))
+    else:
+        # A prior that already meets the rows is the answer.  Otherwise one
+        # round of a few sweeps and Newton, which converges quadratically
+        # near the answer, polishes it past ``rel_tol``; no cell is pinned.
+        iterations, worst_rel = 0, _worst_residual(w, rows)
+        if worst_rel > rel_tol * 1e-3:
+            iterations, worst_rel, rows = _scale_rows(
+                w, rows, rel_tol * 1e-3, skipped, _QUERY_SWEEPS, (0.0,)
+            )
+    if skipped:
+        log.debug("rows skipped as unreachable: %s", skipped)
     values[active] = w
     if prior is None and worst_rel > rel_tol:
         raise MaxEntError(
@@ -173,7 +173,7 @@ def solve(
             dict(zip(rows.sources.tolist(), np.abs(rows.a @ w - rows.targets).tolist())),
             values,
         )
-    return values, SolveReport(iterations, worst_rel, clamped, tuple(skipped), moved)
+    return values, SolveReport(iterations, worst_rel, clamped, tuple(skipped))
 
 
 @dataclass(frozen=True)
@@ -212,11 +212,15 @@ def _row_sum(vals: list[float], idx: list[int]) -> float:
     return got
 
 
-def _scale_rows(w, rows: _Rows, rel_tol, skipped) -> tuple[int, float, _Rows]:
-    """Offline fill-in: row scaling, Newton and pinning rounds on ``w``.
+def _scale_rows(
+    w, rows: _Rows, rel_tol, skipped, sweeps=400, pin_scales=(0.0, 1e-8, 1e-6, 1e-4, 1e-2)
+) -> tuple[int, float, _Rows]:
+    """Rounds of up to ``sweeps`` row-scaling sweeps, then Newton, on ``w``.
 
-    Returns the sweep count, the worst relative residual and the rows
-    still in play; rows that pinning empties are added to ``skipped``.
+    After each round that misses ``rel_tol``, the next entry of
+    ``pin_scales`` zeroes the cells below that share of the smallest
+    target.  Returns the sweep count, the worst relative residual and the
+    rows still in play; rows that pinning empties are added to ``skipped``.
     The sweeps run on Python lists, each row's cell positions read from
     ``rows.a`` once per scaling phase.
     """
@@ -278,11 +282,11 @@ def _scale_rows(w, rows: _Rows, rel_tol, skipped) -> tuple[int, float, _Rows]:
     worst_rel = math.inf
     positive = rows.targets[rows.targets > 0.0]
     min_target = float(positive.min()) if positive.size else 1.0
-    for pin_scale in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+    for pin_scale in pin_scales:
         if not rows:
             worst_rel = 0.0
             break
-        worst_rel = scaling_phase(400)
+        worst_rel = scaling_phase(sweeps)
         if worst_rel <= rel_tol:
             break
         worst_rel, _ = _newton_phase(w, rows, rel_tol)
@@ -299,134 +303,6 @@ def _scale_rows(w, rows: _Rows, rel_tol, skipped) -> tuple[int, float, _Rows]:
         skipped.extend(rows.sources[~has_mass & (rows.targets > rel_tol * rows.scales)].tolist())
         rows = rows.take(has_mass)
     return iterations, worst_rel, rows
-
-
-def _project(w, rows: _Rows, rel_tol) -> tuple[int, float, tuple[int, ...]]:
-    """Query-level refresh: KL projection of ``w`` onto the nearest feasible rows.
-
-    A ``w`` that already meets the rows within ``rel_tol * 1e-3`` is
-    returned as it is; with no row in play every ``w`` does.  Otherwise
-    ``rows.a``, over the cells of ``w`` (all positive), each row divided
-    by its scale, forms ``A x = b`` with ``b`` the scaled targets, and one
-    least-squares solve gives its point and the rank of ``A``.  At full
-    column rank the cells that reach the nearest totals are one point,
-    which is the answer: the least-squares point if it is positive, else
-    NNLS on the same ``A, b``.  Otherwise NNLS finds the
-    nearest reachable totals ``A x``, the cells it left at zero with
-    ``(A^T r)_j < 0`` are zeroed (every closest point is zero there), and
-    Newton on the dual projects onto that face.  Either way, totals that
-    moved by more than ``rel_tol`` replace the rows.
-    Updates ``w`` in place; returns the Newton step count, the worst
-    relative residual against the rows solved, and the sources whose
-    rows moved.
-    """
-    # A prior that already meets the rows is the answer: NNLS would
-    # move nothing and Newton would take no step.
-    worst = _worst_residual(w, rows)
-    if worst <= rel_tol * 1e-3:
-        return 0, worst, ()
-    # Column-major, as LAPACK reads it; the products below add in that order.
-    a = np.asfortranarray(rows.a / rows.scales[:, None])
-    b = rows.targets / rows.scales
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank == w.size:
-        # NNLS with every column passive ends on this same solve.
-        if x.min() > 0.0:
-            tol = _zero_tol(a)
-        else:
-            x, _, tol = _nnls(a, b)
-        w[:] = x
-        rows, moved = _reached_rows(w, rows, a @ x, b, tol, rel_tol)
-        return 0, _worst_residual(w, rows), moved
-    x, grad, tol = _nnls(a, b)
-    fitted = a @ x
-    if float(np.max(np.abs(fitted - b))) > rel_tol:
-        w[(x <= 0.0) & (grad < -tol)] = 0.0
-    rows, moved = _reached_rows(w, rows, fitted, b, tol, rel_tol)
-    # Newton converges quadratically near the answer: a step or two past
-    # rel_tol makes the result independent of where the iteration started.
-    # Far from it (a prior off by orders of magnitude) the line search
-    # shortens the step until the dual falls.
-    worst, steps = _newton_phase(w, rows, rel_tol * 1e-3)
-    return steps, worst, moved
-
-
-def _reached_rows(w, rows: _Rows, fitted, b, tol, rel_tol) -> tuple[_Rows, tuple[int, ...]]:
-    """The rows with the reachable scaled totals ``fitted``, and the sources that moved.
-
-    Rows stay as they are unless some total moved by more than
-    ``rel_tol``.  Otherwise every row takes its reached total, a row
-    whose total is at most ``tol`` zeroes its cells in ``w``, and rows
-    left without mass are dropped.
-    """
-    if float(np.max(np.abs(fitted - b))) <= rel_tol:
-        return rows, ()
-    targets = np.maximum(fitted, 0.0) * rows.scales
-    moved = rows.sources[np.abs(targets - rows.targets) > rel_tol * rows.scales]
-    w[rows.a[targets <= tol * rows.scales].any(axis=0)] = 0.0
-    return replace(rows, targets=targets).take(rows.a @ w > 0.0), tuple(moved.tolist())
-
-
-def _zero_tol(a: np.ndarray) -> float:
-    """NNLS's tolerance on ``a``: a gradient or value at most this counts as zero."""
-    return 10.0 * np.finfo(float).eps * max(a.shape) * max(1.0, float(np.abs(a).sum(axis=0).max()))
-
-
-def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lawson-Hanson active-set solution of ``min |a x - b|`` over ``x >= 0``.
-
-    Returns ``x``, the gradient ``a^T (b - a x)`` and the tolerance below
-    which a cell at zero counts as optimal.  Where ``x > 0`` the gradient
-    is zero only up to rounding, which the tolerance does not bound: only
-    a cell at zero reads its face from the gradient's sign.  A run that
-    reaches the iteration cap returns its last point and logs a warning.
-    """
-    n = a.shape[1]
-    tol = _zero_tol(a)
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    rejected = [False] * n
-
-    def least_squares(cols: np.ndarray) -> np.ndarray:
-        z = np.zeros(n)
-        z[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
-        return z
-
-    grad = a.T @ b
-    cap = _NNLS_ITERATIONS_PER_CELL * n + 1
-    for _ in range(cap):
-        # The free cell of steepest ascent, the first of any tie.
-        g = grad.tolist()
-        free = [j for j, (p, r) in enumerate(zip(passive.tolist(), rejected)) if not (p or r)]
-        if not free:
-            break
-        j = max(free, key=g.__getitem__)
-        if g[j] <= tol:
-            break
-        trial = passive.copy()
-        trial[j] = True
-        z = least_squares(trial)
-        if z[j] <= 0.0:
-            # Rounding made an ascent direction look flat; try the next.
-            rejected[j] = True
-            continue
-        rejected = [False] * n
-        passive = trial
-        while np.any(z[passive] <= 0.0):
-            # Step from x towards z until the first passive cell hits zero;
-            # that cell (and any other at zero) leaves the passive set.
-            blocking = np.flatnonzero(passive & (z <= 0.0))
-            ratios = x[blocking] / (x[blocking] - z[blocking])
-            x += float(ratios.min()) * (z - x)
-            x[blocking[np.argmin(ratios)]] = 0.0
-            passive &= x > tol
-            x[~passive] = 0.0
-            z = least_squares(passive)
-        x = z
-        grad = a.T @ (b - a @ x)
-    else:
-        log.warning("NNLS stopped at its cap of %d iterations on a %d x %d matrix", cap, *a.shape)
-    return x, grad, tol
 
 
 def _newton_phase(w, rows: _Rows, rel_tol) -> tuple[float, int]:

@@ -2,11 +2,12 @@
 
 One event loop runs every strategy.  Three logical workers take turns in
 it.  A counting query advances the statistics worker by one step: when
-the query completes, the worker keeps the step's reader and bumps a plain
-version counter.  The planner names the source the next dispatch takes,
-and replans lazily whenever that version or the dispatched prefix has
-moved since its last answer; only a replan reads the statistics, and the
-step's snapshot and its refresh are built on that first read.
+the query completes, the worker keeps the step's reader and counts the
+detection; that count is the statistics version.  The planner names the
+source the next dispatch takes, and replans lazily whenever that version
+or the dispatched prefix has moved since its last answer; only a replan
+reads the statistics, and the step's snapshot and its refresh are built
+on that first read.
 The query threads dispatch that source, pin every source they dispatch
 and deduplicate arriving tuples against a shared seen-set.  Events are
 keyed on (time, worker class, thread id), so a run is a pure function of
@@ -274,7 +275,7 @@ class _Planner:
         """
         meter = WorkMeter()
         refine_order(self.k, read(), meter=meter)
-        self.next(read, 1, ())
+        self.next(read, 0, ())  # statistics version 0: none detected yet
         return meter.ops
 
 
@@ -347,8 +348,7 @@ def _run(
     dispatches.  A scanning thread's arrivals stay in its arrays until a
     window consumes them.
     """
-    stats_versions = 1
-    detections = 0
+    detections = 0  # also the version of the statistics in force
     planner_charge = 0.0
     if charge_first_sweep:
         planner_charge = planner.sweep_work(read_stats) * PLANNER_OP_MS
@@ -418,14 +418,13 @@ def _run(
             sc_in_flight = False
             if pending is not None:
                 read_stats = pending[1]
-                stats_versions += 1
                 detections += 1
             pull_next_detection()
             try_start_detection(time_ms)
             continue
         # a dispatch: the thread is idle
         state = executor.threads[tid]
-        source = planner.next(read_stats, stats_versions, tuple(executor.dispatched))
+        source = planner.next(read_stats, detections, tuple(executor.dispatched))
         if source is None:
             state.done = True
             state.last_event_ms = time_ms
@@ -440,7 +439,6 @@ def _run(
         algo,
         planner_time=planner_charge,
         detections=detections,
-        stats_versions=stats_versions,
         perm_versions=max(planner.versions, 1),
     )
 
@@ -645,7 +643,6 @@ class _Executor:
         algo: str,
         planner_time: float,
         detections: int,
-        stats_versions: int,
         perm_versions: int,
     ) -> RunResult:
         if self.reached_target:
@@ -662,6 +659,6 @@ class _Executor:
             shortfall=not self.reached_target,
             per_source_trace=SourceTraces._of(bytes(self.traces)),
             detections=detections,
-            stats_versions=stats_versions,
+            stats_versions=detections + 1,  # the offline statistics, then one per detection
             perm_versions=perm_versions,
         )

@@ -82,9 +82,9 @@ class TestGrid:
         assert text == (DATA / "golden_grid.csv").read_text()
 
     def test_small_adaptive_grid_matches_golden_csv(self, tmp_path):
-        # Desk seed 101, where most query-level refreshes get totals no
-        # nonnegative cells can meet and so take the nearest-totals path;
-        # the committed bytes pin the plans those refreshes lead to.
+        # Desk seed 101, where many query-level refreshes get totals the
+        # offline snapshot's cells cannot all meet and so publish a capped
+        # solve; the committed bytes pin the plans those refreshes lead to.
         spec = GridSpec(
             universe=desk_universe_config(),
             run=RunConfig(),
@@ -339,6 +339,32 @@ class TestGrid:
         with pytest.raises(ValueError, match=message):
             grid_from_json({"universe": universe})
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"algorithms": []}, "section top level: algorithms must not be empty$"),
+            ({"algorithms": ["online", "online"]}, "top level: algorithms repeats 'online'$"),
+            ({"seeds": [101, 102, 101]}, "section top level: seeds repeats 101$"),
+        ],
+        ids=["no-algorithm", "repeated-algorithm", "repeated-seed"],
+    )
+    def test_grid_running_nothing_or_twice_rejected(self, payload, message):
+        # No algorithm wrote a header-only CSV; a repeated algorithm wrote
+        # its rows twice, and a repeated seed weighted its run twice in the
+        # mean and overwrote its trace files.
+        with pytest.raises(ValueError, match=message):
+            grid_from_json(payload)
+        with pytest.raises(ValueError, match=message):
+            replace(default_grid(), **{key: tuple(v) for key, v in payload.items()})
+
+    @pytest.mark.parametrize("axes", [{}, {"k_fraction": []}, {"k_fraction": [], "n_sources": []}])
+    def test_grid_with_no_condition_rejected(self, tmp_path, axes):
+        # These wrote a header-only CSV and exited 0.
+        spec = grid_from_json({"axes": axes})
+        with pytest.raises(ValueError, match="section axes: no axis has a value"):
+            run_grid(spec, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_venn_config_accepted(self):
         payload = {
             "universe": {
@@ -490,6 +516,7 @@ class TestCli:
             (["dump-stats", "--threshold", "0"], "zero prune threshold materializes 2^50 cells"),
             (["run", "--config", "{huge}"], "query_threads is too large: 401 digits"),
             (["run", "--config", "{typed}"], "section top level: seeds must be a list, got 5"),
+            (["run", "--config", "{bare}"], "section axes: no axis has a value"),
         ],
         ids=[
             "missing-config",
@@ -498,6 +525,7 @@ class TestCli:
             "zero-threshold",
             "huge-threads",
             "wrongly-typed-config",
+            "no-condition-config",
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
@@ -508,7 +536,9 @@ class TestCli:
         (tmp_path / "huge.json").write_text(json.dumps({"run": {"query_threads": 10**400}}))
         # A value of the wrong JSON type raised TypeError.
         (tmp_path / "typed.json").write_text(json.dumps({"seeds": 5}))
-        names = ("missing", "invalid", "garbled", "huge", "typed")
+        # A grid with no condition wrote a header-only CSV and exited 0.
+        (tmp_path / "bare.json").write_text(json.dumps({"axes": {"k_fraction": []}}))
+        names = ("missing", "invalid", "garbled", "huge", "typed", "bare")
         paths = {name: str(tmp_path / f"{name}.json") for name in names}
         argv = [arg.format(**paths) for arg in argv]
         if argv[0] == "run":

@@ -2,20 +2,17 @@
 
 import logging
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querysched import grid, maxent
-from querysched.cost import QuerySpec
 from querysched.detection import DEFAULT_PRUNE_THRESHOLD, initial_detection
-from querysched.grid import default_grid, desk_universe_config, run_condition, scaled_universe
+from querysched.grid import default_grid, desk_universe_config, run_condition
 from querysched.lattice import CellIndex
-from querysched.scheduler import RunConfig, run_query
-from querysched.simulator import SCOPE_ALL, SCOPE_FOCUS, ScopedProbe, generate
+from querysched.simulator import SCOPE_ALL, ScopedProbe, generate
 
 
 def entropy(values):
@@ -213,157 +210,57 @@ class TestQueryRefreshShortcuts:
     FREE = [0b001, 0b010, 0b100, 0b011, 0b110, 0b101]
     PRIOR = {m: 1.0 for m in FREE}
 
-    def test_warm_start_meeting_the_rows_skips_nnls(self, monkeypatch):
+    def test_a_prior_meeting_the_rows_is_returned_as_is(self):
         parent, _ = solve(self.CONSTRAINTS, {}, self.FREE, prior=self.PRIOR)
-
-        def no_nnls(a, b):
-            raise AssertionError("NNLS ran on rows the prior already meets")
-
-        monkeypatch.setattr(maxent, "_nnls", no_nnls)
         # The refresh starts from its prior; one that meets the rows is the answer.
         values, report = solve(self.CONSTRAINTS, {}, self.FREE, prior=parent)
         assert values == parent
         assert report.iterations == 0
-        assert report.moved_sources == ()
         assert report.max_rel_residual <= 1e-9
 
-    def test_infeasible_rows_still_reach_nnls(self, monkeypatch):
-        calls = []
-        nnls = maxent._nnls
-
-        def counted(a, b):
-            calls.append(b)
-            return nnls(a, b)
-
-        monkeypatch.setattr(maxent, "_nnls", counted)
-        # Row 0's cells all lie in rows 1 or 2, so row 0 cannot exceed their sum.
-        constraints = {0: 40.0, 1: 9.0, 2: 4.0}
-        values, report = solve(constraints, {}, [0b011, 0b101, 0b110], prior=self.PRIOR)
-        assert len(calls) == 1
-        assert 0 in report.moved_sources
-        assert all(v >= 0.0 for v in values.values())
-
-    @staticmethod
-    def calls_of(monkeypatch):
-        """The names of the NNLS and Newton calls the next solves make, in order."""
-        calls = []
-        nnls, newton = maxent._nnls, maxent._newton_phase
-
-        def counted_nnls(a, b):
-            calls.append("nnls")
-            return nnls(a, b)
-
-        def counted_newton(*args):
-            calls.append("newton")
-            return newton(*args)
-
-        monkeypatch.setattr(maxent, "_nnls", counted_nnls)
-        monkeypatch.setattr(maxent, "_newton_phase", counted_newton)
-        return calls
-
-    @classmethod
-    def projection_calls(cls, monkeypatch):
-        """Per projection of the next solves, the names of its NNLS and Newton calls."""
-        projections = []
-        calls = cls.calls_of(monkeypatch)
-        project = maxent._project
-
-        def counted_project(*args):
-            start = len(calls)
-            answer = project(*args)
-            projections.append(calls[start:])
-            return answer
-
-        monkeypatch.setattr(maxent, "_project", counted_project)
-        return projections
-
-    def test_refresh_after_a_moving_solve_runs_nnls_once(self, monkeypatch):
-        # Four cells over three rows: no face of these rows is a single point.
-        free = [0b011, 0b101, 0b110, 0b111]
-        prior = dict.fromkeys(free, 1.0)
-        index = CellIndex(free, 3)  # all three solves share it
-        calls = self.calls_of(monkeypatch)
-        # Row 0's cells lie in row 1 or in row 2, so row 0 cannot exceed their sum.
-        _, first = solve({0: 40.0, 1: 9.0, 2: 4.0}, {}, free, prior=prior, index=index)
-        assert 0 in first.moved_sources
-        # Feasible in many ways, one of them x01 = 4, x02 = 1, x12 = 3, x012 = 0.
-        _, second = solve({0: 5.0, 1: 7.0, 2: 4.0}, {}, free, prior=prior, index=index)
-        # After a solve that moved no row, the next one still runs NNLS first:
-        # x01 = 4, x02 = 2, x12 = 3, x012 = 0 is one way to meet these.
-        _, third = solve({0: 6.0, 1: 7.0, 2: 5.0}, {}, free, prior=prior, index=index)
-        assert calls == ["nnls", "newton"] * 3
-        for report in (second, third):
-            assert report.iterations > 0
-            assert report.moved_sources == ()
-            assert report.max_rel_residual <= 1e-9
-
-    def test_single_feasible_point_runs_neither_nnls_nor_newton(self, monkeypatch):
-        calls = self.calls_of(monkeypatch)
-        # Three cells over three independent rows: x01 = 4, x02 = 1, x12 = 3.
+    def test_a_nan_total_leaves_its_row_out(self):
+        # Row 0 alone is fitted: one sweep scales its two cells to 5 / 2
+        # each, and cell 0b10, in row 1 only, keeps its prior.
         values, report = solve(
-            {0: 5.0, 1: 7.0, 2: 4.0}, {}, [0b011, 0b101, 0b110], prior=self.PRIOR
+            {0: 5.0, 1: math.nan}, {}, [0b01, 0b10, 0b11], prior=dict.fromkeys((1, 2, 3), 1.0)
         )
-        assert calls == []
-        assert values == pytest.approx({0b011: 4.0, 0b101: 1.0, 0b110: 3.0}, rel=1e-12)
-        assert report.iterations == 0
-        assert report.moved_sources == ()
-        assert report.max_rel_residual <= 1e-12
+        assert values == {0b01: 2.5, 0b10: 1.0, 0b11: 2.5}
+        assert report.skipped_sources == report.clamped_sources == ()
+        assert report.max_rel_residual == 0.0
 
-    def test_single_point_off_the_cells_runs_nnls_alone(self, monkeypatch):
-        calls = self.calls_of(monkeypatch)
-        # The least-squares point has x12 = -13.5: no nonnegative cells meet row 0.
+    def test_rows_no_cells_can_meet_are_not_fatal(self):
+        # Row 0's cells all lie in row 1 or in row 2, so row 0 cannot exceed
+        # their sum: the capped solve returns its last cells and residual.
         values, report = solve(
             {0: 40.0, 1: 9.0, 2: 4.0}, {}, [0b011, 0b101, 0b110], prior=self.PRIOR
         )
-        assert calls == ["nnls"]
-        assert values[0b110] == 0.0
-        assert all(v >= 0.0 for v in values.values())
-        assert 0 in report.moved_sources
-        assert report.iterations == 0
+        assert all(v >= 0.0 and math.isfinite(v) for v in values.values())
+        assert report.max_rel_residual > maxent.DEFAULT_REL_TOL
 
-    @pytest.mark.parametrize("n_sources, projections, nnls_runs", [(50, 4, 3), (200, 10, 0)])
-    def test_online_refreshes_take_no_newton_step(
-        self, monkeypatch, n_sources, projections, nnls_runs
-    ):
-        # Counted, not timed.  Every query-level face of these runs is a
-        # single point: the desk one's least-squares points leave the
-        # cells, so NNLS finds them; the 200-source one's are positive.
-        # A plan solves each distinct refresh once.
-        config = desk_universe_config()
-        if n_sources != 50:
-            config = scaled_universe(config, n_sources)
-        u = generate(config, 101)
-        initial = initial_detection(ScopedProbe(u, SCOPE_ALL), DEFAULT_PRUNE_THRESHOLD).snapshot
-        k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
-        solved = self.projection_calls(monkeypatch)
-        run_query("online", QuerySpec(SCOPE_FOCUS, k), u, initial)
-        assert len(solved) == projections
-        assert sum(solved, []) == ["nnls"] * nnls_runs  # and no Newton step
+    def test_a_run_s_refreshes_do_not_depend_on_the_run_before(self, monkeypatch):
+        # On the default grid's desk universe, seed 110 at k = 0.2,
+        # `sequential` re-solves cells that `online` solved just before,
+        # over the same offline snapshot and cell index; its refreshes
+        # equal those over a fresh snapshot, float for float.
+        refreshes = []
+        refresh = maxent.solve
 
-    def test_a_run_s_projections_do_not_depend_on_the_run_before(self, monkeypatch):
-        # Counted, not timed.  On the default grid's desk universe, seed
-        # 110 at k = 0.2, `sequential` re-solves cells that `online` solved
-        # just before, over the same offline snapshot and cell index; its
-        # projections make the same calls as over a fresh snapshot.
+        def recorded(*args, **kwargs):
+            values, report = refresh(*args, **kwargs)
+            if kwargs.get("prior") is not None:
+                refreshes.append(([v.hex() for v in values.tolist()], report))
+            return values, report
+
+        monkeypatch.setattr(maxent, "solve", recorded)
         spec = default_grid()
-        solved = self.projection_calls(monkeypatch)
         run_condition(spec, "k_fraction", 0.2, "online", 110)
-        solved.clear()
+        refreshes.clear()
         run_condition(spec, "k_fraction", 0.2, "sequential", 110)
-        after_online = solved.copy()
+        after_online = refreshes.copy()
         monkeypatch.setattr(grid, "_DETECTION_CACHE", {})
-        solved.clear()
+        refreshes.clear()
         run_condition(spec, "k_fraction", 0.2, "sequential", 110)
-        assert after_online == solved == [["nnls", "newton"]]
-
-    def test_every_newton_phase_follows_an_nnls_run(self, monkeypatch):
-        # Counted, not timed: default grid, desk universe seed 104, `online`
-        # at k = 0.8.  A face Newton solves is the one NNLS left.
-        solved = self.projection_calls(monkeypatch)
-        run_condition(default_grid(), "k_fraction", 0.8, "online", 104)
-        assert ["nnls", "newton"] in solved
-        for calls in solved:
-            assert calls in ([], ["nnls"], ["nnls", "newton"])
+        assert after_online and refreshes == after_online
 
     @pytest.mark.parametrize(
         "constraints, prior",
@@ -373,20 +270,14 @@ class TestQueryRefreshShortcuts:
             ({0: 1e6, 1: 5e5}, {0b1: 1e-6, 0b11: 2e-6}),
         ],
     )
-    def test_far_priors_are_met_without_the_offline_loop(self, monkeypatch, constraints, prior):
-        # Priors orders of magnitude off their rows: Newton's line search
-        # keeps shortening its step until the dual falls, so it meets the
-        # rows itself.
-        def no_scaling(*args):
-            raise AssertionError("a query projection ran the offline loop")
-
-        monkeypatch.setattr(maxent, "_scale_rows", no_scaling)
+    def test_far_priors_are_met(self, constraints, prior):
+        # Priors orders of magnitude off their rows.
         values, report = solve(constraints, {}, list(prior), prior=prior)
         got = row_totals(len(constraints), values)
         for s, total in constraints.items():
             assert abs(got[s] - total) <= maxent.DEFAULT_REL_TOL * max(total, 1.0)
         assert report.max_rel_residual <= maxent.DEFAULT_REL_TOL
-        assert report.moved_sources == report.skipped_sources == ()
+        assert report.skipped_sources == ()
 
     def test_one_debug_record_names_every_skipped_row(self, caplog):
         constraints = {0: 4.0, 1: 7.0, 2: 5.0}
@@ -397,55 +288,6 @@ class TestQueryRefreshShortcuts:
         records = [r for r in caplog.records if r.name == "querysched.maxent"]
         assert len(records) == 1
         assert "[1, 2]" in records[0].getMessage()
-
-
-class TestNnlsCap:
-    """``_nnls`` stops after ``3n + 1`` outer iterations, and says so."""
-
-    def test_a_capped_run_warns_with_the_matrix_shape(self, monkeypatch, caplog):
-        # One iteration: the second column enters, the first never does.
-        monkeypatch.setattr(maxent, "_NNLS_ITERATIONS_PER_CELL", 0)
-        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        with caplog.at_level(logging.WARNING, logger="querysched.maxent"):
-            x, _, _ = maxent._nnls(a, np.array([1.0, 2.0, 0.0]))
-        assert x.tolist() == [0.0, 2.0]
-        (record,) = caplog.records
-        assert "cap of 1 iterations on a 3 x 2 matrix" in record.getMessage()
-
-    def test_an_uncapped_run_is_silent(self, caplog):
-        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        with caplog.at_level(logging.WARNING, logger="querysched.maxent"):
-            x, _, _ = maxent._nnls(a, np.array([1.0, 2.0, 0.0]))
-        assert x.tolist() == [1.0, 2.0]
-        assert not caplog.records
-
-    def test_no_query_refresh_reaches_the_cap(self, monkeypatch, caplog):
-        # Every online and sequential run over desk seeds 101-105 and
-        # 200-source seeds 101-103, at k from 0.2 to 1.0 of the in-scope
-        # tuples.
-        nnls = maxent._nnls
-        runs = []
-
-        def counted(a, b):
-            runs.append(a.shape)
-            return nnls(a, b)
-
-        monkeypatch.setattr(maxent, "_nnls", counted)
-        desk = desk_universe_config()
-        cases = [(desk, seed) for seed in range(101, 106)]
-        cases += [(scaled_universe(desk, 200), seed) for seed in range(101, 104)]
-        with caplog.at_level(logging.WARNING, logger="querysched.maxent"):
-            for config, seed in cases:
-                u = generate(config, seed)
-                initial = grid.offline_stats(u, RunConfig()).snapshot
-                in_scope = u.truth.distinct_in_scope(SCOPE_FOCUS)
-                for fraction in (0.2, 0.4, 0.6, 0.8, 1.0):
-                    query = QuerySpec(SCOPE_FOCUS, round(fraction * in_scope))
-                    for algo in ("online", "sequential"):
-                        run_query(algo, query, u, initial)
-        assert runs  # the runs do reach NNLS
-        capped = [r for r in caplog.records if "NNLS stopped" in r.getMessage()]
-        assert capped == []
 
 
 # -- query-level projection: properties over random systems -----------------
@@ -475,27 +317,6 @@ def row_totals(n, cells):
     return {s: sum(v for m, v in cells.items() if (m >> s) & 1) for s in range(n)}
 
 
-@st.composite
-def full_rank_systems(draw):
-    """Random cells over 2-5 sources whose row-by-cell incidence has full column rank.
-
-    Totals are row sums of positive cells (feasible) or drawn freely
-    (mostly infeasible); a free total may be tiny, at the scale of NNLS's
-    zero tolerance.
-    """
-    n = draw(st.integers(2, 5))
-    masks = sorted(draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=n)))
-    incidence = np.array([[(m >> s) & 1 for m in masks] for s in range(n)], dtype=float)
-    assume(np.linalg.matrix_rank(incidence) == len(masks))
-    prior = {m: draw(st.floats(0.1, 10.0)) for m in masks}
-    if draw(st.booleans()):
-        constraints = row_totals(n, {m: draw(st.floats(0.1, 100.0)) for m in masks})
-    else:
-        total = st.one_of(st.floats(0.5, 500.0), st.floats(1e-300, 1e-14))
-        constraints = {s: draw(total) for s in range(n)}
-    return n, masks, prior, constraints
-
-
 def row_tuples(rows):
     """``rows`` as ``(source, positions, target, scale)`` tuples, one per row."""
     return list(
@@ -514,96 +335,6 @@ def tuple_worst_residual(w, rows):
     for _s, idx, target, scale in rows:
         worst = max(worst, abs(float(w[idx].sum()) - target) / scale)
     return worst
-
-
-def tuple_newton_phase(w, rows, rel_tol):
-    """``maxent._newton_phase`` on row tuples, their 0/1 matrix filled row by row."""
-    a = np.zeros((len(rows), w.size))
-    for r, (_s, idx, _t, _scale) in enumerate(rows):
-        a[r, idx] = 1.0
-    got = maxent._Rows(
-        np.array([s for s, _idx, _t, _sc in rows], dtype=np.intp),
-        a,
-        np.array([t for _s, _idx, t, _sc in rows]),
-        np.array([sc for _s, _idx, _t, sc in rows]),
-    )
-    return maxent._newton_phase(w, got, rel_tol)
-
-
-def tuple_project(w, rows, rel_tol, single_point=True):
-    """``maxent._project`` on row tuples: a row at a time, each summed by ``w[idx].sum()``.
-
-    With ``single_point`` off there is no single-point branch: NNLS runs
-    on every projection the prior does not already meet, and Newton
-    polishes its answer to ``rel_tol * 1e-3``.
-    """
-    rows = row_tuples(rows)
-    worst = tuple_worst_residual(w, rows)
-    if worst <= rel_tol * 1e-3:
-        return 0, worst, ()
-    cells = np.flatnonzero(w > 0.0)
-    column = np.full(w.size, -1, dtype=np.intp)
-    column[cells] = np.arange(cells.size)
-    a = np.zeros((len(rows), cells.size))
-    for r, (_s, idx, _t, scale) in enumerate(rows):
-        a[r, column[idx[w[idx] > 0.0]]] = 1.0 / scale
-    b = np.array([t / scale for _s, _idx, t, scale in rows])
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if single_point and rank == cells.size:
-        if x.min() > 0.0:
-            tol = maxent._zero_tol(a)
-        else:
-            x, _, tol = maxent._nnls(a, b)
-        w[cells] = x
-        rows, moved = tuple_reached_rows(w, rows, a @ x, b, tol, rel_tol)
-        return 0, tuple_worst_residual(w, rows), moved
-    x, grad, tol = maxent._nnls(a, b)
-    fitted = a @ x
-    if float(np.max(np.abs(fitted - b))) > rel_tol:
-        w[cells[(x <= 0.0) & (grad < -tol)]] = 0.0
-    rows, moved = tuple_reached_rows(w, rows, fitted, b, tol, rel_tol)
-    worst, steps = tuple_newton_phase(w, rows, rel_tol * 1e-3)
-    return steps, worst, moved
-
-
-def tuple_reached_rows(w, rows, fitted, b, tol, rel_tol):
-    """``maxent._reached_rows`` on row tuples."""
-    if float(np.max(np.abs(fitted - b))) <= rel_tol:
-        return rows, ()
-    moved = []
-    rescaled = []
-    for r, (s, idx, t, scale) in enumerate(rows):
-        target = max(float(fitted[r]), 0.0) * scale
-        if abs(target - t) > rel_tol * scale:
-            moved.append(s)
-        if target <= tol * scale:
-            w[idx] = 0.0
-        rescaled.append((s, idx, target, scale))
-    return [row for row in rescaled if float(w[row[1]].sum()) > 0.0], tuple(moved)
-
-
-def nnls_newton_project(w, rows, rel_tol):
-    """The reference for a projection onto rows of full column rank: NNLS, then Newton."""
-    return tuple_project(w, rows, rel_tol, single_point=False)
-
-
-def assert_nearest_totals(n, constraints, values):
-    """The totals ``values`` reach are the nearest to ``constraints`` in scaled least squares.
-
-    The gradient ``A^T r`` is nonpositive on every cell and zero on used
-    ones.  Cells in a zero-total row are held at zero before projecting,
-    so they are left out.
-    """
-    got = row_totals(n, values)
-    scaled = {s: (constraints[s] - got[s]) / max(constraints[s], 1.0) ** 2 for s in range(n)}
-    for m, v in values.items():
-        rows = [s for s in range(n) if (m >> s) & 1]
-        if any(constraints[s] == 0.0 for s in rows):
-            continue
-        grad = sum(scaled[s] for s in rows)
-        assert grad <= 1e-5
-        if v > 1e-6:
-            assert abs(grad) <= 1e-5
 
 
 class TestQueryProjectionProperties:
@@ -627,7 +358,6 @@ class TestQueryProjectionProperties:
         got = row_totals(n, {**known_cells, **values})
         for s in range(n):
             assert abs(got[s] - constraints[s]) <= 1e-6 * max(constraints[s], 1.0)
-        assert report.moved_sources == ()
         assert report.max_rel_residual <= 1e-6
 
     @PROPERTY_SETTINGS
@@ -680,77 +410,6 @@ class TestQueryProjectionProperties:
         values, _ = solve(constraints, known_cells, free, prior=prior)
         again, _ = solve(moved, known_cells, free, prior=prior)
         assert [v.hex() for v in values.values()] == [v.hex() for v in again.values()]
-
-    @PROPERTY_SETTINGS
-    @given(cell_systems(implied=True), st.floats(1.0, 100.0))
-    # NNLS uses cell 0b111 (x = 1) but leaves its gradient just past its
-    # tolerance; zeroing that cell would leave row 2 a tuple short.
-    @example((4, {2: 0.0, 3: 0.0, 7: 1.0, 11: 81.0}, dict.fromkeys((2, 3, 7, 11), 1.0), set()), 1.0)
-    def test_infeasible_rows_move_and_are_reported(self, system, excess):
-        n, truth, prior, _ = system
-        constraints = row_totals(n, truth)
-        constraints[0] = constraints[1] + excess  # row 0's cells all lie in row 1
-        first = solve(constraints, {}, list(truth), prior=prior)
-        again = solve(constraints, {}, list(truth), prior=prior)
-        assert first == again
-        values, report = first
-        assert all(v >= 0.0 for v in values.values())
-        # Rows left without support are skipped, the others moved.
-        assert set(report.moved_sources + report.skipped_sources) & {0, 1}
-        assert_nearest_totals(n, constraints, values)
-
-    @PROPERTY_SETTINGS
-    @given(full_rank_systems())
-    # Rows 1 and 2 disagree on cell 0b110; row 0's tiny total is within
-    # NNLS's zero tolerance, so its cell ends at exactly zero.
-    @example((3, [0b001, 0b110], {0b001: 1.0, 0b110: 1.0}, {0: 1e-15, 1: 10.0, 2: 20.0}))
-    def test_single_point_is_the_nnls_newton_answer(self, system):
-        # At full column rank one least-squares solve, with NNLS when its
-        # point leaves the cells, gives the answer of NNLS then Newton.
-        n, masks, prior, constraints = system
-        values, report = solve(constraints, {}, masks, prior=prior)
-        with mock.patch.object(maxent, "_project", nnls_newton_project):
-            want, want_report = solve(constraints, {}, masks, prior=prior)
-        assert report.iterations == 0  # a single point takes no Newton step
-        assert report.moved_sources == want_report.moved_sources
-        assert report.skipped_sources == want_report.skipped_sources
-        scale = max(1.0, *constraints.values())
-        for m in masks:
-            assert abs(values[m] - want[m]) <= maxent.DEFAULT_REL_TOL * scale
-            assert values[m] >= 0.0
-            if want[m] == 0.0:
-                assert values[m] == 0.0
-        assert_nearest_totals(n, constraints, values)
-
-    @PROPERTY_SETTINGS
-    @given(st.data())
-    def test_matrix_rows_give_the_row_tuple_answer(self, data):
-        # Rank-deficient systems, more free cells than rows, feasible or
-        # mostly not, some cells with a zero prior: the rows as one matrix
-        # give the cells and reports of the same projection run a row at
-        # a time.
-        n = data.draw(st.integers(2, 4))
-        cells = st.sets(st.integers(1, (1 << n) - 1), min_size=n + 1, max_size=12)
-        masks = sorted(data.draw(cells))
-        truth = {m: data.draw(st.floats(0.0, 100.0)) for m in masks}
-        prior = {m: data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0])) for m in masks}
-        known = data.draw(st.sets(st.sampled_from(masks), max_size=len(masks) - n - 1))
-        free = [m for m in masks if m not in known]
-        if data.draw(st.booleans()):
-            constraints = row_totals(n, truth)
-        else:
-            constraints = {s: data.draw(st.floats(0.0, 500.0)) for s in range(n)}
-        known_cells = {m: truth[m] for m in known}
-        values, report = solve(constraints, known_cells, free, prior=prior)
-        with mock.patch.object(maxent, "_project", tuple_project):
-            want, want_report = solve(constraints, known_cells, free, prior=prior)
-        assert report.moved_sources == want_report.moved_sources
-        assert report.skipped_sources == want_report.skipped_sources
-        assert report.iterations == want_report.iterations
-        assert abs(report.max_rel_residual - want_report.max_rel_residual) <= 1e-12
-        scale = max(1.0, *constraints.values())
-        for m in free:
-            assert abs(values[m] - want[m]) <= 1e-12 * scale
 
 
 # -- offline row scaling: the list sweep against numpy arrays ---------------

@@ -154,7 +154,7 @@ class _TupleExecutor:
 
 def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None, *,
                    charge_first_sweep=False):
-    stats_versions, detections, planner_charge = 1, 0, 0.0
+    detections, planner_charge = 0, 0.0
     if charge_first_sweep:
         planner_charge = planner.sweep_work(stats) * PLANNER_OP_MS
     executor = _TupleExecutor(query, universe, config)
@@ -197,14 +197,13 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
             sc_in_flight = False
             if pending is not None:
                 stats = pending[1]
-                stats_versions += 1
                 detections += 1
             pull_next_detection()
             try_start_detection(time_ms)
             continue
         state = executor.threads[tid]
         if state.source < 0:
-            source = planner.next(stats, stats_versions, tuple(executor.dispatched))
+            source = planner.next(stats, detections, tuple(executor.dispatched))
             if source is None:
                 state.done = True
                 state.last_event_ms = time_ms
@@ -238,7 +237,7 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
         shortfall=not executor.reached_target,
         per_source_trace=tuple(executor.traces),
         detections=detections,
-        stats_versions=stats_versions,
+        stats_versions=detections + 1,
         perm_versions=max(planner.versions, 1),
     )
 
@@ -895,9 +894,10 @@ class TestPlannerPublication:
         head = refine_order(k, init, meter=meter).order[0]
         planner = _Planner(k)
         assert planner.sweep_work(lambda: init) == meter.ops > 0
-        # The charged sweep's plan is version 1, read by the first dispatch.
+        # The charged sweep's plan is version 1, read by the first dispatch
+        # under statistics version 0, before any detection.
         assert planner.versions == 1
-        assert planner.next(lambda: init, 1, ()) == head
+        assert planner.next(lambda: init, 0, ()) == head
         assert planner.versions == 1
         # With counting queries slower than the charge, the first dispatch
         # still reads version 1.
