@@ -6,40 +6,33 @@ source: the cells containing that source must add up to its total.  The
 stationarity conditions factor as ``w = exp(-1) * prod(mu_i)`` over the
 sources in the cell's mask, so the solver runs multiplicative row scaling
 (iterative proportional fitting) seeded at ``exp(-1)``; each row update is
-an exact coordinate step on the convex dual, which converges to the global
-optimum whenever the rows are consistent.  The sweeps run on Python floats
-and add each row in numpy's summation order, so the floats are numpy's.
-They skip the work whose result is known: once a sweep leaves every cell
-as it found it, the phase's later sweeps would repeat it, so they are
-counted against the stop rules but not run; and between the plateau
-checks, which read the worst residual, a convergence test stops at the
-first row over the tolerance.
+an exact coordinate step on the convex dual.  Passing ``prior`` asks for
+the generalized-KL projection of the prior onto the rows instead, i.e. the
+estimate closest to the prior that matches the new totals; that variant
+backs the per-query refresh, where the offline cells act as the prior.
 
-Passing ``prior`` asks for the generalized-KL projection of the prior
-onto the rows instead, i.e. the estimate closest to the prior that matches
-the new totals; that variant backs the per-query refresh, where the
-offline cells act as the prior.  Both pose the problem on the free cells
-with a positive start (``exp(-1)``, or the prior) that no zero-residual
-row forces, and on the rows that reach them: updates are multiplicative,
-so a cell that starts at zero stays there, and a refresh's values depend
-only on the known cells and the totals of the rows that reach a
-positive-prior cell.  A refresh fits only the rows whose totals it
-knows; a NaN total leaves its row out.  It runs the same row scaling for
-a few sweeps and then the same damped Newton steps on the dual that
-finish the offline fill; on rows some nonnegative cells meet, row
+Both callers run one path.  A start that already meets the rows is the
+answer; otherwise at most :data:`_SWEEPS` row-scaling sweeps, then damped
+Newton steps on the dual.  On rows some nonnegative cells meet, row
 scaling converges to the projection (Csiszar, Ann. Probab. 1975) and
 Newton gets there quadratically.  Rows the cells cannot all meet stop
-Newton when its dual stops falling: the refresh returns that last
-iterate and its residual rather than raising.  Cells are read by
-position in a :class:`~querysched.lattice.CellIndex`, whose source-by-cell
-matrix gives the rows: it is built once per cell set and shared by every
-solve over it.  It holds no values, so a solve's answer and the work it
-does depend only on its own arguments.
+Newton when its dual stops falling; the last iterate and its residual
+are the answer, and only the offline fill (no ``prior``) raises on them.
+The sweeps run on Python floats and add each row left to right.
+
+The problem is posed on the free cells with a positive start that no
+zero-residual row forces, and on the rows that reach them: updates are
+multiplicative, so a cell that starts at zero stays there, and a
+refresh's values depend only on the known cells and the totals of the
+rows that reach a positive-prior cell.  A NaN total leaves its row out.
+Cells are read by position in a :class:`~querysched.lattice.CellIndex`,
+whose source-by-cell matrix gives the rows: it is built once per cell set
+and shared by every solve over it.  It holds no values, so a solve's
+answer and the work it does depend only on its own arguments.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -55,8 +48,8 @@ DEFAULT_REL_TOL = 1e-6
 
 # Newton's backtracking tries these step lengths, longest first: 1, 1/2, ... 2**-59.
 _STEP_LENGTHS = tuple(0.5**i for i in range(60))
-# Sweeps of a query refresh's row scaling before Newton takes over.
-_QUERY_SWEEPS = 20
+# Row-scaling sweeps of a solve before Newton takes over.
+_SWEEPS = 20
 
 
 class MaxEntError(RuntimeError):
@@ -77,11 +70,10 @@ class MaxEntError(RuntimeError):
 class SolveReport:
     """What one :func:`solve` did.
 
-    ``iterations`` counts row-scaling sweeps: 0 for a projection
-    (``prior`` given) whose prior already meets the rows.
-    ``max_rel_residual`` covers the rows solved, each row's sum of the
-    cells read from the rows' 0/1 matrix as a matrix product: 0.0 when
-    none is in play.
+    ``iterations`` counts row-scaling sweeps: 0 when the start (``exp(-1)``
+    or the prior) already meets the rows.
+    ``max_rel_residual`` is the worst residual of the rows solved,
+    relative to each row's scale: 0.0 when none is in play.
     """
 
     iterations: int
@@ -109,12 +101,12 @@ def solve(
     prior counts as zero and keeps its cell at zero.  Returns every
     cell's value in index order.  Negative row residuals (detected cells
     overshooting a total) are clamped to zero and reported through
-    ``on_clamp`` rather than failing.  Without ``prior``, raises
-    :class:`MaxEntError` when the residuals have not dropped below
+    ``on_clamp`` rather than failing, and rows no free cell with a
+    positive start can reach are listed in ``skipped_sources``.  Without
+    ``prior``, raises :class:`MaxEntError` when the worst residual exceeds
     ``rel_tol`` (relative to each row total).  With ``prior`` it never
-    raises: rows no positive-prior cell can reach are listed in
-    ``skipped_sources``, and rows the cells cannot all meet leave the
-    last Newton iterate, whose worst residual the report gives.
+    raises: rows the cells cannot all meet leave the last Newton iterate,
+    whose worst residual the report gives.
     """
     incidence = index.incidence
     n = len(incidence)
@@ -151,19 +143,15 @@ def solve(
     a = incidence[:, active]
     reachable = a.any(axis=1)
     skipped = np.flatnonzero(~reachable & wanting).tolist()
-    rows = _Rows(np.arange(n), a.astype(float), resid, scales).take(reachable & ~np.isnan(resid))
+    keep = reachable & ~np.isnan(resid)
+    rows = _Rows(np.flatnonzero(keep), a[keep].astype(float), resid[keep], scales[keep])
 
-    if prior is None:
-        iterations, worst_rel, rows = _scale_rows(w, rows, rel_tol, skipped)
-    else:
-        # A prior that already meets the rows is the answer.  Otherwise one
-        # round of a few sweeps and Newton, which converges quadratically
-        # near the answer, polishes it past ``rel_tol``; no cell is pinned.
-        iterations, worst_rel = 0, _worst_residual(w, rows)
-        if worst_rel > rel_tol * 1e-3:
-            iterations, worst_rel, rows = _scale_rows(
-                w, rows, rel_tol * 1e-3, skipped, _QUERY_SWEEPS, (0.0,)
-            )
+    # A start that already meets the rows is the answer.  Otherwise a few
+    # sweeps, and Newton, which converges quadratically near the answer,
+    # polishes it past ``rel_tol``.
+    iterations, worst_rel = 0, _worst_residual(w, rows)
+    if worst_rel > rel_tol * 1e-3:
+        iterations, worst_rel = _scale_rows(w, rows, rel_tol * 1e-3)
     if skipped:
         log.debug("rows skipped as unreachable: %s", skipped)
     values[active] = w
@@ -189,126 +177,61 @@ class _Rows:
     targets: np.ndarray
     scales: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.sources)
-
-    def take(self, keep: np.ndarray) -> _Rows:
-        """The rows where the boolean ``keep`` holds, in order."""
-        return _Rows(self.sources[keep], self.a[keep], self.targets[keep], self.scales[keep])
-
 
 def _worst_residual(w: np.ndarray, rows: _Rows) -> float:
     """Worst row residual of ``w`` relative to each row's scale."""
     return float(np.max(np.abs(rows.a @ w - rows.targets) / rows.scales, initial=0.0))
 
 
-def _row_sum(vals: list[float], idx: list[int]) -> float:
-    """``float(np.array(vals)[idx].sum())`` bit for bit, without the array."""
-    if len(idx) >= 8:  # numpy's pairwise blocks
-        return float(np.array([vals[i] for i in idx]).sum())
-    got = 0.0  # numpy's order below 8 cells (``sum`` compensates from 3.12)
+def _left_sum(vals: list[float], idx: list[int]) -> float:
+    """The cells ``idx`` of ``vals`` added left to right.
+
+    ``sum`` would do, but its floats differ from Python 3.12 on, where it
+    compensates for rounding.
+    """
+    got = 0.0
     for i in idx:
         got += vals[i]
     return got
 
 
-def _scale_rows(
-    w, rows: _Rows, rel_tol, skipped, sweeps=400, pin_scales=(0.0, 1e-8, 1e-6, 1e-4, 1e-2)
-) -> tuple[int, float, _Rows]:
-    """Rounds of up to ``sweeps`` row-scaling sweeps, then Newton, on ``w``.
+def _scale_rows(w: np.ndarray, rows: _Rows, rel_tol: float) -> tuple[int, float]:
+    """Up to :data:`_SWEEPS` row-scaling sweeps on ``w``, then Newton if they miss ``rel_tol``.
 
-    After each round that misses ``rel_tol``, the next entry of
-    ``pin_scales`` zeroes the cells below that share of the smallest
-    target.  Returns the sweep count, the worst relative residual and the
-    rows still in play; rows that pinning empties are added to ``skipped``.
-    The sweeps run on Python lists, each row's cell positions read from
-    ``rows.a`` once per scaling phase.
+    Returns the sweep count and the worst relative residual.  The sweeps
+    run on Python lists, each row's cell positions read from ``rows.a``
+    once.
     """
-    iterations = 0
-
-    def scaling_phase(budget: int) -> float:
-        nonlocal iterations
-        vals = w.tolist()
-        positions = [np.flatnonzero(row).tolist() for row in rows.a]
-        lists = list(zip(positions, rows.targets.tolist(), rows.scales.tolist()))
-        worst = window_best = math.inf
-        still = False  # a sweep left ``vals`` as it found them
-        failed = 0  # the row that failed the last convergence test
-        for steps in range(1, budget + 1):
-            iterations += 1
-            if not still:
-                before = vals.copy()
-                for idx, target, _scale in lists:
-                    got = _row_sum(vals, idx)
-                    # Subnormal row sums would blow the factor up to inf;
-                    # leave such rows to the residual check, not to nans.
-                    if got > 1e-300 and math.isfinite(got):
-                        f = target / got
-                        for i in idx:
-                            vals[i] *= f
-                # A later sweep would repeat these operations on the same
-                # floats.  ``f`` is never negative, so ``==`` cannot confuse
-                # 0.0 with -0.0, and a NaN compares unequal.
-                still = vals == before
-                # Only the window checks and the phase's result read the
-                # worst residual; other steps ask whether every row is
-                # within ``rel_tol``, which the first row over it answers.
-                # The max starts at 0.0, so row order does not change it.
-                full = still or steps % 64 == 0 or steps == budget
-                worst = 0.0
-                for r in itertools.chain(range(failed, len(lists)), range(failed)):
-                    idx, target, scale = lists[r]
-                    residual = abs(_row_sum(vals, idx) - target) / scale
-                    worst = max(worst, residual)
-                    if residual > rel_tol and not full:
-                        failed = r
-                        break
-            if worst <= rel_tol:
-                break
-            # Plateaued residuals mean inconsistent rows; boundary-bound
-            # systems keep improving a few percent per window.
-            if steps % 64 == 0:
-                if worst >= window_best * 0.99:
-                    break
-                window_best = worst
-        w[:] = vals
-        return worst
-
-    # Alternate cheap multiplicative sweeps with damped Newton steps on
-    # the dual.  Solutions on the nonnegativity boundary are reachable
-    # only asymptotically in this family, so after each stalled round the
-    # cells vanishing against the row scale are pinned to zero and the
-    # reduced system is polished again.
-    worst_rel = math.inf
-    positive = rows.targets[rows.targets > 0.0]
-    min_target = float(positive.min()) if positive.size else 1.0
-    for pin_scale in pin_scales:
-        if not rows:
-            worst_rel = 0.0
+    vals = w.tolist()
+    lists = [
+        (np.flatnonzero(row).tolist(), target, scale)
+        for row, target, scale in zip(rows.a, rows.targets.tolist(), rows.scales.tolist())
+    ]
+    for sweeps in range(1, _SWEEPS + 1):
+        for idx, target, _scale in lists:
+            got = _left_sum(vals, idx)
+            # Subnormal row sums would blow the factor up to inf; leave
+            # such rows to the residual check, not to nans.
+            if got > 1e-300 and math.isfinite(got):
+                f = target / got
+                for i in idx:
+                    vals[i] *= f
+        # Starting at 0.0, the max passes over a NaN residual.
+        worst = 0.0
+        for idx, target, scale in lists:
+            worst = max(worst, abs(_left_sum(vals, idx) - target) / scale)
+        if worst <= rel_tol:
             break
-        worst_rel = scaling_phase(sweeps)
-        if worst_rel <= rel_tol:
-            break
-        worst_rel, _ = _newton_phase(w, rows, rel_tol)
-        if worst_rel <= rel_tol:
-            break
-        threshold = pin_scale * min_target
-        pinned = (w > 0.0) & (w < threshold)
-        if not pinned.any():
-            continue
-        w[pinned] = 0.0
-        has_mass = rows.a @ w > 0.0
-        # Pinning emptied the rows that still want mass: the system was
-        # not feasible in the nonnegative orthant there.
-        skipped.extend(rows.sources[~has_mass & (rows.targets > rel_tol * rows.scales)].tolist())
-        rows = rows.take(has_mass)
-    return iterations, worst_rel, rows
+    w[:] = vals
+    if worst > rel_tol:
+        worst = _newton_phase(w, rows, rel_tol)
+    return sweeps, worst
 
 
-def _newton_phase(w, rows: _Rows, rel_tol) -> tuple[float, int]:
+def _newton_phase(w, rows: _Rows, rel_tol) -> float:
     """Damped Newton steps on the dual until the rows balance or the dual stops falling.
 
-    Returns the worst relative residual and the number of steps taken.
+    Returns the worst relative residual.
     ``A`` is ``rows.a`` as it is, the 0/1 rows over ``w``'s cells, and
     ``b`` the rows' targets.  The dual objective is ``sum(w) + lambda . b``
     with gradient ``b - A w`` and Hessian ``A diag(w) A^T``; cells keep the
@@ -318,7 +241,7 @@ def _newton_phase(w, rows: _Rows, rel_tol) -> tuple[float, int]:
     length lowers the dual or when an accepted step does not.
     """
     incidence, targets, scales = rows.a, rows.targets, rows.scales
-    lam = np.zeros(len(rows))
+    lam = np.zeros(len(targets))
 
     # The gradient is the residual vector: the worst row comes from it.
     grad = incidence @ w - targets
@@ -326,7 +249,6 @@ def _newton_phase(w, rows: _Rows, rel_tol) -> tuple[float, int]:
     best = float(w.sum() + lam @ targets)
     best_resid = worst
     stale = 0
-    steps = 0
     for _ in range(120):
         if worst <= rel_tol:
             break
@@ -343,12 +265,11 @@ def _newton_phase(w, rows: _Rows, rel_tol) -> tuple[float, int]:
         # the Newton step moves along the solved (Aw - b) direction.
         hess = (incidence * w) @ incidence.T
         ridge = 1e-12 * max(float(hess.trace()), 1.0)
-        hess.flat[:: len(rows) + 1] += ridge
+        hess.flat[:: len(targets) + 1] += ridge
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             break
-        steps += 1
         slack = 1e-12 * max(1.0, abs(best))
         for alpha in _STEP_LENGTHS:
             step = alpha * delta
@@ -368,4 +289,4 @@ def _newton_phase(w, rows: _Rows, rel_tol) -> tuple[float, int]:
         if value >= best:
             break
         best = value
-    return worst, steps
+    return worst

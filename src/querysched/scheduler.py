@@ -292,7 +292,13 @@ def run_query(
     ``initial`` is the offline statistics snapshot (ground truth is
     substituted internally for the full-knowledge strategy).  The result
     is deterministic in (algo, query, universe, initial, config, seed).
+    Raises ValueError when ``initial`` covers another number of sources
+    than ``universe`` has.
     """
+    if initial.n_sources != universe.n_sources:
+        raise ValueError(
+            f"statistics over {initial.n_sources} sources for a universe of {universe.n_sources}"
+        )
     if algo in BASELINE_ALGOS:
         order = baseline_order(algo, initial, seed=seed)
         return _run(algo, query, universe, config, _Planner(query.k, order), lambda: initial)

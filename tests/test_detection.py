@@ -245,7 +245,7 @@ class TestInitialDetection:
         detected = sum(p == DETECTED for p in out.provenance.values())
         assert out.count_queries == u.n_sources + detected
         if (case, sample_rate) == ("desk-101", 1.0):
-            assert (out.count_queries, detected) == (123, 73)
+            assert (out.count_queries, detected) == (127, 77)
 
 
 class TestFailingCellQueries:
@@ -704,8 +704,8 @@ class TestSharedIndex:
     @pytest.mark.parametrize(
         "case, expected",
         [
-            ("desk", "457b70efc75582cf1029344b0e35d43e98f275ea3987939052cfca3fd67494d8"),
-            ("desk-ascending-hint", "bcc660dad1f447c494e4e2beeb9f0d149fd3265d2cd47ad93d2141c0c061ebe3"),
+            ("desk", "f0e6385194c683c297afa261ac76c7350e47453923d64e1c5c36a5bfa0f147e1"),
+            ("desk-ascending-hint", "9ca0a747fe904c7282a68273a797a250611e8a3c3c8bec4ba152e49ca175622e"),
             ("demo-exact", "618feb0e73713b53c62702703627b2623d1cf86f3a232151679d19fec30ca730"),
         ],
         ids=["desk", "desk-ascending-hint", "demo-exact"],
@@ -779,3 +779,21 @@ def offline_solves(probe) -> list[dict]:
 def test_offline_fill_matches_golden_floats():
     text = json.dumps(offline_fill(), indent=1) + "\n"
     assert text == GOLDEN_OFFLINE_FILL.read_text()
+
+
+@pytest.mark.parametrize("n_sources", [10, 25, 50, 100])
+def test_no_offline_cell_exceeds_its_smallest_member_total(n_sources):
+    # On rows no nonnegative cells meet, an offline solve's Newton steps
+    # can diverge: 21 of these 40 detections have an intermediate
+    # estimate above the largest row total, up to 1.4e6 times it.  Those
+    # estimates only decide which cells the next level probes; no cell
+    # the snapshot publishes exceeds the smallest total of its sources.
+    config = scaled_universe(desk_universe_config(), n_sources)
+    for seed in range(101, 111):
+        probe = ScopedProbe(generate(config, seed), SCOPE_ALL)
+        snapshot = initial_detection(probe, RunConfig().prune_threshold).snapshot
+        for mask, members, value in zip(
+            snapshot.index.masks, snapshot.index.members, snapshot.values
+        ):
+            smallest = min(snapshot.cardinalities[s] for s in members)
+            assert value <= smallest, (seed, hex(mask), value, smallest)

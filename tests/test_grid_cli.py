@@ -95,6 +95,12 @@ class TestGrid:
         text = run_grid(spec, tmp_path / "golden.csv")
         assert text == (DATA / "golden_adaptive.csv").read_text()
 
+    def test_default_grid_matches_golden_csv(self, tmp_path):
+        # What ``querysched run`` writes without a config: every algorithm
+        # over the desk universe, so a change to any layer's floats shows.
+        text = run_grid(default_grid(), tmp_path / "default.csv")
+        assert text == (DATA / "golden_default.csv").read_text()
+
     def test_run_condition_generates_each_universe_once(self, monkeypatch):
         calls = []
 
@@ -479,7 +485,7 @@ class TestCli:
         probe = ScopedProbe(generate(desk_universe_config(), 101), SCOPE_ALL, sample_seed=101)
         outcome = initial_detection(probe)
         assert out_path.read_text() == dump_snapshot(outcome, DEFAULT_PRUNE_THRESHOLD)
-        assert capsys.readouterr().err == "count queries: 123, clamped rows: 0\n"
+        assert capsys.readouterr().err == "count queries: 127, clamped rows: 0\n"
 
     def test_dump_stats_matches_golden(self, tmp_path, capsys):
         # Four runs: relative, sampled, absolute, and README's three-source

@@ -346,6 +346,17 @@ class TestInvariants:
         assert trace_new == result.distinct_tuples == 260
         assert trace_new + trace_dup == result.tuples_retrieved
 
+    @pytest.mark.parametrize("n_sources", [10, 60])
+    @pytest.mark.parametrize("algo", ["max_tuples", "online", "full_knowledge"])
+    def test_statistics_over_other_sources_are_rejected(self, algo, n_sources):
+        # Fewer sources would plan over those alone; more would index past
+        # the universe's.
+        u = generate(desk_universe_config(), 101)
+        other = generate(scaled_universe(desk_universe_config(), n_sources), 101)
+        init = initial_detection(ScopedProbe(other, SCOPE_ALL)).snapshot
+        with pytest.raises(ValueError, match=f"{n_sources} sources .* of 50"):
+            run_query(algo, QuerySpec(SCOPE_FOCUS, 100), u, init, RunConfig())
+
 
 class TestRunProperties:
     @settings(max_examples=60, deadline=None)
