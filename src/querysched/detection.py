@@ -3,24 +3,23 @@
 The offline stage probes the sources level by level: per-source totals
 first, then the cells of each deeper level, pruning estimated cells that
 fall below a threshold share of the universe and admitting a deeper cell
-only when its detected parents add up past the same threshold.  Whatever
-is admitted but not yet detected is filled in by the entropy solver.  With
-a positive threshold those fill-in values only decide which admitted
-cells get probed or pruned at the next level; the snapshot keeps them
-only when detection runs out of levels, so on the benchmark universes it
-holds detected cells alone.  Pruned cells are not in the snapshot; the
-outcome's provenance map names them beside the detected and estimated
-ones, for ``dump-stats``.  A threshold of zero disables pruning
-entirely, in which case every cell is materialized and the
-reconstruction is exact (only the deepest cell stays solver-estimated;
-its value is pinned by the detected remainder).
+only when its detected parents add up past the same threshold.  The
+entropy solver estimates each admitted level from the cells detected so
+far; those estimates only decide which admitted cells get probed or
+pruned.  The loop runs through the deepest level, so the snapshot holds
+counted cells alone.  Pruned cells are not in the snapshot; the
+outcome's provenance map names them beside the detected ones, for
+``dump-stats``.  A threshold of zero disables pruning entirely: every
+cell is counted, no estimate is read and so no solver runs, and the
+snapshot is the exact lattice.
 
 The per-query stage starts from the offline snapshot and refines it while
 the query is running: first per-source query cardinalities, detected in
 the hinted order; then individual cell values, detected in descending
 order of how far the current query-level estimate moved from the offline
-value.  Each counting query advances the plan by one step, and what it
-counted is fixed at once.  The step's snapshot is built when it is first
+value.  The plan yields one step per counting query and leaves its price
+on the simulated clock to the scheduler; what a step counted is fixed at
+once.  The step's snapshot is built when it is first
 read: its cells are the projection of the offline cells onto the rows of
 the sources detected by then, with the counted cells fixed.  A detected
 source publishes its detected total, and any other its cells' sum, or,
@@ -47,18 +46,15 @@ from typing import Callable, Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from . import maxent
-from .lattice import CellIndex, StatsSnapshot, all_masks_at_level, children, parents
+from .lattice import CellIndex, StatsSnapshot, children, level
 
 log = logging.getLogger(__name__)
 
 DETECTED = "detected"
-ESTIMATED = "estimated"
 PRUNED = "pruned"
 
 DEFAULT_PRUNE_THRESHOLD = 0.005
 EXHAUSTIVE_SOURCE_LIMIT = 16
-#: Simulated time of one query-level counting query, before the overhead factor.
-DETECTION_QUERY_MS = 1.5
 
 
 class StatsProbe(Protocol):
@@ -80,14 +76,13 @@ class StatsProbe(Protocol):
 class DetectionOutcome:
     """An offline snapshot, what it cost, and how each cell got its value.
 
-    ``provenance`` maps every mask detection reached to :data:`DETECTED`,
-    :data:`ESTIMATED` or :data:`PRUNED`; the snapshot holds the first two.
+    ``provenance`` maps every mask detection reached to :data:`DETECTED`
+    or :data:`PRUNED`; the snapshot holds the detected ones.
     """
 
     snapshot: StatsSnapshot
     count_queries: int
     clamped_rows: int
-    unavailable: tuple[int, ...]
     provenance: Mapping[int, str]
 
 
@@ -112,16 +107,12 @@ def initial_detection(
             f"zero prune threshold materializes 2^{n} cells; universe too large"
         )
 
-    queries = 0
-    unavailable: list[int] = []
     cards: list[float] = []
     for s in range(n):
-        queries += 1
         try:
             cards.append(probe.cardinality(s))
         except Exception:
             log.warning("source %d unavailable during initial detection", s)
-            unavailable.append(s)
             cards.append(0.0)
 
     total = sum(cards)
@@ -135,76 +126,60 @@ def initial_detection(
 
     detected: dict[int, float] = {}
     pruned: set[int] = set()
-    # Level-1 estimates; none when every source is down or empty.
-    current = {1 << s: cards[s] for s in range(n)} if total > 0.0 else {}
-    estimated = dict(current)
-
-    for lvl in range(1, n):
-        if not current:
-            break
+    # A level's candidates, ascending, and their estimates, which only
+    # pruning reads: level 1 from the totals, none when every source is
+    # down or empty.
+    candidates = [1 << s for s in range(n)] if total > 0.0 else []
+    estimates = dict(zip(candidates, cards))
+    while candidates:
         survivors: list[int] = []
-        for mask in sorted(current):
-            if threshold > 0.0 and current[mask] <= threshold:
+        for mask in candidates:
+            if threshold > 0.0 and estimates[mask] <= threshold:
                 pruned.add(mask)
             else:
                 survivors.append(mask)
         for mask in survivors:
-            queries += 1
             try:
                 detected[mask] = probe.cell_count(mask)
             except Exception:
                 # A cell predicate over an unreachable source cannot be
                 # answered; the source contributes nothing downstream.
                 detected[mask] = 0.0
-        estimated = {}
 
-        if threshold > 0.0:
-            # The detected parents of a child are the survivors that
-            # produce it.  One parent's sum is its value: the other parents
-            # add zeros to a nonnegative count.
-            producers: dict[int, list[int]] = {}
-            for mask in survivors:
-                for child in children(mask, n):
-                    producers.setdefault(child, []).append(mask)
-            admitted = []
-            for c in sorted(producers):
-                found = producers[c]
-                if len(found) == 1:
-                    mass = detected[found[0]]
-                else:
-                    mass = sum(detected.get(p, 0.0) for p in parents(c))
-                if mass > threshold:
-                    admitted.append(c)
-        else:
-            admitted = list(all_masks_at_level(n, lvl + 1))
-        if not admitted:
-            break
+        # A child's detected parents are this level's survivors; their
+        # counts add in ascending mask order.  It is a candidate when
+        # they add up past the threshold, and with no threshold always.
+        mass: dict[int, float] = {}
+        for mask in survivors:
+            for child in children(mask, n):
+                mass[child] = mass.get(child, 0.0) + detected[mask]
+        candidates = sorted(c for c, m in mass.items() if m > threshold or threshold == 0.0)
+        if threshold == 0.0 or not candidates:
+            continue
         # Known cells come first and subtract in detection order; the
-        # admitted ones follow as the free cells, in ascending mask order.
-        index = CellIndex([*detected, *admitted], n)
+        # candidates follow as the free cells.
+        index = CellIndex([*detected, *candidates], n)
         known = dict(enumerate(detected.values()))
         try:
             solved, _ = maxent.solve(cards, index, known, on_clamp=on_clamp)
         except maxent.MaxEntError as exc:
             # Detection corrects the estimates next round; keep the best
             # iterate and carry on rather than losing the deeper levels.
-            log.warning("lattice fill-in imprecise at level %d: %s", lvl + 1, exc)
+            log.warning("lattice fill-in imprecise at level %d: %s", level(candidates[0]), exc)
             solved = exc.values
-        estimated = current = dict(zip(admitted, solved[len(detected) :].tolist()))
+        estimates = dict(zip(candidates, solved[len(detected) :].tolist()))
 
     provenance = dict.fromkeys(pruned, PRUNED)
-    provenance.update(dict.fromkeys(estimated, ESTIMATED))
     provenance.update(dict.fromkeys(detected, DETECTED))
-    values = {**estimated, **detected}
-    index = CellIndex(sorted(values), n)
+    index = CellIndex(sorted(detected), n)
     snapshot = StatsSnapshot(
         access_ms=tuple(probe.access_ms(s) for s in range(n)),
         per_tuple_ms=tuple(probe.per_tuple_ms(s) for s in range(n)),
         cardinalities=tuple(cards),
         index=index,
-        values=[values[m] for m in index.masks],
+        values=[detected[m] for m in index.masks],
     )
-    return DetectionOutcome(snapshot, queries, clamps[0], tuple(unavailable), provenance)
+    return DetectionOutcome(snapshot, n + len(detected), clamps[0], provenance)
 
 
 def dump_snapshot(outcome: DetectionOutcome, prune_threshold: float) -> str:
@@ -247,31 +222,33 @@ def _read_once(build: Callable[..., StatsSnapshot], *args) -> Callable[[], Stats
 
 
 def online_detection_plan(
-    initial: StatsSnapshot,
-    perm_hint: Sequence[int],
-    probe: StatsProbe,
-    *,
-    per_query_ms: float = DETECTION_QUERY_MS,
-) -> Iterator[tuple[float, Callable[[], StatsSnapshot], int]]:
-    """Yield (elapsed_ms, read, probed_source) detection steps.
+    initial: StatsSnapshot, perm_hint: Sequence[int], probe: StatsProbe
+) -> Iterator[tuple[Callable[[], StatsSnapshot], int]]:
+    """Yield one ``(read, probed_source)`` step per counting query.
 
-    ``read()`` builds the step's snapshot on its first call and returns
-    that same object afterwards; what a step counted is fixed when it is
-    yielded, so reading a step late, or never, changes no other step.
-    The first step costs nothing, probes no source and reads ``initial``
-    itself: the offline statistics stand as the query-level estimate.
-    Each later snapshot becomes visible one counting query
-    (``per_query_ms``) after the previous one: a source total, or one
-    cell's count, asked of the cell's first member source.
-    ``probed_source`` names the source the counting query contacted (-1
-    for none), so a scheduler can model contention.  A later snapshot's
-    cells are fitted to the detected rows when it is built; the plan
-    itself reads only the last cardinality refresh, which orders the
-    cell queries.  A step whose refresh has the inputs of the last one
-    the plan solved reuses its values list.  The caller owns
-    termination; abandoning the iterator is the stop signal.
+    Until the first step completes, ``initial`` itself stands as the
+    query-level estimate.  A step is a source total, or one cell's count,
+    asked of the cell's first member source; ``probed_source`` names the
+    source the query contacted, so a scheduler can price the query and
+    model contention.  ``read()`` builds the step's snapshot on its first
+    call and returns that same object afterwards; what a step counted is
+    fixed when it is yielded, so reading a step late, or never, changes
+    no other step.  A snapshot's cells are fitted to the detected rows
+    when it is built; the plan itself reads only the last cardinality
+    refresh, which orders the cell queries.  A step whose refresh has the
+    inputs of the last one the plan solved reuses its values list.  The
+    caller owns termination; abandoning the iterator is the stop signal.
+    Raises ValueError, before any probe, for a hint source outside the
+    universe.
     """
     n = initial.n_sources
+    # Each source is probed once, in hint order, then the rest in id order.
+    hint = list(dict.fromkeys(perm_hint))
+    for s in hint:
+        if not 0 <= s < n:
+            raise ValueError(f"detection hint names source {s}, outside the {n}-source universe")
+    hinted = set(hint)
+    hint += [s for s in range(n) if s not in hinted]
     index = initial.index  # every snapshot of the plan shares it
     prior = initial.values
     n_cells = len(index.masks)
@@ -297,18 +274,15 @@ def online_detection_plan(
         fit = set(fitted)
         key = ([(s, totals[s]) for s in support if s in fit], len(known))
         if key != last_key:
-            if len(known) == n_cells:
-                last_values = [known[i] for i in range(n_cells)]
-            else:
-                last_values = maxent.solve(
-                    [totals[s] if s in fit else math.nan for s in range(n)],
-                    index,
-                    known,
-                    prior=prior,
-                    on_clamp=lambda s, r: log.warning(
-                        "query-level cells overshoot source %d by %.6g; clamping", s, -r
-                    ),
-                )[0].tolist()
+            last_values = maxent.solve(
+                [totals[s] if s in fit else math.nan for s in range(n)],
+                index,
+                known,
+                prior=prior,
+                on_clamp=lambda s, r: log.warning(
+                    "query-level cells overshoot source %d by %.6g; clamping", s, -r
+                ),
+            )[0].tolist()
             last_key = key
         cards = list(totals)
         # Outside the support only counted cells can be positive, and cells
@@ -321,18 +295,13 @@ def online_detection_plan(
                     cards[s] = cells_sum
         return StatsSnapshot(initial.access_ms, initial.per_tuple_ms, tuple(cards), index, last_values)
 
-    yield 0.0, lambda: initial, -1
-
-    # Each source is probed once, in hint order, and its row is fitted from
-    # then on.  A source not yet detected that holds no positive cell
-    # publishes its offline total scaled by the average detected-to-offline
-    # ratio, summed in detection order; sources with an offline total of
-    # zero are left out of the ratio, and with no ratio yet the offline
-    # totals stand.  A step keeps its probe count and ratio; its totals are
-    # rebuilt from the detected ones on read.
-    hint = list(dict.fromkeys(perm_hint))
-    hinted = set(hint)
-    hint += [s for s in range(n) if s not in hinted]
+    # A probed source's row is fitted from then on.  A source not yet
+    # detected that holds no positive cell publishes its offline total
+    # scaled by the average detected-to-offline ratio, summed in detection
+    # order; sources with an offline total of zero are left out of the
+    # ratio, and with no ratio yet the offline totals stand.  A step keeps
+    # its probe count and ratio; its totals are rebuilt from the detected
+    # ones on read.
     offline_cards = initial.cardinalities
     offline = np.array(offline_cards, dtype=float)
     detected_cards: list[float] = []  # in hint order
@@ -356,7 +325,7 @@ def online_detection_plan(
             ratios += 1
         avg = ratio_sum / ratios if ratios else 1.0
         read = _read_once(totals_step, probed, avg)
-        yield per_query_ms, read, s
+        yield read, s
 
     # Cells go in descending order of how far the last cardinality
     # refresh moved them from the prior; that refresh is solved here.  By
@@ -385,4 +354,4 @@ def online_detection_plan(
         counted.append(i)
         counts.append(count)
         read = _read_once(cells_step, len(counted))
-        yield per_query_ms, read, index.members[i][0]
+        yield read, index.members[i][0]

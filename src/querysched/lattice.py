@@ -40,35 +40,12 @@ def member_sources(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def parents(mask: int) -> frozenset[int]:
-    """Cells one membership bit shallower: each set bit cleared in turn.
-
-    A single-source cell has no parent.
-    """
-    if level(mask) < 2:
-        return frozenset()
-    return frozenset(mask & ~(1 << s) for s in member_sources(mask))
-
-
 def children(mask: int, n_sources: int) -> Iterator[int]:
     """Cells one membership bit deeper, within an ``n_sources`` universe."""
     for s in range(n_sources):
         bit = 1 << s
         if not mask & bit:
             yield mask | bit
-
-
-def all_masks_at_level(n_sources: int, lvl: int) -> Iterator[int]:
-    """Every membership mask with exactly ``lvl`` bits set (Gosper's hack)."""
-    if lvl <= 0 or lvl > n_sources:
-        return
-    mask = (1 << lvl) - 1
-    limit = 1 << n_sources
-    while mask < limit:
-        yield mask
-        lsb = mask & -mask
-        ripple = mask + lsb
-        mask = ripple | (((mask ^ ripple) >> 2) // lsb)
 
 
 class CellIndex:

@@ -15,9 +15,11 @@ Both callers run one path.  A start that already meets the rows is the
 answer; otherwise at most :data:`_SWEEPS` row-scaling sweeps, then damped
 Newton steps on the dual.  On rows some nonnegative cells meet, row
 scaling converges to the projection (Csiszar, Ann. Probab. 1975) and
-Newton gets there quadratically.  Rows the cells cannot all meet stop
-Newton when its dual stops falling; the last iterate and its residual
-are the answer, and only the offline fill (no ``prior``) raises on them.
+Newton gets there quadratically.  Newton stops at the tolerance, when
+its dual stops falling, after 8 steps without a 1% gain in the worst
+residual, or at 120 steps; rows the cells cannot all meet end it by one
+of the last three.  The last iterate and its residual are the answer,
+and only the offline fill (no ``prior``) raises on them.
 The sweeps run on Python floats and add each row left to right.
 
 The problem is posed on the free cells with a positive start that no
@@ -229,16 +231,19 @@ def _scale_rows(w: np.ndarray, rows: _Rows, rel_tol: float) -> tuple[int, float]
 
 
 def _newton_phase(w, rows: _Rows, rel_tol) -> float:
-    """Damped Newton steps on the dual until the rows balance or the dual stops falling.
+    """Damped Newton steps on the dual until the rows balance or progress stops.
 
-    Returns the worst relative residual.
+    Returns the worst relative residual.  The phase ends when the worst
+    residual is within ``rel_tol``; when no step length lowers the dual,
+    or an accepted step does not lower it; when the Hessian is singular;
+    after 8 steps in a row without a 1% gain in the worst residual; or
+    after 120 steps.
     ``A`` is ``rows.a`` as it is, the 0/1 rows over ``w``'s cells, and
     ``b`` the rows' targets.  The dual objective is ``sum(w) + lambda . b``
     with gradient ``b - A w`` and Hessian ``A diag(w) A^T``; cells keep the
     multiplicative form ``w *= exp(-A^T delta)`` so zero cells stay zero.
     Each step backtracks over :data:`_STEP_LENGTHS` along the Newton
-    direction, which descends the convex dual; the phase ends when no
-    length lowers the dual or when an accepted step does not.
+    direction, which descends the convex dual.
     """
     incidence, targets, scales = rows.a, rows.targets, rows.scales
     lam = np.zeros(len(targets))

@@ -1,13 +1,15 @@
 """Deterministic event-driven execution of a query over a universe.
 
 One event loop runs every strategy.  Three logical workers take turns in
-it.  A counting query advances the statistics worker by one step: when
-the query completes, the worker keeps the step's reader and counts the
-detection; that count is the statistics version.  The planner names the
-source the next dispatch takes, and replans lazily whenever that version
-or the dispatched prefix has moved since its last answer; only a replan
-reads the statistics, and the step's snapshot and its refresh are built
-on that first read.
+it.  The statistics worker starts from the offline snapshot and runs the
+detection plan's counting queries one at a time, each asked of one
+source and priced at :data:`DETECTION_QUERY_MS` times the configured
+overhead: when a query completes, the worker keeps the step's reader
+and counts the detection; that count is the statistics version.  The
+planner names the source the next dispatch takes, and replans lazily
+whenever that version or the dispatched prefix has moved since its last
+answer; only a replan reads the statistics, and the step's snapshot and
+its refresh are built on that first read.
 The query threads dispatch that source, pin every source they dispatch
 and deduplicate arriving tuples against a shared seen-set.  Events are
 keyed on (time, worker class, thread id), so a run is a pure function of
@@ -48,11 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import QuerySpec
-from .detection import (
-    DEFAULT_PRUNE_THRESHOLD,
-    DETECTION_QUERY_MS,
-    online_detection_plan,
-)
+from .detection import DEFAULT_PRUNE_THRESHOLD, online_detection_plan
 from .lattice import StatsSnapshot
 from .permutation import (
     ALGO_FULL_KNOWLEDGE,
@@ -71,6 +69,8 @@ _PRIO_STATS = 0
 _PRIO_QUERY = 2
 #: Simulated time of one planner operation, which ``sequential`` pays for its first sweep.
 PLANNER_OP_MS = 0.01
+#: Simulated time of one counting query, before ``detection_overhead`` scales it.
+DETECTION_QUERY_MS = 1.5
 
 
 @dataclass(frozen=True)
@@ -307,15 +307,9 @@ def run_query(
         return _run(algo, query, universe, config, _Planner(query.k), lambda: truth)
     if algo in (ALGO_ONLINE, ALGO_SEQUENTIAL):
         probe = ScopedProbe(universe, query.predicate_id)
-        detection = online_detection_plan(
-            initial,
-            _all_source_hint(initial),
-            probe,
-            per_query_ms=DETECTION_QUERY_MS * config.detection_overhead,
-        )
-        _, read_prior, _ = next(detection)
+        detection = online_detection_plan(initial, _all_source_hint(initial), probe)
         return _run(
-            algo, query, universe, config, _Planner(query.k), read_prior, detection,
+            algo, query, universe, config, _Planner(query.k), lambda: initial, detection,
             charge_first_sweep=algo == ALGO_SEQUENTIAL,
         )
     raise ValueError(f"unknown algorithm {algo!r}")
@@ -342,12 +336,14 @@ def _run(
     config: RunConfig,
     planner: _Planner,
     read_stats: Callable[[], StatsSnapshot],
-    detection: Iterator[tuple[float, Callable[[], StatsSnapshot], int]] | None = None,
+    detection: Iterator[tuple[Callable[[], StatsSnapshot], int]] | None = None,
     *,
     charge_first_sweep: bool = False,
 ) -> RunResult:
     """The event loop; ``detection`` yields the statistics worker's steps.
 
+    Each step is one counting query of :data:`DETECTION_QUERY_MS` times
+    the configured overhead, asked of the step's source.
     ``read_stats`` gives the statistics in force before the first step;
     the worker replaces it with each completed step's reader, which only
     a replan calls.  The heap holds counting-query completions and
@@ -355,6 +351,7 @@ def _run(
     window consumes them.
     """
     detections = 0  # also the version of the statistics in force
+    query_ms = DETECTION_QUERY_MS * config.detection_overhead
     planner_charge = 0.0
     if charge_first_sweep:
         planner_charge = planner.sweep_work(read_stats) * PLANNER_OP_MS
@@ -374,7 +371,7 @@ def _run(
     # stalls the stats worker.  Bookings hold the probe-side busy windows;
     # scan ownership lives in the executor.
     probe_busy_until: dict[int, float] = {}
-    pending: tuple[float, Callable[[], StatsSnapshot], int] | None = None
+    pending: tuple[Callable[[], StatsSnapshot], int] | None = None
     sc_in_flight = False
 
     def pull_next_detection() -> None:
@@ -386,13 +383,12 @@ def _run(
         nonlocal sc_in_flight
         if sc_in_flight or pending is None or executor.reached_target:
             return
-        cost, _read, target = pending
-        if target >= 0 and executor.scanning(target):
+        _read, target = pending
+        if executor.scanning(target):
             return  # retried after any scan completes
         sc_in_flight = True
-        if target >= 0:
-            probe_busy_until[target] = now_ms + cost
-        push(now_ms + cost, _PRIO_STATS, -1)
+        probe_busy_until[target] = now_ms + query_ms
+        push(now_ms + query_ms, _PRIO_STATS, -1)
 
     pull_next_detection()
     try_start_detection(0.0)
@@ -423,7 +419,7 @@ def _run(
         if prio == _PRIO_STATS:
             sc_in_flight = False
             if pending is not None:
-                read_stats = pending[1]
+                read_stats = pending[0]
                 detections += 1
             pull_next_detection()
             try_start_detection(time_ms)

@@ -159,7 +159,7 @@ def test_criterion_4_statistics_exactness_and_residuals():
                 tuple(range(n)),
                 ScopedProbe(universe, SCOPE_FOCUS),
             )
-            for _cost, read, _src in stream:
+            for read, _src in stream:
                 snap = read()
                 snapshots += 1
                 for s in range(n):

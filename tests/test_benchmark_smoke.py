@@ -90,6 +90,13 @@ WIDE_COUNTERS = {
     "scheduler.detections": 432,
     "scheduler.dispatches": 49,
 }
+# Detection steps taken over the pass's `online` and `sequential` runs
+# (6 on desk, 2 on wide), one per counting query: here each run takes
+# the queries that complete before it reaches k, and the one pending
+# then.  They read 175 and 436 while each plan began with a step that
+# counted nothing.
+DESK_STEPS = 169
+WIDE_STEPS = 434
 # The bulk pass runs the baselines and ``full_knowledge`` with one and
 # four query threads; its tuple count pins how the event loop consumes
 # their arrivals, so a window that miscounts fails here too.
@@ -111,6 +118,7 @@ def test_traced_desk_pass_is_correct():
     summary = traced_pass("desk-adaptive")
     assert summary["correct"] is True
     assert plan_counters(summary) == DESK_COUNTERS
+    assert summary["metrics"]["detection.online.steps"]["value"] == DESK_STEPS
     assert setup_counters(summary) == DESK_SETUP
 
 
@@ -130,4 +138,5 @@ def test_traced_wide_pass_is_correct():
     summary = traced_pass("wide-sources")
     assert summary["correct"] is True
     assert plan_counters(summary) == WIDE_COUNTERS
+    assert summary["metrics"]["detection.online.steps"]["value"] == WIDE_STEPS
     assert setup_counters(summary) == WIDE_SETUP

@@ -17,7 +17,6 @@ from querysched import detection, lattice, maxent, scheduler
 from querysched.cost import QuerySpec
 from querysched.detection import (
     DETECTED,
-    ESTIMATED,
     PRUNED,
     initial_detection,
     online_detection_plan,
@@ -40,8 +39,8 @@ DEMO_EXACT = {0b001: 10, 0b010: 80, 0b100: 60, 0b011: 35, 0b101: 5, 0b110: 10, 0
 
 
 def snapshots(initial, hint, probe):
-    """Every snapshot of a query-level detection run to its end."""
-    return [read() for _cost, read, _src in online_detection_plan(initial, hint, probe)]
+    """Every step's snapshot of a query-level detection run to its end."""
+    return [read() for read, _src in online_detection_plan(initial, hint, probe)]
 
 
 def cells(snapshot):
@@ -109,9 +108,10 @@ class TestInitialDetection:
     def test_zero_threshold_reproduces_reference_lattice(self):
         probe = ScopedProbe(demo_universe(), SCOPE_ALL)
         out = initial_detection(probe, 0.0)
-        assert cells(out.snapshot) == pytest.approx(DEMO_EXACT)
-        # Everything except the deepest cell is detected outright.
-        assert out.provenance == {m: DETECTED for m in DEMO_EXACT} | {0b111: ESTIMATED}
+        assert cells(out.snapshot) == DEMO_EXACT
+        # Every cell is counted, the deepest one included.
+        assert out.provenance == dict.fromkeys(DEMO_EXACT, DETECTED)
+        assert (out.count_queries, out.clamped_rows) == (3 + len(DEMO_EXACT), 0)
 
     def test_single_source_needs_no_solver(self):
         config = UniverseConfig(
@@ -123,20 +123,6 @@ class TestInitialDetection:
         u = generate(config, 2)
         out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0)
         assert cells(out.snapshot) == {0b1: 30.0}
-
-    def test_zero_threshold_matches_truth_on_random_universes(self):
-        for seed, n in [(0, 3), (1, 5), (2, 7), (3, 9)]:
-            config = UniverseConfig(
-                n_sources=n,
-                n_distinct=70,
-                total_tuples=210,
-                overlap=ReplicationModel(style="uniform", mean_depth=3.0, max_depth=min(5, n)),
-            )
-            u = generate(config, seed)
-            out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0)
-            truth = u.truth.cells(SCOPE_ALL)
-            got = {m: v for m, v in cells(out.snapshot).items() if v > 0}
-            assert got == pytest.approx(truth)
 
     def test_pruning_marks_cells_and_keeps_detected_values(self):
         # Threshold at 20% of the universe (50 tuples): the smallest
@@ -171,11 +157,11 @@ class TestInitialDetection:
         assert out.provenance[0b001] == DETECTED
         assert cells(out.snapshot)[0b001] == 10.0
 
-    def test_unavailable_source_zeroed_not_fatal(self):
+    def test_unavailable_source_zeroed_not_fatal(self, caplog):
         u = replace(demo_universe(), unavailable=frozenset([1]))
         out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0)
-        assert out.unavailable == (1,)
-        assert out.snapshot.cardinalities[1] == 0.0
+        assert "source 1 unavailable during initial detection" in caplog.messages
+        assert out.snapshot.cardinalities == (50.0, 0.0, 75.0)
         # Every cell touching the dead source reads zero; its row stays
         # consistent even though its partners' rows degrade.
         for m, v in cells(out.snapshot).items():
@@ -197,6 +183,33 @@ class TestInitialDetection:
         for s in range(4):
             assert out.snapshot.cardinalities[s] == pytest.approx(truth_cards[s], rel=0.25)
 
+    @pytest.mark.parametrize(
+        "n_sources, seed",
+        [(3, 0), (4, 1), (5, 1), (6, 3), (7, 2), (9, 3), ("demo", 7)],
+    )
+    def test_zero_threshold_is_exact_and_runs_no_solver(self, n_sources, seed):
+        # With no threshold nothing reads an estimate, so no fill runs;
+        # every cell is counted and the snapshot is the exact lattice.
+        if n_sources == "demo":
+            u = demo_universe(seed=seed)
+        else:
+            config = UniverseConfig(
+                n_sources=n_sources,
+                n_distinct=70,
+                total_tuples=210,
+                overlap=ReplicationModel(
+                    style="uniform", mean_depth=3.0, max_depth=min(5, n_sources)
+                ),
+            )
+            u = generate(config, seed)
+        unsolved = AssertionError("threshold-0 detection called the solver")
+        with mock.patch.object(maxent, "solve", side_effect=unsolved):
+            out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0)
+        got = {m: v for m, v in cells(out.snapshot).items() if v != 0.0}
+        assert got == u.truth.cells(SCOPE_ALL)
+        assert set(out.provenance.values()) <= {DETECTED, PRUNED}
+        assert out.clamped_rows == 0
+
     def test_zero_threshold_refuses_large_universe(self):
         config = UniverseConfig(
             n_sources=20,
@@ -214,7 +227,6 @@ class TestInitialDetection:
         # take that for the exhaustive mode and refuse the universe.
         u = replace(generate(desk_universe_config(), 101), unavailable=frozenset(range(50)))
         out = initial_detection(ScopedProbe(u, SCOPE_ALL))
-        assert out.unavailable == tuple(range(50))
         assert out.snapshot.cardinalities == (0.0,) * 50
         assert out.provenance == {} and out.snapshot.values == []
         query = QuerySpec(SCOPE_FOCUS, 100)
@@ -253,7 +265,7 @@ class TestFailingCellQueries:
     def test_failed_cells_read_zero_and_detection_finishes(self, failing):
         u = demo_universe(seed=11, query_split=0.5)
         out = initial_detection(FailingCells(ScopedProbe(u, SCOPE_ALL), failing), 0.0)
-        for m in failing - {0b111}:  # the deepest cell is never probed offline
+        for m in failing:
             assert (cells(out.snapshot)[m], out.provenance[m]) == (0.0, DETECTED)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS), failing)
@@ -281,9 +293,8 @@ def cards_after(detected, offline_cards):
     n = len(offline_cards)
     initial = snapshot_from_cells([1.0] * n, [0.1] * n, {}, cardinalities=offline_cards)
     plan = online_detection_plan(initial, tuple(detected), FixedTotals(detected))
-    next(plan)  # the prior snapshot probes nothing
     for _ in detected:
-        _cost, read, _source = next(plan)
+        read, _source = next(plan)
     return list(read().cardinalities)
 
 
@@ -321,34 +332,38 @@ class TestCardinalityScaling:
         probe = FixedTotals({0: 5.0, 1: 20.0, 2: 10.0})
         steps = list(online_detection_plan(initial, (1, 0, 1), probe))
         assert probe.asked == [1, 0, 2]
-        assert [source for _cost, _snap, source in steps] == [-1, 1, 0, 2]
+        assert [source for _read, source in steps] == [1, 0, 2]
 
 
 class TestOnlineDetection:
     def make_universe(self, split=1.0, seed=7):
         return demo_universe(seed=seed, query_split=split)
 
-    def test_stop_before_any_detection_yields_prior_only(self):
+    def test_plan_probes_nothing_before_its_first_step(self):
+        # Until the first step, the offline snapshot itself is the
+        # query-level estimate: the plan has asked nothing.
         u = self.make_universe()
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-        cost, read, source = next(plan)
-        # The prior is the offline snapshot itself.
-        assert (cost, source) == (0.0, -1) and read() is initial
+        probe = FixedTotals({0: 5.0, 1: 20.0, 2: 10.0})
+        plan = online_detection_plan(initial, (2, 0, 1), probe)
+        assert probe.asked == []
+        read, source = next(plan)
+        assert (probe.asked, source) == ([2], 2)
+        assert read().cardinalities[2] == 10.0
 
     def test_query_matching_everything_converges_to_initial(self):
         u = self.make_universe(split=1.0)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         snaps = snapshots(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-        # The prior and every source-total step, before any cell is counted.
-        for snap in snaps[: 1 + initial.n_sources]:
+        # Every source-total step, before any cell is counted.
+        for snap in snaps[: initial.n_sources]:
             assert snap.values == pytest.approx(initial.values, rel=1e-6, abs=1e-6)
 
     def test_half_split_final_snapshot_matches_focus_truth(self):
         u = self.make_universe(split=0.5, seed=11)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         snaps = snapshots(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-        assert len(snaps) == 1 + initial.n_sources + len(initial.values)
+        assert len(snaps) == initial.n_sources + len(initial.values)
         truth = u.truth.cells(SCOPE_FOCUS)
         for m, v in cells(snaps[-1]).items():
             assert v == pytest.approx(truth.get(m, 0.0), abs=1e-9)
@@ -367,7 +382,7 @@ class TestOnlineDetection:
         snaps = snapshots(initial, (0, 1, 2), probe)
         # The entry gaps: estimates right after the last cardinality
         # detection vs the offline values.
-        entry, offline = cells(snaps[initial.n_sources]), cells(initial)
+        entry, offline = cells(snaps[initial.n_sources - 1]), cells(initial)
         seen_gaps = [abs(entry[m] - offline[m]) for m, _count in probe.counted]
         assert len(seen_gaps) == len(offline)
         assert all(a >= b - 1e-9 for a, b in zip(seen_gaps, seen_gaps[1:]))
@@ -375,31 +390,79 @@ class TestOnlineDetection:
     def test_detection_plan_reports_probed_sources(self):
         u = self.make_universe()
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
-        plan = online_detection_plan(
-            initial, (2, 0, 1), ScopedProbe(u, SCOPE_FOCUS), per_query_ms=4.0 * 1.5
-        )
-        steps = list(plan)
-        assert steps[0][0] == 0.0 and steps[0][2] == -1
-        # Cardinality probes follow the hinted order at the stretched cost.
-        assert [s for _c, _snap, s in steps[1:4]] == [2, 0, 1]
-        assert steps[1][0] == pytest.approx(6.0)
+        steps = list(online_detection_plan(initial, (2, 0, 1), ScopedProbe(u, SCOPE_FOCUS)))
+        # Cardinality probes follow the hinted order.
+        assert [s for _read, s in steps[:3]] == [2, 0, 1]
         # Cell probes name a member source of the probed cell.
-        for cost, _read, src in steps[4:]:
+        for _read, src in steps[3:]:
             assert src in range(3)
 
     def test_each_cell_query_is_one_step(self):
-        # Each live cell is counted in a step of its own, at one query's
-        # cost, asked of its first member source.
+        # Each live cell is counted in a step of its own, asked of its
+        # first member source.
         u = self.make_universe(split=0.5, seed=19)
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS))
-        plan = online_detection_plan(initial, (0, 1, 2), probe, per_query_ms=2.0)
-        cell_steps = list(plan)[1 + initial.n_sources :]
+        plan = online_detection_plan(initial, (0, 1, 2), probe)
+        cell_steps = list(plan)[initial.n_sources :]
         assert len(cell_steps) == len(probe.counted) == len(initial.values)
-        for (cost, read, source), (new, count) in zip(cell_steps, probe.counted):
-            assert cost == 2.0 and source == member_sources(new)[0]
+        for (read, source), (new, count) in zip(cell_steps, probe.counted):
+            assert source == member_sources(new)[0]
             assert cells(read())[new] == count
         assert sorted(m for m, _count in probe.counted) == list(initial.index.masks)
+
+
+class CountingProbe:
+    """A probe that counts the counting queries it answers."""
+
+    def __init__(self, probe):
+        self.probe = probe
+        self.queries = 0
+
+    def cardinality(self, source):
+        self.queries += 1
+        return self.probe.cardinality(source)
+
+    def cell_count(self, mask):
+        self.queries += 1
+        return self.probe.cell_count(mask)
+
+
+class TestPlanSteps:
+    """A detection plan yields one step per counting query."""
+
+    def test_each_step_is_one_counting_query(self):
+        u, initial = TestSharedIndex.desk_initial()
+        probe = CountingProbe(ScopedProbe(u, SCOPE_FOCUS))
+        plan = online_detection_plan(initial, range(initial.n_sources), probe)
+        steps = 0
+        for _step in plan:
+            steps += 1
+            assert probe.queries == steps
+        assert steps == initial.n_sources + len(initial.values)
+
+    @pytest.mark.parametrize("offset", [-51, 0, 49], ids=["-1", "n", "n+49"])
+    def test_hint_outside_the_universe_rejected_before_any_probe(self, offset):
+        u, initial = TestSharedIndex.desk_initial()
+        n = initial.n_sources
+        bad = n + offset if offset >= 0 else -1
+        probe = CountingProbe(ScopedProbe(u, SCOPE_FOCUS))
+        plan = online_detection_plan(initial, (3, bad, 5), probe)
+        with pytest.raises(ValueError, match=f"source {bad}\\b"):
+            next(plan)
+        assert probe.queries == 0
+
+    def test_last_step_holds_exactly_the_counted_cells(self):
+        # With every cell counted, the solve has no free cell and returns
+        # the counts as given, float for float.
+        u, initial = TestSharedIndex.desk_initial()
+        probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS))
+        *_, (read, _source) = online_detection_plan(initial, range(initial.n_sources), probe)
+        assert len(probe.counted) == len(initial.values)
+        last = cells(read())
+        assert [last[m].hex() for m, _count in probe.counted] == [
+            count.hex() for _m, count in probe.counted
+        ]
 
 
 class TestLazyRefresh:
@@ -431,7 +494,7 @@ class TestLazyRefresh:
         probe = FailingCells(ScopedProbe(u, SCOPE_FOCUS))
         in_order = snapshots(initial, hint, probe)
         plan = online_detection_plan(initial, hint, ScopedProbe(u, SCOPE_FOCUS))
-        reads = [read for _cost, read, _src in plan]
+        reads = [read for read, _src in plan]
         shuffled = {}
         for i in data.draw(st.permutations(range(len(reads))), label="read order"):
             snap = reads[i]()
@@ -443,15 +506,11 @@ class TestLazyRefresh:
         # Each step holds the cells counted by then and fits the others to
         # the rows counted by then.
         index = initial.index
-        for step, snap in enumerate(in_order[1:], 1):
+        for step, snap in enumerate(in_order, 1):
             known = known_cells(initial, probe.counted[: max(0, step - n)])
-            if len(known) == len(index.masks):
-                expected = [known[i] for i in range(len(known))]
-            else:
-                totals = counted_rows(snap.cardinalities, hint, step)
-                solved, _ = maxent.solve(totals, index, known, prior=initial.values)
-                expected = [known.get(i, v) for i, v in enumerate(solved.tolist())]
-            assert snap.values == expected
+            totals = counted_rows(snap.cardinalities, hint, step)
+            solved, _ = maxent.solve(totals, index, known, prior=initial.values)
+            assert snap.values == solved.tolist()
             assert_uncounted_rows_publish_their_sums(snap, hint, step)
 
     @pytest.mark.parametrize("n_sources", [50, 200])
@@ -478,8 +537,6 @@ class TestLazyRefresh:
 
         def fresh(step, snap):
             known = known_cells(initial, probe.counted[: max(0, step - n_sources)])
-            if len(known) == len(index.masks):
-                return hexed(known[i] for i in range(len(known)))
             values, _ = maxent.solve(
                 counted_rows(snap.cardinalities, hint, step),
                 lattice.CellIndex(index.masks, n_sources),
@@ -497,18 +554,16 @@ class TestLazyRefresh:
 
         in_order = []
         with mock.patch.object(maxent, "solve", counted):
-            for _cost, read, _src in online_detection_plan(initial, hint, probe):
+            for read, _src in online_detection_plan(initial, hint, probe):
                 in_order.append(read())  # solved as the plan yields it
-        reads = [read for _cost, read, _src in steps()]
+        reads = [read for read, _src in steps()]
         backwards = {i: reads[i]() for i in reversed(range(len(reads)))}
-        assert len(in_order) == len(backwards) > n_sources + len(index.masks)
-        # Some refreshes repeat the one before: fewer solves than steps,
-        # less the prior and the last step, whose every cell was counted.
-        assert len(solved) < len(in_order) - 2
-        assert in_order[0] is initial  # the prior, not a refresh
-        for i, snap in enumerate(in_order[1:], 1):
-            alone = next(itertools.islice(steps(), i, None))[1]()
-            want = fresh(i, snap)
+        assert len(in_order) == len(backwards) == n_sources + len(index.masks)
+        # Some refreshes repeat the one before: fewer solves than steps.
+        assert len(solved) < len(in_order) - 1
+        for i, snap in enumerate(in_order):
+            alone = next(itertools.islice(steps(), i, None))[0]()
+            want = fresh(i + 1, snap)
             assert hexed(snap.values) == want
             assert hexed(backwards[i].values) == want
             assert hexed(alone.values) == want
@@ -541,15 +596,15 @@ class TestLazyRefresh:
         def seen(snap):
             return snap.cardinalities, snap.values
 
-        in_order = [seen(read()) for _cost, read, _src in steps()]
-        reads = [read for _cost, read, _src in steps()]
-        assert len(reads) == len(in_order) > initial.n_sources + 1
+        in_order = [seen(read()) for read, _src in steps()]
+        reads = [read for read, _src in steps()]
+        assert len(reads) == len(in_order) > initial.n_sources
         # Every step read after the plan ended, the last one first.
         backwards = {i: seen(reads[i]()) for i in reversed(range(len(reads)))}
         assert [backwards[i] for i in range(len(reads))] == in_order
         assert all(read() is read() for read in reads)
         # Only every third step read, each as the plan yields it.
-        thirds = [seen(read()) for i, (_c, read, _s) in enumerate(steps()) if i % 3 == 0]
+        thirds = [seen(read()) for i, (read, _s) in enumerate(steps()) if i % 3 == 0]
         assert thirds == in_order[::3]
 
     def test_sequential_run_builds_only_the_snapshots_it_reads(self):
@@ -580,14 +635,11 @@ class TestLazyRefresh:
         initial = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0).snapshot
         unread = AssertionError("solved a snapshot nobody read")
         with mock.patch.object(maxent, "solve", side_effect=unread):
-            plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-            next(plan)  # the prior
-            plan.close()
             # Two cardinality refreshes taken but never read.
             plan = online_detection_plan(initial, (0, 1, 2), ScopedProbe(u, SCOPE_FOCUS))
-            steps = [next(plan) for _ in range(3)]
+            steps = [next(plan) for _ in range(2)]
             plan.close()
-        assert [source for _cost, _snap, source in steps] == [-1, 0, 1]
+        assert [source for _read, source in steps] == [0, 1]
 
 
 class TestTrueCellRefresh:
@@ -619,7 +671,7 @@ class TestTrueCellRefresh:
         plan = online_detection_plan(initial, hint, ScopedProbe(u, SCOPE_FOCUS))
         misses = []
         steps = 0
-        for step, (_cost, read, _src) in enumerate(plan):
+        for step, (read, _src) in enumerate(plan):
             snap = read()
             steps += 1
             for s, positions in enumerate(snap.index.by_source):
@@ -627,7 +679,7 @@ class TestTrueCellRefresh:
                 card = snap.cardinalities[s]
                 if positions and abs(total - card) > 1e-6 * max(card, 1.0):
                     misses.append((step, s, total, card))
-        assert steps == 1 + n_sources + len(initial.values)
+        assert steps == n_sources + len(initial.values)
         assert misses == []
 
     def test_online_desk_runs_reach_full_knowledge(self):
@@ -645,9 +697,13 @@ class TestTrueCellRefresh:
 
 
 def plan_digest(initial, hint, probe):
-    """SHA-256 over every step of a detection plan: probed source, totals and cells as ``float.hex``."""
+    """SHA-256 over the offline snapshot, as probed source -1, then every step of a detection plan.
+
+    Each record is the probed source, then the totals and cells as ``float.hex``.
+    """
     digest = hashlib.sha256()
-    for _cost, read, source in online_detection_plan(initial, hint, probe):
+    steps = online_detection_plan(initial, hint, probe)
+    for read, source in itertools.chain([(lambda: initial, -1)], steps):
         snap = read()
         cards = " ".join(c.hex() for c in snap.cardinalities)
         digest.update(f"{source} {cards}\n".encode())

@@ -489,7 +489,7 @@ class TestCli:
 
     def test_dump_stats_matches_golden(self, tmp_path, capsys):
         # Four runs: relative, sampled, absolute, and README's three-source
-        # cell map with no pruning, the one that prints an estimated cell.
+        # cell map with no pruning, which counts every cell.
         config = {
             "universe": {
                 "sources": 3,

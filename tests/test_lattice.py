@@ -9,10 +9,9 @@ from querysched.detection import PRUNED, dump_snapshot, initial_detection
 from querysched.lattice import (
     CellIndex,
     StatsSnapshot,
-    all_masks_at_level,
+    children,
     level,
     member_sources,
-    parents,
     snapshot_from_cells,
 )
 from querysched.permutation import overlap_ranked
@@ -38,25 +37,13 @@ def shared_tuples(snap, i, j):
 
 
 class TestShapeOps:
-    def test_parents_of_pair(self):
-        assert parents(0b011) == frozenset({0b001, 0b010})
-
-    def test_parents_of_singleton_empty(self):
-        assert parents(0b001) == frozenset()
-
-    def test_parents_of_triple(self):
-        got = parents(0b111)
-        assert got == frozenset({0b011, 0b101, 0b110})
-        assert all(level(m) == 2 for m in got)
+    def test_children_of_a_pair(self):
+        got = list(children(0b0101, 4))
+        assert got == [0b0111, 0b1101]
+        assert all(level(m) == 3 for m in got)
 
     def test_member_sources(self):
         assert member_sources(0b101) == (0, 2)
-
-    def test_level_masks_enumeration(self):
-        masks = list(all_masks_at_level(4, 2))
-        assert len(masks) == 6
-        assert all(level(m) == 2 for m in masks)
-        assert len(set(masks)) == 6
 
 
 class TestCellIndex:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from querysched import permutation, scheduler
 from querysched.cost import QuerySpec
-from querysched.detection import DETECTION_QUERY_MS, initial_detection
+from querysched.detection import initial_detection
 from querysched.grid import (
     desk_universe_config,
     grid_from_json,
@@ -23,6 +23,7 @@ from querysched.grid import (
 )
 from querysched.permutation import BASELINE_ALGOS, TABLE_ALGO_ORDER, baseline_order, refine_order
 from querysched.scheduler import (
+    DETECTION_QUERY_MS,
     PLANNER_OP_MS,
     RunConfig,
     RunResult,
@@ -155,6 +156,7 @@ class _TupleExecutor:
 def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None, *,
                    charge_first_sweep=False):
     detections, planner_charge = 0, 0.0
+    query_ms = DETECTION_QUERY_MS * config.detection_overhead
     if charge_first_sweep:
         planner_charge = planner.sweep_work(stats) * PLANNER_OP_MS
     executor = _TupleExecutor(query, universe, config)
@@ -178,13 +180,12 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
         nonlocal sc_in_flight
         if sc_in_flight or pending is None or executor.reached_target:
             return
-        cost, _snapshot, target = pending
-        if target >= 0 and executor.scanning(target):
+        _read, target = pending
+        if executor.scanning(target):
             return
         sc_in_flight = True
-        if target >= 0:
-            probe_busy_until[target] = now_ms + cost
-        push(now_ms + cost, scheduler._PRIO_STATS, -1)
+        probe_busy_until[target] = now_ms + query_ms
+        push(now_ms + query_ms, scheduler._PRIO_STATS, -1)
 
     pull_next_detection()
     try_start_detection(0.0)
@@ -196,7 +197,7 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
         if prio == scheduler._PRIO_STATS:
             sc_in_flight = False
             if pending is not None:
-                stats = pending[1]
+                stats = pending[0]
                 detections += 1
             pull_next_detection()
             try_start_detection(time_ms)
