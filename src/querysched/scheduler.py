@@ -11,31 +11,40 @@ whenever that version or the dispatched prefix has moved since its last
 answer; only a replan reads the statistics, and the step's snapshot and
 its refresh are built on that first read.
 The query threads dispatch that source, pin every source they dispatch
-and deduplicate arriving tuples against a shared seen-set.  Events are
-keyed on (time, worker class, thread id), so a run is a pure function of
-its inputs.  A baseline is the same loop with a fixed order (its
-policy's, never revised) and no statistics worker.  Planner compute is
-free on the simulated clock, except that the sequential strategy charges
-the full sweep over its first snapshot at a fixed per-operation rate
-(:data:`PLANNER_OP_MS`) before the first dispatch.
+and deduplicate arriving tuples against a shared seen-set.  A baseline
+is the same loop with a fixed order (its policy's, never revised) and no
+statistics worker.  Planner compute is free on the simulated clock,
+except that the sequential strategy charges the full sweep over its
+first snapshot at a fixed per-operation rate (:data:`PLANNER_OP_MS`)
+before the first dispatch.
 
-Tuple arrivals are not heap events.  Between two events that are not
-arrivals (a dispatch, a source finishing, a counting query completing)
-the set of streams being scanned is fixed, and an arrival only adds to
-the seen-set and the counters.  So the loop consumes each such window in
-one step: the arrivals of every scanning thread up to the next heap
-event, or through the earliest finish among those threads.  Arrival
-times are each source's cumulative sums of its per-tuple latency, added
-one tuple at a time as a per-tuple event loop would add them; a boolean
-array over the tuple ids says which tuples the run has seen.  An arrival
-is new if it is its tuple's first in (time, thread id) order and the
-tuple is unseen.  With several threads the first arrivals come from a
-scatter, not a sort: thread by thread, each arrival earlier than its
-tuple's stored time replaces it, so a tie goes to the lower thread id.
-Only the window that reaches the k-th new tuple, at most one per run,
-merges its arrivals in (time, thread id) order, to stop at that tuple.
-This is batch-at-a-time execution as in MonetDB/X100 (Boncz et al.,
-CIDR 2005).
+Only dispatches are heap events, keyed on (time, thread id), so a run
+is a pure function of its inputs.  The statistics worker keeps its own
+clock, the completion time of its query in flight, and the loop catches
+it up to time t before the executor acts at t: before a dispatch, at a
+source's last arrival (while the source still counts as scanned, after
+which a query that waits on that source is retried) and at the k-th new
+tuple.  Every completion at or before t counts, chained ones included,
+so a completion at t comes before an arrival or a dispatch at t.  A
+query's effects read only which sources are scanned, which changes only
+at a dispatch or a finish, so catching up there is exact.
+
+Tuple arrivals are not heap events either.  Between a dispatch and the
+next one, or a finish, the set of streams being scanned is fixed, and an
+arrival only adds to the seen-set and the counters.  So the loop
+consumes each such window in one step: the arrivals of every scanning
+thread up to the next dispatch, or through the earliest finish among
+those threads, or through the k-th new tuple.  Arrival times are each
+source's cumulative sums of its per-tuple latency, added one tuple at a
+time as a per-tuple event loop would add them; a boolean array over the
+tuple ids says which tuples the run has seen.  An arrival is new if it
+is its tuple's first in (time, thread id) order and the tuple is unseen.
+With several threads the first arrivals come from a scatter, not a sort:
+thread by thread, each arrival earlier than its tuple's stored time
+replaces it, so a tie goes to the lower thread id.  Only the window that
+reaches the k-th new tuple, at most one per run, merges its arrivals in
+(time, thread id) order, to stop at that tuple.  This is
+batch-at-a-time execution as in MonetDB/X100 (Boncz et al., CIDR 2005).
 """
 
 from __future__ import annotations
@@ -65,8 +74,6 @@ from .permutation import (
 )
 from .simulator import ScopedProbe, SourceUnavailable, Universe
 
-_PRIO_STATS = 0
-_PRIO_QUERY = 2
 #: Simulated time of one planner operation, which ``sequential`` pays for its first sweep.
 PLANNER_OP_MS = 0.01
 #: Simulated time of one counting query, before ``detection_overhead`` scales it.
@@ -342,107 +349,115 @@ def _run(
 ) -> RunResult:
     """The event loop; ``detection`` yields the statistics worker's steps.
 
-    Each step is one counting query of :data:`DETECTION_QUERY_MS` times
-    the configured overhead, asked of the step's source.
-    ``read_stats`` gives the statistics in force before the first step;
-    the worker replaces it with each completed step's reader, which only
-    a replan calls.  The heap holds counting-query completions and
-    dispatches.  A scanning thread's arrivals stay in its arrays until a
-    window consumes them.
+    ``read_stats`` gives the statistics in force before the first step.
+    The heap holds only dispatches, (time, thread id); the statistics
+    worker is caught up to each dispatch and to each window's end.  A
+    scanning thread's arrivals stay in its arrays until a window consumes
+    them.
     """
-    detections = 0  # also the version of the statistics in force
-    query_ms = DETECTION_QUERY_MS * config.detection_overhead
     planner_charge = 0.0
     if charge_first_sweep:
         planner_charge = planner.sweep_work(read_stats) * PLANNER_OP_MS
 
     executor = _Executor(query, universe, config)
+    worker = _StatsWorker(
+        executor, read_stats, detection, DETECTION_QUERY_MS * config.detection_overhead
+    )
+    # A thread has at most one dispatch waiting, so (time, thread id) is unique.
+    events = [(planner_charge, tid) for tid in range(config.query_threads)]
 
-    events: list[tuple[float, int, int, int]] = []
-    seq = 0
-
-    def push(time_ms: float, prio: int, tid: int) -> None:
-        nonlocal seq
-        heapq.heappush(events, (time_ms, prio, tid, seq))
-        seq += 1
-
-    # A source answers one request at a time: a counting query in flight
-    # delays the executor's contact with that source and an executor scan
-    # stalls the stats worker.  Bookings hold the probe-side busy windows;
-    # scan ownership lives in the executor.
-    probe_busy_until: dict[int, float] = {}
-    pending: tuple[Callable[[], StatsSnapshot], int] | None = None
-    sc_in_flight = False
-
-    def pull_next_detection() -> None:
-        nonlocal pending
-        pending = None if detection is None else next(detection, None)
-
-    def try_start_detection(now_ms: float) -> None:
-        """Begin the pending probe unless its source is being scanned."""
-        nonlocal sc_in_flight
-        if sc_in_flight or pending is None or executor.reached_target:
-            return
-        _read, target = pending
-        if executor.scanning(target):
-            return  # retried after any scan completes
-        sc_in_flight = True
-        probe_busy_until[target] = now_ms + query_ms
-        push(now_ms + query_ms, _PRIO_STATS, -1)
-
-    pull_next_detection()
-    try_start_detection(0.0)
-    for tid in range(config.query_threads):
-        push(planner_charge, _PRIO_QUERY, tid)
-
-    while not executor.reached_target:
+    while True:
         arrival = executor.next_arrival()
-        if arrival is not None and (not events or arrival < events[0][:3]):
-            # Every arrival before the heap's next event: the window ends
-            # there, or at the first stream to run out.  Arrivals sort
-            # after a counting query completing at the same time, and
-            # after the dispatches of lower thread ids.
+        if arrival is not None and (not events or arrival < events[0]):
+            # Every arrival before the next dispatch: the window ends
+            # there, at the first stream to run out, or at the k-th new
+            # tuple.  Arrivals sort after the dispatches of lower thread
+            # ids at the same time.
             if events:
-                time_ms, prio, tid, _ = events[0]
-                bound = (time_ms, tid - 1 if prio == _PRIO_QUERY else -1)
+                time_ms, tid = events[0]
+                bound = (time_ms, tid - 1)
             else:
                 bound = (math.inf, config.query_threads)
-            finished = executor.consume_window(bound)
-            if finished is not None:
-                tid, time_ms = finished
-                try_start_detection(time_ms)
-                push(time_ms, _PRIO_QUERY, tid)  # same-time dispatch of next source
+            end = executor.consume_window(bound)
+            if end is None:
+                continue
+            tid, time_ms = end
+            if worker.due_ms <= time_ms:
+                worker.catch_up(time_ms)  # the source still counts as scanned
+            executor.finish(tid, time_ms)
+            if executor.reached_target:
+                break
+            worker.start(time_ms)  # a query may wait on the finished source
+            heapq.heappush(events, (time_ms, tid))  # same-time dispatch of next source
             continue
         if not events:
             break
-        time_ms, prio, tid, _ = heapq.heappop(events)
-        if prio == _PRIO_STATS:
-            sc_in_flight = False
-            if pending is not None:
-                read_stats = pending[0]
-                detections += 1
-            pull_next_detection()
-            try_start_detection(time_ms)
-            continue
+        time_ms, tid = heapq.heappop(events)
+        if worker.due_ms <= time_ms:
+            worker.catch_up(time_ms)
         # a dispatch: the thread is idle
         state = executor.threads[tid]
-        source = planner.next(read_stats, detections, tuple(executor.dispatched))
+        source = planner.next(worker.read, worker.detections, tuple(executor.dispatched))
         if source is None:
             state.done = True
             state.last_event_ms = time_ms
             if all(t.done for t in executor.threads):
                 break
             continue
-        contact_ms = executor.dispatch(tid, source, time_ms, probe_busy_until)
+        contact_ms = executor.dispatch(tid, source, time_ms, worker.busy_until)
         if state.source < 0:
-            push(contact_ms, _PRIO_QUERY, tid)  # nothing to scan: dispatch again
+            heapq.heappush(events, (contact_ms, tid))  # nothing to scan: dispatch again
 
     return executor.result(
         algo,
         planner_time=planner_charge,
-        detections=detections,
+        detections=worker.detections,
         perm_versions=max(planner.versions, 1),
     )
+
+
+class _StatsWorker:
+    """The statistics worker on its own clock: one counting query at a time.
+
+    ``due_ms`` is when the query in flight completes, and inf while none
+    is: the plan has run out, or its next step waits because its source
+    is being scanned.  Each query costs ``query_ms`` and books its source
+    busy until it completes; a dispatch of that source waits for it.
+    """
+
+    def __init__(
+        self,
+        executor: _Executor,
+        read: Callable[[], StatsSnapshot],
+        plan: Iterator[tuple[Callable[[], StatsSnapshot], int]] | None,
+        query_ms: float,
+    ):
+        self.read = read  # the statistics in force
+        self.detections = 0  # also the version of the statistics in force
+        self.due_ms = math.inf
+        self.busy_until: dict[int, float] = {}  # source -> end of its latest query
+        self._executor = executor
+        self._plan = plan
+        self._query_ms = query_ms
+        self._step = None if plan is None else next(plan, None)
+        self.start(0.0)
+
+    def start(self, now_ms: float) -> None:
+        """Ask the waiting step's query at ``now_ms``, unless it must wait."""
+        step = self._step
+        if step is None or self.due_ms != math.inf or self._executor.scanning(step[1]):
+            return
+        self.due_ms = now_ms + self._query_ms
+        self.busy_until[step[1]] = self.due_ms
+
+    def catch_up(self, now_ms: float) -> None:
+        """Complete every query due at or before ``now_ms``, each starting the next."""
+        while self.due_ms <= now_ms:
+            done_ms, self.due_ms = self.due_ms, math.inf
+            self.read = self._step[0]
+            self.detections += 1
+            self._step = next(self._plan, None)
+            self.start(done_ms)
 
 
 class _Executor:
@@ -515,12 +530,12 @@ class _Executor:
 
     # -- arrivals ------------------------------------------------------
 
-    def next_arrival(self) -> tuple[float, int, int] | None:
-        """Event key of the earliest pending arrival, None when no thread scans."""
+    def next_arrival(self) -> tuple[float, int] | None:
+        """(time, thread id) of the earliest pending arrival, None when no thread scans."""
         best = None
         for tid, state in enumerate(self.threads):
             if state.source >= 0:
-                key = (float(state.times[state.cursor]), _PRIO_QUERY, tid)
+                key = (float(state.times[state.cursor]), tid)
                 if best is None or key < best:
                     best = key
         return best
@@ -530,7 +545,9 @@ class _Executor:
 
         The window also closes after the earliest last arrival of a
         scanning thread, and after the k-th distinct tuple, which ends the
-        run.  Returns (thread id, time) of a source that finished here.
+        run.  Returns (thread id, time) of the arrival that closed it in
+        either way, whose source the caller then finishes; None if
+        neither did.
         """
         active = [(tid, st) for tid, st in enumerate(self.threads) if st.source >= 0]
         for tid, st in active:
@@ -550,8 +567,7 @@ class _Executor:
         new = [int(np.count_nonzero(f)) for f in fresh]
         need = self.query.k - self.distinct
         if sum(new) >= need:
-            self._final_window(parts, fresh, need)
-            return None
+            return self._final_window(parts, fresh, need)
 
         for (tid, ids, times), n_new in zip(parts, new):
             self.seen[ids] = True  # new or not, every tuple here is seen now
@@ -564,7 +580,6 @@ class _Executor:
             self.transferred += len(ids)
         for tid, st in active:
             if st.cursor == len(st.stream):
-                self._finish_source(tid, st.last_event_ms)
                 return tid, st.last_event_ms
         return None
 
@@ -589,13 +604,15 @@ class _Executor:
             first[ids] = np.inf  # as the next window expects
         return fresh
 
-    def _final_window(self, parts: list, fresh: list[np.ndarray], need: int) -> None:
+    def _final_window(
+        self, parts: list, fresh: list[np.ndarray], need: int
+    ) -> tuple[int, float]:
         """Consume the window's arrivals through the k-th new tuple, ending the run.
 
         Only here does the run need the window's arrivals in (time,
         thread id) order: parts are in thread order, and a stable sort
         keeps that order among equal times.  The run ends, so ``seen`` is
-        left as it is.
+        left as it is.  Returns (thread id, time) of the k-th new tuple.
         """
         times = np.concatenate([t for _, _, t in parts])
         order = np.argsort(times, kind="stable")
@@ -617,13 +634,21 @@ class _Executor:
                 st.dup_tuples += n - new
                 st.last_event_ms = float(st.times[st.cursor - 1])
         self.reached_target = True
-        now_ms = float(times[-1])
-        tid = int(owners[-1])
-        self.end_ms = now_ms
-        self._finish_source(tid, now_ms)
-        self._flush_active(now_ms, skip=tid)
+        self.end_ms = float(times[-1])
+        return int(owners[-1]), self.end_ms
 
     # -- bookkeeping ---------------------------------------------------
+
+    def finish(self, tid: int, arrival_ms: float) -> None:
+        """Trace thread ``tid``'s source as finished at ``arrival_ms``.
+
+        Past the k-th new tuple, every other scanning thread stops there too.
+        """
+        self._finish_source(tid, arrival_ms)
+        if self.reached_target:
+            for other, state in enumerate(self.threads):
+                if state.source >= 0:
+                    self._finish_source(other, min(state.last_event_ms, arrival_ms))
 
     def _finish_source(self, tid: int, arrival_ms: float) -> None:
         state = self.threads[tid]
@@ -634,11 +659,6 @@ class _Executor:
         state.stream = ()
         state.times = _NO_TIMES
         state.last_event_ms = arrival_ms
-
-    def _flush_active(self, now_ms: float, skip: int) -> None:
-        for tid, state in enumerate(self.threads):
-            if tid != skip and state.source >= 0:
-                self._finish_source(tid, min(state.last_event_ms, now_ms))
 
     def result(
         self,

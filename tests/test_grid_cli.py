@@ -595,6 +595,24 @@ class TestCli:
         assert rc == 0
         assert "shortfall=True" in capsys.readouterr().out
 
+    def test_oracle_gives_no_ratio_for_a_short_run(self, capsys):
+        # Both orders fall short of k here.  The oracle's cost scans every
+        # source; the sweep's leaves zero-rate sources out.  So the ratio of
+        # the two costs read 0.778337 and claimed within_bound=True.
+        rc = main(["oracle", "--max-sources", "6", "--k-fraction", "1.5"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith("shortfall=True")
+        assert lines[2].startswith("refined order=") and lines[2].endswith("shortfall=True")
+        assert lines[3].startswith("ratio=n/a ") and lines[3].endswith(" within_bound=n/a")
+
+    def test_oracle_gives_a_ratio_when_both_orders_cover_k(self, capsys):
+        rc = main(["oracle", "--max-sources", "6"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith("shortfall=False") and lines[2].endswith("shortfall=False")
+        assert lines[3] == "ratio=1.000000 bound=1.135325 within_bound=True"
+
     @pytest.mark.parametrize(
         "flag, value",
         [

@@ -1,5 +1,6 @@
 """Event-driven execution: determinism, pinning, termination, threading."""
 
+import functools
 import heapq
 import json
 from dataclasses import dataclass, replace
@@ -68,9 +69,15 @@ def desk_outage_setup():
 
 # -- oracle: the event loop with one heap event per tuple arrival ---------
 #
-# The scheduler consumes arrivals a window at a time.  This copy of the
-# loop it replaced pushes and pops every arrival, so a run through it is
-# the reference the windowed loop must reproduce exactly.
+# The scheduler consumes arrivals a window at a time and keeps the
+# statistics worker on its own clock.  This loop pushes and pops every
+# arrival and every counting query's completion, so a run through it is
+# the reference the windowed loop must reproduce exactly.  Events are
+# keyed on (time, worker class, thread id): a completion at a time comes
+# before an arrival or a dispatch at that time.
+
+_PRIO_STATS = 0
+_PRIO_QUERY = 2
 
 
 @dataclass
@@ -154,7 +161,14 @@ class _TupleExecutor:
 
 
 def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None, *,
-                   charge_first_sweep=False):
+                   charge_first_sweep=False, log=None):
+    """The oracle loop; ``log``, if given, collects the statistics worker's moves.
+
+    Its entries are ``("asks", source, time)`` when a counting query
+    starts, ``("waits", source, time)`` when it may not start because its
+    source is being scanned, and ``("done", time)`` when one completes.
+    """
+    log = [] if log is None else log
     detections, planner_charge = 0, 0.0
     query_ms = DETECTION_QUERY_MS * config.detection_overhead
     if charge_first_sweep:
@@ -182,19 +196,22 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
             return
         _read, target = pending
         if executor.scanning(target):
+            log.append(("waits", target, now_ms))
             return
+        log.append(("asks", target, now_ms))
         sc_in_flight = True
         probe_busy_until[target] = now_ms + query_ms
-        push(now_ms + query_ms, scheduler._PRIO_STATS, -1)
+        push(now_ms + query_ms, _PRIO_STATS, -1)
 
     pull_next_detection()
     try_start_detection(0.0)
     for tid in range(config.query_threads):
-        push(planner_charge, scheduler._PRIO_QUERY, tid)
+        push(planner_charge, _PRIO_QUERY, tid)
 
     while events and not executor.reached_target:
         time_ms, prio, tid, _ = heapq.heappop(events)
-        if prio == scheduler._PRIO_STATS:
+        if prio == _PRIO_STATS:
+            log.append(("done", time_ms))
             sc_in_flight = False
             if pending is not None:
                 stats = pending[0]
@@ -212,7 +229,7 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
                     break
             else:
                 push(executor.dispatch(tid, source, time_ms, probe_busy_until),
-                     scheduler._PRIO_QUERY, tid)
+                     _PRIO_QUERY, tid)
         else:
             source = state.source
             finished = executor.on_tuple(tid, time_ms)
@@ -220,9 +237,9 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
                 break
             if finished:
                 try_start_detection(time_ms)
-                push(time_ms, scheduler._PRIO_QUERY, tid)
+                push(time_ms, _PRIO_QUERY, tid)
             else:
-                push(time_ms + universe.sources[source].per_tuple_ms, scheduler._PRIO_QUERY, tid)
+                push(time_ms + universe.sources[source].per_tuple_ms, _PRIO_QUERY, tid)
 
     if executor.reached_target:
         total = executor.end_ms
@@ -243,9 +260,12 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
     )
 
 
-def per_tuple_reference(*args, **kwargs) -> RunResult:
-    """``run_query`` with the per-tuple event loop in place of the windowed one."""
-    with mock.patch.object(scheduler, "_run", _per_tuple_run):
+def per_tuple_reference(*args, log=None, **kwargs) -> RunResult:
+    """``run_query`` with the per-tuple event loop in place of the windowed one.
+
+    ``log`` collects the statistics worker's moves, as ``_per_tuple_run`` says.
+    """
+    with mock.patch.object(scheduler, "_run", functools.partial(_per_tuple_run, log=log)):
         return run_query(*args, **kwargs)
 
 
@@ -397,8 +417,10 @@ class TestRunProperties:
         cfg = RunConfig(
             query_threads=data.draw(st.integers(1, 3), label="threads"),
             # With no overhead a counting query completes at the instant
-            # it starts, which may be an arrival's.
-            detection_overhead=data.draw(st.sampled_from([0.0, 1.0]), label="overhead"),
+            # it starts, which may be an arrival's; with a large one the
+            # planner overtakes the statistics worker, whose queries then
+            # often wait on a source being scanned.
+            detection_overhead=data.draw(st.sampled_from([0.0, 1.0, 20.0]), label="overhead"),
         )
 
         plans = []
@@ -508,6 +530,78 @@ class TestRunProperties:
                 for t in reference.per_source_trace
             )
         assert on_stream_end >= 2
+
+
+class TestStatsWorkerClock:
+    """The statistics worker is caught up where the oracle's heap would order its queries."""
+
+    #: Every tuple in each of 3 sources, no access time and 0.25 ms a
+    #: tuple: arrivals land on the 1.5 ms counting queries' completions.
+    TIED = UniverseConfig(
+        n_sources=3,
+        n_distinct=12,
+        total_tuples=36,
+        overlap=ReplicationModel(mean_depth=3.0, max_depth=3, chains=1),
+        access_ms=(0.0, 0.0),
+        per_tuple_ms=(0.25, 0.25),
+        query_split=1.0,
+    )
+
+    @pytest.mark.parametrize(
+        "algo, threads, k", [("online", 1, 6), ("sequential", 1, 12), ("online", 2, 6)]
+    )
+    def test_a_query_completing_at_the_k_th_arrival_counts(self, algo, threads, k):
+        u = generate(self.TIED, 0)
+        init = initial_detection(ScopedProbe(u, SCOPE_ALL)).snapshot
+        query, cfg = QuerySpec(SCOPE_FOCUS, k), RunConfig(query_threads=threads)
+        log = []
+        reference = per_tuple_reference(algo, query, u, init, cfg, seed=0, log=log)
+        assert not reference.shortfall
+        assert ("done", reference.simulated_time_ms) in log
+        assert run_query(algo, query, u, init, cfg, seed=0).to_json() == reference.to_json()
+
+    @pytest.mark.parametrize(
+        "seed, threads, overhead, k", [(101, 1, 1.0, 400), (101, 2, 1.0, 260), (103, 1, 20.0, 260)]
+    )
+    def test_a_query_waiting_on_a_scanned_source_asks_at_its_finish(
+        self, seed, threads, overhead, k
+    ):
+        u, init = desk_setup(seed)
+        query = QuerySpec(SCOPE_FOCUS, k)
+        cfg = RunConfig(query_threads=threads, detection_overhead=overhead)
+        log = []
+        reference = per_tuple_reference("online", query, u, init, cfg, seed=7, log=log)
+        finished = {t.source: t.arrival_ms for t in reference.per_source_trace}
+        waited = {e[1] for e in log if e[0] == "waits"}
+        assert any(
+            e[0] == "asks" and e[1] in waited and e[2] == finished.get(e[1]) for e in log
+        )
+        assert run_query("online", query, u, init, cfg, seed=7).to_json() == reference.to_json()
+
+    @pytest.mark.parametrize("n_sources", [50, 200])
+    @pytest.mark.parametrize("algo", ["online", "sequential"])
+    def test_one_window_per_dispatched_source(self, algo, n_sources):
+        # Counting queries are not events, so one thread's window runs from
+        # a dispatch to that source's finish, or to the k-th new tuple.
+        # While every completion closed a window, 200 sources at seed 101
+        # made 97 windows for ``online``'s 20 dispatches and 99 for
+        # ``sequential``'s 20.
+        windows = 0
+        consume = scheduler._Executor.consume_window
+
+        def counted(executor, *args):
+            nonlocal windows
+            windows += 1
+            return consume(executor, *args)
+
+        u = generate(scaled_universe(desk_universe_config(), n_sources), 101)
+        init = offline_stats(u, RunConfig()).snapshot
+        query = QuerySpec(SCOPE_FOCUS, round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS)))
+        with mock.patch.object(scheduler._Executor, "consume_window", counted):
+            result = run_query(algo, query, u, init, RunConfig(), seed=101)
+        assert windows == len(result.per_source_trace)
+        if n_sources == 200:
+            assert windows == 20
 
 
 #: One JSON line per run: ``bulk_run_lines()`` on the bulk universe.
