@@ -19,9 +19,10 @@ the hinted order; then individual cell values, detected in descending
 order of how far the current query-level estimate moved from the offline
 value.  The plan yields one step per counting query and leaves its price
 on the simulated clock to the scheduler; what a step counted is fixed at
-once.  The step's snapshot is built when it is first
-read: its cells are the projection of the offline cells onto the rows of
-the sources detected by then, with the counted cells fixed.  A detected
+once.  The step's snapshot is built when it is read, and the scheduler
+keeps the one in force: its cells are the projection of the offline
+cells onto the rows of the sources detected by then, with the counted
+cells fixed.  A detected
 source publishes its detected total, and any other its cells' sum, or,
 when it holds no positive cell, its offline total scaled by the average
 detected-to-offline ratio.  Each projection starts from the offline
@@ -33,7 +34,8 @@ were counted, so a plan keeps the last refresh it solved, and a step
 read with the same inputs takes its values: a source-total probe
 outside those sources moves no cell.  Nothing of it outlives the plan.
 Query-level snapshots hold the offline snapshot's cells only: a cell
-pruned offline is never probed or estimated per query.
+pruned offline is never probed or estimated per query.  In either
+stage a counting query the probe cannot answer reads 0 and logs a warning.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -86,6 +89,32 @@ class DetectionOutcome:
     provenance: Mapping[int, str]
 
 
+def check_prune_threshold(prune_threshold: float, n_sources: int) -> None:
+    """Raise ValueError for a negative or NaN threshold, or zero over too many sources.
+
+    Zero counts all 2^n cells, so it takes at most :data:`EXHAUSTIVE_SOURCE_LIMIT` sources.
+    """
+    if not prune_threshold >= 0:  # NaN too: it would prune nothing
+        raise ValueError("prune threshold must be nonnegative")
+    if prune_threshold == 0.0 and n_sources > EXHAUSTIVE_SOURCE_LIMIT:
+        raise ValueError(
+            f"zero prune threshold materializes 2^{n_sources} cells; universe too large"
+        )
+
+
+def _count(probe: StatsProbe, key: int, stage: str, *, cell: bool = False) -> float:
+    """Source ``key``'s total, or with ``cell`` cell ``key``'s count, asked in ``stage`` detection.
+
+    A probe that raises (a source is down) reads 0.0 and logs one warning naming the stage.
+    """
+    try:
+        return float(probe.cell_count(key) if cell else probe.cardinality(key))
+    except Exception:
+        what = ("cell %#x" if cell else "source %d") % key
+        log.warning("%s unavailable during %s detection", what, stage)
+        return 0.0
+
+
 def initial_detection(
     probe: StatsProbe,
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
@@ -97,33 +126,16 @@ def initial_detection(
     Unreachable sources are zeroed out and detection continues; when no
     source has a tuple, no cell is probed and the snapshot holds none.
     """
-    if not prune_threshold >= 0:  # NaN too: it would prune nothing
-        raise ValueError("prune threshold must be nonnegative")
     n = probe.n_sources
+    check_prune_threshold(prune_threshold, n)
     if n == 0:
         raise ValueError("empty universe")
-    if prune_threshold == 0.0 and n > EXHAUSTIVE_SOURCE_LIMIT:
-        raise ValueError(
-            f"zero prune threshold materializes 2^{n} cells; universe too large"
-        )
 
-    cards: list[float] = []
-    for s in range(n):
-        try:
-            cards.append(probe.cardinality(s))
-        except Exception:
-            log.warning("source %d unavailable during initial detection", s)
-            cards.append(0.0)
-
+    cards = [_count(probe, s, "initial") for s in range(n)]
     total = sum(cards)
     threshold = prune_threshold * total if relative else prune_threshold
 
-    clamps = [0]
-
-    def on_clamp(source: int, resid: float) -> None:
-        clamps[0] += 1
-        log.warning("detected cells overshoot source %d by %.6g; clamping", source, -resid)
-
+    clamped_rows = 0
     detected: dict[int, float] = {}
     pruned: set[int] = set()
     # A level's candidates, ascending, and their estimates, which only
@@ -139,12 +151,7 @@ def initial_detection(
             else:
                 survivors.append(mask)
         for mask in survivors:
-            try:
-                detected[mask] = probe.cell_count(mask)
-            except Exception:
-                # A cell predicate over an unreachable source cannot be
-                # answered; the source contributes nothing downstream.
-                detected[mask] = 0.0
+            detected[mask] = _count(probe, mask, "initial", cell=True)
 
         # A child's detected parents are this level's survivors; their
         # counts add in ascending mask order.  It is a candidate when
@@ -161,12 +168,13 @@ def initial_detection(
         index = CellIndex([*detected, *candidates], n)
         known = dict(enumerate(detected.values()))
         try:
-            solved, _ = maxent.solve(cards, index, known, on_clamp=on_clamp)
+            solved, report = maxent.solve(cards, index, known)
         except maxent.MaxEntError as exc:
             # Detection corrects the estimates next round; keep the best
             # iterate and carry on rather than losing the deeper levels.
             log.warning("lattice fill-in imprecise at level %d: %s", level(candidates[0]), exc)
-            solved = exc.values
+            solved, report = exc.values, exc.report
+        clamped_rows += len(report.clamped_sources)
         estimates = dict(zip(candidates, solved[len(detected) :].tolist()))
 
     provenance = dict.fromkeys(pruned, PRUNED)
@@ -179,7 +187,7 @@ def initial_detection(
         index=index,
         values=[detected[m] for m in index.masks],
     )
-    return DetectionOutcome(snapshot, n + len(detected), clamps[0], provenance)
+    return DetectionOutcome(snapshot, n + len(detected), clamped_rows, provenance)
 
 
 def dump_snapshot(outcome: DetectionOutcome, prune_threshold: float) -> str:
@@ -204,23 +212,6 @@ def dump_snapshot(outcome: DetectionOutcome, prune_threshold: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_once(build: Callable[..., StatsSnapshot], *args) -> Callable[[], StatsSnapshot]:
-    """A reader that returns ``build(*args)``, built on its first call and kept.
-
-    A plan makes one per counting query; ``functools.cache`` would copy
-    the wrapped function's metadata onto each, which costs more.
-    """
-    snapshot: StatsSnapshot | None = None
-
-    def read() -> StatsSnapshot:
-        nonlocal snapshot
-        if snapshot is None:
-            snapshot = build(*args)
-        return snapshot
-
-    return read
-
-
 def online_detection_plan(
     initial: StatsSnapshot, perm_hint: Sequence[int], probe: StatsProbe
 ) -> Iterator[tuple[Callable[[], StatsSnapshot], int]]:
@@ -230,16 +221,15 @@ def online_detection_plan(
     query-level estimate.  A step is a source total, or one cell's count,
     asked of the cell's first member source; ``probed_source`` names the
     source the query contacted, so a scheduler can price the query and
-    model contention.  ``read()`` builds the step's snapshot on its first
-    call and returns that same object afterwards; what a step counted is
-    fixed when it is yielded, so reading a step late, or never, changes
-    no other step.  A snapshot's cells are fitted to the detected rows
-    when it is built; the plan itself reads only the last cardinality
-    refresh, which orders the cell queries.  A step whose refresh has the
-    inputs of the last one the plan solved reuses its values list.  The
-    caller owns termination; abandoning the iterator is the stop signal.
-    Raises ValueError, before any probe, for a hint source outside the
-    universe.
+    model contention.  Each ``read()`` builds the step's snapshot anew;
+    what a step counted is fixed when it is yielded, so reading a step
+    late, twice or never changes no other step.  A snapshot's cells are
+    fitted to the detected rows when it is built; the plan itself reads
+    only the last cardinality refresh, which orders the cell queries.  A
+    step whose refresh has the inputs of the last one the plan solved
+    reuses its values list.  The caller owns termination; abandoning the
+    iterator is the stop signal.  Raises ValueError, before any probe,
+    for a hint source outside the universe.
     """
     n = initial.n_sources
     # Each source is probed once, in hint order, then the rest in id order.
@@ -274,15 +264,8 @@ def online_detection_plan(
         fit = set(fitted)
         key = ([(s, totals[s]) for s in support if s in fit], len(known))
         if key != last_key:
-            last_values = maxent.solve(
-                [totals[s] if s in fit else math.nan for s in range(n)],
-                index,
-                known,
-                prior=prior,
-                on_clamp=lambda s, r: log.warning(
-                    "query-level cells overshoot source %d by %.6g; clamping", s, -r
-                ),
-            )[0].tolist()
+            rows = [totals[s] if s in fit else math.nan for s in range(n)]
+            last_values = maxent.solve(rows, index, known, prior=prior)[0].tolist()
             last_key = key
         cards = list(totals)
         # Outside the support only counted cells can be positive, and cells
@@ -314,17 +297,13 @@ def online_detection_plan(
     ratio_sum = 0.0
     ratios = 0
     for probed, s in enumerate(hint, 1):
-        try:
-            card = float(probe.cardinality(s))
-        except Exception:
-            log.warning("source %d unavailable during query detection", s)
-            card = 0.0
+        card = _count(probe, s, "query")
         detected_cards.append(card)
         if offline_cards[s] > 0.0:
             ratio_sum += card / offline_cards[s]
             ratios += 1
         avg = ratio_sum / ratios if ratios else 1.0
-        read = _read_once(totals_step, probed, avg)
+        read = partial(totals_step, probed, avg)
         yield read, s
 
     # Cells go in descending order of how far the last cardinality
@@ -345,13 +324,6 @@ def online_detection_plan(
         return refreshed(hint, cards, dict(zip(counted[:known], counts[:known])))
 
     for i in gaps:
-        m = index.masks[i]
-        try:
-            count = float(probe.cell_count(m))
-        except Exception:
-            log.warning("cell %#x undetectable during query detection", m)
-            count = 0.0
         counted.append(i)
-        counts.append(count)
-        read = _read_once(cells_step, len(counted))
-        yield read, index.members[i][0]
+        counts.append(_count(probe, index.masks[i], "query", cell=True))
+        yield partial(cells_step, len(counted)), index.members[i][0]

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .cost import SEQUENTIAL, QuerySpec, permutation_time_cost, walk_residuals
-from .detection import DetectionOutcome, initial_detection
+from .detection import DetectionOutcome, check_prune_threshold, initial_detection
 from .permutation import TABLE_ALGO_ORDER, brute_force_opt
 from .scheduler import RunConfig, RunResult, run_query
 from .simulator import (
@@ -43,7 +43,8 @@ class GridSpec:
     """A grid: default condition, one-factor axes, algorithms and seeds.
 
     Construction builds every condition's configs, so a bad axis name or
-    value raises before any run.
+    value raises before any run, as does a prune threshold offline
+    detection rejects for a condition's source count.
     """
 
     universe: UniverseConfig
@@ -67,7 +68,8 @@ class GridSpec:
                 raise ValueError(f"grid config section top level: {key} repeats {repeated[0]!r}")
         labels = set()
         for axis, value in self.conditions():
-            condition_config(self, axis, value)
+            ucfg, run, _ = condition_config(self, axis, value)
+            check_prune_threshold(run.prune_threshold, ucfg.n_sources)
             # The label names the condition's CSV rows and trace files.
             label = f"{axis}={value:g}"
             if label in labels:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,15 +57,18 @@ _SWEEPS = 20
 class MaxEntError(RuntimeError):
     """Raised when the offline fill-in cannot satisfy the constraint rows.
 
-    Carries the per-row absolute residuals, keyed by source, and the last
+    Carries the per-row absolute residuals, keyed by source, the last
     iterate as every cell's value in index order, so pipelines can
-    degrade to the best-effort estimates.
+    degrade to the best-effort estimates, and the solve's report.
     """
 
-    def __init__(self, message: str, residuals: dict[int, float], values: np.ndarray):
+    def __init__(
+        self, message: str, residuals: dict[int, float], values: np.ndarray, report: SolveReport
+    ):
         super().__init__(message)
         self.residuals = residuals
         self.values = values
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ class SolveReport:
     or the prior) already meets the rows.
     ``max_rel_residual`` is the worst residual of the rows solved,
     relative to each row's scale: 0.0 when none is in play.
+    ``clamped_sources`` are the rows the known cells overshot, each
+    clamped to a zero residual and logged once.
     """
 
     iterations: int
@@ -91,7 +96,6 @@ def solve(
     *,
     prior: Sequence[float] | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
-    on_clamp: Callable[[int, float], None] | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Estimate the free cells of ``index`` under per-source sum constraints.
 
@@ -101,9 +105,9 @@ def solve(
     order given.  The other cells are free, and ``prior``, when given,
     holds every cell's prior in index order; a zero, negative or NaN
     prior counts as zero and keeps its cell at zero.  Returns every
-    cell's value in index order.  Negative row residuals (detected cells
-    overshooting a total) are clamped to zero and reported through
-    ``on_clamp`` rather than failing, and rows no free cell with a
+    cell's value in index order.  Negative row residuals (known cells
+    overshooting a total) are clamped to zero and reported in
+    ``clamped_sources`` rather than failing, and rows no free cell with a
     positive start can reach are listed in ``skipped_sources``.  Without
     ``prior``, raises :class:`MaxEntError` when the worst residual exceeds
     ``rel_tol`` (relative to each row total).  With ``prior`` it never
@@ -126,9 +130,8 @@ def solve(
     values[list(known)] = list(known.values())
     negative = np.flatnonzero(resid < 0.0)
     clamped = tuple(negative.tolist())
-    if on_clamp is not None:
-        for s, r in zip(clamped, resid[negative].tolist()):
-            on_clamp(s, r)
+    for s, r in zip(clamped, resid[negative].tolist()):
+        log.warning("known cells overshoot source %d by %.6g; clamping", s, -r)
     resid[negative] = 0.0
     wanting = resid > rel_tol * scales
 
@@ -157,13 +160,15 @@ def solve(
     if skipped:
         log.debug("rows skipped as unreachable: %s", skipped)
     values[active] = w
+    report = SolveReport(iterations, worst_rel, clamped, tuple(skipped))
     if prior is None and worst_rel > rel_tol:
         raise MaxEntError(
             "row scaling did not converge",
             dict(zip(rows.sources.tolist(), np.abs(rows.a @ w - rows.targets).tolist())),
             values,
+            report,
         )
-    return values, SolveReport(iterations, worst_rel, clamped, tuple(skipped))
+    return values, report
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ overhead: when a query completes, the worker keeps the step's reader
 and counts the detection; that count is the statistics version.  The
 planner names the source the next dispatch takes, and replans lazily
 whenever that version or the dispatched prefix has moved since its last
-answer; only a replan reads the statistics, and the step's snapshot and
-its refresh are built on that first read.
+answer; only a replan reads the statistics, and the worker builds a
+version's snapshot and refresh on its first read and keeps them.
 The query threads dispatch that source, pin every source they dispatch
 and deduplicate arriving tuples against a shared seen-set.  A baseline
 is the same loop with a fixed order (its policy's, never revised) and no
@@ -390,8 +390,6 @@ def _run(
             worker.start(time_ms)  # a query may wait on the finished source
             heapq.heappush(events, (time_ms, tid))  # same-time dispatch of next source
             continue
-        if not events:
-            break
         time_ms, tid = heapq.heappop(events)
         if worker.due_ms <= time_ms:
             worker.catch_up(time_ms)
@@ -423,6 +421,7 @@ class _StatsWorker:
     is: the plan has run out, or its next step waits because its source
     is being scanned.  Each query costs ``query_ms`` and books its source
     busy until it completes; a dispatch of that source waits for it.
+    The snapshot in force is built at most once, on its first :meth:`read`.
     """
 
     def __init__(
@@ -432,7 +431,8 @@ class _StatsWorker:
         plan: Iterator[tuple[Callable[[], StatsSnapshot], int]] | None,
         query_ms: float,
     ):
-        self.read = read  # the statistics in force
+        self._build = read  # builds the statistics in force
+        self._snapshot: StatsSnapshot | None = None  # and, once read, holds them
         self.detections = 0  # also the version of the statistics in force
         self.due_ms = math.inf
         self.busy_until: dict[int, float] = {}  # source -> end of its latest query
@@ -441,6 +441,12 @@ class _StatsWorker:
         self._query_ms = query_ms
         self._step = None if plan is None else next(plan, None)
         self.start(0.0)
+
+    def read(self) -> StatsSnapshot:
+        """The statistics in force, built on their version's first read."""
+        if self._snapshot is None:
+            self._snapshot = self._build()
+        return self._snapshot
 
     def start(self, now_ms: float) -> None:
         """Ask the waiting step's query at ``now_ms``, unless it must wait."""
@@ -454,7 +460,7 @@ class _StatsWorker:
         """Complete every query due at or before ``now_ms``, each starting the next."""
         while self.due_ms <= now_ms:
             done_ms, self.due_ms = self.due_ms, math.inf
-            self.read = self._step[0]
+            self._build, self._snapshot = self._step[0], None
             self.detections += 1
             self._step = next(self._plan, None)
             self.start(done_ms)

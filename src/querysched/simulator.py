@@ -101,8 +101,15 @@ class SimSource:
     tuples: tuple[int, ...]  # fixed stream order, each tuple at most once
 
 
+def _check_scope(scope: str) -> None:
+    """Raise ValueError unless ``scope`` names a query scope; each per-scope view checks here."""
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}")
+
+
 def _cell_table(membership: Sequence[int], focus: frozenset[int], scope: str) -> dict[int, int]:
     """Tuple count per nonempty membership mask over the tuples in ``scope``."""
+    _check_scope(scope)
     counts: Counter[int] = Counter()
     for tid, mask in enumerate(membership):
         if mask and (scope == SCOPE_ALL or tid in focus):
@@ -169,13 +176,14 @@ class Universe:
 
     def tuple_stream(self, source: int, scope: str) -> tuple[int, ...]:
         """Matching tuples of one source in its fixed stream order."""
-        self._check_up(source)
         if scope not in self._streams:
+            _check_scope(scope)
             focus = self.truth.focus
             self._streams[scope] = tuple(
                 src.tuples if scope == SCOPE_ALL else tuple(t for t in src.tuples if t in focus)
                 for src in self.sources
             )
+        self._check_up(source)
         return self._streams[scope][source]
 
     def _check_up(self, source: int) -> None:
@@ -416,8 +424,6 @@ class ScopedProbe:
     _totals: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.scope not in SCOPES:
-            raise ValueError(f"unknown scope {self.scope!r}")
         rate = self.sample_rate
         if not 0.0 < rate <= 1.0:
             raise ValueError("sample rate must be in (0, 1]")

