@@ -13,7 +13,7 @@ table only under this model).
 
 Every walk along an order goes through :class:`CoverageWalk`, which reads
 the snapshot's cells by position in its shared cell index rather than by
-mask, and can be copied so that rebuilds sharing a prefix walk it once.
+mask.
 """
 
 from __future__ import annotations
@@ -84,17 +84,6 @@ class CoverageWalk:
         self._by_source = index.by_source
         self._covered = bytearray(len(index.masks))
         self._covered_amt = [0.0] * snapshot.n_sources
-
-    def copy(self) -> CoverageWalk:
-        """An independent walk over the same prefix."""
-        twin = object.__new__(CoverageWalk)
-        twin.snapshot = self.snapshot
-        twin._values = self._values
-        twin._members = self._members
-        twin._by_source = self._by_source
-        twin._covered = self._covered[:]
-        twin._covered_amt = self._covered_amt[:]
-        return twin
 
     def residual(self, source: int) -> float:
         # Clamped at zero: estimated cells may briefly overshoot a freshly

@@ -457,11 +457,15 @@ def grid_from_json(payload: Mapping) -> GridSpec:
         )
     else:
         overlap = _override(desk.overlap, overlap_cfg, "universe.overlap")
-    universe = _override(
-        replace(desk, overlap=overlap),
-        {key: value for key, value in u.items() if key != "overlap"},
-        "universe",
-        _UNIVERSE_FIELDS,
+    # The overlap joins last: a cell map is checked against the sizes given with it.
+    universe = replace(
+        _override(
+            desk,
+            {key: value for key, value in u.items() if key != "overlap"},
+            "universe",
+            _UNIVERSE_FIELDS,
+        ),
+        overlap=overlap,
     )
     r = _section(payload.get("run", {}), "run", [f.name for f in fields(RunConfig)])
     axes = tuple(

@@ -86,7 +86,6 @@ class SolveReport:
     iterations: int
     max_rel_residual: float
     clamped_sources: tuple[int, ...]
-    skipped_sources: tuple[int, ...] = ()
 
 
 def solve(
@@ -107,12 +106,12 @@ def solve(
     prior counts as zero and keeps its cell at zero.  Returns every
     cell's value in index order.  Negative row residuals (known cells
     overshooting a total) are clamped to zero and reported in
-    ``clamped_sources`` rather than failing, and rows no free cell with a
-    positive start can reach are listed in ``skipped_sources``.  Without
-    ``prior``, raises :class:`MaxEntError` when the worst residual exceeds
-    ``rel_tol`` (relative to each row total).  With ``prior`` it never
-    raises: rows the cells cannot all meet leave the last Newton iterate,
-    whose worst residual the report gives.
+    ``clamped_sources`` rather than failing.  Rows no free cell with a
+    positive start can reach are left out.  Without ``prior``, raises
+    :class:`MaxEntError` when the worst residual exceeds ``rel_tol``
+    (relative to each row total).  With ``prior`` it never raises: rows
+    the cells cannot all meet leave the last Newton iterate, whose worst
+    residual the report gives.
     """
     incidence = index.incidence
     n = len(incidence)
@@ -133,7 +132,6 @@ def solve(
     for s, r in zip(clamped, resid[negative].tolist()):
         log.warning("known cells overshoot source %d by %.6g; clamping", s, -r)
     resid[negative] = 0.0
-    wanting = resid > rel_tol * scales
 
     # Multiplicative updates keep a cell that starts at zero there, and a
     # zero-residual row forces its free cells to zero.  Rows that reach no
@@ -147,7 +145,6 @@ def solve(
     w = start[active]
     a = incidence[:, active]
     reachable = a.any(axis=1)
-    skipped = np.flatnonzero(~reachable & wanting).tolist()
     keep = reachable & ~np.isnan(resid)
     rows = _Rows(np.flatnonzero(keep), a[keep].astype(float), resid[keep], scales[keep])
 
@@ -157,10 +154,8 @@ def solve(
     iterations, worst_rel = 0, _worst_residual(w, rows)
     if worst_rel > rel_tol * 1e-3:
         iterations, worst_rel = _scale_rows(w, rows, rel_tol * 1e-3)
-    if skipped:
-        log.debug("rows skipped as unreachable: %s", skipped)
     values[active] = w
-    report = SolveReport(iterations, worst_rel, clamped, tuple(skipped))
+    report = SolveReport(iterations, worst_rel, clamped)
     if prior is None and worst_rel > rel_tol:
         raise MaxEntError(
             "row scaling did not converge",

@@ -14,12 +14,11 @@ start from: the greedy starts from each source's rate with nothing
 covered, computed and sorted once per snapshot, and re-rates only the
 tops it meets.  It reads that sorted list in place, skipping the sources
 already in the order, and keeps the re-rated ones in a small side heap.
-The rebuilds tried at one swap position share the order's head before
-it, walked once and copied into each; a replan's greedy start shares its
-walk over the pinned prefix the same way.  Swap
-candidates are ranked by overlap ratio with the anchor, read from the
-anchor's cells, and those below a fixed floor are dropped, since
-swapping sources that barely intersect cannot change which order wins.
+Every greedy, the start and each rebuild, walks its order from a fresh
+:class:`~querysched.cost.CoverageWalk`.  Swap candidates are ranked by
+overlap ratio with the anchor, read from the anchor's cells, and those
+below a fixed floor are dropped, since swapping sources that barely
+intersect cannot change which order wins.
 A replan during a run needs only the first unpinned source of the full
 order, which the greedy start and the swap at that position decide
 (:func:`next_source`).
@@ -215,48 +214,18 @@ def _picks(
         walk.append(best)
 
 
-class _Head:
-    """A walk along the head of an order, with the greedy's running sums.
-
-    ``keep`` sources have been walked.  :meth:`advance` stops at the
-    minimal covering prefix, never inside the pinned one, so advancing
-    again over any order with the same head stops there too.
-    """
-
-    __slots__ = ("walk", "keep", "res_sum", "scan_sum")
-
-    def __init__(
-        self, walk: CoverageWalk, keep: int = 0, res_sum: float = 0.0, scan_sum: float = 0.0
-    ):
-        self.walk = walk
-        self.keep = keep
-        self.res_sum = res_sum
-        self.scan_sum = scan_sum
-
-    def copy(self) -> _Head:
-        return _Head(self.walk.copy(), self.keep, self.res_sum, self.scan_sum)
-
-    def advance(self, k: float, order: Sequence[int], pinned: int) -> None:
-        """Walk ``order`` on from ``keep`` until it covers ``k`` past the pinned prefix."""
-        walk = self.walk
-        snapshot = walk.snapshot
-        pos, res_sum, scan_sum = self.keep, self.res_sum, self.scan_sum
-        while pos < len(order) and not (res_sum >= k and pos >= pinned):
-            s = order[pos]
-            res_sum += walk.residual(s)
-            scan_sum += snapshot.scan_cost_ms(s)
-            walk.append(s)
-            pos += 1
-        self.keep, self.res_sum, self.scan_sum = pos, res_sum, scan_sum
-
-
 def _greedy(
-    k: float, order: Sequence[int], pinned: int, meter: WorkMeter | None, head: _Head
+    k: float, order: Sequence[int], pinned: int, meter: WorkMeter | None, snapshot: StatsSnapshot
 ) -> PermCandidate:
-    """:func:`greedy_by_rate`, continuing ``head`` (a head of ``order``, which this consumes)."""
-    head.advance(k, order, pinned)
-    walk, keep, res_sum, scan_sum = head.walk, head.keep, head.res_sum, head.scan_sum
-    snapshot = walk.snapshot
+    """:func:`greedy_by_rate` without the order check."""
+    walk = CoverageWalk(snapshot)
+    keep, res_sum, scan_sum = 0, 0.0, 0.0
+    while keep < len(order) and not (res_sum >= k and keep >= pinned):
+        s = order[keep]
+        res_sum += walk.residual(s)
+        scan_sum += snapshot.scan_cost_ms(s)
+        walk.append(s)
+        keep += 1
     new_order = list(order[:keep])
     if res_sum < k:
         for rate, best in _picks(walk, snapshot._rate_heap, set(new_order), walk.rate, meter):
@@ -290,7 +259,7 @@ def greedy_by_rate(
     Raises ValueError unless ``order`` holds distinct source ids.
     """
     _check_order(order, snapshot.n_sources)
-    return _greedy(k, order, pinned, meter, _Head(CoverageWalk(snapshot)))
+    return _greedy(k, order, pinned, meter, snapshot)
 
 
 def improve_position(
@@ -306,9 +275,9 @@ def improve_position(
     Tries each ranked candidate with more tuples than the anchor, drawn
     from the sources not at or before ``pos``, replays the greedy
     extension on the remainder and keeps the rebuild with the highest
-    average rate.  Every rebuild shares ``order[:pos]``, which is
-    walked once and copied into each.  Returns None when no candidate
-    qualifies; the caller compares the winner against its incumbent.
+    average rate.  Each rebuild walks its order from the start.  Returns
+    None when no candidate qualifies; the caller compares the winner
+    against its incumbent.
     """
     anchor = order[pos]
     pool = set(range(snapshot.n_sources)).difference(order[: pos + 1])
@@ -317,11 +286,9 @@ def improve_position(
     swaps = [j for j, _ratio in ranked if snapshot.cardinalities[j] > anchor_card]
     if not swaps:
         return None
-    head = _Head(CoverageWalk(snapshot))
-    head.advance(k, order[:pos], pinned)
     best: PermCandidate | None = None
     for j in swaps:
-        cand = _greedy(k, swap_source(order, pos, j, pinned), pinned, meter, head.copy())
+        cand = _greedy(k, swap_source(order, pos, j, pinned), pinned, meter, snapshot)
         if best is None or cand.avg_rate > best.avg_rate:
             best = cand
     if best is not None and best.avg_rate > 0.0:
@@ -334,11 +301,10 @@ def _sweep(
     snapshot: StatsSnapshot,
     pinned_order: Sequence[int],
     meter: WorkMeter | None,
-    head: _Head,
 ) -> Iterator[PermCandidate]:
-    """Yield the greedy start, continuing ``head``, then the incumbent after each swap position."""
+    """Yield the greedy start, then the incumbent after each swap position."""
     pinned = len(pinned_order)
-    incumbent = _greedy(k, tuple(pinned_order), pinned, meter, head)
+    incumbent = _greedy(k, tuple(pinned_order), pinned, meter, snapshot)
     yield incumbent
 
     pos = pinned
@@ -363,8 +329,7 @@ def refine_order(
     ValueError unless ``pinned_order`` holds distinct source ids.
     """
     _check_order(pinned_order, snapshot.n_sources)
-    head = _Head(CoverageWalk(snapshot))
-    for incumbent in _sweep(k, snapshot, pinned_order, meter, head):
+    for incumbent in _sweep(k, snapshot, pinned_order, meter):
         pass
     return incumbent
 
@@ -385,18 +350,17 @@ def next_source(
     same floats, so a swap at a later position never trims before that
     position.  When the refined order is the pinned prefix alone, the
     extension's first round picks the source with the highest rate,
-    ties to the lowest id; it starts from a copy of the greedy start's
-    walk over the pinned prefix.
+    ties to the lowest id, over a walk of the pinned prefix.
     """
     pinned = len(pinned_order)
-    head = _Head(CoverageWalk(snapshot))
-    head.advance(k, pinned_order, pinned)  # the whole pinned prefix
-    sweep = _sweep(k, snapshot, pinned_order, None, head.copy())
+    sweep = _sweep(k, snapshot, pinned_order, None)
     refined = next(sweep)  # the greedy start
     refined = next(sweep, refined)  # after the swap at the first unpinned position
     if len(refined.order) > pinned:
         return refined.order[pinned]
-    walk = head.walk
+    walk = CoverageWalk(snapshot)
+    for s in pinned_order:
+        walk.append(s)
     # Rates are never negative, so with none positive the first pick is
     # the lowest id, as the remaining sources follow in id order.
     picks = _picks(walk, snapshot._rate_heap, set(refined.order), walk.rate, None)

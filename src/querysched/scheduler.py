@@ -190,7 +190,6 @@ class RunResult:
     shortfall: bool
     per_source_trace: Sequence[SourceTrace]
     detections: int
-    stats_versions: int
     perm_versions: int
 
     def to_json(self) -> str:
@@ -203,7 +202,7 @@ class RunResult:
             "planner_time_ms": round(self.planner_time_ms, 6),
             "shortfall": self.shortfall,
             "detections": self.detections,
-            "stats_versions": self.stats_versions,
+            "stats_versions": self.detections + 1,  # the offline statistics, then one per detection
             "perm_versions": self.perm_versions,
             "trace": [
                 {
@@ -457,8 +456,12 @@ class _StatsWorker:
         self.busy_until[step[1]] = self.due_ms
 
     def catch_up(self, now_ms: float) -> None:
-        """Complete every query due at or before ``now_ms``, each starting the next."""
-        while self.due_ms <= now_ms:
+        """Complete every query due at or before ``now_ms``, each starting the next.
+
+        Only a query in flight completes: with none, ``due_ms`` is inf,
+        which a clock that has overflowed to inf reaches too.
+        """
+        while self.due_ms <= now_ms and self.due_ms < math.inf:
             done_ms, self.due_ms = self.due_ms, math.inf
             self._build, self._snapshot = self._step[0], None
             self.detections += 1
@@ -687,6 +690,5 @@ class _Executor:
             shortfall=not self.reached_target,
             per_source_trace=SourceTraces._of(bytes(self.traces)),
             detections=detections,
-            stats_versions=detections + 1,  # the offline statistics, then one per detection
             perm_versions=perm_versions,
         )

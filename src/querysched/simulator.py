@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 import random
 from collections import Counter
@@ -88,9 +89,20 @@ class UniverseConfig:
             raise ValueError("total_tuples must be at least n_distinct")
         if not 0.0 < self.query_split <= 1.0:
             raise ValueError("query_split must be in (0, 1]")
-        for lo, hi in (self.access_ms, self.per_tuple_ms):
-            if lo < 0 or hi < lo:
-                raise ValueError("latency ranges must be ordered and nonnegative")
+        for name in ("access_ms", "per_tuple_ms"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi < math.inf:  # NaN too
+                raise ValueError(
+                    f"{name} must be an ordered, nonnegative and finite range, got {(lo, hi)!r}"
+                )
+        if isinstance(self.overlap, VennModel):
+            for mask, count in self.overlap.cells:
+                if not 0 < mask < 1 << self.n_sources:
+                    raise ValueError(f"cell mask {mask:#x} outside the universe")
+                if count < 0:
+                    raise ValueError(f"cell {mask:#x} has a negative count {count}")
+            if sum(count for _, count in self.overlap.cells) > self.n_distinct:
+                raise ValueError("cell counts exceed the distinct tuple budget")
 
 
 @dataclass(frozen=True)
@@ -316,15 +328,10 @@ def generate(config: UniverseConfig, seed: int) -> Universe:
 def _generate_venn(config: UniverseConfig, seed: int) -> tuple[list[int], set[int]]:
     model = config.overlap
     assert isinstance(model, VennModel)
-    placed = sum(count for _, count in model.cells)
-    if placed > config.n_distinct:
-        raise ValueError("cell counts exceed the distinct tuple budget")
     membership = []
     for mask, count in sorted(model.cells):
-        if mask <= 0 or mask >= (1 << config.n_sources):
-            raise ValueError(f"cell mask {mask:#x} outside the universe")
         membership.extend([mask] * count)
-    membership.extend([0] * (config.n_distinct - placed))
+    membership.extend([0] * (config.n_distinct - len(membership)))
     rng = random.Random(f"focus:{seed}")
     focus = {tid for tid in range(config.n_distinct) if rng.random() < config.query_split}
     return membership, focus

@@ -83,14 +83,6 @@ class TestCoverageWalk:
             walk.append(s)
             ref.append(s)
             assert readings(walk, n) == readings(ref, n)
-        # A copy walks on alone.
-        before = readings(walk, n)
-        twin = walk.copy()
-        extra = data.draw(st.integers(0, n - 1), label="extra")
-        twin.append(extra)
-        ref.append(extra)
-        assert readings(twin, n) == readings(ref, n)
-        assert readings(walk, n) == before
 
 
 class TestQueryRate:

@@ -371,6 +371,70 @@ class TestGrid:
             run_grid(spec, tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"access_ms": [NaN, 5]}', r"access_ms must be .* finite range, got \(nan, 5.0\)"),
+            ('{"per_tuple_ms": [0.02, Infinity]}', r"per_tuple_ms must be .* got \(0.02, inf\)"),
+        ],
+        ids=["nan-access", "infinite-per-tuple"],
+    )
+    def test_non_finite_latency_bound_rejected(self, monkeypatch, text, message):
+        # JSON's NaN and Infinity parse; the runs then ended in an
+        # AttributeError or a TypeError instead of a CSV.
+        runs = []
+        monkeypatch.setattr(grid, "run_query", lambda *a, **k: runs.append(a))
+        payload = {"universe": json.loads(text), "axes": {"k_fraction": [0.5]}}
+        with pytest.raises(ValueError, match=message):
+            grid_from_json(dict(payload, seeds=[101], algorithms=["online", "max_tuples"]))
+        assert runs == []
+
+    @pytest.mark.parametrize(
+        "payload, inf_algos",
+        [
+            ({"run": {"detection_overhead": 1.5e308}}, {"online"}),
+            ({"universe": {"per_tuple_ms": [1e308, 1e308]}}, {"online", "max_tuples"}),
+        ],
+        ids=["overhead", "per-tuple"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the point here
+    def test_overflowing_clock_ends_in_a_csv(self, tmp_path, payload, inf_algos):
+        # A counting query costs 1.5 ms times the overhead, and a scan
+        # 1e308 ms per tuple: both overflow to inf.  A clock at inf used
+        # to complete a query that was not in flight, a TypeError.
+        algos = ["online", "max_tuples"]
+        spec = grid_from_json(dict(payload, axes={"k_fraction": [0.5]}, seeds=[101], algorithms=algos))
+        text = run_grid(spec, tmp_path / "out.csv")
+        means = {row.split(",")[1]: row.split(",")[2] for row in text.splitlines()[1:]}
+        assert {algo for algo, mean in means.items() if mean == "inf"} == inf_algos
+
+    @pytest.mark.parametrize(
+        "cells, axes, message",
+        [
+            ({"1": -5, "2": 10, "3": 5}, {"k_fraction": [0.5]}, "cell 0x1 has a negative count -5"),
+            ({"1": 1, "2": 4, "4": 2, "3": 3}, {"n_sources": [3, 2]}, "cell mask 0x4 outside"),
+            ({"1": 10, "2": 10, "3": 5}, {"k_fraction": [0.5]}, "exceed the distinct tuple budget"),
+        ],
+        ids=["negative-count", "mask-outside-a-condition", "over-budget"],
+    )
+    def test_bad_venn_cells_rejected_before_any_run(self, monkeypatch, cells, axes, message):
+        # The negative cell vanished from a universe of 25 distinct tuples
+        # against 20; the mask and budget checks ran only at generation,
+        # so the n_sources = 2 condition failed after the first had run.
+        runs = []
+        monkeypatch.setattr(grid, "run_query", lambda *a, **k: runs.append(a))
+        universe = {"sources": 3, "distinct": 20, "total": 30, "overlap": {"cells": cells}}
+        with pytest.raises(ValueError, match=message):
+            grid_from_json({"universe": universe, "axes": axes})
+        assert runs == []
+
+    def test_venn_cells_are_checked_against_the_sizes_given_with_them(self):
+        # 700 cell tuples exceed the desk default of 600 distinct tuples.
+        universe = {"sources": 3, "distinct": 800, "total": 900, "overlap": {"cells": {"7": 700}}}
+        spec = grid_from_json({"universe": universe})
+        assert spec.universe.n_distinct == 800
+        assert generate(spec.universe, 1).truth.n_distinct == 800
+
     def test_venn_config_accepted(self):
         payload = {
             "universe": {

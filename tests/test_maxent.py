@@ -207,13 +207,13 @@ class TestDegradation:
         prior = {0b01: 1.0, 0b10: 0.0}
         values, report = solve(constraints, {}, [0b01, 0b10], prior=prior)
         assert values[0b01] == pytest.approx(4.0, rel=1e-6)
-        assert 1 in report.skipped_sources
+        assert values[0b10] == 0.0  # row 1 stays unmet
         assert report.max_rel_residual <= 1e-6
         # Row 1's zero total forces the only free cell to zero, so row 0
-        # is skipped and no row is left in play to report a residual.
+        # is left out and no row is left in play to report a residual.
         values, report = solve({0: 1.0, 1: 0.0}, {}, [0b11], prior={0b11: 1.0})
         assert values == {0b11: 0.0}
-        assert report.skipped_sources == (0,)
+        assert row_totals(2, values) == {0: 0.0, 1: 0.0}
         assert report.max_rel_residual == 0.0
 
 
@@ -237,7 +237,7 @@ class TestQueryRefreshShortcuts:
             {0: 5.0, 1: math.nan}, {}, [0b01, 0b10, 0b11], prior=dict.fromkeys((1, 2, 3), 1.0)
         )
         assert values == {0b01: 2.5, 0b10: 1.0, 0b11: 2.5}
-        assert report.skipped_sources == report.clamped_sources == ()
+        assert report.clamped_sources == ()
         assert report.max_rel_residual == 0.0
 
     def test_rows_no_cells_can_meet_are_not_fatal(self):
@@ -289,17 +289,6 @@ class TestQueryRefreshShortcuts:
         for s, total in constraints.items():
             assert abs(got[s] - total) <= maxent.DEFAULT_REL_TOL * max(total, 1.0)
         assert report.max_rel_residual <= maxent.DEFAULT_REL_TOL
-        assert report.skipped_sources == ()
-
-    def test_one_debug_record_names_every_skipped_row(self, caplog):
-        constraints = {0: 4.0, 1: 7.0, 2: 5.0}
-        prior = {0b001: 1.0, 0b010: 0.0, 0b100: 0.0}
-        with caplog.at_level(logging.DEBUG, logger="querysched.maxent"):
-            _, report = solve(constraints, {}, [0b001, 0b010, 0b100], prior=prior)
-        assert report.skipped_sources == (1, 2)
-        records = [r for r in caplog.records if r.name == "querysched.maxent"]
-        assert len(records) == 1
-        assert "[1, 2]" in records[0].getMessage()
 
 
 # -- query-level projection: properties over random systems -----------------

@@ -99,7 +99,7 @@ def eager_baseline(kind, snapshot):
 
 
 def scratch_improve(k, order, pos, snapshot, pinned, meter):
-    """Reference for ``improve_position``: each rebuild walks the shared head again."""
+    """Reference for ``improve_position``: each rebuild through :func:`eager_greedy`."""
     anchor = order[pos]
     pool = set(range(snapshot.n_sources)) - set(order[: pos + 1])
     best = None
@@ -394,14 +394,14 @@ class TestImprovePosition:
         | lattice_snapshots().map(lambda snap: (snap, sum(snap.cardinalities))),
         st.data(),
     )
-    def test_shared_head_equals_rebuild_from_scratch(self, instance, data):
+    def test_lazy_rebuild_equals_eager_reference(self, instance, data):
         snap, total = instance
         n = snap.n_sources
         perm = data.draw(st.permutations(range(n)), label="perm")
         order = tuple(perm[: data.draw(st.integers(1, n), label="length")])
         pos = data.draw(st.integers(0, len(order) - 1), label="pos")
         pinned = data.draw(st.integers(0, pos), label="pinned")
-        # Targets the pinned prefix or the whole shared head already covers.
+        # Targets the pinned prefix or the whole head before ``pos`` already covers.
         covered = [covered_total(order[:pinned], snap), covered_total(order[:pos], snap)]
         k = data.draw(
             st.sampled_from(covered)
@@ -410,11 +410,11 @@ class TestImprovePosition:
             | st.just(math.inf),
             label="k",
         )
-        shared_meter, scratch_meter = WorkMeter(), WorkMeter()
-        shared = improve_position(k, order, pos, snap, pinned, shared_meter)
+        lazy_meter, scratch_meter = WorkMeter(), WorkMeter()
+        lazy = improve_position(k, order, pos, snap, pinned, lazy_meter)
         scratch = scratch_improve(k, order, pos, snap, pinned, scratch_meter)
-        assert shared == scratch
-        assert shared_meter.ops == scratch_meter.ops
+        assert lazy == scratch
+        assert lazy_meter.ops == scratch_meter.ops
 
     def test_reference_swap_finds_single_source_plan(self):
         # Where the greedy start over-commits to a fast small source, the

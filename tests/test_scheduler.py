@@ -255,7 +255,6 @@ def _per_tuple_run(algo, query, universe, config, planner, stats, detection=None
         shortfall=not executor.reached_target,
         per_source_trace=tuple(executor.traces),
         detections=detections,
-        stats_versions=detections + 1,
         perm_versions=max(planner.versions, 1),
     )
 

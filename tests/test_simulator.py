@@ -41,14 +41,29 @@ class TestVennPlacement:
         assert truth == expected
 
     def test_infeasible_cell_map_rejected(self):
-        config = UniverseConfig(
-            n_sources=2,
-            n_distinct=5,
-            total_tuples=10,
-            overlap=VennModel.from_mapping({0b01: 4, 0b10: 4}),
-        )
-        with pytest.raises(ValueError, match="exceed"):
-            generate(config, 1)
+        # Rejected with the config, not when a universe is generated.
+        with pytest.raises(ValueError, match="exceed the distinct tuple budget"):
+            UniverseConfig(
+                n_sources=2,
+                n_distinct=5,
+                total_tuples=10,
+                overlap=VennModel.from_mapping({0b01: 4, 0b10: 4}),
+            )
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ({0b01: 4, 0b100: 1}, "cell mask 0x4 outside the universe"),
+            ({0b00: 1}, "cell mask 0x0 outside the universe"),
+            ({0b01: 6, 0b10: -2}, "cell 0x2 has a negative count -2"),
+        ],
+        ids=["mask-past-the-sources", "empty-mask", "negative-count"],
+    )
+    def test_cell_outside_the_universe_or_negative_rejected(self, cells, message):
+        with pytest.raises(ValueError, match=message):
+            UniverseConfig(
+                n_sources=2, n_distinct=5, total_tuples=10, overlap=VennModel.from_mapping(cells)
+            )
 
     def test_count_queries(self):
         probe = ScopedProbe(demo_universe(), SCOPE_ALL)
