@@ -71,10 +71,20 @@ class CoverageWalk:
     prefix and keeps per-source covered amounts, so appending a source and
     querying residuals are both cheap inside greedy loops.  Cells are read
     by position in the snapshot's cell index: one byte per cell says
-    whether it is covered.
+    whether it is covered.  Rates divide by the scan times the snapshot
+    computed once.
     """
 
-    __slots__ = ("snapshot", "_covered", "_covered_amt", "_values", "_members", "_by_source")
+    __slots__ = (
+        "snapshot",
+        "_covered",
+        "_covered_amt",
+        "_values",
+        "_members",
+        "_by_source",
+        "_cards",
+        "_scan",
+    )
 
     def __init__(self, snapshot: StatsSnapshot):
         index = snapshot.index
@@ -82,22 +92,25 @@ class CoverageWalk:
         self._values = snapshot.values
         self._members = index.members
         self._by_source = index.by_source
+        self._cards = snapshot.cardinalities
+        self._scan = snapshot._scan_ms
         self._covered = bytearray(len(index.masks))
         self._covered_amt = [0.0] * snapshot.n_sources
 
     def residual(self, source: int) -> float:
         # Clamped at zero: estimated cells may briefly overshoot a freshly
         # detected cardinality, and a negative residual is meaningless.
-        return max(0.0, self.snapshot.cardinalities[source] - self._covered_amt[source])
+        return max(0.0, self._cards[source] - self._covered_amt[source])
 
     def rate(self, source: int) -> float:
-        snap = self.snapshot
-        return rate_from_parts(
-            snap.access_ms[source],
-            snap.per_tuple_ms[source],
-            snap.cardinalities[source],
-            self._covered_amt[source],
-        )
+        """:func:`rate_from_parts` of ``source`` over the walk, read off its scan time."""
+        denom = self._scan[source]
+        if denom <= 0.0:
+            return 0.0
+        residual = self._cards[source] - self._covered_amt[source]
+        if residual <= 0.0:
+            return 0.0
+        return residual / denom
 
     def append(self, source: int) -> None:
         covered = self._covered

@@ -250,7 +250,7 @@ def online_detection_plan(
     last_values: list[float] = []
 
     def refreshed(
-        fitted: Sequence[int], totals: Sequence[float], known: dict[int, float]
+        fitted: Sequence[int], totals: np.ndarray, known: dict[int, float]
     ) -> StatsSnapshot:
         """A snapshot with ``known`` by position and its other cells fitted to some rows.
 
@@ -259,15 +259,17 @@ def online_detection_plan(
         not: over pruned cells some cannot all be met, and the step keeps
         the solve's last cells.  Every other source publishes its cells'
         sum, or its entry of ``totals`` when it holds no positive cell.
+        The snapshot shares ``initial``'s timing arrays.
         """
         nonlocal last_key, last_values
         fit = set(fitted)
-        key = ([(s, totals[s]) for s in support if s in fit], len(known))
+        row = totals.tolist()
+        key = ([(s, row[s]) for s in support if s in fit], len(known))
         if key != last_key:
-            rows = [totals[s] if s in fit else math.nan for s in range(n)]
+            rows = [row[s] if s in fit else math.nan for s in range(n)]
             last_values = maxent.solve(rows, index, known, prior=prior)[0].tolist()
             last_key = key
-        cards = list(totals)
+        cards = totals.copy()
         # Outside the support only counted cells can be positive, and cells
         # are counted once every source is.  Cells are never negative, so
         # a zero sum means no positive cell.
@@ -276,7 +278,7 @@ def online_detection_plan(
                 cells_sum = sum(last_values[i] for i in index.by_source[s])
                 if cells_sum > 0.0:
                     cards[s] = cells_sum
-        return StatsSnapshot(initial.access_ms, initial.per_tuple_ms, tuple(cards), index, last_values)
+        return initial._refitted(cards, last_values)
 
     # A probed source's row is fitted from then on.  A source not yet
     # detected that holds no positive cell publishes its offline total
@@ -286,13 +288,13 @@ def online_detection_plan(
     # its probe count and ratio; its totals are rebuilt from the detected
     # ones on read.
     offline_cards = initial.cardinalities
-    offline = np.array(offline_cards, dtype=float)
+    offline = initial._cards
     detected_cards: list[float] = []  # in hint order
 
     def totals_step(probed: int, avg: float) -> StatsSnapshot:
         cards = offline * avg
         cards[hint[:probed]] = detected_cards[:probed]
-        return refreshed(hint[:probed], cards.tolist(), {})
+        return refreshed(hint[:probed], cards, {})
 
     ratio_sum = 0.0
     ratios = 0
@@ -310,7 +312,7 @@ def online_detection_plan(
     # refresh moved them from the prior; that refresh is solved here.  By
     # then every source is detected.
     refresh = read()
-    cards = refresh.cardinalities
+    cards = refresh._cards
     estimates = refresh.values
     gaps = sorted(
         range(n_cells),

@@ -14,6 +14,11 @@ mask's member sources, each source's cell positions and, built on first
 read, the source-by-cell 0/1 matrix, plus one list of values in that
 order.  The query-level snapshots of one plan all hold the offline
 snapshot's masks, so they share its index and carry only their values.
+
+The planners read each snapshot's scan times and its heap of rate
+bounds, both from one numpy pass on first read.  The query-level
+snapshots also share the offline snapshot's timing arrays, so that pass
+converts only their cardinalities.
 """
 
 from __future__ import annotations
@@ -107,25 +112,50 @@ class StatsSnapshot:
         return len(self.cardinalities)
 
     @cached_property
-    def _rate_heap(self) -> list[tuple[float, int]]:
-        """``(-rate, source)`` with nothing covered, ascending: a heap of rate bounds.
+    def _timing(self) -> tuple[np.ndarray, np.ndarray]:
+        """``access_ms`` and ``per_tuple_ms`` as float arrays, for the pricing pass.
 
-        A source's rate only falls as cells are covered, so each entry
+        Snapshots refitted from this one (:meth:`_refitted`) share them.
+        """
+        return np.array(self.access_ms, dtype=float), np.array(self.per_tuple_ms, dtype=float)
+
+    @cached_property
+    def _cards(self) -> np.ndarray:
+        """``cardinalities`` as a float array, for the pricing pass."""
+        return np.array(self.cardinalities, dtype=float)
+
+    @cached_property
+    def _priced(self) -> tuple[list[float], list[tuple[float, int]]]:
+        """Each source's full scan time, and the rate heap, from one numpy pass.
+
+        The scan times are ``access + per_tuple * card`` as Python floats:
+        numpy's elementwise ``*`` and ``+`` round as Python's do.  The
+        heap holds ``(-rate, source)`` with nothing covered, ascending.  A
+        source's rate only falls as cells are covered, so each entry
         bounds that source's rate after any prefix.  The rates are
         :func:`cost.rate_from_parts` with nothing covered, taken over all
         sources at once: a source with no tuples or no scan time rates 0,
         and equal keys (``-0.0`` among them) keep ascending source order.
         """
-        access = np.array(self.access_ms, dtype=float)
-        per_tuple = np.array(self.per_tuple_ms, dtype=float)
-        cards = np.array(self.cardinalities, dtype=float)
+        access, per_tuple = self._timing
+        cards = self._cards
         rates = np.zeros(len(cards))
         with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
             scan = access + per_tuple * cards
             np.divide(cards, scan, out=rates, where=~((scan <= 0.0) | (cards <= 0.0)))
         keys = -rates
         order = keys.argsort(kind="stable")
-        return list(zip(keys[order].tolist(), order.tolist()))
+        return scan.tolist(), list(zip(keys[order].tolist(), order.tolist()))
+
+    @property
+    def _scan_ms(self) -> list[float]:
+        """Each source's full scan time, indexed by source (see :attr:`_priced`)."""
+        return self._priced[0]
+
+    @property
+    def _rate_heap(self) -> list[tuple[float, int]]:
+        """A heap of rate bounds: ``(-rate, source)`` with nothing covered (see :attr:`_priced`)."""
+        return self._priced[1]
 
     @cached_property
     def _detection_hint(self) -> list[tuple[int, ...]]:
@@ -138,7 +168,19 @@ class StatsSnapshot:
 
     def scan_cost_ms(self, source: int) -> float:
         """Full access-plus-transfer time for one source."""
-        return self.access_ms[source] + self.per_tuple_ms[source] * self.cardinalities[source]
+        return self._priced[0][source]
+
+    def _refitted(self, cards: np.ndarray, values: list[float]) -> StatsSnapshot:
+        """This snapshot's sources and cells with other cardinalities and cell values.
+
+        The new snapshot shares this one's timing, timing arrays and cell
+        index, and keeps ``cards``, a float array the caller no longer
+        changes, as its cardinality array.
+        """
+        cardinalities = tuple(cards.tolist())
+        snap = StatsSnapshot(self.access_ms, self.per_tuple_ms, cardinalities, self.index, values)
+        snap.__dict__.update(_timing=self._timing, _cards=cards)  # as their cached_property would
+        return snap
 
 
 def snapshot_from_cells(

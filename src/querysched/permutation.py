@@ -14,14 +14,17 @@ start from: the greedy starts from each source's rate with nothing
 covered, computed and sorted once per snapshot, and re-rates only the
 tops it meets.  It reads that sorted list in place, skipping the sources
 already in the order, and keeps the re-rated ones in a small side heap.
-Every greedy, the start and each rebuild, walks its order from a fresh
-:class:`~querysched.cost.CoverageWalk`.  Swap candidates are ranked by
-overlap ratio with the anchor, read from the anchor's cells, and those
+Scan sums read each source's scan time, kept by the pass that sorts the
+rates.  Every greedy, the start and each rebuild, walks its order from a
+fresh :class:`~querysched.cost.CoverageWalk`.  Swap candidates are ranked
+by overlap ratio with the anchor, read from the anchor's cells, and those
 below a fixed floor are dropped, since swapping sources that barely
 intersect cannot change which order wins.
 A replan during a run needs only the first unpinned source of the full
 order, which the greedy start and the swap at that position decide
-(:func:`next_source`).
+(:func:`next_source`).  The incumbent after that swap is the greedy start
+of every longer pinned prefix it begins with, so a replan over the same
+snapshot after dispatching its first sources may start from it.
 A brute-force oracle over all covering prefixes serves small universes,
 with the analytic approximation bound used to sanity-check sweep output.
 """
@@ -219,11 +222,12 @@ def _greedy(
 ) -> PermCandidate:
     """:func:`greedy_by_rate` without the order check."""
     walk = CoverageWalk(snapshot)
+    scan = snapshot._scan_ms
     keep, res_sum, scan_sum = 0, 0.0, 0.0
     while keep < len(order) and not (res_sum >= k and keep >= pinned):
         s = order[keep]
         res_sum += walk.residual(s)
-        scan_sum += snapshot.scan_cost_ms(s)
+        scan_sum += scan[s]
         walk.append(s)
         keep += 1
     new_order = list(order[:keep])
@@ -232,7 +236,7 @@ def _greedy(
             if rate <= 0.0:
                 break
             res_sum += walk.residual(best)
-            scan_sum += snapshot.scan_cost_ms(best)
+            scan_sum += scan[best]
             new_order.append(best)
             if res_sum >= k:
                 break
@@ -301,10 +305,16 @@ def _sweep(
     snapshot: StatsSnapshot,
     pinned_order: Sequence[int],
     meter: WorkMeter | None,
+    start: PermCandidate | None = None,
 ) -> Iterator[PermCandidate]:
-    """Yield the greedy start, then the incumbent after each swap position."""
+    """Yield the greedy start, then the incumbent after each swap position.
+
+    ``start``, when given, is the greedy start, which is then not built.
+    """
     pinned = len(pinned_order)
-    incumbent = _greedy(k, tuple(pinned_order), pinned, meter, snapshot)
+    incumbent = start
+    if incumbent is None:
+        incumbent = _greedy(k, tuple(pinned_order), pinned, meter, snapshot)
     yield incumbent
 
     pos = pinned
@@ -338,8 +348,9 @@ def next_source(
     k: float,
     snapshot: StatsSnapshot,
     pinned_order: Sequence[int],
-) -> int | None:
-    """First unpinned source of the full-universe order; None if none is left.
+    start: PermCandidate | None = None,
+) -> tuple[int | None, PermCandidate]:
+    """First unpinned source of the full-universe order, None if none is left, and its head.
 
     That order is :func:`refine_order`'s, extended by the greedy without a
     target and then by the remaining sources in id order.  Of the sweep,
@@ -348,23 +359,33 @@ def next_source(
     the pinned one covers less than ``k`` (the greedy stops at the first
     that covers it), and a rebuild walks the incumbent's prefix in the
     same floats, so a swap at a later position never trims before that
-    position.  When the refined order is the pinned prefix alone, the
+    position.  The incumbent after that swap is the head returned with
+    the source.  When the refined order is the pinned prefix alone, the
     extension's first round picks the source with the highest rate,
     ties to the lowest id, over a walk of the pinned prefix.
+
+    The head is also the greedy start of any longer pinned prefix it
+    begins with, over the same ``k`` and snapshot: the greedy walks that
+    prefix in the same floats, and its extension picks an exact argmax,
+    ties to the lowest id, as the head's did.  A later call may pass it
+    as ``start`` then, and the greedy start is not built again.  Raises
+    ValueError for a ``start`` that does not begin with ``pinned_order``.
     """
     pinned = len(pinned_order)
-    sweep = _sweep(k, snapshot, pinned_order, None)
-    refined = next(sweep)  # the greedy start
-    refined = next(sweep, refined)  # after the swap at the first unpinned position
-    if len(refined.order) > pinned:
-        return refined.order[pinned]
+    if start is not None and start.order[:pinned] != tuple(pinned_order):
+        raise ValueError("start does not begin with the pinned order")
+    sweep = _sweep(k, snapshot, pinned_order, None, start)
+    head = next(sweep)  # the greedy start
+    head = next(sweep, head)  # after the swap at the first unpinned position
+    if len(head.order) > pinned:
+        return head.order[pinned], head
     walk = CoverageWalk(snapshot)
     for s in pinned_order:
         walk.append(s)
     # Rates are never negative, so with none positive the first pick is
     # the lowest id, as the remaining sources follow in id order.
-    picks = _picks(walk, snapshot._rate_heap, set(refined.order), walk.rate, None)
-    return next((s for _, s in picks), None)
+    picks = _picks(walk, snapshot._rate_heap, set(head.order), walk.rate, None)
+    return next((s for _, s in picks), None), head
 
 
 def baseline_order(kind: str, snapshot: StatsSnapshot, seed: int | None = None) -> tuple[int, ...]:

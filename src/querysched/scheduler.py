@@ -9,7 +9,10 @@ and counts the detection; that count is the statistics version.  The
 planner names the source the next dispatch takes, and replans lazily
 whenever that version or the dispatched prefix has moved since its last
 answer; only a replan reads the statistics, and the worker builds a
-version's snapshot and refresh on its first read and keeps them.
+version's snapshot and refresh on its first read and keeps them.  A
+replan under the same version starts from the last plan's head when the
+dispatched prefix begins it, and ``sequential``'s first plan is the
+first source of the sweep it is charged for.
 The query threads dispatch that source, pin every source they dispatch
 and deduplicate arriving tuples against a shared seen-set.  A baseline
 is the same loop with a fixed order (its policy's, never revised) and no
@@ -66,6 +69,7 @@ from .permutation import (
     ALGO_ONLINE,
     ALGO_SEQUENTIAL,
     BASELINE_ALGOS,
+    PermCandidate,
     WorkMeter,
     baseline_order,
     covered_total,
@@ -219,6 +223,8 @@ class RunResult:
 
 
 _NO_TIMES = np.empty(0, dtype=np.float64)
+#: Arrival times below this cannot overflow, whatever their rounding.
+_HALF_FLOAT_RANGE = 2.0**1023
 
 
 @dataclass
@@ -243,8 +249,11 @@ class _Planner:
     dispatched prefix differs from the pair it was found for; each new
     answer is a plan version.  It is the first unpinned source of the full
     construction, which :func:`next_source` finds without building the
-    rest.  Built with a ``fixed`` order, as for the baselines, the planner
-    takes that order's sources in turn and does no work.
+    rest.  The planner keeps the head that call returns: while the
+    statistics version holds and the dispatched prefix is the head's
+    first sources, it is the next replan's greedy start.  Built with a
+    ``fixed`` order, as for the baselines, the planner takes that order's
+    sources in turn and does no work.
     """
 
     def __init__(self, k: float, fixed: tuple[int, ...] | None = None):
@@ -253,6 +262,7 @@ class _Planner:
         self.versions = int(fixed is not None)
         self._key: tuple[int, int] | None = None
         self._source: int | None = None
+        self._head: PermCandidate | None = None
 
     def next(
         self, read: Callable[[], StatsSnapshot], stats_version: int, dispatched: tuple[int, ...]
@@ -268,7 +278,16 @@ class _Planner:
             return self.fixed[pinned] if pinned < len(self.fixed) else None
         key = (stats_version, pinned)
         if key != self._key:
-            self._source = next_source(self.k, read(), dispatched)
+            last_version, last_pinned = self._key or (None, 0)
+            start = self._head
+            if not (
+                start is not None
+                and last_version == stats_version
+                and last_pinned < pinned
+                and start.order[:pinned] == dispatched
+            ):
+                start = None
+            self._source, self._head = next_source(self.k, read(), dispatched, start)
             self.versions += 1
             self._key = key
         return self._source
@@ -276,12 +295,20 @@ class _Planner:
     def sweep_work(self, read: Callable[[], StatsSnapshot]) -> int:
         """Operations of the full sweep over ``read()``, which ``sequential`` pays for.
 
-        The plan it stands for, which :meth:`next` finds as the sweep's
-        head, is version 1, found before the first dispatch.
+        The plan it stands for is version 1, found before the first
+        dispatch.  It is the sweep's first source: no swap past the first
+        position moves it (see :func:`next_source`), so :meth:`next` would
+        name the same one.  A sweep whose order is empty leaves that plan
+        to :meth:`next`.
         """
         meter = WorkMeter()
-        refine_order(self.k, read(), meter=meter)
-        self.next(read, 0, ())  # statistics version 0: none detected yet
+        refined = refine_order(self.k, read(), meter=meter)
+        if refined.order:
+            # Statistics version 0: none detected yet.
+            self._source, self._key = refined.order[0], (0, 0)
+            self.versions += 1
+        else:
+            self.next(read, 0, ())
         return meter.ops
 
 
@@ -531,10 +558,17 @@ class _Executor:
             return contact_done
         state.stream = stream
         # np.cumsum adds left to right, so times[i] is the float that
-        # adding per_tuple_ms once per arrival would reach.
+        # adding per_tuple_ms once per arrival would reach; past the float
+        # range that is inf, as in Python.  Silencing numpy's overflow
+        # warning costs about a microsecond, so only a stream whose last
+        # arrival may pass half the range pays for it.
         times = np.full(len(stream), src.per_tuple_ms)
         times[0] = contact_done + src.per_tuple_ms
-        state.times = np.cumsum(times, out=times)
+        if contact_done + len(stream) * src.per_tuple_ms < _HALF_FLOAT_RANGE:
+            state.times = np.cumsum(times, out=times)
+        else:
+            with np.errstate(over="ignore"):
+                state.times = np.cumsum(times, out=times)
         return contact_done
 
     # -- arrivals ------------------------------------------------------

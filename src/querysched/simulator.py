@@ -95,6 +95,16 @@ class UniverseConfig:
                 raise ValueError(
                     f"{name} must be an ordered, nonnegative and finite range, got {(lo, hi)!r}"
                 )
+        for name in ("access_override", "per_tuple_override"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if len(values) != self.n_sources:
+                raise ValueError(
+                    f"{name} must hold one entry per source ({self.n_sources}), got {len(values)}"
+                )
+            if not all(0.0 <= v < math.inf for v in values):  # NaN too
+                raise ValueError(f"{name} entries must be nonnegative and finite, got {values!r}")
         if isinstance(self.overlap, VennModel):
             for mask, count in self.overlap.cells:
                 if not 0 < mask < 1 << self.n_sources:

@@ -72,7 +72,7 @@ def offline(queries: int, solves: int) -> dict:
 # query-level snapshot as soon as it was taken, and with a planner that
 # swept every position of every plan; neither change may change a plan.
 # ``permutation.work_ops`` counts only ``sequential``'s charged sweeps (3
-# on desk, 1 on wide): every plan comes from ``next_source``, and the
+# on desk, 1 on wide): every other plan comes from ``next_source``, and the
 # detection hint is swept once per offline snapshot, which the untraced
 # pass before the traced one already did.  It was 37,385 and 107,832
 # while every run swept the hint and its own first plan in full.  Desk's

@@ -1,5 +1,6 @@
 """Cost model: rates and the two time accountings."""
 
+import math
 import random
 
 import pytest
@@ -86,6 +87,31 @@ class TestCoverageWalk:
 
 
 class TestQueryRate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_walk_rate_equals_the_scalar_rule(self, data):
+        # The walk divides by the snapshot's scan time; the scalar rule
+        # computes it.  Timings may be 0, inf or NaN, and so scan times.
+        n = data.draw(st.integers(1, 6), label="n")
+        timing = st.sampled_from([0.0, 0.5, 2.0, math.inf, math.nan]) | st.floats(0.0, 1e300)
+        access, per_tuple = (
+            tuple(data.draw(st.lists(timing, min_size=n, max_size=n), label=name))
+            for name in ("access", "per_tuple")
+        )
+        card = st.sampled_from([0.0, 3.0]) | st.floats(0.0, 60.0)
+        cards = tuple(data.draw(st.lists(card, min_size=n, max_size=n), label="cards"))
+        masks = sorted(data.draw(st.sets(st.integers(1, (1 << n) - 1), max_size=10), label="masks"))
+        values = [data.draw(st.floats(0.0, 30.0), label="value") for _ in masks]
+        snap = StatsSnapshot(access, per_tuple, cards, CellIndex(masks, n), values)
+        walk, ref = CoverageWalk(snap), MaskWalk(snap)
+        for s in [None] + data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="appends"):
+            if s is not None:
+                walk.append(s)
+                ref.append(s)
+            for t in range(n):
+                expected = rate_from_parts(access[t], per_tuple[t], cards[t], ref.amount[t])
+                assert walk.rate(t).hex() == expected.hex()
+
     def test_reference_rates(self):
         assert rate_from_parts(0.0, 0.7, 50, 0) == pytest.approx(50 / 35)
         assert rate_from_parts(0.0, 1.1, 125, 35) == pytest.approx(90 / 137.5)

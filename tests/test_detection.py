@@ -660,14 +660,14 @@ class TestLazyRefresh:
         u = generate(scaled_universe(desk_universe_config(), 200), 101)
         initial = offline_stats(u, RunConfig()).snapshot
         k = round(0.8 * u.truth.distinct_in_scope(SCOPE_FOCUS))
-        snapshot = detection.StatsSnapshot
+        refit = detection.StatsSnapshot._refitted  # builds every query-level snapshot
         built = []
 
         def counted(*args):
             built.append(args)
-            return snapshot(*args)
+            return refit(*args)
 
-        with mock.patch.object(detection, "StatsSnapshot", counted):
+        with mock.patch.object(detection.StatsSnapshot, "_refitted", counted):
             result = run_query("sequential", QuerySpec(SCOPE_FOCUS, k), u, initial)
         assert result.detections > 10 * result.perm_versions
         # The worker builds a version once, on its first read, and a replan

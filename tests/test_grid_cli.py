@@ -397,7 +397,6 @@ class TestGrid:
         ],
         ids=["overhead", "per-tuple"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the point here
     def test_overflowing_clock_ends_in_a_csv(self, tmp_path, payload, inf_algos):
         # A counting query costs 1.5 ms times the overhead, and a scan
         # 1e308 ms per tuple: both overflow to inf.  A clock at inf used

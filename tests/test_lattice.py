@@ -1,5 +1,9 @@
 """Membership-lattice primitives and snapshot behavior."""
 
+import math
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +105,52 @@ class TestRateHeap:
             (negative_zero, 1),
             (negative_zero, 2),
         ]
+
+
+def float_bits(x):
+    """The IEEE bits of ``x``, which tell NaNs and signed zeros apart."""
+    return struct.pack("<d", x)
+
+
+class TestScanCosts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equal_the_scalar_expression_bit_for_bit(self, data):
+        # The pass computes access + per_tuple * card in numpy; a product
+        # of 0 and inf is NaN, and a large one overflows to inf.
+        n = data.draw(st.integers(0, 12), label="n")
+        value = st.sampled_from([0.0, 0.5, 3.0, math.inf, math.nan]) | st.floats(0.0, 1e300)
+        access, per_tuple, cards = (
+            tuple(data.draw(st.lists(value, min_size=n, max_size=n), label=name))
+            for name in ("access", "per_tuple", "cards")
+        )
+        snap = StatsSnapshot(access, per_tuple, cards, CellIndex((), n), [])
+        expected = [float_bits(a + t * c) for a, t, c in zip(access, per_tuple, cards)]
+        assert [float_bits(snap.scan_cost_ms(s)) for s in range(n)] == expected
+        assert all(type(snap.scan_cost_ms(s)) is float for s in range(n))
+
+    def test_special_entries(self):
+        inf, nan = math.inf, math.nan
+        access, per_tuple = (0.0, 1.0, inf, 2.0, 0.0), (0.0, inf, 0.5, 1.0, 2.0)
+        cards = (4.0, 0.0, 2.0, nan, 1e308)
+        snap = StatsSnapshot(access, per_tuple, cards, CellIndex((), 5), [])
+        scans = [snap.scan_cost_ms(s) for s in range(5)]
+        assert scans[0] == 0.0 and scans[2] == scans[4] == inf
+        assert math.isnan(scans[1]) and math.isnan(scans[3])
+        expected = [float_bits(a + t * c) for a, t, c in zip(access, per_tuple, cards)]
+        assert [float_bits(x) for x in scans] == expected
+
+    def test_refitted_snapshot_prices_its_own_cardinalities(self):
+        snap = ref_snapshot()
+        cards = np.array([10.0, 0.0, 40.0])
+        refit = snap._refitted(cards, [0.0] * len(snap.values))
+        assert refit.cardinalities == (10.0, 0.0, 40.0)
+        assert refit.index is snap.index and refit._timing is snap._timing
+        fresh = StatsSnapshot(
+            snap.access_ms, snap.per_tuple_ms, refit.cardinalities, snap.index, refit.values
+        )
+        assert refit._scan_ms == fresh._scan_ms
+        assert refit._rate_heap == fresh._rate_heap
 
 
 class TestSnapshot:

@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from querysched import permutation
@@ -485,6 +485,15 @@ def full_plan_next(k, snapshot, pinned_order):
     return next((s for s in order if s not in pinned_order), None)
 
 
+def exact(value):
+    """``value`` with every float as ``float.hex``, so candidates compare bit for bit."""
+    if isinstance(value, PermCandidate):
+        return value.order, value.covered.hex(), value.avg_rate.hex()
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return value
+
+
 class TestNextSource:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -502,7 +511,42 @@ class TestNextSource:
             st.integers(-1, int(1.5 * distinct)) | st.floats(-1.0, 1.5 * distinct) | st.just(math.inf),
             label="k",
         )
-        assert next_source(k, snap, pinned) == full_plan_next(k, snap, pinned)
+        assert next_source(k, snap, pinned)[0] == full_plan_next(k, snap, pinned)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        random_snapshots().map(lambda snap: (snap, covered_total(range(snap.n_sources), snap)))
+        | tied_instances(),
+        st.data(),
+    )
+    def test_reused_start_equals_a_start_from_scratch(self, instance, data):
+        # A fixed-snapshot run: each replan hands in the last head when the
+        # dispatched prefix begins it, as the scheduler's planner does.
+        snap, distinct = instance
+        k = data.draw(st.floats(-1.0, 1.5 * distinct) | st.just(math.inf), label="k")
+        dispatched, head, reused = (), None, 0
+        while True:
+            begins = head is not None and head.order[: len(dispatched)] == dispatched
+            start = head if begins else None
+            source, new_head = next_source(k, snap, dispatched, start)
+            assert exact(next_source(k, snap, dispatched)) == exact((source, new_head))
+            reused += start is not None
+            # The head is the greedy start of every longer prefix it begins with.
+            p = len(dispatched)
+            for q in range(p + 1, len(new_head.order) + 1):
+                rebuilt = permutation._greedy(k, new_head.order[:q], q, None, snap)
+                assert exact(rebuilt) == exact(new_head)
+            if source is None:
+                break
+            dispatched, head = dispatched + (source,), new_head
+        event(f"starts reused: {'3 or more' if reused >= 3 else reused}")
+
+    def test_a_start_must_begin_with_the_pinned_order(self):
+        snap = ref_snapshot()
+        _source, head = next_source(125, snap, ())
+        other = next(s for s in range(snap.n_sources) if s != head.order[0])
+        with pytest.raises(ValueError, match="start does not begin with the pinned order"):
+            next_source(125, snap, (other,), head)
 
     def test_pinned_prefix_covering_the_target_takes_the_best_rate(self):
         # Source 1 alone covers k = 125, so the refined order ends at the
@@ -513,15 +557,15 @@ class TestNextSource:
         walk.append(1)
         best = max((0, 2), key=lambda s: (walk.rate(s), -s))
         assert walk.rate(best) > 0.0
-        assert next_source(125, snap, (1,)) == best == full_plan_next(125, snap, (1,))
+        assert next_source(125, snap, (1,))[0] == best == full_plan_next(125, snap, (1,))
 
     def test_no_positive_rate_left_takes_the_lowest_id(self):
         # Source 0 holds every tuple: sources 1 and 2 add nothing after it.
         snap = snapshot_from_cells((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), {0b001: 10, 0b011: 5})
         assert refine_order(10, snap, pinned_order=(0,)).order == (0,)
-        assert next_source(10, snap, (0,)) == 1 == full_plan_next(10, snap, (0,))
-        assert next_source(10, snap, (0, 2)) == 1
-        assert next_source(10, snap, (0, 2, 1)) is None
+        assert next_source(10, snap, (0,))[0] == 1 == full_plan_next(10, snap, (0,))
+        assert next_source(10, snap, (0, 2))[0] == 1
+        assert next_source(10, snap, (0, 2, 1))[0] is None
 
 
 class TestStatsQualityEffect:

@@ -303,6 +303,40 @@ class TestLatencySemantics:
         assert result.simulated_time_ms == pytest.approx(3.0)
 
 
+class TestLatencyOverrides:
+    def config(self, **overrides):
+        return UniverseConfig(
+            n_sources=3,
+            n_distinct=30,
+            total_tuples=60,
+            overlap=ReplicationModel(style="uniform", mean_depth=2.0, max_depth=3),
+            **overrides,
+        )
+
+    @pytest.mark.parametrize("name", ["access_override", "per_tuple_override"])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((1.0, 2.0), r"one entry per source \(3\), got 2"),
+            ((1.0, 2.0, 3.0, 4.0), r"one entry per source \(3\), got 4"),
+            ((1.0, 2.0, -3.0), r"nonnegative and finite, got \(1.0, 2.0, -3.0\)"),
+            ((1.0, float("nan"), 3.0), "nonnegative and finite, got .*nan"),
+            ((1.0, 2.0, float("inf")), "nonnegative and finite, got .*inf"),
+        ],
+    )
+    def test_bad_override_rejected(self, name, values, message):
+        with pytest.raises(ValueError, match=f"^{name} .*{message}"):
+            self.config(**{name: values})
+
+    def test_good_overrides_load(self):
+        u = generate(self.config(access_override=(0.0, 1.5, 2), per_tuple_override=(0.5, 0, 1)), 3)
+        assert [(s.access_ms, s.per_tuple_ms) for s in u.sources] == [
+            (0.0, 0.5), (1.5, 0.0), (2.0, 1.0)
+        ]
+        demo = demo_universe()
+        assert [s.per_tuple_ms for s in demo.sources] == [0.7, 1.1, 1.5]
+
+
 class TestSampledProbe:
     def test_counts_shrink_and_are_deterministic(self):
         config = UniverseConfig(
