@@ -288,7 +288,7 @@ def online_detection_plan(
     # its probe count and ratio; its totals are rebuilt from the detected
     # ones on read.
     offline_cards = initial.cardinalities
-    offline = initial._cards
+    offline = initial._arrays[2]  # the cardinalities
     detected_cards: list[float] = []  # in hint order
 
     def totals_step(probed: int, avg: float) -> StatsSnapshot:
@@ -312,7 +312,7 @@ def online_detection_plan(
     # refresh moved them from the prior; that refresh is solved here.  By
     # then every source is detected.
     refresh = read()
-    cards = refresh._cards
+    cards = refresh._arrays[2]
     estimates = refresh.values
     gaps = sorted(
         range(n_cells),

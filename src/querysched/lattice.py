@@ -23,7 +23,7 @@ converts only their cardinalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -95,6 +95,12 @@ class StatsSnapshot:
     ``values[i]`` is the estimate of cell ``index.masks[i]``.  A cell
     that is not in the index (pruned offline, or never materialized)
     contributes nothing.
+
+    ``_arrays`` holds ``access_ms``, ``per_tuple_ms`` and ``cardinalities``
+    as float arrays, for the pricing pass.  They are converted here unless
+    ``_given_arrays`` holds them: :meth:`_refitted` hands its snapshots
+    the timing arrays of the one they are refitted from.  ``replace()``
+    converts them anew.
     """
 
     access_ms: tuple[float, ...]
@@ -102,27 +108,23 @@ class StatsSnapshot:
     cardinalities: tuple[float, ...]
     index: CellIndex
     values: list[float]
+    _given_arrays: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = None
+    _arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _given_arrays) -> None:
         if not (len(self.access_ms) == len(self.per_tuple_ms) == len(self.cardinalities)):
             raise ValueError("per-source arrays must have equal length")
+        arrays = _given_arrays
+        if arrays is None:
+            columns = (self.access_ms, self.per_tuple_ms, self.cardinalities)
+            arrays = tuple(np.array(c, dtype=float) for c in columns)
+        object.__setattr__(self, "_arrays", arrays)
 
     @property
     def n_sources(self) -> int:
         return len(self.cardinalities)
-
-    @cached_property
-    def _timing(self) -> tuple[np.ndarray, np.ndarray]:
-        """``access_ms`` and ``per_tuple_ms`` as float arrays, for the pricing pass.
-
-        Snapshots refitted from this one (:meth:`_refitted`) share them.
-        """
-        return np.array(self.access_ms, dtype=float), np.array(self.per_tuple_ms, dtype=float)
-
-    @cached_property
-    def _cards(self) -> np.ndarray:
-        """``cardinalities`` as a float array, for the pricing pass."""
-        return np.array(self.cardinalities, dtype=float)
 
     @cached_property
     def _priced(self) -> tuple[list[float], list[tuple[float, int]]]:
@@ -137,8 +139,7 @@ class StatsSnapshot:
         sources at once: a source with no tuples or no scan time rates 0,
         and equal keys (``-0.0`` among them) keep ascending source order.
         """
-        access, per_tuple = self._timing
-        cards = self._cards
+        access, per_tuple, cards = self._arrays
         rates = np.zeros(len(cards))
         with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in Python
             scan = access + per_tuple * cards
@@ -177,10 +178,15 @@ class StatsSnapshot:
         index, and keeps ``cards``, a float array the caller no longer
         changes, as its cardinality array.
         """
-        cardinalities = tuple(cards.tolist())
-        snap = StatsSnapshot(self.access_ms, self.per_tuple_ms, cardinalities, self.index, values)
-        snap.__dict__.update(_timing=self._timing, _cards=cards)  # as their cached_property would
-        return snap
+        access, per_tuple, _ = self._arrays
+        return StatsSnapshot(
+            self.access_ms,
+            self.per_tuple_ms,
+            tuple(cards.tolist()),
+            self.index,
+            values,
+            (access, per_tuple, cards),
+        )
 
 
 def snapshot_from_cells(

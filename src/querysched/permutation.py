@@ -367,13 +367,11 @@ def next_source(
     The head is also the greedy start of any longer pinned prefix it
     begins with, over the same ``k`` and snapshot: the greedy walks that
     prefix in the same floats, and its extension picks an exact argmax,
-    ties to the lowest id, as the head's did.  A later call may pass it
-    as ``start`` then, and the greedy start is not built again.  Raises
-    ValueError for a ``start`` that does not begin with ``pinned_order``.
+    ties to the lowest id, as the head's did.  A later call over such a
+    prefix may pass it as ``start``, and the greedy start is not built
+    again; the caller checks that the head begins with ``pinned_order``.
     """
     pinned = len(pinned_order)
-    if start is not None and start.order[:pinned] != tuple(pinned_order):
-        raise ValueError("start does not begin with the pinned order")
     sweep = _sweep(k, snapshot, pinned_order, None, start)
     head = next(sweep)  # the greedy start
     head = next(sweep, head)  # after the swap at the first unpinned position

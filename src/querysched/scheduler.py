@@ -11,8 +11,7 @@ whenever that version or the dispatched prefix has moved since its last
 answer; only a replan reads the statistics, and the worker builds a
 version's snapshot and refresh on its first read and keeps them.  A
 replan under the same version starts from the last plan's head when the
-dispatched prefix begins it, and ``sequential``'s first plan is the
-first source of the sweep it is charged for.
+dispatched prefix begins it.
 The query threads dispatch that source, pin every source they dispatch
 and deduplicate arriving tuples against a shared seen-set.  A baseline
 is the same loop with a fixed order (its policy's, never revised) and no
@@ -223,8 +222,6 @@ class RunResult:
 
 
 _NO_TIMES = np.empty(0, dtype=np.float64)
-#: Arrival times below this cannot overflow, whatever their rounding.
-_HALF_FLOAT_RANGE = 2.0**1023
 
 
 @dataclass
@@ -278,13 +275,11 @@ class _Planner:
             return self.fixed[pinned] if pinned < len(self.fixed) else None
         key = (stats_version, pinned)
         if key != self._key:
-            last_version, last_pinned = self._key or (None, 0)
+            # The head is set with the key, and under the same version the
+            # prefix only grows.
             start = self._head
-            if not (
-                start is not None
-                and last_version == stats_version
-                and last_pinned < pinned
-                and start.order[:pinned] == dispatched
+            if start is not None and (
+                self._key[0] != stats_version or start.order[:pinned] != dispatched
             ):
                 start = None
             self._source, self._head = next_source(self.k, read(), dispatched, start)
@@ -295,20 +290,12 @@ class _Planner:
     def sweep_work(self, read: Callable[[], StatsSnapshot]) -> int:
         """Operations of the full sweep over ``read()``, which ``sequential`` pays for.
 
-        The plan it stands for is version 1, found before the first
-        dispatch.  It is the sweep's first source: no swap past the first
-        position moves it (see :func:`next_source`), so :meth:`next` would
-        name the same one.  A sweep whose order is empty leaves that plan
-        to :meth:`next`.
+        The plan it stands for, which :meth:`next` finds as the sweep's
+        head, is version 1, found before the first dispatch.
         """
         meter = WorkMeter()
-        refined = refine_order(self.k, read(), meter=meter)
-        if refined.order:
-            # Statistics version 0: none detected yet.
-            self._source, self._key = refined.order[0], (0, 0)
-            self.versions += 1
-        else:
-            self.next(read, 0, ())
+        refine_order(self.k, read(), meter=meter)
+        self.next(read, 0, ())  # statistics version 0: none detected yet
         return meter.ops
 
 
@@ -559,16 +546,11 @@ class _Executor:
         state.stream = stream
         # np.cumsum adds left to right, so times[i] is the float that
         # adding per_tuple_ms once per arrival would reach; past the float
-        # range that is inf, as in Python.  Silencing numpy's overflow
-        # warning costs about a microsecond, so only a stream whose last
-        # arrival may pass half the range pays for it.
+        # range that is inf, as in Python, and numpy's warning is silenced.
         times = np.full(len(stream), src.per_tuple_ms)
         times[0] = contact_done + src.per_tuple_ms
-        if contact_done + len(stream) * src.per_tuple_ms < _HALF_FLOAT_RANGE:
+        with np.errstate(over="ignore"):
             state.times = np.cumsum(times, out=times)
-        else:
-            with np.errstate(over="ignore"):
-                state.times = np.cumsum(times, out=times)
         return contact_done
 
     # -- arrivals ------------------------------------------------------

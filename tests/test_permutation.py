@@ -541,13 +541,6 @@ class TestNextSource:
             dispatched, head = dispatched + (source,), new_head
         event(f"starts reused: {'3 or more' if reused >= 3 else reused}")
 
-    def test_a_start_must_begin_with_the_pinned_order(self):
-        snap = ref_snapshot()
-        _source, head = next_source(125, snap, ())
-        other = next(s for s in range(snap.n_sources) if s != head.order[0])
-        with pytest.raises(ValueError, match="start does not begin with the pinned order"):
-            next_source(125, snap, (other,), head)
-
     def test_pinned_prefix_covering_the_target_takes_the_best_rate(self):
         # Source 1 alone covers k = 125, so the refined order ends at the
         # pinned prefix and the greedy's next pick decides.
