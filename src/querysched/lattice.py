@@ -16,9 +16,9 @@ order.  The query-level snapshots of one plan all hold the offline
 snapshot's masks, so they share its index and carry only their values.
 
 The planners read each snapshot's scan times and its heap of rate
-bounds, both from one numpy pass on first read.  The query-level
-snapshots also share the offline snapshot's timing arrays, so that pass
-converts only their cardinalities.
+bounds, both from one numpy pass on first read over the snapshot's
+float arrays.  A query-level snapshot is handed the offline snapshot's
+timing arrays and its plan's cardinality array, so it converts none.
 """
 
 from __future__ import annotations
